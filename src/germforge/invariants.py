@@ -2,11 +2,12 @@
 
 Codimensions are dimensions of I/tau computed through the module quotient
 O^k/L, where L collects the coefficient vectors landing in tau. Versality is
-decided exactly in a truncated model of that quotient: if D is the largest
-witness degree, every vector with components in m^{D+1} reduces to zero in
-the localized quotient, so the degree-<D slice is a faithful model. No
-degree guesswork enters; the model dimension is asserted against the
-codimension before any conclusion is drawn.
+decided exactly in a truncated model of that quotient, O^k/(L + m^M O^k). Its
+dimension is at most the codimension c, with equality exactly when m^M O^k
+lies in L, and then the degree-<M slice is a faithful model. M starts above
+the largest witness degree and grows until equality, which m^c O^k inside L
+guarantees by M = c. No degree guesswork enters; a model that never reaches
+c is an internal error, raised before any conclusion is drawn.
 """
 
 from __future__ import annotations
@@ -131,30 +132,30 @@ def validate_unfolding(U: Unfolding, I: Ideal) -> None:
 
 
 def _quotient_model(I: Ideal, L: Submodule, c: int):
-    """Truncated model of O^k/L: labels (position, monomial) of degree < M,
-    the reducer for L's image, and M. Exactness: every witness monomial has
-    degree < M, and any vector with all components in m^M reduces to zero in
-    the localized quotient, so the slice has dimension exactly c."""
+    """Truncated model of O^k/L: the reducer for L's image in the labels
+    (position, monomial) of degree < M, its key function, and M. The model
+    has dimension dim O^k/(L + m^M O^k) <= c, and equality certifies that
+    m^M O^k lies in L, so M rises from above the witness degrees until it
+    holds. A quotient of length c is killed by m^c, so M stops at max(c, 1)."""
     qd = L.quotient_dimension()
-    M = 1 + max(sum(m) for _, m in qd.witness)
     k = L.rank
-    labels = [(pos, m) for pos in range(k)
-              for m in monomials_up_to_degree(I.ring.n, M - 1)]
     keyf = lambda lab: (-lab[0],) + tuple(GLOBAL_DP.key(lab[1]))
-    basis = RowBasis(keyf)
-    for l in L.gens:
-        for delta in monomials_up_to_degree(I.ring.n, M - 1):
-            row: Dict = {}
-            for pos, comp in enumerate(l):
-                shifted = comp.term_mul(delta, Fraction(1)).truncate(M - 1)
-                for m, coeff in shifted.terms.items():
-                    row[(pos, m)] = coeff
-            if row:
-                basis.add(row)
-    model_dim = len(labels) - basis.rank
-    if model_dim != c:
-        raise AssertionError("truncated quotient model disagrees with the codimension")
-    return basis, keyf, M
+    for M in range(1 + max(sum(m) for _, m in qd.witness), max(c, 1) + 1):
+        labels = [(pos, m) for pos in range(k)
+                  for m in monomials_up_to_degree(I.ring.n, M - 1)]
+        basis = RowBasis(keyf)
+        for l in L.gens:
+            for delta in monomials_up_to_degree(I.ring.n, M - 1):
+                row: Dict = {}
+                for pos, comp in enumerate(l):
+                    shifted = comp.term_mul(delta, Fraction(1)).truncate(M - 1)
+                    for m, coeff in shifted.terms.items():
+                        row[(pos, m)] = coeff
+                if row:
+                    basis.add(row)
+        if len(labels) - basis.rank == c:
+            return basis, keyf, M
+    raise AssertionError("truncated quotient model disagrees with the codimension")
 
 
 def _coords_vector(coords: Sequence[Poly], M: int) -> Dict:

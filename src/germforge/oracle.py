@@ -363,10 +363,14 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
                        degree_bound: Optional[int] = None) -> bool:
     """The multiplicity of f against the nondegenerate-point component at the
     origin must reappear as the total multiplicity, off the zero set, of
-    every sampled member of the family."""
+    every sampled member of the family. Each trial takes its own seed from
+    TRIAL_SEEDS, so trials runs from 1 to len(TRIAL_SEEDS)."""
     from .jetmorse import (intersection_multiplicity, jet_context,
                            jet_pullback, morse_component)
 
+    if not 1 <= trials <= len(TRIAL_SEEDS):
+        raise GermforgeError("BAD_REQUEST",
+                             f"trials must be between 1 and {len(TRIAL_SEEDS)}, got {trials}")
     c = extended_codim(f, I)
     if not c.is_finite:
         raise GermforgeError("NOT_FINITE_CODIM",
@@ -379,7 +383,7 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     reference = intersection_multiplicity(f, I, ctx, M, "CM")
     I_dp = I.with_order(GLOBAL_DP)
     for t in range(trials):
-        g = random_deformation(f, I, degree_bound, TRIAL_SEEDS[t % len(TRIAL_SEEDS)])
+        g = random_deformation(f, I, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)
         total = saturation(pulled, I_dp).quotient_dimension()
         if not total.is_finite or total.value != reference:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from math import comb, gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
 from .polyring import (
@@ -345,70 +345,149 @@ class QuotientDim:
 INFINITE = QuotientDim(None, ())
 
 
+def _integer_terms(v: Vector) -> Tuple[int, List[Tuple[int, Mono, int, int]]]:
+    """Order at the origin and (position, monomial, degree, coefficient)
+    terms of v scaled by the lcm of its denominators."""
+    den = 1
+    for p in v:
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+    terms = [(pos, m, mono_deg(m), c.numerator * (den // c.denominator))
+             for pos, p in enumerate(v) for m, c in p.terms.items()]
+    return min(t[2] for t in terms), terms
+
+
+def _columns(n: int, rank: int, N: int, key) -> List[MTerm]:
+    """Labels (position, monomial) of degree <= N, greatest under key first;
+    a label's column is its index, so a smaller column is a greater label."""
+    labels = [(pos, m) for pos in range(rank) for m in monomials_up_to_degree(n, N)]
+    labels.sort(key=key, reverse=True)
+    return labels
+
+
+def _shift_rows(gens, n: int, N: int, labels: List[MTerm]):
+    """Each monomial shift of each generator, truncated above degree N, as a
+    sparse integer row over the columns of labels."""
+    col = {lab: i for i, lab in enumerate(labels)}
+    for base, terms in gens:
+        for delta in monomials_up_to_degree(n, N - base):
+            dd = mono_deg(delta)
+            yield {col[pos, mono_mul(m, delta)]: c
+                   for pos, m, dm, c in terms if dm + dd <= N}
+
+
+def _cancel(row: Dict[int, int], p: int, prow: Dict[int, int]) -> None:
+    """Clear column p of row in place, fraction-free: row becomes
+    b*row - a*prow, where a/b is row[p]/prow[p] in lowest terms."""
+    a, b = row.pop(p), prow[p]
+    if b != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        for k in row:
+            row[k] *= b
+    for k, c in prow.items():
+        if k != p:
+            v = row.get(k, 0) - a * c
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+
+
+def _make_primitive(row: Dict[int, int], p: int) -> None:
+    """Divide row by its content, signed so that row[p] is positive."""
+    g = 0
+    for c in row.values():
+        g = gcd(g, c)
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def _eliminate(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """Reduced row echelon form of sparse integer rows, fraction-free, keyed
+    by pivot column. A stored row's pivot is its least column, no stored row
+    holds another's pivot, and each has content 1."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    holders: Dict[int, Set[int]] = {}  # column -> pivots whose rows may hold it
+    # rows with late pivots first: they are short, and early rows then
+    # reduce against them in one pass
+    for row in sorted(rows, key=min, reverse=True):
+        for p in [k for k in row if k in pivots]:
+            _cancel(row, p, pivots[p])
+        if not row:
+            continue
+        p = min(row)
+        _make_primitive(row, p)
+        for q in holders.pop(p, ()):
+            held = pivots[q]
+            if p in held:
+                _cancel(held, p, row)
+                _make_primitive(held, q)
+                for k in row:
+                    if k in held:
+                        holders.setdefault(k, set()).add(q)
+        pivots[p] = row
+        for k in row:
+            if k != p:
+                holders.setdefault(k, set()).add(p)
+    return pivots
+
+
 def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
                               order: Order, caps: Tuple[int, ...] = (4, 9, 14)) -> Optional[QuotientDim]:
-    """Exact local quotient dimension by degree-truncated elimination.
+    """Exact local quotient dimension of O^rank/M by degree-truncated
+    elimination, M the module the generators span.
 
-    A local lead term is the lowest-degree term, so truncating tails above
-    degree N never moves leads: pivots of the image of the module in
-    O^rank/m^{N+1}O^rank are exactly the lead terms of module elements whose
-    lead degree is at most N. If some degree d <= N has no standard monomial
-    left, Nakayama gives m^d O^rank inside the module, and the standard
-    monomials below degree d are the exact cobasis. Returns None when no cap
-    yields a certificate (infinite quotient or staircase deeper than caps);
-    callers then fall back to a full standard basis.
+    Certificate: the shifts of the generators span the image of M in
+    O^rank/m^{N+1}O^rank. Eliminated with the lowest degree as the greatest
+    column, the pivots of each degree d <= N count the degree-d initial forms
+    of M, its tangent cone (Greuel-Pfister 5.5, 7.1). If degree d has no free
+    column, m^d O^rank lies in M + m^{d+1} O^rank, so Nakayama puts m^d O^rank
+    inside M, and the free columns of degree < d count the quotient.
+
+    Witness: once m^d O^rank lies in M, every lead of M of degree < d is the
+    lead of an element of degree < d, so eliminating the shifts below degree
+    d with position-over-term columns leaves exactly the free monomials of
+    M's local standard basis: the same cobasis a full basis would give.
+
+    Returns None when no cap yields a certificate (infinite quotient or
+    staircase deeper than the caps); callers then fall back to a full
+    standard basis.
     """
     n = ring.n
     if rank == 0:
         return QuotientDim(0, ())
     if not gens:
         return None
+    scaled = [_integer_terms(v) for v in gens]
 
-    def pivot_key(pm):
-        return (-pm[0],) + tuple(order.key(pm[1]))
+    def degree_first(lab: MTerm):
+        return (order.key(lab[1]), -lab[0])
+
+    def position_first(lab: MTerm):
+        return (-lab[0], order.key(lab[1]))
 
     for N in caps:
-        rows = []
-        for v in gens:
-            base = min(p.order_at_origin() for p in v if not p.is_zero())
-            if base > N:
-                continue
-            for delta in monomials_up_to_degree(n, N - base):
-                row = {}
-                for pos, p in enumerate(v):
-                    for m, c in p.terms.items():
-                        mm = mono_mul(m, delta)
-                        if mono_deg(mm) <= N:
-                            row[(pos, mm)] = c
-                if row:
-                    rows.append(row)
-        pivots: Dict[Tuple[int, Mono], Dict[Tuple[int, Mono], Fraction]] = {}
-        for row in rows:
-            work = dict(row)
-            while work:
-                piv = max(work, key=pivot_key)
-                hit = pivots.get(piv)
-                if hit is None:
-                    inv = 1 / work[piv]
-                    pivots[piv] = {k: c * inv for k, c in work.items()}
-                    break
-                c = work[piv]
-                for k, v2 in hit.items():
-                    nv = work.get(k, Fraction(0)) - c * v2
-                    if nv:
-                        work[k] = nv
-                    else:
-                        work.pop(k, None)
-        free_by_deg: Dict[int, List[MTerm]] = {d: [] for d in range(N + 1)}
-        for pos in range(rank):
-            for m in monomials_up_to_degree(n, N):
-                if (pos, m) not in pivots:
-                    free_by_deg[mono_deg(m)].append((pos, m))
-        for d in range(N + 1):
-            if not free_by_deg[d]:
-                witness = [t for dd in range(d) for t in free_by_deg[dd]]
-                witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
-                return QuotientDim(len(witness), tuple(witness))
+        labels = _columns(n, rank, N, degree_first)
+        pivots = _eliminate(_shift_rows(scaled, n, N, labels))
+        free_by_deg = [0] * (N + 1)
+        for i, (_, m) in enumerate(labels):
+            if i not in pivots:
+                free_by_deg[mono_deg(m)] += 1
+        if 0 not in free_by_deg:
+            continue
+        d = free_by_deg.index(0)
+        count = sum(free_by_deg[:d])
+        labels = _columns(n, rank, d - 1, position_first)
+        pivots = _eliminate(_shift_rows(scaled, n, d - 1, labels))
+        witness = [lab for i, lab in enumerate(labels) if i not in pivots]
+        if len(witness) != count:
+            raise AssertionError("truncated witness disagrees with the certified count")
+        witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
+        return QuotientDim(count, tuple(witness))
     return None
 
 

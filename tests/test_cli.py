@@ -213,6 +213,17 @@ class TestCommandSurface:
         assert code == 0
         assert "conserved: true" in out and "trials: 2" in out
 
+    @pytest.mark.parametrize("trials", ["0", "9"])
+    def test_conserve_rejects_trial_counts_without_own_seeds(
+            self, capsys, tmp_path, trials):
+        text = CANON + f"option trials {trials} ;\n"
+        code, out, err = run(
+            capsys,
+            ["conserve", problem(tmp_path, text), "--assume-reduced"])
+        assert code == 2
+        assert out == ""
+        assert "BAD_REQUEST" in err
+
     def test_locus_of_running_example(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["locus", problem(tmp_path)])
         assert code == 0

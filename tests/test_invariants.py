@@ -206,6 +206,13 @@ class TestBuildVersal:
         assert derivs == {"x^2", "y", "x*y"}
         assert versality_check(U, EJEM)
 
+    def test_model_grows_past_the_witness_degrees(self):
+        # j10: m^M O^k lies in L only for M above 1 + the largest witness
+        # degree, so the versality model has to be deepened
+        U = build_versal_unfolding(P("x^7 + y^2 + x^3 y"), EJEM)
+        assert len(U.params) == 6
+        assert versality_check(U, EJEM)
+
     def test_unit_ideal_cubic(self):
         R1 = Ring(["x"])
         I1 = Ideal(R1, [parse_poly("1", R1)], LOCAL_DS)

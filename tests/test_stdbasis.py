@@ -286,18 +286,44 @@ class TestQuotientDimension:
             assert fast.quotient_dimension() == slow.quotient_dimension(), trial
 
     def test_truncated_shortcut_matches_on_rank_two(self):
+        # value and witness must match the full basis; the unpadded inputs
+        # mix finite and infinite quotients, and the one-variable ones have a
+        # degree without free monomials under position-over-term order yet
+        # are infinite, so only a degree-first count may certify
         rng = random.Random(90125)
         rand = TestNormalFormVsOracle._rand_poly
         zero = R2.zero()
         pads = [(P("x^2"), zero), (P("y^2"), zero), (zero, P("x^2")),
                 (zero, P("y^3"))]
-        for trial in range(10):
-            vecs = pads + [(rand(rng, 3), rand(rng, 3)) for _ in range(2)]
+        inputs = [(R2, pads + [(rand(rng, 3), rand(rng, 3)) for _ in range(2)])
+                  for _ in range(10)]
+        unpadded = [
+            [("x", "y"), ("y", "x")],
+            [("x", "y"), ("y", "x"), ("x^2", "0")],
+            [("x^2", "y"), ("y^2", "x")],
+            [("x^2", "y"), ("y^2", "x"), ("x y", "0")],
+            [("1 + x", "y"), ("x", "y^2")],
+            [("1 + x", "y"), ("x", "y^2"), ("0", "x^3")],
+            [("x^3", "1")],
+            [("x^2", "x"), ("y^2", "y")],
+            [("x^3", "1 + y"), ("y^3", "x")],
+            [("x y", "x^2 + y^2"), ("x^3", "y"), ("y^4", "x")],
+            [("2x - 3y^2", "x y"), ("y + x^2", "1/2 x"), ("0", "y^3 - x^3")],
+            [("x^2 - y", "x"), ("x y", "y^2"), ("y^2", "x^3")],
+        ]
+        inputs += [(R2, [(P(a), P(b)) for a, b in vecs]) for vecs in unpadded]
+        one_variable = [[(P("x^3", R1), P("1", R1))],
+                        [(P("x^3", R1), P("1 + x", R1))],
+                        [(P("x^2", R1), P("x", R1))]]
+        inputs += [(R1, vecs) for vecs in one_variable]
+        for trial, (ring, vecs) in enumerate(inputs):
             vecs = [v for v in vecs if any(not p.is_zero() for p in v)]
-            fast = Submodule(R2, 2, vecs, LOCAL_DS)
-            slow = Submodule(R2, 2, vecs, LOCAL_DS)
+            fast = Submodule(ring, 2, vecs, LOCAL_DS)
+            slow = Submodule(ring, 2, vecs, LOCAL_DS)
             slow.basis()
             assert fast.quotient_dimension() == slow.quotient_dimension(), trial
+        for vecs in one_variable:
+            assert Submodule(R1, 2, vecs, LOCAL_DS).quotient_dimension() is INFINITE
 
     def test_truncated_shortcut_infinite_falls_back(self):
         sub = Submodule(R2, 1, [(P("x y"),), (P("x^2"),)], LOCAL_DS)
