@@ -1,24 +1,45 @@
 """Singularity invariants of a germ relative to an ideal.
 
-Codimensions are dimensions of I/tau computed through the module quotient
-O^k/L, where L collects the coefficient vectors landing in tau. Versality is
-decided exactly in a truncated model of that quotient, O^k/(L + m^M O^k). Its
-dimension is at most the codimension c, with equality exactly when m^M O^k
-lies in L, and then the degree-<M slice is a faithful model. M starts above
-the largest witness degree and grows until equality, which m^c O^k inside L
-guarantees by M = c. No degree guesswork enters; a model that never reaches
-c is an internal error, raised before any conclusion is drawn.
+Every invariant of a germ f in an ideal I comes from the same tangent data,
+and GermProblem(f, I) is the one place that computes it, each piece once, on
+first use:
+
+- theta: the fields preserving I (tangent.theta_preserving);
+- tau: the tangent ideal tau_e(f), swept out of f by theta;
+- L: the coefficient vectors c with sum c_i g_i in tau, so that I/tau is
+  O^k/L; c_ext is the dimension of that quotient and cobasis its witness,
+  read as the elements I.gens[pos] * m;
+- c_plain: the same dimension over the fields of theta vanishing at the
+  origin, derived from the same theta;
+- determinacy: the least m with m^m I inside tau at the origin;
+- locus() and is_versal(U) build on tau and L.
+
+The module functions extended_codim, plain_codim, determinacy_bound,
+positive_codim_locus, versality_check, build_versal_unfolding and
+invariant_report are entry points that build one problem each; code that
+needs several invariants of one pair builds the problem once and reads them
+all from it.
+
+Versality is decided exactly in a truncated model of O^k/L, namely
+O^k/(L + m^M O^k). Its dimension is at most the codimension c, with equality
+exactly when m^M O^k lies in L, and then the degree-<M slice is a faithful
+model. M starts above the largest witness degree and grows until equality,
+which m^c O^k inside L guarantees by M = c. No degree guesswork enters; a
+model that never reaches c is an internal error, raised before any
+conclusion is drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis
-from .polyring import GLOBAL_DP, Mono, Poly, Ring, monomials_of_degree, monomials_up_to_degree
+from .polyring import (GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_of_degree,
+                       monomials_up_to_degree)
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -26,55 +47,119 @@ from .stdbasis import (
     ideal_quotient,
     subideal_preimage,
 )
-from .tangent import tangent_ideal, theta_preserving, theta_vanishing
+from .tangent import VectorFieldModule, tangent_ideal, theta_preserving, theta_vanishing
 
 
-def _require_member(f: Poly, I: Ideal) -> None:
-    if not I.contains(f):
-        raise GermforgeError("F_NOT_IN_IDEAL", f"{f} is not a member of the ideal")
+class GermProblem:
+    """A germ f in an ideal I, with the tangent data of the pair computed on
+    first use and kept for the life of the problem."""
+
+    def __init__(self, f: Poly, I: Ideal) -> None:
+        if not I.contains(f):
+            raise GermforgeError("F_NOT_IN_IDEAL", f"{f} is not a member of the ideal")
+        self.f = f
+        self.I = I
+
+    @cached_property
+    def theta(self) -> VectorFieldModule:
+        return theta_preserving(self.I)
+
+    @cached_property
+    def tau(self) -> Ideal:
+        return tangent_ideal(self.f, self.theta)
+
+    @cached_property
+    def L(self) -> Submodule:
+        return subideal_preimage(self.I, self.tau)
+
+    @cached_property
+    def c_ext(self) -> QuotientDim:
+        """dim I/tau_e(f) where tau_e comes from all ideal-preserving fields."""
+        return self.L.quotient_dimension()
+
+    @cached_property
+    def c_plain(self) -> QuotientDim:
+        """dim I/tau(f) where tau uses only fields vanishing at the origin."""
+        tau = tangent_ideal(self.f, theta_vanishing(self.theta))
+        return subideal_preimage(self.I, tau).quotient_dimension()
+
+    def finite_codim(self, why: str) -> int:
+        """The extended codimension, or NOT_FINITE_CODIM with the reason the
+        caller needs it finite."""
+        if not self.c_ext.is_finite:
+            raise GermforgeError("NOT_FINITE_CODIM", why)
+        return self.c_ext.value
+
+    @cached_property
+    def cobasis(self) -> Tuple[Poly, ...]:
+        """Elements of I whose classes form a basis of I/tau_e(f)."""
+        return tuple(self.I.gens[pos].term_mul(m, Fraction(1))
+                     for pos, m in self.c_ext.witness)
+
+    @cached_property
+    def determinacy(self) -> int:
+        """Minimal m with m^m * I inside tau_e(f) at the origin; 0 means I
+        itself is inside. Determinacy belongs to the germ, so the inclusion
+        is decided in the localized tangent ideal whatever the order of I."""
+        c = self.finite_codim("determinacy needs finite codimension")
+        if c == 0:
+            return 0
+        tau = self.tau.with_order(LOCAL_DS)
+        n = self.I.ring.n
+        for m in range(c + 1):
+            if all(tau.contains(g.term_mul(gamma, Fraction(1)))
+                   for gamma in monomials_of_degree(n, m) for g in self.I.gens):
+                return m
+        raise AssertionError("determinacy exceeded the codimension bound")
+
+    def locus(self) -> Ideal:
+        """(tau_e(f) : I) in the global ring; its zero set is where f has
+        positive extended codimension as a function."""
+        return ideal_quotient(self.tau.with_order(GLOBAL_DP), self.I.with_order(GLOBAL_DP))
+
+    def is_versal(self, U: Unfolding) -> bool:
+        """True iff tau_e(f) plus the span of the parameter derivatives of U
+        at the origin of the parameter space fills I."""
+        if U.f != self.f:
+            raise ValueError("the unfolding is over another germ")
+        validate_unfolding(U, self.I)
+        c = self.c_ext
+        if not c.is_finite:
+            return False
+        if c.value == 0:
+            return True
+        basis, keyf, M = _quotient_model(self.I, self.L, c.value)
+        span = RowBasis(keyf)
+        rank = 0
+        for i in range(len(U.params)):
+            coords = self.I.lift(U.derivative_at_zero(i))
+            if coords is None:
+                raise AssertionError("parameter derivative escaped the ideal")
+            residual = basis.reduce(_coords_vector(coords, M))
+            if span.add(residual) is not None:
+                rank += 1
+        return rank == c.value
 
 
 def extended_codim(f: Poly, I: Ideal) -> QuotientDim:
     """dim I/tau_e(f) where tau_e comes from all ideal-preserving fields."""
-    _require_member(f, I)
-    tau = tangent_ideal(f, theta_preserving(I))
-    return subideal_preimage(I, tau).quotient_dimension()
+    return GermProblem(f, I).c_ext
 
 
 def plain_codim(f: Poly, I: Ideal) -> QuotientDim:
     """dim I/tau(f) where tau uses only fields vanishing at the origin."""
-    _require_member(f, I)
-    tau = tangent_ideal(f, theta_vanishing(I))
-    return subideal_preimage(I, tau).quotient_dimension()
-
-
-def tau_extended(f: Poly, I: Ideal) -> Ideal:
-    _require_member(f, I)
-    return tangent_ideal(f, theta_preserving(I))
+    return GermProblem(f, I).c_plain
 
 
 def determinacy_bound(f: Poly, I: Ideal) -> int:
     """Minimal m with m^m * I inside tau_e(f); 0 means I itself is inside."""
-    c = extended_codim(f, I)
-    if not c.is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM", "determinacy needs finite codimension")
-    if c.value == 0:
-        return 0
-    tau = tangent_ideal(f, theta_preserving(I))
-    n = I.ring.n
-    for m in range(1, c.value + 1):
-        if all(tau.contains(g.term_mul(gamma, Fraction(1)))
-               for gamma in monomials_of_degree(n, m) for g in I.gens):
-            return m
-    raise AssertionError("determinacy exceeded the codimension bound")
+    return GermProblem(f, I).determinacy
 
 
 def positive_codim_locus(f: Poly, I: Ideal) -> Ideal:
     """(tau_e(f) : I) in the global ring; its zero set is where f has
     positive extended codimension as a function."""
-    _require_member(f, I)
-    tau = tangent_ideal(f, theta_preserving(I))
-    return ideal_quotient(tau.with_order(GLOBAL_DP), I.with_order(GLOBAL_DP))
+    return GermProblem(f, I).locus()
 
 
 # ---------------------------------------------------------------------------
@@ -169,44 +254,22 @@ def _coords_vector(coords: Sequence[Poly], M: int) -> Dict:
 def versality_check(U: Unfolding, I: Ideal) -> bool:
     """True iff tau_e(f) plus the span of the parameter derivatives at the
     origin of the parameter space fills I."""
-    _require_member(U.f, I)
-    validate_unfolding(U, I)
-    tau = tangent_ideal(U.f, theta_preserving(I))
-    L = subideal_preimage(I, tau)
-    c = L.quotient_dimension()
-    if not c.is_finite:
-        return False
-    if c.value == 0:
-        return True
-    basis, keyf, M = _quotient_model(I, L, c.value)
-    span = RowBasis(keyf)
-    rank = 0
-    for i in range(len(U.params)):
-        v = U.derivative_at_zero(i)
-        coords = I.lift(v)
-        if coords is None:
-            raise AssertionError("parameter derivative escaped the ideal")
-        residual = basis.reduce(_coords_vector(coords, M))
-        if span.add(residual) is not None:
-            rank += 1
-    return rank == c.value
+    return GermProblem(U.f, I).is_versal(U)
 
 
 def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     """F = f + sum s_i h_i with the h_i a basis of I/tau_e(f)."""
-    c = extended_codim(f, I)
-    if not c.is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM", "versal unfoldings need finite codimension")
+    P = GermProblem(f, I)
+    P.finite_codim("versal unfoldings need finite codimension")
     ring = I.ring
-    basis_elems = [I.gens[pos].term_mul(m, Fraction(1)) for pos, m in c.witness]
-    params = _fresh_names(ring, len(basis_elems))
+    params = _fresh_names(ring, len(P.cobasis))
     ext = ring.extend(params)
     n = ring.n
     F = f.rename(ext, list(range(n)))
-    for i, h in enumerate(basis_elems):
+    for i, h in enumerate(P.cobasis):
         F = F + ext.var(n + i) * h.rename(ext, list(range(n)))
     U = Unfolding(ext, F, tuple(params), ring, f)
-    if not versality_check(U, I):
+    if not P.is_versal(U):
         raise AssertionError("constructed unfolding failed its own versality check")
     return U
 
@@ -381,10 +444,8 @@ class InvariantReport:
 
 
 def invariant_report(f: Poly, I: Ideal) -> InvariantReport:
-    c_ext = extended_codim(f, I)
-    c_plain = plain_codim(f, I)
-    if c_ext.is_finite != c_plain.is_finite:
+    P = GermProblem(f, I)
+    if P.c_ext.is_finite != P.c_plain.is_finite:
         raise AssertionError("finiteness of the two codimensions must agree")
-    det = determinacy_bound(f, I) if c_ext.is_finite else None
-    basis = tuple(I.gens[pos].term_mul(m, Fraction(1)) for pos, m in c_ext.witness)
-    return InvariantReport(c_ext, c_plain, det, basis)
+    det = P.determinacy if P.c_ext.is_finite else None
+    return InvariantReport(P.c_ext, P.c_plain, det, P.cobasis)

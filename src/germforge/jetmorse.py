@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
-from .invariants import extended_codim
+from .invariants import GermProblem
 from .linalg import RowBasis
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient, saturation, zero_dim_radical
@@ -181,10 +181,6 @@ def morse_component(ctx: JetContext, assume_reduced: bool = False) -> MorseCompo
     colon = ideal_quotient(rad, J2)
     sat = saturation(J1, J2)
     return MorseComponent(colon, sat, cert, not colon.equals(sat))
-
-
-def morse_component_ideal(ctx: JetContext, assume_reduced: bool = False) -> Ideal:
-    return morse_component(ctx, assume_reduced).ideal
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +355,12 @@ def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
                  degree_bound: Optional[int] = None) -> int:
     if method not in ("JET", "ORACLE"):
         raise ValueError("method must be JET or ORACLE")
-    if not extended_codim(f, I).is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM",
-                             "the Morse number needs finite extended codimension")
+    P = GermProblem(f, I)
+    P.finite_codim("the Morse number needs finite extended codimension")
     if method == "JET":
         ctx = jet_context(I, 1)
         mc = morse_component(ctx, assume_reduced)
         return intersection_multiplicity(f, I, ctx, mc.ideal, "CM")
-    from .oracle import oracle_morse_number
+    from .oracle import _splitting
 
-    return oracle_morse_number(f, I, seeds=seeds, degree_bound=degree_bound)
+    return _splitting(P, seeds, degree_bound).morse

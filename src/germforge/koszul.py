@@ -151,9 +151,3 @@ def koszul_euler(inst: KoszulInstance) -> int:
     """Alternating sum including H_0: sum_{i>=0} (-1)^i dim H_i."""
     dims = koszul_homology_dims(inst, inst.length)
     return sum(d if i % 2 == 0 else -d for i, d in enumerate(dims))
-
-
-def koszul_euler_from_one(inst: KoszulInstance) -> int:
-    """Alternating sum starting at H_1; exposed alongside the inclusive one."""
-    dims = koszul_homology_dims(inst, inst.length)
-    return sum(-d if i % 2 == 1 else d for i, d in enumerate(dims) if i >= 1)

@@ -18,11 +18,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
-from .invariants import extended_codim, positive_codim_locus
-from .linalg import nullspace
+from .invariants import GermProblem, extended_codim
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring
-from .stdbasis import Ideal, saturation, subideal_preimage
-from .tangent import tangent_ideal, theta_preserving
+from .stdbasis import Ideal, ideal_quotient, minimal_polynomial, saturation, subideal_preimage
+from .tangent import VectorFieldModule, tangent_ideal, theta_preserving
 
 DEFAULT_SEEDS: Tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: Tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,14 +57,6 @@ class XorShift64:
 # deformations
 
 
-def _deformation_basis(f: Poly, I: Ideal) -> List[Poly]:
-    c = extended_codim(f, I)
-    if not c.is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM",
-                             "deformations are drawn along a finite basis over the tangent ideal")
-    return [I.gens[pos].term_mul(m, Fraction(1)) for pos, m in c.witness]
-
-
 def random_deformation(f: Poly, I: Ideal, degree_bound: Optional[int] = None,
                        seed: int = 11) -> Poly:
     """f plus a seeded rational combination of the cobasis of the tangent
@@ -74,15 +65,15 @@ def random_deformation(f: Poly, I: Ideal, degree_bound: Optional[int] = None,
     whenever f lies in I. The default bound admits the whole cobasis, so a
     finite versal family is sampled; lower bounds truncate it, which the
     splitting harness detects as drift."""
-    basis = _deformation_basis(f, I)
-    if not basis:
-        return f
-    if degree_bound is None:
-        degree_bound = max(h.total_degree() for h in basis)
+    return _deform(GermProblem(f, I), degree_bound, seed)
+
+
+def _deform(P: GermProblem, degree_bound: Optional[int], seed: int) -> Poly:
+    P.finite_codim("deformations are drawn along a finite basis over the tangent ideal")
     rng = XorShift64(seed)
-    g = f
-    for h in basis:
-        if h.total_degree() <= degree_bound:
+    g = P.f
+    for h in P.cobasis:
+        if degree_bound is None or h.total_degree() <= degree_bound:
             g = g + h * rng.rational()
     return g
 
@@ -143,9 +134,14 @@ def critical_points_outside(g: Poly, I: Ideal,
 def corrected_extended_codim(g: Poly, I: Ideal) -> int:
     """Dimension of I over the tangent ideal of g in the global order; by
     finite support this is the sum of the local values over every point."""
-    I_dp = I.with_order(GLOBAL_DP)
-    tau = tangent_ideal(g, theta_preserving(I_dp))
-    qd = subideal_preimage(I_dp, tau).quotient_dimension()
+    return _corrected(g, theta_preserving(I.with_order(GLOBAL_DP)))
+
+
+def _corrected(g: Poly, fields: VectorFieldModule) -> int:
+    """The corrected codimension of g over fields, the preserving fields of
+    I in the global order; every deformed member of one family shares them."""
+    tau = tangent_ideal(g, fields)
+    qd = subideal_preimage(fields.ideal, tau).quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("GENERICITY_SUSPECT",
                              "the deformed member has a positive-dimensional defect locus")
@@ -154,27 +150,6 @@ def corrected_extended_codim(g: Poly, I: Ideal) -> int:
 
 # ---------------------------------------------------------------------------
 # rational point location
-
-
-def _min_poly(I_dp: Ideal, var: int, bound: int) -> List[Fraction]:
-    """Monic minimal polynomial coefficients (low to high) of the image of
-    x_var in the finite quotient. Powers go in by increasing degree, so the
-    first kernel combination is the minimal relation."""
-    ring = I_dp.ring
-    x = ring.var(var)
-    power = ring.one()
-    vectors: List[Dict] = []
-    for _ in range(bound + 2):
-        vectors.append(dict(I_dp.normal_form(power).terms))
-        kernel = nullspace(vectors, list(range(len(vectors))),
-                           lambda m: GLOBAL_DP.key(m))
-        if kernel:
-            combo = kernel[0]
-            deg = max(combo)
-            lead = combo[deg]
-            return [combo.get(t, Fraction(0)) / lead for t in range(deg + 1)]
-        power = power * x
-    raise AssertionError("minimal polynomial exceeded the dimension bound")
 
 
 def _divisors(v: int) -> List[int]:
@@ -216,16 +191,6 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     return sorted(roots)
 
 
-def _eval(p: Poly, point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        v = coeff
-        for x, e in zip(point, mono):
-            v = v * x ** e
-        total = total + v
-    return total
-
-
 def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Fraction, ...]]]:
     """Every point of the zero set, when all of them are rational; None when
     part of the multiplicity sits at nonrational points. Completeness is
@@ -239,11 +204,11 @@ def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Fraction, ...]]]:
     total = qd.value
     candidates: List[Tuple[Fraction, ...]] = [()]
     for i in range(L.ring.n):
-        roots = _rational_roots(_min_poly(L_dp, i, total))
+        roots = _rational_roots(minimal_polynomial(L_dp, i))
         candidates = [c + (r,) for c in candidates for r in roots]
         if not candidates:
             break
-    points = [c for c in candidates if all(_eval(g, c) == 0 for g in L_dp.gens)]
+    points = [c for c in candidates if all(g.evaluate(c) == 0 for g in L_dp.gens)]
     located = 0
     for pt in points:
         moved = Ideal(L.ring, [g.translate(list(pt)) for g in L_dp.gens], LOCAL_DS)
@@ -282,26 +247,26 @@ def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Fraction]) -> int:
     return qd.value
 
 
-def _one_split(f: Poly, I: Ideal, seed: int, degree_bound: Optional[int],
-               c_value: int):
-    basis = _deformation_basis(f, I)
+def _one_split(P: GermProblem, fields: VectorFieldModule, seed: int,
+               degree_bound: Optional[int]):
+    c_value = P.c_ext.value
     bound = degree_bound
     if bound is None:
-        bound = max(h.total_degree() for h in basis) if basis else 0
-    g = random_deformation(f, I, bound, seed)
-    corrected = corrected_extended_codim(g, I)
+        bound = max((h.total_degree() for h in P.cobasis), default=0)
+    g = _deform(P, bound, seed)
+    corrected = _corrected(g, fields)
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: defect mass {corrected} exceeds the "
                              f"codimension {c_value} of the undeformed germ")
-    crit = critical_points_outside(g, I)
+    crit = critical_points_outside(g, fields.ideal)
     if not crit.all_morse:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical points off the zero set "
                              "are degenerate")
     # drift probe: one degree of extra room must not change the count
-    g2 = random_deformation(f, I, bound + 1, seed)
-    if g2.terms != g.terms and critical_points_outside(g2, I).count != crit.count:
+    g2 = _deform(P, bound + 1, seed)
+    if g2.terms != g.terms and critical_points_outside(g2, fields.ideal).count != crit.count:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical count drifts with the degree bound")
     assert corrected >= crit.count
@@ -310,13 +275,15 @@ def _one_split(f: Poly, I: Ideal, seed: int, degree_bound: Optional[int],
         # each of local codimension one; no location needed
         sigma: Optional[Dict[int, int]] = {1: crit.count} if crit.count else {}
         return sigma, corrected, crit.count
-    points = locate_rational_points(positive_codim_locus(g, I))
+    # this is positive_codim_locus(g, I): the preserving fields of I have
+    # the same generators in either order
+    points = locate_rational_points(ideal_quotient(tangent_ideal(g, fields), fields.ideal))
     sigma = None
     if points is not None:
         sigma = {}
         mass = 0
         for pt in points:
-            k = local_extended_codim(g, I, pt)
+            k = local_extended_codim(g, P.I, pt)
             if k > 0:
                 sigma[k] = sigma.get(k, 0) + 1
                 mass += k
@@ -327,31 +294,28 @@ def _one_split(f: Poly, I: Ideal, seed: int, degree_bound: Optional[int],
 def empirical_splitting(f: Poly, I: Ideal,
                         seeds: Optional[Sequence[int]] = None,
                         degree_bound: Optional[int] = None) -> SplittingReport:
-    c = extended_codim(f, I)
-    if not c.is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM",
-                             "splitting needs finite extended codimension")
+    return _splitting(GermProblem(f, I), seeds, degree_bound)
+
+
+def _splitting(P: GermProblem, seeds: Optional[Sequence[int]],
+               degree_bound: Optional[int]) -> SplittingReport:
+    c_value = P.finite_codim("splitting needs finite extended codimension")
     used = tuple(seeds) if seeds else DEFAULT_SEEDS
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
-    if c.value == 0:
+    if c_value == 0:
         return SplittingReport({}, 0, 0, used, True, tuple(warnings))
-    outcomes = [_one_split(f, I, s, degree_bound, c.value) for s in used]
+    fields = theta_preserving(P.I.with_order(GLOBAL_DP))
+    outcomes = [_one_split(P, fields, s, degree_bound) for s in used]
     first = outcomes[0]
     if any(o != first for o in outcomes[1:]):
         raise GermforgeError("GENERICITY_SUSPECT",
                              "seeds disagree on the splitting outcome")
     sigma, corrected, morse = first
     for k, cnt in (sigma or {}).items():
-        assert k * cnt <= c.value
+        assert k * cnt <= c_value
     if sigma is None:
         warnings.append("NONRATIONAL_POINTS")
     return SplittingReport(sigma, corrected, morse, used, True, tuple(warnings))
-
-
-def oracle_morse_number(f: Poly, I: Ideal,
-                        seeds: Optional[Sequence[int]] = None,
-                        degree_bound: Optional[int] = None) -> int:
-    return empirical_splitting(f, I, seeds, degree_bound).morse
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +335,8 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     if not 1 <= trials <= len(TRIAL_SEEDS):
         raise GermforgeError("BAD_REQUEST",
                              f"trials must be between 1 and {len(TRIAL_SEEDS)}, got {trials}")
-    c = extended_codim(f, I)
-    if not c.is_finite:
-        raise GermforgeError("NOT_FINITE_CODIM",
-                             "conservation needs finite extended codimension")
-    if c.value == 0:
+    P = GermProblem(f, I)
+    if P.finite_codim("conservation needs finite extended codimension") == 0:
         # the family is constant, so every trial repeats the reference
         return True
     ctx = jet_context(I, 1)
@@ -383,7 +344,7 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     reference = intersection_multiplicity(f, I, ctx, M, "CM")
     I_dp = I.with_order(GLOBAL_DP)
     for t in range(trials):
-        g = random_deformation(f, I, degree_bound, TRIAL_SEEDS[t])
+        g = _deform(P, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)
         total = saturation(pulled, I_dp).quotient_dimension()
         if not total.is_finite or total.value != reference:

@@ -23,6 +23,7 @@ from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
+from .linalg import nullspace
 from .polyring import (
     GLOBAL_DP,
     LOCAL_DS,
@@ -879,14 +880,6 @@ def std_basis(gens: Sequence[Poly], order: Order, ring: Optional[Ring] = None) -
     return [v[0] for v in vecs]
 
 
-def normal_form(p: Poly, I: Ideal) -> Poly:
-    return I.normal_form(p)
-
-
-def quotient_dimension(I: Ideal) -> QuotientDim:
-    return I.quotient_dimension()
-
-
 def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     """The module L = {c in O^k : sum c_i g_i in J} for J contained in I;
     O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i]."""
@@ -971,39 +964,38 @@ def _univ_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
+def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
+    """Monic coefficients, low to high, of the minimal polynomial of x_var on
+    the finite quotient by I under a global order. The normal forms of the
+    powers up to the quotient's dimension must be dependent; the first kernel
+    combination ends at the least dependent power with coefficient 1."""
+    ring = I.ring
+    x = ring.var(var)
+    power = ring.one()
+    powers: List[Dict] = []
+    for _ in range(I.quotient_dimension().value + 1):
+        powers.append(dict(I.normal_form(power).terms))
+        power = power * x
+    kernel = nullspace(powers, list(range(len(powers))), GLOBAL_DP.key)
+    if not kernel:
+        raise AssertionError("no univariate dependence on a finite quotient")
+    combo = kernel[0]
+    return [combo.get(t, Fraction(0)) for t in range(max(combo) + 1)]
+
+
 def zero_dim_radical(I: Ideal) -> Ideal:
     """Radical of a zero-dimensional ideal under a global order (Seidenberg):
     adjoin the squarefree part of each variable's minimal polynomial."""
     if I.order.is_local:
         raise GermforgeError("LOCAL_ORDER_UNSUPPORTED",
                              "radical computation needs a global order")
-    qd = I.quotient_dimension()
-    if not qd.is_finite:
+    if not I.quotient_dimension().is_finite:
         raise GermforgeError("NOT_ZERO_DIMENSIONAL",
                              "radical is implemented for zero-dimensional ideals only")
-    from .linalg import nullspace  # local import to avoid a cycle at load
-
     ring = I.ring
     extra: List[Poly] = []
     for i in range(ring.n):
-        # minimal polynomial of variable i on the finite quotient
-        powers: List[Dict] = []
-        x = ring.var(i)
-        acc = ring.one()
-        for t in range(qd.value + 1):
-            nf = I.normal_form(acc)
-            powers.append(dict(nf.terms))
-            acc = acc * x
-        kern = nullspace(powers, list(range(len(powers))), GLOBAL_DP.key)
-        if not kern:
-            raise AssertionError("no univariate dependence on a finite quotient")
-        # lowest-degree dependence: kernel vectors are found in insertion order
-        combo = kern[0]
-        deg = max(combo)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for t, c in combo.items():
-            coeffs[t] = c
-        sf = _squarefree_part(coeffs)
+        sf = _squarefree_part(minimal_polynomial(I, i))
         p = ring.zero()
         for t, c in enumerate(sf):
             if c:
@@ -1032,11 +1024,10 @@ def _squarefree_part(c: List[Fraction]) -> List[Fraction]:
 # bounded Artin-Rees style inclusion check
 
 
-def artin_rees_check(I: Ideal, lam: int, m_max: int, degree_bound: int = 0) -> bool:
+def artin_rees_check(I: Ideal, lam: int, m_max: int) -> bool:
     """True iff I intersect m^{m+lam} is contained in m^m * I for every
     m <= m_max (at the origin). The verification is exact: generators of the
-    intersection are membership-tested; degree_bound is accepted for
-    interface stability and recorded nowhere else."""
+    intersection are membership-tested."""
     if lam < 0 or m_max < 1:
         raise ValueError("need lam >= 0 and m_max >= 1")
     ring = I.ring

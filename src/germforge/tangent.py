@@ -121,9 +121,10 @@ def m_theta(ring: Ring, order, rank: int) -> Submodule:
     return Submodule(ring, rank, gens, order)
 
 
-def theta_vanishing(I: Ideal) -> VectorFieldModule:
-    """m intersect theta_preserving(I), as an exact module intersection."""
-    theta = theta_preserving(I)
+def theta_vanishing(theta: VectorFieldModule) -> VectorFieldModule:
+    """m intersect the preserving fields theta, as an exact module
+    intersection."""
+    I = theta.ideal
     ring = I.ring
     mtheta = m_theta(ring, I.order, ring.n)
     inter = module_intersection(theta.module, mtheta)

@@ -224,6 +224,21 @@ class TestCommandSurface:
         assert out == ""
         assert "BAD_REQUEST" in err
 
+    @pytest.mark.parametrize("text, det", [
+        ("ring x y z ;\nideal I = x^2, y ;\n"
+         "poly f = x^5 + y^2 + x^2*z^2 + y*z^4 ;\n", 5),
+        ("ring x y ;\nideal I = 1 ;\npoly f = x + x^3 + y^2 ;\n", 0),
+    ], ids=["fin2", "smooth-at-origin"])
+    def test_determinacy_is_read_at_the_origin_in_both_orders(
+            self, capsys, tmp_path, text, det):
+        # under dp the tangent ideal has support away from the origin, where
+        # no power of m shrinks I into it; determinacy is the local answer
+        path = problem(tmp_path, text)
+        for order in ("ds", "dp"):
+            code, out, _ = run(capsys, ["codim", path, "--order", order])
+            assert code == 0
+            assert f"  determinacy: {det}\n" in out
+
     def test_locus_of_running_example(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["locus", problem(tmp_path)])
         assert code == 0

@@ -1,11 +1,14 @@
+import sys
 import pytest
 from fractions import Fraction
 
+from germforge import tangent
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
 from germforge.stdbasis import Ideal, power_ideal
 from germforge.invariants import (
     DdkClass,
+    GermProblem,
     Unfolding,
     build_versal_unfolding,
     classify_Ddk,
@@ -15,9 +18,9 @@ from germforge.invariants import (
     make_unfolding,
     plain_codim,
     positive_codim_locus,
-    tau_extended,
     versality_check,
 )
+from germforge.oracle import empirical_splitting
 
 R2 = Ring(["x", "y"])
 
@@ -84,7 +87,7 @@ class TestCodimensions:
         assert determinacy_bound(g, EJEM) == det
 
     def test_tau_extended_regression(self):
-        tau = tau_extended(CUSP, EJEM)
+        tau = GermProblem(CUSP, EJEM).tau
         expect = ideal(R2, LOCAL_DS, "x^3", "x^2 y", "y^2")
         assert tau.equals(expect)
 
@@ -123,7 +126,7 @@ class TestDeterminacy:
 
     def test_bound_certifies_membership(self):
         m = determinacy_bound(CUSP, EJEM)
-        tau = tau_extended(CUSP, EJEM)
+        tau = GermProblem(CUSP, EJEM).tau
         mm = power_ideal(R2, m)
         for g in EJEM.gens:
             for h in mm.gens:
@@ -328,3 +331,32 @@ class TestReport:
         rep = invariant_report(P("x^2"), EJEM)
         assert rep.determinacy is None
         assert not rep.c_ext.is_finite
+
+
+class TestGermProblem:
+    @pytest.fixture
+    def theta_orders(self, monkeypatch):
+        """Order kinds of the ideals theta_preserving is computed for, counted
+        in every germforge namespace that binds the function."""
+        real = tangent.theta_preserving
+        kinds = []
+
+        def counted(I):
+            kinds.append(I.order.kind)
+            return real(I)
+
+        for name, module in list(sys.modules.items()):
+            if name == "germforge" or name.startswith("germforge."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        return kinds
+
+    def test_report_computes_theta_once(self, theta_orders):
+        rep = invariant_report(CUSP, EJEM)
+        assert (rep.c_ext.value, rep.c_plain.value, rep.determinacy) == (3, 3, 2)
+        assert theta_orders == ["ds"]
+
+    def test_splitting_computes_theta_once_per_order(self, theta_orders):
+        assert empirical_splitting(CUSP, EJEM).morse == 2
+        assert sorted(theta_orders) == ["dp", "ds"]

@@ -15,7 +15,6 @@ from germforge.jetmorse import (
     jet_pullback,
     lift_germ,
     morse_component,
-    morse_component_ideal,
     morse_number,
 )
 
@@ -92,7 +91,7 @@ class TestMorseComponent:
     def test_colon_stability(self):
         for ctx in (jet_context(UNIT1, 1), jet_context(EJEM, 1)):
             flag = ctx.base is EJEM
-            M = morse_component_ideal(ctx, assume_reduced=flag)
+            M = morse_component(ctx, assume_reduced=flag).ideal
             again = ideal_quotient(M, ctx.J2())
             assert again.equals(M)
 
@@ -100,7 +99,7 @@ class TestMorseComponent:
         # pointwise form of "Z off V(I) = C_1 off V(I)": at rational points
         # with z outside V(I), solutions of Q = 0 satisfy every M' generator
         ctx = jet_context(EJEM, 1)
-        M = morse_component_ideal(ctx, assume_reduced=True)
+        M = morse_component(ctx, assume_reduced=True).ideal
         rng = random.Random(20240915)
         n, total = ctx.n, ctx.ring.n
         a_count = total - n
@@ -130,7 +129,7 @@ class TestMorseComponent:
 
     def test_random_points_agree_on_both_vanishing_loci(self):
         ctx = jet_context(EJEM, 1)
-        M = morse_component_ideal(ctx, assume_reduced=True)
+        M = morse_component(ctx, assume_reduced=True).ideal
         rng = random.Random(7)
         for _ in range(20):
             point = [Fraction(rng.randint(-7, 7), rng.randint(1, 7))
@@ -183,21 +182,21 @@ class TestPullback:
 class TestIntersectionMultiplicity:
     def test_morse_point_multiplicity_one(self):
         ctx = jet_context(UNIT1, 1)
-        M = morse_component_ideal(ctx)
+        M = morse_component(ctx).ideal
         f = parse_poly("x^2", R1)
         assert intersection_multiplicity(f, UNIT1, ctx, M, "CM") == 1
         assert intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL") == 1
 
     def test_cusp_of_one_variable(self):
         ctx = jet_context(UNIT1, 1)
-        M = morse_component_ideal(ctx)
+        M = morse_component(ctx).ideal
         f = parse_poly("x^3", R1)
         assert intersection_multiplicity(f, UNIT1, ctx, M, "CM") == 2
         assert intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL") == 2
 
     def test_koszul_without_elimination_agrees(self):
         ctx = jet_context(UNIT1, 1)
-        M = morse_component_ideal(ctx)
+        M = morse_component(ctx).ideal
         for s, expect in (("x^2", 1), ("x^3", 2)):
             f = parse_poly(s, R1)
             got = intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL",
@@ -206,7 +205,7 @@ class TestIntersectionMultiplicity:
 
     def test_lifting_independence(self):
         ctx = jet_context(EJEM, 1)
-        M = morse_component_ideal(ctx, assume_reduced=True)
+        M = morse_component(ctx, assume_reduced=True).ideal
         liftA = LiftedGerm(CUSP, EJEM.gens, (P("x"), P("y")))
         liftB = LiftedGerm(CUSP, EJEM.gens, (P("x + y"), P("y - x^2")))
         vals = {intersection_multiplicity(CUSP, EJEM, ctx, M, "CM", lifting=lf)
@@ -215,7 +214,7 @@ class TestIntersectionMultiplicity:
 
     def test_not_isolated(self):
         ctx = jet_context(EJEM, 1)
-        M = morse_component_ideal(ctx, assume_reduced=True)
+        M = morse_component(ctx, assume_reduced=True).ideal
         lift0 = LiftedGerm(P("x^2"), EJEM.gens, (R2.one(), R2.zero()))
         with pytest.raises(GermforgeError) as ei:
             intersection_multiplicity(P("x^2"), EJEM, ctx, M, "CM", lifting=lift0)
@@ -248,7 +247,7 @@ class TestMorseNumber:
 class TestConservation:
     def test_hand_deformation_at_small_rational_times(self):
         ctx = jet_context(EJEM, 1)
-        M = morse_component_ideal(ctx, assume_reduced=True)
+        M = morse_component(ctx, assume_reduced=True).ideal
         reference = intersection_multiplicity(CUSP, EJEM, ctx, M, "CM")
         I_glob = EJEM.with_order(GLOBAL_DP)
         for tv in (Fraction(1, 7), Fraction(1, 11)):

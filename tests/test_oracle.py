@@ -5,7 +5,7 @@ import pytest
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, saturation
-from germforge.invariants import extended_codim, tau_extended
+from germforge.invariants import GermProblem, extended_codim
 from germforge.tangent import primitive_ideal
 from germforge.invariants import classify_Ddk
 from germforge.jetmorse import morse_number
@@ -18,7 +18,6 @@ from germforge.oracle import (
     hessian_det,
     local_extended_codim,
     locate_rational_points,
-    oracle_morse_number,
     random_deformation,
 )
 
@@ -253,7 +252,7 @@ class TestEmpiricalSplitting:
 
 class TestMorseNumberAgreement:
     def test_oracle_value_on_regression_germ(self):
-        assert oracle_morse_number(CUSP, EJEM) == 2
+        assert empirical_splitting(CUSP, EJEM).morse == 2
 
     def test_methods_agree_on_regression_germs(self):
         assert morse_number(CUSP, EJEM, "ORACLE") == morse_number(
@@ -318,7 +317,7 @@ class TestCrossValidation:
             (P("y^2"), ideal(R2, LOCAL_DS, "y^2"), True),
         ]
         for f, I, expect_equal in cases:
-            tau = tau_extended(f, I)
+            tau = GermProblem(f, I).tau
             fwd = all(tau.normal_form(g).is_zero() for g in I.gens)
             bwd = all(I.normal_form(g).is_zero() for g in tau.gens)
             assert (fwd and bwd) == expect_equal

@@ -160,18 +160,18 @@ class TestThetaOracle:
 
 class TestThetaVanishing:
     def test_unit_ideal(self):
-        tv = theta_vanishing(ideal(R2, LOCAL_DS, "1"))
+        tv = theta_vanishing(theta_preserving(ideal(R2, LOCAL_DS, "1")))
         assert tv.module.equals(m_theta(R2, LOCAL_DS, 2))
 
     def test_regression_same_as_preserving(self):
         tp = theta_preserving(EJEM)
-        tv = theta_vanishing(EJEM)
+        tv = theta_vanishing(tp)
         assert tv.module.equals(tp.module)
 
     def test_contained_in_preserving(self):
         for I in (EJEM, ideal(R2, LOCAL_DS, "x^2 - y^3")):
             tp = theta_preserving(I)
-            tv = theta_vanishing(I)
+            tv = theta_vanishing(tp)
             for X in tv.gens:
                 assert tp.contains(X)
 
