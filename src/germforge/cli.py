@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import GermforgeError, ParseError
 from .invariants import (
+    GermProblem,
     build_versal_unfolding,
     classify_Ddk,
     determinacy_bound,
@@ -28,7 +29,7 @@ from .invariants import (
     positive_codim_locus,
     versality_check,
 )
-from .jetmorse import jet_context, morse_number
+from .jetmorse import _morse_number, jet_context
 from .oracle import conservation_check, empirical_splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Order, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, hilbert_samuel
@@ -404,13 +405,14 @@ def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     results: Tree = []
     if args.assume_reduced:
         warnings.append("ASSUMED_REDUCED")
+    problem = GermProblem(f, I)
     jet_val = oracle_val = None
     if args.method in ("jet", "both"):
-        jet_val = morse_number(f, I, "JET", assume_reduced=args.assume_reduced)
+        jet_val = _morse_number(problem, "JET", assume_reduced=args.assume_reduced)
         results.append(("morse_jet", jet_val))
     if args.method in ("oracle", "both"):
-        oracle_val = morse_number(f, I, "ORACLE", seeds=seeds,
-                                  degree_bound=args.degree_bound)
+        oracle_val = _morse_number(problem, "ORACLE", seeds=seeds,
+                                   degree_bound=args.degree_bound)
         results.append(("morse_oracle", oracle_val))
         warnings.extend(["GLOBAL_COUNT", "GENERICITY_SAMPLED"])
     if args.method == "both":

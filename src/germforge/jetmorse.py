@@ -355,12 +355,17 @@ def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
                  degree_bound: Optional[int] = None) -> int:
     if method not in ("JET", "ORACLE"):
         raise ValueError("method must be JET or ORACLE")
-    P = GermProblem(f, I)
+    return _morse_number(GermProblem(f, I), method, assume_reduced, seeds, degree_bound)
+
+
+def _morse_number(P: GermProblem, method: str, assume_reduced: bool = False,
+                  seeds: Optional[Sequence[int]] = None,
+                  degree_bound: Optional[int] = None) -> int:
     P.finite_codim("the Morse number needs finite extended codimension")
     if method == "JET":
-        ctx = jet_context(I, 1)
+        ctx = jet_context(P.I, 1)
         mc = morse_component(ctx, assume_reduced)
-        return intersection_multiplicity(f, I, ctx, mc.ideal, "CM")
+        return intersection_multiplicity(P.f, P.I, ctx, mc.ideal, "CM")
     from .oracle import _splitting
 
     return _splitting(P, seeds, degree_bound).morse

@@ -13,12 +13,21 @@ over the localized ring, so local quotient dimensions can be read off a local
 staircase of globally computed generators. Under a global order the normal
 form is the canonical fully reduced one; under a local order it is Mora's
 weak normal form (zero exactly on members of the localized ideal/module).
+
+Global reduction runs in place: the vector being reduced is one mutable map
+from (position, monomial) to coefficient, a heap hands out its leading term,
+each step subtracts a multiple of a basis element term by term, and terms no
+basis lead divides go straight to the remainder (the single-accumulator idea
+of Yan's geobuckets, J. Symb. Comp. 25, 1998). The reducer is always the
+first basis element whose lead divides the leading term; callers that keep
+the basis leads pass them in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -62,10 +71,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
 
 
 def vec_scale(a: Vector, c: Fraction) -> Vector:
@@ -125,48 +130,74 @@ def _primitive(v: Vector) -> Vector:
 # reduction
 
 
-def _find_reducer(pos: int, m: Mono, basis: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
-                  skip: int = -1) -> int:
+def _find_reducer(pos: int, m: Mono, leads: List[Tuple[int, Mono, Fraction]]) -> int:
     for i, (bp, bm, _) in enumerate(leads):
-        if i != skip and bp == pos and mono_divides(bm, m):
+        if bp == pos and mono_divides(bm, m):
             return i
     return -1
 
 
 def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
                          leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
-    """Canonical fully reduced normal form under a global order."""
+    """Canonical fully reduced normal form under the global order.
+
+    leads holds the leading terms of basis (computed here when not given).
+    The vector is reduced in place as one map from (position, monomial) to
+    coefficient, with a heap of keys (position, -degree, reversed monomial)
+    whose least key is the leading term: position over term, then dp. The
+    leading term is cancelled by the first basis element whose lead divides
+    it, subtracted term by term; a term no lead divides goes straight to the
+    output, so the output lists each position's terms leading term first.
+    Each term in the map has one heap entry. A term that cancels stays in
+    the map at zero until its entry comes up and is skipped, so a term that
+    comes back later needs no second entry.
+    """
     if leads is None:
         leads = [vec_leading(b, order) for b in basis]
-    rank = len(v)
-    ring = v[0].ring if v else None
-    result_terms: List[Tuple[int, Mono, Fraction]] = []
-    work = v
-    while not vec_is_zero(work):
-        pos, m, c = vec_leading(work, order)
-        i = _find_reducer(pos, m, basis, leads)
-        if i >= 0:
-            bp, bm, bc = leads[i]
-            factor_mono = mono_div(m, bm)
-            work = vec_sub(work, vec_term_mul(basis[i], factor_mono, c / bc))
-        else:
-            result_terms.append((pos, m, c))
-            single = [ring.zero() for _ in range(rank)]
-            single[pos] = ring.monomial(m, c)
-            work = vec_sub(work, tuple(single))
-    if not result_terms:
-        return vec_zero(ring, rank) if ring is not None else v
-    out = [dict() for _ in range(rank)]
-    for pos, m, c in result_terms:
-        out[pos][m] = c
+    if not v:
+        return v
+    work: Dict[MTerm, Fraction] = {}
+    heap = []
+    for pos, p in enumerate(v):
+        for m, c in p.terms.items():
+            work[pos, m] = c
+            heap.append((pos, -mono_deg(m), m[::-1], m))
+    heapify(heap)
+    out: List[Dict[Mono, Fraction]] = [{} for _ in v]
+    while heap:
+        pos, _, _, m = heappop(heap)
+        c = work.pop((pos, m))
+        if not c:
+            continue
+        i = _find_reducer(pos, m, leads)
+        if i < 0:
+            out[pos][m] = c
+            continue
+        _, bm, bc = leads[i]
+        u = mono_div(m, bm)
+        f = c / bc
+        for bpos, bp in enumerate(basis[i]):
+            for bm2, bc2 in bp.terms.items():
+                if bpos == pos and bm2 == bm:
+                    continue  # the leading term, cancelled exactly
+                m2 = mono_mul(bm2, u)
+                key = (bpos, m2)
+                old = work.get(key)
+                if old is None:
+                    work[key] = -f * bc2
+                    heappush(heap, (bpos, -mono_deg(m2), m2[::-1], m2))
+                else:
+                    work[key] = old - f * bc2
+    ring = v[0].ring
     return tuple(Poly(ring, d) for d in out)
 
 
-def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order) -> Vector:
+def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order,
+                       leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
     """Mora weak normal form: zero iff v lies in the localized module."""
     reducers = list(basis)
     ecarts = [vec_ecart(b, order) for b in basis]
-    leads = [vec_leading(b, order) for b in basis]
+    leads = [vec_leading(b, order) for b in basis] if leads is None else list(leads)
     h = v
     while not vec_is_zero(h):
         pos, m, c = vec_leading(h, order)
@@ -190,10 +221,11 @@ def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order) -> Vector:
     return h
 
 
-def reduce_vector(v: Vector, basis: List[Vector], order: Order) -> Vector:
+def reduce_vector(v: Vector, basis: List[Vector], order: Order,
+                  leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
     if order.is_local:
-        return reduce_vector_mora(v, basis, order)
-    return reduce_vector_global(v, basis, order)
+        return reduce_vector_mora(v, basis, order, leads)
+    return reduce_vector_global(v, basis, order, leads)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +239,7 @@ def _spair_parts(gi: Vector, gj: Vector, order: Order):
     return L, mono_div(L, mi), mono_div(L, mj), ci, cj
 
 
-def std_basis_vectors(vectors: Sequence[Vector], order: Order, ring: Ring, rank: int) -> List[Vector]:
+def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> List[Vector]:
     """Interreduced standard basis of the submodule generated by vectors."""
     if order.is_local:
         norm = _primitive
@@ -262,7 +294,7 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, ring: Ring, rank:
             continue
         _, ui, uj, ci, cj = _spair_parts(G[i], G[j], order)
         s = vec_sub(vec_term_mul(G[i], ui, cj), vec_term_mul(G[j], uj, ci))
-        h = reduce_vector(s, G, order)
+        h = reduce_vector(s, G, order, leads)
         if vec_is_zero(h):
             continue
         h = norm(h)
@@ -276,11 +308,11 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, ring: Ring, rank:
                 pending[(i2, t)] = e
             else:
                 done.add((i2, t))
-    return _interreduce(G, order, ring, rank)
+    return _interreduce(G, leads, order)
 
 
-def _interreduce(G: List[Vector], order: Order, ring: Ring, rank: int) -> List[Vector]:
-    leads = [vec_leading(g, order) for g in G]
+def _interreduce(G: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
+                 order: Order) -> List[Vector]:
     keep: List[int] = []
     for i, (pi, mi, _) in enumerate(leads):
         redundant = False
@@ -292,17 +324,19 @@ def _interreduce(G: List[Vector], order: Order, ring: Ring, rank: int) -> List[V
                 break
         if not redundant:
             keep.append(i)
+    keep.sort(key=lambda i: _mterm_key(leads[i], order))
     kept = [G[i] for i in keep]
-    kept.sort(key=lambda g: tuple(_mterm_key(vec_leading(g, order), order)))
     if order.is_local:
         return [_monic(g, order) for g in kept]
-    # global: tail-reduce to the canonical reduced basis
+    # global: tail-reduce to the canonical reduced basis; no kept lead
+    # divides another, so every lead survives and the order stays sorted
+    kept_leads = [leads[i] for i in keep]
     out: List[Vector] = []
     for i, g in enumerate(kept):
-        others = [h for j, h in enumerate(kept) if j != i]
-        r = reduce_vector_global(g, others, order) if others else g
-        out.append(_monic(r, order))
-    out.sort(key=lambda g: tuple(_mterm_key(vec_leading(g, order), order)))
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            g = reduce_vector_global(g, others, order, kept_leads[:i] + kept_leads[i + 1:])
+        out.append(_monic(g, order))
     return out
 
 
@@ -557,7 +591,7 @@ class Submodule:
 
     def basis(self) -> List[Vector]:
         if self._basis is None:
-            self._basis = std_basis_vectors(self.gens, self.order, self.ring, self.rank)
+            self._basis = std_basis_vectors(self.gens, self.order, self.rank)
             self._leads = [vec_leading(b, self.order) for b in self._basis]
         return self._basis
 
@@ -566,7 +600,7 @@ class Submodule:
         return [(p, m) for (p, m, _) in self._leads]
 
     def normal_form(self, v: Vector) -> Vector:
-        return reduce_vector(v, self.basis(), self.order)
+        return reduce_vector(v, self.basis(), self.order, self._leads)
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.normal_form(v))
@@ -763,7 +797,7 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
         tail = [zero] * k
         tail[i] = one
         embedded.append(tuple(v) + tuple(tail))
-    basis = std_basis_vectors(embedded, GLOBAL_DP, ring, rank + k)
+    basis = std_basis_vectors(embedded, GLOBAL_DP, rank + k)
     syz: List[Vector] = []
     for b in basis:
         if all(p.is_zero() for p in b[:rank]):
@@ -870,13 +904,12 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
 # dimensions of quotients and subquotients
 
 
-def std_basis(gens: Sequence[Poly], order: Order, ring: Optional[Ring] = None) -> List[Poly]:
+def std_basis(gens: Sequence[Poly], order: Order) -> List[Poly]:
     """Interreduced standard basis of the ideal generated by gens."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    ring = ring or gens[0].ring
-    vecs = std_basis_vectors([(g,) for g in gens], order, ring, 1)
+    vecs = std_basis_vectors([(g,) for g in gens], order, 1)
     return [v[0] for v in vecs]
 
 

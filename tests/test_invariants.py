@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 from germforge import tangent
+from germforge.cli import main
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
 from germforge.stdbasis import Ideal, power_ideal
@@ -359,4 +360,12 @@ class TestGermProblem:
 
     def test_splitting_computes_theta_once_per_order(self, theta_orders):
         assert empirical_splitting(CUSP, EJEM).morse == 2
+        assert sorted(theta_orders) == ["dp", "ds"]
+
+    def test_morse_both_methods_share_one_problem(self, theta_orders, tmp_path, capsys):
+        path = tmp_path / "cusp.gf"
+        path.write_text("ring x y ;\nideal I = x^2, y ;\npoly f = x^3 + y^2 ;\n")
+        assert main(["morse", str(path), "--method", "both", "--assume-reduced"]) == 0
+        out = capsys.readouterr().out
+        assert "morse_jet: 2" in out and "morse_oracle: 2" in out
         assert sorted(theta_orders) == ["dp", "ds"]

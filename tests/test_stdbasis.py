@@ -157,6 +157,128 @@ class TestNormalFormVsOracle:
         return Poly(R2, {m: c for m, c in terms.items() if c})
 
 
+R3 = Ring(["x", "y", "z"])
+
+
+def vec(ring, *polys):
+    return tuple(parse_poly(p, ring) for p in polys)
+
+
+# (ring, generators, [(vector, its global normal form)]); the expected
+# normal forms were computed by the reducer before it reduced in place
+MODULE_NORMAL_FORMS = [
+    (R2, [("x^2", "y"), ("y^2", "x")], [
+        # a term cancels to zero and comes back later in the reduction
+        (("x^3 + y^3", "x y"), ("0", "-x*y")),
+        (("x^2 + y^2", "x + y"), ("0", "0")),
+        (("x y", "1"), ("x*y", "1")),
+        (("x^2 y^2 + x", "y^3"), ("x", "0")),
+    ]),
+    (R2, [("x - y", "x^2"), ("y^2", "0"), ("0", "x^3 - y")], [
+        (("x^2", "0"), ("0", "-x^2*y - y")),
+        (("x y + y^2", "y^3"), ("0", "-x^2*y")),
+        (("x^3 - x y^2", "x^4 + y"), ("0", "-y^2 + y")),
+        (("x", "y"), ("y", "-x^2 + y")),
+    ]),
+    (R2, [("x y - 1", "y"), ("x^2", "x + y^2")], [
+        (("x^2 y", "0"), ("0", "-y^3 - x*y")),
+        (("x^3 y^2 + 1", "x y"), ("0", "-x^2*y^2 - y^4 - y^3 + y")),
+        (("y", "x^2 y"), ("0", "-y^5 + x^2*y + y^2")),
+    ]),
+    (R3, [("x", "y", "z"), ("y^2", "0", "x z"), ("0", "z^2 - x", "y")], [
+        # a term cancels to zero and comes back later in the reduction
+        (("x^2 + y^2", "x y", "x z + z"), ("0", "0", "-x*z + z")),
+        (("y^3", "y z", "y^2 z"), ("0", "y*z", "-x*y*z + y^2*z")),
+        (("x y z", "z^3", "x^2"), ("0", "-y^2*z + x*z", "-y*z^2 + x^2 - y*z")),
+    ]),
+    (R3, [("x y", "0", "z"), ("0", "x z - y", "x"), ("z^2", "y^2", "0")], [
+        (("x^2 y^2 + z^3", "x^2 z", "y z"), ("0", "-y^2*z + x*y", "-x*y*z - x^2 + y*z")),
+        (("x y + z^2", "x z + y^2", "x + z"), ("0", "y", "0")),
+        (("z^4", "x y^2 z", "x z^2"), ("0", "-y^2*z^2 + y^3", "-x*y^2 + x*z^2")),
+    ]),
+]
+
+
+class TestModuleNormalForm:
+    @pytest.mark.parametrize("ring, gens, cases", MODULE_NORMAL_FORMS)
+    def test_pinned_values(self, ring, gens, cases):
+        M = Submodule(ring, len(gens[0]), [vec(ring, *g) for g in gens], GLOBAL_DP)
+        for v, expected in cases:
+            assert M.normal_form(vec(ring, *v)) == vec(ring, *expected), v
+
+    @pytest.mark.parametrize("ring, gens, cases", MODULE_NORMAL_FORMS)
+    def test_remainder_is_fully_reduced(self, ring, gens, cases):
+        M = Submodule(ring, len(gens[0]), [vec(ring, *g) for g in gens], GLOBAL_DP)
+        leads = M.lead_terms()
+        for v, _ in cases:
+            v = vec(ring, *v)
+            nf = M.normal_form(v)
+            for pos, p in enumerate(nf):
+                for m in p.terms:
+                    assert not any(lp == pos and all(a <= b for a, b in zip(lm, m))
+                                   for lp, lm in leads), (v, pos, m)
+            assert M.contains(tuple(a - b for a, b in zip(v, nf)))
+
+
+class TestGroebnerVsSympy:
+    """Reduced dp bases and normal forms against sympy's grevlex, an engine
+    independent of this one; both orders rank x > y > z."""
+
+    @staticmethod
+    def _rand_poly(rng, ring):
+        """Two to four terms of degree 1 to 3, so the ideals lie in the
+        maximal ideal at the origin and are never the unit ideal."""
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            m = [0] * ring.n
+            for _ in range(rng.randint(1, 3)):
+                m[rng.randrange(ring.n)] += 1
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            terms[tuple(m)] = terms.get(tuple(m), Fraction(0)) + c
+        return Poly(ring, terms)
+
+    @staticmethod
+    def _to_sympy(p, symbols):
+        import sympy
+
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+                    for m, c in p.terms.items()), sympy.Integer(0))
+
+    @staticmethod
+    def _from_sympy(expr, symbols, ring):
+        import sympy
+
+        if expr == 0:
+            return ring.zero()
+        q = sympy.Poly(expr, *symbols, domain="QQ")
+        return Poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in q.terms()})
+
+    def test_bases_and_normal_forms(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        for trial in range(24):
+            ring = R2 if trial % 2 else R3
+            symbols = sympy.symbols(ring.names)
+            gens = [self._rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            I = Ideal(ring, gens, GLOBAL_DP)
+            G = sympy.groebner([self._to_sympy(g, symbols) for g in gens], *symbols,
+                               order="grevlex", domain="QQ")
+            theirs = [self._from_sympy(g, symbols, ring) for g in G.exprs]
+            theirs = [g * (1 / g.leading(GLOBAL_DP)[1]) for g in theirs]
+            ours = I.basis()
+            assert {str(g) for g in ours} == {str(g) for g in theirs}, (trial, gens)
+            for _ in range(3):
+                p = (self._rand_poly(rng, ring) * self._rand_poly(rng, ring)
+                     + self._rand_poly(rng, ring))
+                _, r = sympy.reduced(self._to_sympy(p, symbols), list(G.exprs), *symbols,
+                                     order="grevlex", domain="QQ")
+                assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
+
+
 class TestIdealQuotient:
     def test_monomial_colon(self):
         q = ideal_quotient(ideal(R2, LOCAL_DS, "x^2"), ideal(R2, LOCAL_DS, "x"))
