@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import GermforgeError, ParseError
+from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
     GermProblem,
     build_versal_unfolding,
@@ -589,7 +589,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc.append(("results", results))
             doc.append(("warnings", warnings if warnings else "none"))
             sys.stdout.write("\n".join(render_tree(doc)) + "\n")
-    except GermforgeError as e:
+    except (GermforgeError, AssertionError) as e:
+        if isinstance(e, AssertionError):
+            e = GermforgeError(INTERNAL_CODE, str(e))
         sys.stderr.write(f"error: {e}\n")
         sys.stderr.write(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}\n")
         return e.exit_code

@@ -2,7 +2,8 @@
 
 Every error carries a stable machine-readable code. The CLI maps codes to
 exit statuses: precondition/parse failures exit 2, genericity/assumption
-failures exit 3.
+failures exit 3, and INTERNAL_CHECK_FAILED, its report of an AssertionError
+from one of the library's own postchecks, exits 4 with no answer printed.
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ PRECONDITION_CODES = frozenset(
 # Codes that mean an assumption or genericity expectation failed.
 ASSUMPTION_CODES = frozenset({"GENERICITY_SUSPECT", "RADICAL_UNAVAILABLE"})
 
+# The code of a failed internal consistency check.
+INTERNAL_CODE = "INTERNAL_CHECK_FAILED"
+
 
 class GermforgeError(Exception):
     """Library error with a stable code string."""
 
     def __init__(self, code: str, message: str) -> None:
-        if code not in PRECONDITION_CODES and code not in ASSUMPTION_CODES:
+        if code not in PRECONDITION_CODES | ASSUMPTION_CODES | {INTERNAL_CODE}:
             raise ValueError(f"unknown error code {code!r}")
         super().__init__(message)
         self.code = code
@@ -48,6 +52,8 @@ class GermforgeError(Exception):
 
     @property
     def exit_code(self) -> int:
+        if self.code == INTERNAL_CODE:
+            return 4
         return 3 if self.code in ASSUMPTION_CODES else 2
 
 

@@ -26,7 +26,10 @@ exactly when m^M O^k lies in L, and then the degree-<M slice is a faithful
 model. M starts above the largest witness degree and grows until equality,
 which m^c O^k inside L guarantees by M = c. No degree guesswork enters; a
 model that never reaches c is an internal error, raised before any
-conclusion is drawn.
+conclusion is drawn. The model is the integer echelon form (linalg.RowBasis)
+of the shifts of L's generators below degree M, the same shift rows the
+truncated local quotient of stdbasis eliminates, and U is versal exactly
+when the coordinates of its parameter derivatives add c to its rank.
 """
 
 from __future__ import annotations
@@ -37,13 +40,16 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
-from .linalg import RowBasis
-from .polyring import (GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_of_degree,
-                       monomials_up_to_degree)
+from .linalg import RowBasis, integral
+from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_of_degree
 from .stdbasis import (
     Ideal,
+    MTerm,
     QuotientDim,
     Submodule,
+    _columns,
+    _integer_terms,
+    _shift_rows,
     ideal_quotient,
     subideal_preimage,
 )
@@ -128,17 +134,14 @@ class GermProblem:
             return False
         if c.value == 0:
             return True
-        basis, keyf, M = _quotient_model(self.I, self.L, c.value)
-        span = RowBasis(keyf)
-        rank = 0
+        model, col, M = _quotient_model(self.I, self.L, c.value)
+        rows = []
         for i in range(len(U.params)):
             coords = self.I.lift(U.derivative_at_zero(i))
             if coords is None:
                 raise AssertionError("parameter derivative escaped the ideal")
-            residual = basis.reduce(_coords_vector(coords, M))
-            if span.add(residual) is not None:
-                rank += 1
-        return rank == c.value
+            rows.append({col[pos, m]: a for pos, m, dm, a in _integer_terms(coords)[1] if dm < M})
+        return model.extend(rows) == c.value
 
 
 def extended_codim(f: Poly, I: Ideal) -> QuotientDim:
@@ -216,39 +219,23 @@ def validate_unfolding(U: Unfolding, I: Ideal) -> None:
                              "F - f is not a combination of the ideal generators")
 
 
-def _quotient_model(I: Ideal, L: Submodule, c: int):
-    """Truncated model of O^k/L: the reducer for L's image in the labels
-    (position, monomial) of degree < M, its key function, and M. The model
-    has dimension dim O^k/(L + m^M O^k) <= c, and equality certifies that
-    m^M O^k lies in L, so M rises from above the witness degrees until it
-    holds. A quotient of length c is killed by m^c, so M stops at max(c, 1)."""
-    qd = L.quotient_dimension()
-    k = L.rank
-    keyf = lambda lab: (-lab[0],) + tuple(GLOBAL_DP.key(lab[1]))
-    for M in range(1 + max(sum(m) for _, m in qd.witness), max(c, 1) + 1):
-        labels = [(pos, m) for pos in range(k)
-                  for m in monomials_up_to_degree(I.ring.n, M - 1)]
-        basis = RowBasis(keyf)
-        for l in L.gens:
-            for delta in monomials_up_to_degree(I.ring.n, M - 1):
-                row: Dict = {}
-                for pos, comp in enumerate(l):
-                    shifted = comp.term_mul(delta, Fraction(1)).truncate(M - 1)
-                    for m, coeff in shifted.terms.items():
-                        row[(pos, m)] = coeff
-                if row:
-                    basis.add(row)
+def _quotient_model(I: Ideal, L: Submodule, c: int) -> Tuple[RowBasis, Dict[MTerm, int], int]:
+    """Truncated model of O^k/L: the echelon form of the shifts of L's
+    generators below degree M, the column of each label (position, monomial)
+    of degree < M, and M. The model has dimension dim O^k/(L + m^M O^k) <= c,
+    and equality certifies that m^M O^k lies in L, so M rises from above the
+    witness degrees until it holds. A quotient of length c is killed by m^c,
+    so M stops at max(c, 1)."""
+    n, k = I.ring.n, L.rank
+    scaled = [_integer_terms(l) for l in L.gens]
+    witness_deg = max(sum(m) for _, m in L.quotient_dimension().witness)
+    for M in range(1 + witness_deg, max(c, 1) + 1):
+        labels = _columns(n, k, M - 1, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
+        basis = RowBasis()
+        basis.extend(_shift_rows(scaled, n, M - 1, labels))
         if len(labels) - basis.rank == c:
-            return basis, keyf, M
+            return basis, {lab: i for i, lab in enumerate(labels)}, M
     raise AssertionError("truncated quotient model disagrees with the codimension")
-
-
-def _coords_vector(coords: Sequence[Poly], M: int) -> Dict:
-    vec: Dict = {}
-    for pos, comp in enumerate(coords):
-        for m, coeff in comp.truncate(M - 1).terms.items():
-            vec[(pos, m)] = coeff
-    return vec
 
 
 def versality_check(U: Unfolding, I: Ideal) -> bool:
@@ -418,15 +405,10 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     needed = k * (k + 1) // 2
     if needed > d:
         return DdkClass(d, k, "NOT_APPLICABLE")
-    rows = RowBasis(lambda i: i)
-    rank = 0
-    for a in range(k):
-        for b in range(a, k):
-            entry = H[active[a]][active[b]]
-            if entry.c != 0:
-                raise AssertionError("unsplit block contains a unit entry")
-            if rows.add(dict(entry.lin)) is not None:
-                rank += 1
+    entries = [H[active[a]][active[b]] for a in range(k) for b in range(a, k)]
+    if any(entry.c != 0 for entry in entries):
+        raise AssertionError("unsplit block contains a unit entry")
+    rank = RowBasis().extend(integral(entry.lin) for entry in entries)
     verdict = "IS_Ddk" if rank == needed else "NOT_Ddk"
     return DdkClass(d, k, verdict)
 

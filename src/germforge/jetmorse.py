@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem
-from .linalg import RowBasis
+from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient, saturation, zero_dim_radical
 from .koszul import KoszulInstance, koszul_euler
@@ -149,15 +149,10 @@ def _squarefree_monomial_gens(I: Ideal) -> bool:
 
 
 def _independent_linear_gens(I: Ideal) -> bool:
-    if not I.gens:
+    if not I.gens or any(sum(m) != 1 for g in I.gens for m in g.terms):
         return False
-    rows = RowBasis(lambda i: i)
-    for g in I.gens:
-        if any(sum(m) != 1 for m in g.terms):
-            return False
-        if rows.add({m.index(1): c for m, c in g.terms.items()}) is None:
-            return False
-    return True
+    rows = [integral({m.index(1): c for m, c in g.terms.items()}) for g in I.gens]
+    return RowBasis().extend(rows) == len(rows)
 
 
 def _certified_radical(J1: Ideal, assume_reduced: bool) -> Tuple[Ideal, str]:

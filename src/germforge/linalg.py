@@ -1,137 +1,141 @@
-"""Exact incremental Gaussian elimination over sparse Fraction vectors.
+"""Exact sparse linear algebra: one fraction-free integer row-echelon engine.
 
-Vectors are dicts mapping hashable labels to Fraction coefficients. A RowBasis
-keeps a reduced row echelon span: each stored row has coefficient 1 at its
-pivot label, the pivot is the row's largest label under the caller's key
-function, and no row contains another row's pivot. Residuals returned by
-reduce() are therefore canonical, which keeps every consumer deterministic.
+A row is a dict from an int column to a nonzero int. RowBasis keeps the
+reduced row echelon form of the rows it is given without fractions, as in
+Bareiss (Math. Comp. 22, 1968): a stored row's pivot is its least column,
+its entry there is positive, its content is 1, and no stored row holds
+another's pivot. Callers number their columns so that the label they want
+as a pivot first is the least. extend() takes a whole batch in one loop,
+latest pivots first (short rows, which the long ones then reduce against in
+one pass); it is the hot path of the truncated local quotient, so it makes
+no method call per row. add(), reduce() and contains() are one-row steps.
+
+nullspace() reads the kernel through identity columns: input t gets one
+column after the data columns, a later input a smaller one, and the pivot
+rows in that block span the kernel in reduced form. For each input that
+depends on the inputs before it, they hold e_t minus its unique combination
+of the earlier independent inputs.
+
+perfbench/tracer.py times this layer by rebinding nullspace and
+RowBasis.{reduce, add, contains, extend} by name, so all five stay defined.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
-Vec = Dict[Hashable, Fraction]
+Row = Dict[int, int]
+
+
+def integral(row: Mapping[int, Fraction]) -> Row:
+    """row times the lcm of its denominators: the same line, integer entries."""
+    den = lcm(*(c.denominator for c in row.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
+
+
+def _cancel(row: Row, p: int, prow: Row) -> int:
+    """Clear column p of row in place, fraction-free: row becomes
+    b*row - a*prow, where a/b is row[p]/prow[p] in lowest terms; returns b."""
+    a, b = row.pop(p), prow[p]
+    if b != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        for k in row:
+            row[k] *= b
+    for k, c in prow.items():
+        if k != p:
+            v = row.get(k, 0) - a * c
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+    return b
+
+
+def _make_primitive(row: Row, p: int) -> None:
+    """Divide row by its content, signed so that row[p] is positive."""
+    g = 0
+    for c in row.values():
+        g = gcd(g, c)
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
 
 
 class RowBasis:
-    __slots__ = ("keyfn", "rows")
+    """Reduced row echelon form of integer rows, keyed by pivot column."""
 
-    def __init__(self, keyfn: Callable[[Hashable], object]) -> None:
-        self.keyfn = keyfn
-        self.rows: Dict[Hashable, Vec] = {}
+    __slots__ = ("rows", "holders")
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, Row] = {}
+        self.holders: Dict[int, Set[int]] = {}  # column -> pivots whose rows may hold it
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Vec) -> Vec:
-        """Fully reduced residual of vec modulo the span."""
-        work = {k: Fraction(c) for k, c in vec.items() if c}
-        out: Vec = {}
-        while work:
-            k = max(work, key=self.keyfn)
-            c = work.pop(k)
-            if c == 0:
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Insert a batch of rows and return how many were independent. The
+        rows are taken over: they are reduced in place and may be stored."""
+        pivots, holders = self.rows, self.holders
+        before = len(pivots)
+        for row in sorted(filter(None, rows), key=min, reverse=True):
+            for p in [k for k in row if k in pivots]:
+                _cancel(row, p, pivots[p])
+            if not row:
                 continue
-            row = self.rows.get(k)
-            if row is None:
-                # no pivot here; only smaller labels remain, so k is settled
-                out[k] = out.get(k, Fraction(0)) + c
-                continue
-            for k2, c2 in row.items():
-                if k2 == k:
-                    continue
-                s = work.get(k2, Fraction(0)) - c * c2
-                if s:
-                    work[k2] = s
-                else:
-                    work.pop(k2, None)
-        return {k: c for k, c in out.items() if c}
+            p = min(row)
+            _make_primitive(row, p)
+            for q in holders.pop(p, ()):
+                held = pivots[q]
+                if p in held:
+                    _cancel(held, p, row)
+                    _make_primitive(held, q)
+                    for k in row:
+                        if k in held:
+                            holders.setdefault(k, set()).add(q)
+            pivots[p] = row
+            for k in row:
+                if k != p:
+                    holders.setdefault(k, set()).add(p)
+        return len(pivots) - before
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
+    def add(self, row: Row) -> bool:
+        """Insert one row, taken over; True when it was independent."""
+        return self.extend([row]) == 1
 
-    def add(self, vec: Vec) -> Optional[Vec]:
-        """Insert vec's residual; returns the new normalized row, or None."""
-        r = self.reduce(vec)
-        if not r:
-            return None
-        pivot = max(r, key=self.keyfn)
-        inv = 1 / r[pivot]
-        r = {k: c * inv for k, c in r.items()}
-        # keep existing rows reduced against the new pivot
-        for p, row in self.rows.items():
-            c = row.get(pivot)
-            if c:
-                for k2, c2 in r.items():
-                    s = row.get(k2, Fraction(0)) - c * c2
-                    if s:
-                        row[k2] = s
-                    else:
-                        row.pop(k2, None)
-        self.rows[pivot] = r
-        return r
+    def reduce(self, row: Row) -> Dict[int, Fraction]:
+        """Residual of row modulo the span: row minus the element of the span
+        that clears every pivot column. The row itself is left unchanged."""
+        work, scale = dict(row), 1
+        for p in [k for k in work if k in self.rows]:
+            scale *= _cancel(work, p, self.rows[p])
+        return {k: Fraction(c, scale) for k, c in work.items()}
 
-    def extend(self, vecs) -> int:
-        added = 0
-        for v in vecs:
-            if self.add(v) is not None:
-                added += 1
-        return added
+    def contains(self, row: Row) -> bool:
+        return not self.reduce(row)
 
 
-def nullspace(vectors: List[Vec], dim_labels: List[Hashable], keyfn) -> List[Dict[Hashable, Fraction]]:
-    """Kernel of the linear map sending unit coordinate t to vectors[t].
+def nullspace(rows: Sequence[Mapping[int, Fraction]]) -> List[Dict[int, Fraction]]:
+    """Kernel of the map sending unit t to rows[t], whose entries may be ints
+    or Fractions: one combination {t: coeff} per input that depends on the
+    inputs before it, with coefficient 1 at t and its other terms on earlier
+    independent inputs, in input order."""
+    top = 1 + max((k for row in rows for k in row), default=-1)
+    last = top + len(rows) - 1
+    basis = RowBasis()
+    basis.extend(integral({**row, last - t: 1}) for t, row in enumerate(rows))
+    return identity_kernel(basis, top, last)
 
-    Returns combination dicts {t: coeff} with sum_t coeff * vectors[t] = 0,
-    one per kernel dimension, deterministically ordered. dim_labels tags the
-    coordinates (usually range(len(vectors))).
-    """
-    if len(vectors) != len(dim_labels):
-        raise ValueError("one label per vector")
-    basis = RowBasis(keyfn)
-    combos: Dict[Hashable, Vec] = {}  # pivot -> combination achieving that row
-    kernel: List[Dict[Hashable, Fraction]] = []
-    for t, v in enumerate(vectors):
-        # reduce v while tracking the combination of inputs used
-        work = {k: Fraction(c) for k, c in v.items() if c}
-        combo: Vec = {dim_labels[t]: Fraction(1)}
-        while work:
-            k = max(work, key=keyfn)
-            c = work.pop(k)
-            if c == 0:
-                continue
-            row = basis.rows.get(k)
-            if row is None:
-                # v has a fresh pivot: store row and its combination
-                inv = 1 / c
-                rest = dict(work)
-                rest[k] = c
-                newrow = {k2: c2 * inv for k2, c2 in rest.items()}
-                basis.rows[k] = newrow
-                combos[k] = {k2: c2 * inv for k2, c2 in combo.items()}
-                combo = {}
-                work = {}
-                break
-            for k2, c2 in row.items():
-                if k2 == k:
-                    continue
-                s = work.get(k2, Fraction(0)) - c * c2
-                if s:
-                    work[k2] = s
-                else:
-                    work.pop(k2, None)
-            cc = combos[k]
-            for k2, c2 in cc.items():
-                s = combo.get(k2, Fraction(0)) - c * c2
-                if s:
-                    combo[k2] = s
-                else:
-                    combo.pop(k2, None)
-        else:
-            # v reduced to zero: combo is a kernel element
-            if combo:
-                kernel.append(combo)
-    return kernel
+
+def identity_kernel(basis: RowBasis, top: int, last: int) -> List[Dict[int, Fraction]]:
+    """The kernel held in the identity columns top..last, where column
+    last - t stands for input t: the pivot rows there divided by their pivot
+    entry, as combinations {t: coeff} in input order."""
+    return [{last - k: Fraction(c, row[p]) for k, c in row.items()}
+            for p, row in sorted(basis.rows.items(), reverse=True) if p >= top]

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
-from .linalg import nullspace
+from .linalg import RowBasis, nullspace
 from .polyring import (
     GLOBAL_DP,
     LOCAL_DS,
@@ -389,7 +389,7 @@ def _integer_terms(v: Vector) -> Tuple[int, List[Tuple[int, Mono, int, int]]]:
             den = lcm(den, c.denominator)
     terms = [(pos, m, mono_deg(m), c.numerator * (den // c.denominator))
              for pos, p in enumerate(v) for m, c in p.terms.items()]
-    return min(t[2] for t in terms), terms
+    return min((t[2] for t in terms), default=0), terms
 
 
 def _columns(n: int, rank: int, N: int, key) -> List[MTerm]:
@@ -409,66 +409,6 @@ def _shift_rows(gens, n: int, N: int, labels: List[MTerm]):
             dd = mono_deg(delta)
             yield {col[pos, mono_mul(m, delta)]: c
                    for pos, m, dm, c in terms if dm + dd <= N}
-
-
-def _cancel(row: Dict[int, int], p: int, prow: Dict[int, int]) -> None:
-    """Clear column p of row in place, fraction-free: row becomes
-    b*row - a*prow, where a/b is row[p]/prow[p] in lowest terms."""
-    a, b = row.pop(p), prow[p]
-    if b != 1:
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        for k in row:
-            row[k] *= b
-    for k, c in prow.items():
-        if k != p:
-            v = row.get(k, 0) - a * c
-            if v:
-                row[k] = v
-            else:
-                del row[k]
-
-
-def _make_primitive(row: Dict[int, int], p: int) -> None:
-    """Divide row by its content, signed so that row[p] is positive."""
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-    if row[p] < 0:
-        g = -g
-    if g != 1:
-        for k in row:
-            row[k] //= g
-
-
-def _eliminate(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """Reduced row echelon form of sparse integer rows, fraction-free, keyed
-    by pivot column. A stored row's pivot is its least column, no stored row
-    holds another's pivot, and each has content 1."""
-    pivots: Dict[int, Dict[int, int]] = {}
-    holders: Dict[int, Set[int]] = {}  # column -> pivots whose rows may hold it
-    # rows with late pivots first: they are short, and early rows then
-    # reduce against them in one pass
-    for row in sorted(rows, key=min, reverse=True):
-        for p in [k for k in row if k in pivots]:
-            _cancel(row, p, pivots[p])
-        if not row:
-            continue
-        p = min(row)
-        _make_primitive(row, p)
-        for q in holders.pop(p, ()):
-            held = pivots[q]
-            if p in held:
-                _cancel(held, p, row)
-                _make_primitive(held, q)
-                for k in row:
-                    if k in held:
-                        holders.setdefault(k, set()).add(q)
-        pivots[p] = row
-        for k in row:
-            if k != p:
-                holders.setdefault(k, set()).add(p)
-    return pivots
 
 
 def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
@@ -507,18 +447,20 @@ def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
 
     for N in caps:
         labels = _columns(n, rank, N, degree_first)
-        pivots = _eliminate(_shift_rows(scaled, n, N, labels))
+        basis = RowBasis()
+        basis.extend(_shift_rows(scaled, n, N, labels))
         free_by_deg = [0] * (N + 1)
         for i, (_, m) in enumerate(labels):
-            if i not in pivots:
+            if i not in basis.rows:
                 free_by_deg[mono_deg(m)] += 1
         if 0 not in free_by_deg:
             continue
         d = free_by_deg.index(0)
         count = sum(free_by_deg[:d])
         labels = _columns(n, rank, d - 1, position_first)
-        pivots = _eliminate(_shift_rows(scaled, n, d - 1, labels))
-        witness = [lab for i, lab in enumerate(labels) if i not in pivots]
+        basis = RowBasis()
+        basis.extend(_shift_rows(scaled, n, d - 1, labels))
+        witness = [lab for i, lab in enumerate(labels) if i not in basis.rows]
         if len(witness) != count:
             raise AssertionError("truncated witness disagrees with the certified count")
         witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
@@ -1005,11 +947,13 @@ def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
     ring = I.ring
     x = ring.var(var)
     power = ring.one()
-    powers: List[Dict] = []
+    col: Dict[Mono, int] = {}
+    powers: List[Dict[int, Fraction]] = []
     for _ in range(I.quotient_dimension().value + 1):
-        powers.append(dict(I.normal_form(power).terms))
+        powers.append({col.setdefault(m, len(col)): c
+                       for m, c in I.normal_form(power).terms.items()})
         power = power * x
-    kernel = nullspace(powers, list(range(len(powers))), GLOBAL_DP.key)
+    kernel = nullspace(powers)
     if not kernel:
         raise AssertionError("no univariate dependence on a finite quotient")
     combo = kernel[0]

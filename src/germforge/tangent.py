@@ -15,16 +15,19 @@ degree and reported together with its truncation bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import GermforgeError
-from .linalg import RowBasis, nullspace
-from .polyring import GLOBAL_DP, Mono, Poly, Ring, monomials_up_to_degree
+from .linalg import RowBasis, identity_kernel
+from .polyring import GLOBAL_DP, Poly, Ring, monomials_up_to_degree
 from .stdbasis import (
     Ideal,
+    MTerm,
     Submodule,
     Vector,
+    _columns,
+    _integer_terms,
+    _shift_rows,
     module_intersection,
     module_syzygies,
     vec_is_zero,
@@ -158,20 +161,21 @@ class PrimitiveIdeal:
         return self.ideal.gens
 
 
-def _slice_basis(gens: Sequence[Poly], ring: Ring, N: int) -> RowBasis:
-    """Row space of the degree-<=N slice of the polynomial ideal + m^{N+1}."""
-    basis = RowBasis(lambda m: GLOBAL_DP.key(m))
-    for g in gens:
-        for delta in monomials_up_to_degree(ring.n, N):
-            row = g.term_mul(delta, Fraction(1)).truncate(N)
-            if not row.is_zero():
-                basis.add(dict(row.terms))
-    return basis
+def _slice_rows(gens: Sequence[Poly], pos: int, n: int, N: int, labels: List[MTerm]):
+    """Shifts of the generators, truncated above degree N, as integer rows
+    over the labels (pos, monomial): they span the degree-<=N slice of the
+    polynomial ideal + m^{N+1}."""
+    scaled = [_integer_terms((g,)) for g in gens]
+    return _shift_rows([(base, [(pos, m, dm, c) for _, m, dm, c in terms])
+                        for base, terms in scaled], n, N, labels)
 
 
 def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     """Solve the linear conditions f in I' + m^{N+1} and df/dx_i in I' + m^N
-    over coefficients of monomials of degree 1..N."""
+    over coefficients of monomials of degree 1..N, in one elimination whose
+    kernel is read through identity columns as in linalg.nullspace. Its rows
+    are the slices of I' in block 0 (values) and block i + 1 (df/dx_i), and
+    per monomial alpha, x^alpha with its derivatives and identity column."""
     if N < 1:
         raise GermforgeError("PRECONDITION_VIOLATED", "truncation degree must be >= 1")
     ring = Iprime.ring
@@ -179,27 +183,23 @@ def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     if Iprime.is_unit():
         return PrimitiveIdeal(Ideal(ring, [ring.one()], order), N)
     n = ring.n
-    e_val = _slice_basis(Iprime.gens, ring, N)
-    e_der = _slice_basis(Iprime.gens, ring, N - 1)
-    labels = [m for m in monomials_up_to_degree(n, N) if sum(m) >= 1]
-    labels.sort(key=GLOBAL_DP.key)
-
-    def big_vector(alpha: Mono) -> Dict:
-        vec: Dict = {}
-        res = e_val.reduce({alpha: Fraction(1)})
-        for m, c in res.items():
-            vec[(0, m)] = c
+    labels = _columns(n, n + 1, N, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
+    col = {lab: i for i, lab in enumerate(labels)}
+    alphas = sorted((m for m in monomials_up_to_degree(n, N) if sum(m) >= 1), key=GLOBAL_DP.key)
+    top, last = len(labels), len(labels) + len(alphas) - 1
+    rows = list(_slice_rows(Iprime.gens, 0, n, N, labels))
+    for i in range(n):
+        rows += _slice_rows(Iprime.gens, i + 1, n, N - 1, labels)
+    for t, alpha in enumerate(alphas):
+        row = {col[0, alpha]: 1, last - t: 1}
         for i in range(n):
             if alpha[i]:
-                da = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                res = e_der.reduce({da: Fraction(alpha[i])})
-                for m, c in res.items():
-                    vec[(i + 1, m)] = c
-        return vec
-
-    kernel = nullspace([big_vector(a) for a in labels], labels,
-                       lambda lab: (lab[0], GLOBAL_DP.key(lab[1])))
-    polys = [Poly(ring, {a: c for a, c in combo.items()}) for combo in kernel]
+                row[col[i + 1, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]] = alpha[i]
+        rows.append(row)
+    basis = RowBasis()
+    basis.extend(rows)
+    kernel = identity_kernel(basis, top, last)
+    polys = [Poly(ring, {alphas[t]: c for t, c in combo.items()}) for combo in kernel]
     polys.sort(key=lambda p: GLOBAL_DP.key(p.leading(GLOBAL_DP)[0]))
     kept: List[Poly] = []
     for p in polys:
@@ -228,11 +228,13 @@ def _postcheck_adapted(Iprime: Ideal, result: PrimitiveIdeal) -> None:
         return
     N = result.truncation
     squares = [ring.var(i) * ring.var(j) for i in var_idx for j in var_idx if i <= j]
-    e_res = _slice_basis(result.gens, ring, N)
-    e_exp = _slice_basis(squares, ring, N)
-    for q in squares:
-        if not e_res.contains(dict(q.truncate(N).terms)):
-            raise AssertionError("primitive ideal misses a square generator")
-    for g in result.gens:
-        if not e_exp.contains(dict(g.truncate(N).terms)):
-            raise AssertionError("primitive ideal exceeds the square ideal")
+    labels = _columns(ring.n, 1, N, lambda lab: GLOBAL_DP.key(lab[1]))
+
+    def rank(gens: Sequence[Poly]) -> int:
+        return RowBasis().extend(_slice_rows(gens, 0, ring.n, N, labels))
+
+    both = rank(list(result.gens) + squares)
+    if rank(result.gens) != both:
+        raise AssertionError("primitive ideal misses a square generator")
+    if rank(squares) != both:
+        raise AssertionError("primitive ideal exceeds the square ideal")

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import germforge.tangent
 from germforge import jet_context
 from germforge.cli import main, parse_problem_file
 from germforge.polyring import format_poly
@@ -178,6 +179,22 @@ class TestExitCodes:
             capsys, ["split", problem(tmp_path), "--degree-bound", "1"])
         assert code == 3
         assert "GENERICITY_SUSPECT" in err
+
+    def test_failed_postcheck_exits_4(self, capsys, tmp_path, monkeypatch):
+        def fail(Iprime, result):
+            raise AssertionError("primitive ideal misses a square generator")
+
+        monkeypatch.setattr(germforge.tangent, "_postcheck_adapted", fail)
+        text = "ring x y ;\nideal I = x, y ;\n"
+        code, out, err = run(
+            capsys, ["primitive", problem(tmp_path, text), "--trunc", "3"])
+        assert code == 4
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == ("error: INTERNAL_CHECK_FAILED: "
+                            "primitive ideal misses a square generator")
+        assert lines[1].startswith("elapsed_ms=")
+        assert "Traceback" not in err
 
     def test_primitive_requires_trunc(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["primitive", problem(tmp_path)])

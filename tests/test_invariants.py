@@ -201,6 +201,12 @@ class TestVersality:
         U = make_unfolding(CUSP, ["s1", "s2", "s3", "s4"], F)
         assert versality_check(U, EJEM)
 
+    def test_parameter_with_zero_derivative_at_the_origin(self):
+        ext = R2.extend(["s1", "s2", "s3", "s4"])
+        F = parse_poly("y^2 + x^3 + s1 x^2 + s2 y + s3 x y + s4^2 x^2", ext)
+        U = make_unfolding(CUSP, ["s1", "s2", "s3", "s4"], F)
+        assert versality_check(U, EJEM)
+
 
 class TestBuildVersal:
     def test_regression_construction(self):

@@ -13,6 +13,7 @@ from germforge.stdbasis import (
     hilbert_samuel,
     ideal_intersection,
     ideal_quotient,
+    minimal_polynomial,
     module_syzygies,
     power_ideal,
     relative_quotient_dimension,
@@ -573,6 +574,16 @@ class TestRadical:
         rad = zero_dim_radical(I)
         assert rad.contains_ideal(I)
         assert zero_dim_radical(rad).equals(rad)
+
+
+class TestMinimalPolynomial:
+    @pytest.mark.parametrize("gens, var, coeffs", [
+        (("2*x^2 + 3*x - 1", "y - x"), 0, [Fraction(-1, 2), Fraction(3, 2), 1]),
+        (("x^3 - y", "y^2 - 3*x*y + 1/2"), 0, [Fraction(1, 2), 0, 0, 0, -3, 0, 1]),
+        (("x*y - 1", "x^2 + y^2 - 5/2"), 1, [1, 0, Fraction(-5, 2), 0, 1]),
+    ])
+    def test_pinned_coefficients(self, gens, var, coeffs):
+        assert minimal_polynomial(ideal(R2, GLOBAL_DP, *gens), var) == coeffs
 
 
 class TestArtinRees:

@@ -19,6 +19,7 @@ from germforge.tangent import (
 from helpers import d, echelon, gauss_member, kernel_combos, monos_upto, reduce_against
 
 R2 = Ring(["x", "y"])
+R3 = Ring(["x", "y", "z"])
 
 
 def P(s, ring=R2):
@@ -235,6 +236,17 @@ class TestPrimitiveIdeal:
     def test_truncation_precondition(self):
         with pytest.raises(GermforgeError):
             primitive_ideal(ideal(R2, LOCAL_DS, "x"), 0)
+
+    def test_pinned_generators_of_the_d3_subideal(self):
+        res = primitive_ideal(ideal(R3, LOCAL_DS, "x*y", "z"), 4)
+        assert [str(g) for g in res.gens] == ["z^2", "x*y*z", "x^2*y^2"]
+
+    def test_pinned_generators_with_fractional_coefficients(self):
+        res = primitive_ideal(ideal(R3, LOCAL_DS, "x^2 - 2*y*z", "y + 1/3*z^2"), 4)
+        assert [str(g) for g in res.gens] == [
+            "y^3", "z^4 + 6*y*z^2 + 9*y^2", "y*z^3 + 3/2*y^2*z",
+            "x*y*z^2 + 3/2*x*y^2", "x^2*z^2 + 3*x^2*y - 3*y^2*z", "x*y^2*z",
+            "x^2*y*z", "x^3*z", "x^4"]
 
     def test_members_satisfy_defining_conditions(self):
         Ip = ideal(R2, LOCAL_DS, "x", "y^2")
