@@ -74,7 +74,8 @@ def jet_context(I: Ideal, k: int) -> JetContext:
         for alpha in alphas:
             names.append(f"a{j + 1}_" + "_".join(str(e) for e in alpha))
     ring = Ring(names)
-    assert ring.n == n + r * comb(n + k, n)
+    if ring.n != n + r * comb(n + k, n):
+        raise AssertionError("jet ring has the wrong number of variables")
 
     zero = tuple(0 for _ in range(n))
     betas = [zero] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]

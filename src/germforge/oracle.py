@@ -3,7 +3,12 @@ off the zero set, empirical splitting functions, and conservation checks.
 
 Counts are global: a deformed polynomial's critical points are tallied over
 all of affine space (dimension of the saturated Jacobian quotient), not in a
-small ball, so every report carries the GLOBAL_COUNT marker. Genericity is
+small ball, so every report carries the GLOBAL_COUNT marker. The count off
+the zero set of I is dim k[x]/(K : I^infinity), where K is the Jacobian
+ideal of the deformed member (critical points) or the pulled-back jet ideal
+(conservation). When no point of V(K) lies on V(I), K + I is the unit
+ideal and saturation hands K back after one standard basis of K + I; only
+when V(K) meets V(I) does the iterated colon run. Genericity is
 sampled (cross-seed stability plus a degree-drift probe), never certified;
 disagreement raises instead of guessing. Rational points are located by
 per-variable minimal polynomials and the rational root theorem; when some
@@ -113,14 +118,15 @@ def critical_points_outside(g: Poly, I: Ideal,
                             raw_saturation: bool = False) -> CriticalReport:
     """Saturate the Jacobian ideal of g by I and count the quotient; the
     Morse certificate adjoins the Hessian determinant and asks for the unit
-    ideal. A unit I means no zero set to avoid, so by default saturation is
-    skipped and every critical point counts; raw_saturation applies the
-    collapse rule for the unit ideal instead, which kills the count."""
+    ideal. A unit I means no zero set to avoid, so by default saturation
+    hands back the Jacobian ideal and every critical point counts;
+    raw_saturation applies the collapse rule for the unit ideal instead,
+    which kills the count."""
     ring = g.ring
     jac = Ideal(ring, [g.derive(i) for i in range(ring.n)], GLOBAL_DP)
     I_dp = I.with_order(GLOBAL_DP)
-    if I_dp.is_unit():
-        sat = Ideal(ring, [ring.one()], GLOBAL_DP) if raw_saturation else jac
+    if raw_saturation and I_dp.is_unit():
+        sat = Ideal(ring, [ring.one()], GLOBAL_DP)
     else:
         sat = saturation(jac, I_dp)
     qd = sat.quotient_dimension()
@@ -269,7 +275,8 @@ def _one_split(P: GermProblem, fields: VectorFieldModule, seed: int,
     if g2.terms != g.terms and critical_points_outside(g2, fields.ideal).count != crit.count:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical count drifts with the degree bound")
-    assert corrected >= crit.count
+    if corrected < crit.count:
+        raise AssertionError("the defect mass must cover the Morse points")
     if corrected == crit.count:
         # every defect point is one of the nondegenerate critical points,
         # each of local codimension one; no location needed
@@ -287,7 +294,8 @@ def _one_split(P: GermProblem, fields: VectorFieldModule, seed: int,
             if k > 0:
                 sigma[k] = sigma.get(k, 0) + 1
                 mass += k
-        assert mass == corrected, "located local codimensions must tally"
+        if mass != corrected:
+            raise AssertionError("located local codimensions must tally")
     return sigma, corrected, crit.count
 
 
@@ -312,7 +320,8 @@ def _splitting(P: GermProblem, seeds: Optional[Sequence[int]],
                              "seeds disagree on the splitting outcome")
     sigma, corrected, morse = first
     for k, cnt in (sigma or {}).items():
-        assert k * cnt <= c_value
+        if k * cnt > c_value:
+            raise AssertionError("a splitting class exceeds the codimension")
     if sigma is None:
         warnings.append("NONRATIONAL_POINTS")
     return SplittingReport(sigma, corrected, morse, used, True, tuple(warnings))

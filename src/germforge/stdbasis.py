@@ -592,9 +592,6 @@ class Ideal:
     def basis(self) -> List[Poly]:
         return [v[0] for v in self._module().basis()]
 
-    def lead_monomials(self) -> List[Mono]:
-        return [m for _, m in self._module().lead_terms()]
-
     def normal_form(self, p: Poly) -> Poly:
         return self._module().normal_form((p,))[0]
 
@@ -833,7 +830,17 @@ def module_intersection(U: Submodule, V: Submodule) -> Submodule:
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^infinity): iterated quotient until stable."""
+    """(I : J^infinity), exact for I's ring flavor.
+
+    When I + J is the unit ideal, I is already saturated: from 1 = a + b with
+    a in I and b in J, every h with h*J^k in I is h = h*(a + b)^k, a member
+    of I. That holds in the polynomial and the local ring alike, and takes
+    one standard basis of I + J in I's order; I itself is returned. Only when
+    the zero sets of I and J meet (or, in the local ring, both pass through
+    the origin) does the quotient (I : J) run, iterated until it is stable.
+    """
+    if I.sum(J).is_unit():
+        return I
     current = I
     while True:
         nxt = ideal_quotient(current, J)

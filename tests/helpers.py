@@ -171,3 +171,12 @@ def evalp(p, vals):
                 v *= x
         total += v
     return total
+
+
+def to_sympy(p, symbols):
+    """Poly -> sympy expression in symbols (sympy is imported on use)."""
+    import sympy
+
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+                for m, c in p.terms.items()), sympy.Integer(0))

@@ -1,3 +1,5 @@
+import itertools
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ from germforge.tangent import primitive_ideal
 from germforge.invariants import classify_Ddk
 from germforge.jetmorse import morse_number
 from germforge.oracle import (
+    TRIAL_SEEDS,
     XorShift64,
+    _deform,
     conservation_check,
     corrected_extended_codim,
     critical_points_outside,
@@ -21,7 +25,7 @@ from germforge.oracle import (
     random_deformation,
 )
 
-from helpers import evalp
+from helpers import evalp, to_sympy
 
 R2 = Ring(["x", "y"])
 R1 = Ring(["x"])
@@ -279,6 +283,25 @@ class TestConservation:
         total = saturation(pulled, EJEM.with_order(GLOBAL_DP)).quotient_dimension()
         assert total.value == reference
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_d3_conserves_within_budget(self):
+        # every trial's pulled ideal is coprime to I, so saturation returns
+        # at once; the iterated colon on these inputs runs for minutes
+        R3 = Ring(["x", "y", "z"])
+        f = parse_poly("x^3*y + x*y^3 + z^2 + x*y*z", R3)
+
+        def over_budget(signum, frame):
+            raise TimeoutError("conserve d3 exceeded its 60 s budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.alarm(60)
+        try:
+            assert conservation_check(f, ideal(R3, LOCAL_DS, "x*y", "z"), trials=3,
+                                      assume_reduced=True) is True
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_zero_codimension_trivially_conserves(self):
         assert conservation_check(P("x*y"), ideal(R2, LOCAL_DS, "y"), trials=2)
 
@@ -296,6 +319,86 @@ class TestConservation:
         c = extended_codim(f, I)
         assert c.is_finite and c.value <= 2
         assert c.value == 0
+
+
+class TestSaturationVsRabinowitsch:
+    """dim k[x]/(I : J^infinity) against sympy: with J = (h_1, ..., h_s), the
+    points of V(I) off V(J) are the union of the sets {h_i != 0}, and the
+    multiplicity on {prod_S h != 0} is dim k[x,t]/(I + (1 - t prod_S h)), so
+    inclusion-exclusion over the nonempty subsets S of J's generators gives
+    the count. sympy computes the bases; the staircase is counted here."""
+
+    @staticmethod
+    def _staircase(leads, nvars):
+        """Monomials no lead divides, or None when there are infinitely many."""
+        pure = [None] * nvars
+        for m in leads:
+            support = [i for i, e in enumerate(m) if e]
+            if len(support) == 1:
+                i = support[0]
+                pure[i] = m[i] if pure[i] is None else min(pure[i], m[i])
+        if None in pure:
+            return None
+        return sum(1 for e in itertools.product(*(range(a) for a in pure))
+                   if not any(all(x >= y for x, y in zip(e, m)) for m in leads))
+
+    def _rabinowitsch_count(self, I, J):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(list(I.ring.names) + ["t_"])
+        base = [to_sympy(g, symbols) for g in I.gens]
+        hs = [to_sympy(h, symbols) for h in J.gens]
+        total = 0
+        for k in range(1, len(hs) + 1):
+            for S in itertools.combinations(hs, k):
+                G = sympy.groebner(base + [1 - symbols[-1] * sympy.Mul(*S)], *symbols,
+                                   order="grevlex", domain="QQ")
+                leads = [sympy.Poly(g, *symbols).monoms(order="grevlex")[0] for g in G.exprs]
+                dim = self._staircase(leads, len(symbols))
+                if dim is None:
+                    return None
+                total += (-1) ** (k + 1) * dim
+        return total
+
+    def _agree(self, I, J):
+        qd = saturation(I, J).quotient_dimension()
+        theirs = self._rabinowitsch_count(I, J)
+        assert (qd.value if qd.is_finite else None) == theirs, (I, J)
+        return theirs
+
+    @pytest.mark.parametrize("names, gens, f, expect", [
+        ("x y", ("x^2", "y"), "x^3 + y^2", 2),
+        ("x y z", ("x*y", "z"), "x^2*y + x*y^2 + z^2", 4),
+    ], ids=["cusp", "d4rel"])
+    def test_conserve_trials(self, names, gens, f, expect):
+        from germforge.jetmorse import jet_context, jet_pullback, morse_component
+        ring = Ring(names.split())
+        I = ideal(ring, LOCAL_DS, *gens)
+        problem = GermProblem(parse_poly(f, ring), I)
+        ctx = jet_context(I, 1)
+        M = morse_component(ctx, assume_reduced=True).ideal
+        I_dp = I.with_order(GLOBAL_DP)
+        for seed in TRIAL_SEEDS[:3]:
+            pulled = jet_pullback(_deform(problem, None, seed), I, ctx, M).with_order(GLOBAL_DP)
+            assert self._agree(pulled, I_dp) == expect
+
+    def test_split_jacobian(self):
+        R3 = Ring(["x", "y", "z"])
+        I = ideal(R3, LOCAL_DS, "x*y", "z")
+        g = random_deformation(parse_poly("x^2*y + x*y^2 + z^2", R3), I, seed=11)
+        jac = Ideal(R3, [g.derive(i) for i in range(3)], GLOBAL_DP)
+        assert self._agree(jac, I.with_order(GLOBAL_DP)) == 4
+
+    @pytest.mark.parametrize("ring, I, J, expect", [
+        (R2, ("x^2*y",), ("y",), None),
+        (R2, ("x^2*y", "y^2 - y"), ("y",), 2),
+        (R1, ("x^2 - x",), ("x",), 1),
+        (R2, ("x^3*y^2 - x^2*y^2", "y^3 - y^2", "x^4 - x^3"), ("x", "y"), 5),
+    ], ids=["x2y-by-y", "x2y-off-line", "x(x-1)-by-x", "three-points-by-origin"])
+    def test_zero_sets_meet(self, ring, I, J, expect):
+        # V(I) meets V(J), so I + J is a proper ideal and the colon loop runs
+        I, J = ideal(ring, GLOBAL_DP, *I), ideal(ring, GLOBAL_DP, *J)
+        assert not I.sum(J).is_unit()
+        assert self._agree(I, J) == expect
 
 
 class TestSemicontinuity:

@@ -30,6 +30,7 @@ from helpers import (
     monos_upto,
     multiples_upto,
     quotient_dim_upto,
+    to_sympy,
 )
 
 R2 = Ring(["x", "y"])
@@ -239,14 +240,6 @@ class TestGroebnerVsSympy:
         return Poly(ring, terms)
 
     @staticmethod
-    def _to_sympy(p, symbols):
-        import sympy
-
-        return sum((sympy.Rational(c.numerator, c.denominator)
-                    * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
-                    for m, c in p.terms.items()), sympy.Integer(0))
-
-    @staticmethod
     def _from_sympy(expr, symbols, ring):
         import sympy
 
@@ -266,7 +259,7 @@ class TestGroebnerVsSympy:
             if not gens:
                 continue
             I = Ideal(ring, gens, GLOBAL_DP)
-            G = sympy.groebner([self._to_sympy(g, symbols) for g in gens], *symbols,
+            G = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols,
                                order="grevlex", domain="QQ")
             theirs = [self._from_sympy(g, symbols, ring) for g in G.exprs]
             theirs = [g * (1 / g.leading(GLOBAL_DP)[1]) for g in theirs]
@@ -275,7 +268,7 @@ class TestGroebnerVsSympy:
             for _ in range(3):
                 p = (self._rand_poly(rng, ring) * self._rand_poly(rng, ring)
                      + self._rand_poly(rng, ring))
-                _, r = sympy.reduced(self._to_sympy(p, symbols), list(G.exprs), *symbols,
+                _, r = sympy.reduced(to_sympy(p, symbols), list(G.exprs), *symbols,
                                      order="grevlex", domain="QQ")
                 assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
 
@@ -347,6 +340,17 @@ class TestIntersectionAndSaturation:
             ideal(R2, GLOBAL_DP, "x^2"))
         assert saturation(ideal(R2, GLOBAL_DP, "x"), ideal(R2, GLOBAL_DP, "x")).equals(
             ideal(R2, GLOBAL_DP, "1"))
+
+    @pytest.mark.parametrize("order, I, J", [
+        (GLOBAL_DP, ("x - 1", "y^2"), ("x", "y")),
+        # x - 1 is a unit of the local ring only; the global sum is (x - 1, y)
+        (LOCAL_DS, ("x^2 - x", "y"), ("x - 1",)),
+    ])
+    def test_saturation_is_I_when_I_plus_J_is_unit(self, order, I, J):
+        I, J = ideal(R2, order, *I), ideal(R2, order, *J)
+        assert I.sum(J).is_unit()
+        assert saturation(I, J) is I
+        assert ideal_quotient(I, J).equals(I)
 
     def test_saturation_stabilizes_quickly(self):
         rng = random.Random(8)
