@@ -21,7 +21,7 @@ from .errors import GermforgeError
 from .invariants import GermProblem
 from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
-from .stdbasis import Ideal, ideal_quotient, saturation, zero_dim_radical
+from .stdbasis import Ideal, ideal_quotient, zero_dim_radical
 from .koszul import KoszulInstance, koszul_euler
 
 
@@ -132,13 +132,10 @@ def _check_q_identity(ctx: JetContext) -> None:
 
 @dataclass(frozen=True)
 class MorseComponent:
-    """J_M' = (radical-or-assumed J1 : J2), with the saturation variant kept
-    alongside; `divergent` flags a difference between the two."""
+    """J_M' = (radical-or-assumed J1 : J2)."""
 
     ideal: Ideal
-    saturated: Ideal
     certificate: str  # squarefree-monomials | linear-forms | zero-dim-radical | assumed-reduced
-    divergent: bool
 
 
 def _squarefree_monomial_gens(I: Ideal) -> bool:
@@ -174,9 +171,7 @@ def _certified_radical(J1: Ideal, assume_reduced: bool) -> Tuple[Ideal, str]:
 def morse_component(ctx: JetContext, assume_reduced: bool = False) -> MorseComponent:
     J1, J2 = ctx.J1(), ctx.J2()
     rad, cert = _certified_radical(J1, assume_reduced)
-    colon = ideal_quotient(rad, J2)
-    sat = saturation(J1, J2)
-    return MorseComponent(colon, sat, cert, not colon.equals(sat))
+    return MorseComponent(ideal_quotient(rad, J2), cert)
 
 
 # ---------------------------------------------------------------------------

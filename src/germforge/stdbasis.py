@@ -13,6 +13,10 @@ over the localized ring, so local quotient dimensions can be read off a local
 staircase of globally computed generators. Under a global order the normal
 form is the canonical fully reduced one; under a local order it is Mora's
 weak normal form (zero exactly on members of the localized ideal/module).
+Lifting a member of an ideal to coordinates over its generators runs through
+the same embedded identity: the global normal form of (p, 0, ..., 0) against
+the (g_j, e_j) carries the coordinates in its tail, so there is one
+Buchberger and one global reducer.
 
 Global reduction runs in place: the vector being reduced is one mutable map
 from (position, monomial) to coefficient, a heap hands out its leading term,
@@ -232,13 +236,6 @@ def reduce_vector(v: Vector, basis: List[Vector], order: Order,
 # basis completion
 
 
-def _spair_parts(gi: Vector, gj: Vector, order: Order):
-    pi, mi, ci = vec_leading(gi, order)
-    pj, mj, cj = vec_leading(gj, order)
-    L = mono_lcm(mi, mj)
-    return L, mono_div(L, mi), mono_div(L, mj), ci, cj
-
-
 def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> List[Vector]:
     """Interreduced standard basis of the submodule generated by vectors."""
     if order.is_local:
@@ -292,8 +289,9 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Lis
                     break
         if skip:
             continue
-        _, ui, uj, ci, cj = _spair_parts(G[i], G[j], order)
-        s = vec_sub(vec_term_mul(G[i], ui, cj), vec_term_mul(G[j], uj, ci))
+        (_, mi, ci), (_, mj, cj) = leads[i], leads[j]
+        s = vec_sub(vec_term_mul(G[i], mono_div(L, mi), cj),
+                    vec_term_mul(G[j], mono_div(L, mj), ci))
         h = reduce_vector(s, G, order, leads)
         if vec_is_zero(h):
             continue
@@ -573,7 +571,7 @@ class Submodule:
 class Ideal:
     """Ideal with generators and a cached standard basis under its order."""
 
-    __slots__ = ("ring", "gens", "order", "_mod", "_tracked")
+    __slots__ = ("ring", "gens", "order", "_mod", "_lifter")
 
     def __init__(self, ring: Ring, gens: Sequence[Poly], order: Order = LOCAL_DS) -> None:
         self.ring = ring
@@ -582,7 +580,7 @@ class Ideal:
             raise ValueError("generator from a different ring")
         self.order = order
         self._mod: Optional[Submodule] = None
-        self._tracked = None
+        self._lifter: Optional[Submodule] = None
 
     def _module(self) -> Submodule:
         if self._mod is None:
@@ -624,102 +622,31 @@ class Ideal:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner}; {self.order.kind})"
 
-    # -- transformation-tracked global basis, for exact polynomial lifting
-
-    def tracked_basis(self) -> List[Tuple[Poly, Tuple[Poly, ...]]]:
-        """Global Groebner basis with coordinates over the original generators."""
-        if self._tracked is None:
-            self._tracked = _tracked_groebner(self.ring, list(self.gens))
-        return self._tracked
-
     def lift(self, p: Poly) -> Optional[Tuple[Poly, ...]]:
         """Coordinates c with p = sum c_j * gens[j], or None if p is not a
-        member of the polynomial (global) ideal."""
-        nf, coords = _tracked_divide(p, self.tracked_basis(), self.ring, len(self.gens))
-        return None if not nf.is_zero() else coords
+        member of the polynomial (global) ideal.
 
-
-# ---------------------------------------------------------------------------
-# tracked global Groebner basis (rank 1) for exact lifting
-
-
-def _tracked_divide(p: Poly, tracked: List[Tuple[Poly, Tuple[Poly, ...]]], ring: Ring,
-                    ngens: int) -> Tuple[Poly, Tuple[Poly, ...]]:
-    order = GLOBAL_DP
-    coords = [ring.zero() for _ in range(ngens)]
-    leads = [b.leading(order) for b, _ in tracked]
-    work = p
-    result = ring.zero()
-    while not work.is_zero():
-        m, c = work.leading(order)
-        hit = -1
-        for i, (bm, bc) in enumerate(leads):
-            if mono_divides(bm, m):
-                hit = i
-                break
-        if hit < 0:
-            t = ring.monomial(m, c)
-            result = result + t
-            work = work - t
-            continue
-        bm, bc = leads[hit]
-        fac_mono, fac_coeff = mono_div(m, bm), c / bc
-        b, bcoords = tracked[hit]
-        work = work - b.term_mul(fac_mono, fac_coeff)
-        for j in range(ngens):
-            coords[j] = coords[j] + bcoords[j].term_mul(fac_mono, fac_coeff)
-    return result, tuple(coords)
-
-
-def _tracked_groebner(ring: Ring, gens: List[Poly]) -> List[Tuple[Poly, Tuple[Poly, ...]]]:
-    order = GLOBAL_DP
-    tracked: List[Tuple[Poly, Tuple[Poly, ...]]] = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        _, c = g.leading(order)
-        unit = [ring.zero() for _ in range(len(gens))]
-        unit[j] = ring.const(1 / c)
-        tracked.append((g * (1 / c), tuple(unit)))
-
-    def add_pairs(t: int, pending: list) -> None:
-        for i in range(t):
-            mi, _ = tracked[i][0].leading(order)
-            mj, _ = tracked[t][0].leading(order)
-            L = mono_lcm(mi, mj)
-            if mono_mul(mi, mj) == L:
-                continue
-            sugar = mono_deg(L)
-            pending.append((sugar, order.key(L), t, i))
-
-    pending: List[tuple] = []
-    for t in range(len(tracked)):
-        add_pairs(t, pending)
-    while pending:
-        pending.sort()
-        _, _, j, i = pending.pop(0)
-        bi, ci = tracked[i]
-        bj, cj = tracked[j]
-        mi, _ = bi.leading(order)
-        mj, _ = bj.leading(order)
-        L = mono_lcm(mi, mj)
-        ui, uj = mono_div(L, mi), mono_div(L, mj)
-        s = bi.term_mul(ui, Fraction(1)) - bj.term_mul(uj, Fraction(1))
-        scoords = tuple(ci[t].term_mul(ui, Fraction(1)) - cj[t].term_mul(uj, Fraction(1))
-                        for t in range(len(ci)))
-        nf, qcoords = _tracked_divide(s, tracked, ring, len(gens))
-        if nf.is_zero():
-            continue
-        m, c = nf.leading(order)
-        inv = 1 / c
-        final = tuple((scoords[t] - qcoords[t]) * inv for t in range(len(gens)))
-        tracked.append((nf * inv, final))
-        add_pairs(len(tracked) - 1, pending)
-    return tracked
+        Read through the embedded identity: under the global order, the
+        module spanned by the (g_j, e_j) in O^(1+k) reduces (p, 0, ..., 0) to
+        (r, -c) with p - r = sum c_j g_j, and r = 0 exactly when p lies in
+        the ideal, since position 0 is greatest."""
+        k = len(self.gens)
+        if self._lifter is None:
+            embedded = _with_identity([(g,) for g in self.gens], self.ring)
+            self._lifter = Submodule(self.ring, 1 + k, embedded, GLOBAL_DP)
+        r, *c = self._lifter.normal_form((p,) + vec_zero(self.ring, k))
+        return None if not r.is_zero() else tuple(-x for x in c)
 
 
 # ---------------------------------------------------------------------------
 # syzygies, preimages, colon, intersection, saturation
+
+
+def _with_identity(vectors: Sequence[Vector], ring: Ring) -> List[Vector]:
+    """Each vectors[i] followed by the i-th unit vector of O^k, k = len(vectors)."""
+    zero, one = ring.zero(), ring.one()
+    return [tuple(v) + tuple(one if j == i else zero for j in range(len(vectors)))
+            for i, v in enumerate(vectors)]
 
 
 def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodule:
@@ -727,16 +654,9 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
     k = len(vectors)
     if k == 0:
         return Submodule(ring, 0, [], GLOBAL_DP)
-    zero = ring.zero()
-    one = ring.one()
-    embedded: List[Vector] = []
-    for i, v in enumerate(vectors):
-        if len(v) != rank:
-            raise ValueError("vector of wrong rank")
-        tail = [zero] * k
-        tail[i] = one
-        embedded.append(tuple(v) + tuple(tail))
-    basis = std_basis_vectors(embedded, GLOBAL_DP, rank + k)
+    if any(len(v) != rank for v in vectors):
+        raise ValueError("vector of wrong rank")
+    basis = std_basis_vectors(_with_identity(vectors, ring), GLOBAL_DP, rank + k)
     syz: List[Vector] = []
     for b in basis:
         if all(p.is_zero() for p in b[:rank]):
@@ -799,18 +719,9 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    ring = I.ring
-    vectors = [(g,) for g in I.gens] + [(h,) for h in J.gens]
-    syz = module_syzygies(vectors, ring, 1)
-    r = len(I.gens)
-    gens = []
-    for s in syz.gens:
-        acc = ring.zero()
-        for c, g in zip(s[:r], I.gens):
-            acc = acc + c * g
-        if not acc.is_zero():
-            gens.append(acc)
-    return Ideal(ring, gens, I.order)
+    """I intersect J, as the rank-1 module intersection."""
+    inter = module_intersection(I._module(), J._module())
+    return Ideal(I.ring, [v[0] for v in inter.gens], I.order)
 
 
 def module_intersection(U: Submodule, V: Submodule) -> Submodule:

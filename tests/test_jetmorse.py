@@ -73,7 +73,7 @@ class TestMorseComponent:
         mc = morse_component(ctx)
         assert [str(g) for g in mc.ideal.gens] == ["a1_1"]
         assert mc.certificate == "squarefree-monomials"
-        assert not mc.divergent
+        assert mc.ideal.equals(saturation(ctx.J1(), ctx.J2()))
 
     def test_radical_unavailable_without_flag(self):
         ctx = jet_context(EJEM, 1)
@@ -85,8 +85,7 @@ class TestMorseComponent:
         ctx = jet_context(EJEM, 1)
         mc = morse_component(ctx, assume_reduced=True)
         assert mc.certificate == "assumed-reduced"
-        assert not mc.divergent
-        assert mc.ideal.equals(mc.saturated)
+        assert mc.ideal.equals(saturation(ctx.J1(), ctx.J2()))
 
     def test_colon_stability(self):
         for ctx in (jet_context(UNIT1, 1), jet_context(EJEM, 1)):
@@ -177,6 +176,57 @@ class TestPullback:
         with pytest.raises(GermforgeError) as ei:
             lift_germ(P("x"), I)
         assert ei.value.code == "LIFTING_FAILED"
+
+
+class TestLifting:
+    def recombines(self, I, p):
+        coords = I.lift(p)
+        assert coords is not None and len(coords) == len(I.gens)
+        assert sum((c * g for c, g in zip(coords, I.gens)), p.ring.zero()) == p
+
+    def test_local_order_ideal_lifts_polynomially(self):
+        I = ideal(R2, LOCAL_DS, "x^2 + y^3", "y^2")
+        self.recombines(I, P("(x + 1)(x^2 + y^3) + (x y - 2)y^2"))
+        assert I.lift(P("x y")) is None
+
+    def test_generators_with_syzygies(self):
+        R3 = Ring(["x", "y", "z"])
+        I = ideal(R3, GLOBAL_DP, "x y", "x z", "y z")
+        self.recombines(I, parse_poly("x y z + x^2 y - 3 y z^2 + x z", R3))
+        for g in I.gens:
+            self.recombines(I, g)
+
+    def test_non_member_has_no_lift(self):
+        R3 = Ring(["x", "y", "z"])
+        I = ideal(R3, GLOBAL_DP, "x y", "x z", "y z")
+        assert I.lift(parse_poly("x + y z", R3)) is None
+        assert ideal(R2, GLOBAL_DP, "x - x^2").lift(P("x")) is None
+
+
+class TestLiftedMorseValues:
+    # CM multiplicity of the pulled-back Morse component of the order-1 jet
+    # space; the pulled-back Jacobian part is the same for every lifting, so
+    # these values hold whichever coefficients the lifting picks
+    CASES = {
+        "cusp": ("x y", ["x^2", "y"], "x^3 + y^2", 2),
+        "shear": ("x y", ["x^2", "y + x^2"], "x^3 + y^2 + 2 x^2 y + x^4", 2),
+        "a4rel": ("x y", ["x^2", "y"], "x^5 + y^2", 4),
+        "e6": ("x y", ["x", "y"], "x^3 + y^4", 6),
+        "d4rel": ("x y z", ["x y", "z"], "x^2 y + x y^2 + z^2", 4),
+        "d3": ("x y z", ["x y", "z"], "x^3 y + x y^3 + z^2 + x y z", 9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pulled_back_multiplicity(self, name):
+        names, gens, f, expect = self.CASES[name]
+        ring = Ring(names.split())
+        I = ideal(ring, LOCAL_DS, *gens)
+        f = parse_poly(f, ring)
+        lifting = lift_germ(f, I)
+        assert sum((c * g for c, g in zip(lifting.coeffs, I.gens)), ring.zero()) == f
+        ctx = jet_context(I, 1)
+        M = morse_component(ctx, True).ideal
+        assert intersection_multiplicity(f, I, ctx, M, "CM") == expect
 
 
 class TestIntersectionMultiplicity:
