@@ -280,58 +280,12 @@ class DdkClass:
     verdict: str  # IS_Ddk | NOT_Ddk | NOT_APPLICABLE
 
 
-class _TEntry:
-    """Ring element modulo J + m^2: a constant plus a linear form in the
-    transverse variables. Enough structure to diagonalize with unit pivots."""
-
-    __slots__ = ("c", "lin")
-
-    def __init__(self, c: Fraction, lin: Dict[int, Fraction]) -> None:
-        self.c = c
-        self.lin = {i: v for i, v in lin.items() if v}
-
-    @staticmethod
-    def of(p: Poly, x_vars: Sequence[int]) -> "_TEntry":
-        xset = set(x_vars)
-        c = Fraction(0)
-        lin: Dict[int, Fraction] = {}
-        for m, coeff in p.terms.items():
-            deg = sum(m)
-            if deg == 0:
-                c = coeff
-            elif deg == 1:
-                i = m.index(1)
-                if i in xset:
-                    lin[i] = lin.get(i, Fraction(0)) + coeff
-        return _TEntry(c, lin)
-
-    def add(self, other: "_TEntry") -> "_TEntry":
-        lin = dict(self.lin)
-        for i, v in other.lin.items():
-            lin[i] = lin.get(i, Fraction(0)) + v
-        return _TEntry(self.c + other.c, lin)
-
-    def scale(self, s: Fraction) -> "_TEntry":
-        return _TEntry(self.c * s, {i: v * s for i, v in self.lin.items()})
-
-    def mul(self, other: "_TEntry") -> "_TEntry":
-        lin = {i: v * other.c for i, v in self.lin.items()}
-        for i, v in other.lin.items():
-            lin[i] = lin.get(i, Fraction(0)) + v * self.c
-        return _TEntry(self.c * other.c, lin)
-
-    def inv(self) -> "_TEntry":
-        # (c + l)^-1 = 1/c - l/c^2 modulo m^2
-        return _TEntry(1 / self.c, {i: -v / (self.c * self.c) for i, v in self.lin.items()})
-
-    def is_zero(self) -> bool:
-        return self.c == 0 and not self.lin
-
-
 def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     """Decide whether f, written as a quadratic form in the J-variables, is
     nondegenerate after splitting off unit pivots, with independent linear
-    forms on the residual block."""
+    forms on the residual block. Each Gram entry is a Poly taken modulo
+    J + m^2: its constant term plus its linear terms in the transverse
+    variables."""
     ring = f.ring
     y_vars: List[int] = []
     for g in J.gens:
@@ -364,39 +318,38 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
         upper.setdefault(key, {})
         upper[key][res_mono] = upper[key].get(res_mono, Fraction(0)) + coeff
 
-    H: List[List[_TEntry]] = [[_TEntry(Fraction(0), {}) for _ in range(m)] for _ in range(m)]
+    xset = set(x_vars)
+    H: List[List[Poly]] = [[ring.zero()] * m for _ in range(m)]
     for (i, j), terms in upper.items():
-        p = Poly(ring, terms)
-        if i == j:
-            H[i][i] = H[i][i].add(_TEntry.of(p, x_vars))
-        else:
-            half = _TEntry.of(p, x_vars).scale(Fraction(1, 2))
-            H[i][j] = H[i][j].add(half)
-            H[j][i] = H[j][i].add(half)
+        p = Poly(ring, {mono: c for mono, c in terms.items()
+                        if sum(mono) == 0 or sum(mono) == 1 and mono.index(1) in xset})
+        H[i][j] = H[j][i] = p if i == j else p * Fraction(1, 2)
 
     active = list(range(m))
     while True:
-        pivot = next((i for i in active if H[i][i].c != 0), None)
+        pivot = next((i for i in active if H[i][i].constant_term() != 0), None)
         if pivot is None:
             off = next(((i, j) for i in active for j in active
-                        if i < j and H[i][j].c != 0), None)
+                        if i < j and H[i][j].constant_term() != 0), None)
             if off is None:
                 break
             i, j = off
             # add row j to row i and column j to column i (char 0: creates a unit)
             for l in active:
-                H[i][l] = H[i][l].add(H[j][l])
+                H[i][l] = H[i][l] + H[j][l]
             for l in active:
-                H[l][i] = H[l][i].add(H[l][j])
+                H[l][i] = H[l][i] + H[l][j]
             continue
         i = pivot
-        inv = H[i][i].inv()
+        # (c + l)^-1 = 1/c - l/c^2 = (2c - (c + l))/c^2 modulo m^2
+        c = H[i][i].constant_term()
+        inv = (2 * c - H[i][i]) * (1 / (c * c))
         others = [j for j in active if j != i]
         col = {j: H[j][i] for j in others}
         for j in others:
-            fac = col[j].mul(inv)
+            fac = (col[j] * inv).truncate(1)
             for l in others:
-                H[j][l] = H[j][l].add(fac.mul(H[i][l]).scale(Fraction(-1)))
+                H[j][l] = H[j][l] - (fac * H[i][l]).truncate(1)
         active.remove(i)
 
     k = len(active)
@@ -406,9 +359,10 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     if needed > d:
         return DdkClass(d, k, "NOT_APPLICABLE")
     entries = [H[active[a]][active[b]] for a in range(k) for b in range(a, k)]
-    if any(entry.c != 0 for entry in entries):
+    if any(entry.constant_term() != 0 for entry in entries):
         raise AssertionError("unsplit block contains a unit entry")
-    rank = RowBasis().extend(integral(entry.lin) for entry in entries)
+    rank = RowBasis().extend(integral({mono.index(1): c for mono, c in entry.terms.items()})
+                             for entry in entries)
     verdict = "IS_Ddk" if rank == needed else "NOT_Ddk"
     return DdkClass(d, k, verdict)
 

@@ -114,21 +114,14 @@ def hessian_det(g: Poly) -> Poly:
                 g.ring)
 
 
-def critical_points_outside(g: Poly, I: Ideal,
-                            raw_saturation: bool = False) -> CriticalReport:
+def critical_points_outside(g: Poly, I: Ideal) -> CriticalReport:
     """Saturate the Jacobian ideal of g by I and count the quotient; the
     Morse certificate adjoins the Hessian determinant and asks for the unit
-    ideal. A unit I means no zero set to avoid, so by default saturation
-    hands back the Jacobian ideal and every critical point counts;
-    raw_saturation applies the collapse rule for the unit ideal instead,
-    which kills the count."""
+    ideal. A unit I means no zero set to avoid, so saturation hands back the
+    Jacobian ideal (K : (1)^inf = K) and every critical point counts."""
     ring = g.ring
     jac = Ideal(ring, [g.derive(i) for i in range(ring.n)], GLOBAL_DP)
-    I_dp = I.with_order(GLOBAL_DP)
-    if raw_saturation and I_dp.is_unit():
-        sat = Ideal(ring, [ring.one()], GLOBAL_DP)
-    else:
-        sat = saturation(jac, I_dp)
+    sat = saturation(jac, I.with_order(GLOBAL_DP))
     qd = sat.quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("POSITIVE_DIMENSIONAL_CRITICAL_LOCUS",

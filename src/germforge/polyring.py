@@ -156,13 +156,6 @@ class Order:
     def greater(self, a: Mono, b: Mono) -> bool:
         return self.key(a) > self.key(b)
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        """-1, 0, 1 for a <, =, > b."""
-        if len(a) != len(b):
-            raise ValueError("monomials from different rings")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self) -> str:
         return f"Order({self.kind!r})"
 
@@ -219,9 +212,6 @@ class Poly:
 
     def sorted_terms(self, order: Order = GLOBAL_DP) -> List[Tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, _ZERO)
 
     # -- arithmetic
 

@@ -16,7 +16,10 @@ weak normal form (zero exactly on members of the localized ideal/module).
 Lifting a member of an ideal to coordinates over its generators runs through
 the same embedded identity: the global normal form of (p, 0, ..., 0) against
 the (g_j, e_j) carries the coordinates in its tail, so there is one
-Buchberger and one global reducer.
+Buchberger and one global reducer. The zero-dimensional radical runs on the
+same engine: the squarefree part of each univariate minimal polynomial p is
+the generator of the colon (p) : (p'), so no separate univariate arithmetic
+exists.
 
 Global reduction runs in place: the vector being reduced is one mutable map
 from (position, monomial) to coefficient, a heap hands out its leading term,
@@ -322,7 +325,7 @@ def _interreduce(G: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
                 break
         if not redundant:
             keep.append(i)
-    keep.sort(key=lambda i: _mterm_key(leads[i], order))
+    keep.sort(key=lambda i: (-leads[i][0], order.key(leads[i][1])))
     kept = [G[i] for i in keep]
     if order.is_local:
         return [_monic(g, order) for g in kept]
@@ -335,21 +338,6 @@ def _interreduce(G: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
         if others:
             g = reduce_vector_global(g, others, order, kept_leads[:i] + kept_leads[i + 1:])
         out.append(_monic(g, order))
-    return out
-
-
-def _mterm_key(lead: Tuple[int, Mono, Fraction], order: Order):
-    pos, m, _ = lead
-    return (-pos,) + tuple(_flatten_key(order.key(m)))
-
-
-def _flatten_key(k) -> list:
-    out = []
-    for part in k:
-        if isinstance(part, tuple):
-            out.extend(part)
-        else:
-            out.append(part)
     return out
 
 
@@ -823,40 +811,6 @@ def hilbert_samuel(I: Ideal, m: int) -> int:
 # zero-dimensional radical (Seidenberg)
 
 
-def _univ_normalize(c: List[Fraction]) -> List[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _univ_derive(c: List[Fraction]) -> List[Fraction]:
-    return _univ_normalize([c[i] * i for i in range(1, len(c))])
-
-
-def _univ_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _univ_normalize(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i in range(len(b)):
-            a[shift + i] -= factor * b[i]
-        _univ_normalize(a)
-    return _univ_normalize(q), _univ_normalize(a)
-
-
-def _univ_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _univ_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
     """Monic coefficients, low to high, of the minimal polynomial of x_var on
     the finite quotient by I under a global order. The normal forms of the
@@ -880,7 +834,10 @@ def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
 
 def zero_dim_radical(I: Ideal) -> Ideal:
     """Radical of a zero-dimensional ideal under a global order (Seidenberg):
-    adjoin the squarefree part of each variable's minimal polynomial."""
+    adjoin the squarefree part of each variable's minimal polynomial p.
+
+    That part is p / gcd(p, p'), which generates the colon (p) : (p'); it is
+    read as the one element of the colon's reduced basis, monic under dp."""
     if I.order.is_local:
         raise GermforgeError("LOCAL_ORDER_UNSUPPORTED",
                              "radical computation needs a global order")
@@ -890,29 +847,12 @@ def zero_dim_radical(I: Ideal) -> Ideal:
     ring = I.ring
     extra: List[Poly] = []
     for i in range(ring.n):
-        sf = _squarefree_part(minimal_polynomial(I, i))
-        p = ring.zero()
-        for t, c in enumerate(sf):
-            if c:
-                p = p + ring.var(i) ** t * c
-        extra.append(p)
+        x = ring.var(i)
+        p = sum((x ** t * c for t, c in enumerate(minimal_polynomial(I, i))), ring.zero())
+        colon = ideal_quotient(Ideal(ring, [p], GLOBAL_DP), Ideal(ring, [p.derive(i)], GLOBAL_DP))
+        extra.extend(colon.basis())
     out = Ideal(ring, tuple(I.gens) + tuple(extra), I.order)
     return Ideal(ring, tuple(out.basis()), I.order)
-
-
-def _squarefree_part(c: List[Fraction]) -> List[Fraction]:
-    c = _univ_normalize(list(c))
-    d = _univ_derive(list(c))
-    if not d:
-        return c
-    g = _univ_gcd(c, d)
-    q, r = _univ_divmod(c, g)
-    if r:
-        raise AssertionError("gcd must divide")
-    if q:
-        lead = q[-1]
-        q = [x / lead for x in q]
-    return q
 
 
 # ---------------------------------------------------------------------------

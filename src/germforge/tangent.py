@@ -4,8 +4,9 @@ A vector field X = sum a_i d/dx_i is stored as the coefficient vector
 (a_1, ..., a_n). The preserving module {X : X(I) in I} is the projection of
 one syzygy kernel: X(g_j) in I for all j means the derivative columns
 combined with the generator multiples g_l e_j admit a syzygy whose first n
-entries are the a_i. Projection of the kernel generators therefore generates
-the module exactly; no truncation is involved.
+entries are the a_i. That projection is stdbasis.preimage_module of the
+derivative columns over the generator multiples, so it generates the module
+exactly; no truncation is involved.
 
 The primitive ideal (functions f with (f) + J_f inside I') is genuinely a
 condition on derivatives, not an O-linear one, so it is computed degree by
@@ -29,8 +30,7 @@ from .stdbasis import (
     _integer_terms,
     _shift_rows,
     module_intersection,
-    module_syzygies,
-    vec_is_zero,
+    preimage_module,
 )
 
 
@@ -84,27 +84,11 @@ def theta_preserving(I: Ideal) -> VectorFieldModule:
     ring = I.ring
     n = ring.n
     r = len(I.gens)
-    columns: List[Vector] = []
-    for i in range(n):
-        columns.append(tuple(g.derive(i) for g in I.gens))
     zero = ring.zero()
-    for j in range(r):
-        for g in I.gens:
-            v = [zero] * r
-            v[j] = g
-            columns.append(tuple(v))
-    syz = module_syzygies(columns, ring, r)
-    gens: List[Vector] = []
-    seen = set()
-    for s in syz.gens:
-        head = s[:n]
-        if vec_is_zero(head):
-            continue
-        key = tuple(frozenset(p.terms.items()) for p in head)
-        if key not in seen:
-            seen.add(key)
-            gens.append(head)
-    module = Submodule(ring, n, gens, I.order)
+    derivatives = [tuple(g.derive(i) for g in I.gens) for i in range(n)]
+    multiples = [tuple(g if l == j else zero for l in range(r))
+                 for j in range(r) for g in I.gens]
+    module = Submodule(ring, n, preimage_module(derivatives, multiples, ring, r), I.order)
     for X in module.gens:
         for g in I.gens:
             if not I.contains(field_apply(X, g)):

@@ -304,6 +304,18 @@ class TestDdk:
         f = parse_poly("y1 y2 + x1 y1^2", R5)
         assert classify_Ddk(f, J5) == DdkClass(3, 0, "IS_Ddk")
 
+    @pytest.mark.parametrize("text, verdict", [
+        # residual (1 - x1) - 1/(1 + x1) is 0 modulo m^2 only because the
+        # pivot inverse keeps its linear part: 1/(1 + x1) = 1 - x1
+        ("(1 + x1) y1^2 + 2 y1 y2 + (1 - x1) y2^2", "NOT_Ddk"),
+        # residual (1 + x2) - 1/(1 + x1) is x1 + x2 modulo m^2
+        ("(1 + x1) y1^2 + 2 y1 y2 + (1 + x2) y2^2", "IS_Ddk"),
+    ])
+    def test_pivot_inverse_linear_part(self, text, verdict):
+        R4 = Ring(["x1", "x2", "y1", "y2"])
+        J4 = Ideal(R4, [parse_poly("y1", R4), parse_poly("y2", R4)], LOCAL_DS)
+        assert classify_Ddk(parse_poly(text, R4), J4) == DdkClass(2, 1, verdict)
+
     def test_non_adapted_rejected(self):
         with pytest.raises(GermforgeError) as ei:
             classify_Ddk(parse_poly("y1^2", R3Y),

@@ -122,11 +122,6 @@ class TestCriticalPoints:
     def test_unit_ideal_short_circuit_counts_everything(self):
         assert critical_points_outside(P("x^2 + y^2"), UNIT2).count == 1
 
-    def test_unit_ideal_raw_collapse(self):
-        rep = critical_points_outside(P("x^2 + y^2"), UNIT2, raw_saturation=True)
-        assert rep.count == 0
-        assert rep.sat_ideal.is_unit()
-
     def test_positive_dimensional_critical_locus(self):
         with pytest.raises(GermforgeError) as e:
             critical_points_outside(P("x^2"), ideal(R2, LOCAL_DS, "x^2", "y"))

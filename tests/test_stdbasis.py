@@ -579,6 +579,26 @@ class TestRadical:
         assert rad.contains_ideal(I)
         assert zero_dim_radical(rad).equals(rad)
 
+    @pytest.mark.parametrize("p, q", [
+        ("(x-1)^3 (x+2)^2 x", "(y^2+1)^2 (y-3)"),
+        ("x^4", "(y - 1/2)^2 (y + 3)^3"),
+        ("(x^2 - 2)^3", "y^5 - y^3"),
+        ("(x^2 + x + 1)^2 (3x - 1)", "y^2"),
+    ])
+    def test_squarefree_parts_against_sympy(self, p, q):
+        # the radical of (p(x), q(y)) is (sqf p, sqf q), whose reduced dp
+        # basis is the two monic squarefree parts
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(R2.names)
+        theirs = {sympy.Poly(sympy.sqf_part(to_sympy(P(text), symbols)), *symbols,
+                             domain="QQ").monic().as_expr() for text in (p, q)}
+        rad = zero_dim_radical(ideal(R2, GLOBAL_DP, p, q))
+        assert {to_sympy(g, symbols) for g in rad.basis()} == theirs
+
+    def test_unit_ideal(self):
+        for gens in (["1"], ["x^2 - 1", "x - 3", "y^2"]):
+            assert [str(g) for g in zero_dim_radical(ideal(R2, GLOBAL_DP, *gens)).basis()] == ["1"]
+
 
 class TestMinimalPolynomial:
     @pytest.mark.parametrize("gens, var, coeffs", [
