@@ -35,12 +35,6 @@ from .polyring import GLOBAL_DP, LOCAL_DS, Order, Poly, Ring, format_poly, parse
 from .stdbasis import Ideal, hilbert_samuel
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
 
-COMMANDS = (
-    "codim", "tangent", "theta", "primitive", "versal-check", "versal-build",
-    "determinacy", "locus", "classify", "morse", "split", "conserve",
-    "hilbert", "jet-dump",
-)
-
 KNOWN_OPTIONS = ("trials",)
 
 
@@ -263,10 +257,6 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
     return tree
 
 
-def _qdim_str(qd) -> str:
-    return str(qd.value) if qd.is_finite else "INFINITE"
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results tree, settings tree, warnings)
 
@@ -275,8 +265,8 @@ def _cmd_codim(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     rep = invariant_report(f, I)
     results: Tree = [
-        ("c_ext", _qdim_str(rep.c_ext)),
-        ("c_plain", _qdim_str(rep.c_plain)),
+        ("c_ext", str(rep.c_ext)),
+        ("c_plain", str(rep.c_plain)),
     ]
     if rep.determinacy is not None:
         results.append(("determinacy", rep.determinacy))

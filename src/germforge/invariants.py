@@ -11,8 +11,9 @@ first use:
   read as the elements I.gens[pos] * m;
 - c_plain: the same dimension over the fields of theta vanishing at the
   origin, derived from the same theta;
-- determinacy: the least m with m^m I inside tau at the origin;
-- locus() and is_versal(U) build on tau and L.
+- model: the truncated model of O^k/L at the origin
+  (stdbasis.truncated_model); determinacy is its certified degree;
+- locus() builds on tau, and is_versal(U) on the model.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
 positive_codim_locus, versality_check, build_versal_unfolding and
@@ -20,16 +21,15 @@ invariant_report are entry points that build one problem each; code that
 needs several invariants of one pair builds the problem once and reads them
 all from it.
 
-Versality is decided exactly in a truncated model of O^k/L, namely
-O^k/(L + m^M O^k). Its dimension is at most the codimension c, with equality
-exactly when m^M O^k lies in L, and then the degree-<M slice is a faithful
-model. M starts above the largest witness degree and grows until equality,
-which m^c O^k inside L guarantees by M = c. No degree guesswork enters; a
-model that never reaches c is an internal error, raised before any
-conclusion is drawn. The model is the integer echelon form (linalg.RowBasis)
-of the shifts of L's generators below degree M, the same shift rows the
-truncated local quotient of stdbasis eliminates, and U is versal exactly
-when the coordinates of its parameter derivatives add c to its rank.
+The model is the elimination that certifies the local quotient: its degree
+d is the least with m^d O^k inside L. Since e_j -> g_j maps m^d O^k onto
+m^d I and L is the preimage of tau, d is also the least m with m^m I inside
+tau. Its caps climb from one above the largest witness degree to c, since a
+quotient of length c is killed by m^c. Below d it is the integer echelon
+form (linalg.RowBasis) of the shifts of L's generators, a faithful copy of
+O^k/L; a missing model, or one whose dimension is not c, is an internal
+error, raised before any conclusion is drawn. U is versal exactly when the
+coordinates of its parameter derivatives add c to the model's rank.
 """
 
 from __future__ import annotations
@@ -41,17 +41,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_of_degree
+from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, mono_deg
 from .stdbasis import (
     Ideal,
-    MTerm,
     QuotientDim,
     Submodule,
-    _columns,
-    _integer_terms,
-    _shift_rows,
+    TruncatedModel,
     ideal_quotient,
     subideal_preimage,
+    truncated_model,
 )
 from .tangent import VectorFieldModule, tangent_ideal, theta_preserving, theta_vanishing
 
@@ -103,20 +101,25 @@ class GermProblem:
                      for pos, m in self.c_ext.witness)
 
     @cached_property
+    def model(self) -> Optional[TruncatedModel]:
+        """The truncated model of O^k/L in the local ring whatever the order
+        of I, or None when no cap certifies; needs 0 < c_ext < infinity."""
+        c = self.c_ext
+        top = max(mono_deg(m) for _, m in c.witness)
+        return truncated_model(self.L.gens, self.I.ring, self.L.rank, LOCAL_DS,
+                               range(1 + top, c.value + 1))
+
+    @cached_property
     def determinacy(self) -> int:
         """Minimal m with m^m * I inside tau_e(f) at the origin; 0 means I
-        itself is inside. Determinacy belongs to the germ, so the inclusion
-        is decided in the localized tangent ideal whatever the order of I."""
+        itself is inside. Determinacy belongs to the germ, so it is the
+        certified degree of the local model whatever the order of I."""
         c = self.finite_codim("determinacy needs finite codimension")
         if c == 0:
             return 0
-        tau = self.tau.with_order(LOCAL_DS)
-        n = self.I.ring.n
-        for m in range(c + 1):
-            if all(tau.contains(g.term_mul(gamma, Fraction(1)))
-                   for gamma in monomials_of_degree(n, m) for g in self.I.gens):
-                return m
-        raise AssertionError("determinacy exceeded the codimension bound")
+        if self.model is None:
+            raise AssertionError("determinacy exceeded the codimension bound")
+        return self.model.degree
 
     def locus(self) -> Ideal:
         """(tau_e(f) : I) in the global ring; its zero set is where f has
@@ -134,14 +137,20 @@ class GermProblem:
             return False
         if c.value == 0:
             return True
-        model, col, M = _quotient_model(self.I, self.L, c.value)
+        model = self.model
+        if model is None or len(model.labels) - model.basis.rank != c.value:
+            raise AssertionError("truncated quotient model disagrees with the codimension")
+        col = {lab: i for i, lab in enumerate(model.labels)}
         rows = []
         for i in range(len(U.params)):
             coords = self.I.lift(U.derivative_at_zero(i))
             if coords is None:
                 raise AssertionError("parameter derivative escaped the ideal")
-            rows.append({col[pos, m]: a for pos, m, dm, a in _integer_terms(coords)[1] if dm < M})
-        return model.extend(rows) == c.value
+            rows.append(integral({col[pos, m]: a for pos, p in enumerate(coords)
+                                  for m, a in p.terms.items() if (pos, m) in col}))
+        # reduced modulo the model, which is kept unchanged for later calls
+        residuals = (integral(model.basis.reduce(row)) for row in rows)
+        return RowBasis().extend(residuals) == c.value
 
 
 def extended_codim(f: Poly, I: Ideal) -> QuotientDim:
@@ -217,25 +226,6 @@ def validate_unfolding(U: Unfolding, I: Ideal) -> None:
     if not I_ext.contains(U.F - f_ext):
         raise GermforgeError("F_NOT_UNFOLDING",
                              "F - f is not a combination of the ideal generators")
-
-
-def _quotient_model(I: Ideal, L: Submodule, c: int) -> Tuple[RowBasis, Dict[MTerm, int], int]:
-    """Truncated model of O^k/L: the echelon form of the shifts of L's
-    generators below degree M, the column of each label (position, monomial)
-    of degree < M, and M. The model has dimension dim O^k/(L + m^M O^k) <= c,
-    and equality certifies that m^M O^k lies in L, so M rises from above the
-    witness degrees until it holds. A quotient of length c is killed by m^c,
-    so M stops at max(c, 1)."""
-    n, k = I.ring.n, L.rank
-    scaled = [_integer_terms(l) for l in L.gens]
-    witness_deg = max(sum(m) for _, m in L.quotient_dimension().witness)
-    for M in range(1 + witness_deg, max(c, 1) + 1):
-        labels = _columns(n, k, M - 1, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
-        basis = RowBasis()
-        basis.extend(_shift_rows(scaled, n, M - 1, labels))
-        if len(labels) - basis.rank == c:
-            return basis, {lab: i for i, lab in enumerate(labels)}, M
-    raise AssertionError("truncated quotient model disagrees with the codimension")
 
 
 def versality_check(U: Unfolding, I: Ideal) -> bool:

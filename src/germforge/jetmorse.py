@@ -332,7 +332,7 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
     P, rel, seq = _graph_sequence(ctx, lifting, V)
     if preprocess:
         P, rel, seq = _eliminate(P, rel, seq, I.ring.n)
-    inst = KoszulInstance(P, tuple(rel), tuple(seq), LOCAL_DS)
+    inst = KoszulInstance(P, tuple(rel), tuple(seq))
     return koszul_euler(inst)
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import GermforgeError
-from .polyring import LOCAL_DS, Order, Poly, Ring
+from .polyring import LOCAL_DS, Poly, Ring
 from .stdbasis import (
     Submodule,
     Vector,
@@ -28,12 +28,11 @@ from .stdbasis import (
 
 @dataclass(frozen=True)
 class KoszulInstance:
-    """Sequence s_1..s_m over the quotient of ring by relations."""
+    """Sequence s_1..s_m over the quotient of the local ring by relations."""
 
     ring: Ring
     relations: Tuple[Poly, ...]
     sequence: Tuple[Poly, ...]
-    order: Order = LOCAL_DS
 
     def __post_init__(self):
         object.__setattr__(self, "relations",
@@ -134,7 +133,7 @@ def homology_dimension(inst: KoszulInstance, p: int) -> int:
     rank_p = len(_basis_index(m, p))
     im = _image_gens(inst, p)
     L = preimage_module(ker, im, inst.ring, rank_p)
-    qd = Submodule(inst.ring, len(ker), L, inst.order).quotient_dimension()
+    qd = Submodule(inst.ring, len(ker), L, LOCAL_DS).quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("INFINITE_LENGTH",
                              f"homology module H_{p} has infinite length")

@@ -16,7 +16,7 @@ All values are immutable after construction and freely shareable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import GermforgeError, ParseError
 
@@ -153,9 +153,6 @@ class Order:
         tail = tuple(-e for e in reversed(m))
         return (d, tail) if self.kind == "dp" else (-d, tail)
 
-    def greater(self, a: Mono, b: Mono) -> bool:
-        return self.key(a) > self.key(b)
-
     def __repr__(self) -> str:
         return f"Order({self.kind!r})"
 
@@ -198,10 +195,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.n, _ZERO)
-
-    def is_unit_local(self) -> bool:
-        """Unit in the local ring at the origin: nonzero constant term."""
-        return self.constant_term() != 0
 
     def leading(self, order: Order) -> Tuple[Mono, Fraction]:
         """(leading monomial, coefficient) under the order; zero poly errors."""

@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from math import gcd, lcm
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, nullspace
@@ -145,10 +145,10 @@ def _find_reducer(pos: int, m: Mono, leads: List[Tuple[int, Mono, Fraction]]) ->
 
 
 def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
-                         leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
+                         leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
     """Canonical fully reduced normal form under the global order.
 
-    leads holds the leading terms of basis (computed here when not given).
+    leads holds the leading terms of basis.
     The vector is reduced in place as one map from (position, monomial) to
     coefficient, with a heap of keys (position, -degree, reversed monomial)
     whose least key is the leading term: position over term, then dp. The
@@ -159,8 +159,6 @@ def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
     the map at zero until its entry comes up and is skipped, so a term that
     comes back later needs no second entry.
     """
-    if leads is None:
-        leads = [vec_leading(b, order) for b in basis]
     if not v:
         return v
     work: Dict[MTerm, Fraction] = {}
@@ -200,11 +198,11 @@ def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
 
 
 def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order,
-                       leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
+                       leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
     """Mora weak normal form: zero iff v lies in the localized module."""
     reducers = list(basis)
     ecarts = [vec_ecart(b, order) for b in basis]
-    leads = [vec_leading(b, order) for b in basis] if leads is None else list(leads)
+    leads = list(leads)
     h = v
     while not vec_is_zero(h):
         pos, m, c = vec_leading(h, order)
@@ -229,7 +227,7 @@ def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order,
 
 
 def reduce_vector(v: Vector, basis: List[Vector], order: Order,
-                  leads: Optional[List[Tuple[int, Mono, Fraction]]] = None) -> Vector:
+                  leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
     if order.is_local:
         return reduce_vector_mora(v, basis, order, leads)
     return reduce_vector_global(v, basis, order, leads)
@@ -264,20 +262,20 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Lis
                     sugars[j] + mono_deg(mono_div(L, mj)))
         return (sugar, order.key(L), j, i), L
 
+    # every pair of basis indices is pending or settled
     pending: Dict[Tuple[int, int], Tuple[tuple, Mono]] = {}
-    done: Set[Tuple[int, int]] = set()
-    for j in range(len(G)):
-        for i in range(j):
-            e = pair_entry(i, j)
-            if e is not None:
-                pending[(i, j)] = e
-            else:
-                done.add((i, j))
 
+    def add_pairs(t: int) -> None:
+        for i in range(t):
+            e = pair_entry(i, t)
+            if e is not None:
+                pending[(i, t)] = e
+
+    for t in range(len(G)):
+        add_pairs(t)
     while pending:
         (i, j), (key, L) = min(pending.items(), key=lambda kv: kv[1][0])
         del pending[(i, j)]
-        done.add((i, j))
         # chain criterion: k divides the lcm and both side pairs are settled
         skip = False
         pi = leads[i][0]
@@ -287,7 +285,7 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Lis
             kp, km, _ = leads[k]
             if kp == pi and mono_divides(km, L):
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a in done and b in done and a not in pending and b not in pending:
+                if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:
@@ -302,13 +300,7 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Lis
         G.append(h)
         leads.append(vec_leading(h, order))
         sugars.append(vec_max_degree(h))
-        t = len(G) - 1
-        for i2 in range(t):
-            e = pair_entry(i2, t)
-            if e is not None:
-                pending[(i2, t)] = e
-            else:
-                done.add((i2, t))
+        add_pairs(len(G) - 1)
     return _interreduce(G, leads, order)
 
 
@@ -366,19 +358,7 @@ class QuotientDim:
 INFINITE = QuotientDim(None, ())
 
 
-def _integer_terms(v: Vector) -> Tuple[int, List[Tuple[int, Mono, int, int]]]:
-    """Order at the origin and (position, monomial, degree, coefficient)
-    terms of v scaled by the lcm of its denominators."""
-    den = 1
-    for p in v:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    terms = [(pos, m, mono_deg(m), c.numerator * (den // c.denominator))
-             for pos, p in enumerate(v) for m, c in p.terms.items()]
-    return min((t[2] for t in terms), default=0), terms
-
-
-def _columns(n: int, rank: int, N: int, key) -> List[MTerm]:
+def slice_columns(n: int, rank: int, N: int, key) -> List[MTerm]:
     """Labels (position, monomial) of degree <= N, greatest under key first;
     a label's column is its index, so a smaller column is a greater label."""
     labels = [(pos, m) for pos in range(rank) for m in monomials_up_to_degree(n, N)]
@@ -386,55 +366,60 @@ def _columns(n: int, rank: int, N: int, key) -> List[MTerm]:
     return labels
 
 
-def _shift_rows(gens, n: int, N: int, labels: List[MTerm]):
-    """Each monomial shift of each generator, truncated above degree N, as a
-    sparse integer row over the columns of labels."""
+def slice_rows(vectors: Sequence[Vector], N: int, labels: List[MTerm]):
+    """Each monomial shift of each vector, truncated above degree N, as a
+    sparse integer row over the columns of labels: the vector is scaled by
+    the lcm of its denominators. The rows span the image of the module the
+    vectors generate in O^rank/m^{N+1}O^rank."""
     col = {lab: i for i, lab in enumerate(labels)}
-    for base, terms in gens:
+    for v in vectors:
+        n = v[0].ring.n
+        den = lcm(*(c.denominator for p in v for c in p.terms.values()))
+        terms = [(pos, m, mono_deg(m), c.numerator * (den // c.denominator))
+                 for pos, p in enumerate(v) for m, c in p.terms.items()]
+        base = min((dm for _, _, dm, _ in terms), default=0)
         for delta in monomials_up_to_degree(n, N - base):
             dd = mono_deg(delta)
             yield {col[pos, mono_mul(m, delta)]: c
                    for pos, m, dm, c in terms if dm + dd <= N}
 
 
-def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
-                              order: Order, caps: Tuple[int, ...] = (4, 9, 14)) -> Optional[QuotientDim]:
-    """Exact local quotient dimension of O^rank/M by degree-truncated
-    elimination, M the module the generators span.
+class TruncatedModel(NamedTuple):
+    """O^rank/M below its certified degree d: the echelon form of M's shifts
+    truncated above degree d - 1, over position-over-term labels."""
+
+    basis: RowBasis
+    labels: List[MTerm]
+    degree: int
+
+
+def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int, order: Order,
+                    caps: Sequence[int]) -> Optional[TruncatedModel]:
+    """Exact model of the local quotient O^rank/M by degree-truncated
+    elimination, M the module the generators span, or None when no cap in
+    caps yields a certificate (an infinite quotient, or m^d O^rank inside M
+    only for d above every cap).
 
     Certificate: the shifts of the generators span the image of M in
     O^rank/m^{N+1}O^rank. Eliminated with the lowest degree as the greatest
     column, the pivots of each degree d <= N count the degree-d initial forms
     of M, its tangent cone (Greuel-Pfister 5.5, 7.1). If degree d has no free
     column, m^d O^rank lies in M + m^{d+1} O^rank, so Nakayama puts m^d O^rank
-    inside M, and the free columns of degree < d count the quotient.
+    inside M, and the free columns of degree < d count the quotient. The
+    least such d is the certified degree: the least d with m^d O^rank in M,
+    the same at every cap N >= d.
 
     Witness: once m^d O^rank lies in M, every lead of M of degree < d is the
     lead of an element of degree < d, so eliminating the shifts below degree
-    d with position-over-term columns leaves exactly the free monomials of
-    M's local standard basis: the same cobasis a full basis would give.
-
-    Returns None when no cap yields a certificate (infinite quotient or
-    staircase deeper than the caps); callers then fall back to a full
-    standard basis.
+    d with position-over-term columns (order breaking ties inside a
+    position) leaves exactly the free monomials of M's local standard basis:
+    the same cobasis a full basis would give.
     """
     n = ring.n
-    if rank == 0:
-        return QuotientDim(0, ())
-    if not gens:
-        return None
-    scaled = [_integer_terms(v) for v in gens]
-
-    def degree_first(lab: MTerm):
-        return (order.key(lab[1]), -lab[0])
-
-    def position_first(lab: MTerm):
-        return (-lab[0], order.key(lab[1]))
-
     for N in caps:
-        labels = _columns(n, rank, N, degree_first)
+        labels = slice_columns(n, rank, N, lambda lab: (order.key(lab[1]), -lab[0]))
         basis = RowBasis()
-        basis.extend(_shift_rows(scaled, n, N, labels))
+        basis.extend(slice_rows(gens, N, labels))
         free_by_deg = [0] * (N + 1)
         for i, (_, m) in enumerate(labels):
             if i not in basis.rows:
@@ -442,16 +427,26 @@ def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
         if 0 not in free_by_deg:
             continue
         d = free_by_deg.index(0)
-        count = sum(free_by_deg[:d])
-        labels = _columns(n, rank, d - 1, position_first)
+        labels = slice_columns(n, rank, d - 1, lambda lab: (-lab[0], order.key(lab[1])))
         basis = RowBasis()
-        basis.extend(_shift_rows(scaled, n, d - 1, labels))
-        witness = [lab for i, lab in enumerate(labels) if i not in basis.rows]
-        if len(witness) != count:
+        basis.extend(slice_rows(gens, d - 1, labels))
+        if len(labels) - basis.rank != sum(free_by_deg[:d]):
             raise AssertionError("truncated witness disagrees with the certified count")
-        witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
-        return QuotientDim(count, tuple(witness))
+        return TruncatedModel(basis, labels, d)
     return None
+
+
+def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
+                              order: Order) -> Optional[QuotientDim]:
+    """Exact local quotient dimension of O^rank/M from the truncated model at
+    caps 4, 9 and 14, its free labels the witness; None when no cap
+    certifies, and callers then fall back to a full standard basis."""
+    model = truncated_model(gens, ring, rank, order, (4, 9, 14))
+    if model is None:
+        return None
+    witness = [lab for i, lab in enumerate(model.labels) if i not in model.basis.rows]
+    witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
+    return QuotientDim(len(witness), tuple(witness))
 
 
 def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> QuotientDim:
@@ -752,15 +747,6 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
 # dimensions of quotients and subquotients
 
 
-def std_basis(gens: Sequence[Poly], order: Order) -> List[Poly]:
-    """Interreduced standard basis of the ideal generated by gens."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    vecs = std_basis_vectors([(g,) for g in gens], order, 1)
-    return [v[0] for v in vecs]
-
-
 def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     """The module L = {c in O^k : sum c_i g_i in J} for J contained in I;
     O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i]."""
@@ -782,29 +768,22 @@ def relative_quotient_dimension(I: Ideal, J: Ideal) -> QuotientDim:
     return subideal_preimage(I, J).quotient_dimension()
 
 
-def power_ideal(ring: Ring, k: int, order: Order = LOCAL_DS) -> Ideal:
-    """The k-th power of the maximal ideal at the origin."""
+def power_ideal(ring: Ring, k: int) -> Ideal:
+    """The k-th power of the maximal ideal at the origin, in the local ring."""
     if k <= 0:
-        return Ideal(ring, [ring.one()], order)
+        return Ideal(ring, [ring.one()], LOCAL_DS)
     gens = [ring.monomial(m) for m in monomials_of_degree(ring.n, k)]
-    return Ideal(ring, gens, order)
+    return Ideal(ring, gens, LOCAL_DS)
 
 
 def hilbert_samuel(I: Ideal, m: int) -> int:
-    """dim I/(I intersect m^{m+1}) at the origin (local)."""
+    """dim I/(I intersect m^{m+1}) at the origin (local): the dimension of
+    the image of I in O/m^{m+1}, which the shifts of I's generators
+    truncated above degree m span, so it is the rank of that one slice."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    ring = I.ring
-    n = ring.n
-    full = comb(n + m, n)  # dim O/m^{m+1}
-    if not I.gens:
-        return 0
-    mk = power_ideal(ring, m + 1)
-    joined = Ideal(ring, tuple(I.gens) + mk.gens, LOCAL_DS)
-    qd = joined.quotient_dimension()
-    if not qd.is_finite:
-        raise AssertionError("O/(I + m^{m+1}) must be finite dimensional")
-    return full - qd.value
+    labels = slice_columns(I.ring.n, 1, m, lambda lab: GLOBAL_DP.key(lab[1]))
+    return RowBasis().extend(slice_rows([(g,) for g in I.gens], m, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,12 @@ from .linalg import RowBasis, identity_kernel
 from .polyring import GLOBAL_DP, Poly, Ring, monomials_up_to_degree
 from .stdbasis import (
     Ideal,
-    MTerm,
     Submodule,
     Vector,
-    _columns,
-    _integer_terms,
-    _shift_rows,
     module_intersection,
     preimage_module,
+    slice_columns,
+    slice_rows,
 )
 
 
@@ -145,21 +143,14 @@ class PrimitiveIdeal:
         return self.ideal.gens
 
 
-def _slice_rows(gens: Sequence[Poly], pos: int, n: int, N: int, labels: List[MTerm]):
-    """Shifts of the generators, truncated above degree N, as integer rows
-    over the labels (pos, monomial): they span the degree-<=N slice of the
-    polynomial ideal + m^{N+1}."""
-    scaled = [_integer_terms((g,)) for g in gens]
-    return _shift_rows([(base, [(pos, m, dm, c) for _, m, dm, c in terms])
-                        for base, terms in scaled], n, N, labels)
-
-
 def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     """Solve the linear conditions f in I' + m^{N+1} and df/dx_i in I' + m^N
     over coefficients of monomials of degree 1..N, in one elimination whose
     kernel is read through identity columns as in linalg.nullspace. Its rows
     are the slices of I' in block 0 (values) and block i + 1 (df/dx_i), and
-    per monomial alpha, x^alpha with its derivatives and identity column."""
+    per monomial alpha, x^alpha with its derivatives and identity column.
+    Block b holds the shifts of the g * e_b, truncated above degree N for
+    block 0 and above N - 1 for the derivative blocks."""
     if N < 1:
         raise GermforgeError("PRECONDITION_VIOLATED", "truncation degree must be >= 1")
     ring = Iprime.ring
@@ -167,13 +158,15 @@ def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     if Iprime.is_unit():
         return PrimitiveIdeal(Ideal(ring, [ring.one()], order), N)
     n = ring.n
-    labels = _columns(n, n + 1, N, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
+    labels = slice_columns(n, n + 1, N, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
     col = {lab: i for i, lab in enumerate(labels)}
     alphas = sorted((m for m in monomials_up_to_degree(n, N) if sum(m) >= 1), key=GLOBAL_DP.key)
     top, last = len(labels), len(labels) + len(alphas) - 1
-    rows = list(_slice_rows(Iprime.gens, 0, n, N, labels))
-    for i in range(n):
-        rows += _slice_rows(Iprime.gens, i + 1, n, N - 1, labels)
+    zero = ring.zero()
+    rows = []
+    for b in range(n + 1):
+        block = [tuple(g if j == b else zero for j in range(n + 1)) for g in Iprime.gens]
+        rows += slice_rows(block, N if b == 0 else N - 1, labels)
     for t, alpha in enumerate(alphas):
         row = {col[0, alpha]: 1, last - t: 1}
         for i in range(n):
@@ -212,10 +205,10 @@ def _postcheck_adapted(Iprime: Ideal, result: PrimitiveIdeal) -> None:
         return
     N = result.truncation
     squares = [ring.var(i) * ring.var(j) for i in var_idx for j in var_idx if i <= j]
-    labels = _columns(ring.n, 1, N, lambda lab: GLOBAL_DP.key(lab[1]))
+    labels = slice_columns(ring.n, 1, N, lambda lab: GLOBAL_DP.key(lab[1]))
 
     def rank(gens: Sequence[Poly]) -> int:
-        return RowBasis().extend(_slice_rows(gens, 0, ring.n, N, labels))
+        return RowBasis().extend(slice_rows([(g,) for g in gens], N, labels))
 
     both = rank(list(result.gens) + squares)
     if rank(result.gens) != both:

@@ -125,13 +125,29 @@ class TestDeterminacy:
             c = extended_codim(f, EJEM)
             assert determinacy_bound(f, EJEM) <= c.value
 
-    def test_bound_certifies_membership(self):
-        m = determinacy_bound(CUSP, EJEM)
-        tau = GermProblem(CUSP, EJEM).tau
-        mm = power_ideal(R2, m)
-        for g in EJEM.gens:
-            for h in mm.gens:
-                assert tau.contains(h * g)
+    @pytest.mark.parametrize("names, gens, text, order, det", [
+        pytest.param("x y", ("x^2", "y"), "y^2 + x^3", LOCAL_DS, 2, id="cusp"),
+        # 1 + the largest witness degree is 3, so the cap climb runs
+        pytest.param("x y", ("x^2", "y"), "x^7 + y^2 + x^3*y", LOCAL_DS, 4, id="j10"),
+        pytest.param("x y z", ("x*y", "z"), "x^5*y + x*y^5 + z^2", LOCAL_DS, 7, id="fin3"),
+        # global order: the climb starts at 4, the inclusion is still local
+        pytest.param("x y", ("x^3", "y^2"), "x^6 + y^4 + x^3*y^2", GLOBAL_DP, 5, id="fin4"),
+        # above the largest cap, 14, of the local quotient
+        pytest.param("x y", ("1",), "x^12 + y^7", LOCAL_DS, 16, id="milnor127"),
+    ])
+    def test_bound_certifies_membership(self, names, gens, text, order, det):
+        ring = Ring(names.split())
+        I = Ideal(ring, [parse_poly(g, ring) for g in gens], order)
+        problem = GermProblem(parse_poly(text, ring), I)
+        assert problem.determinacy == det
+        # Mora membership in the localized tau, apart from the model
+        tau = problem.tau.with_order(LOCAL_DS)
+
+        def inside(m):
+            return [tau.contains(h * g) for g in I.gens for h in power_ideal(ring, m).gens]
+
+        assert all(inside(det))
+        assert not all(inside(det - 1))
 
 
 class TestPositiveCodimLocus:
@@ -222,6 +238,19 @@ class TestBuildVersal:
         U = build_versal_unfolding(P("x^7 + y^2 + x^3 y"), EJEM)
         assert len(U.params) == 6
         assert versality_check(U, EJEM)
+
+    def test_milnor127_beyond_the_caps(self):
+        # mu = 66 and m^16 is the first power inside the Jacobian ideal
+        unit = ideal(R2, LOCAL_DS, "1")
+        f = P("x^12 + y^7")
+        U = build_versal_unfolding(f, unit)
+        assert len(U.params) == 66
+        assert {str(U.derivative_at_zero(i)) for i in (0, 65)} == {"1", "x^10*y^5"}
+        assert versality_check(U, unit)
+        ext = R2.extend(U.params[:-1])
+        F = U.F.substitute([ext.var(nm) if nm in ext.index else ext.zero()
+                            for nm in U.ring.names], ext)
+        assert not versality_check(Unfolding(ext, F, U.params[:-1], R2, f), unit)
 
     def test_unit_ideal_cubic(self):
         R1 = Ring(["x"])

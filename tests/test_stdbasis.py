@@ -18,7 +18,6 @@ from germforge.stdbasis import (
     power_ideal,
     relative_quotient_dimension,
     saturation,
-    std_basis,
     zero_dim_radical,
 )
 
@@ -51,22 +50,22 @@ def lead_monos(polys, order):
 
 class TestStdBasis:
     def test_already_interreduced_local(self):
-        basis = std_basis([P("x^2"), P("y")], LOCAL_DS)
+        basis = Ideal(R2, [P("x^2"), P("y")], LOCAL_DS).basis()
         assert lead_monos(basis, LOCAL_DS) == [(0, 1), (2, 0)]
         assert len(basis) == 2
 
     def test_unit_factor_local(self):
         # locally (x - x^2) = (x): 1 - x is a unit
-        basis = std_basis([P("x - x^2")], LOCAL_DS)
+        basis = Ideal(R2, [P("x - x^2")], LOCAL_DS).basis()
         assert lead_monos(basis, LOCAL_DS) == [(1, 0)]
 
     def test_duplicate_collapse(self):
-        basis = std_basis([P("x"), P("x")], LOCAL_DS)
+        basis = Ideal(R2, [P("x"), P("x")], LOCAL_DS).basis()
         assert len(basis) == 1
         assert basis[0] == P("x")
 
     def test_global_cusp_jacobian(self):
-        basis = std_basis([P("3x^2"), P("2y")], GLOBAL_DP)
+        basis = Ideal(R2, [P("3x^2"), P("2y")], GLOBAL_DP).basis()
         assert [str(b) for b in basis] == ["y", "x^2"] or lead_monos(basis, GLOBAL_DP) == [(0, 1), (2, 0)]
 
     def test_input_generators_reduce_to_zero(self):
@@ -542,6 +541,19 @@ class TestHilbertSamuel:
         I = ideal(R2, LOCAL_DS, "1")
         for m in range(4):
             assert hilbert_samuel(I, m) == comb(2 + m, 2)
+
+    @pytest.mark.parametrize("names, gens", [
+        pytest.param("x y z", ("x*y", "z"), id="d3"),
+        pytest.param("x y", ("x^2*y",), id="not-m-primary"),
+        pytest.param("x y", (), id="zero"),
+        pytest.param("x y", ("1",), id="unit"),
+    ])
+    def test_against_truncated_shift_oracle(self, names, gens):
+        ring = Ring(names.split())
+        I = Ideal(ring, [parse_poly(g, ring) for g in gens], LOCAL_DS)
+        for m in range(9):
+            rows = multiples_upto([d(g) for g in I.gens], ring.n, m)
+            assert hilbert_samuel(I, m) == gauss_rank(rows)
 
     def test_monotone(self):
         for gens in (["x^2", "y"], ["x^3", "x^2 y", "y^2"], ["x^2 - y^3"]):
