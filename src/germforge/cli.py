@@ -31,7 +31,7 @@ from .invariants import (
 )
 from .jetmorse import _morse_number, jet_context
 from .oracle import conservation_check, empirical_splitting
-from .polyring import GLOBAL_DP, LOCAL_DS, Order, Poly, Ring, format_poly, parse_poly
+from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, hilbert_samuel
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
 
@@ -46,7 +46,6 @@ KNOWN_OPTIONS = ("trials",)
 class ProblemFile:
     text: str
     ring: Ring
-    order: Order
     order_name: str
     ideals: Dict[str, Ideal]
     polys: Dict[str, Poly]
@@ -177,7 +176,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
         raise ParseError(f"unknown statement {kind!r}", line, col)
     if ring is None:
         raise ParseError("no ring declaration", 1, 1)
-    return ProblemFile(text, ring, order, order_name, ideals, polys,
+    return ProblemFile(text, ring, order_name, ideals, polys,
                        unfoldings, options)
 
 

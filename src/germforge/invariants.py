@@ -27,9 +27,11 @@ m^d I and L is the preimage of tau, d is also the least m with m^m I inside
 tau. Its caps climb from one above the largest witness degree to c, since a
 quotient of length c is killed by m^c. Below d it is the integer echelon
 form (linalg.RowBasis) of the shifts of L's generators, a faithful copy of
-O^k/L; a missing model, or one whose dimension is not c, is an internal
-error, raised before any conclusion is drawn. U is versal exactly when the
-coordinates of its parameter derivatives add c to the model's rank.
+O^k/L. The model is local whatever the order of I: its dimension is c under
+'ds' and at most c, the global length, under 'dp'; a missing model, or one
+that breaks this, is an internal error, raised before any conclusion is
+drawn. U is versal exactly when its parameter derivatives add the model's
+dimension to its rank.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ class GermProblem:
         if c.value == 0:
             return True
         model = self.model
-        if model is None or len(model.labels) - model.basis.rank != c.value:
+        dim = None if model is None else len(model.labels) - model.basis.rank
+        if dim is None or dim > c.value or (self.I.order.is_local and dim != c.value):
             raise AssertionError("truncated quotient model disagrees with the codimension")
         col = {lab: i for i, lab in enumerate(model.labels)}
         rows = []
@@ -150,7 +153,7 @@ class GermProblem:
                                   for m, a in p.terms.items() if (pos, m) in col}))
         # reduced modulo the model, which is kept unchanged for later calls
         residuals = (integral(model.basis.reduce(row)) for row in rows)
-        return RowBasis().extend(residuals) == c.value
+        return RowBasis().extend(residuals) == dim
 
 
 def extended_codim(f: Poly, I: Ideal) -> QuotientDim:

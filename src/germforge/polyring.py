@@ -189,10 +189,6 @@ class Poly:
         """Max total degree of a term; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
 
-    def order_at_origin(self) -> int:
-        """Min total degree of a term; large sentinel for zero."""
-        return min((mono_deg(m) for m in self.terms), default=1 << 30)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.n, _ZERO)
 
@@ -202,9 +198,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def sorted_terms(self, order: Order = GLOBAL_DP) -> List[Tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     # -- arithmetic
 
@@ -390,7 +383,7 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks: List[str] = []
-    for m, c in p.sorted_terms(GLOBAL_DP):
+    for m, c in sorted(p.terms.items(), key=lambda t: GLOBAL_DP.key(t[0]), reverse=True):
         mono_txt = format_mono(p.ring, m)
         neg = c < 0
         a = -c if neg else c

@@ -1,33 +1,35 @@
 """Standard and Groebner bases for ideals and submodules of free modules.
 
 One engine serves both ring flavors: plain Buchberger with the sugar strategy
-for the global order 'dp', Mora's tangent-cone algorithm with ecart-minimal
-reducer selection (weak normal forms) for the local order 'ds'. Module terms
-are ordered position-over-term with position 0 greatest, which makes the
-embedded-identity trick an elimination order: syzygies drop out of a single
-global basis computation.
+for the global order 'dp', Mora's tangent-cone algorithm for the local order
+'ds'. Module terms are ordered position-over-term with position 0 greatest,
+which makes the embedded-identity trick an elimination order: syzygies drop
+out of a single global basis computation.
 
 Syzygies, preimages, colons and intersections are always computed under the
 global order; the resulting polynomial generators generate the same module
 over the localized ring, so local quotient dimensions can be read off a local
-staircase of globally computed generators. Under a global order the normal
-form is the canonical fully reduced one; under a local order it is Mora's
-weak normal form (zero exactly on members of the localized ideal/module).
-Lifting a member of an ideal to coordinates over its generators runs through
-the same embedded identity: the global normal form of (p, 0, ..., 0) against
-the (g_j, e_j) carries the coordinates in its tail, so there is one
-Buchberger and one global reducer. The zero-dimensional radical runs on the
-same engine: the squarefree part of each univariate minimal polynomial p is
-the generator of the colon (p) : (p'), so no separate univariate arithmetic
-exists.
+staircase of globally computed generators. Lifting a member of an ideal to
+coordinates over its generators runs through the same embedded identity: the
+global normal form of (p, 0, ..., 0) against the (g_j, e_j) carries the
+coordinates in its tail, so there is one Buchberger. The zero-dimensional
+radical runs on the same engine: the squarefree part of each univariate
+minimal polynomial p is the generator of the colon (p) : (p'), so no separate
+univariate arithmetic exists.
 
-Global reduction runs in place: the vector being reduced is one mutable map
-from (position, monomial) to coefficient, a heap hands out its leading term,
-each step subtracts a multiple of a basis element term by term, and terms no
-basis lead divides go straight to the remainder (the single-accumulator idea
-of Yan's geobuckets, J. Symb. Comp. 25, 1998). The reducer is always the
-first basis element whose lead divides the leading term; callers that keep
-the basis leads pass them in.
+One reducer serves both orders, in place: the vector being reduced is one
+mutable map from (position, monomial) to coefficient, a heap hands out its
+leading term, and each step subtracts a multiple of the reducer term by term
+(the single-accumulator idea of Yan's geobuckets, J. Symb. Comp. 25, 1998).
+Under 'dp' the reducer is the first basis element whose lead divides the
+leading term, terms no lead divides go to the remainder, and the normal form
+is the canonical fully reduced one. Under 'ds' it is Mora's weak normal form
+(Greuel-Pfister, ch. 1), zero exactly on members of the localized module: the
+reducer is the divisor of least ecart, the first on ties; a vector whose
+ecart is below the reducer's joins the reducers before the step; the first
+leading term no lead divides ends the reduction; and after each step the map
+is rescaled to integer coefficients with content 1, which keeps the rational
+coefficients of long local reductions small. Basis elements are monic.
 """
 
 from __future__ import annotations
@@ -80,10 +82,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(a: Vector, c: Fraction) -> Vector:
-    return tuple(x * c for x in a)
-
-
 def vec_term_mul(a: Vector, mono: Mono, coeff: Fraction) -> Vector:
     return tuple(x.term_mul(mono, coeff) for x in a)
 
@@ -105,77 +103,99 @@ def vec_leading(v: Vector, order: Order) -> Tuple[int, Mono, Fraction]:
     raise ValueError("zero vector has no leading term")
 
 
-def vec_ecart(v: Vector, order: Order) -> int:
-    pos, m, _ = vec_leading(v, order)
-    return vec_max_degree(v) - mono_deg(m)
-
-
 def _monic(v: Vector, order: Order) -> Vector:
-    _, _, c = vec_leading(v, order)
-    return vec_scale(v, 1 / c)
-
-
-def _primitive(v: Vector) -> Vector:
-    """Scale to integer coefficients with content 1. Monic scaling compounds
-    denominators across chained local reductions until every arithmetic step
-    runs gcd on huge integers; content scaling keeps coefficients small."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in v:
-        for c in p.terms.values():
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
-    if num_gcd == 0:
-        return v
-    scale = Fraction(den_lcm, num_gcd)
-    if scale == 1:
-        return v
-    return vec_scale(v, scale)
+    inv = 1 / vec_leading(v, order)[2]
+    return tuple(x * inv for x in v)
 
 
 # ---------------------------------------------------------------------------
 # reduction
 
 
-def _find_reducer(pos: int, m: Mono, leads: List[Tuple[int, Mono, Fraction]]) -> int:
+def _find_reducer(pos: int, m: Mono, leads: List[Tuple[int, Mono, Fraction]],
+                  ecarts: Optional[List[int]]) -> int:
+    """The first lead dividing (pos, m), with ecarts the first of least ecart; -1 if none."""
+    best = -1
     for i, (bp, bm, _) in enumerate(leads):
         if bp == pos and mono_divides(bm, m):
-            return i
-    return -1
+            if ecarts is None:
+                return i
+            if best < 0 or ecarts[i] < ecarts[best]:
+                best = i
+    return best
 
 
-def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
-                         leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
-    """Canonical fully reduced normal form under the global order.
+def _as_vector(ring: Ring, rank: int, work: Dict[MTerm, Fraction]) -> Vector:
+    out: List[Dict[Mono, Fraction]] = [{} for _ in range(rank)]
+    for (pos, m), c in work.items():
+        out[pos][m] = c
+    return tuple(Poly(ring, d) for d in out)
 
-    leads holds the leading terms of basis.
-    The vector is reduced in place as one map from (position, monomial) to
-    coefficient, with a heap of keys (position, -degree, reversed monomial)
-    whose least key is the leading term: position over term, then dp. The
-    leading term is cancelled by the first basis element whose lead divides
-    it, subtracted term by term; a term no lead divides goes straight to the
-    output, so the output lists each position's terms leading term first.
-    Each term in the map has one heap entry. A term that cancels stays in
-    the map at zero until its entry comes up and is skipped, so a term that
-    comes back later needs no second entry.
+
+def _rescale(work: Dict[MTerm, Fraction]) -> int:
+    """Scale the map in place to content 1 over the integers; return its top degree."""
+    num_gcd, den_lcm, top = 0, 1, -1
+    for (_, m), c in work.items():
+        if c:
+            num_gcd = gcd(num_gcd, c.numerator)
+            den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
+            top = max(top, mono_deg(m))
+    scale = Fraction(den_lcm, num_gcd or 1)
+    if scale != 1:
+        for key, c in work.items():
+            work[key] = c * scale
+    return top
+
+
+def reduce_vector(v: Vector, basis: List[Vector], order: Order,
+                  leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
+    """Normal form of v against basis, whose leading terms are leads: fully
+    reduced under 'dp', Mora's weak normal form under 'ds' (the module
+    docstring says how each picks its reducer and when it stops).
+
+    v is reduced in place as one map from (position, monomial) to
+    coefficient; the least key (position, degree negated under 'dp',
+    reversed monomial) on a heap is the leading term. Each term has one heap
+    entry: a term that cancels stays in the map at zero until its entry comes
+    up and is skipped. Under 'dp' the output lists each position's terms
+    leading term first; under 'ds' a vector that joins the reducers is a
+    copy of the map.
     """
     if not v:
         return v
+    ring, local = v[0].ring, order.is_local
+    sign = 1 if local else -1
     work: Dict[MTerm, Fraction] = {}
     heap = []
     for pos, p in enumerate(v):
         for m, c in p.terms.items():
             work[pos, m] = c
-            heap.append((pos, -mono_deg(m), m[::-1], m))
+            heap.append((pos, sign * mono_deg(m), m[::-1], m))
     heapify(heap)
+    ecarts = None
+    if local:
+        basis, leads = list(basis), list(leads)
+        ecarts = [vec_max_degree(b) - mono_deg(bm) for b, (_, bm, _) in zip(basis, leads)]
+        top = vec_max_degree(v)
     out: List[Dict[Mono, Fraction]] = [{} for _ in v]
     while heap:
         pos, _, _, m = heappop(heap)
         c = work.pop((pos, m))
         if not c:
             continue
-        i = _find_reducer(pos, m, leads)
-        if i < 0:
+        i = _find_reducer(pos, m, leads, ecarts)
+        if local:
+            e_h = top - mono_deg(m)
+            if i < 0 or ecarts[i] > e_h:
+                work[pos, m] = c  # the current vector, returned or kept
+                h = _as_vector(ring, len(v), work)
+                if i < 0:
+                    return h
+                del work[pos, m]
+                basis.append(h)
+                ecarts.append(e_h)
+                leads.append((pos, m, c))
+        elif i < 0:
             out[pos][m] = c
             continue
         _, bm, bc = leads[i]
@@ -190,47 +210,16 @@ def reduce_vector_global(v: Vector, basis: List[Vector], order: Order,
                 old = work.get(key)
                 if old is None:
                     work[key] = -f * bc2
-                    heappush(heap, (bpos, -mono_deg(m2), m2[::-1], m2))
+                    heappush(heap, (bpos, sign * mono_deg(m2), m2[::-1], m2))
                 else:
                     work[key] = old - f * bc2
-    ring = v[0].ring
+        if local:
+            top = _rescale(work)
     return tuple(Poly(ring, d) for d in out)
 
 
-def reduce_vector_mora(v: Vector, basis: List[Vector], order: Order,
-                       leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
-    """Mora weak normal form: zero iff v lies in the localized module."""
-    reducers = list(basis)
-    ecarts = [vec_ecart(b, order) for b in basis]
-    leads = list(leads)
-    h = v
-    while not vec_is_zero(h):
-        pos, m, c = vec_leading(h, order)
-        best = -1
-        best_key = None
-        for i, (bp, bm, _) in enumerate(leads):
-            if bp == pos and mono_divides(bm, m):
-                key = (ecarts[i], i)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-        if best < 0:
-            return h
-        e_h = vec_max_degree(h) - mono_deg(m)
-        if ecarts[best] > e_h:
-            reducers.append(h)
-            ecarts.append(e_h)
-            leads.append((pos, m, c))
-        bp, bm, bc = leads[best]
-        work_basis = reducers[best]
-        h = _primitive(vec_sub(h, vec_term_mul(work_basis, mono_div(m, bm), c / bc)))
-    return h
-
-
-def reduce_vector(v: Vector, basis: List[Vector], order: Order,
-                  leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
-    if order.is_local:
-        return reduce_vector_mora(v, basis, order, leads)
-    return reduce_vector_global(v, basis, order, leads)
+# the benchmark's tracer binds the global reducer by this name
+reduce_vector_global = reduce_vector
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +228,7 @@ def reduce_vector(v: Vector, basis: List[Vector], order: Order,
 
 def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> List[Vector]:
     """Interreduced standard basis of the submodule generated by vectors."""
-    if order.is_local:
-        norm = _primitive
-    else:
-        def norm(v):
-            return _monic(v, order)
-    G: List[Vector] = [norm(v) for v in vectors if not vec_is_zero(v)]
+    G: List[Vector] = [_monic(v, order) for v in vectors if not vec_is_zero(v)]
     if not G:
         return []
     leads = [vec_leading(g, order) for g in G]
@@ -296,7 +280,7 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Lis
         h = reduce_vector(s, G, order, leads)
         if vec_is_zero(h):
             continue
-        h = norm(h)
+        h = _monic(h, order)
         G.append(h)
         leads.append(vec_leading(h, order))
         sugars.append(vec_max_degree(h))
@@ -320,17 +304,14 @@ def _interreduce(G: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
     keep.sort(key=lambda i: (-leads[i][0], order.key(leads[i][1])))
     kept = [G[i] for i in keep]
     if order.is_local:
-        return [_monic(g, order) for g in kept]
+        return kept
     # global: tail-reduce to the canonical reduced basis; no kept lead
-    # divides another, so every lead survives and the order stays sorted
+    # divides another, so every lead survives, monic, and the order stays
+    # sorted
     kept_leads = [leads[i] for i in keep]
-    out: List[Vector] = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others:
-            g = reduce_vector_global(g, others, order, kept_leads[:i] + kept_leads[i + 1:])
-        out.append(_monic(g, order))
-    return out
+    return [reduce_vector(g, kept[:i] + kept[i + 1:], order,
+                          kept_leads[:i] + kept_leads[i + 1:])
+            for i, g in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +328,6 @@ class QuotientDim:
     @property
     def is_finite(self) -> bool:
         return self.value is not None
-
-    def monomials(self) -> Tuple[Mono, ...]:
-        return tuple(m for _, m in self.witness)
 
     def __str__(self) -> str:
         return "INFINITE" if self.value is None else str(self.value)

@@ -120,7 +120,7 @@ def test_c06_low_determinacy_and_stability_under_deep_perturbation():
         for j, mono in enumerate(deep):
             g = EJEM.gens[j % len(EJEM.gens)]
             bump = bump + Poly(R2, {mono: rng.rational()}) * g
-        assert not bump.is_zero() and bump.order_at_origin() >= 6
+        assert not bump.is_zero() and bump.truncate(5).is_zero()
         assert extended_codim(CUSP + bump, EJEM).value == 3, trial
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -48,6 +49,47 @@ def lead_monos(polys, order):
     return sorted(p.leading(order)[0] for p in polys)
 
 
+R3 = Ring(["x", "y", "z"])
+
+
+def vec(ring, *polys):
+    return tuple(parse_poly(p, ring) for p in polys)
+
+
+# (ring, generators, their LOCAL_DS standard basis, [(non-member vector, its
+# weak normal form)]). Each reduction appends the vector it reduces to the
+# reducers at least once (Mora's ecart rule), and the bases of the first,
+# second, third and last inputs take such appends too. Every weak normal
+# form is integral with content 1: the reducer rescales after each step.
+LOCAL_NORMAL_FORMS = [
+    (R2, [("x - y^2 + 1/2 x^2",), ("y^3 - 2 x y",)],
+     [("1/2*x^3*y - x*y^3 + y^3",), ("1/2*x^2 - y^2 + x",)], [
+         (("x",), ("y^2",)),
+         (("x y + 1/3 y^2",), ("-3*x^2*y + 6*y^3 + 2*y^2",)),
+     ]),
+    (R3, [("x - y z + 2/3 x^2",), ("y^2 - z^3",), ("z^2 - 1/2 x y^2",)],
+     [("-1/2*x*y^2 + z^2",), ("-z^3 + y^2",), ("2/3*x^2 - y*z + x",)], [
+         (("z + 1/2 x",), ("-2*x^2 + 3*y*z + 6*z",)),
+     ]),
+    (R2, [("2x - 3y^2 + x^3",), ("x y + 1/2 y^3",)],
+     [("-1/4*x^3*y + y^3",), ("1/2*x^3 - 3/2*y^2 + x",)], [
+         (("x + 1/2 y",), ("-x^3 + 3*y^2 + y",)),
+     ]),
+    (R2, [("x + 1/2 x^2", "y^2"), ("y", "x - 2/3 y^3"), ("x y", "0")],
+     [("0", "y^3"), ("0", "-2/3*x*y^3 - y^3 + x^2"), ("y", "-2/3*y^3 + x"),
+      ("1/2*x^2 + x", "y^2")], [
+         (("y^2", "1"), ("0", "2*y^4 - 3*x*y + 3")),
+         (("x", "0"), ("0", "-y^2")),
+     ]),
+    (R2, [("2x - 3y^2", "x y"), ("y + x^2", "1/2 x"), ("0", "y^3 - x^3")],
+     [("0", "-x^4*y - 5/2*x^2*y^2 + y^3"), ("0", "-x^3*y - 5/2*x*y^2 + x^2"),
+      ("x^2 + y", "1/2*x"), ("-3/2*y^2 + x", "1/2*x*y")], [
+         (("y", "0"), ("0", "x^2*y - x")),
+         (("x", "y"), ("0", "6*x*y^2 - 5*x*y + 4*y")),
+     ]),
+]
+
+
 class TestStdBasis:
     def test_already_interreduced_local(self):
         basis = Ideal(R2, [P("x^2"), P("y")], LOCAL_DS).basis()
@@ -67,6 +109,11 @@ class TestStdBasis:
     def test_global_cusp_jacobian(self):
         basis = Ideal(R2, [P("3x^2"), P("2y")], GLOBAL_DP).basis()
         assert [str(b) for b in basis] == ["y", "x^2"] or lead_monos(basis, GLOBAL_DP) == [(0, 1), (2, 0)]
+
+    @pytest.mark.parametrize("ring, gens, basis, cases", LOCAL_NORMAL_FORMS)
+    def test_local_bases_pinned(self, ring, gens, basis, cases):
+        M = Submodule(ring, len(gens[0]), [vec(ring, *g) for g in gens], LOCAL_DS)
+        assert M.basis() == [vec(ring, *b) for b in basis]
 
     def test_input_generators_reduce_to_zero(self):
         gens = [P("x^2 - y^3"), P("x y + x^3"), P("y^2 - x")]
@@ -96,6 +143,16 @@ class TestNormalForm:
         for q in [P("x"), P("y - 3"), P("x y^2 + 2")]:
             for g in I.gens:
                 assert I.normal_form(p + q * g) == I.normal_form(p)
+
+    @pytest.mark.parametrize("ring, gens, basis, cases", LOCAL_NORMAL_FORMS)
+    def test_local_weak_normal_forms_pinned(self, ring, gens, basis, cases):
+        M = Submodule(ring, len(gens[0]), [vec(ring, *g) for g in gens], LOCAL_DS)
+        for v, expected in cases:
+            nf = M.normal_form(vec(ring, *v))
+            assert nf == vec(ring, *expected), v
+            coeffs = [c for p in nf for c in p.terms.values()]
+            assert all(c.denominator == 1 for c in coeffs), v
+            assert gcd(*(c.numerator for c in coeffs)) == 1, v
 
     def test_local_weak_nf_unit_example(self):
         # y/(1+x) is in the local ideal (y): weak NF handles the unit
@@ -156,13 +213,6 @@ class TestNormalFormVsOracle:
             if c:
                 terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
         return Poly(R2, {m: c for m, c in terms.items() if c})
-
-
-R3 = Ring(["x", "y", "z"])
-
-
-def vec(ring, *polys):
-    return tuple(parse_poly(p, ring) for p in polys)
 
 
 # (ring, generators, [(vector, its global normal form)]); the expected
@@ -372,7 +422,7 @@ class TestQuotientDimension:
     def test_monomial_staircase(self):
         qd = ideal(R2, LOCAL_DS, "x^2", "y").quotient_dimension()
         assert qd.value == 2
-        assert qd.monomials() == ((0, 0), (1, 0))
+        assert [m for _, m in qd.witness] == [(0, 0), (1, 0)]
 
     def test_infinite(self):
         assert ideal(R2, LOCAL_DS, "x").quotient_dimension() is INFINITE
@@ -381,7 +431,7 @@ class TestQuotientDimension:
         gens = ["x^3", "x^2 y", "y^2"]
         qd = ideal(R2, LOCAL_DS, *gens).quotient_dimension()
         assert qd.value == 5
-        assert set(qd.monomials()) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)}
+        assert {m for _, m in qd.witness} == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)}
         # independent count: m^4 lies inside, so the degree-4 slice decides
         oracle = quotient_dim_upto([d(P(g)) for g in gens], 2, 4)
         assert oracle == 5
