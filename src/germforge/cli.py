@@ -457,6 +457,8 @@ def _cmd_conserve(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
 def _cmd_hilbert(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     I = the_ideal(pf)
     upto = args.trunc if args.trunc is not None else 5
+    if upto < 0:
+        raise GermforgeError("PRECONDITION_VIOLATED", "truncation degree must be >= 0")
     values = [hilbert_samuel(I, m) for m in range(upto + 1)]
     return ([("upto", upto), ("values", values)], [("trunc", upto)], [])
 

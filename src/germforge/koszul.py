@@ -2,9 +2,10 @@
 
 The complex K_p = Lambda^p(A^m) for A = O/relations is presented by explicit
 differential matrices over O; kernels and images over A are obtained by
-adjoining relation columns to every syzygy computation. H_p is the subquotient
-ker(d_p)/im(d_{p+1}), presented as O^t/L for L the preimage of the image
-module under the kernel presentation, and its dimension is a staircase count.
+adjoining the relation multiples to the submodule of every preimage. H_p is
+the subquotient ker(d_p)/im(d_{p+1}), presented as O^t/L for L the preimage
+of the image module under the kernel presentation, and its dimension is a
+staircase count.
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def _kernel_gens(inst: KoszulInstance, p: int) -> List[Vector]:
     cols = _differential(inst, p)
     rank_low = len(_basis_index(m, p - 1))
     sub = _relation_block(inst, rank_low)
-    coeffs = preimage_module(cols, sub, ring, rank_low)
-    return [c for c in coeffs if not vec_is_zero(c)]
+    return preimage_module(cols, sub, ring, rank_low)
 
 
 def _image_gens(inst: KoszulInstance, p: int) -> List[Vector]:

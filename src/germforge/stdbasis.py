@@ -3,19 +3,23 @@
 One engine serves both ring flavors: plain Buchberger with the sugar strategy
 for the global order 'dp', Mora's tangent-cone algorithm for the local order
 'ds'. Module terms are ordered position-over-term with position 0 greatest,
-which makes the embedded-identity trick an elimination order: syzygies drop
-out of a single global basis computation.
+an elimination order: the basis elements whose first entries vanish form a
+basis of the module's part with those entries zero.
 
-Syzygies, preimages, colons and intersections are always computed under the
-global order; the resulting polynomial generators generate the same module
-over the localized ring, so local quotient dimensions can be read off a local
-staircase of globally computed generators. Lifting a member of an ideal to
-coordinates over its generators runs through the same embedded identity: the
-global normal form of (p, 0, ..., 0) against the (g_j, e_j) carries the
-coordinates in its tail, so there is one Buchberger. The zero-dimensional
-radical runs on the same engine: the squarefree part of each univariate
-minimal polynomial p is the generator of the colon (p) : (p'), so no separate
-univariate arithmetic exists.
+Preimages, syzygies, colons and intersections are each one such elimination
+under the global order. The preimage {c : sum c_i t_i in <s_j>} is read off
+the basis of the rows (t_i, e_i) and (s_j, 0), without coordinates for the
+s_j; the intersection of U and V off that of the rows (u_i, u_i) and (v_j, 0).
+Postchecks test each result by global membership: every sum c_i t_i in
+<s_j>, every generator of the intersection in U and in V. The polynomial
+generators generate the same module over the localized ring, so local
+quotient dimensions can be read off a local staircase of globally computed
+generators. Lifting a member of an ideal to coordinates over its generators
+reads the same rows: the global normal form of (p, 0, ..., 0) against the
+(g_j, e_j) carries the coordinates in its tail, so there is one Buchberger.
+The zero-dimensional radical runs on the same engine: the squarefree part of
+each univariate minimal polynomial p is the generator of the colon
+(p) : (p'), so no separate univariate arithmetic exists.
 
 One reducer serves both orders, in place: the vector being reduced is one
 mutable map from (position, monomial) to coefficient, a heap hands out its
@@ -611,44 +615,36 @@ def _with_identity(vectors: Sequence[Vector], ring: Ring) -> List[Vector]:
 
 
 def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodule:
-    """Kernel of the map O^k -> O^rank sending unit vector i to vectors[i]."""
-    k = len(vectors)
-    if k == 0:
-        return Submodule(ring, 0, [], GLOBAL_DP)
-    if any(len(v) != rank for v in vectors):
-        raise ValueError("vector of wrong rank")
-    basis = std_basis_vectors(_with_identity(vectors, ring), GLOBAL_DP, rank + k)
-    syz: List[Vector] = []
-    for b in basis:
-        if all(p.is_zero() for p in b[:rank]):
-            syz.append(b[rank:])
-    for s in syz:
-        acc = vec_zero(ring, rank)
-        for c, v in zip(s, vectors):
-            acc = vec_add(acc, vec_poly_mul(v, c))
-        if not vec_is_zero(acc):
-            raise AssertionError("syzygy postcheck failed")
-    return Submodule(ring, k, syz, GLOBAL_DP)
+    """Kernel of the map O^k -> O^rank sending unit vector i to vectors[i]:
+    the preimage of the zero module."""
+    return Submodule(ring, len(vectors), preimage_module(vectors, [], ring, rank), GLOBAL_DP)
 
 
 def preimage_module(targets: Sequence[Vector], sub_gens: Sequence[Vector], ring: Ring,
                     rank: int) -> List[Vector]:
-    """Generators of {c in O^k : sum c_i * targets[i] lies in <sub_gens>}."""
+    """Reduced global basis of {c in O^k : sum c_i * targets[i] in <sub_gens>}.
+
+    The rows (t_i, e_i) and (s_j, 0) in O^(rank+k) span the pairs
+    (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member exactly when c lies
+    in the preimage. Position-over-term with position 0 greatest eliminates
+    the first rank entries: the tails of the basis elements whose head
+    vanishes form a basis of the preimage, and no cofactor d is computed.
+    Postcheck: each sum c_i t_i is a global member of <sub_gens>."""
     k = len(targets)
     if k == 0:
         return []
-    combined = list(targets) + list(sub_gens)
-    syz = module_syzygies(combined, ring, rank)
-    out: List[Vector] = []
-    seen = set()
-    for s in syz.gens:
-        head = s[:k]
-        if vec_is_zero(head):
-            continue
-        key = tuple(frozenset(p.terms.items()) for p in head)
-        if key not in seen:
-            seen.add(key)
-            out.append(head)
+    if any(len(v) != rank for v in targets):
+        raise ValueError("vector of wrong rank")
+    sub = Submodule(ring, rank, sub_gens, GLOBAL_DP)
+    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in sub.gens]
+    basis = std_basis_vectors(rows, GLOBAL_DP, rank + k)
+    out = [b[rank:] for b in basis if vec_is_zero(b[:rank])]
+    for c in out:
+        acc = vec_zero(ring, rank)
+        for ci, t in zip(c, targets):
+            acc = vec_add(acc, vec_poly_mul(t, ci))
+        if not sub.contains(acc):
+            raise AssertionError("preimage postcheck failed")
     return out
 
 
@@ -668,8 +664,7 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
             v = [zero] * s
             v[j] = g
             sub.append(tuple(v))
-    heads = preimage_module([target], sub, ring, s)
-    gens = [h[0] for h in heads]
+    gens = [c[0] for c in preimage_module([target], sub, ring, s)]
     out = Ideal(ring, gens, I.order)
     # membership postcheck on generators
     for h in out.gens:
@@ -686,19 +681,23 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
 
 def module_intersection(U: Submodule, V: Submodule) -> Submodule:
+    """U intersect V, in U's order.
+
+    The rows (u_i, u_i) and (v_j, 0) in O^(2 rank) span the pairs
+    (sum c_i u_i + sum d_j v_j, sum c_i u_i), so (0, w) is a member exactly
+    when w lies in U and in V; as in preimage_module, the tails of the global
+    basis elements whose head vanishes generate U intersect V.
+    Postcheck: each returned w is a global member of U and of V."""
     if U.ring != V.ring or U.rank != V.rank:
         raise ValueError("modules from different ambients")
-    vectors = list(U.gens) + list(V.gens)
-    syz = module_syzygies(vectors, U.ring, U.rank)
-    r = len(U.gens)
-    gens: List[Vector] = []
-    for s in syz.gens:
-        acc = vec_zero(U.ring, U.rank)
-        for c, u in zip(s[:r], U.gens):
-            acc = vec_add(acc, vec_poly_mul(u, c))
-        if not vec_is_zero(acc):
-            gens.append(acc)
-    return Submodule(U.ring, U.rank, gens, U.order)
+    ring, r = U.ring, U.rank
+    rows = [u + u for u in U.gens] + [v + vec_zero(ring, r) for v in V.gens]
+    basis = std_basis_vectors(rows, GLOBAL_DP, 2 * r)
+    gens = [b[r:] for b in basis if vec_is_zero(b[:r])]
+    Ug, Vg = U.with_order(GLOBAL_DP), V.with_order(GLOBAL_DP)
+    if not all(Ug.contains(w) and Vg.contains(w) for w in gens):
+        raise AssertionError("intersection postcheck failed")
+    return Submodule(ring, r, gens, U.order)
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -732,11 +731,8 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
         if not I.contains(h):
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")
-    k = len(I.gens)
-    targets = [(g,) for g in I.gens]
-    sub = [(h,) for h in J.gens]
-    L = preimage_module(targets, sub, I.ring, 1) if k else []
-    return Submodule(I.ring, k, L, I.order)
+    L = preimage_module([(g,) for g in I.gens], [(h,) for h in J.gens], I.ring, 1)
+    return Submodule(I.ring, len(I.gens), L, I.order)
 
 
 def relative_quotient_dimension(I: Ideal, J: Ideal) -> QuotientDim:

@@ -1,12 +1,14 @@
 """Vector fields preserving an ideal, tangent ideals, primitive ideals.
 
 A vector field X = sum a_i d/dx_i is stored as the coefficient vector
-(a_1, ..., a_n). The preserving module {X : X(I) in I} is the projection of
-one syzygy kernel: X(g_j) in I for all j means the derivative columns
-combined with the generator multiples g_l e_j admit a syzygy whose first n
-entries are the a_i. That projection is stdbasis.preimage_module of the
-derivative columns over the generator multiples, so it generates the module
-exactly; no truncation is involved.
+(a_1, ..., a_n). The preserving module {X : X(I) in I} is one preimage:
+X(g_j) in I for all j means sum a_i (dg_1/dx_i, ..., dg_r/dx_i) lies in the
+module of the generator multiples g_l e_j. stdbasis.preimage_module reads it
+off one global elimination of the rows (derivative column i, e_i) and
+(g_l e_j, 0), with no coordinates for the multiples, and checks each field
+by global membership; no truncation is involved. The fields vanishing at the
+origin are its intersection with m * Theta, one more elimination, checked
+the same way.
 
 The primitive ideal (functions f with (f) + J_f inside I') is genuinely a
 condition on derivatives, not an O-linear one, so it is computed degree by

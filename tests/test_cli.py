@@ -200,6 +200,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["primitive", problem(tmp_path)])
         assert code == 2
 
+    def test_hilbert_rejects_negative_trunc(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["hilbert", problem(tmp_path), "--trunc", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PRECONDITION_VIOLATED")
+        code, out, _ = run(capsys, ["hilbert", problem(tmp_path), "--trunc", "0"])
+        assert code == 0
+        assert "upto: 0" in out
+
     def test_theta_via_subideal_requires_trunc(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

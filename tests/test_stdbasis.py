@@ -15,12 +15,16 @@ from germforge.stdbasis import (
     ideal_intersection,
     ideal_quotient,
     minimal_polynomial,
+    module_intersection,
     module_syzygies,
     power_ideal,
+    preimage_module,
     relative_quotient_dimension,
     saturation,
+    vec_is_zero,
     zero_dim_radical,
 )
+import germforge.stdbasis as stdbasis
 
 from helpers import (
     d,
@@ -572,6 +576,123 @@ class TestSyzygies:
             total = sum((c * v[0] for c, v in zip(s, vecs)), R2.zero())
             assert total.is_zero()
         assert syz.contains((P("y"), R2.zero(), P("-1")))
+
+
+def theta_blocks(ring, gens):
+    """The derivative and generator-multiple blocks of theta_preserving."""
+    r, zero = len(gens), ring.zero()
+    derivatives = [tuple(g.derive(i) for g in gens) for i in range(ring.n)]
+    multiples = [tuple(g if l == j else zero for l in range(r))
+                 for j in range(r) for g in gens]
+    return derivatives, multiples, r
+
+
+class TestPreimageByElimination:
+    """The elimination against the route it replaced: the whole syzygy
+    kernel of targets + sub_gens, projected onto the first k entries,
+    deduplicated and stripped of zero heads. Both are the reduced global
+    basis of the preimage, so the generators agree in value and order."""
+
+    @staticmethod
+    def _projected_kernel(targets, sub_gens, ring, rank):
+        k = len(targets)
+        out = []
+        for s in module_syzygies(list(targets) + list(sub_gens), ring, rank).gens:
+            head = s[:k]
+            if not vec_is_zero(head) and head not in out:
+                out.append(head)
+        return out
+
+    def _assert_same(self, targets, sub_gens, ring, rank):
+        ours = preimage_module(targets, sub_gens, ring, rank)
+        assert ours
+        assert ours == self._projected_kernel(targets, sub_gens, ring, rank)
+
+    @pytest.mark.parametrize("ring, gens", [
+        pytest.param(R2, ("x^2", "y"), id="cusp"),
+        pytest.param(R3, ("x y", "z"), id="d4rel"),
+    ])
+    def test_theta_blocks(self, ring, gens):
+        derivatives, multiples, r = theta_blocks(ring, [P(g, ring) for g in gens])
+        self._assert_same(derivatives, multiples, ring, r)
+
+    def test_random_ideals(self):
+        # theta blocks of two random generators, and every third input the
+        # subideal preimage of I times random multipliers under I's generators
+        rng = random.Random(1)
+        rand = TestGroebnerVsSympy._rand_poly
+        for trial in range(12):
+            ring = R2 if trial % 2 == 0 else R3
+            gens = [g for g in (rand(rng, ring) for _ in range(2)) if not g.is_zero()]
+            if trial % 3 == 2:
+                targets = [(g,) for g in gens]
+                sub = [(g * rand(rng, ring),) for g in gens]
+                self._assert_same(targets, sub, ring, 1)
+            else:
+                self._assert_same(*theta_blocks(ring, gens)[:2], ring, len(gens))
+
+
+class TestModuleIntersection:
+    """Intersections of monomial submodules are the componentwise lcms, and
+    the reduced basis of a monomial module is its minimal monomials."""
+
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
+    @pytest.mark.parametrize("ring, U, V, expected", [
+        pytest.param(R2, [("x", "0"), ("0", "y")], [("y", "0"), ("0", "x")],
+                     [("x y", "0"), ("0", "x y")], id="rank2"),
+        pytest.param(R3, [("x^2", "0", "0"), ("y^2", "0", "0"), ("0", "y", "0"),
+                          ("0", "0", "x z")],
+                     [("x y", "0", "0"), ("0", "y^2", "0"), ("0", "0", "z^2")],
+                     [("x^2 y", "0", "0"), ("x y^2", "0", "0"), ("0", "y^2", "0"),
+                      ("0", "0", "x z^2")], id="rank3"),
+    ])
+    def test_monomial_lcms(self, ring, U, V, expected, order):
+        def module(rows):
+            return Submodule(ring, len(rows[0]), [vec(ring, *row) for row in rows], order)
+
+        inter = module_intersection(module(U), module(V))
+        assert inter.order == order
+        assert set(inter.gens) == {vec(ring, *row) for row in expected}
+        assert len(inter.gens) == len(expected)
+
+
+class TestEliminationPostchecks:
+    """A basis whose zero-head element has a perturbed tail must trip the
+    postcheck that replaced the syzygy check."""
+
+    @staticmethod
+    def _perturb_tail(monkeypatch, rank, head):
+        """Add 1 to the last entry of the first basis element of the given
+        rank whose first head entries vanish."""
+        original = stdbasis.std_basis_vectors
+
+        def perturbed(vectors, order, r):
+            basis = original(vectors, order, r)
+            if r == rank:
+                for i, b in enumerate(basis):
+                    if vec_is_zero(b[:head]):
+                        basis[i] = b[:-1] + (b[-1] + b[-1].ring.one(),)
+                        break
+            return basis
+
+        monkeypatch.setattr(stdbasis, "std_basis_vectors", perturbed)
+
+    def test_preimage_postcheck(self, monkeypatch):
+        # rank 1 + 2 rows; adding 1 to a tail adds y, which is outside (xy)
+        targets, sub = [(P("x"),), (P("y"),)], [(P("x y"),)]
+        assert preimage_module(targets, sub, R2, 1)
+        self._perturb_tail(monkeypatch, 3, 1)
+        with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
+            preimage_module(targets, sub, R2, 1)
+
+    def test_intersection_postcheck(self, monkeypatch):
+        # rank 2 + 2 rows; (xy, 1) or (1, xy) lies in neither module
+        U = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], GLOBAL_DP)
+        V = Submodule(R2, 2, [vec(R2, "y", "0"), vec(R2, "0", "x")], GLOBAL_DP)
+        assert module_intersection(U, V).gens
+        self._perturb_tail(monkeypatch, 4, 2)
+        with pytest.raises(AssertionError, match="^intersection postcheck failed$"):
+            module_intersection(U, V)
 
 
 class TestHilbertSamuel:

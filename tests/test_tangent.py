@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from germforge.errors import GermforgeError
+from germforge.invariants import GermProblem
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
 from germforge.stdbasis import Ideal, Submodule
 from germforge.tangent import (
@@ -175,6 +176,18 @@ class TestThetaVanishing:
             tv = theta_vanishing(tp)
             for X in tv.gens:
                 assert tp.contains(X)
+
+    @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP])
+    @pytest.mark.parametrize("ring, gens, f, qdim, c_plain", [
+        pytest.param(R2, ("x^2", "y"), "x^3 + y^2", 3, 3, id="cusp"),
+        pytest.param(R3, ("x y", "z"), "x^3 y + x y^3 + z^2 + x y z", None, 9, id="d3"),
+    ])
+    def test_pinned_quotient_dimension_and_c_plain(self, ring, gens, f, qdim, c_plain,
+                                                   order):
+        I = ideal(ring, order, *gens)
+        tv = theta_vanishing(theta_preserving(I))
+        assert tv.module.quotient_dimension().value == qdim
+        assert GermProblem(P(f, ring), I).c_plain.value == c_plain
 
 
 class TestTangentIdeal:
