@@ -21,19 +21,32 @@ The zero-dimensional radical runs on the same engine: the squarefree part of
 each univariate minimal polynomial p is the generator of the colon
 (p) : (p'), so no separate univariate arithmetic exists.
 
-One reducer serves both orders, in place: the vector being reduced is one
-mutable map from (position, monomial) to coefficient, a heap hands out its
-leading term, and each step subtracts a multiple of the reducer term by term
-(the single-accumulator idea of Yan's geobuckets, J. Symb. Comp. 25, 1998).
-Under 'dp' the reducer is the first basis element whose lead divides the
-leading term, terms no lead divides go to the remainder, and the normal form
-is the canonical fully reduced one. Under 'ds' it is Mora's weak normal form
-(Greuel-Pfister, ch. 1), zero exactly on members of the localized module: the
-reducer is the divisor of least ecart, the first on ties; a vector whose
-ecart is below the reducer's joins the reducers before the step; the first
-leading term no lead divides ends the reduction; and after each step the map
-is rescaled to integer coefficients with content 1, which keeps the rational
-coefficients of long local reductions small. Basis elements are monic.
+One reducer serves both orders, in place, on packed terms with integer
+coefficients. Inside the engine a module term (position, monomial) is one
+int (Bachmann-Schoenemann, ISSAC 1998): a 16-bit field per exponent, each
+with a guard bit, the total degree above them (inverted under 'dp') and the
+position on top, so that a smaller int is a greater term in the
+position-over-term order. A monomial shift is one add and a divisibility
+test one masked subtract. Input is packed when std_basis_vectors is entered
+and the basis is unpacked, monic, when it returns; a degree of 2^15 or more
+raises PRECONDITION_VIOLATED. Basis elements are stored primitive, with a
+positive leading coefficient. The vector being reduced is one mutable map
+from packed term to integer, a heap hands out its leading term, and each
+step scales the map by lc/gcd(c, lc) and subtracts a multiple of the reducer
+term by term (the single-accumulator idea of Yan's geobuckets, J. Symb.
+Comp. 25, 1998). Under 'dp' the reducer is the first basis element whose
+lead divides the leading term, terms no lead divides go to the remainder,
+and the remainder over the tracked scale is the canonical fully reduced
+normal form, exact over the rationals; a step that scales divides the map,
+the remainder and the scale by their common content. Under 'ds' it is
+Mora's weak normal form (Greuel-Pfister, ch. 1), zero exactly on members of
+the localized module: the reducer is the divisor of least ecart, the first
+on ties; a vector whose ecart is below the reducer's joins the reducers
+before the step; the first leading term no lead divides ends the reduction;
+and after each step the map is divided by its content, so a weak normal form
+that took a step is integral with content 1. The pending S-pairs wait on a
+heap ordered by sugar (Giovini et al., ISSAC 1991), the lcm's order and the
+pair's indices.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, nullspace
@@ -54,7 +67,6 @@ from .polyring import (
     Poly,
     Ring,
     mono_deg,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -64,6 +76,7 @@ from .polyring import (
 
 Vector = Tuple[Poly, ...]
 MTerm = Tuple[int, Mono]  # (position, monomial); position 0 is greatest
+Terms = List[Tuple[int, int]]  # (packed term, integer coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -82,147 +95,249 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_term_mul(a: Vector, mono: Mono, coeff: Fraction) -> Vector:
-    return tuple(x.term_mul(mono, coeff) for x in a)
-
-
 def vec_poly_mul(a: Vector, p: Poly) -> Vector:
     return tuple(x * p for x in a)
 
 
-def vec_max_degree(v: Vector) -> int:
-    return max((p.total_degree() for p in v), default=-1)
+# ---------------------------------------------------------------------------
+# packed terms
+
+_FIELD = 16
+_FULL = (1 << _FIELD) - 1
+DEGREE_LIMIT = 1 << (_FIELD - 1)  # every degree in the engine stays below 2^15
 
 
-def vec_leading(v: Vector, order: Order) -> Tuple[int, Mono, Fraction]:
-    """(position, monomial, coefficient) of the leading term, POT."""
-    for pos, p in enumerate(v):
-        if not p.is_zero():
-            m, c = p.leading(order)
-            return pos, m, c
-    raise ValueError("zero vector has no leading term")
+def _degree_error(d: int) -> GermforgeError:
+    return GermforgeError("PRECONDITION_VIOLATED",
+                          f"degree {d} reaches the standard-basis limit: "
+                          f"degrees must stay below 2^15 = {DEGREE_LIMIT}")
 
 
-def _monic(v: Vector, order: Order) -> Vector:
-    inv = 1 / vec_leading(v, order)[2]
-    return tuple(x * inv for x in v)
+class TermPacking:
+    """Module terms (position, monomial) in n variables packed into ints for
+    one order: a smaller int is a greater term, position-over-term with
+    position 0 greatest.
+
+    From the low bits up: one 16-bit field per exponent, the last variable's
+    highest; the total degree d, stored as 0xFFFF - d under 'dp'; the
+    position. The top bit of each exponent field is a guard, clear while
+    degrees stay below DEGREE_LIMIT. For a lead l dividing t in the same
+    position, t - l is the shift by t/l: added to any term, it gives that
+    term times t/l. bias puts 2^15 into the degree field of t + bias - l,
+    so that field never borrows from the position; l then divides t, in the
+    same position, exactly when (t + bias - l) & mask is 0, mask holding the
+    guards and every bit from the position field up.
+    """
+
+    __slots__ = ("n", "local", "deg_shift", "pos_shift", "bias", "mask")
+
+    def __init__(self, n: int, order: Order) -> None:
+        self.n = n
+        self.local = order.is_local
+        self.deg_shift = _FIELD * n
+        self.pos_shift = _FIELD * (n + 1)
+        self.bias = DEGREE_LIMIT << self.deg_shift
+        guards = sum(DEGREE_LIMIT << (_FIELD * i) for i in range(n))
+        self.mask = guards | -(1 << self.pos_shift)
+
+    def pack(self, pos: int, m: Mono) -> int:
+        d = sum(m)
+        if d >= DEGREE_LIMIT:
+            raise _degree_error(d)
+        key = pos << self.pos_shift | (d if self.local else _FULL - d) << self.deg_shift
+        for i, e in enumerate(m):
+            key |= e << (_FIELD * i)
+        return key
+
+    def unpack(self, key: int) -> MTerm:
+        return (key >> self.pos_shift,
+                tuple(key >> (_FIELD * i) & _FULL for i in range(self.n)))
+
+    def degree(self, key: int) -> int:
+        d = key >> self.deg_shift & _FULL
+        return d if self.local else _FULL - d
+
+
+def _pack_vector(pk: TermPacking, v: Vector) -> Tuple[Dict[int, int], int]:
+    """v as a map from packed term to integer, and the lcm of v's
+    denominators, by which the map is scaled."""
+    den = lcm(*(c.denominator for p in v for c in p.terms.values()))
+    return {pk.pack(pos, m): c.numerator * (den // c.denominator)
+            for pos, p in enumerate(v) for m, c in p.terms.items()}, den
+
+
+def _unpack_vector(pk: TermPacking, ring: Ring, rank: int, terms: Terms,
+                   scale: int) -> Vector:
+    """The vector of terms divided by scale."""
+    out: List[Dict[Mono, Fraction]] = [{} for _ in range(rank)]
+    for key, c in terms:
+        pos, m = pk.unpack(key)
+        out[pos][m] = Fraction(c, scale)
+    return tuple(Poly(ring, d) for d in out)
+
+
+def _primitive(terms: Terms) -> Terms:
+    """terms divided by their content, signed so that the first is positive."""
+    g = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    return terms if g == 1 else [(key, c // g) for key, c in terms]
+
+
+class _Reducers:
+    """Packed vectors that reduce, element i as its lead leads[i], lead
+    coefficient lcs[i], other terms tails[i] in pop order, and ecarts[i],
+    its top degree minus its lead's degree."""
+
+    __slots__ = ("pk", "leads", "lcs", "tails", "ecarts")
+
+    def __init__(self, pk: TermPacking) -> None:
+        self.pk = pk
+        self.leads: List[int] = []
+        self.lcs: List[int] = []
+        self.tails: List[Terms] = []
+        self.ecarts: List[int] = []
+
+    def add(self, terms: Terms) -> None:
+        """Append the vector of these nonzero terms, given in pop order."""
+        degree, (lead, c) = self.pk.degree, terms[0]
+        self.leads.append(lead)
+        self.lcs.append(c)
+        self.tails.append(terms[1:])
+        self.ecarts.append(max(degree(key) for key, _ in terms) - degree(lead))
+
+    def terms(self, i: int) -> Terms:
+        return [(self.leads[i], self.lcs[i])] + self.tails[i]
+
+    def subset(self, idx: Sequence[int]) -> "_Reducers":
+        out = _Reducers(self.pk)
+        out.leads, out.lcs, out.tails, out.ecarts = (
+            [xs[i] for i in idx] for xs in (self.leads, self.lcs, self.tails, self.ecarts))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # reduction
 
 
-def _find_reducer(pos: int, m: Mono, leads: List[Tuple[int, Mono, Fraction]],
-                  ecarts: Optional[List[int]]) -> int:
-    """The first lead dividing (pos, m), with ecarts the first of least ecart; -1 if none."""
-    best = -1
-    for i, (bp, bm, _) in enumerate(leads):
-        if bp == pos and mono_divides(bm, m):
-            if ecarts is None:
-                return i
-            if best < 0 or ecarts[i] < ecarts[best]:
-                best = i
-    return best
+def _reduce(red: _Reducers, work: Dict[int, int], scale: int) -> Tuple[Terms, int]:
+    """Reduce the map work, from packed term to integer, in place against
+    red; return the result's nonzero terms in pop order and its scale.
 
-
-def _as_vector(ring: Ring, rank: int, work: Dict[MTerm, Fraction]) -> Vector:
-    out: List[Dict[Mono, Fraction]] = [{} for _ in range(rank)]
-    for (pos, m), c in work.items():
-        out[pos][m] = c
-    return tuple(Poly(ring, d) for d in out)
-
-
-def _rescale(work: Dict[MTerm, Fraction]) -> int:
-    """Scale the map in place to content 1 over the integers; return its top degree."""
-    num_gcd, den_lcm, top = 0, 1, -1
-    for (_, m), c in work.items():
-        if c:
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
-            top = max(top, mono_deg(m))
-    scale = Fraction(den_lcm, num_gcd or 1)
-    if scale != 1:
-        for key, c in work.items():
-            work[key] = c * scale
-    return top
-
-
-def reduce_vector(v: Vector, basis: List[Vector], order: Order,
-                  leads: List[Tuple[int, Mono, Fraction]]) -> Vector:
-    """Normal form of v against basis, whose leading terms are leads: fully
-    reduced under 'dp', Mora's weak normal form under 'ds' (the module
-    docstring says how each picks its reducer and when it stops).
-
-    v is reduced in place as one map from (position, monomial) to
-    coefficient; the least key (position, degree negated under 'dp',
-    reversed monomial) on a heap is the leading term. Each term has one heap
-    entry: a term that cancels stays in the map at zero until its entry comes
-    up and is skipped. Under 'dp' the output lists each position's terms
-    leading term first; under 'ds' a vector that joins the reducers is a
-    copy of the map.
+    Under 'dp' the terms divided by the scale are exactly the normal form of
+    work divided by the scale given. Under 'ds' they are Mora's weak normal
+    form: work itself divided by the given scale when no step ran, else a
+    content-1 multiple with scale 1. A scale of 0 is left untracked. Each
+    term has one heap entry: a term that cancels stays in the map at zero
+    until its entry comes up and is skipped.
     """
-    if not v:
-        return v
-    ring, local = v[0].ring, order.is_local
-    sign = 1 if local else -1
-    work: Dict[MTerm, Fraction] = {}
-    heap = []
-    for pos, p in enumerate(v):
-        for m, c in p.terms.items():
-            work[pos, m] = c
-            heap.append((pos, sign * mono_deg(m), m[::-1], m))
-    heapify(heap)
-    ecarts = None
+    pk = red.pk
+    local, mask, bias, dsh = pk.local, pk.mask, pk.bias, pk.deg_shift
     if local:
-        basis, leads = list(basis), list(leads)
-        ecarts = [vec_max_degree(b) - mono_deg(bm) for b, (_, bm, _) in zip(basis, leads)]
-        top = vec_max_degree(v)
-    out: List[Dict[Mono, Fraction]] = [{} for _ in v]
+        red = red.subset(range(len(red.leads)))  # the joining vectors stay here
+        top = max((pk.degree(key) for key, c in work.items() if c), default=-1)
+    leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
+    heap = list(work)
+    heapify(heap)
+    rkeys: List[int] = []
+    rcoeffs: List[int] = []  # the remainder under 'dp', at the current scale
     while heap:
-        pos, _, _, m = heappop(heap)
-        c = work.pop((pos, m))
+        k = heappop(heap)
+        c = work.pop(k)
         if not c:
             continue
-        i = _find_reducer(pos, m, leads, ecarts)
+        kb = k + bias
         if local:
-            e_h = top - mono_deg(m)
-            if i < 0 or ecarts[i] > e_h:
-                work[pos, m] = c  # the current vector, returned or kept
-                h = _as_vector(ring, len(v), work)
+            dk = k >> dsh & _FULL
+            i = -1
+            for j, lead in enumerate(leads):
+                if not (kb - lead) & mask and (i < 0 or ecarts[j] < ecarts[i]):
+                    i = j
+            if i < 0 or ecarts[i] > top - dk:
+                terms = [(k, c)] + sorted((key, x) for key, x in work.items() if x)
                 if i < 0:
-                    return h
-                del work[pos, m]
-                basis.append(h)
-                ecarts.append(e_h)
-                leads.append((pos, m, c))
-        elif i < 0:
-            out[pos][m] = c
-            continue
-        _, bm, bc = leads[i]
-        u = mono_div(m, bm)
-        f = c / bc
-        for bpos, bp in enumerate(basis[i]):
-            for bm2, bc2 in bp.terms.items():
-                if bpos == pos and bm2 == bm:
-                    continue  # the leading term, cancelled exactly
-                m2 = mono_mul(bm2, u)
-                key = (bpos, m2)
-                old = work.get(key)
-                if old is None:
-                    work[key] = -f * bc2
-                    heappush(heap, (bpos, sign * mono_deg(m2), m2[::-1], m2))
-                else:
-                    work[key] = old - f * bc2
+                    return terms, scale
+                red.add(terms)
+        else:
+            for i, lead in enumerate(leads):
+                if not (kb - lead) & mask:
+                    break
+            else:
+                rkeys.append(k)
+                rcoeffs.append(c)
+                continue
+            dk = _FULL - (k >> dsh & _FULL)
+        if dk + ecarts[i] >= DEGREE_LIMIT:
+            raise _degree_error(dk + ecarts[i])
+        shift, lc = k - leads[i], lcs[i]
+        g = gcd(c, lc)
+        a, b = lc // g, c // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for key in work:
+                work[key] *= a
+            rcoeffs = [x * a for x in rcoeffs]
+            scale *= a
+        get = work.get
+        for key, x in tails[i]:
+            key += shift
+            old = get(key)
+            if old is None:
+                work[key] = -b * x
+                heappush(heap, key)
+            else:
+                work[key] = old - b * x
         if local:
-            top = _rescale(work)
-    return tuple(Poly(ring, d) for d in out)
+            g, top = 0, -1
+            for key, x in work.items():
+                if x:
+                    g = gcd(g, x)
+                    top = max(top, key >> dsh & _FULL)
+            if g > 1:
+                for key in work:
+                    work[key] //= g
+            scale = 1
+        elif a != 1:
+            g = scale
+            for x in work.values():
+                g = gcd(g, x)
+                if g == 1:
+                    break
+            else:
+                g = gcd(g, *rcoeffs)
+            if g > 1:
+                for key in work:
+                    work[key] //= g
+                rcoeffs = [x // g for x in rcoeffs]
+                scale //= g
+    return list(zip(rkeys, rcoeffs)), scale
 
 
-# the benchmark's tracer binds the global reducer by this name
+class StdBasis(list):
+    """A standard basis: the list of its monic vectors, with the packed
+    reducers they were unpacked from (None when the list is empty)."""
+
+    __slots__ = ("reducers",)
+
+    def __init__(self, vectors: Iterable[Vector], reducers: Optional[_Reducers]) -> None:
+        super().__init__(vectors)
+        self.reducers = reducers
+
+
+def reduce_vector(v: Vector, basis: StdBasis) -> Vector:
+    """Normal form of v against a standard basis: fully reduced and exact
+    under 'dp', Mora's weak normal form under 'ds' (the module docstring
+    says how each picks its reducer and when it stops)."""
+    red = basis.reducers
+    if red is None or vec_is_zero(v):
+        return v
+    work, den = _pack_vector(red.pk, v)
+    terms, scale = _reduce(red, work, den)
+    return _unpack_vector(red.pk, v[0].ring, len(v), terms, scale)
+
+
+# the benchmark's tracer binds the reducer by this name
 reduce_vector_global = reduce_vector
 
 
@@ -230,93 +345,97 @@ reduce_vector_global = reduce_vector
 # basis completion
 
 
-def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> List[Vector]:
+def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> StdBasis:
     """Interreduced standard basis of the submodule generated by vectors."""
-    G: List[Vector] = [_monic(v, order) for v in vectors if not vec_is_zero(v)]
-    if not G:
-        return []
-    leads = [vec_leading(g, order) for g in G]
-    sugars = [vec_max_degree(g) for g in G]
+    vectors = [v for v in vectors if not vec_is_zero(v)]
+    if not vectors:
+        return StdBasis([], None)
+    ring = vectors[0][0].ring
+    pk = TermPacking(ring.n, order)
+    red = _Reducers(pk)
+    for v in vectors:
+        red.add(_primitive(sorted(_pack_vector(pk, v)[0].items())))
+    _complete(red, rank)
+    red = _interreduce(red)
+    return StdBasis((_unpack_vector(pk, ring, rank, red.terms(i), lc)
+                     for i, lc in enumerate(red.lcs)), red)
 
-    def pair_entry(i: int, j: int):
-        (pi, mi, _), (pj, mj, _) = leads[i], leads[j]
-        if pi != pj:
-            return None
-        L = mono_lcm(mi, mj)
-        # product criterion, valid for rank-1 global bases
-        if rank == 1 and not order.is_local and mono_mul(mi, mj) == L:
-            return None
-        sugar = max(sugars[i] + mono_deg(mono_div(L, mi)),
-                    sugars[j] + mono_deg(mono_div(L, mj)))
-        return (sugar, order.key(L), j, i), L
 
-    # every pair of basis indices is pending or settled
-    pending: Dict[Tuple[int, int], Tuple[tuple, Mono]] = {}
+def _complete(red: _Reducers, rank: int) -> None:
+    """Add the reduced S-vectors to red until every pair reduces to zero:
+    Buchberger's algorithm under 'dp', Mora's tangent-cone algorithm under
+    'ds', the pairs taken least sugar first."""
+    pk = red.pk
+    leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
+    mask, bias, pos_shift = pk.mask, pk.bias, pk.pos_shift
+    # product criterion, valid for rank-1 global bases
+    coprime_skip = rank == 1 and not pk.local
+    unpacked = [pk.unpack(key) for key in leads]
+    # a pair of basis indices is pending while on the heap, else settled
+    pending: Set[Tuple[int, int]] = set()
+    pairs: List[Tuple[int, int, int, int, int]] = []  # (sugar, lcm order, j, i, lcm)
 
-    def add_pairs(t: int) -> None:
-        for i in range(t):
-            e = pair_entry(i, t)
-            if e is not None:
-                pending[(i, t)] = e
+    def add_pairs(j: int) -> None:
+        pj, mj = unpacked[j]
+        for i in range(j):
+            pi, mi = unpacked[i]
+            if pi != pj:
+                continue
+            L = mono_lcm(mi, mj)
+            if coprime_skip and mono_mul(mi, mj) == L:
+                continue
+            # the S-vector's top degree; no term of it may reach the limit
+            sugar = mono_deg(L) + max(ecarts[i], ecarts[j])
+            if sugar >= DEGREE_LIMIT:
+                raise _degree_error(sugar)
+            key = pk.pack(pj, L)
+            heappush(pairs, (sugar, (pj << pos_shift) - key, j, i, key))
+            pending.add((i, j))
 
-    for t in range(len(G)):
-        add_pairs(t)
-    while pending:
-        (i, j), (key, L) = min(pending.items(), key=lambda kv: kv[1][0])
-        del pending[(i, j)]
+    for j in range(len(leads)):
+        add_pairs(j)
+    while pairs:
+        _, _, j, i, L = heappop(pairs)
+        pending.remove((i, j))
         # chain criterion: k divides the lcm and both side pairs are settled
-        skip = False
-        pi = leads[i][0]
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            kp, km, _ = leads[k]
-            if kp == pi and mono_divides(km, L):
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        Lb = L + bias
+        if any(k != i and k != j and not (Lb - lead) & mask
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, lead in enumerate(leads)):
             continue
-        (_, mi, ci), (_, mj, cj) = leads[i], leads[j]
-        s = vec_sub(vec_term_mul(G[i], mono_div(L, mi), cj),
-                    vec_term_mul(G[j], mono_div(L, mj), ci))
-        h = reduce_vector(s, G, order, leads)
-        if vec_is_zero(h):
-            continue
-        h = _monic(h, order)
-        G.append(h)
-        leads.append(vec_leading(h, order))
-        sugars.append(vec_max_degree(h))
-        add_pairs(len(G) - 1)
-    return _interreduce(G, leads, order)
+        g = gcd(lcs[i], lcs[j])
+        ai, aj = lcs[j] // g, lcs[i] // g
+        si, sj = L - leads[i], L - leads[j]
+        work = {key + si: ai * c for key, c in tails[i]}
+        for key, c in tails[j]:
+            key += sj
+            work[key] = work.get(key, 0) - aj * c
+        terms, _ = _reduce(red, work, 0)
+        if terms:
+            red.add(_primitive(terms))
+            unpacked.append(pk.unpack(terms[0][0]))
+            add_pairs(len(leads) - 1)
 
 
-def _interreduce(G: List[Vector], leads: List[Tuple[int, Mono, Fraction]],
-                 order: Order) -> List[Vector]:
-    keep: List[int] = []
-    for i, (pi, mi, _) in enumerate(leads):
-        redundant = False
-        for j, (pj, mj, _) in enumerate(leads):
-            if i == j or pj != pi:
-                continue
-            if mono_divides(mj, mi) and (mj != mi or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    keep.sort(key=lambda i: (-leads[i][0], order.key(leads[i][1])))
-    kept = [G[i] for i in keep]
-    if order.is_local:
+def _interreduce(red: _Reducers) -> _Reducers:
+    """The elements whose lead no other lead divides (the first of equal
+    leads), least lead first; under 'dp' each is tail-reduced against the
+    others, which gives the canonical reduced basis: no kept lead divides
+    another, so every lead survives and the order stays sorted."""
+    leads, mask, bias = red.leads, red.pk.mask, red.pk.bias
+    keep = [i for i, li in enumerate(leads)
+            if not any(j != i and not (li + bias - lj) & mask and (lj != li or j < i)
+                       for j, lj in enumerate(leads))]
+    keep.sort(key=leads.__getitem__, reverse=True)
+    kept = red.subset(keep)
+    if red.pk.local:
         return kept
-    # global: tail-reduce to the canonical reduced basis; no kept lead
-    # divides another, so every lead survives, monic, and the order stays
-    # sorted
-    kept_leads = [leads[i] for i in keep]
-    return [reduce_vector(g, kept[:i] + kept[i + 1:], order,
-                          kept_leads[:i] + kept_leads[i + 1:])
-            for i, g in enumerate(kept)]
-
+    out = _Reducers(red.pk)
+    for i in range(len(keep)):
+        others = kept.subset([j for j in range(len(keep)) if j != i])
+        out.add(_primitive(_reduce(others, dict(kept.terms(i)), 0)[0]))
+    return out
 
 # ---------------------------------------------------------------------------
 # quotient dimensions
@@ -475,7 +594,7 @@ class Submodule:
     """Finitely generated submodule of the rank-r free module, with a cached
     standard basis under its order."""
 
-    __slots__ = ("ring", "rank", "gens", "order", "_basis", "_leads", "_qdim")
+    __slots__ = ("ring", "rank", "gens", "order", "_basis", "_qdim")
 
     def __init__(self, ring: Ring, rank: int, gens: Sequence[Vector], order: Order) -> None:
         self.ring = ring
@@ -490,22 +609,22 @@ class Submodule:
                 cleaned.append(tuple(v))
         self.gens: Tuple[Vector, ...] = tuple(cleaned)
         self.order = order
-        self._basis: Optional[List[Vector]] = None
-        self._leads = None
+        self._basis: Optional[StdBasis] = None
         self._qdim: Optional[QuotientDim] = None
 
-    def basis(self) -> List[Vector]:
+    def basis(self) -> StdBasis:
         if self._basis is None:
             self._basis = std_basis_vectors(self.gens, self.order, self.rank)
-            self._leads = [vec_leading(b, self.order) for b in self._basis]
         return self._basis
 
     def lead_terms(self) -> List[MTerm]:
-        self.basis()
-        return [(p, m) for (p, m, _) in self._leads]
+        red = self.basis().reducers
+        if red is None:
+            return []
+        return [red.pk.unpack(key) for key in red.leads]
 
     def normal_form(self, v: Vector) -> Vector:
-        return reduce_vector(v, self.basis(), self.order, self._leads)
+        return reduce_vector(v, self.basis())
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.normal_form(v))

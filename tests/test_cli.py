@@ -209,6 +209,14 @@ class TestExitCodes:
         assert code == 0
         assert "upto: 0" in out
 
+    def test_degree_past_the_engine_limit_exits_2(self, capsys, tmp_path):
+        text = "ring x y ;\nideal I = x^40000 + y ;\npoly f = y ;\n"
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PRECONDITION_VIOLATED: degree 40000 ")
+        assert "2^15 = 32768" in err
+
     def test_theta_via_subideal_requires_trunc(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -3,13 +3,24 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge.errors import GermforgeError
-from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
+from germforge.polyring import (
+    GLOBAL_DP,
+    LOCAL_DS,
+    Poly,
+    Ring,
+    mono_divides,
+    mono_mul,
+    parse_poly,
+)
 from germforge.stdbasis import (
+    DEGREE_LIMIT,
     INFINITE,
     Ideal,
     Submodule,
+    TermPacking,
     artin_rees_check,
     hilbert_samuel,
     ideal_intersection,
@@ -91,6 +102,22 @@ LOCAL_NORMAL_FORMS = [
          (("y", "0"), ("0", "x^2*y - x")),
          (("x", "y"), ("0", "6*x*y^2 - 5*x*y + 4*y")),
      ]),
+    # each of these reductions steps with a vector that joined the reducers
+    # with a negative leading coefficient; the step's scale stays positive,
+    # so the weak normal form keeps its sign
+    (R2, [("x^3",), ("3/2*x^3*y - 1/3*x*y^3 - 2/3*x^2",)],
+     [("x*y^6",), ("-9/4*x^3*y + 1/2*x*y^3 + x^2",)], [
+         (("3*x^2*y - 2/3*x^2",), ("-81*x^3*y^2 + 729*x^2*y^3 + 4*x*y^3",)),
+     ]),
+    (R2, [("x^2*y^2 - 2*y^3 + x^2",), ("-3/2*x*y^3 - x^2*y",)],
+     [("3/8*x^3*y^3 - 1/2*x^2*y^4 + 27/32*x*y^5 + y^5",),
+      ("-2/3*x^2*y^3 + x*y^3 + 4/3*y^4",), ("x^2*y^2 - 2*y^3 + x^2",)], [
+         (("3/2*x^2*y - 2*x^2",), ("25*x^2*y^2 - 32*y^3",)),
+     ]),
+    (R2, [("-3*x^3 + 2/3*x*y + 3*x",), ("x^3*y - 3*x^2*y^2 + 2/3*x*y^3",)],
+     [("-x^3 + 2/9*x*y + x",)], [
+         (("2*y^2 - 3*x",), ("-27*x^3 + 4*y^3 + 18*y^2",)),
+     ]),
 ]
 
 
@@ -125,6 +152,107 @@ class TestStdBasis:
             I = Ideal(R2, gens, order)
             for g in gens:
                 assert I.normal_form(g).is_zero()
+
+
+@st.composite
+def packed_terms(draw):
+    """A packing for 1 to 11 variables, rank 1 to 3 and either order, with
+    two terms whose product stays below the degree limit."""
+    n = draw(st.integers(1, 11))
+    rank = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([GLOBAL_DP, LOCAL_DS]))
+    # small exponents make ties and divisors likely; 11 * 1489 < 2^14
+    exps = st.one_of(st.integers(0, 2), st.integers(0, 1489))
+    a, b = (tuple(draw(st.lists(exps, min_size=n, max_size=n))) for _ in range(2))
+    p, q = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+    return TermPacking(n, order), order, (p, a), (q, b)
+
+
+class TestTermPacking:
+    """The int order, the masked-subtract divisibility test and the shift by
+    addition against the tuple operations they replace."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(packed_terms())
+    def test_int_order_is_position_over_term(self, case):
+        pk, order, (p, a), (q, b) = case
+        ka, kb = pk.pack(p, a), pk.pack(q, b)
+        # a smaller int is a greater term; position 0 is greatest
+        assert (ka < kb) == ((-p, order.key(a)) > (-q, order.key(b)))
+        assert (ka == kb) == ((p, a) == (q, b))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(packed_terms())
+    def test_masked_subtract_is_divisibility(self, case):
+        pk, _, (p, a), (q, b) = case
+        divides = not (pk.pack(q, b) - (pk.pack(p, a) - pk.bias)) & pk.mask
+        assert divides == (p == q and mono_divides(a, b))
+        prod = mono_mul(a, b)
+        assert not (pk.pack(q, prod) - (pk.pack(q, a) - pk.bias)) & pk.mask
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(packed_terms())
+    def test_adding_keys_multiplies(self, case):
+        pk, _, (p, a), (q, b) = case
+        one = pk.pack(0, (0,) * pk.n)
+        assert pk.pack(p, a) + pk.pack(0, b) - one == pk.pack(p, mono_mul(a, b))
+        # the reducer's shift: t - l moves every term of l's vector by t/l
+        t, lead = pk.pack(q, mono_mul(a, b)), pk.pack(q, a)
+        assert pk.pack(p, a) + (t - lead) == pk.pack(p, mono_mul(a, b))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(packed_terms())
+    def test_unpack_inverts_pack(self, case):
+        pk, _, (p, a), (q, b) = case
+        for pos, m in ((p, a), (q, b), (q, mono_mul(a, b))):
+            key = pk.pack(pos, m)
+            assert pk.unpack(key) == (pos, m)
+            assert pk.degree(key) == sum(m)
+
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
+    def test_degree_just_below_the_limit(self, order):
+        pk = TermPacking(3, order)
+        m = (DEGREE_LIMIT - 1, 0, 0)
+        assert pk.unpack(pk.pack(2, m)) == (2, m)
+        assert pk.pack(0, m) < pk.pack(1, (0, 0, 0))
+
+
+class TestDegreeGuard:
+    """A degree of 2^15 or more would carry into the neighbouring field, so
+    every place that forms one raises PRECONDITION_VIOLATED instead."""
+
+    @staticmethod
+    def _raises_limit(call, degree):
+        with pytest.raises(GermforgeError) as info:
+            call()
+        assert info.value.code == "PRECONDITION_VIOLATED"
+        assert info.value.exit_code == 2
+        assert f"degree {degree} " in info.value.message
+        assert "2^15 = 32768" in info.value.message
+
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
+    def test_input_degree(self, order):
+        I = ideal(R2, order, "x^40000 + y")
+        self._raises_limit(I.basis, 40000)
+        J = ideal(R2, order, "x + y")
+        self._raises_limit(lambda: J.normal_form(P("x^32768")), 32768)
+
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
+    def test_s_pair_lcm(self, order):
+        # each generator has degree 20001; their lcm x^20000 y^20000 does not fit
+        I = ideal(R2, order, "x^20000 y", "x y^20000")
+        self._raises_limit(I.basis, 40000)
+
+    def test_mora_step(self):
+        # the lead x has ecart 19999: x^20000 times the tail y^20000 / x
+        I = ideal(R2, LOCAL_DS, "x - y^20000")
+        assert I.basis() == [P("x - y^20000")]
+        self._raises_limit(lambda: I.normal_form(P("x^20000")), 39999)
+
+    def test_global_step_into_another_position(self):
+        # position 1 of the reducer has a higher degree than its lead
+        M = Submodule(R2, 2, [vec(R2, "x", "y^20000")], GLOBAL_DP)
+        self._raises_limit(lambda: M.normal_form(vec(R2, "x^20000", "0")), 39999)
 
 
 class TestNormalForm:
@@ -280,15 +408,16 @@ class TestGroebnerVsSympy:
     independent of this one; both orders rank x > y > z."""
 
     @staticmethod
-    def _rand_poly(rng, ring):
+    def _rand_poly(rng, ring, den=3):
         """Two to four terms of degree 1 to 3, so the ideals lie in the
-        maximal ideal at the origin and are never the unit ideal."""
+        maximal ideal at the origin and are never the unit ideal; the
+        coefficients' denominators are at most den."""
         terms = {}
         for _ in range(rng.randint(2, 4)):
             m = [0] * ring.n
             for _ in range(rng.randint(1, 3)):
                 m[rng.randrange(ring.n)] += 1
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, den))
             terms[tuple(m)] = terms.get(tuple(m), Fraction(0)) + c
         return Poly(ring, terms)
 
@@ -301,29 +430,73 @@ class TestGroebnerVsSympy:
         q = sympy.Poly(expr, *symbols, domain="QQ")
         return Poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in q.terms()})
 
+    def _check_against_sympy(self, rng, ring, gens, den, trial):
+        import sympy
+
+        symbols = sympy.symbols(ring.names)
+        I = Ideal(ring, gens, GLOBAL_DP)
+        G = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols,
+                           order="grevlex", domain="QQ")
+        theirs = [self._from_sympy(g, symbols, ring) for g in G.exprs]
+        theirs = [g * (1 / g.leading(GLOBAL_DP)[1]) for g in theirs]
+        ours = I.basis()
+        assert {str(g) for g in ours} == {str(g) for g in theirs}, (trial, gens)
+        for _ in range(3):
+            p = (self._rand_poly(rng, ring, den) * self._rand_poly(rng, ring, den)
+                 + self._rand_poly(rng, ring, den))
+            _, r = sympy.reduced(to_sympy(p, symbols), list(G.exprs), *symbols,
+                                 order="grevlex", domain="QQ")
+            assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
+
     def test_bases_and_normal_forms(self):
-        sympy = pytest.importorskip("sympy")
+        pytest.importorskip("sympy")
         rng = random.Random(20261018)
         for trial in range(24):
             ring = R2 if trial % 2 else R3
-            symbols = sympy.symbols(ring.names)
             gens = [self._rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
             gens = [g for g in gens if not g.is_zero()]
-            if not gens:
-                continue
-            I = Ideal(ring, gens, GLOBAL_DP)
-            G = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols,
-                               order="grevlex", domain="QQ")
-            theirs = [self._from_sympy(g, symbols, ring) for g in G.exprs]
-            theirs = [g * (1 / g.leading(GLOBAL_DP)[1]) for g in theirs]
-            ours = I.basis()
-            assert {str(g) for g in ours} == {str(g) for g in theirs}, (trial, gens)
-            for _ in range(3):
-                p = (self._rand_poly(rng, ring) * self._rand_poly(rng, ring)
-                     + self._rand_poly(rng, ring))
-                _, r = sympy.reduced(to_sympy(p, symbols), list(G.exprs), *symbols,
-                                     order="grevlex", domain="QQ")
-                assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
+            if gens:
+                self._check_against_sympy(rng, ring, gens, 3, trial)
+
+    def test_wide_rings_large_denominators(self):
+        # four to six variables and denominators up to 97: the primitive
+        # basis elements have leading coefficients other than 1, so the
+        # reducer's scaling and content steps run on most reductions
+        pytest.importorskip("sympy")
+        rng = random.Random(20261019)
+        names = ["x", "y", "z", "u", "v", "w"]
+        for trial in range(18):
+            ring = Ring(names[:4 + trial % 3])
+            gens = [self._rand_poly(rng, ring, 97) for _ in range(rng.randint(3, 4))]
+            gens = [g for g in gens if not g.is_zero()]
+            if gens:
+                self._check_against_sympy(rng, ring, gens, 97, trial)
+
+    def test_lift_and_normal_form_exact_with_large_denominators(self):
+        # non-monic generators whose denominators are large primes: the lift
+        # must recombine to p exactly, and the normal form of a non-member
+        # must be sympy's remainder, not a multiple of it
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(R3.names)
+        gens = [P("(65537/10007) x^2 y - (7/1000003) z^2 + (22/97) x", R3),
+                P("(104729/3) y^2 - (5/7919) x z + 11", R3),
+                P("(13/2147483647) x z^2 - (8/65521) y + 1/104723", R3)]
+        I = Ideal(R3, gens, GLOBAL_DP)
+        G = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols,
+                           order="grevlex", domain="QQ")
+        rng = random.Random(5)
+        for trial in range(6):
+            cofactors = [self._rand_poly(rng, R3, 97) for _ in gens]
+            p = sum((h * g for h, g in zip(cofactors, gens)), R3.zero())
+            c = I.lift(p)
+            assert c is not None, trial
+            assert sum((cj * g for cj, g in zip(c, gens)), R3.zero()) == p, trial
+            q = p + self._rand_poly(rng, R3, 97)
+            _, r = sympy.reduced(to_sympy(q, symbols), list(G.exprs), *symbols,
+                                 order="grevlex", domain="QQ")
+            expected = self._from_sympy(r, symbols, R3)
+            assert I.normal_form(q) == expected, trial
+            assert (I.lift(q) is None) == (not expected.is_zero()), trial
 
 
 class TestIdealQuotient:
