@@ -386,9 +386,18 @@ def _seeds_from(args) -> Optional[Tuple[int, ...]]:
     return None
 
 
+def _degree_bound_from(args) -> Optional[int]:
+    """--degree-bound, which must be nonnegative: below 0 no cobasis element
+    passes it, so the germ would never be deformed."""
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise GermforgeError("PRECONDITION_VIOLATED", "--degree-bound must be >= 0")
+    return args.degree_bound
+
+
 def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     seeds = _seeds_from(args)
+    degree_bound = _degree_bound_from(args)
     settings: Tree = [("method", args.method)]
     warnings: List[str] = []
     results: Tree = []
@@ -401,7 +410,7 @@ def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
         results.append(("morse_jet", jet_val))
     if args.method in ("oracle", "both"):
         oracle_val = _morse_number(problem, "ORACLE", seeds=seeds,
-                                   degree_bound=args.degree_bound)
+                                   degree_bound=degree_bound)
         results.append(("morse_oracle", oracle_val))
         warnings.extend(["GLOBAL_COUNT", "GENERICITY_SAMPLED"])
     if args.method == "both":
@@ -419,7 +428,7 @@ def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
 def _cmd_split(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     rep = empirical_splitting(f, I, seeds=_seeds_from(args),
-                              degree_bound=args.degree_bound)
+                              degree_bound=_degree_bound_from(args))
     results: Tree = []
     if rep.sigma is None:
         results.append(("sigma", "UNLOCATED"))
@@ -437,6 +446,7 @@ def _cmd_split(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
 
 def _cmd_conserve(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     f, I = the_poly(pf), the_ideal(pf)
+    degree_bound = _degree_bound_from(args)
     trials = 3
     if "trials" in pf.options:
         try:
@@ -446,7 +456,7 @@ def _cmd_conserve(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
                                  "option trials wants an integer")
     conserved = conservation_check(f, I, trials=trials,
                                    assume_reduced=args.assume_reduced,
-                                   degree_bound=args.degree_bound)
+                                   degree_bound=degree_bound)
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if args.assume_reduced:
         warnings.insert(0, "ASSUMED_REDUCED")

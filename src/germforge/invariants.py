@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, mono_deg
+from .polyring import GLOBAL_DP, Mono, Poly, Ring, mono_deg
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -108,7 +108,7 @@ class GermProblem:
         of I, or None when no cap certifies; needs 0 < c_ext < infinity."""
         c = self.c_ext
         top = max(mono_deg(m) for _, m in c.witness)
-        return truncated_model(self.L.gens, self.I.ring, self.L.rank, LOCAL_DS,
+        return truncated_model(self.L.gens, self.I.ring, self.L.rank,
                                range(1 + top, c.value + 1))
 
     @cached_property

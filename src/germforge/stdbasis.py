@@ -1,52 +1,47 @@
-"""Standard and Groebner bases for ideals and submodules of free modules.
+"""Groebner bases for ideals and submodules of free modules, and the answers
+at the origin read from them.
 
-One engine serves both ring flavors: plain Buchberger with the sugar strategy
-for the global order 'dp', Mora's tangent-cone algorithm for the local order
-'ds'. Module terms are ordered position-over-term with position 0 greatest,
-an elimination order: the basis elements whose first entries vanish form a
-basis of the module's part with those entries zero.
+One standard-basis algorithm, Buchberger with the sugar strategy for the
+global order 'dp', serves both ring flavors. Module terms are ordered
+position-over-term with position 0 greatest, an elimination order: the basis
+elements whose first entries vanish form a basis of the module's part with
+those entries zero.
 
-Preimages, syzygies, colons and intersections are each one such elimination
-under the global order. The preimage {c : sum c_i t_i in <s_j>} is read off
-the basis of the rows (t_i, e_i) and (s_j, 0), without coordinates for the
-s_j; the intersection of U and V off that of the rows (u_i, u_i) and (v_j, 0).
-Postchecks test each result by global membership: every sum c_i t_i in
-<s_j>, every generator of the intersection in U and in V. The polynomial
-generators generate the same module over the localized ring, so local
-quotient dimensions can be read off a local staircase of globally computed
-generators. Lifting a member of an ideal to coordinates over its generators
-reads the same rows: the global normal form of (p, 0, ..., 0) against the
-(g_j, e_j) carries the coordinates in its tail, so there is one Buchberger.
-The zero-dimensional radical runs on the same engine: the squarefree part of
-each univariate minimal polynomial p is the generator of the colon
-(p) : (p'), so no separate univariate arithmetic exists.
+Preimages, syzygies, colons and intersections are each one such elimination.
+The preimage {c : sum c_i t_i in <s_j>} is read off the basis of the rows
+(t_i, e_i) and (s_j, 0), without coordinates for the s_j; the intersection
+of U and V off that of the rows (u_i, u_i) and (v_j, 0); the colon M : w off
+the preimage of w. Postchecks test each result by global membership: every
+sum c_i t_i in <s_j>, every generator of the intersection in U and in V.
+Lifting a member of an ideal to coordinates over its generators reads the
+same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
+carries the coordinates in its tail. The zero-dimensional radical runs on
+the same engine: the squarefree part of each univariate minimal polynomial p
+is the generator of the colon (p) : (p').
 
-One reducer serves both orders, in place, on packed terms with integer
-coefficients. Inside the engine a module term (position, monomial) is one
-int (Bachmann-Schoenemann, ISSAC 1998): a 16-bit field per exponent, each
-with a guard bit, the total degree above them (inverted under 'dp') and the
-position on top, so that a smaller int is a greater term in the
-position-over-term order. A monomial shift is one add and a divisibility
-test one masked subtract. Input is packed when std_basis_vectors is entered
-and the basis is unpacked, monic, when it returns; a degree of 2^15 or more
-raises PRECONDITION_VIOLATED. Basis elements are stored primitive, with a
-positive leading coefficient. The vector being reduced is one mutable map
-from packed term to integer, a heap hands out its leading term, and each
-step scales the map by lc/gcd(c, lc) and subtracts a multiple of the reducer
-term by term (the single-accumulator idea of Yan's geobuckets, J. Symb.
-Comp. 25, 1998). Under 'dp' the reducer is the first basis element whose
-lead divides the leading term, terms no lead divides go to the remainder,
-and the remainder over the tracked scale is the canonical fully reduced
-normal form, exact over the rationals; a step that scales divides the map,
-the remainder and the scale by their common content. Under 'ds' it is
-Mora's weak normal form (Greuel-Pfister, ch. 1), zero exactly on members of
-the localized module: the reducer is the divisor of least ecart, the first
-on ties; a vector whose ecart is below the reducer's joins the reducers
-before the step; the first leading term no lead divides ends the reduction;
-and after each step the map is divided by its content, so a weak normal form
-that took a step is integral with content 1. The pending S-pairs wait on a
-heap ordered by sugar (Giovini et al., ISSAC 1991), the lcm's order and the
-pair's indices.
+The local order 'ds' only says that a question is asked in the local ring at
+the origin. The polynomial generators generate the same module there, so one
+global basis serves both orders; the local length and memberships come from
+it, the truncated model and one colon (Submodule.quotient_dimension and
+Submodule.contains say how).
+
+The reducer works in place, on packed terms with integer coefficients.
+Inside the engine a module term (position, monomial) is one int
+(Bachmann-Schoenemann, ISSAC 1998; see TermPacking). A monomial shift is one
+add and a divisibility test one masked subtract. Input is packed when
+std_basis_vectors is entered and the basis is unpacked, monic, when it
+returns; a degree of 2^15 or more raises PRECONDITION_VIOLATED. Basis
+elements are stored primitive, with a positive leading coefficient. The
+vector being reduced is one mutable map from packed term to integer, a heap
+hands out its leading term, and each step scales the map by lc/gcd(c, lc)
+and subtracts a multiple of the reducer term by term (the single-accumulator
+idea of Yan's geobuckets, J. Symb. Comp. 25, 1998).
+The reducer is the first basis element whose lead divides the leading term,
+terms no lead divides go to the remainder, and the remainder over the
+tracked scale is the canonical fully reduced normal form, exact over the
+rationals; a step that scales divides the map, the remainder and the scale
+by their common content. The pending S-pairs wait on a heap ordered by
+sugar (Giovini et al., ISSAC 1991), the lcm's order and the pair's indices.
 """
 
 from __future__ import annotations
@@ -54,11 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
-from .linalg import RowBasis, nullspace
+from .linalg import RowBasis, integral, nullspace
 from .polyring import (
     GLOBAL_DP,
     LOCAL_DS,
@@ -114,26 +110,25 @@ def _degree_error(d: int) -> GermforgeError:
 
 
 class TermPacking:
-    """Module terms (position, monomial) in n variables packed into ints for
-    one order: a smaller int is a greater term, position-over-term with
+    """Module terms (position, monomial) in n variables packed into ints: a
+    smaller int is a greater term, position-over-term under 'dp' with
     position 0 greatest.
 
     From the low bits up: one 16-bit field per exponent, the last variable's
-    highest; the total degree d, stored as 0xFFFF - d under 'dp'; the
-    position. The top bit of each exponent field is a guard, clear while
-    degrees stay below DEGREE_LIMIT. For a lead l dividing t in the same
-    position, t - l is the shift by t/l: added to any term, it gives that
-    term times t/l. bias puts 2^15 into the degree field of t + bias - l,
-    so that field never borrows from the position; l then divides t, in the
-    same position, exactly when (t + bias - l) & mask is 0, mask holding the
-    guards and every bit from the position field up.
+    highest; the total degree d, stored as 0xFFFF - d; the position. The top
+    bit of each exponent field is a guard, clear while degrees stay below
+    DEGREE_LIMIT. For a lead l dividing t in the same position, t - l is the
+    shift by t/l: added to any term, it gives that term times t/l. bias puts
+    2^15 into the degree field of t + bias - l, so that field never borrows
+    from the position; l then divides t, in the same position, exactly when
+    (t + bias - l) & mask is 0, mask holding the guards and every bit from
+    the position field up.
     """
 
-    __slots__ = ("n", "local", "deg_shift", "pos_shift", "bias", "mask")
+    __slots__ = ("n", "deg_shift", "pos_shift", "bias", "mask")
 
-    def __init__(self, n: int, order: Order) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.local = order.is_local
         self.deg_shift = _FIELD * n
         self.pos_shift = _FIELD * (n + 1)
         self.bias = DEGREE_LIMIT << self.deg_shift
@@ -144,7 +139,7 @@ class TermPacking:
         d = sum(m)
         if d >= DEGREE_LIMIT:
             raise _degree_error(d)
-        key = pos << self.pos_shift | (d if self.local else _FULL - d) << self.deg_shift
+        key = pos << self.pos_shift | (_FULL - d) << self.deg_shift
         for i, e in enumerate(m):
             key |= e << (_FIELD * i)
         return key
@@ -154,8 +149,7 @@ class TermPacking:
                 tuple(key >> (_FIELD * i) & _FULL for i in range(self.n)))
 
     def degree(self, key: int) -> int:
-        d = key >> self.deg_shift & _FULL
-        return d if self.local else _FULL - d
+        return _FULL - (key >> self.deg_shift & _FULL)
 
 
 def _pack_vector(pk: TermPacking, v: Vector) -> Tuple[Dict[int, int], int]:
@@ -224,49 +218,31 @@ def _reduce(red: _Reducers, work: Dict[int, int], scale: int) -> Tuple[Terms, in
     """Reduce the map work, from packed term to integer, in place against
     red; return the result's nonzero terms in pop order and its scale.
 
-    Under 'dp' the terms divided by the scale are exactly the normal form of
-    work divided by the scale given. Under 'ds' they are Mora's weak normal
-    form: work itself divided by the given scale when no step ran, else a
-    content-1 multiple with scale 1. A scale of 0 is left untracked. Each
-    term has one heap entry: a term that cancels stays in the map at zero
-    until its entry comes up and is skipped.
+    The terms divided by the scale are exactly the normal form of work
+    divided by the scale given; a scale of 0 is left untracked. Each term
+    has one heap entry: a term that cancels stays in the map at zero until
+    its entry comes up and is skipped.
     """
-    pk = red.pk
-    local, mask, bias, dsh = pk.local, pk.mask, pk.bias, pk.deg_shift
-    if local:
-        red = red.subset(range(len(red.leads)))  # the joining vectors stay here
-        top = max((pk.degree(key) for key, c in work.items() if c), default=-1)
+    mask, bias, dsh = red.pk.mask, red.pk.bias, red.pk.deg_shift
     leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
     heap = list(work)
     heapify(heap)
     rkeys: List[int] = []
-    rcoeffs: List[int] = []  # the remainder under 'dp', at the current scale
+    rcoeffs: List[int] = []  # the remainder, at the current scale
     while heap:
         k = heappop(heap)
         c = work.pop(k)
         if not c:
             continue
         kb = k + bias
-        if local:
-            dk = k >> dsh & _FULL
-            i = -1
-            for j, lead in enumerate(leads):
-                if not (kb - lead) & mask and (i < 0 or ecarts[j] < ecarts[i]):
-                    i = j
-            if i < 0 or ecarts[i] > top - dk:
-                terms = [(k, c)] + sorted((key, x) for key, x in work.items() if x)
-                if i < 0:
-                    return terms, scale
-                red.add(terms)
+        for i, lead in enumerate(leads):
+            if not (kb - lead) & mask:
+                break
         else:
-            for i, lead in enumerate(leads):
-                if not (kb - lead) & mask:
-                    break
-            else:
-                rkeys.append(k)
-                rcoeffs.append(c)
-                continue
-            dk = _FULL - (k >> dsh & _FULL)
+            rkeys.append(k)
+            rcoeffs.append(c)
+            continue
+        dk = _FULL - (k >> dsh & _FULL)
         if dk + ecarts[i] >= DEGREE_LIMIT:
             raise _degree_error(dk + ecarts[i])
         shift, lc = k - leads[i], lcs[i]
@@ -288,17 +264,7 @@ def _reduce(red: _Reducers, work: Dict[int, int], scale: int) -> Tuple[Terms, in
                 heappush(heap, key)
             else:
                 work[key] = old - b * x
-        if local:
-            g, top = 0, -1
-            for key, x in work.items():
-                if x:
-                    g = gcd(g, x)
-                    top = max(top, key >> dsh & _FULL)
-            if g > 1:
-                for key in work:
-                    work[key] //= g
-            scale = 1
-        elif a != 1:
+        if a != 1:
             g = scale
             for x in work.values():
                 g = gcd(g, x)
@@ -326,9 +292,9 @@ class StdBasis(list):
 
 
 def reduce_vector(v: Vector, basis: StdBasis) -> Vector:
-    """Normal form of v against a standard basis: fully reduced and exact
-    under 'dp', Mora's weak normal form under 'ds' (the module docstring
-    says how each picks its reducer and when it stops)."""
+    """Normal form of v against a reduced global basis: fully reduced, exact
+    over the rationals, zero exactly on the members of the polynomial
+    module."""
     red = basis.reducers
     if red is None or vec_is_zero(v):
         return v
@@ -345,13 +311,14 @@ reduce_vector_global = reduce_vector
 # basis completion
 
 
-def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> StdBasis:
-    """Interreduced standard basis of the submodule generated by vectors."""
+def std_basis_vectors(vectors: Sequence[Vector], rank: int) -> StdBasis:
+    """Reduced 'dp' Groebner basis, position over term, of the submodule of
+    the polynomial module generated by vectors."""
     vectors = [v for v in vectors if not vec_is_zero(v)]
     if not vectors:
         return StdBasis([], None)
     ring = vectors[0][0].ring
-    pk = TermPacking(ring.n, order)
+    pk = TermPacking(ring.n)
     red = _Reducers(pk)
     for v in vectors:
         red.add(_primitive(sorted(_pack_vector(pk, v)[0].items())))
@@ -363,13 +330,12 @@ def std_basis_vectors(vectors: Sequence[Vector], order: Order, rank: int) -> Std
 
 def _complete(red: _Reducers, rank: int) -> None:
     """Add the reduced S-vectors to red until every pair reduces to zero:
-    Buchberger's algorithm under 'dp', Mora's tangent-cone algorithm under
-    'ds', the pairs taken least sugar first."""
+    Buchberger's algorithm, the pairs taken least sugar first."""
     pk = red.pk
     leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
     mask, bias, pos_shift = pk.mask, pk.bias, pk.pos_shift
-    # product criterion, valid for rank-1 global bases
-    coprime_skip = rank == 1 and not pk.local
+    # product criterion, valid for rank-1 bases
+    coprime_skip = rank == 1
     unpacked = [pk.unpack(key) for key in leads]
     # a pair of basis indices is pending while on the heap, else settled
     pending: Set[Tuple[int, int]] = set()
@@ -420,17 +386,15 @@ def _complete(red: _Reducers, rank: int) -> None:
 
 def _interreduce(red: _Reducers) -> _Reducers:
     """The elements whose lead no other lead divides (the first of equal
-    leads), least lead first; under 'dp' each is tail-reduced against the
-    others, which gives the canonical reduced basis: no kept lead divides
-    another, so every lead survives and the order stays sorted."""
+    leads), least lead first, each tail-reduced against the others: the
+    canonical reduced basis. No kept lead divides another, so every lead
+    survives and the order stays sorted."""
     leads, mask, bias = red.leads, red.pk.mask, red.pk.bias
     keep = [i for i, li in enumerate(leads)
             if not any(j != i and not (li + bias - lj) & mask and (lj != li or j < i)
                        for j, lj in enumerate(leads))]
     keep.sort(key=leads.__getitem__, reverse=True)
     kept = red.subset(keep)
-    if red.pk.local:
-        return kept
     out = _Reducers(red.pk)
     for i in range(len(keep)):
         others = kept.subset([j for j in range(len(keep)) if j != i])
@@ -494,8 +458,8 @@ class TruncatedModel(NamedTuple):
     degree: int
 
 
-def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int, order: Order,
-                    caps: Sequence[int]) -> Optional[TruncatedModel]:
+def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
+                    caps: Iterable[int]) -> Optional[TruncatedModel]:
     """Exact model of the local quotient O^rank/M by degree-truncated
     elimination, M the module the generators span, or None when no cap in
     caps yields a certificate (an infinite quotient, or m^d O^rank inside M
@@ -512,13 +476,12 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int, order: Order,
 
     Witness: once m^d O^rank lies in M, every lead of M of degree < d is the
     lead of an element of degree < d, so eliminating the shifts below degree
-    d with position-over-term columns (order breaking ties inside a
-    position) leaves exactly the free monomials of M's local standard basis:
-    the same cobasis a full basis would give.
+    d with position-over-term columns ('ds' breaking ties inside a position)
+    leaves exactly the free monomials of M's local standard basis.
     """
-    n = ring.n
+    n, key = ring.n, LOCAL_DS.key
     for N in caps:
-        labels = slice_columns(n, rank, N, lambda lab: (order.key(lab[1]), -lab[0]))
+        labels = slice_columns(n, rank, N, lambda lab: (key(lab[1]), -lab[0]))
         basis = RowBasis()
         basis.extend(slice_rows(gens, N, labels))
         free_by_deg = [0] * (N + 1)
@@ -528,26 +491,13 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int, order: Order,
         if 0 not in free_by_deg:
             continue
         d = free_by_deg.index(0)
-        labels = slice_columns(n, rank, d - 1, lambda lab: (-lab[0], order.key(lab[1])))
+        labels = slice_columns(n, rank, d - 1, lambda lab: (-lab[0], key(lab[1])))
         basis = RowBasis()
         basis.extend(slice_rows(gens, d - 1, labels))
         if len(labels) - basis.rank != sum(free_by_deg[:d]):
             raise AssertionError("truncated witness disagrees with the certified count")
         return TruncatedModel(basis, labels, d)
     return None
-
-
-def _truncated_quotient_local(gens: Sequence[Vector], ring: Ring, rank: int,
-                              order: Order) -> Optional[QuotientDim]:
-    """Exact local quotient dimension of O^rank/M from the truncated model at
-    caps 4, 9 and 14, its free labels the witness; None when no cap
-    certifies, and callers then fall back to a full standard basis."""
-    model = truncated_model(gens, ring, rank, order, (4, 9, 14))
-    if model is None:
-        return None
-    witness = [lab for i, lab in enumerate(model.labels) if i not in model.basis.rows]
-    witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
-    return QuotientDim(len(witness), tuple(witness))
 
 
 def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> QuotientDim:
@@ -591,10 +541,11 @@ def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> Quoti
 
 
 class Submodule:
-    """Finitely generated submodule of the rank-r free module, with a cached
-    standard basis under its order."""
+    """Finitely generated submodule M of the rank-r free module, with its
+    global basis cached; questions are asked in the polynomial ring under
+    'dp', in the local ring at the origin under 'ds'."""
 
-    __slots__ = ("ring", "rank", "gens", "order", "_basis", "_qdim")
+    __slots__ = ("ring", "rank", "gens", "order", "_basis", "_qdim", "_model")
 
     def __init__(self, ring: Ring, rank: int, gens: Sequence[Vector], order: Order) -> None:
         self.ring = ring
@@ -611,23 +562,42 @@ class Submodule:
         self.order = order
         self._basis: Optional[StdBasis] = None
         self._qdim: Optional[QuotientDim] = None
+        self._model: Optional[TruncatedModel] = None
 
     def basis(self) -> StdBasis:
+        """The reduced 'dp' basis of the polynomial module, under either order."""
         if self._basis is None:
-            self._basis = std_basis_vectors(self.gens, self.order, self.rank)
+            self._basis = std_basis_vectors(self.gens, self.rank)
         return self._basis
 
     def lead_terms(self) -> List[MTerm]:
+        """The leads of the global basis, under either order."""
         red = self.basis().reducers
         if red is None:
             return []
         return [red.pk.unpack(key) for key in red.leads]
 
     def normal_form(self, v: Vector) -> Vector:
+        """The global normal form of v, under either order."""
         return reduce_vector(v, self.basis())
 
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.normal_form(v))
+        """Membership in this module's ring. A global normal form of 0 proves
+        it. Else, at the origin: with m^d O^r inside M, d the model's degree,
+        v is a member exactly when its terms of degree < d lie in the model's
+        span; with an infinite quotient, exactly when a generator of M : v
+        is a unit at the origin (Greuel-Pfister, ch. 1)."""
+        if vec_is_zero(self.normal_form(v)):
+            return True
+        if not self.order.is_local:
+            return False
+        if not self.quotient_dimension().is_finite:
+            return any(h.constant_term() for h in self.colon([v]).gens)
+        model = self._model
+        col = {lab: i for i, lab in enumerate(model.labels)}
+        return model.basis.contains(integral(
+            {col[pos, m]: c for pos, p in enumerate(v)
+             for m, c in p.terms.items() if mono_deg(m) < model.degree}))
 
     def contains_module(self, other: "Submodule") -> bool:
         return all(self.contains(v) for v in other.gens)
@@ -635,25 +605,61 @@ class Submodule:
     def equals(self, other: "Submodule") -> bool:
         return self.contains_module(other) and other.contains_module(self)
 
+    def colon(self, ws: Sequence[Vector]) -> "Ideal":
+        """{h : h*w in M for every w in ws}, in this module's order: the
+        preimage of the ws stacked, under M's generators in each block."""
+        r, k = self.rank, len(ws)
+        zero = vec_zero(self.ring, r)
+        target = tuple(p for w in ws for p in w)
+        sub = [zero * b + g + zero * (k - 1 - b) for b in range(k) for g in self.gens]
+        return Ideal(self.ring, [c[0] for c in preimage_module([target], sub, self.ring, r * k)],
+                     self.order)
+
     def quotient_dimension(self) -> QuotientDim:
-        """dim of O^rank / this module under its order."""
+        """dim of O^rank / this module: the global staircase under 'dp', the
+        truncated model's free labels under 'ds'."""
         if self._qdim is None:
-            fast = None
-            if self.order.is_local and self._basis is None:
-                fast = _truncated_quotient_local(self.gens, self.ring,
-                                                 self.rank, self.order)
-            if fast is None:
-                fast = staircase_dimension(self.lead_terms(), self.rank,
-                                           self.ring.n)
-            self._qdim = fast
+            self._qdim = (self._local_dimension() if self.order.is_local else
+                          staircase_dimension(self.lead_terms(), self.rank, self.ring.n))
         return self._qdim
+
+    def _local_dimension(self) -> QuotientDim:
+        """The length at the origin: the truncated model at cap 4, or the
+        global basis decides. The certified degree is at most the local
+        length, which a finite global length b bounds, so the caps climb to
+        b. An infinite global quotient is finite at the origin exactly when
+        Ann(O^r/M) : m^infinity is not inside m; the climb then certifies."""
+        model = truncated_model(self.gens, self.ring, self.rank, (4,))
+        if model is None:
+            b = staircase_dimension(self.lead_terms(), self.rank, self.ring.n).value
+            if b is not None:
+                caps: Iterable[int] = [*range(9, b, 5), b]
+            elif self._finite_at_origin():
+                caps = count(9, 5)
+            else:
+                return INFINITE
+            model = truncated_model(self.gens, self.ring, self.rank, caps)
+            if model is None:
+                raise AssertionError("the local length exceeds the global one")
+        self._model = model
+        witness = [lab for i, lab in enumerate(model.labels) if i not in model.basis.rows]
+        witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
+        return QuotientDim(len(witness), tuple(witness))
+
+    def _finite_at_origin(self) -> bool:
+        """Whether Ann(O^r/M) : m^infinity holds a unit at the origin."""
+        units = _with_identity([()] * self.rank, self.ring)
+        ann = self.colon(units).with_order(GLOBAL_DP)
+        S = saturation(ann, power_ideal(self.ring, 1).with_order(GLOBAL_DP))
+        return any(h.constant_term() for h in S.gens)
 
     def with_order(self, order: Order) -> "Submodule":
         return self if order == self.order else Submodule(self.ring, self.rank, self.gens, order)
 
 
 class Ideal:
-    """Ideal with generators and a cached standard basis under its order."""
+    """Ideal with generators, in the polynomial ring under 'dp' and in the
+    local ring at the origin under 'ds', with its reduced global basis cached."""
 
     __slots__ = ("ring", "gens", "order", "_mod", "_lifter")
 
@@ -672,13 +678,15 @@ class Ideal:
         return self._mod
 
     def basis(self) -> List[Poly]:
+        """The reduced 'dp' basis of the polynomial ideal, under either order."""
         return [v[0] for v in self._module().basis()]
 
     def normal_form(self, p: Poly) -> Poly:
+        """The global normal form of p, under either order."""
         return self._module().normal_form((p,))[0]
 
     def contains(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero()
+        return self._module().contains((p,))
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -690,6 +698,9 @@ class Ideal:
         return not self.gens
 
     def is_unit(self) -> bool:
+        """Under 'ds' a generator is a unit at 0; under 'dp' the basis holds 1."""
+        if self.order.is_local:
+            return any(g.constant_term() for g in self.gens)
         return bool(self.gens) and self.contains(self.ring.one())
 
     def quotient_dimension(self) -> QuotientDim:
@@ -756,7 +767,7 @@ def preimage_module(targets: Sequence[Vector], sub_gens: Sequence[Vector], ring:
         raise ValueError("vector of wrong rank")
     sub = Submodule(ring, rank, sub_gens, GLOBAL_DP)
     rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in sub.gens]
-    basis = std_basis_vectors(rows, GLOBAL_DP, rank + k)
+    basis = std_basis_vectors(rows, rank + k)
     out = [b[rank:] for b in basis if vec_is_zero(b[:rank])]
     for c in out:
         acc = vec_zero(ring, rank)
@@ -774,22 +785,9 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [ring.one()], I.order)
     if not I.gens:
         return Ideal(ring, [], I.order)
-    s = len(J.gens)
-    target: Vector = tuple(J.gens)
-    sub: List[Vector] = []
-    zero = ring.zero()
-    for g in I.gens:
-        for j in range(s):
-            v = [zero] * s
-            v[j] = g
-            sub.append(tuple(v))
-    gens = [c[0] for c in preimage_module([target], sub, ring, s)]
-    out = Ideal(ring, gens, I.order)
-    # membership postcheck on generators
-    for h in out.gens:
-        for f in J.gens:
-            if not I.contains(h * f):
-                raise AssertionError("ideal quotient postcheck failed")
+    out = I._module().colon([(f,) for f in J.gens])
+    if not all(I.contains(h * f) for h in out.gens for f in J.gens):
+        raise AssertionError("ideal quotient postcheck failed")
     return out
 
 
@@ -811,7 +809,7 @@ def module_intersection(U: Submodule, V: Submodule) -> Submodule:
         raise ValueError("modules from different ambients")
     ring, r = U.ring, U.rank
     rows = [u + u for u in U.gens] + [v + vec_zero(ring, r) for v in V.gens]
-    basis = std_basis_vectors(rows, GLOBAL_DP, 2 * r)
+    basis = std_basis_vectors(rows, 2 * r)
     gens = [b[r:] for b in basis if vec_is_zero(b[:r])]
     Ug, Vg = U.with_order(GLOBAL_DP), V.with_order(GLOBAL_DP)
     if not all(Ug.contains(w) and Vg.contains(w) for w in gens):
@@ -825,9 +823,10 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
     When I + J is the unit ideal, I is already saturated: from 1 = a + b with
     a in I and b in J, every h with h*J^k in I is h = h*(a + b)^k, a member
     of I. That holds in the polynomial and the local ring alike, and takes
-    one standard basis of I + J in I's order; I itself is returned. Only when
-    the zero sets of I and J meet (or, in the local ring, both pass through
-    the origin) does the quotient (I : J) run, iterated until it is stable.
+    one global basis of I + J under 'dp' and none under 'ds'; I itself is
+    returned. Only when the zero sets of I and J meet (or, in the local ring,
+    both pass through the origin) does the quotient (I : J) run, iterated
+    until it is stable.
     """
     if I.sum(J).is_unit():
         return I

@@ -180,6 +180,21 @@ class TestExitCodes:
         assert code == 3
         assert "GENERICITY_SUSPECT" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["split", "--seeds", "11,13"],
+        ["morse", "--method", "oracle"],
+        ["morse", "--method", "jet", "--assume-reduced"],
+        ["conserve", "--assume-reduced"],
+    ])
+    def test_negative_degree_bound_exits_2(self, capsys, tmp_path, argv):
+        # below 0 no cobasis element passes the bound, so f would never be
+        # deformed and the command would answer for the undeformed germ
+        code, out, err = run(capsys, argv + [problem(tmp_path), "--degree-bound", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == ("error: PRECONDITION_VIOLATED: "
+                                       "--degree-bound must be >= 0")
+
     def test_failed_postcheck_exits_4(self, capsys, tmp_path, monkeypatch):
         def fail(Iprime, result):
             raise AssertionError("primitive ideal misses a square generator")

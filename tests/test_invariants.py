@@ -140,7 +140,8 @@ class TestDeterminacy:
         I = Ideal(ring, [parse_poly(g, ring) for g in gens], order)
         problem = GermProblem(parse_poly(text, ring), I)
         assert problem.determinacy == det
-        # Mora membership in the localized tau, apart from the model
+        # local membership in tau, read from its own quotient rather than
+        # from the model of I/tau
         tau = problem.tau.with_order(LOCAL_DS)
 
         def inside(m):
