@@ -245,11 +245,17 @@ class TestTermPacking:
             assert pk.unpack(key) == (pos, m)
             assert pk.degree(key) == sum(m)
 
-    def test_degree_just_below_the_limit(self):
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
+    def test_degree_just_below_the_limit(self, order):
         pk = TermPacking(3)
         m = (DEGREE_LIMIT - 1, 0, 0)
         assert pk.unpack(pk.pack(2, m)) == (2, m)
         assert pk.pack(0, m) < pk.pack(1, (0, 0, 0))
+        # both orders pack through the one reducer, and the guard stays quiet
+        I = ideal(R2, order, f"x^{DEGREE_LIMIT - 1}", "y")
+        assert I.basis() == [P("y"), P(f"x^{DEGREE_LIMIT - 1}")]
+        nf = I.normal_form(P(f"x^{DEGREE_LIMIT - 2} + y"))
+        assert nf == P(f"x^{DEGREE_LIMIT - 2}")
 
 
 class TestDegreeGuard:
