@@ -32,7 +32,7 @@ from .invariants import (
 from .jetmorse import _morse_number, jet_context
 from .oracle import conservation_check, empirical_splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
-from .stdbasis import Ideal, hilbert_samuel
+from .stdbasis import Ideal, Submodule, hilbert_samuel
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
 
 KNOWN_OPTIONS = ("trials",)
@@ -274,7 +274,7 @@ def _cmd_codim(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, [], []
 
 
-def _theta_for(pf: ProblemFile, args) -> Tuple[object, Ideal, Tree, List[str]]:
+def _theta_for(pf: ProblemFile, args) -> Tuple[Submodule, Ideal, Tree, List[str]]:
     """The vector-field module and membership ideal selected by --theta-mode;
     via-subideal treats the declared ideal as the subideal and works against
     its primitive ideal at the requested truncation."""
@@ -307,7 +307,7 @@ def _cmd_theta(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     rows = []
     for vec in theta.gens:
         rows.append("(" + ", ".join(format_poly(c) for c in vec) + ")")
-    return [("mode", theta.mode), ("generators", rows)], settings, warnings
+    return [("mode", "preserving"), ("generators", rows)], settings, warnings
 
 
 def _cmd_tangent(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:

@@ -11,8 +11,9 @@ first use:
   read as the elements I.gens[pos] * m;
 - c_plain: the same dimension over the fields of theta vanishing at the
   origin, derived from the same theta;
-- model: the truncated model of O^k/L at the origin
-  (stdbasis.truncated_model); determinacy is its certified degree;
+- model: L's local model, the truncated model of O^k/L at the origin that
+  certified the local length (Submodule.local_model); determinacy is its
+  certified degree;
 - locus() builds on tau, and is_versal(U) on the model.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
@@ -21,17 +22,18 @@ invariant_report are entry points that build one problem each; code that
 needs several invariants of one pair builds the problem once and reads them
 all from it.
 
-The model is the elimination that certifies the local quotient: its degree
-d is the least with m^d O^k inside L. Since e_j -> g_j maps m^d O^k onto
-m^d I and L is the preimage of tau, d is also the least m with m^m I inside
-tau. Its caps climb from one above the largest witness degree to c, since a
-quotient of length c is killed by m^c. Below d it is the integer echelon
-form (linalg.RowBasis) of the shifts of L's generators, a faithful copy of
-O^k/L. The model is local whatever the order of I: its dimension is c under
-'ds' and at most c, the global length, under 'dp'; a missing model, or one
-that breaks this, is an internal error, raised before any conclusion is
-drawn. U is versal exactly when its parameter derivatives add the model's
-dimension to its rank.
+The model is the elimination that certified the local quotient O^k/L, kept
+on L's local view; the problem climbs no caps of its own. Its degree d is
+the least with m^d O^k inside L, the same at every cap that certifies, so
+the model depends only on L's generators and d. Since e_j -> g_j maps
+m^d O^k onto m^d I and L is the preimage of tau, d is also the least m with
+m^m I inside tau. Below d it is the integer echelon form (linalg.RowBasis)
+of the shifts of L's generators, a faithful copy of O^k/L. The model is
+local whatever the order of I: its dimension is c under 'ds' and at most c,
+the global length, under 'dp'; a missing model, or one that breaks this, is
+an internal error, raised before any conclusion is drawn. U is versal
+exactly when its parameter derivatives add the model's dimension to its
+rank.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, Mono, Poly, Ring, mono_deg
+from .polyring import GLOBAL_DP, Mono, Poly, Ring
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -51,9 +53,8 @@ from .stdbasis import (
     TruncatedModel,
     ideal_quotient,
     subideal_preimage,
-    truncated_model,
 )
-from .tangent import VectorFieldModule, tangent_ideal, theta_preserving, theta_vanishing
+from .tangent import tangent_ideal, theta_preserving, theta_vanishing
 
 
 class GermProblem:
@@ -67,7 +68,7 @@ class GermProblem:
         self.I = I
 
     @cached_property
-    def theta(self) -> VectorFieldModule:
+    def theta(self) -> Submodule:
         return theta_preserving(self.I)
 
     @cached_property
@@ -105,11 +106,8 @@ class GermProblem:
     @cached_property
     def model(self) -> Optional[TruncatedModel]:
         """The truncated model of O^k/L in the local ring whatever the order
-        of I, or None when no cap certifies; needs 0 < c_ext < infinity."""
-        c = self.c_ext
-        top = max(mono_deg(m) for _, m in c.witness)
-        return truncated_model(self.L.gens, self.I.ring, self.L.rank,
-                               range(1 + top, c.value + 1))
+        of I, or None when that quotient is infinite."""
+        return self.L.local_model()
 
     @cached_property
     def determinacy(self) -> int:
@@ -143,14 +141,12 @@ class GermProblem:
         dim = None if model is None else len(model.labels) - model.basis.rank
         if dim is None or dim > c.value or (self.I.order.is_local and dim != c.value):
             raise AssertionError("truncated quotient model disagrees with the codimension")
-        col = {lab: i for i, lab in enumerate(model.labels)}
         rows = []
         for i in range(len(U.params)):
             coords = self.I.lift(U.derivative_at_zero(i))
             if coords is None:
                 raise AssertionError("parameter derivative escaped the ideal")
-            rows.append(integral({col[pos, m]: a for pos, p in enumerate(coords)
-                                  for m, a in p.terms.items() if (pos, m) in col}))
+            rows.append(model.row(coords))
         # reduced modulo the model, which is kept unchanged for later calls
         residuals = (integral(model.basis.reduce(row)) for row in rows)
         return RowBasis().extend(residuals) == dim

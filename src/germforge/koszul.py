@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import GermforgeError
 from .polyring import LOCAL_DS, Poly, Ring

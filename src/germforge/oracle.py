@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import GermforgeError
 from .invariants import GermProblem, extended_codim
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring
-from .stdbasis import Ideal, ideal_quotient, minimal_polynomial, saturation, subideal_preimage
-from .tangent import VectorFieldModule, tangent_ideal, theta_preserving
+from .stdbasis import (Ideal, Submodule, ideal_quotient, minimal_polynomial, saturation,
+                       subideal_preimage)
+from .tangent import tangent_ideal, theta_preserving
 
 DEFAULT_SEEDS: Tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: Tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
@@ -121,7 +122,7 @@ def critical_points_outside(g: Poly, I: Ideal) -> CriticalReport:
     Jacobian ideal (K : (1)^inf = K) and every critical point counts."""
     ring = g.ring
     jac = Ideal(ring, [g.derive(i) for i in range(ring.n)], GLOBAL_DP)
-    sat = saturation(jac, I.with_order(GLOBAL_DP))
+    sat = saturation(jac, I)
     qd = sat.quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("POSITIVE_DIMENSIONAL_CRITICAL_LOCUS",
@@ -133,14 +134,15 @@ def critical_points_outside(g: Poly, I: Ideal) -> CriticalReport:
 def corrected_extended_codim(g: Poly, I: Ideal) -> int:
     """Dimension of I over the tangent ideal of g in the global order; by
     finite support this is the sum of the local values over every point."""
-    return _corrected(g, theta_preserving(I.with_order(GLOBAL_DP)))
+    I_dp = I.with_order(GLOBAL_DP)
+    return _corrected(g, theta_preserving(I_dp), I_dp)
 
 
-def _corrected(g: Poly, fields: VectorFieldModule) -> int:
+def _corrected(g: Poly, fields: Submodule, I_dp: Ideal) -> int:
     """The corrected codimension of g over fields, the preserving fields of
-    I in the global order; every deformed member of one family shares them."""
+    I_dp; every deformed member of one family shares them."""
     tau = tangent_ideal(g, fields)
-    qd = subideal_preimage(fields.ideal, tau).quotient_dimension()
+    qd = subideal_preimage(I_dp, tau).quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("GENERICITY_SUSPECT",
                              "the deformed member has a positive-dimensional defect locus")
@@ -246,26 +248,26 @@ def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Fraction]) -> int:
     return qd.value
 
 
-def _one_split(P: GermProblem, fields: VectorFieldModule, seed: int,
+def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
                degree_bound: Optional[int]):
     c_value = P.c_ext.value
     bound = degree_bound
     if bound is None:
         bound = max((h.total_degree() for h in P.cobasis), default=0)
     g = _deform(P, bound, seed)
-    corrected = _corrected(g, fields)
+    corrected = _corrected(g, fields, I_dp)
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: defect mass {corrected} exceeds the "
                              f"codimension {c_value} of the undeformed germ")
-    crit = critical_points_outside(g, fields.ideal)
+    crit = critical_points_outside(g, I_dp)
     if not crit.all_morse:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical points off the zero set "
                              "are degenerate")
     # drift probe: one degree of extra room must not change the count
     g2 = _deform(P, bound + 1, seed)
-    if g2.terms != g.terms and critical_points_outside(g2, fields.ideal).count != crit.count:
+    if g2.terms != g.terms and critical_points_outside(g2, I_dp).count != crit.count:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical count drifts with the degree bound")
     if corrected < crit.count:
@@ -277,7 +279,7 @@ def _one_split(P: GermProblem, fields: VectorFieldModule, seed: int,
         return sigma, corrected, crit.count
     # this is positive_codim_locus(g, I): the preserving fields of I have
     # the same generators in either order
-    points = locate_rational_points(ideal_quotient(tangent_ideal(g, fields), fields.ideal))
+    points = locate_rational_points(ideal_quotient(tangent_ideal(g, fields), I_dp))
     sigma = None
     if points is not None:
         sigma = {}
@@ -305,8 +307,8 @@ def _splitting(P: GermProblem, seeds: Optional[Sequence[int]],
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if c_value == 0:
         return SplittingReport({}, 0, 0, used, True, tuple(warnings))
-    fields = theta_preserving(P.I.with_order(GLOBAL_DP))
-    outcomes = [_one_split(P, fields, s, degree_bound) for s in used]
+    fields, I_dp = P.theta.with_order(GLOBAL_DP), P.I.with_order(GLOBAL_DP)
+    outcomes = [_one_split(P, fields, I_dp, s, degree_bound) for s in used]
     first = outcomes[0]
     if any(o != first for o in outcomes[1:]):
         raise GermforgeError("GENERICITY_SUSPECT",
@@ -344,11 +346,10 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     ctx = jet_context(I, 1)
     M = morse_component(ctx, assume_reduced).ideal
     reference = intersection_multiplicity(f, I, ctx, M, "CM")
-    I_dp = I.with_order(GLOBAL_DP)
     for t in range(trials):
         g = _deform(P, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)
-        total = saturation(pulled, I_dp).quotient_dimension()
+        total = saturation(pulled, I).quotient_dimension()
         if not total.is_finite or total.value != reference:
             return False
     return True

@@ -23,7 +23,9 @@ The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
 global basis serves both orders; the local length and memberships come from
 it, the truncated model and one colon (Submodule.quotient_dimension and
-Submodule.contains say how).
+Submodule.contains say how). with_order gives a view on the same generators
+that shares the cached global basis, whichever view builds it first; each
+view keeps its own quotient dimension and truncated model.
 
 The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
@@ -457,6 +459,13 @@ class TruncatedModel(NamedTuple):
     labels: List[MTerm]
     degree: int
 
+    def row(self, v: Vector) -> Dict[int, int]:
+        """v's terms of degree < d as an integer row over the labels' columns:
+        with m^d O^rank inside M, v is in M exactly when the row is in the span."""
+        col = {lab: i for i, lab in enumerate(self.labels)}
+        return integral({col[pos, m]: c for pos, p in enumerate(v)
+                         for m, c in p.terms.items() if mono_deg(m) < self.degree})
+
 
 def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
                     caps: Iterable[int]) -> Optional[TruncatedModel]:
@@ -545,7 +554,7 @@ class Submodule:
     global basis cached; questions are asked in the polynomial ring under
     'dp', in the local ring at the origin under 'ds'."""
 
-    __slots__ = ("ring", "rank", "gens", "order", "_basis", "_qdim", "_model")
+    __slots__ = ("ring", "rank", "gens", "order", "_shared", "_qdim", "_model")
 
     def __init__(self, ring: Ring, rank: int, gens: Sequence[Vector], order: Order) -> None:
         self.ring = ring
@@ -560,15 +569,20 @@ class Submodule:
                 cleaned.append(tuple(v))
         self.gens: Tuple[Vector, ...] = tuple(cleaned)
         self.order = order
-        self._basis: Optional[StdBasis] = None
+        self._shared: List[Optional[StdBasis]] = [None]  # one cell for every view
         self._qdim: Optional[QuotientDim] = None
         self._model: Optional[TruncatedModel] = None
 
+    @property
+    def _basis(self) -> Optional[StdBasis]:
+        """The cached global basis, None until some view builds it."""
+        return self._shared[0]
+
     def basis(self) -> StdBasis:
         """The reduced 'dp' basis of the polynomial module, under either order."""
-        if self._basis is None:
-            self._basis = std_basis_vectors(self.gens, self.rank)
-        return self._basis
+        if self._shared[0] is None:
+            self._shared[0] = std_basis_vectors(self.gens, self.rank)
+        return self._shared[0]
 
     def lead_terms(self) -> List[MTerm]:
         """The leads of the global basis, under either order."""
@@ -593,11 +607,7 @@ class Submodule:
             return False
         if not self.quotient_dimension().is_finite:
             return any(h.constant_term() for h in self.colon([v]).gens)
-        model = self._model
-        col = {lab: i for i, lab in enumerate(model.labels)}
-        return model.basis.contains(integral(
-            {col[pos, m]: c for pos, p in enumerate(v)
-             for m, c in p.terms.items() if mono_deg(m) < model.degree}))
+        return self._model.basis.contains(self._model.row(v))
 
     def contains_module(self, other: "Submodule") -> bool:
         return all(self.contains(v) for v in other.gens)
@@ -649,12 +659,23 @@ class Submodule:
     def _finite_at_origin(self) -> bool:
         """Whether Ann(O^r/M) : m^infinity holds a unit at the origin."""
         units = _with_identity([()] * self.rank, self.ring)
-        ann = self.colon(units).with_order(GLOBAL_DP)
-        S = saturation(ann, power_ideal(self.ring, 1).with_order(GLOBAL_DP))
+        S = saturation(self.colon(units).with_order(GLOBAL_DP), power_ideal(self.ring, 1))
         return any(h.constant_term() for h in S.gens)
 
+    def local_model(self) -> Optional[TruncatedModel]:
+        """The truncated model that the local view of this module certified,
+        or None when the quotient at the origin is infinite."""
+        local = self.with_order(LOCAL_DS)
+        local.quotient_dimension()
+        return local._model
+
     def with_order(self, order: Order) -> "Submodule":
-        return self if order == self.order else Submodule(self.ring, self.rank, self.gens, order)
+        """A view under order on the same generators and cached basis."""
+        if order == self.order:
+            return self
+        view = Submodule(self.ring, self.rank, (), order)
+        view.gens, view._shared = self.gens, self._shared
+        return view
 
 
 class Ideal:
@@ -708,7 +729,12 @@ class Ideal:
         return self._module().quotient_dimension()
 
     def with_order(self, order: Order) -> "Ideal":
-        return self if order == self.order else Ideal(self.ring, self.gens, order)
+        """A view on the same generators, sharing the cached global basis."""
+        if order == self.order:
+            return self
+        view = Ideal(self.ring, self.gens, order)
+        view._mod = self._module().with_order(order)
+        return view
 
     def sum(self, other: "Ideal") -> "Ideal":
         return Ideal(self.ring, self.gens + other.gens, self.order)

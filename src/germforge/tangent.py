@@ -1,7 +1,8 @@
 """Vector fields preserving an ideal, tangent ideals, primitive ideals.
 
 A vector field X = sum a_i d/dx_i is stored as the coefficient vector
-(a_1, ..., a_n). The preserving module {X : X(I) in I} is one preimage:
+(a_1, ..., a_n), and a module of fields is a stdbasis.Submodule of rank n in
+the order of its ideal. The preserving module {X : X(I) in I} is one preimage:
 X(g_j) in I for all j means sum a_i (dg_1/dx_i, ..., dg_r/dx_i) lies in the
 module of the generator multiples g_l e_j. stdbasis.preimage_module reads it
 off one global elimination of the rows (derivative column i, e_i) and
@@ -49,36 +50,8 @@ def lie_bracket(X: Sequence[Poly], Y: Sequence[Poly]) -> Vector:
     return tuple(field_apply(X, Y[i]) - field_apply(Y, X[i]) for i in range(len(X)))
 
 
-class VectorFieldModule:
-    """Finitely generated module of vector fields, tagged by how it was cut
-    out: 'preserving' is {X : X(I) in I}, 'vanishing' is m intersect that."""
-
-    __slots__ = ("module", "mode", "ideal")
-
-    def __init__(self, module: Submodule, mode: str, ideal: Ideal) -> None:
-        if mode not in ("preserving", "vanishing"):
-            raise ValueError("mode must be 'preserving' or 'vanishing'")
-        self.module = module
-        self.mode = mode
-        self.ideal = ideal
-
-    @property
-    def gens(self) -> Tuple[Vector, ...]:
-        return self.module.gens
-
-    @property
-    def ring(self) -> Ring:
-        return self.module.ring
-
-    def contains(self, X: Vector) -> bool:
-        return self.module.contains(X)
-
-    def __repr__(self) -> str:
-        return f"VectorFieldModule({self.mode}, {len(self.gens)} generators)"
-
-
-def theta_preserving(I: Ideal) -> VectorFieldModule:
-    """The module of vector fields X with X(I) contained in I."""
+def theta_preserving(I: Ideal) -> Submodule:
+    """The module of vector fields X with X(I) contained in I, in I's order."""
     if I.is_zero():
         raise GermforgeError("ZERO_IDEAL", "theta of the zero ideal is all of Theta")
     ring = I.ring
@@ -93,7 +66,7 @@ def theta_preserving(I: Ideal) -> VectorFieldModule:
         for g in I.gens:
             if not I.contains(field_apply(X, g)):
                 raise AssertionError("preserving-field postcheck failed")
-    return VectorFieldModule(module, "preserving", I)
+    return module
 
 
 def m_theta(ring: Ring, order, rank: int) -> Submodule:
@@ -108,24 +81,20 @@ def m_theta(ring: Ring, order, rank: int) -> Submodule:
     return Submodule(ring, rank, gens, order)
 
 
-def theta_vanishing(theta: VectorFieldModule) -> VectorFieldModule:
-    """m intersect the preserving fields theta, as an exact module
-    intersection."""
-    I = theta.ideal
-    ring = I.ring
-    mtheta = m_theta(ring, I.order, ring.n)
-    inter = module_intersection(theta.module, mtheta)
+def theta_vanishing(theta: Submodule) -> Submodule:
+    """m intersect the fields theta, as an exact module intersection, in
+    theta's order."""
+    mtheta = m_theta(theta.ring, theta.order, theta.rank)
+    inter = module_intersection(theta, mtheta)
     for X in inter.gens:
-        if not theta.module.contains(X) or not mtheta.contains(X):
+        if not theta.contains(X) or not mtheta.contains(X):
             raise AssertionError("vanishing-field postcheck failed")
-    return VectorFieldModule(inter, "vanishing", I)
+    return inter
 
 
-def tangent_ideal(f: Poly, theta: VectorFieldModule) -> Ideal:
-    """The ideal {X(f)} over the generators of theta."""
-    ring = f.ring
-    gens = [field_apply(X, f) for X in theta.gens]
-    return Ideal(ring, gens, theta.ideal.order)
+def tangent_ideal(f: Poly, theta: Submodule) -> Ideal:
+    """The ideal {X(f)} over the generators of theta, in theta's order."""
+    return Ideal(f.ring, [field_apply(X, f) for X in theta.gens], theta.order)
 
 
 # ---------------------------------------------------------------------------

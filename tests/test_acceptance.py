@@ -53,8 +53,8 @@ def test_c01_running_example_exact_values():
     x, y = R2.var(0), R2.var(1)
     zero = R2.zero()
     expected = Submodule(R2, 2, [(x, zero), (y, zero), (zero, x * x),
-                                 (zero, y)], theta.module.order)
-    assert theta.module.equals(expected)
+                                 (zero, y)], theta.order)
+    assert theta.equals(expected)
 
     tau = tangent_ideal(CUSP, theta)
     assert tau.equals(Ideal(R2, [P("x^3"), P("x^2 y"), P("y^2")], LOCAL_DS))
@@ -80,7 +80,7 @@ def test_c03_fields_preserving_power_ideals():
         want = m_theta(ring, LOCAL_DS, n)
         for k in (1, 2, 3):
             theta = theta_preserving(power_ideal(ring, k))
-            assert theta.module.equals(want), (n, k)
+            assert theta.equals(want), (n, k)
 
 
 def test_c04_smooth_locus_normal_forms_have_codimension_zero():

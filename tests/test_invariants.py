@@ -2,7 +2,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from germforge import tangent
+from germforge import stdbasis, tangent
 from germforge.cli import main
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
@@ -24,6 +24,7 @@ from germforge.invariants import (
 from germforge.oracle import empirical_splitting
 
 R2 = Ring(["x", "y"])
+R3 = Ring(["x", "y", "z"])
 
 
 def P(s, ring=R2):
@@ -407,11 +408,20 @@ class TestReport:
         assert not rep.c_ext.is_finite
 
 
+def _rebind(monkeypatch, real, counted):
+    """Replace the function real by counted in every germforge namespace
+    that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "germforge" or name.startswith("germforge."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+
+
 class TestGermProblem:
     @pytest.fixture
     def theta_orders(self, monkeypatch):
-        """Order kinds of the ideals theta_preserving is computed for, counted
-        in every germforge namespace that binds the function."""
+        """Order kinds of the ideals theta_preserving is computed for."""
         real = tangent.theta_preserving
         kinds = []
 
@@ -419,11 +429,7 @@ class TestGermProblem:
             kinds.append(I.order.kind)
             return real(I)
 
-        for name, module in list(sys.modules.items()):
-            if name == "germforge" or name.startswith("germforge."):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counted)
+        _rebind(monkeypatch, real, counted)
         return kinds
 
     def test_report_computes_theta_once(self, theta_orders):
@@ -431,9 +437,10 @@ class TestGermProblem:
         assert (rep.c_ext.value, rep.c_plain.value, rep.determinacy) == (3, 3, 2)
         assert theta_orders == ["ds"]
 
-    def test_splitting_computes_theta_once_per_order(self, theta_orders):
+    def test_splitting_computes_theta_once(self, theta_orders):
+        # the dp fields of the oracle are a view of the problem's theta
         assert empirical_splitting(CUSP, EJEM).morse == 2
-        assert sorted(theta_orders) == ["dp", "ds"]
+        assert theta_orders == ["ds"]
 
     def test_morse_both_methods_share_one_problem(self, theta_orders, tmp_path, capsys):
         path = tmp_path / "cusp.gf"
@@ -441,4 +448,47 @@ class TestGermProblem:
         assert main(["morse", str(path), "--method", "both", "--assume-reduced"]) == 0
         out = capsys.readouterr().out
         assert "morse_jet: 2" in out and "morse_oracle: 2" in out
-        assert sorted(theta_orders) == ["dp", "ds"]
+        assert theta_orders == ["ds"]
+
+    @pytest.fixture
+    def model_calls(self, monkeypatch):
+        """The caps of every truncated_model call."""
+        real = stdbasis.truncated_model
+        calls = []
+
+        def counted(gens, ring, rank, caps):
+            calls.append(caps)
+            return real(gens, ring, rank, caps)
+
+        _rebind(monkeypatch, real, counted)
+        return calls
+
+    @pytest.mark.parametrize("text, determinacy", [
+        pytest.param("ring x y z ;\nideal I = x*y, z ;\npoly f = x^5*y + x*y^5 + z^2 ;\n",
+                     7, id="fin3"),
+        pytest.param("ring x y ;\nideal I = 1 ;\npoly f = x^12 + y^7 ;\n", 16,
+                     id="milnor127"),
+    ])
+    def test_codim_builds_no_model_of_its_own(self, model_calls, text, determinacy,
+                                              tmp_path, capsys):
+        # c_ext and c_plain each try cap 4 and then climb; determinacy reads
+        # the model that certified c_ext, so no fifth call runs
+        path = tmp_path / "problem.gf"
+        path.write_text(text)
+        assert main(["codim", str(path)]) == 0
+        assert f"determinacy: {determinacy}\n" in capsys.readouterr().out
+        assert len(model_calls) == 4
+
+    @pytest.mark.parametrize("ring, gens, f, degree", [
+        pytest.param(R2, ("x^2", "y"), "x^3 + y^2", 2, id="cusp"),
+        pytest.param(R3, ("x y", "z"), "x^3 y + x y^3 + z^2 + x y z", 3, id="d3"),
+        pytest.param(R3, ("x^2", "y"), "x^5 + y^2 + x^2 z^2 + y z^4", 5, id="fin2"),
+        pytest.param(R2, ("x^2", "y"), "x^7 + y^2 + x^3 y", 4, id="j10"),
+    ])
+    def test_model_is_the_local_model_of_L_in_both_orders(self, ring, gens, f, degree):
+        ds, dp = (GermProblem(P(f, ring), ideal(ring, order, *gens))
+                  for order in (LOCAL_DS, GLOBAL_DP))
+        assert ds.model is ds.L._model
+        assert ds.model.degree == degree
+        assert (dp.model.degree, dp.model.labels, dp.model.basis.rows) == \
+            (ds.model.degree, ds.model.labels, ds.model.basis.rows)

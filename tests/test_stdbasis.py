@@ -818,6 +818,63 @@ class TestLocalAnswers:
         return 2 * len(monos_upto(2, N)) - gauss_rank(rows)
 
 
+class TestOrderViews:
+    """with_order gives a view on the same generators: the views share one
+    cached global basis, and each answers in its own order."""
+
+    @pytest.fixture
+    def basis_calls(self, monkeypatch):
+        """The ranks of every std_basis_vectors call."""
+        real = stdbasis.std_basis_vectors
+        calls = []
+
+        def counted(vectors, rank):
+            calls.append(rank)
+            return real(vectors, rank)
+
+        monkeypatch.setattr(stdbasis, "std_basis_vectors", counted)
+        return calls
+
+    @pytest.mark.parametrize("first", range(3))
+    def test_module_views_build_one_basis(self, basis_calls, first):
+        M = Submodule(R2, 2, [vec(R2, "x^2", "y"), vec(R2, "0", "x y - y^3")], LOCAL_DS)
+        dp = M.with_order(GLOBAL_DP)
+        again = dp.with_order(LOCAL_DS)
+        v = vec(R2, "x^3", "x y")
+        uses = [M.basis, lambda: dp.contains(v), lambda: again.normal_form(v)]
+        assert M._basis is None
+        uses[first]()
+        assert len(basis_calls) == 1
+        assert M._basis is dp._basis is again._basis
+        assert M.basis() is dp.basis() is again.basis()
+        assert dp.contains(v) and vec_is_zero(again.normal_form(v))
+        assert len(basis_calls) == 1
+        assert (dp.order, again.order) == (GLOBAL_DP, LOCAL_DS)
+
+    @pytest.mark.parametrize("first", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    def test_ideal_views_build_one_basis(self, basis_calls, first):
+        local = ideal(R2, LOCAL_DS, "x^2 - y^3", "x y")
+        views = {LOCAL_DS: local, GLOBAL_DP: local.with_order(GLOBAL_DP)}
+        views[first].basis()
+        for view in views.values():
+            assert view.normal_form(P("x^3")).is_zero()
+            assert view.with_order(GLOBAL_DP).normal_form(P("y^4")).is_zero()
+        assert len(basis_calls) == 1
+
+    @pytest.mark.parametrize("first", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    def test_views_answer_in_their_own_order(self, first):
+        # globally infinite (the line y = 1), locally (x^5, y^5); see
+        # TestLocalAnswers.test_globally_infinite_locally_finite
+        local = ideal(R2, LOCAL_DS, "x^5 - x^5 y", "y^5 - y^6")
+        views = {LOCAL_DS: local, GLOBAL_DP: local.with_order(GLOBAL_DP)}
+        views[first].quotient_dimension()
+        assert views[LOCAL_DS].quotient_dimension().value == 25
+        assert views[GLOBAL_DP].quotient_dimension() is INFINITE
+        assert views[GLOBAL_DP].with_order(LOCAL_DS).quotient_dimension().value == 25
+        assert views[LOCAL_DS].contains(P("x^5"))
+        assert not views[GLOBAL_DP].contains(P("x^5"))
+
+
 class TestRelativeQuotientDimension:
     def test_regression_value(self):
         I = ideal(R2, LOCAL_DS, "x^2", "y")

@@ -43,12 +43,12 @@ class TestThetaPreserving:
         theta = theta_preserving(EJEM)
         expected = Submodule(R2, 2, vectors(R2, ("x", "0"), ("y", "0"),
                                             ("0", "x^2"), ("0", "y")), LOCAL_DS)
-        assert theta.module.equals(expected)
+        assert theta.equals(expected)
 
     def test_unit_ideal_gives_full_module(self):
         theta = theta_preserving(ideal(R2, LOCAL_DS, "1"))
         expected = Submodule(R2, 2, vectors(R2, ("1", "0"), ("0", "1")), LOCAL_DS)
-        assert theta.module.equals(expected)
+        assert theta.equals(expected)
 
     def test_maximal_ideal_powers_give_m_theta(self):
         from germforge.stdbasis import power_ideal
@@ -56,7 +56,7 @@ class TestThetaPreserving:
         for k in (1, 2):
             I = power_ideal(R2, k)
             theta = theta_preserving(I)
-            assert theta.module.equals(m_theta(R2, LOCAL_DS, 2))
+            assert theta.equals(m_theta(R2, LOCAL_DS, 2))
 
     def test_zero_ideal_error(self):
         with pytest.raises(GermforgeError) as ei:
@@ -163,12 +163,12 @@ class TestThetaOracle:
 class TestThetaVanishing:
     def test_unit_ideal(self):
         tv = theta_vanishing(theta_preserving(ideal(R2, LOCAL_DS, "1")))
-        assert tv.module.equals(m_theta(R2, LOCAL_DS, 2))
+        assert tv.equals(m_theta(R2, LOCAL_DS, 2))
 
     def test_regression_same_as_preserving(self):
         tp = theta_preserving(EJEM)
         tv = theta_vanishing(tp)
-        assert tv.module.equals(tp.module)
+        assert tv.equals(tp)
 
     def test_contained_in_preserving(self):
         for I in (EJEM, ideal(R2, LOCAL_DS, "x^2 - y^3")):
@@ -186,7 +186,7 @@ class TestThetaVanishing:
                                                    order):
         I = ideal(ring, order, *gens)
         tv = theta_vanishing(theta_preserving(I))
-        assert tv.module.quotient_dimension().value == qdim
+        assert tv.quotient_dimension().value == qdim
         assert GermProblem(P(f, ring), I).c_plain.value == c_plain
 
 
