@@ -21,7 +21,7 @@ from .errors import GermforgeError
 from .invariants import GermProblem
 from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
-from .stdbasis import Ideal, ideal_quotient, zero_dim_radical
+from .stdbasis import Ideal, ideal_quotient
 from .koszul import KoszulInstance, koszul_euler
 
 
@@ -135,7 +135,7 @@ class MorseComponent:
     """J_M' = (radical-or-assumed J1 : J2)."""
 
     ideal: Ideal
-    certificate: str  # squarefree-monomials | linear-forms | zero-dim-radical | assumed-reduced
+    certificate: str  # squarefree-monomials | linear-forms | assumed-reduced
 
 
 def _squarefree_monomial_gens(I: Ideal) -> bool:
@@ -158,8 +158,6 @@ def _certified_radical(J1: Ideal, assume_reduced: bool) -> Tuple[Ideal, str]:
         return J1, "squarefree-monomials"
     if _independent_linear_gens(J1):
         return J1, "linear-forms"
-    if J1.quotient_dimension().is_finite:
-        return zero_dim_radical(J1), "zero-dim-radical"
     if assume_reduced:
         return J1, "assumed-reduced"
     raise GermforgeError(

@@ -108,8 +108,8 @@ def _kernel_gens(inst: KoszulInstance, p: int) -> List[Vector]:
         return [(ring.one(),)]
     cols = _differential(inst, p)
     rank_low = len(_basis_index(m, p - 1))
-    sub = _relation_block(inst, rank_low)
-    return preimage_module(cols, sub, ring, rank_low)
+    relations = Submodule(ring, rank_low, _relation_block(inst, rank_low), LOCAL_DS)
+    return preimage_module(cols, relations)
 
 
 def _image_gens(inst: KoszulInstance, p: int) -> List[Vector]:
@@ -131,8 +131,8 @@ def homology_dimension(inst: KoszulInstance, p: int) -> int:
     if not ker:
         return 0
     rank_p = len(_basis_index(m, p))
-    im = _image_gens(inst, p)
-    L = preimage_module(ker, im, inst.ring, rank_p)
+    im = Submodule(inst.ring, rank_p, _image_gens(inst, p), LOCAL_DS)
+    L = preimage_module(ker, im)
     qd = Submodule(inst.ring, len(ker), L, LOCAL_DS).quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("INFINITE_LENGTH",

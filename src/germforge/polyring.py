@@ -40,11 +40,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 

@@ -7,12 +7,12 @@ position-over-term with position 0 greatest, an elimination order: the basis
 elements whose first entries vanish form a basis of the module's part with
 those entries zero.
 
-Preimages, syzygies, colons and intersections are each one such elimination.
-The preimage {c : sum c_i t_i in <s_j>} is read off the basis of the rows
-(t_i, e_i) and (s_j, 0), without coordinates for the s_j; the intersection
-of U and V off that of the rows (u_i, u_i) and (v_j, 0); the colon M : w off
-the preimage of w. Postchecks test each result by global membership: every
-sum c_i t_i in <s_j>, every generator of the intersection in U and in V.
+Preimages, syzygies, colons and intersections are each one such elimination
+on the modules they test. The preimage {c : sum c_i t_i in S} is read off the
+basis of the rows (t_i, e_i) and (s_j, 0), s_j the generators of S; the
+intersection of U and V off that of the rows (u_i, u_i) and (v_j, 0); the
+colon M : w off the preimage of w under M. Postchecks reduce each result to
+0 against the cached global bases of S, or of U and of V.
 Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
 carries the coordinates in its tail. The zero-dimensional radical runs on
@@ -21,11 +21,11 @@ is the generator of the colon (p) : (p').
 
 The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
-global basis serves both orders; the local length and memberships come from
-it, the truncated model and one colon (Submodule.quotient_dimension and
-Submodule.contains say how). with_order gives a view on the same generators
-that shares the cached global basis, whichever view builds it first; each
-view keeps its own quotient dimension and truncated model.
+global basis serves both orders. The local length comes from it and the
+truncated model (Submodule.quotient_dimension says how), a local membership
+from it and one colon (Submodule.contains). with_order gives a view on the
+same generators that shares the cached global basis, whichever view builds
+it first; each view keeps its own quotient dimension and truncated model.
 
 The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
@@ -597,17 +597,13 @@ class Submodule:
 
     def contains(self, v: Vector) -> bool:
         """Membership in this module's ring. A global normal form of 0 proves
-        it. Else, at the origin: with m^d O^r inside M, d the model's degree,
-        v is a member exactly when its terms of degree < d lie in the model's
-        span; with an infinite quotient, exactly when a generator of M : v
-        is a unit at the origin (Greuel-Pfister, ch. 1)."""
+        it. Else, at the origin, v is a member exactly when a generator of
+        the colon M : v is a unit there (Greuel-Pfister, ch. 1): the colon
+        commutes with localization, and an ideal is the whole local ring
+        exactly when some generator has a nonzero constant term."""
         if vec_is_zero(self.normal_form(v)):
             return True
-        if not self.order.is_local:
-            return False
-        if not self.quotient_dimension().is_finite:
-            return any(h.constant_term() for h in self.colon([v]).gens)
-        return self._model.basis.contains(self._model.row(v))
+        return self.order.is_local and any(h.constant_term() for h in self.colon([v]).gens)
 
     def contains_module(self, other: "Submodule") -> bool:
         return all(self.contains(v) for v in other.gens)
@@ -617,13 +613,14 @@ class Submodule:
 
     def colon(self, ws: Sequence[Vector]) -> "Ideal":
         """{h : h*w in M for every w in ws}, in this module's order: the
-        preimage of the ws stacked, under M's generators in each block."""
+        preimage of the ws stacked, under M's generators in each block. For
+        a single w that block module is M itself, with its cached basis."""
         r, k = self.rank, len(ws)
         zero = vec_zero(self.ring, r)
         target = tuple(p for w in ws for p in w)
         sub = [zero * b + g + zero * (k - 1 - b) for b in range(k) for g in self.gens]
-        return Ideal(self.ring, [c[0] for c in preimage_module([target], sub, self.ring, r * k)],
-                     self.order)
+        S = self if k == 1 else Submodule(self.ring, r * k, sub, GLOBAL_DP)
+        return Ideal(self.ring, [c[0] for c in preimage_module([target], S)], self.order)
 
     def quotient_dimension(self) -> QuotientDim:
         """dim of O^rank / this module: the global staircase under 'dp', the
@@ -773,33 +770,38 @@ def _with_identity(vectors: Sequence[Vector], ring: Ring) -> List[Vector]:
 def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodule:
     """Kernel of the map O^k -> O^rank sending unit vector i to vectors[i]:
     the preimage of the zero module."""
-    return Submodule(ring, len(vectors), preimage_module(vectors, [], ring, rank), GLOBAL_DP)
+    zero = Submodule(ring, rank, (), GLOBAL_DP)
+    return Submodule(ring, len(vectors), preimage_module(vectors, zero), GLOBAL_DP)
 
 
-def preimage_module(targets: Sequence[Vector], sub_gens: Sequence[Vector], ring: Ring,
-                    rank: int) -> List[Vector]:
-    """Reduced global basis of {c in O^k : sum c_i * targets[i] in <sub_gens>}.
+def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> List[Vector]:
+    """The entries past head of the reduced global basis elements of the
+    rows in O^rank whose first head entries vanish: position over term
+    eliminates the head, so they form a basis of {t : (0, t) in <rows>}."""
+    basis = std_basis_vectors(rows, rank)
+    return [b[head:] for b in basis if vec_is_zero(b[:head])]
 
-    The rows (t_i, e_i) and (s_j, 0) in O^(rank+k) span the pairs
-    (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member exactly when c lies
-    in the preimage. Position-over-term with position 0 greatest eliminates
-    the first rank entries: the tails of the basis elements whose head
-    vanishes form a basis of the preimage, and no cofactor d is computed.
-    Postcheck: each sum c_i t_i is a global member of <sub_gens>."""
-    k = len(targets)
+
+def preimage_module(targets: Sequence[Vector], S: Submodule) -> List[Vector]:
+    """Reduced global basis of {c in O^k : sum c_i * targets[i] in S}.
+
+    The rows (t_i, e_i) and (s_j, 0) in O^(rank+k), s_j the generators of S,
+    span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member
+    exactly when c lies in the preimage: the head-free tails of one
+    elimination, and no cofactor d is computed. Postcheck: the global normal
+    form of each sum c_i t_i against S's cached basis is 0."""
+    k, ring, rank = len(targets), S.ring, S.rank
     if k == 0:
         return []
     if any(len(v) != rank for v in targets):
         raise ValueError("vector of wrong rank")
-    sub = Submodule(ring, rank, sub_gens, GLOBAL_DP)
-    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in sub.gens]
-    basis = std_basis_vectors(rows, rank + k)
-    out = [b[rank:] for b in basis if vec_is_zero(b[:rank])]
+    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens]
+    out = _head_free_tails(rows, rank, rank + k)
     for c in out:
         acc = vec_zero(ring, rank)
         for ci, t in zip(c, targets):
             acc = vec_add(acc, vec_poly_mul(t, ci))
-        if not sub.contains(acc):
+        if not vec_is_zero(S.normal_form(acc)):
             raise AssertionError("preimage postcheck failed")
     return out
 
@@ -828,17 +830,15 @@ def module_intersection(U: Submodule, V: Submodule) -> Submodule:
 
     The rows (u_i, u_i) and (v_j, 0) in O^(2 rank) span the pairs
     (sum c_i u_i + sum d_j v_j, sum c_i u_i), so (0, w) is a member exactly
-    when w lies in U and in V; as in preimage_module, the tails of the global
-    basis elements whose head vanishes generate U intersect V.
-    Postcheck: each returned w is a global member of U and of V."""
+    when w lies in U and in V: the head-free tails of one elimination, as in
+    preimage_module, generate U intersect V.
+    Postcheck: each returned w has global normal form 0 against U and V."""
     if U.ring != V.ring or U.rank != V.rank:
         raise ValueError("modules from different ambients")
     ring, r = U.ring, U.rank
     rows = [u + u for u in U.gens] + [v + vec_zero(ring, r) for v in V.gens]
-    basis = std_basis_vectors(rows, 2 * r)
-    gens = [b[r:] for b in basis if vec_is_zero(b[:r])]
-    Ug, Vg = U.with_order(GLOBAL_DP), V.with_order(GLOBAL_DP)
-    if not all(Ug.contains(w) and Vg.contains(w) for w in gens):
+    gens = _head_free_tails(rows, r, 2 * r)
+    if not all(vec_is_zero(U.normal_form(w)) and vec_is_zero(V.normal_form(w)) for w in gens):
         raise AssertionError("intersection postcheck failed")
     return Submodule(ring, r, gens, U.order)
 
@@ -875,7 +875,7 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
         if not I.contains(h):
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")
-    L = preimage_module([(g,) for g in I.gens], [(h,) for h in J.gens], I.ring, 1)
+    L = preimage_module([(g,) for g in I.gens], J._module())
     return Submodule(I.ring, len(I.gens), L, I.order)
 
 

@@ -7,7 +7,7 @@ X(g_j) in I for all j means sum a_i (dg_1/dx_i, ..., dg_r/dx_i) lies in the
 module of the generator multiples g_l e_j. stdbasis.preimage_module reads it
 off one global elimination of the rows (derivative column i, e_i) and
 (g_l e_j, 0), with no coordinates for the multiples, and checks each field
-by global membership; no truncation is involved. The fields vanishing at the
+by its global normal form against the multiples; no truncation is involved. The fields vanishing at the
 origin are its intersection with m * Theta, one more elimination, checked
 the same way.
 
@@ -59,9 +59,9 @@ def theta_preserving(I: Ideal) -> Submodule:
     r = len(I.gens)
     zero = ring.zero()
     derivatives = [tuple(g.derive(i) for g in I.gens) for i in range(n)]
-    multiples = [tuple(g if l == j else zero for l in range(r))
-                 for j in range(r) for g in I.gens]
-    module = Submodule(ring, n, preimage_module(derivatives, multiples, ring, r), I.order)
+    multiples = Submodule(ring, r, [tuple(g if l == j else zero for l in range(r))
+                                    for j in range(r) for g in I.gens], GLOBAL_DP)
+    module = Submodule(ring, n, preimage_module(derivatives, multiples), I.order)
     for X in module.gens:
         for g in I.gens:
             if not I.contains(field_apply(X, g)):
@@ -149,12 +149,12 @@ def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     kernel = identity_kernel(basis, top, last)
     polys = [Poly(ring, {alphas[t]: c for t, c in combo.items()}) for combo in kernel]
     polys.sort(key=lambda p: GLOBAL_DP.key(p.leading(GLOBAL_DP)[0]))
-    kept: List[Poly] = []
+    span = Ideal(ring, [], order)
     for p in polys:
-        if kept and Ideal(ring, kept, order).contains(p):
+        if span.gens and span.contains(p):
             continue
-        kept.append(p)
-    result = PrimitiveIdeal(Ideal(ring, kept, order), N)
+        span = Ideal(ring, span.gens + (p,), order)
+    result = PrimitiveIdeal(span, N)
     _postcheck_adapted(Iprime, result)
     return result
 

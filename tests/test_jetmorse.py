@@ -81,6 +81,15 @@ class TestMorseComponent:
             morse_component(ctx)
         assert ei.value.code == "RADICAL_UNAVAILABLE"
 
+    def test_radical_unavailable_builds_no_basis(self, basis_calls):
+        # every term of each Q_i holds one jet variable, so V(J1) contains
+        # a = 0 and J1's global quotient is infinite: no zero-dimensional
+        # radical can certify it, and none is tried
+        with pytest.raises(GermforgeError) as ei:
+            morse_component(jet_context(EJEM, 1))
+        assert ei.value.code == "RADICAL_UNAVAILABLE"
+        assert basis_calls == []
+
     def test_assumed_reduced_regression(self):
         ctx = jet_context(EJEM, 1)
         mc = morse_component(ctx, assume_reduced=True)

@@ -822,19 +822,6 @@ class TestOrderViews:
     """with_order gives a view on the same generators: the views share one
     cached global basis, and each answers in its own order."""
 
-    @pytest.fixture
-    def basis_calls(self, monkeypatch):
-        """The ranks of every std_basis_vectors call."""
-        real = stdbasis.std_basis_vectors
-        calls = []
-
-        def counted(vectors, rank):
-            calls.append(rank)
-            return real(vectors, rank)
-
-        monkeypatch.setattr(stdbasis, "std_basis_vectors", counted)
-        return calls
-
     @pytest.mark.parametrize("first", range(3))
     def test_module_views_build_one_basis(self, basis_calls, first):
         M = Submodule(R2, 2, [vec(R2, "x^2", "y"), vec(R2, "0", "x y - y^3")], LOCAL_DS)
@@ -873,6 +860,62 @@ class TestOrderViews:
         assert views[GLOBAL_DP].with_order(LOCAL_DS).quotient_dimension().value == 25
         assert views[LOCAL_DS].contains(P("x^5"))
         assert not views[GLOBAL_DP].contains(P("x^5"))
+
+
+class TestOneColon:
+    """Under 'ds' a membership is a global normal form of 0 or else a unit
+    among the generators of M : v; preimages and intersections postcheck
+    against the bases their modules have cached."""
+
+    @pytest.fixture
+    def model_calls(self, monkeypatch):
+        """The caps of every truncated_model call."""
+        real = stdbasis.truncated_model
+        calls = []
+
+        def counted(gens, ring, rank, caps):
+            calls.append(caps)
+            return real(gens, ring, rank, caps)
+
+        monkeypatch.setattr(stdbasis, "truncated_model", counted)
+        return calls
+
+    # (x^5 - x^5 y, y^5 - y^6) is (x^5, y^5) at the origin, but not globally
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("p, member", [
+        ("x^5", True), ("x^6 y - 2 y^5", True), ("x^4", False), ("x^4 y^4", False),
+    ])
+    def test_local_membership_is_one_colon(self, model_calls, rank, p, member):
+        gens = [P("x^5 - x^5 y"), P("y^5 - y^6")]
+        zero = R2.zero()
+        M = Submodule(R2, rank, [(g,) + (zero,) * (rank - 1) for g in gens], LOCAL_DS)
+        v = (P(p),) + (zero,) * (rank - 1)
+        assert M.contains(v) is member
+        assert not M.with_order(GLOBAL_DP).contains(v)
+        assert M._qdim is None and model_calls == []
+
+    def test_preimage_reuses_the_cached_basis(self, basis_calls):
+        S = Submodule(R2, 2, [vec(R2, "x^2", "y"), vec(R2, "0", "x y")], LOCAL_DS)
+        S.basis()
+        del basis_calls[:]
+        out = preimage_module([vec(R2, "x", "0"), vec(R2, "0", "x")], S)
+        assert out and basis_calls == [4]
+
+    def test_intersection_reuses_the_cached_bases(self, basis_calls, monkeypatch):
+        U = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], LOCAL_DS)
+        V = Submodule(R2, 2, [vec(R2, "y", "0"), vec(R2, "0", "x")], GLOBAL_DP)
+        U.basis(), V.basis()
+        del basis_calls[:]
+        views = []
+        real = Submodule.with_order
+
+        def counted(self, order):
+            views.append(order)
+            return real(self, order)
+
+        monkeypatch.setattr(Submodule, "with_order", counted)
+        assert set(module_intersection(U, V).gens) == {vec(R2, "x y", "0"), vec(R2, "0", "x y")}
+        assert basis_calls == [4] and views == []
 
 
 class TestRelativeQuotientDimension:
@@ -969,7 +1012,7 @@ class TestPreimageByElimination:
         return out
 
     def _assert_same(self, targets, sub_gens, ring, rank):
-        ours = preimage_module(targets, sub_gens, ring, rank)
+        ours = preimage_module(targets, Submodule(ring, rank, sub_gens, GLOBAL_DP))
         assert ours
         assert ours == self._projected_kernel(targets, sub_gens, ring, rank)
 
@@ -1044,11 +1087,11 @@ class TestEliminationPostchecks:
 
     def test_preimage_postcheck(self, monkeypatch):
         # rank 1 + 2 rows; adding 1 to a tail adds y, which is outside (xy)
-        targets, sub = [(P("x"),), (P("y"),)], [(P("x y"),)]
-        assert preimage_module(targets, sub, R2, 1)
+        targets, sub = [(P("x"),), (P("y"),)], Submodule(R2, 1, [(P("x y"),)], GLOBAL_DP)
+        assert preimage_module(targets, sub)
         self._perturb_tail(monkeypatch, 3, 1)
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
-            preimage_module(targets, sub, R2, 1)
+            preimage_module(targets, sub)
 
     def test_intersection_postcheck(self, monkeypatch):
         # rank 2 + 2 rows; (xy, 1) or (1, xy) lies in neither module

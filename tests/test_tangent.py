@@ -261,6 +261,15 @@ class TestPrimitiveIdeal:
             "x*y*z^2 + 3/2*x*y^2", "x^2*z^2 + 3*x^2*y - 3*y^2*z", "x*y^2*z",
             "x^2*y*z", "x^3*z", "x^4"]
 
+    @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    @pytest.mark.parametrize("gens", [("x*y", "z"), ("x^2 - 2*y*z", "y + 1/3*z^2")],
+                             ids=["d3", "fractional"])
+    def test_one_span_basis_per_kept_generator(self, basis_calls, order, gens):
+        # the span of the kept generators is rebuilt only when one is kept;
+        # under 'ds' a candidate outside it also costs one colon, of rank 2
+        res = primitive_ideal(ideal(R3, order, *gens), 4)
+        assert basis_calls.count(1) <= len(res.gens)
+
     def test_members_satisfy_defining_conditions(self):
         Ip = ideal(R2, LOCAL_DS, "x", "y^2")
         res = primitive_ideal(Ip, 5)
