@@ -11,12 +11,10 @@ byte-identical documents; timing goes to stderr as elapsed_ms=N.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
@@ -42,8 +40,48 @@ KNOWN_OPTIONS = ("trials",)
 # problem files
 
 
-@dataclass
-class ProblemFile:
+# SHA-256 (FIPS 180-4) of a short text. hashlib would load OpenSSL, a few
+# milliseconds and about 2 MB of memory per process, to hash one small file.
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+
+
+def _sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 of data; rotations leave bits above 32 that each sum's
+    final mask drops."""
+    mask = 0xFFFFFFFF
+    size = len(data)
+    data += b"\x80" + b"\x00" * ((55 - size) % 64) + (8 * size).to_bytes(8, "big")
+    h = list(_SHA256_H0)
+    for start in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            x, y = w[t - 15], w[t - 2]
+            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
+            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        a, b, c, d, e, f, g, k = h
+        for t in range(64):
+            s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
+            t1 = k + s1 + ((e & f) ^ (~e & g)) + _SHA256_K[t] + w[t]
+            s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
+            t2 = s0 + ((a & b) ^ (a & c) ^ (b & c))
+            a, b, c, d, e, f, g, k = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
+        h = [(u + v) & mask for u, v in zip(h, (a, b, c, d, e, f, g, k))]
+    return "".join(f"{u:08x}" for u in h)
+
+
+class ProblemFile(NamedTuple):
     text: str
     ring: Ring
     order_name: str
@@ -53,8 +91,7 @@ class ProblemFile:
     options: Dict[str, str]
 
     def digest(self) -> str:
-        h = hashlib.sha256(self.text.encode()).hexdigest()[:16]
-        return f"sha256:{h}"
+        return f"sha256:{_sha256_hex(self.text.encode())[:16]}"
 
 
 def _strip_comments(text: str) -> str:

@@ -38,10 +38,9 @@ rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
@@ -177,21 +176,17 @@ def positive_codim_locus(f: Poly, I: Ideal) -> Ideal:
 # unfoldings and versality
 
 
-@dataclass(frozen=True)
 class Unfolding:
     """Polynomial family F over base germ f; the parameters are the trailing
     variables of ring and setting them to zero recovers f."""
 
-    ring: Ring
-    F: Poly
-    params: Tuple[str, ...]
-    base_ring: Ring
-    f: Poly
+    __slots__ = ("ring", "F", "params", "base_ring", "f")
 
-    def __post_init__(self):
-        if self.ring.names[:self.base_ring.n] != self.base_ring.names:
+    def __init__(self, ring: Ring, F: Poly, params: Tuple[str, ...], base_ring: Ring, f: Poly):
+        self.ring, self.F, self.params, self.base_ring, self.f = ring, F, params, base_ring, f
+        if ring.names[:base_ring.n] != base_ring.names:
             raise ValueError("extended ring must start with the base variables")
-        if set(self.params) != set(self.ring.names[self.base_ring.n:]):
+        if set(params) != set(ring.names[base_ring.n:]):
             raise ValueError("parameters must be exactly the trailing variables")
         if self.specialized() != self.f:
             raise GermforgeError("F_NOT_UNFOLDING", "setting parameters to zero does not recover f")
@@ -262,8 +257,7 @@ def _fresh_names(ring: Ring, count: int) -> List[str]:
 # D(d, k) classification
 
 
-@dataclass(frozen=True)
-class DdkClass:
+class DdkClass(NamedTuple):
     d: int
     k: int
     verdict: str  # IS_Ddk | NOT_Ddk | NOT_APPLICABLE
@@ -360,8 +354,7 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
 # report bundle
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     c_ext: QuotientDim
     c_plain: QuotientDim
     determinacy: Optional[int]

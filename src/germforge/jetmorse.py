@@ -12,10 +12,9 @@ graph sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem
@@ -29,8 +28,7 @@ from .koszul import KoszulInstance, koszul_euler
 # jet context
 
 
-@dataclass(frozen=True)
-class JetContext:
+class JetContext(NamedTuple):
     """Order-k jet space of the ideal presentation, with the critical-jet
     ideal J1 = (Q_1..Q_n) and the base-locus ideal J2 = (g_j(z))."""
 
@@ -130,8 +128,7 @@ def _check_q_identity(ctx: JetContext) -> None:
 # Morse component
 
 
-@dataclass(frozen=True)
-class MorseComponent:
+class MorseComponent(NamedTuple):
     """J_M' = (radical-or-assumed J1 : J2)."""
 
     ideal: Ideal
@@ -176,19 +173,17 @@ def morse_component(ctx: JetContext, assume_reduced: bool = False) -> MorseCompo
 # liftings and pullback
 
 
-@dataclass(frozen=True)
 class LiftedGerm:
     """Coefficients of one expression f = sum_j coeffs[j] * gens[j]."""
 
-    f: Poly
-    gens: Tuple[Poly, ...]
-    coeffs: Tuple[Poly, ...]
+    __slots__ = ("f", "gens", "coeffs")
 
-    def __post_init__(self):
-        acc = self.f.ring.zero()
-        for c, g in zip(self.coeffs, self.gens):
+    def __init__(self, f: Poly, gens: Tuple[Poly, ...], coeffs: Tuple[Poly, ...]):
+        self.f, self.gens, self.coeffs = f, gens, coeffs
+        acc = f.ring.zero()
+        for c, g in zip(coeffs, gens):
             acc = acc + c * g
-        if acc != self.f:
+        if acc != f:
             raise AssertionError("lifting does not recombine to the germ")
 
     def taylor_coefficient(self, j: int, alpha: Mono) -> Poly:

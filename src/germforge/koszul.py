@@ -10,7 +10,6 @@ staircase count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Tuple
 
@@ -27,18 +26,15 @@ from .stdbasis import (
 )
 
 
-@dataclass(frozen=True)
 class KoszulInstance:
     """Sequence s_1..s_m over the quotient of the local ring by relations."""
 
-    ring: Ring
-    relations: Tuple[Poly, ...]
-    sequence: Tuple[Poly, ...]
+    __slots__ = ("ring", "relations", "sequence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations",
-                           tuple(p for p in self.relations if not p.is_zero()))
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+    def __init__(self, ring: Ring, relations: Tuple[Poly, ...], sequence: Tuple[Poly, ...]):
+        self.ring = ring
+        self.relations = tuple(p for p in relations if not p.is_zero())
+        self.sequence = tuple(sequence)
         for p in self.relations + self.sequence:
             if p.ring is not self.ring:
                 raise ValueError("all elements must live in the instance ring")

@@ -18,9 +18,8 @@ mass sits at nonrational points only the aggregate is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem, extended_codim
@@ -88,8 +87,7 @@ def _deform(P: GermProblem, degree_bound: Optional[int], seed: int) -> Poly:
 # critical points off the zero set
 
 
-@dataclass(frozen=True)
-class CriticalReport:
+class CriticalReport(NamedTuple):
     sat_ideal: Ideal
     count: int
     all_morse: bool
@@ -226,8 +224,7 @@ def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Fraction, ...]]]:
 # splitting report
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     sigma: Optional[Dict[int, int]]
     corrected: int
     morse: int

@@ -298,17 +298,22 @@ class Poly:
     # -- substitution and evaluation
 
     def substitute(self, images: Sequence["Poly"], target: Optional[Ring] = None) -> "Poly":
-        """Ring map sending variable i to images[i]; images live in target."""
+        """Ring map sending variable i to images[i]; images live in target.
+        powers[i][e] is images[i] ** e, each power one product from the last."""
         if len(images) != self.ring.n:
             raise ValueError("need one image per variable")
         if target is None:
             target = images[0].ring if images else self.ring
+        powers = [[target.one()] for _ in images]
         out = target.zero()
         for m, c in sorted(self.terms.items()):
             term = target.const(c)
             for i, e in enumerate(m):
                 if e:
-                    term = term * (images[i] ** e)
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * images[i])
+                    term = term * pw[e]
             out = out + term
         return out
 

@@ -48,7 +48,6 @@ sugar (Giovini et al., ISSAC 1991), the lcm's order and the pair's indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -407,8 +406,7 @@ def _interreduce(red: _Reducers) -> _Reducers:
 # quotient dimensions
 
 
-@dataclass(frozen=True)
-class QuotientDim:
+class QuotientDim(NamedTuple):
     """Dimension of a quotient; value None means infinite."""
 
     value: Optional[int]

@@ -18,8 +18,7 @@ degree and reported together with its truncation bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, identity_kernel
@@ -101,8 +100,7 @@ def tangent_ideal(f: Poly, theta: Submodule) -> Ideal:
 # primitive ideal, truncated
 
 
-@dataclass(frozen=True)
-class PrimitiveIdeal:
+class PrimitiveIdeal(NamedTuple):
     """Generators of {f : f and all df/dx_i lie in I'} valid up to the stated
     truncation degree; higher-degree members may be missing."""
 

@@ -1,16 +1,36 @@
 """End-to-end command tests: problem files, documents, exit codes, goldens."""
 
+import hashlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import germforge.tangent
-from germforge import jet_context
-from germforge.cli import main, parse_problem_file
+from germforge import (
+    CriticalReport,
+    DdkClass,
+    InvariantReport,
+    JetContext,
+    KoszulInstance,
+    MorseComponent,
+    PrimitiveIdeal,
+    QuotientDim,
+    Ring,
+    SplittingReport,
+    Unfolding,
+    jet_context,
+    parse_poly,
+)
+from germforge.cli import ProblemFile, main, parse_problem_file
 from germforge.polyring import format_poly
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+CORPUS = os.path.join(ROOT, "perfbench", "corpus")
 
 CANON = "ring x y ;\nideal I = x^2, y ;\npoly f = x^3 + y^2 ;\n"
 CLASSIFY = "ring x y1 y2 ;\nideal J = y1, y2 ;\npoly f = x*y1^2 + y2^2 ;\n"
@@ -322,3 +342,92 @@ class TestJetDump:
         _, out, _ = run(capsys, ["jet-dump", problem(tmp_path)])
         assert out.startswith("#")
         assert "ring z1 z2 " in out and "ideal J1 = " in out
+
+
+# ---------------------------------------------------------------------------
+# start-up: records are NamedTuples or slotted classes, and the digest is
+# hashed in Python, so a CLI process loads neither dataclasses nor OpenSSL
+
+# prints the modules that importing the CLI and running one command added,
+# so modules that site preloads do not count
+STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+import germforge.cli
+code = germforge.cli.main(["codim", sys.argv[1]])
+print(code, ",".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _digest(text):
+    return ProblemFile(text, None, "ds", {}, {}, {}, {}).digest()
+
+
+def _hashlib_digest(text):
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestStartUp:
+    def test_cli_loads_neither_dataclasses_nor_openssl(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, os.path.join(CORPUS, "cusp.gf")],
+            env=env, capture_output=True, text=True, timeout=60)
+        code, added = proc.stdout.splitlines()[-1].split(" ")
+        added = set(added.split(","))
+        assert code == "0"
+        assert "germforge.oracle" in added
+        assert added.isdisjoint({"dataclasses", "_hashlib"})
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CORPUS)))
+    def test_corpus_digest_matches_hashlib(self, name):
+        with open(os.path.join(CORPUS, name), "r", encoding="utf-8") as fh:
+            text = fh.read()
+        assert parse_problem_file(text).digest() == _hashlib_digest(text)
+
+    def test_digest_across_padding_edges(self):
+        # one and two blocks, and the 55/56/64-byte edges of the padding
+        for size in range(0, 200):
+            for text in ("a" * size, "\u00e9" * (size // 2)):
+                assert _digest(text) == _hashlib_digest(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(max_size=40), st.integers(0, 130))
+    def test_digest_matches_hashlib(self, text, pad):
+        text = "x" * pad + text
+        assert _digest(text) == _hashlib_digest(text)
+
+
+RECORDS = [QuotientDim, PrimitiveIdeal, DdkClass, InvariantReport, JetContext,
+           MorseComponent, CriticalReport, SplittingReport, ProblemFile]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_fields_are_read_only(self, cls):
+        record = cls(*[None] * len(cls._fields))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_repr_names_the_fields(self):
+        assert repr(QuotientDim(3)) == "QuotientDim(value=3, witness=())"
+        assert repr(DdkClass(1, 2, "IS_Ddk")) == "DdkClass(d=1, k=2, verdict='IS_Ddk')"
+
+    def test_unfolding_checks_its_rings_and_parameters(self):
+        base = Ring(["x", "y"])
+        f = parse_poly("x^3 + y^2", base)
+        ext = base.extend(["s"])
+        F = parse_poly("x^3 + y^2 + s*x", ext)
+        U = Unfolding(ext, F, ("s",), base, f)
+        assert (U.ring, U.F, U.params, U.base_ring, U.f) == (ext, F, ("s",), base, f)
+        with pytest.raises(ValueError, match="start with the base"):
+            Unfolding(Ring(["y", "x", "s"]), F, ("s",), base, f)
+        with pytest.raises(ValueError, match="trailing variables"):
+            Unfolding(ext, F, ("t",), base, f)
+
+    def test_koszul_instance_normalises_its_input(self):
+        ring = Ring(["x", "y"])
+        x, y = parse_poly("x", ring), parse_poly("y", ring)
+        inst = KoszulInstance(ring, (ring.zero(), x ** 3), [x, y])
+        assert inst.relations == (x ** 3,) and inst.sequence == (x, y)
