@@ -10,10 +10,10 @@ byte-identical documents; timing goes to stderr as elapsed_ms=N.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
@@ -30,7 +30,7 @@ from .invariants import (
 from .jetmorse import _morse_number, jet_context
 from .oracle import conservation_check, empirical_splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
-from .stdbasis import Ideal, Submodule, hilbert_samuel
+from .stdbasis import Ideal, Submodule, hilbert_samuel_values
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
 
 KNOWN_OPTIONS = ("trials",)
@@ -506,7 +506,7 @@ def _cmd_hilbert(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     upto = args.trunc if args.trunc is not None else 5
     if upto < 0:
         raise GermforgeError("PRECONDITION_VIOLATED", "truncation degree must be >= 0")
-    values = [hilbert_samuel(I, m) for m in range(upto + 1)]
+    values = hilbert_samuel_values(I, upto)
     return ([("upto", upto), ("values", values)], [("trunc", upto)], [])
 
 
@@ -544,59 +544,117 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 # argument surface
 
+# option -> (kind, default, help); a kind is a tuple of choices, int, str, or
+# bool for a flag. The value lands on the attribute named after the option,
+# --degree-bound on args.degree_bound.
+Option = Tuple[object, object, str]
+_ORDER: Dict[str, Option] = {
+    "--order": (("ds", "dp"), "ds", "monomial order for declared ideals")}
+_TRUNC: Dict[str, Option] = {"--trunc": (int, None, "truncation degree")}
+_THETA: Dict[str, Option] = {
+    "--theta-mode": (("direct", "via-subideal"), "direct", "vector fields to use"),
+    **_TRUNC}
+_SEEDS: Dict[str, Option] = {"--seeds": (str, None, "comma-separated integer seeds")}
+_BOUND: Dict[str, Option] = {
+    "--degree-bound": (int, None, "highest cobasis degree in the deformation")}
+_REDUCED: Dict[str, Option] = {
+    "--assume-reduced": (bool, False, "take the critical-jet ideal as radical")}
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="germforge",
-        description="exact relative invariants of function germs")
-    sub = top.add_subparsers(dest="command", required=True)
+# each command's options besides --order, in the order of the usage text
+COMMANDS: Dict[str, Dict[str, Option]] = {
+    "codim": {},
+    "versal-check": {},
+    "versal-build": {},
+    "determinacy": {},
+    "locus": {},
+    "classify": {},
+    "theta": _THETA,
+    "tangent": _THETA,
+    "primitive": _TRUNC,
+    "morse": {"--method": (("jet", "oracle", "both"), "both", "which Morse count"),
+              **_REDUCED, **_SEEDS, **_BOUND},
+    "split": {**_SEEDS, **_BOUND},
+    "conserve": {**_REDUCED, **_BOUND},
+    "hilbert": _TRUNC,
+    "jet-dump": _TRUNC,
+}
 
-    def common(p):
-        p.add_argument("file", help="problem file, or - for stdin")
-        p.add_argument("--order", choices=("ds", "dp"), default="ds",
-                       help="monomial order for declared ideals")
 
-    for name in ("codim", "versal-check", "versal-build", "determinacy",
-                 "locus", "classify"):
-        common(sub.add_parser(name))
+def _bad(message: str) -> GermforgeError:
+    return GermforgeError("BAD_REQUEST", f"{message} (see germforge -h)")
 
-    for name in ("theta", "tangent"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--theta-mode", choices=("direct", "via-subideal"),
-                       default="direct")
-        p.add_argument("--trunc", type=int)
 
-    p = sub.add_parser("primitive")
-    common(p)
-    p.add_argument("--trunc", type=int, required=True)
+def _option_usage(name: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return name if kind is bool else f"{name} {'N' if kind is int else 'TEXT'}"
 
-    p = sub.add_parser("morse")
-    common(p)
-    p.add_argument("--method", choices=("jet", "oracle", "both"), default="both")
-    p.add_argument("--assume-reduced", action="store_true")
-    p.add_argument("--seeds")
-    p.add_argument("--degree-bound", type=int)
 
-    p = sub.add_parser("split")
-    common(p)
-    p.add_argument("--seeds")
-    p.add_argument("--degree-bound", type=int)
+def usage(command: Optional[str] = None) -> str:
+    """The help text of one command, or of all of them, read off COMMANDS."""
+    if command is None:
+        lines = ["usage: germforge COMMAND FILE [OPTIONS]", "",
+                 "exact relative invariants of function germs", "",
+                 "FILE is a problem file, or - for stdin; options go before or after it,",
+                 "as --opt value or --opt=value. Every command takes --order {ds,dp}.",
+                 "commands:"]
+        for name, options in COMMANDS.items():
+            shown = " ".join(f"[{_option_usage(opt, kind)}]"
+                             for opt, (kind, _, _) in options.items())
+            lines.append(f"  {name:<13} {shown}".rstrip())
+        lines.append("germforge COMMAND -h describes the options of a command")
+        return "\n".join(lines) + "\n"
+    lines = [f"usage: germforge {command} FILE [OPTIONS]", "",
+             "FILE is a problem file, or - for stdin. options:"]
+    for opt, (kind, default, text) in {**_ORDER, **COMMANDS[command]}.items():
+        if default is not None and kind is not bool:
+            text += f" (default {default})"
+        lines.append(f"  {_option_usage(opt, kind):<36} {text}")
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("conserve")
-    common(p)
-    p.add_argument("--assume-reduced", action="store_true")
-    p.add_argument("--degree-bound", type=int)
 
-    p = sub.add_parser("hilbert")
-    common(p)
-    p.add_argument("--trunc", type=int)
-
-    p = sub.add_parser("jet-dump")
-    common(p)
-    p.add_argument("--trunc", type=int)
-
-    return top
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, file and options of argv, unset options at their
+    defaults; BAD_REQUEST for anything that is not a command, one file and
+    that command's options."""
+    if not argv:
+        raise _bad("missing the command")
+    command, rest = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise _bad(f"unknown command {command!r}")
+    table = {**_ORDER, **COMMANDS[command]}
+    values = {opt: default for opt, (_, default, _) in table.items()}
+    files = []
+    for word in rest:
+        if word == "-" or not word.startswith("-"):
+            files.append(word)
+            continue
+        opt, eq, value = word.partition("=")
+        if opt not in table:
+            raise _bad(f"{command} has no option {opt!r}")
+        kind = table[opt][0]
+        if kind is bool:
+            if eq:
+                raise _bad(f"{opt} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise _bad(f"{opt} needs a value")
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    raise _bad(f"{opt} must be one of {', '.join(kind)}, not {value!r}")
+            elif kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _bad(f"{opt} wants an integer, not {value!r}")
+        values[opt] = value
+    if len(files) != 1:
+        raise _bad(f"{command} takes one problem file, not {len(files)}")
+    return SimpleNamespace(command=command, file=files[0],
+                           **{opt[2:].replace("-", "_"): v for opt, v in values.items()})
 
 
 def _read_input(path: str) -> str:
@@ -611,9 +669,12 @@ def _read_input(path: str) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage(argv[0] if argv[0] in COMMANDS else None))
+        return 0
     try:
+        args = parse_args(argv)
         pf = parse_problem_file(_read_input(args.file), args.order)
         if args.command == "jet-dump":
             out = _cmd_jet_dump(pf, args)

@@ -23,7 +23,10 @@ The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
 global basis serves both orders. The local length comes from it and the
 truncated model (Submodule.quotient_dimension says how), a local membership
-from it and one colon (Submodule.contains). with_order gives a view on the
+from it and one colon (Submodule.contains). When neither the model nor the
+global length decides, a coordinate axis in the support of O^r/M proves the
+local length infinite, one univariate basis per variable; the saturation
+Ann(O^r/M) : m^infinity decides the rest. with_order gives a view on the
 same generators that shares the cached global basis, whichever view builds
 it first; each view keeps its own quotient dimension and truncated model.
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -632,17 +635,19 @@ class Submodule:
         """The length at the origin: the truncated model at cap 4, or the
         global basis decides. The certified degree is at most the local
         length, which a finite global length b bounds, so the caps climb to
-        b. An infinite global quotient is finite at the origin exactly when
-        Ann(O^r/M) : m^infinity is not inside m; the climb then certifies."""
+        b. An infinite global quotient is infinite at the origin when the
+        support of O^r/M holds a coordinate axis (_holds_an_axis), and else
+        exactly when Ann(O^r/M) : m^infinity lies inside m; a finite one is
+        then certified by the climb."""
         model = truncated_model(self.gens, self.ring, self.rank, (4,))
         if model is None:
             b = staircase_dimension(self.lead_terms(), self.rank, self.ring.n).value
             if b is not None:
                 caps: Iterable[int] = [*range(9, b, 5), b]
-            elif self._finite_at_origin():
-                caps = count(9, 5)
-            else:
+            elif self._holds_an_axis() or not self._finite_at_origin():
                 return INFINITE
+            else:
+                caps = count(9, 5)
             model = truncated_model(self.gens, self.ring, self.rank, caps)
             if model is None:
                 raise AssertionError("the local length exceeds the global one")
@@ -650,6 +655,27 @@ class Submodule:
         witness = [lab for i, lab in enumerate(model.labels) if i not in model.basis.rows]
         witness.sort(key=lambda t: (t[0], GLOBAL_DP.key(t[1])))
         return QuotientDim(len(witness), tuple(witness))
+
+    def _holds_an_axis(self) -> bool:
+        """Whether the support of O^r/M holds a coordinate axis, a proof
+        that the length at the origin is infinite.
+
+        Setting every variable but x_j to 0 maps M onto the submodule of
+        k[x_j]^r spanned by the generators' terms that are pure powers of
+        x_j. When its global length is infinite its rank is below r, so
+        O^r/M tensored with the residue field at P = (x_i : i != j) is not
+        0, Nakayama puts P in the support, and the support, being closed,
+        holds the x_j-axis through the origin. A support of positive
+        dimension there means infinite length (Eisenbud, Commutative
+        Algebra, 2.4)."""
+        for j, name in enumerate(self.ring.names):
+            axis = Ring([name])
+            gens = [tuple(Poly(axis, {(m[j],): c for m, c in p.terms.items()
+                                      if mono_deg(m) == m[j]}) for p in v)
+                    for v in self.gens]
+            if not Submodule(axis, self.rank, gens, GLOBAL_DP).quotient_dimension().is_finite:
+                return True
+        return False
 
     def _finite_at_origin(self) -> bool:
         """Whether Ann(O^r/M) : m^infinity holds a unit at the origin."""
@@ -894,12 +920,29 @@ def power_ideal(ring: Ring, k: int) -> Ideal:
 
 def hilbert_samuel(I: Ideal, m: int) -> int:
     """dim I/(I intersect m^{m+1}) at the origin (local): the dimension of
-    the image of I in O/m^{m+1}, which the shifts of I's generators
-    truncated above degree m span, so it is the rank of that one slice."""
+    the image of I in O/m^{m+1}."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    labels = slice_columns(I.ring.n, 1, m, lambda lab: GLOBAL_DP.key(lab[1]))
-    return RowBasis().extend(slice_rows([(g,) for g in I.gens], m, labels))
+    return hilbert_samuel_values(I, m)[m]
+
+
+def hilbert_samuel_values(I: Ideal, N: int) -> List[int]:
+    """hilbert_samuel(I, m) for m = 0..N, from one truncated slice.
+
+    The shifts of I's generators truncated above degree N span the image V
+    of I in O/m^{N+1}. Eliminated with the lowest degree as the least
+    column, each pivot row of V starts at its pivot, so the rows with a
+    pivot above degree m span V's part inside m^{m+1}, and the image in
+    O/m^{m+1} has one dimension per pivot of degree at most m."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    labels = slice_columns(I.ring.n, 1, N, lambda lab: LOCAL_DS.key(lab[1]))
+    basis = RowBasis()
+    basis.extend(slice_rows([(g,) for g in I.gens], N, labels))
+    pivots = [0] * (N + 1)
+    for p in basis.rows:
+        pivots[mono_deg(labels[p][1])] += 1
+    return list(accumulate(pivots))
 
 
 # ---------------------------------------------------------------------------

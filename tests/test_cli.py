@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import germforge.stdbasis
 import germforge.tangent
 from germforge import (
     CriticalReport,
@@ -344,9 +345,81 @@ class TestJetDump:
         assert "ring z1 z2 " in out and "ideal J1 = " in out
 
 
+class TestArgv:
+    def test_options_before_or_after_the_file(self, capsys, tmp_path):
+        path = problem(tmp_path)
+        outs = set()
+        for argv in (["hilbert", path, "--order", "dp", "--trunc", "3"],
+                     ["hilbert", "--order", "dp", "--trunc", "3", path],
+                     ["hilbert", "--trunc=3", path, "--order=dp"]):
+            code, out, _ = run(capsys, argv)
+            assert code == 0, argv
+            outs.add(out)
+        assert len(outs) == 1
+        assert "order: dp" in out and "upto: 3" in out
+
+    @pytest.mark.parametrize("trunc", [["--trunc", "-1"], ["--trunc=-1"]])
+    def test_negative_trunc_reaches_the_handler(self, capsys, tmp_path, trunc):
+        code, out, err = run(capsys, ["hilbert", *trunc, problem(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PRECONDITION_VIOLATED: truncation degree")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["volume", "FILE"],
+        ["codim", "FILE", "--bogus"],
+        ["codim", "FILE", "-x"],
+        ["codim", "FILE", "--trunc", "3"],
+        ["hilbert", "FILE", "--trunc", "x"],
+        ["hilbert", "FILE", "--trunc"],
+        ["codim", "FILE", "--order", "xx"],
+        ["morse", "FILE", "--assume-reduced=yes"],
+        ["codim"],
+        ["codim", "FILE", "FILE"],
+    ], ids=["empty", "unknown-command", "unknown-option", "short-option",
+            "foreign-option", "non-integer", "missing-value", "bad-choice",
+            "flag-with-value", "missing-file", "two-files"])
+    def test_bad_argv_is_a_bad_request(self, capsys, tmp_path, argv):
+        path = problem(tmp_path)
+        code, out, err = run(capsys, [path if a == "FILE" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: BAD_REQUEST: ")
+        assert err.splitlines()[1].startswith("elapsed_ms=")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_commands_and_options(self, capsys, flag):
+        code, out, err = run(capsys, [flag])
+        assert code == 0 and err == ""
+        for command in ("codim", "morse", "jet-dump"):
+            assert f"\n  {command}" in out
+        assert "--degree-bound N" in out and "--order {ds,dp}" in out
+        code, out, _ = run(capsys, ["morse", flag])
+        assert code == 0
+        for option in ("--order {ds,dp}", "--method {jet,oracle,both}",
+                       "--assume-reduced", "--seeds", "--degree-bound N"):
+            assert option in out
+        assert "codim" not in out
+
+    def test_codim_of_infinite_germ_runs_no_saturation(self, capsys, monkeypatch):
+        # a coordinate axis in the support decides d3b's infinite lengths
+        def refuse(I, J):
+            raise AssertionError("saturation ran")
+
+        monkeypatch.setattr(germforge.stdbasis, "saturation", refuse)
+        code, out, _ = run(capsys, ["codim", os.path.join(CORPUS, "d3b.gf")])
+        assert code == 0
+        with open(os.path.join(ROOT, "perfbench", "expected", "codim_d3b.txt"),
+                  encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
 # ---------------------------------------------------------------------------
-# start-up: records are NamedTuples or slotted classes, and the digest is
-# hashed in Python, so a CLI process loads neither dataclasses nor OpenSSL
+# start-up: records are NamedTuples or slotted classes, the digest is hashed
+# in Python and argv is read without argparse, so a CLI process loads none of
+# dataclasses, OpenSSL, argparse or gettext
 
 # prints the modules that importing the CLI and running one command added,
 # so modules that site preloads do not count
@@ -377,7 +450,7 @@ class TestStartUp:
         added = set(added.split(","))
         assert code == "0"
         assert "germforge.oracle" in added
-        assert added.isdisjoint({"dataclasses", "_hashlib"})
+        assert added.isdisjoint({"dataclasses", "_hashlib", "argparse", "gettext"})
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CORPUS)))
     def test_corpus_digest_matches_hashlib(self, name):

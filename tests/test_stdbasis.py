@@ -22,6 +22,7 @@ from germforge.stdbasis import (
     TermPacking,
     artin_rees_check,
     hilbert_samuel,
+    hilbert_samuel_values,
     ideal_intersection,
     ideal_quotient,
     minimal_polynomial,
@@ -818,6 +819,91 @@ class TestLocalAnswers:
         return 2 * len(monos_upto(2, N)) - gauss_rank(rows)
 
 
+@st.composite
+def small_ideals(draw):
+    """1 to 3 generators in 2 or 3 variables, each of 1 to 3 terms with
+    exponents up to 2 and small nonzero integer coefficients."""
+    ring = draw(st.sampled_from([R2, R3]))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.n),
+                     st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3))
+    return Ideal(ring, [Poly(ring, {m: Fraction(c) for m, c in g}) for g in gens], LOCAL_DS)
+
+
+class TestAxisCertificate:
+    """A coordinate axis in the support proves an infinite local length;
+    the saturation Ann(O^r/M) : m^infinity is the reference."""
+
+    def test_sweep_agrees_with_the_saturation(self):
+        # the inputs of TestLocalAnswers.test_rank_two_sweep
+        rng = random.Random(2203)
+        certified = 0
+        for trial in range(220):
+            gens = [v for v in (TestLocalAnswers._rand_vector(rng)
+                                for _ in range(rng.randint(1, 3)))
+                    if not vec_is_zero(v)]
+            if not gens:
+                continue
+            M = Submodule(R2, 2, gens, LOCAL_DS)
+            if M._holds_an_axis():
+                certified += 1
+                assert not M._finite_at_origin(), trial
+        assert certified > 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ideals())
+    def test_random_ideals_agree_with_the_saturation(self, I):
+        M = I._module()
+        assert not (M._holds_an_axis() and M._finite_at_origin())
+
+    def test_trial_183_runs_no_saturation(self, monkeypatch):
+        # the rank-two sweep input whose saturation took seconds
+        def refuse(I, J):
+            raise AssertionError("saturation ran")
+
+        monkeypatch.setattr(stdbasis, "saturation", refuse)
+        gens = [vec(R2, "-1/4x^4 + 9/4x^2 - 3x", "-x y^3 - x - 2"),
+                vec(R2, "-2x^3 - x", "3x y^3 - x^2 - 5y^2"),
+                vec(R2, "0", "2x^4 + 5/3x^3 - 3x^2 y")]
+        assert Submodule(R2, 2, gens, LOCAL_DS).quotient_dimension() is INFINITE
+
+    @staticmethod
+    def _count_saturations(monkeypatch):
+        calls = []
+        real = stdbasis.saturation
+
+        def counted(I, J):
+            calls.append(I)
+            return real(I, J)
+
+        monkeypatch.setattr(stdbasis, "saturation", counted)
+        return calls
+
+    def test_diagonal_line_needs_the_saturation(self, monkeypatch):
+        # x = y meets each axis only at the origin
+        calls = self._count_saturations(monkeypatch)
+        I = ideal(R2, LOCAL_DS, "x - y")
+        assert not I._module()._holds_an_axis()
+        assert I.quotient_dimension() is INFINITE
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gens, length", [
+        (("x y - x", "y^2 - y"), 1),
+        (("x y - x", "y^7 - y^6"), 6),
+    ])
+    def test_line_away_from_the_origin_needs_the_saturation(self, monkeypatch, gens, length):
+        # the line y = 1 misses the origin, where y - 1 is a unit
+        I = ideal(R2, LOCAL_DS, *gens)
+        assert I.with_order(GLOBAL_DP).quotient_dimension() is INFINITE
+        assert not I._module()._holds_an_axis()
+        assert I._module()._finite_at_origin()
+        calls = self._count_saturations(monkeypatch)
+        assert I.quotient_dimension().value == length
+        # cap 4 certifies (x, y) before the global basis is asked; (x, y^6)
+        # needs degree 6, so its length comes through the saturation
+        assert len(calls) == (length > 4)
+
+
 class TestOrderViews:
     """with_order gives a view on the same generators: the views share one
     cached global basis, and each answers in its own order."""
@@ -1133,6 +1219,15 @@ class TestHilbertSamuel:
         for m in range(9):
             rows = multiples_upto([d(g) for g in I.gens], ring.n, m)
             assert hilbert_samuel(I, m) == gauss_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ideals(), st.integers(0, 6))
+    def test_one_slice_matches_a_slice_per_degree(self, I, N):
+        # generators mixing degrees, so a pivot's lower terms matter
+        values = hilbert_samuel_values(I, N)
+        assert values == [gauss_rank(multiples_upto([d(g) for g in I.gens], I.ring.n, m))
+                          for m in range(N + 1)]
+        assert values[-1] == hilbert_samuel(I, N)
 
     def test_monotone(self):
         for gens in (["x^2", "y"], ["x^3", "x^2 y", "y^2"], ["x^2 - y^3"]):
