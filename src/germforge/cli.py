@@ -406,7 +406,7 @@ def _cmd_classify(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
 
 
 def _seeds_from(args) -> Optional[Tuple[int, ...]]:
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             return tuple(int(s) for s in args.seeds.split(","))
         except ValueError:

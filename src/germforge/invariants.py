@@ -236,9 +236,9 @@ def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     params = _fresh_names(ring, len(P.cobasis))
     ext = ring.extend(params)
     n = ring.n
-    F = f.rename(ext, list(range(n)))
-    for i, h in enumerate(P.cobasis):
-        F = F + ext.var(n + i) * h.rename(ext, list(range(n)))
+    F = ext.sum([f.rename(ext, list(range(n)))]
+                + [ext.var(n + i) * h.rename(ext, list(range(n)))
+                   for i, h in enumerate(P.cobasis)])
     U = Unfolding(ext, F, tuple(params), ring, f)
     if not P.is_versal(U):
         raise AssertionError("constructed unfolding failed its own versality check")

@@ -13,7 +13,7 @@ graph sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
@@ -84,14 +84,11 @@ def jet_context(I: Ideal, k: int) -> JetContext:
     def a(j: int, alpha: Mono) -> Poly:
         return ring.var(n + j * len(alphas) + alphas.index(alpha))
 
-    Q: List[Poly] = []
-    for i in range(n):
-        q = ring.zero()
-        for j in range(r):
-            q = q + a(j, betas[0]) * dg_z[j][i] + a(j, betas[i + 1]) * g_z[j]
-        Q.append(q)
+    Q = tuple(ring.sum(a(j, betas[0]) * dg_z[j][i] + a(j, betas[i + 1]) * g_z[j]
+                       for j in range(r))
+              for i in range(n))
 
-    ctx = JetContext(I, k, ring, alphas, tuple(Q), tuple(g_z))
+    ctx = JetContext(I, k, ring, alphas, Q, tuple(g_z))
     _check_q_identity(ctx)
     return ctx
 
@@ -103,20 +100,14 @@ def _check_q_identity(ctx: JetContext) -> None:
     n, r = ctx.n, ctx.r
     names = list(base_ring.names) + list(ctx.ring.names)
     P = Ring(names)
-    x = [P.var(i) for i in range(n)]
     z = [P.var(n + i) for i in range(n)]
-    G = P.zero()
-    for j in range(r):
-        coeff = P.zero()
-        for alpha in ctx.alphas:
-            term = P.var(n + ctx.jet_var(j, alpha))
-            for t, e in enumerate(alpha):
-                for _ in range(e):
-                    term = term * (x[t] - z[t])
-            coeff = coeff + term
-        G = G + coeff * ctx.base.gens[j].rename(P, list(range(n)))
+    shift = [P.var(t) - z[t] for t in range(n)]
+    gens = [g.rename(P, list(range(n))) for g in ctx.base.gens]
+    G = P.sum(prod((s ** e for s, e in zip(shift, alpha) if e),
+                   start=P.var(n + ctx.jet_var(j, alpha))) * gens[j]
+              for j in range(r) for alpha in ctx.alphas)
     # evaluate the x-derivative on the diagonal x = z
-    diag = [z[i] for i in range(n)] + [P.var(n + i) for i in range(P.n - n)]
+    diag = z + [P.var(n + i) for i in range(P.n - n)]
     for i in range(n):
         got = G.derive(i).substitute(diag, P)
         want = ctx.Q[i].rename(P, list(range(n, P.n)))
@@ -180,10 +171,7 @@ class LiftedGerm:
 
     def __init__(self, f: Poly, gens: Tuple[Poly, ...], coeffs: Tuple[Poly, ...]):
         self.f, self.gens, self.coeffs = f, gens, coeffs
-        acc = f.ring.zero()
-        for c, g in zip(coeffs, gens):
-            acc = acc + c * g
-        if acc != f:
+        if f.ring.sum(c * g for c, g in zip(coeffs, gens)) != f:
             raise AssertionError("lifting does not recombine to the germ")
 
     def taylor_coefficient(self, j: int, alpha: Mono) -> Poly:

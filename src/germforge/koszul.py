@@ -19,10 +19,7 @@ from .stdbasis import (
     Submodule,
     Vector,
     preimage_module,
-    vec_add,
     vec_is_zero,
-    vec_poly_mul,
-    vec_zero,
 )
 
 
@@ -75,9 +72,7 @@ def _verify_complex(inst: KoszulInstance) -> None:
         lower = _differential(inst, p - 1)
         rank_out = len(_basis_index(m, p - 2))
         for col in upper:
-            acc = vec_zero(ring, rank_out)
-            for c, low in zip(col, lower):
-                acc = vec_add(acc, vec_poly_mul(low, c))
+            acc = [ring.sum(c * low[e] for c, low in zip(col, lower)) for e in range(rank_out)]
             if not vec_is_zero(acc):
                 raise AssertionError("differentials do not compose to zero")
 

@@ -76,11 +76,8 @@ def random_deformation(f: Poly, I: Ideal, degree_bound: Optional[int] = None,
 def _deform(P: GermProblem, degree_bound: Optional[int], seed: int) -> Poly:
     P.finite_codim("deformations are drawn along a finite basis over the tangent ideal")
     rng = XorShift64(seed)
-    g = P.f
-    for h in P.cobasis:
-        if degree_bound is None or h.total_degree() <= degree_bound:
-            g = g + h * rng.rational()
-    return g
+    return P.f.ring.sum([P.f] + [h * rng.rational() for h in P.cobasis
+                                 if degree_bound is None or h.total_degree() <= degree_bound])
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +91,10 @@ class CriticalReport(NamedTuple):
 
 
 def _det(M: List[List[Poly]], ring: Ring) -> Poly:
-    k = len(M)
-    if k == 1:
+    if len(M) == 1:
         return M[0][0]
-    out = ring.zero()
-    for j in range(k):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[i][t] for t in range(k) if t != j] for i in range(1, k)]
-        term = M[0][j] * _det(minor, ring)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    return ring.sum(M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]], ring) * (-1) ** j
+                    for j in range(len(M)) if not M[0][j].is_zero())
 
 
 def hessian_det(g: Poly) -> Poly:
@@ -248,10 +238,7 @@ def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Fraction]) -> int:
 def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
                degree_bound: Optional[int]):
     c_value = P.c_ext.value
-    bound = degree_bound
-    if bound is None:
-        bound = max((h.total_degree() for h in P.cobasis), default=0)
-    g = _deform(P, bound, seed)
+    g = _deform(P, degree_bound, seed)
     corrected = _corrected(g, fields, I_dp)
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
@@ -262,11 +249,13 @@ def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical points off the zero set "
                              "are degenerate")
-    # drift probe: one degree of extra room must not change the count
-    g2 = _deform(P, bound + 1, seed)
-    if g2.terms != g.terms and critical_points_outside(g2, I_dp).count != crit.count:
-        raise GermforgeError("GENERICITY_SUSPECT",
-                             f"seed {seed}: critical count drifts with the degree bound")
+    # drift probe: one degree of extra room must not change the count; with
+    # no bound the whole cobasis is in already, so there is nothing to probe
+    if degree_bound is not None:
+        g2 = _deform(P, degree_bound + 1, seed)
+        if g2 != g and critical_points_outside(g2, I_dp).count != crit.count:
+            raise GermforgeError("GENERICITY_SUSPECT",
+                                 f"seed {seed}: critical count drifts with the degree bound")
     if corrected < crit.count:
         raise AssertionError("the defect mass must cover the Morse points")
     if corrected == crit.count:

@@ -6,6 +6,11 @@ coefficients:
   Mono = Tuple[int, ...]      (one entry per variable, that variable's degree)
   terms: Dict[Mono, Fraction] (canonical: no zero coefficients stored)
 
+The Poly constructor is the one zero filter: arithmetic adds coefficients
+into a plain map and lets the constructor drop what cancelled. Ring.sum is
+the one running sum: every term of every summand goes into a single map,
+and one Poly is built at the end.
+
 Two monomial orders are provided: 'dp' (degree reverse lexicographic, global,
 1 is the smallest monomial) and 'ds' (negative degree reverse lexicographic,
 local, 1 is the largest monomial). Both are total and multiplicative.
@@ -16,7 +21,7 @@ All values are immutable after construction and freely shareable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GermforgeError, ParseError
 
@@ -94,10 +99,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c: Coeff) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.n: c})
+        return Poly(self, {(0,) * self.n: Fraction(c)})
 
     def var(self, which: Union[int, str]) -> "Poly":
         i = self.index[which] if isinstance(which, str) else which
@@ -108,12 +110,19 @@ class Ring:
         return Poly(self, {tuple(exp): _ONE})
 
     def monomial(self, mono: Mono, c: Coeff = 1) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(self, {})
         if len(mono) != self.n:
             raise ValueError("exponent tuple has wrong length")
-        return Poly(self, {tuple(mono): c})
+        return Poly(self, {tuple(mono): Fraction(c)})
+
+    def sum(self, polys: Iterable["Poly"]) -> "Poly":
+        """The sum of polys, all in this ring, added term by term into one map."""
+        out: Dict[Mono, Fraction] = {}
+        for p in polys:
+            if p.ring is not self and p.ring != self:
+                raise ValueError("polynomials from different rings")
+            for m, c in p.terms.items():
+                out[m] = out.get(m, _ZERO) + c
+        return Poly(self, out)
 
     def extend(self, extra: Sequence[str]) -> "Ring":
         return Ring(self.names + tuple(extra))
@@ -200,11 +209,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, _ZERO) + c
         return Poly(self.ring, out)
 
     def __radd__(self, other: Coeff) -> "Poly":
@@ -214,11 +219,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, _ZERO) - c
         return Poly(self.ring, out)
 
     def __rsub__(self, other: Coeff) -> "Poly":
@@ -230,8 +231,6 @@ class Poly:
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return Poly(self.ring, {})
             return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("polynomials from different rings")
@@ -239,11 +238,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, _ZERO) + c1 * c2
         return Poly(self.ring, out)
 
     def __rmul__(self, other: Coeff) -> "Poly":
@@ -263,8 +258,6 @@ class Poly:
 
     def term_mul(self, mono: Mono, coeff: Fraction) -> "Poly":
         """Multiply by a single term coeff * x^mono."""
-        if coeff == 0:
-            return Poly(self.ring, {})
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def _coerce(self, other: Union["Poly", Coeff]) -> "Poly":
@@ -305,7 +298,7 @@ class Poly:
         if target is None:
             target = images[0].ring if images else self.ring
         powers = [[target.one()] for _ in images]
-        out = target.zero()
+        terms = []
         for m, c in sorted(self.terms.items()):
             term = target.const(c)
             for i, e in enumerate(m):
@@ -314,8 +307,8 @@ class Poly:
                     while len(pw) <= e:
                         pw.append(pw[-1] * images[i])
                     term = term * pw[e]
-            out = out + term
-        return out
+            terms.append(term)
+        return target.sum(terms)
 
     def rename(self, target: Ring, where: Sequence[int]) -> "Poly":
         """Cheap variable re-indexing: variable i becomes target variable where[i]."""
@@ -326,11 +319,7 @@ class Poly:
                 if e:
                     exp[where[i]] += e
             m2 = tuple(exp)
-            s = out.get(m2, _ZERO) + c
-            if s:
-                out[m2] = s
-            else:
-                out.pop(m2, None)
+            out[m2] = out.get(m2, _ZERO) + c
         return Poly(target, out)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
@@ -477,12 +466,12 @@ class _ExprParser:
         return p
 
     def expr(self) -> Poly:
-        p = self.term()
+        terms = [self.term()]
         while self.peek()[:2] in ((_TOK_OP, "+"), (_TOK_OP, "-")):
             op = self.take()[1]
             q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            terms.append(q if op == "+" else -q)
+        return self.ring.sum(terms)
 
     def term(self) -> Poly:
         p = self.factor()

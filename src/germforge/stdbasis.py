@@ -91,10 +91,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(p.is_zero() for p in v)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_poly_mul(a: Vector, p: Poly) -> Vector:
     return tuple(x * p for x in a)
 
@@ -822,9 +818,7 @@ def preimage_module(targets: Sequence[Vector], S: Submodule) -> List[Vector]:
     rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens]
     out = _head_free_tails(rows, rank, rank + k)
     for c in out:
-        acc = vec_zero(ring, rank)
-        for ci, t in zip(c, targets):
-            acc = vec_add(acc, vec_poly_mul(t, ci))
+        acc = tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(rank))
         if not vec_is_zero(S.normal_form(acc)):
             raise AssertionError("preimage postcheck failed")
     return out
@@ -986,7 +980,7 @@ def zero_dim_radical(I: Ideal) -> Ideal:
     extra: List[Poly] = []
     for i in range(ring.n):
         x = ring.var(i)
-        p = sum((x ** t * c for t, c in enumerate(minimal_polynomial(I, i))), ring.zero())
+        p = ring.sum(x ** t * c for t, c in enumerate(minimal_polynomial(I, i)))
         colon = ideal_quotient(Ideal(ring, [p], GLOBAL_DP), Ideal(ring, [p.derive(i)], GLOBAL_DP))
         extra.extend(colon.basis())
     out = Ideal(ring, tuple(I.gens) + tuple(extra), I.order)

@@ -36,12 +36,7 @@ from .stdbasis import (
 
 def field_apply(X: Sequence[Poly], f: Poly) -> Poly:
     """X(f) = sum a_i df/dx_i."""
-    ring = f.ring
-    out = ring.zero()
-    for i, a in enumerate(X):
-        if not a.is_zero():
-            out = out + a * f.derive(i)
-    return out
+    return f.ring.sum(a * f.derive(i) for i, a in enumerate(X) if not a.is_zero())
 
 
 def lie_bracket(X: Sequence[Poly], Y: Sequence[Poly]) -> Vector:

@@ -137,6 +137,14 @@ class TestSeedPlumbing:
         assert code == 2
         assert "GERMFORGE_SEED" in err
 
+    @pytest.mark.parametrize("flag", [["--seeds="], ["--seeds", ""], ["--seeds", "11,,13"]])
+    def test_empty_seed_list_is_refused(self, capsys, tmp_path, flag):
+        # an empty value is a bad list, not an unset option
+        code, out, err = run(capsys, ["split", problem(tmp_path)] + flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PRECONDITION_VIOLATED: --seeds")
+
 
 class TestVersality:
     def test_full_unfolding_is_versal(self, capsys, tmp_path):

@@ -238,6 +238,20 @@ class TestEmpiricalSplitting:
             empirical_splitting(CUSP, EJEM, degree_bound=1)
         assert e.value.code == "GENERICITY_SUSPECT"
 
+    def test_one_deformation_per_seed_without_a_bound(self, monkeypatch):
+        # with no degree bound the whole cobasis is in, so the drift probe
+        # would redraw the same member: it runs only under a bound
+        import germforge.oracle as oracle
+        calls = []
+
+        def counted(P, degree_bound, seed):
+            calls.append((degree_bound, seed))
+            return _deform(P, degree_bound, seed)
+
+        monkeypatch.setattr(oracle, "_deform", counted)
+        assert empirical_splitting(CUSP, EJEM).sigma == {1: 2}
+        assert calls == [(None, 11), (None, 13)]
+
     def test_explicit_seeds_recorded(self):
         rep = empirical_splitting(CUSP, EJEM, seeds=(17, 19))
         assert rep.seeds == (17, 19)

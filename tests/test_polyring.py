@@ -115,6 +115,55 @@ class TestArithmetic:
         assert a.truncate(N).truncate(M) == a.truncate(min(N, M))
 
 
+def _stores_no_zero(p):
+    return all(c != 0 for c in p.terms.values())
+
+
+class TestRunningSum:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(polys_st, max_size=6))
+    def test_sum_is_the_left_fold(self, ps):
+        folded = R2.zero()
+        for p in ps:
+            folded = folded + p
+        assert R2.sum(ps) == folded
+        assert R2.sum(iter(ps)) == folded
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(polys_st, max_size=4), polys_st)
+    def test_sum_with_cancellations(self, ps, q):
+        total = R2.sum(ps + [q] + [-p for p in reversed(ps)])
+        assert total == q
+        assert total.terms == q.terms
+
+    def test_empty_sum(self):
+        assert R2.sum([]) == R2.zero()
+        assert R2.sum([]).terms == {}
+
+    def test_sum_rejects_another_ring(self):
+        with pytest.raises(ValueError):
+            R2.sum([R2.one(), Ring(["z"]).one()])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(polys_st, polys_st, monos_st, fractions_st)
+    def test_no_zero_coefficient_is_stored(self, a, b, mono, c):
+        R1 = Ring(["t"])
+        swapped = a.rename(R2, [1, 0])
+        built = [
+            a + b, a - b, a - a, a + (-a), a * b, a * (b - b), a * 0, a * c,
+            a.derive(0), a.derive(1), a.rename(R1, [0, 0]), (a - swapped).rename(R1, [0, 0]),
+            a.substitute([b, b]), a.substitute([b, -b]), a.term_mul(mono, Fraction(c)),
+            a.term_mul(mono, Fraction(0)), R2.sum([a, b, -a, -b]), R2.sum([a, b]),
+            R2.const(0), R2.const(c), R2.monomial(mono, 0), R2.monomial(mono, c),
+        ]
+        for p in built:
+            assert _stores_no_zero(p)
+
+    def test_monomial_checks_length_first(self):
+        with pytest.raises(ValueError):
+            R2.monomial((1,), 0)
+
+
 class TestOrders:
     def test_global_leading(self):
         p = P("x + x^2")
