@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
@@ -665,20 +665,32 @@ def _read_input(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise GermforgeError("BAD_REQUEST", f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise GermforgeError("BAD_REQUEST", f"cannot read {path}: not UTF-8 text")
+
+
+def _unwritable(e: OSError) -> GermforgeError:
+    return GermforgeError("BAD_REQUEST", f"cannot write output: {e.strerror}")
+
+
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except OSError as e:
+        raise _unwritable(e)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(usage(argv[0] if argv[0] in COMMANDS else None))
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(usage(argv[0] if argv[0] in COMMANDS else None))
+            return 0
         args = parse_args(argv)
         pf = parse_problem_file(_read_input(args.file), args.order)
         if args.command == "jet-dump":
-            out = _cmd_jet_dump(pf, args)
-            sys.stdout.write(out)
+            _write(_cmd_jet_dump(pf, args))
         else:
             results, settings, warnings = HANDLERS[args.command](pf, args)
             doc: Tree = [("command", args.command),
@@ -687,7 +699,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 doc.append(("settings", settings))
             doc.append(("results", results))
             doc.append(("warnings", warnings if warnings else "none"))
-            sys.stdout.write("\n".join(render_tree(doc)) + "\n")
+            _write("\n".join(render_tree(doc)) + "\n")
     except (GermforgeError, AssertionError) as e:
         if isinstance(e, AssertionError):
             e = GermforgeError(INTERNAL_CODE, str(e))
@@ -698,5 +710,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """Entry point of `python -m germforge.cli` and the `germforge` script:
+    main(), then both streams flushed and os._exit, which skips the
+    interpreter's teardown (freeing every module and object), a sizeable
+    share of a short command's wall time. An exception from main()
+    propagates as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        err = _unwritable(e)
+        sys.stderr.write(f"error: {err}\n")
+        code = err.exit_code
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

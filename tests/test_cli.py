@@ -1,14 +1,18 @@
 """End-to-end command tests: problem files, documents, exit codes, goldens."""
 
+import ast
+import errno
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import germforge.cli
 import germforge.stdbasis
 import germforge.tangent
 from germforge import (
@@ -268,6 +272,15 @@ class TestExitCodes:
         assert code == 2
         assert "PRECONDITION_VIOLATED" in err
 
+    def test_file_that_is_not_utf8_is_a_bad_request(self, capsys, tmp_path):
+        path = tmp_path / "utf16.gf"
+        path.write_bytes(b"\xff\xfe" + CANON.encode("utf-16-le"))
+        code, out, err = run(capsys, ["codim", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (f"error: BAD_REQUEST: cannot read {path}: "
+                                       "not UTF-8 text")
+
 
 class TestCommandSurface:
     def test_primitive_of_maximal_ideal(self, capsys, tmp_path):
@@ -512,3 +525,93 @@ class TestRecords:
         x, y = parse_poly("x", ring), parse_poly("y", ring)
         inst = KoszulInstance(ring, (ring.zero(), x ** 3), [x, y])
         assert inst.relations == (x ** 3,) and inst.sequence == (x, y)
+
+
+# ---------------------------------------------------------------------------
+# process exit: `python -m germforge.cli` and the `germforge` script run
+# main(), flush both streams and end with os._exit, skipping the interpreter's
+# teardown; the process must answer exactly as main() does in-process
+
+
+def _without_timing(err):
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("elapsed_ms="))
+
+
+def _cli_process(argv, buffered, stdout=subprocess.PIPE):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "germforge.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+def _long_problem(tmp_path):
+    """cusp's ideal with an f of 1500 terms, so theta echoes a document
+    larger than stdout's 8 KiB buffer."""
+    terms = " + ".join(f"{k % 7 + 1}*x^{k // 50 + 2}*y^{k % 50 + 1}"
+                       for k in range(1500))
+    return problem(tmp_path, f"ring x y ;\nideal I = x^2, y ;\npoly f = {terms} ;\n")
+
+
+BUFFERING = pytest.mark.parametrize("buffered", [True, False],
+                                    ids=["buffered", "unbuffered"])
+
+
+class TestProcessExit:
+    @BUFFERING
+    @pytest.mark.parametrize("argv, status", [
+        pytest.param(["codim", "cusp"], 0, id="codim-cusp"),
+        pytest.param(["determinacy", "d3b"], 2, id="not-finite-codim"),
+        pytest.param(["morse", "--method", "jet", "cusp"], 3, id="radical-unavailable"),
+        pytest.param(["theta", None], 0, id="past-the-buffer"),
+    ])
+    def test_process_answers_as_main_does(self, capsys, tmp_path, argv, status, buffered):
+        name = argv[-1]
+        path = _long_problem(tmp_path) if name is None else os.path.join(CORPUS, f"{name}.gf")
+        argv = argv[:-1] + [path]
+        code, out, err = run(capsys, argv)
+        proc = _cli_process(argv, buffered)
+        assert code == proc.returncode == status
+        assert proc.stdout == out
+        assert _without_timing(proc.stderr) == _without_timing(err)
+        if name is None:
+            assert len(out.encode()) > 8192
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @BUFFERING
+    def test_unwritable_stdout_is_a_bad_request(self, buffered):
+        # unbuffered, the write fails inside main(); buffered, the final flush
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(["codim", os.path.join(CORPUS, "cusp.gf")],
+                                buffered, stdout=full)
+        assert proc.returncode == 2
+        assert _without_timing(proc.stderr) == (
+            f"error: BAD_REQUEST: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_script_target_is_the_main_block_entry(self):
+        with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            scripts = fh.read().split("[project.scripts]")[1].split("\n[")[0]
+        target = re.search(r'^germforge\s*=\s*"germforge\.cli:(\w+)"', scripts, re.M)
+        with open(germforge.cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        main_block = [node for node in tree.body if isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(main_block) == 1
+        (stmt,) = main_block[0].body
+        assert ast.unparse(stmt) == f"{target.group(1)}()"
+        assert callable(getattr(germforge.cli, target.group(1)))
+
+    def test_an_exception_from_main_propagates(self, monkeypatch):
+        exits = []
+
+        def fail():
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(germforge.cli, "main", fail)
+        monkeypatch.setattr(os, "_exit", exits.append)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            germforge.cli.run()
+        assert exits == []

@@ -1,6 +1,9 @@
 import sys
 import pytest
 from fractions import Fraction
+from math import prod
+
+from hypothesis import example, given, settings, strategies as st
 
 from germforge import stdbasis, tangent
 from germforge.cli import main
@@ -105,6 +108,30 @@ class TestCodimensions:
             bump = bump + Poly(R2, {mono: c}) * EJEM.gens[j % 2]
         assert bump.truncate(5).is_zero()
         assert extended_codim(CUSP + bump, EJEM).value == 3
+
+
+class TestClosedForms:
+    """c_ext against closed forms of the Milnor number, with I = (1)."""
+
+    @staticmethod
+    def c_ext(text, ring):
+        return GermProblem(parse_poly(text, ring), ideal(ring, LOCAL_DS, "1")).c_ext.value
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=2, max_size=3))
+    def test_brieskorn_pham(self, exponents):
+        # Milnor 1968: mu(sum x_i^a_i) = prod (a_i - 1)
+        ring = Ring(["x", "y", "z"][:len(exponents)])
+        text = " + ".join(f"{v}^{a}" for v, a in zip(ring.names, exponents))
+        assert self.c_ext(text, ring) == prod(a - 1 for a in exponents)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6))
+    @example(3, 3)  # E7, mu = 7
+    @example(4, 2)  # D5 with x and y swapped, mu = 5
+    def test_weighted_homogeneous_x_a_plus_x_y_b(self, a, b):
+        # Milnor-Orlik 1970: weights 1/a and (a - 1)/(ab) give mu = ab - a + 1
+        assert self.c_ext(f"x^{a} + x*y^{b}", R2) == a * b - a + 1
 
 
 class TestDeterminacy:
