@@ -54,7 +54,7 @@ def main(argv=None):
         print(f"{label}: f = {format_poly(f)}")
         ctx = jet_context(I, 1)
         M = morse_component(ctx, assume_reduced=reduced).ideal
-        reference = intersection_multiplicity(f, I, ctx, M, "CM")
+        reference = intersection_multiplicity(f, I, ctx, M)
         print(f"  multiplicity at the origin: {reference}")
         I_dp = I.with_order(GLOBAL_DP)
         for t in range(args.trials):

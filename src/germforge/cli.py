@@ -674,10 +674,22 @@ def _unwritable(e: OSError) -> GermforgeError:
 
 
 def _write(text: str) -> None:
+    """The whole of stdout, written and flushed, so that a stdout which
+    cannot be written fails here and nowhere later."""
     try:
         sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as e:
         raise _unwritable(e)
+
+
+def _report(line: str) -> None:
+    """One line to stderr. A stderr that cannot be written is ignored: the
+    exit status is then the only report."""
+    try:
+        sys.stderr.write(line + "\n")
+    except OSError:
+        pass
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -703,27 +715,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GermforgeError, AssertionError) as e:
         if isinstance(e, AssertionError):
             e = GermforgeError(INTERNAL_CODE, str(e))
-        sys.stderr.write(f"error: {e}\n")
-        sys.stderr.write(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}\n")
+        _report(f"error: {e}")
+        _report(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}")
         return e.exit_code
-    sys.stderr.write(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}\n")
+    _report(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}")
     return 0
 
 
 def run() -> NoReturn:
     """Entry point of `python -m germforge.cli` and the `germforge` script:
-    main(), then both streams flushed and os._exit, which skips the
-    interpreter's teardown (freeing every module and object), a sizeable
-    share of a short command's wall time. An exception from main()
-    propagates as usual."""
+    main(), which has flushed stdout, then stderr flushed and os._exit,
+    which skips the interpreter's teardown (freeing every module and
+    object), a sizeable share of a short command's wall time. An exception
+    from main() propagates as usual."""
     code = main()
     try:
-        sys.stdout.flush()
-    except OSError as e:
-        err = _unwritable(e)
-        sys.stderr.write(f"error: {err}\n")
-        code = err.exit_code
-    sys.stderr.flush()
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

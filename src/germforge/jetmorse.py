@@ -5,9 +5,8 @@ coordinates z_1..z_n and a^j_alpha for |alpha| <= k: the point (z, a) stands
 for the germ sum_j h_j g_j at z whose coefficient h_j has Taylor coefficients
 a^j_alpha there. Critical 1-jets are cut out by the Q_i below; the Morse
 component is the part of that locus not sitting over the zero set of the
-ideal, and multiplicities of jet extensions against it are computed either as
-local quotient dimensions (CM shortcut) or as a Koszul Euler number of the
-graph sequence.
+ideal, and the multiplicity of a jet extension against it is the local length
+of the pulled-back component.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .invariants import GermProblem
 from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient
-from .koszul import KoszulInstance, koszul_euler
 
 
 # ---------------------------------------------------------------------------
@@ -222,85 +220,13 @@ def jet_pullback(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
 # intersection multiplicity
 
 
-def _graph_sequence(ctx: JetContext, lifting: LiftedGerm,
-                    V: Ideal) -> Tuple[Ring, List[Poly], List[Poly]]:
-    """Product ring (base block + jet block), V's relations and the graph
-    sequence, both translated so the graph point sits at the origin."""
-    base_ring = ctx.base.ring
-    nb = base_ring.n
-    names = list(base_ring.names) + list(ctx.ring.names)
-    if len(set(names)) != len(names):
-        raise ValueError("base and jet variable names overlap")
-    P = Ring(names)
-
-    jet_images: List[Poly] = [P.var(nb + i) for i in range(ctx.n)]
-    seq: List[Poly] = [P.var(nb + i) - P.var(i) for i in range(ctx.n)]
-    idx = ctx.n
-    for j in range(ctx.r):
-        for alpha in ctx.alphas:
-            T = lifting.taylor_coefficient(j, alpha).rename(P, list(range(nb)))
-            T0 = T.constant_term()
-            a_var = P.var(nb + idx)
-            jet_images.append(a_var + P.const(T0))
-            seq.append(a_var - T + P.const(T0))
-            idx += 1
-    rel = [g.substitute(jet_images, P) for g in V.gens]
-    return P, rel, seq
-
-
-def _solvable_variable(s: Poly, prefer_from: int) -> Optional[int]:
-    """Index of a variable occurring exactly once in s, linearly, with a
-    constant coefficient; jet-block variables (index >= prefer_from) first."""
-    candidates = []
-    for m, c in s.terms.items():
-        if sum(m) == 1:
-            v = m.index(1)
-            if all(mm[v] == 0 for mm in s.terms if mm != m):
-                candidates.append(v)
-    if not candidates:
-        return None
-    high = [v for v in candidates if v >= prefer_from]
-    return max(high) if high else max(candidates)
-
-
-def _eliminate(ring: Ring, rel: List[Poly], seq: List[Poly],
-               keep: int) -> Tuple[Ring, List[Poly], List[Poly]]:
-    """Substitute away graph elements certified to be nonzerodivisors on the
-    current quotient; each drop passes to the quotient by that element."""
-    while ring.n > 1:
-        pick = None
-        for t, s in enumerate(seq):
-            v = _solvable_variable(s, keep)
-            if v is None:
-                continue
-            R = Ideal(ring, rel, LOCAL_DS)
-            if rel and not ideal_quotient(R, Ideal(ring, [s], LOCAL_DS)).equals(R):
-                continue
-            pick = (t, v)
-            break
-        if pick is None:
-            break
-        t, v = pick
-        s = seq.pop(t)
-        c = s.terms[tuple(1 if i == v else 0 for i in range(ring.n))]
-        expr = ring.var(v) - s * (1 / c)  # v = expr, and expr avoids v
-        sub = Ring([nm for i, nm in enumerate(ring.names) if i != v])
-        images = [sub.var(nm) if nm != ring.names[v] else sub.zero()
-                  for nm in ring.names]
-        images[v] = expr.substitute(images, sub)
-        rel = [p.substitute(images, sub) for p in rel]
-        seq = [p.substitute(images, sub) for p in seq]
-        ring = sub
-    return ring, rel, seq
-
-
 def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
-                              method: str = "CM",
-                              lifting: Optional[LiftedGerm] = None,
-                              preprocess: bool = True) -> int:
-    """Multiplicity at the origin of the jet extension of f against V."""
-    if method not in ("CM", "KOSZUL"):
-        raise ValueError("method must be CM or KOSZUL")
+                              lifting: Optional[LiftedGerm] = None) -> int:
+    """Multiplicity at the origin of the jet extension of the lifting (f's
+    own when none is given) against V: the local length of the pullback of
+    V. For a Cohen-Macaulay V meeting the graph, a regular sequence, in an
+    isolated point, Serre's higher Tor terms vanish and the length is the
+    multiplicity. NOT_ISOLATED when the length is infinite."""
     if lifting is None:
         lifting = lift_germ(f, I)
     pulled = jet_pullback(f, I, ctx, V, lifting).with_order(LOCAL_DS)
@@ -308,13 +234,7 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
     if not qd.is_finite:
         raise GermforgeError("NOT_ISOLATED",
                              "the pullback of the subvariety is not isolated at the origin")
-    if method == "CM":
-        return qd.value
-    P, rel, seq = _graph_sequence(ctx, lifting, V)
-    if preprocess:
-        P, rel, seq = _eliminate(P, rel, seq, I.ring.n)
-    inst = KoszulInstance(P, tuple(rel), tuple(seq))
-    return koszul_euler(inst)
+    return qd.value
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +257,7 @@ def _morse_number(P: GermProblem, method: str, assume_reduced: bool = False,
     if method == "JET":
         ctx = jet_context(P.I, 1)
         mc = morse_component(ctx, assume_reduced)
-        return intersection_multiplicity(P.f, P.I, ctx, mc.ideal, "CM")
+        return intersection_multiplicity(P.f, P.I, ctx, mc.ideal)
     from .oracle import _splitting
 
     return _splitting(P, seeds, degree_bound).morse

@@ -331,7 +331,7 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
         return True
     ctx = jet_context(I, 1)
     M = morse_component(ctx, assume_reduced).ideal
-    reference = intersection_multiplicity(f, I, ctx, M, "CM")
+    reference = intersection_multiplicity(f, I, ctx, M)
     for t in range(trials):
         g = _deform(P, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)

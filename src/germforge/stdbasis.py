@@ -91,10 +91,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(p.is_zero() for p in v)
 
 
-def vec_poly_mul(a: Vector, p: Poly) -> Vector:
-    return tuple(x * p for x in a)
-
-
 # ---------------------------------------------------------------------------
 # packed terms
 
@@ -837,12 +833,6 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     return out
 
 
-def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I intersect J, as the rank-1 module intersection."""
-    inter = module_intersection(I._module(), J._module())
-    return Ideal(I.ring, [v[0] for v in inter.gens], I.order)
-
-
 def module_intersection(U: Submodule, V: Submodule) -> Submodule:
     """U intersect V, in U's order.
 
@@ -985,26 +975,3 @@ def zero_dim_radical(I: Ideal) -> Ideal:
         extra.extend(colon.basis())
     out = Ideal(ring, tuple(I.gens) + tuple(extra), I.order)
     return Ideal(ring, tuple(out.basis()), I.order)
-
-
-# ---------------------------------------------------------------------------
-# bounded Artin-Rees style inclusion check
-
-
-def artin_rees_check(I: Ideal, lam: int, m_max: int) -> bool:
-    """True iff I intersect m^{m+lam} is contained in m^m * I for every
-    m <= m_max (at the origin). The verification is exact: generators of the
-    intersection are membership-tested."""
-    if lam < 0 or m_max < 1:
-        raise ValueError("need lam >= 0 and m_max >= 1")
-    ring = I.ring
-    for m in range(1, m_max + 1):
-        inter = ideal_intersection(I.with_order(LOCAL_DS), power_ideal(ring, m + lam))
-        target_gens = [g.term_mul(mono, Fraction(1))
-                       for g in I.gens
-                       for mono in monomials_of_degree(ring.n, m)]
-        target = Ideal(ring, target_gens, LOCAL_DS)
-        for h in inter.gens:
-            if not target.contains(h):
-                return False
-    return True

@@ -538,13 +538,13 @@ def _without_timing(err):
                    if not line.startswith("elapsed_ms="))
 
 
-def _cli_process(argv, buffered, stdout=subprocess.PIPE):
+def _cli_process(argv, buffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "germforge.cli", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          stdout=stdout, stderr=stderr, text=True,
                           timeout=120)
 
 
@@ -583,13 +583,27 @@ class TestProcessExit:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @BUFFERING
     def test_unwritable_stdout_is_a_bad_request(self, buffered):
-        # unbuffered, the write fails inside main(); buffered, the final flush
+        # buffered or not, the write and flush inside main() fail
         with open("/dev/full", "w") as full:
             proc = _cli_process(["codim", os.path.join(CORPUS, "cusp.gf")],
                                 buffered, stdout=full)
         assert proc.returncode == 2
         assert _without_timing(proc.stderr) == (
             f"error: BAD_REQUEST: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @BUFFERING
+    @pytest.mark.parametrize("argv, status", [
+        pytest.param(["codim"], 0, id="answer"),
+        pytest.param(["codim", "--order", "xx"], 2, id="bad-request"),
+    ])
+    def test_unwritable_stderr_leaves_the_exit_status(self, capsys, argv, status, buffered):
+        argv = argv + [os.path.join(CORPUS, "cusp.gf")]
+        code, out, _ = run(capsys, argv)
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(argv, buffered, stderr=full)
+        assert code == proc.returncode == status
+        assert proc.stdout == out
 
     def test_script_target_is_the_main_block_entry(self):
         with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:

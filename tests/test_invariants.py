@@ -133,6 +133,23 @@ class TestClosedForms:
         # Milnor-Orlik 1970: weights 1/a and (a - 1)/(ab) give mu = ab - a + 1
         assert self.c_ext(f"x^{a} + x*y^{b}", R2) == a * b - a + 1
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))
+    def test_chain_type(self, a, b, c):
+        # Milnor-Orlik 1970: mu = prod (1/w_i - 1), the weights solved back
+        # from z^c, y^b z and x^a y all of weight 1
+        w_z = Fraction(1, c)
+        w_y = (1 - w_z) / b
+        w_x = (1 - w_y) / a
+        mu = prod(1 / w - 1 for w in (w_x, w_y, w_z))
+        assert self.c_ext(f"x^{a}*y + y^{b}*z + z^{c}", R3) == mu
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))
+    def test_loop_type(self, a, b, c):
+        # Milnor-Orlik 1970: mu(x^a y + y^b z + z^c x) = abc
+        assert self.c_ext(f"x^{a}*y + y^{b}*z + z^{c}*x", R3) == a * b * c
+
 
 class TestDeterminacy:
     def test_regression_bound(self):

@@ -235,7 +235,7 @@ class TestLiftedMorseValues:
         assert sum((c * g for c, g in zip(lifting.coeffs, I.gens)), ring.zero()) == f
         ctx = jet_context(I, 1)
         M = morse_component(ctx, True).ideal
-        assert intersection_multiplicity(f, I, ctx, M, "CM") == expect
+        assert intersection_multiplicity(f, I, ctx, M) == expect
 
 
 class TestIntersectionMultiplicity:
@@ -243,31 +243,20 @@ class TestIntersectionMultiplicity:
         ctx = jet_context(UNIT1, 1)
         M = morse_component(ctx).ideal
         f = parse_poly("x^2", R1)
-        assert intersection_multiplicity(f, UNIT1, ctx, M, "CM") == 1
-        assert intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL") == 1
+        assert intersection_multiplicity(f, UNIT1, ctx, M) == 1
 
     def test_cusp_of_one_variable(self):
         ctx = jet_context(UNIT1, 1)
         M = morse_component(ctx).ideal
         f = parse_poly("x^3", R1)
-        assert intersection_multiplicity(f, UNIT1, ctx, M, "CM") == 2
-        assert intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL") == 2
-
-    def test_koszul_without_elimination_agrees(self):
-        ctx = jet_context(UNIT1, 1)
-        M = morse_component(ctx).ideal
-        for s, expect in (("x^2", 1), ("x^3", 2)):
-            f = parse_poly(s, R1)
-            got = intersection_multiplicity(f, UNIT1, ctx, M, "KOSZUL",
-                                            preprocess=False)
-            assert got == expect
+        assert intersection_multiplicity(f, UNIT1, ctx, M) == 2
 
     def test_lifting_independence(self):
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
         liftA = LiftedGerm(CUSP, EJEM.gens, (P("x"), P("y")))
         liftB = LiftedGerm(CUSP, EJEM.gens, (P("x + y"), P("y - x^2")))
-        vals = {intersection_multiplicity(CUSP, EJEM, ctx, M, "CM", lifting=lf)
+        vals = {intersection_multiplicity(CUSP, EJEM, ctx, M, lifting=lf)
                 for lf in (liftA, liftB, None)}
         assert vals == {2}
 
@@ -276,7 +265,7 @@ class TestIntersectionMultiplicity:
         M = morse_component(ctx, assume_reduced=True).ideal
         lift0 = LiftedGerm(P("x^2"), EJEM.gens, (R2.one(), R2.zero()))
         with pytest.raises(GermforgeError) as ei:
-            intersection_multiplicity(P("x^2"), EJEM, ctx, M, "CM", lifting=lift0)
+            intersection_multiplicity(P("x^2"), EJEM, ctx, M, lifting=lift0)
         assert ei.value.code == "NOT_ISOLATED"
 
 
@@ -307,7 +296,7 @@ class TestConservation:
     def test_hand_deformation_at_small_rational_times(self):
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
-        reference = intersection_multiplicity(CUSP, EJEM, ctx, M, "CM")
+        reference = intersection_multiplicity(CUSP, EJEM, ctx, M)
         I_glob = EJEM.with_order(GLOBAL_DP)
         for tv in (Fraction(1, 7), Fraction(1, 11)):
             F = CUSP + P("y") * tv + P("x^2") * tv

@@ -285,7 +285,7 @@ class TestConservation:
                                         jet_pullback, morse_component)
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
-        reference = intersection_multiplicity(CUSP, EJEM, ctx, M, "CM")
+        reference = intersection_multiplicity(CUSP, EJEM, ctx, M)
         assert reference == 2
         g = random_deformation(CUSP, EJEM, seed=11)
         pulled = jet_pullback(g, EJEM, ctx, M).with_order(GLOBAL_DP)

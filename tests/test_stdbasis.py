@@ -20,10 +20,8 @@ from germforge.stdbasis import (
     Ideal,
     Submodule,
     TermPacking,
-    artin_rees_check,
     hilbert_samuel,
     hilbert_samuel_values,
-    ideal_intersection,
     ideal_quotient,
     minimal_polynomial,
     module_intersection,
@@ -583,11 +581,11 @@ class TestIntersectionAndSaturation:
         for _ in range(10):
             mi = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
             mj = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
-            I = Ideal(R2, [R2.monomial(m) for m in mi], GLOBAL_DP)
-            J = Ideal(R2, [R2.monomial(m) for m in mj], GLOBAL_DP)
-            expected = Ideal(R2, [R2.monomial(mono_lcm(a, b)) for a in mi for b in mj],
-                             GLOBAL_DP)
-            assert ideal_intersection(I, J).equals(expected)
+            U = Submodule(R2, 1, [(R2.monomial(m),) for m in mi], GLOBAL_DP)
+            V = Submodule(R2, 1, [(R2.monomial(m),) for m in mj], GLOBAL_DP)
+            expected = Submodule(R2, 1, [(R2.monomial(mono_lcm(a, b)),)
+                                         for a in mi for b in mj], GLOBAL_DP)
+            assert module_intersection(U, V).equals(expected)
 
     def test_saturation_examples(self):
         assert saturation(ideal(R2, GLOBAL_DP, "x^2 y"), ideal(R2, GLOBAL_DP, "y")).equals(
@@ -1294,17 +1292,6 @@ class TestMinimalPolynomial:
     ])
     def test_pinned_coefficients(self, gens, var, coeffs):
         assert minimal_polynomial(ideal(R2, GLOBAL_DP, *gens), var) == coeffs
-
-
-class TestArtinRees:
-    def test_failing_inclusion(self):
-        assert artin_rees_check(ideal(R2, LOCAL_DS, "x^2", "y"), 0, 1) is False
-
-    def test_unit_ideal(self):
-        assert artin_rees_check(ideal(R2, LOCAL_DS, "1"), 3, 2) is True
-
-    def test_holding_inclusion(self):
-        assert artin_rees_check(ideal(R2, LOCAL_DS, "x^2", "y"), 2, 3) is True
 
 
 class TestPowerIdeal:
