@@ -10,7 +10,8 @@ first use:
   O^k/L; c_ext is the dimension of that quotient and cobasis its witness,
   read as the elements I.gens[pos] * m;
 - c_plain: the same dimension over the fields of theta vanishing at the
-  origin, derived from the same theta;
+  origin, derived from the same theta; when every generator of theta
+  vanishes there, those fields are theta itself and c_plain is c_ext;
 - model: L's local model, the truncated model of O^k/L at the origin that
   certified the local length (Submodule.local_model); determinacy is its
   certified degree;
@@ -38,13 +39,12 @@ rank.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, Mono, Poly, Ring
+from .polyring import GLOBAL_DP, Mono, Poly, Q, Ring
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -85,7 +85,11 @@ class GermProblem:
 
     @cached_property
     def c_plain(self) -> QuotientDim:
-        """dim I/tau(f) where tau uses only fields vanishing at the origin."""
+        """dim I/tau(f) where tau uses only fields vanishing at the origin.
+        A theta whose generators have no constant term lies in m * Theta, so
+        its vanishing part is theta itself and tau(f) is tau_e(f)."""
+        if not any(a.constant_term() for X in self.theta.gens for a in X):
+            return self.c_ext
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
         return subideal_preimage(self.I, tau).quotient_dimension()
 
@@ -99,7 +103,7 @@ class GermProblem:
     @cached_property
     def cobasis(self) -> Tuple[Poly, ...]:
         """Elements of I whose classes form a basis of I/tau_e(f)."""
-        return tuple(self.I.gens[pos].term_mul(m, Fraction(1))
+        return tuple(self.I.gens[pos].term_mul(m, 1)
                      for pos, m in self.c_ext.witness)
 
     @cached_property
@@ -285,7 +289,7 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     m = len(y_vars)
 
     # symmetric Gram matrix: f = sum H[i][j] y_i y_j with H symmetric
-    upper: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
+    upper: Dict[Tuple[int, int], Dict[Mono, Q]] = {}
     for mono, coeff in f.terms.items():
         ys = [t for t, yv in enumerate(y_vars) if mono[yv] > 0]
         ydeg = sum(mono[yv] for yv in y_vars)
@@ -299,14 +303,14 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
         rest[y_vars[j]] -= 1
         key, res_mono = (i, j), tuple(rest)
         upper.setdefault(key, {})
-        upper[key][res_mono] = upper[key].get(res_mono, Fraction(0)) + coeff
+        upper[key][res_mono] = upper[key].get(res_mono, 0) + coeff
 
     xset = set(x_vars)
     H: List[List[Poly]] = [[ring.zero()] * m for _ in range(m)]
     for (i, j), terms in upper.items():
         p = Poly(ring, {mono: c for mono, c in terms.items()
                         if sum(mono) == 0 or sum(mono) == 1 and mono.index(1) in xset})
-        H[i][j] = H[j][i] = p if i == j else p * Fraction(1, 2)
+        H[i][j] = H[j][i] = p if i == j else p * Q(1, 2)
 
     active = list(range(m))
     while True:

@@ -11,14 +11,13 @@ of the pulled-back component.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Ring, monomials_up_to_degree
+from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Q, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient
 
 
@@ -64,7 +63,7 @@ def jet_context(I: Ideal, k: int) -> JetContext:
     base_ring = I.ring
     n = base_ring.n
     r = len(I.gens)
-    alphas = tuple(monomials_up_to_degree(n, k))
+    alphas = monomials_up_to_degree(n, k)
     names = [f"z{i + 1}" for i in range(n)]
     for j in range(r):
         for alpha in alphas:
@@ -180,7 +179,7 @@ class LiftedGerm:
             for _ in range(e):
                 p = p.derive(i)
             denom *= factorial(e)
-        return p * Fraction(1, denom)
+        return p * Q(1, denom)
 
 
 def lift_germ(f: Poly, I: Ideal) -> LiftedGerm:

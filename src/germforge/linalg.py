@@ -22,14 +22,15 @@ RowBasis.{reduce, add, contains, extend} by name, so all five stay defined.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Set
+
+from .polyring import Q
 
 Row = Dict[int, int]
 
 
-def integral(row: Mapping[int, Fraction]) -> Row:
+def integral(row: Mapping[int, Q]) -> Row:
     """row times the lcm of its denominators: the same line, integer entries."""
     den = lcm(*(c.denominator for c in row.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
@@ -109,21 +110,21 @@ class RowBasis:
         """Insert one row, taken over; True when it was independent."""
         return self.extend([row]) == 1
 
-    def reduce(self, row: Row) -> Dict[int, Fraction]:
+    def reduce(self, row: Row) -> Dict[int, Q]:
         """Residual of row modulo the span: row minus the element of the span
         that clears every pivot column. The row itself is left unchanged."""
         work, scale = dict(row), 1
         for p in [k for k in work if k in self.rows]:
             scale *= _cancel(work, p, self.rows[p])
-        return {k: Fraction(c, scale) for k, c in work.items()}
+        return {k: Q(c, scale) for k, c in work.items()}
 
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
 
 
-def nullspace(rows: Sequence[Mapping[int, Fraction]]) -> List[Dict[int, Fraction]]:
+def nullspace(rows: Sequence[Mapping[int, Q]]) -> List[Dict[int, Q]]:
     """Kernel of the map sending unit t to rows[t], whose entries may be ints
-    or Fractions: one combination {t: coeff} per input that depends on the
+    or rationals: one combination {t: coeff} per input that depends on the
     inputs before it, with coefficient 1 at t and its other terms on earlier
     independent inputs, in input order."""
     top = 1 + max((k for row in rows for k in row), default=-1)
@@ -133,9 +134,9 @@ def nullspace(rows: Sequence[Mapping[int, Fraction]]) -> List[Dict[int, Fraction
     return identity_kernel(basis, top, last)
 
 
-def identity_kernel(basis: RowBasis, top: int, last: int) -> List[Dict[int, Fraction]]:
+def identity_kernel(basis: RowBasis, top: int, last: int) -> List[Dict[int, Q]]:
     """The kernel held in the identity columns top..last, where column
     last - t stands for input t: the pivot rows there divided by their pivot
     entry, as combinations {t: coeff} in input order."""
-    return [{last - k: Fraction(c, row[p]) for k, c in row.items()}
+    return [{last - k: Q(c, row[p]) for k, c in row.items()}
             for p, row in sorted(basis.rows.items(), reverse=True) if p >= top]

@@ -18,12 +18,11 @@ mass sits at nonrational points only the aggregate is reported.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem, extended_codim
-from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring
+from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
 from .stdbasis import (Ideal, Submodule, ideal_quotient, minimal_polynomial, saturation,
                        subideal_preimage)
 from .tangent import tangent_ideal, theta_preserving
@@ -51,11 +50,11 @@ class XorShift64:
         self.state = x
         return x
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Q:
         num = 1 + self.next_u64() % 13
         den = 1 + self.next_u64() % 13
         sign = -1 if self.next_u64() & 1 else 1
-        return Fraction(sign * num, den)
+        return Q(sign * num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def _divisors(v: int) -> List[int]:
     return out
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+def _rational_roots(coeffs: List[Q]) -> List[Q]:
     scale = 1
     for c in coeffs:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
@@ -166,13 +165,13 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     while ints[low] == 0:
         low += 1
     if low > 0:
-        roots.add(Fraction(0))
+        roots.add(Q(0))
     lead = abs(ints[-1])
     const = abs(ints[low])
     for p in _divisors(const):
         for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = Fraction(0)
+            for cand in (Q(p, q), Q(-p, q)):
+                value = Q(0)
                 for c in reversed(ints):
                     value = value * cand + c
                 if value == 0:
@@ -180,7 +179,7 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     return sorted(roots)
 
 
-def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Fraction, ...]]]:
+def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Q, ...]]]:
     """Every point of the zero set, when all of them are rational; None when
     part of the multiplicity sits at nonrational points. Completeness is
     decided by comparing located local dimensions against the global one."""
@@ -191,7 +190,7 @@ def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Fraction, ...]]]:
     if not qd.is_finite:
         return None
     total = qd.value
-    candidates: List[Tuple[Fraction, ...]] = [()]
+    candidates: List[Tuple[Q, ...]] = [()]
     for i in range(L.ring.n):
         roots = _rational_roots(minimal_polynomial(L_dp, i))
         candidates = [c + (r,) for c in candidates for r in roots]
@@ -223,7 +222,7 @@ class SplittingReport(NamedTuple):
     warnings: Tuple[str, ...]
 
 
-def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Fraction]) -> int:
+def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:
     """Extended codimension of g at a rational point, by translating the
     whole problem so the point becomes the origin."""
     ring = I.ring

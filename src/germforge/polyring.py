@@ -1,15 +1,20 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from exponent tuples to nonzero Fraction
-coefficients:
+Coefficients are Q, a slotted rational in lowest terms with a positive
+denominator. Q is registered as a numbers.Rational, so fractions.Fraction(q),
+comparisons with Fractions, mixed arithmetic (whose result is a Q) and hashing
+agree with Fraction; Q itself needs neither fractions nor decimal.
+
+A polynomial is a finite map from exponent tuples to nonzero Q coefficients:
 
   Mono = Tuple[int, ...]      (one entry per variable, that variable's degree)
-  terms: Dict[Mono, Fraction] (canonical: no zero coefficients stored)
+  terms: Dict[Mono, Q]        (canonical: no zero coefficients stored)
 
-The Poly constructor is the one zero filter: arithmetic adds coefficients
-into a plain map and lets the constructor drop what cancelled. Ring.sum is
-the one running sum: every term of every summand goes into a single map,
-and one Poly is built at the end.
+The Poly constructor is the one zero filter and the one coercion point: it
+drops what cancelled and turns an int, a Fraction or any other Rational into a
+Q. Arithmetic adds coefficients into a plain map and leaves the rest to it.
+Ring.sum is the one running sum: every term of every summand goes into a
+single map, and one Poly is built at the end.
 
 Two monomial orders are provided: 'dp' (degree reverse lexicographic, global,
 1 is the smallest monomial) and 'ds' (negative degree reverse lexicographic,
@@ -20,16 +25,236 @@ All values are immutable after construction and freely shareable.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+from functools import lru_cache
+from math import gcd
+from numbers import Rational
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GermforgeError, ParseError
 
 Mono = Tuple[int, ...]
-Coeff = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# ---------------------------------------------------------------------------
+# rationals
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+class Q:
+    """An exact rational numerator/denominator in lowest terms, denominator
+    positive. Q(n) takes an int or a Rational, Q(n, d) two ints and
+    Q("n/d") the parser's text; arithmetic with an int or another Rational
+    gives a Q."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator=0, denominator=None):
+        if denominator is not None:
+            return _normal(numerator, denominator)
+        if type(numerator) is int:
+            return _q(numerator, 1)
+        if type(numerator) is Q:
+            return numerator
+        if isinstance(numerator, str):
+            num, slash, den = numerator.partition("/")
+            return _normal(int(num), int(den)) if slash else _q(int(num), 1)
+        if isinstance(numerator, Rational):
+            return _normal(numerator.numerator, numerator.denominator)
+        raise TypeError(f"cannot make a rational from {numerator!r}")
+
+    # -- arithmetic; each operand is an int or a Q once _other has run
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _q(a.numerator + b * a.denominator, a.denominator)
+        if type(b) is not Q:
+            b = _other(b)
+            if b is NotImplemented:
+                return b
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        if da == 1 and db == 1:
+            return _q(na + nb, 1)
+        g = gcd(da, db)
+        if g == 1:
+            return _q(na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        return _q(t, s * db) if g2 == 1 else _q(t // g2, s * (db // g2))
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _q(a.numerator - b * a.denominator, a.denominator)
+        b = _other(b)
+        return b if b is NotImplemented else a + _q(-b.numerator, b.denominator)
+
+    def __rsub__(a, b):
+        return -a + b
+
+    def __mul__(a, b):
+        if type(b) is int:
+            if a.denominator == 1:
+                return _q(a.numerator * b, 1)
+            g = gcd(b, a.denominator)
+            return _q(a.numerator * (b // g), a.denominator // g)
+        if type(b) is not Q:
+            b = _other(b)
+            if b is NotImplemented:
+                return b
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        if da == 1 and db == 1:
+            return _q(na * nb, 1)
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _q(na * nb, da * db)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is not Q:
+            b = _other(b)
+            if b is NotImplemented:
+                return b
+        if not b.numerator:
+            raise ZeroDivisionError(f"Q({a}) / 0")
+        return a * _inverse(b)
+
+    def __rtruediv__(a, b):
+        b = _other(b)
+        if b is NotImplemented:
+            return b
+        if not a.numerator:
+            raise ZeroDivisionError(f"{b} / Q(0)")
+        return _inverse(a) * b
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return NotImplemented
+        if b >= 0:
+            return _q(a.numerator ** b, a.denominator ** b)
+        if not a.numerator:
+            raise ZeroDivisionError(f"Q({a}) ** {b}")
+        return _inverse(a) ** -b
+
+    def __neg__(a):
+        return _q(-a.numerator, a.denominator)
+
+    # -- conversions
+
+    def __bool__(a):
+        return a.numerator != 0
+
+    def __int__(a):
+        n, d = a.numerator, a.denominator
+        return n // d if n >= 0 else -(-n // d)
+
+    # -- comparison and hashing, consistent with int and Fraction
+
+    def __eq__(a, b):
+        if type(b) is Q:
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        if type(b) is int:
+            return a.denominator == 1 and a.numerator == b
+        if isinstance(b, Rational):
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        return NotImplemented
+
+    def _cmp(a, b):
+        """a - b times a positive int, for the orderings; None if b is not
+        rational."""
+        if type(b) is int:
+            return a.numerator - b * a.denominator
+        if isinstance(b, Rational):
+            return a.numerator * b.denominator - b.numerator * a.denominator
+        return None
+
+    def __lt__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c >= 0
+
+    def __hash__(a):
+        n, d = a.numerator, a.denominator
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the modulus
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(a):
+        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+    def __repr__(a):
+        return f"Q({a.numerator}, {a.denominator})"
+
+
+Rational.register(Q)
+
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> Q:
+    """The Q n/d, for n/d already in lowest terms with d > 0."""
+    q = _new(Q)
+    q.numerator = n
+    q.denominator = d
+    return q
+
+
+def _normal(n: int, d: int) -> Q:
+    if not d:
+        raise ZeroDivisionError(f"Q({n}, 0)")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _q(n // g, d // g)
+
+
+def _inverse(a: Q) -> Q:
+    n, d = a.numerator, a.denominator
+    return _q(d, n) if n > 0 else _q(-d, -n)
+
+
+def _other(b):
+    """An int or a Q for the operand b, NotImplemented when it is not
+    rational."""
+    if type(b) is int or type(b) is Q:
+        return b
+    if isinstance(b, Rational):
+        return Q(b)
+    return NotImplemented
+
+
+Coeff = Union[int, Q, Rational]
+
+_ZERO = Q(0)
+_ONE = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +262,7 @@ _ONE = Fraction(1)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -46,28 +271,25 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
-def monomials_of_degree(n: int, d: int) -> List[Mono]:
+@lru_cache(maxsize=None)
+def monomials_of_degree(n: int, d: int) -> Tuple[Mono, ...]:
     """All exponent tuples in n variables of total degree exactly d."""
     if n == 1:
-        return [(d,)]
-    out: List[Mono] = []
-    for first in range(d, -1, -1):
-        out.extend((first,) + rest for rest in monomials_of_degree(n - 1, d - first))
-    return out
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in monomials_of_degree(n - 1, d - first))
 
 
-def monomials_up_to_degree(n: int, d: int) -> List[Mono]:
-    out: List[Mono] = []
-    for k in range(d + 1):
-        out.extend(monomials_of_degree(n, k))
-    return out
+@lru_cache(maxsize=None)
+def monomials_up_to_degree(n: int, d: int) -> Tuple[Mono, ...]:
+    return tuple(m for k in range(d + 1) for m in monomials_of_degree(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +321,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c: Coeff) -> "Poly":
-        return Poly(self, {(0,) * self.n: Fraction(c)})
+        return Poly(self, {(0,) * self.n: c})
 
     def var(self, which: Union[int, str]) -> "Poly":
         i = self.index[which] if isinstance(which, str) else which
@@ -112,16 +334,17 @@ class Ring:
     def monomial(self, mono: Mono, c: Coeff = 1) -> "Poly":
         if len(mono) != self.n:
             raise ValueError("exponent tuple has wrong length")
-        return Poly(self, {tuple(mono): Fraction(c)})
+        return Poly(self, {tuple(mono): c})
 
     def sum(self, polys: Iterable["Poly"]) -> "Poly":
         """The sum of polys, all in this ring, added term by term into one map."""
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Q] = {}
         for p in polys:
             if p.ring is not self and p.ring != self:
                 raise ValueError("polynomials from different rings")
             for m, c in p.terms.items():
-                out[m] = out.get(m, _ZERO) + c
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
         return Poly(self, out)
 
     def extend(self, extra: Sequence[str]) -> "Ring":
@@ -180,9 +403,9 @@ class Poly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Dict[Mono, Fraction]) -> None:
+    def __init__(self, ring: Ring, terms: Dict[Mono, Coeff]) -> None:
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c if type(c) is Q else Q(c) for m, c in terms.items() if c}
 
     # -- queries
 
@@ -193,10 +416,10 @@ class Poly:
         """Max total degree of a term; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Q:
         return self.terms.get((0,) * self.ring.n, _ZERO)
 
-    def leading(self, order: Order) -> Tuple[Mono, Fraction]:
+    def leading(self, order: Order) -> Tuple[Mono, Q]:
         """(leading monomial, coefficient) under the order; zero poly errors."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -229,16 +452,17 @@ class Poly:
         return Poly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Poly):
+            c = Q(other)
             return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("polynomials from different rings")
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Q] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, _ZERO) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
         return Poly(self.ring, out)
 
     def __rmul__(self, other: Coeff) -> "Poly":
@@ -256,7 +480,7 @@ class Poly:
             e >>= 1
         return out
 
-    def term_mul(self, mono: Mono, coeff: Fraction) -> "Poly":
+    def term_mul(self, mono: Mono, coeff: Coeff) -> "Poly":
         """Multiply by a single term coeff * x^mono."""
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
@@ -274,7 +498,7 @@ class Poly:
         i = self.ring.index[which] if isinstance(which, str) else which
         if not 0 <= i < self.ring.n:
             raise IndexError(f"variable index {i} out of range")
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Q] = {}
         for m, c in self.terms.items():
             e = m[i]
             if e:
@@ -312,7 +536,7 @@ class Poly:
 
     def rename(self, target: Ring, where: Sequence[int]) -> "Poly":
         """Cheap variable re-indexing: variable i becomes target variable where[i]."""
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Q] = {}
         for m, c in self.terms.items():
             exp = [0] * target.n
             for i, e in enumerate(m):
@@ -322,10 +546,10 @@ class Poly:
             out[m2] = out.get(m2, _ZERO) + c
         return Poly(target, out)
 
-    def evaluate(self, point: Sequence[Coeff]) -> Fraction:
+    def evaluate(self, point: Sequence[Coeff]) -> Q:
         if len(point) != self.ring.n:
             raise ValueError("need one value per variable")
-        pt = [Fraction(v) for v in point]
+        pt = [Q(v) for v in point]
         total = _ZERO
         for m, c in self.terms.items():
             v = c
@@ -337,15 +561,17 @@ class Poly:
 
     def translate(self, point: Sequence[Coeff]) -> "Poly":
         """Shift the origin: substitute x_i -> x_i + point[i]."""
-        images = [self.ring.var(i) + Fraction(point[i]) for i in range(self.ring.n)]
+        images = [self.ring.var(i) + point[i] for i in range(self.ring.n)]
         return self.substitute(images, self.ring)
 
     # -- comparison and printing
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, Rational):
+                return False
             other = self.ring.const(other)
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ring.names, frozenset(self.terms.items())))
@@ -498,7 +724,7 @@ class _ExprParser:
     def atom(self) -> Poly:
         kind, val, at = self.take()
         if kind == _TOK_NUM:
-            return self.ring.const(Fraction(val))
+            return self.ring.const(Q(val))
         if kind == _TOK_IDENT:
             if val not in self.ring.index:
                 raise GermforgeError("UNKNOWN_VARIABLE", f"unknown variable {val!r}")

@@ -51,7 +51,6 @@ sugar (Giovini et al., ISSAC 1991), the lcm's order and the pair's indices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import gcd, lcm
@@ -65,6 +64,7 @@ from .polyring import (
     Mono,
     Order,
     Poly,
+    Q,
     Ring,
     mono_deg,
     mono_divides,
@@ -159,10 +159,10 @@ def _pack_vector(pk: TermPacking, v: Vector) -> Tuple[Dict[int, int], int]:
 def _unpack_vector(pk: TermPacking, ring: Ring, rank: int, terms: Terms,
                    scale: int) -> Vector:
     """The vector of terms divided by scale."""
-    out: List[Dict[Mono, Fraction]] = [{} for _ in range(rank)]
+    out: List[Dict[Mono, Q]] = [{} for _ in range(rank)]
     for key, c in terms:
         pos, m = pk.unpack(key)
-        out[pos][m] = Fraction(c, scale)
+        out[pos][m] = Q(c, scale)
     return tuple(Poly(ring, d) for d in out)
 
 
@@ -933,7 +933,7 @@ def hilbert_samuel_values(I: Ideal, N: int) -> List[int]:
 # zero-dimensional radical (Seidenberg)
 
 
-def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
+def minimal_polynomial(I: Ideal, var: int) -> List[Q]:
     """Monic coefficients, low to high, of the minimal polynomial of x_var on
     the finite quotient by I under a global order. The normal forms of the
     powers up to the quotient's dimension must be dependent; the first kernel
@@ -942,7 +942,7 @@ def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
     x = ring.var(var)
     power = ring.one()
     col: Dict[Mono, int] = {}
-    powers: List[Dict[int, Fraction]] = []
+    powers: List[Dict[int, Q]] = []
     for _ in range(I.quotient_dimension().value + 1):
         powers.append({col.setdefault(m, len(col)): c
                        for m, c in I.normal_form(power).terms.items()})
@@ -951,7 +951,7 @@ def minimal_polynomial(I: Ideal, var: int) -> List[Fraction]:
     if not kernel:
         raise AssertionError("no univariate dependence on a finite quotient")
     combo = kernel[0]
-    return [combo.get(t, Fraction(0)) for t in range(max(combo) + 1)]
+    return [combo.get(t, Q(0)) for t in range(max(combo) + 1)]
 
 
 def zero_dim_radical(I: Ideal) -> Ideal:

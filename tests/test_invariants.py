@@ -52,6 +52,35 @@ class TestCodimensions:
     def test_regression_plain(self):
         assert plain_codim(CUSP, EJEM).value == 3
 
+    @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    @pytest.mark.parametrize("ring, gens, f", [
+        pytest.param(R2, ("x^2", "y"), "x^3 + y^2", id="cusp"),
+        pytest.param(R2, ("x", "y"), "x^3 + y^4", id="e6"),
+        pytest.param(R2, ("x^3", "y^2"), "x^6 + y^4 + x^3 y^2", id="fin4"),
+        pytest.param(R2, ("x^2", "y + x^2"), "x^3 + y^2 + 2 x^2 y + x^4", id="shear"),
+        pytest.param(R3, ("x y", "z"), "x^3 y + x y^3 + z^2 + x y z", id="d3"),
+        pytest.param(R3, ("x y", "z"), "x^2 y^2 + z^2", id="inf2"),
+    ])
+    def test_plain_codim_of_a_vanishing_theta_is_the_full_route(self, ring, gens, f, order):
+        # every field of theta vanishes at the origin, so c_plain is c_ext;
+        # the intersection with m * Theta must give the same quotient
+        problem = GermProblem(P(f, ring), ideal(ring, order, *gens))
+        assert not any(a.constant_term() for X in problem.theta.gens for a in X)
+        tau = tangent.tangent_ideal(problem.f, tangent.theta_vanishing(problem.theta))
+        full = stdbasis.subideal_preimage(problem.I, tau).quotient_dimension()
+        assert problem.c_plain.value == full.value
+
+    @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    @pytest.mark.parametrize("gens, f, c_ext, c_plain", [
+        # I = (1): the Milnor number mu, and dim O/(m J_f) = mu + n
+        pytest.param(("1",), "x^3 + y^2", 2, 4, id="unit-cusp"),
+        pytest.param(("y",), "x^3 y + y^2", 2, 3, id="y"),
+    ])
+    def test_plain_codim_of_a_theta_with_a_unit_field(self, gens, f, c_ext, c_plain, order):
+        # d/dx lies in theta, so theta_0 is smaller than theta
+        problem = GermProblem(P(f), ideal(R2, order, *gens))
+        assert (problem.c_ext.value, problem.c_plain.value) == (c_ext, c_plain)
+
     def test_milnor_number_via_unit_ideal(self):
         unit = ideal(R2, LOCAL_DS, "1")
         assert extended_codim(CUSP, unit).value == 2
@@ -507,21 +536,23 @@ class TestGermProblem:
         _rebind(monkeypatch, real, counted)
         return calls
 
-    @pytest.mark.parametrize("text, determinacy", [
+    @pytest.mark.parametrize("text, determinacy, calls", [
         pytest.param("ring x y z ;\nideal I = x*y, z ;\npoly f = x^5*y + x*y^5 + z^2 ;\n",
-                     7, id="fin3"),
-        pytest.param("ring x y ;\nideal I = 1 ;\npoly f = x^12 + y^7 ;\n", 16,
+                     7, 2, id="fin3"),
+        pytest.param("ring x y ;\nideal I = 1 ;\npoly f = x^12 + y^7 ;\n", 16, 4,
                      id="milnor127"),
     ])
-    def test_codim_builds_no_model_of_its_own(self, model_calls, text, determinacy,
+    def test_codim_builds_no_model_of_its_own(self, model_calls, text, determinacy, calls,
                                               tmp_path, capsys):
-        # c_ext and c_plain each try cap 4 and then climb; determinacy reads
-        # the model that certified c_ext, so no fifth call runs
+        # c_ext tries cap 4 and then climbs. c_plain does the same, unless
+        # every field of theta vanishes at the origin (fin3), when it is
+        # c_ext. determinacy reads the model that certified c_ext, so it adds
+        # no call
         path = tmp_path / "problem.gf"
         path.write_text(text)
         assert main(["codim", str(path)]) == 0
         assert f"determinacy: {determinacy}\n" in capsys.readouterr().out
-        assert len(model_calls) == 4
+        assert len(model_calls) == calls
 
     @pytest.mark.parametrize("ring, gens, f, degree", [
         pytest.param(R2, ("x^2", "y"), "x^3 + y^2", 2, id="cusp"),

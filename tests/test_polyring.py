@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from germforge.polyring import (
     GLOBAL_DP,
     LOCAL_DS,
     Poly,
+    Q,
     Ring,
     format_poly,
     monomials_of_degree,
@@ -119,6 +121,21 @@ def _stores_no_zero(p):
     return all(c != 0 for c in p.terms.values())
 
 
+def _built(a, b, mono, c):
+    """Polynomials built from a, b, a monomial and a Fraction c by every
+    operation that makes a Poly."""
+    R1 = Ring(["t"])
+    swapped = a.rename(R2, [1, 0])
+    return [
+        a + b, a - b, a - a, a + (-a), a * b, a * (b - b), a * 0, a * c,
+        a.derive(0), a.derive(1), a.rename(R1, [0, 0]), (a - swapped).rename(R1, [0, 0]),
+        a.substitute([b, b]), a.substitute([b, -b]), a.term_mul(mono, Fraction(c)),
+        a.term_mul(mono, Fraction(0)), R2.sum([a, b, -a, -b]), R2.sum([a, b]),
+        R2.const(0), R2.const(c), R2.monomial(mono, 0), R2.monomial(mono, c),
+        a + c, c - a, a ** 2, a.truncate(2), a.translate([c, 1]),
+    ]
+
+
 class TestRunningSum:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(polys_st, max_size=6))
@@ -147,16 +164,7 @@ class TestRunningSum:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(polys_st, polys_st, monos_st, fractions_st)
     def test_no_zero_coefficient_is_stored(self, a, b, mono, c):
-        R1 = Ring(["t"])
-        swapped = a.rename(R2, [1, 0])
-        built = [
-            a + b, a - b, a - a, a + (-a), a * b, a * (b - b), a * 0, a * c,
-            a.derive(0), a.derive(1), a.rename(R1, [0, 0]), (a - swapped).rename(R1, [0, 0]),
-            a.substitute([b, b]), a.substitute([b, -b]), a.term_mul(mono, Fraction(c)),
-            a.term_mul(mono, Fraction(0)), R2.sum([a, b, -a, -b]), R2.sum([a, b]),
-            R2.const(0), R2.const(c), R2.monomial(mono, 0), R2.monomial(mono, c),
-        ]
-        for p in built:
+        for p in _built(a, b, mono, c):
             assert _stores_no_zero(p)
 
     def test_monomial_checks_length_first(self):
@@ -231,3 +239,108 @@ class TestMonomialEnumeration:
     def test_degrees(self):
         for m in monomials_of_degree(3, 4):
             assert sum(m) == 4
+
+
+# -- Q against fractions.Fraction
+
+rationals_st = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
+)
+
+
+class TestRational:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rationals_st, rationals_st)
+    def test_arithmetic_agrees_with_fraction(self, x, y):
+        a, b = Fraction(x), Fraction(y)
+        ops = [operator.add, operator.sub, operator.mul]
+        if b:
+            ops.append(operator.truediv)
+        for op in ops:
+            want = op(a, b)
+            for left, right in ((Q(a), Q(b)), (Q(a), b), (a, Q(b)), (Q(a), y), (x, Q(b))):
+                got = op(left, right)
+                assert type(got) is Q
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rationals_st, st.integers(-5, 5))
+    def test_power_agrees_with_fraction(self, x, e):
+        if x == 0 and e < 0:
+            with pytest.raises(ZeroDivisionError):
+                Q(x) ** e
+            return
+        got, want = Q(x) ** e, Fraction(x) ** e
+        assert type(got) is Q and got == want and str(got) == str(want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rationals_st, rationals_st)
+    def test_comparisons_agree_with_fraction(self, x, y):
+        a, b = Fraction(x), Fraction(y)
+        for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+                   operator.ge):
+            want = op(a, b)
+            for left, right in ((Q(a), Q(b)), (Q(a), b), (a, Q(b)), (Q(a), y), (x, Q(b))):
+                assert op(left, right) is want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rationals_st)
+    def test_unary_and_conversions_agree_with_fraction(self, x):
+        a, q = Fraction(x), Q(x)
+        assert type(-q) is Q and -q == -a
+        assert bool(q) is bool(a)
+        assert hash(q) == hash(a)
+        assert str(q) == str(a)
+        assert int(q) == int(a)
+        assert Fraction(q) == a and type(Fraction(q)) is Fraction
+        assert Q(str(q)) == q and Q(a) == q and Q(q) is q
+
+    def test_hash_when_the_denominator_is_a_multiple_of_the_modulus(self):
+        import sys
+
+        big = Fraction(1, sys.hash_info.modulus)
+        assert hash(Q(big)) == hash(big)
+        assert hash(-Q(big)) == hash(-big)
+
+    def test_construction(self):
+        assert (Q(6, -8).numerator, Q(6, -8).denominator) == (-3, 4)
+        assert Q("3/4") == Fraction(3, 4) and Q("-6/8") == Q(-3, 4)
+        assert Q() == 0 and Q(True) == 1
+        for bad in ("", "1/", "x", "1.5"):
+            with pytest.raises(ValueError):
+                Q(bad)
+        for bad in (None, 0.5):
+            with pytest.raises(TypeError):
+                Q(bad)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Q(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Q(1) / 0
+        with pytest.raises(ZeroDivisionError):
+            1 / Q(0)
+
+    def test_mixed_values_sort(self):
+        values = [Q(1, 2), Fraction(1, 3), 0, Q(-5, 4), 1]
+        assert sorted(values) == sorted(Fraction(v) for v in values)
+
+    def test_not_rational_operands(self):
+        assert Q(1) != "1"
+        with pytest.raises(TypeError):
+            Q(1) + 1.0
+        with pytest.raises(TypeError):
+            Q(1) < "1"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.dictionaries(monos_st, fractions_st, max_size=5))
+    def test_poly_from_fractions_equals_poly_from_q(self, d):
+        assert Poly(R2, d) == Poly(R2, {m: Q(c) for m, c in d.items()})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(polys_st, polys_st, monos_st, fractions_st)
+    def test_every_coefficient_is_a_q(self, a, b, mono, c):
+        for p in [a, b] + _built(a, b, mono, c):
+            assert all(type(v) is Q for v in p.terms.values())
+        assert type(a.evaluate([c, 1])) is Q
