@@ -13,8 +13,9 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
@@ -81,14 +82,9 @@ def _sha256_hex(data: bytes) -> str:
     return "".join(f"{u:08x}" for u in h)
 
 
-class ProblemFile(NamedTuple):
-    text: str
-    ring: Ring
-    order_name: str
-    ideals: Dict[str, Ideal]
-    polys: Dict[str, Poly]
-    unfoldings: Dict[str, Tuple[Tuple[str, ...], Poly]]
-    options: Dict[str, str]
+class ProblemFile(namedtuple("ProblemFile",
+                             "text ring order_name ideals polys unfoldings options")):
+    __slots__ = ()
 
     def digest(self) -> str:
         return f"sha256:{_sha256_hex(self.text.encode())[:16]}"

@@ -39,8 +39,9 @@ rank.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
@@ -261,10 +262,10 @@ def _fresh_names(ring: Ring, count: int) -> List[str]:
 # D(d, k) classification
 
 
-class DdkClass(NamedTuple):
-    d: int
-    k: int
-    verdict: str  # IS_Ddk | NOT_Ddk | NOT_APPLICABLE
+class DdkClass(namedtuple("DdkClass", "d k verdict")):
+    """The D(d,k) verdict: IS_Ddk, NOT_Ddk or NOT_APPLICABLE."""
+
+    __slots__ = ()
 
 
 def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
@@ -358,11 +359,8 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
 # report bundle
 
 
-class InvariantReport(NamedTuple):
-    c_ext: QuotientDim
-    c_plain: QuotientDim
-    determinacy: Optional[int]
-    basis: Tuple[Poly, ...]
+class InvariantReport(namedtuple("InvariantReport", "c_ext c_plain determinacy basis")):
+    __slots__ = ()
 
 
 def invariant_report(f: Poly, I: Ideal) -> InvariantReport:

@@ -11,8 +11,9 @@ of the pulled-back component.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, factorial, prod
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem
@@ -25,16 +26,11 @@ from .stdbasis import Ideal, ideal_quotient
 # jet context
 
 
-class JetContext(NamedTuple):
+class JetContext(namedtuple("JetContext", "base k ring alphas Q g_z")):
     """Order-k jet space of the ideal presentation, with the critical-jet
     ideal J1 = (Q_1..Q_n) and the base-locus ideal J2 = (g_j(z))."""
 
-    base: Ideal
-    k: int
-    ring: Ring
-    alphas: Tuple[Mono, ...]
-    Q: Tuple[Poly, ...]
-    g_z: Tuple[Poly, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -116,11 +112,11 @@ def _check_q_identity(ctx: JetContext) -> None:
 # Morse component
 
 
-class MorseComponent(NamedTuple):
-    """J_M' = (radical-or-assumed J1 : J2)."""
+class MorseComponent(namedtuple("MorseComponent", "ideal certificate")):
+    """J_M' = (radical-or-assumed J1 : J2), with the certificate
+    squarefree-monomials, linear-forms or assumed-reduced."""
 
-    ideal: Ideal
-    certificate: str  # squarefree-monomials | linear-forms | assumed-reduced
+    __slots__ = ()
 
 
 def _squarefree_monomial_gens(I: Ideal) -> bool:

@@ -18,7 +18,8 @@ mass sits at nonrational points only the aggregate is reported.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem, extended_codim
@@ -83,10 +84,8 @@ def _deform(P: GermProblem, degree_bound: Optional[int], seed: int) -> Poly:
 # critical points off the zero set
 
 
-class CriticalReport(NamedTuple):
-    sat_ideal: Ideal
-    count: int
-    all_morse: bool
+class CriticalReport(namedtuple("CriticalReport", "sat_ideal count all_morse")):
+    __slots__ = ()
 
 
 def _det(M: List[List[Poly]], ring: Ring) -> Poly:
@@ -213,13 +212,9 @@ def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Q, ...]]]:
 # splitting report
 
 
-class SplittingReport(NamedTuple):
-    sigma: Optional[Dict[int, int]]
-    corrected: int
-    morse: int
-    seeds: Tuple[int, ...]
-    stable: bool
-    warnings: Tuple[str, ...]
+class SplittingReport(namedtuple("SplittingReport",
+                                   "sigma corrected morse seeds stable warnings")):
+    __slots__ = ()
 
 
 def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:

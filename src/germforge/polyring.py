@@ -724,6 +724,8 @@ class _ExprParser:
     def atom(self) -> Poly:
         kind, val, at = self.take()
         if kind == _TOK_NUM:
+            if "/" in val and not int(val.partition("/")[2]):
+                raise ParseError("zero denominator", column=at + 1)
             return self.ring.const(Q(val))
         if kind == _TOK_IDENT:
             if val not in self.ring.index:
@@ -743,4 +745,7 @@ class _ExprParser:
 
 def parse_poly(text: str, ring: Ring) -> Poly:
     """Parse a polynomial expression; raises ParseError / UNKNOWN_VARIABLE."""
-    return _ExprParser(_tokenize(text), ring).parse()
+    try:
+        return _ExprParser(_tokenize(text), ring).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

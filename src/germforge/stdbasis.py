@@ -34,27 +34,32 @@ The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
 (Bachmann-Schoenemann, ISSAC 1998; see TermPacking). A monomial shift is one
 add and a divisibility test one masked subtract. Input is packed when
-std_basis_vectors is entered and the basis is unpacked, monic, when it
-returns; a degree of 2^15 or more raises PRECONDITION_VIOLATED. Basis
-elements are stored primitive, with a positive leading coefficient. The
-vector being reduced is one mutable map from packed term to integer, a heap
-hands out its leading term, and each step scales the map by lc/gcd(c, lc)
-and subtracts a multiple of the reducer term by term (the single-accumulator
-idea of Yan's geobuckets, J. Symb. Comp. 25, 1998).
+std_basis_vectors is entered, and the basis stays packed: its monic
+vectors are unpacked when read. A degree of 2^15 or more raises
+PRECONDITION_VIOLATED. Basis elements are stored primitive, with a
+positive leading coefficient. The vector being reduced is one mutable map
+from packed term to integer, a heap hands out its leading term, and each
+step scales the map by lc/gcd(c, lc) and subtracts a multiple of the
+reducer term by term (the single-accumulator idea of Yan's geobuckets,
+J. Symb. Comp. 25, 1998).
 The reducer is the first basis element whose lead divides the leading term,
 terms no lead divides go to the remainder, and the remainder over the
 tracked scale is the canonical fully reduced normal form, exact over the
 rationals; a step that scales divides the map, the remainder and the scale
 by their common content. The pending S-pairs wait on a heap ordered by
 sugar (Giovini et al., ISSAC 1991), the lcm's order and the pair's indices.
+Interreduction runs least lead first, each element against the already
+reduced smaller ones; the reduced basis is unique (Greuel-Pfister 2.3), so
+the order is free.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral, nullspace
@@ -174,15 +179,18 @@ def _primitive(terms: Terms) -> Terms:
     return terms if g == 1 else [(key, c // g) for key, c in terms]
 
 
-class _Reducers:
-    """Packed vectors that reduce, element i as its lead leads[i], lead
-    coefficient lcs[i], other terms tails[i] in pop order, and ecarts[i],
-    its top degree minus its lead's degree."""
+class StdBasis:
+    """A reduced standard basis in O^rank over ring, held packed: element i
+    has lead leads[i], lead coefficient lcs[i], other terms tails[i] in pop
+    order, and ecarts[i], its top degree minus its lead's degree. Its monic
+    vectors are unpacked only when read, by vector(i) or by iterating. With
+    no vector to name the ring, ring and pk are None and the basis is empty."""
 
-    __slots__ = ("pk", "leads", "lcs", "tails", "ecarts")
+    __slots__ = ("ring", "rank", "pk", "leads", "lcs", "tails", "ecarts")
 
-    def __init__(self, pk: TermPacking) -> None:
-        self.pk = pk
+    def __init__(self, ring: Optional[Ring], rank: int) -> None:
+        self.ring, self.rank = ring, rank
+        self.pk = None if ring is None else TermPacking(ring.n)
         self.leads: List[int] = []
         self.lcs: List[int] = []
         self.tails: List[Terms] = []
@@ -199,18 +207,22 @@ class _Reducers:
     def terms(self, i: int) -> Terms:
         return [(self.leads[i], self.lcs[i])] + self.tails[i]
 
-    def subset(self, idx: Sequence[int]) -> "_Reducers":
-        out = _Reducers(self.pk)
-        out.leads, out.lcs, out.tails, out.ecarts = (
-            [xs[i] for i in idx] for xs in (self.leads, self.lcs, self.tails, self.ecarts))
-        return out
+    def vector(self, i: int) -> Vector:
+        """Element i as a monic vector."""
+        return _unpack_vector(self.pk, self.ring, self.rank, self.terms(i), self.lcs[i])
+
+    def __len__(self) -> int:
+        return len(self.leads)
+
+    def __iter__(self) -> Iterator[Vector]:
+        return map(self.vector, range(len(self.leads)))
 
 
 # ---------------------------------------------------------------------------
 # reduction
 
 
-def _reduce(red: _Reducers, work: Dict[int, int], scale: int) -> Tuple[Terms, int]:
+def _reduce(red: StdBasis, work: Dict[int, int], scale: int) -> Tuple[Terms, int]:
     """Reduce the map work, from packed term to integer, in place against
     red; return the result's nonzero terms in pop order and its scale.
 
@@ -276,27 +288,15 @@ def _reduce(red: _Reducers, work: Dict[int, int], scale: int) -> Tuple[Terms, in
     return list(zip(rkeys, rcoeffs)), scale
 
 
-class StdBasis(list):
-    """A standard basis: the list of its monic vectors, with the packed
-    reducers they were unpacked from (None when the list is empty)."""
-
-    __slots__ = ("reducers",)
-
-    def __init__(self, vectors: Iterable[Vector], reducers: Optional[_Reducers]) -> None:
-        super().__init__(vectors)
-        self.reducers = reducers
-
-
 def reduce_vector(v: Vector, basis: StdBasis) -> Vector:
     """Normal form of v against a reduced global basis: fully reduced, exact
     over the rationals, zero exactly on the members of the polynomial
     module."""
-    red = basis.reducers
-    if red is None or vec_is_zero(v):
+    if not basis.leads or vec_is_zero(v):
         return v
-    work, den = _pack_vector(red.pk, v)
-    terms, scale = _reduce(red, work, den)
-    return _unpack_vector(red.pk, v[0].ring, len(v), terms, scale)
+    work, den = _pack_vector(basis.pk, v)
+    terms, scale = _reduce(basis, work, den)
+    return _unpack_vector(basis.pk, basis.ring, basis.rank, terms, scale)
 
 
 # the benchmark's tracer binds the reducer by this name
@@ -312,26 +312,22 @@ def std_basis_vectors(vectors: Sequence[Vector], rank: int) -> StdBasis:
     the polynomial module generated by vectors."""
     vectors = [v for v in vectors if not vec_is_zero(v)]
     if not vectors:
-        return StdBasis([], None)
-    ring = vectors[0][0].ring
-    pk = TermPacking(ring.n)
-    red = _Reducers(pk)
+        return StdBasis(None, rank)
+    red = StdBasis(vectors[0][0].ring, rank)
     for v in vectors:
-        red.add(_primitive(sorted(_pack_vector(pk, v)[0].items())))
-    _complete(red, rank)
-    red = _interreduce(red)
-    return StdBasis((_unpack_vector(pk, ring, rank, red.terms(i), lc)
-                     for i, lc in enumerate(red.lcs)), red)
+        red.add(_primitive(sorted(_pack_vector(red.pk, v)[0].items())))
+    _complete(red)
+    return _interreduce(red)
 
 
-def _complete(red: _Reducers, rank: int) -> None:
+def _complete(red: StdBasis) -> None:
     """Add the reduced S-vectors to red until every pair reduces to zero:
     Buchberger's algorithm, the pairs taken least sugar first."""
     pk = red.pk
     leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
     mask, bias, pos_shift = pk.mask, pk.bias, pk.pos_shift
     # product criterion, valid for rank-1 bases
-    coprime_skip = rank == 1
+    coprime_skip = red.rank == 1
     unpacked = [pk.unpack(key) for key in leads]
     # a pair of basis indices is pending while on the heap, else settled
     pending: Set[Tuple[int, int]] = set()
@@ -380,32 +376,30 @@ def _complete(red: _Reducers, rank: int) -> None:
             add_pairs(len(leads) - 1)
 
 
-def _interreduce(red: _Reducers) -> _Reducers:
-    """The elements whose lead no other lead divides (the first of equal
-    leads), least lead first, each tail-reduced against the others: the
-    canonical reduced basis. No kept lead divides another, so every lead
-    survives and the order stays sorted."""
+def _interreduce(red: StdBasis) -> StdBasis:
+    """The canonical reduced basis: the elements whose lead no other lead
+    divides (the first of equal leads), least lead first, each reduced
+    against the already reduced smaller ones; a greater lead divides no term
+    of the element or of what its reduction adds. No kept lead divides
+    another, so every lead survives and the order stays sorted."""
     leads, mask, bias = red.leads, red.pk.mask, red.pk.bias
     keep = [i for i, li in enumerate(leads)
             if not any(j != i and not (li + bias - lj) & mask and (lj != li or j < i)
                        for j, lj in enumerate(leads))]
     keep.sort(key=leads.__getitem__, reverse=True)
-    kept = red.subset(keep)
-    out = _Reducers(red.pk)
-    for i in range(len(keep)):
-        others = kept.subset([j for j in range(len(keep)) if j != i])
-        out.add(_primitive(_reduce(others, dict(kept.terms(i)), 0)[0]))
+    out = StdBasis(red.ring, red.rank)
+    for i in keep:
+        out.add(_primitive(_reduce(out, dict(red.terms(i)), 0)[0]))
     return out
 
 # ---------------------------------------------------------------------------
 # quotient dimensions
 
 
-class QuotientDim(NamedTuple):
+class QuotientDim(namedtuple("QuotientDim", "value witness", defaults=((),))):
     """Dimension of a quotient; value None means infinite."""
 
-    value: Optional[int]
-    witness: Tuple[MTerm, ...] = ()
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -444,13 +438,11 @@ def slice_rows(vectors: Sequence[Vector], N: int, labels: List[MTerm]):
                    for pos, m, dm, c in terms if dm + dd <= N}
 
 
-class TruncatedModel(NamedTuple):
+class TruncatedModel(namedtuple("TruncatedModel", "basis labels degree")):
     """O^rank/M below its certified degree d: the echelon form of M's shifts
     truncated above degree d - 1, over position-over-term labels."""
 
-    basis: RowBasis
-    labels: List[MTerm]
-    degree: int
+    __slots__ = ()
 
     def row(self, v: Vector) -> Dict[int, int]:
         """v's terms of degree < d as an integer row over the labels' columns:
@@ -579,10 +571,8 @@ class Submodule:
 
     def lead_terms(self) -> List[MTerm]:
         """The leads of the global basis, under either order."""
-        red = self.basis().reducers
-        if red is None:
-            return []
-        return [red.pk.unpack(key) for key in red.leads]
+        basis = self.basis()
+        return [basis.pk.unpack(key) for key in basis.leads]
 
     def normal_form(self, v: Vector) -> Vector:
         """The global normal form of v, under either order."""
@@ -793,9 +783,12 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
 def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> List[Vector]:
     """The entries past head of the reduced global basis elements of the
     rows in O^rank whose first head entries vanish: position over term
-    eliminates the head, so they form a basis of {t : (0, t) in <rows>}."""
+    eliminates the head, so they form a basis of {t : (0, t) in <rows>}.
+    Those are the elements whose lead lies at position head or past it,
+    and only they are unpacked."""
     basis = std_basis_vectors(rows, rank)
-    return [b[head:] for b in basis if vec_is_zero(b[:head])]
+    return [basis.vector(i)[head:] for i, lead in enumerate(basis.leads)
+            if lead >> basis.pk.pos_shift >= head]
 
 
 def preimage_module(targets: Sequence[Vector], S: Submodule) -> List[Vector]:

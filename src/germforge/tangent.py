@@ -18,7 +18,8 @@ degree and reported together with its truncation bound.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from typing import List, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, identity_kernel
@@ -95,12 +96,11 @@ def tangent_ideal(f: Poly, theta: Submodule) -> Ideal:
 # primitive ideal, truncated
 
 
-class PrimitiveIdeal(NamedTuple):
+class PrimitiveIdeal(namedtuple("PrimitiveIdeal", "ideal truncation")):
     """Generators of {f : f and all df/dx_i lie in I'} valid up to the stated
     truncation degree; higher-degree members may be missing."""
 
-    ideal: Ideal
-    truncation: int
+    __slots__ = ()
 
     @property
     def gens(self) -> Tuple[Poly, ...]:

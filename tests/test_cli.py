@@ -183,6 +183,24 @@ class TestExitCodes:
         assert code == 2
         assert "PARSE_ERROR" in err and "line 2" in err
 
+    @pytest.mark.parametrize("number", ["1/0", "0/0", "3/00"])
+    def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path, number):
+        text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {number}*x^3 + y^2 ;\n"
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: zero denominator "
+                                       "at column 2 at line 3, column 1")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        f = "(" * 3000 + "x^3 + y^2" + ")" * 3000
+        text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {f} ;\n"
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expression nested "
+                                       "too deeply at line 3, column 1")
+
     def test_unknown_statement(self, capsys, tmp_path):
         code, _, err = run(capsys,
                            ["codim", problem(tmp_path, "ring x ;\nblob z ;\n")])

@@ -817,6 +817,75 @@ class TestLocalAnswers:
         return 2 * len(monos_upto(2, N)) - gauss_rank(rows)
 
 
+def _dp_lead(v):
+    """The lead (position, monomial) of a nonzero vector, position over
+    term with position 0 greatest, 'dp' (degree, then reverse lexicographic)
+    inside a position; read here, independently of the engine."""
+    pos = next(i for i, p in enumerate(v) if not p.is_zero())
+    return pos, max(v[pos].terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
+
+
+def _elimination_rows(targets, sub_gens, ring):
+    """The rows (t_i, e_i) and (s_j, 0) of preimage_module."""
+    k, zero = len(targets), ring.zero()
+    return ([tuple(t) + tuple(ring.one() if j == i else zero for j in range(k))
+             for i, t in enumerate(targets)]
+            + [tuple(s) + (zero,) * k for s in sub_gens])
+
+
+def _reduced_basis_inputs():
+    """(ring, rank, generators): the modules of MODULE_NORMAL_FORMS, seeded
+    random rank-2 modules and elimination rows over both."""
+    out = []
+    for n, (ring, gens, cases) in enumerate(MODULE_NORMAL_FORMS):
+        gens = [vec(ring, *g) for g in gens]
+        out.append(pytest.param(ring, len(gens[0]), gens, id=f"pinned-{n}"))
+        targets = [vec(ring, *v) for v, _ in cases[:2]]
+        rows = _elimination_rows(targets, gens, ring)
+        out.append(pytest.param(ring, len(rows[0]), rows, id=f"pinned-rows-{n}"))
+    rng = random.Random(24)
+    for trial in range(12):
+        gens = [v for v in (TestLocalAnswers._rand_vector(rng) for _ in range(rng.randint(1, 3)))
+                if not vec_is_zero(v)] or [vec(R2, "x", "y")]
+        out.append(pytest.param(R2, 2, gens, id=f"random-{trial}"))
+        if trial % 3 == 0:
+            targets = [TestLocalAnswers._rand_vector(rng)]
+            rows = _elimination_rows(targets, gens, R2)
+            out.append(pytest.param(R2, 3, rows, id=f"random-rows-{trial}"))
+    return out
+
+
+class TestReducedModuleBases:
+    """A module basis is the unique reduced position-over-term basis: leads
+    that divide no other lead, no term divisible by another element's lead
+    in its position, monic elements that reduce every generator to 0, and
+    one answer whatever generators of the same module it starts from."""
+
+    @pytest.mark.parametrize("ring, rank, gens", _reduced_basis_inputs())
+    def test_reduced_and_canonical(self, ring, rank, gens):
+        M = Submodule(ring, rank, gens, GLOBAL_DP)
+        B = M.basis()
+        vectors = list(B)
+        assert len(B) == len(vectors) > 0
+        leads = [_dp_lead(b) for b in vectors]
+        assert M.lead_terms() == leads
+        for i, b in enumerate(vectors):
+            pos, m = leads[i]
+            assert b[pos].terms[m] == 1, (i, b)
+            for j, (lpos, lm) in enumerate(leads):
+                if j == i:
+                    continue
+                assert not (lpos == pos and mono_divides(lm, m)), (i, j)
+                assert not any(mono_divides(lm, t) for t in b[lpos].terms), (i, j)
+        assert all(vec_is_zero(stdbasis.reduce_vector(g, B)) for g in gens)
+        rng = random.Random(len(gens))
+        shuffled = gens[::-1] + [gens[0]]
+        rng.shuffle(shuffled)
+        scaled = [tuple(p * Fraction(-3, 7) for p in g) for g in gens] + gens[:1]
+        for variant in (shuffled, scaled):
+            assert list(Submodule(ring, rank, variant, GLOBAL_DP).basis()) == vectors
+
+
 @st.composite
 def small_ideals(draw):
     """1 to 3 generators in 2 or 3 variables, each of 1 to 3 terms with
@@ -1149,25 +1218,23 @@ class TestModuleIntersection:
 
 
 class TestEliminationPostchecks:
-    """A basis whose zero-head element has a perturbed tail must trip the
+    """A head-free tail of an elimination that is perturbed must trip the
     postcheck that replaced the syzygy check."""
 
     @staticmethod
     def _perturb_tail(monkeypatch, rank, head):
-        """Add 1 to the last entry of the first basis element of the given
-        rank whose first head entries vanish."""
-        original = stdbasis.std_basis_vectors
+        """Add 1 to the last entry of the first head-free tail of the
+        elimination with the given rank and head."""
+        original = stdbasis._head_free_tails
 
-        def perturbed(vectors, r):
-            basis = original(vectors, r)
-            if r == rank:
-                for i, b in enumerate(basis):
-                    if vec_is_zero(b[:head]):
-                        basis[i] = b[:-1] + (b[-1] + b[-1].ring.one(),)
-                        break
-            return basis
+        def perturbed(rows, h, r):
+            tails = original(rows, h, r)
+            if (r, h) == (rank, head) and tails:
+                t = tails[0]
+                tails[0] = t[:-1] + (t[-1] + t[-1].ring.one(),)
+            return tails
 
-        monkeypatch.setattr(stdbasis, "std_basis_vectors", perturbed)
+        monkeypatch.setattr(stdbasis, "_head_free_tails", perturbed)
 
     def test_preimage_postcheck(self, monkeypatch):
         # rank 1 + 2 rows; adding 1 to a tail adds y, which is outside (xy)
