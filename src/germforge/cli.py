@@ -14,8 +14,8 @@ import os
 import sys
 import time
 from collections import namedtuple
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
@@ -91,14 +91,10 @@ class ProblemFile(namedtuple("ProblemFile",
 
 
 def _strip_comments(text: str) -> str:
-    out = []
-    for line in text.split("\n"):
-        cut = line.find("#")
-        out.append(line if cut < 0 else line[:cut])
-    return "\n".join(out)
+    return "\n".join(line.partition("#")[0] for line in text.split("\n"))
 
 
-def _statements(text: str) -> List[Tuple[str, int, int]]:
+def _statements(text: str) -> list[tuple[str, int, int]]:
     """Semicolon-terminated chunks with the line/column of their first
     nonblank character (comments already stripped)."""
     chunks = []
@@ -134,13 +130,20 @@ def _parse_expr(text: str, ring: Ring, what: str, line: int, col: int) -> Poly:
         raise ParseError(f"in {what}: {e.message}", line, col)
 
 
+def _check_name(name: str, what: str, line: int, col: int) -> None:
+    """A ring variable or parameter must be one identifier as the polynomial
+    tokenizer reads it: a letter, then letters, digits or underscores."""
+    if not (name[:1].isalpha() and name.replace("_", "a").isalnum()):
+        raise ParseError(f"{what} {name!r} is not an identifier", line, col)
+
+
 def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
     order = LOCAL_DS if order_name == "ds" else GLOBAL_DP
-    ring: Optional[Ring] = None
-    ideals: Dict[str, Ideal] = {}
-    polys: Dict[str, Poly] = {}
-    unfoldings: Dict[str, Tuple[Tuple[str, ...], Poly]] = {}
-    options: Dict[str, str] = {}
+    ring: Ring | None = None
+    ideals: dict[str, Ideal] = {}
+    polys: dict[str, Poly] = {}
+    unfoldings: dict[str, tuple[tuple[str, ...], Poly]] = {}
+    options: dict[str, str] = {}
     used_names: set = set()
 
     def claim(name: str, line: int, col: int) -> None:
@@ -151,6 +154,8 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
     for body, line, col in _statements(_strip_comments(text)):
         words = body.split()
         kind = words[0] if words else ""
+        head, eq, expr = body.partition("=")
+        parts = head.split()
         if kind == "ring":
             if ring is not None:
                 raise ParseError("ring declared twice", line, col)
@@ -159,6 +164,8 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             names = words[1:]
             if len(set(names)) != len(names):
                 raise ParseError("repeated ring variable", line, col)
+            for name in names:
+                _check_name(name, "ring variable", line, col)
             ring = Ring(names)
             used_names.update(names)
             continue
@@ -172,8 +179,6 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
         if ring is None:
             raise ParseError("the ring must be declared first", line, col)
         if kind == "ideal":
-            head, eq, expr = body.partition("=")
-            parts = head.split()
             if len(parts) != 2 or not eq:
                 raise ParseError("expected: ideal name = expr, expr", line, col)
             name = parts[1]
@@ -183,8 +188,6 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             ideals[name] = Ideal(ring, gens, order)
             continue
         if kind == "poly":
-            head, eq, expr = body.partition("=")
-            parts = head.split()
             if len(parts) != 2 or not eq:
                 raise ParseError("expected: poly name = expr", line, col)
             name = parts[1]
@@ -192,8 +195,6 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             polys[name] = _parse_expr(expr, ring, f"poly {name}", line, col)
             continue
         if kind == "unfolding":
-            head, eq, expr = body.partition("=")
-            parts = head.split()
             if len(parts) < 4 or parts[2] != "params" or not eq:
                 raise ParseError("expected: unfolding name params p1 .. = expr",
                                  line, col)
@@ -201,6 +202,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             params = parts[3:]
             claim(name, line, col)
             for p in params:
+                _check_name(p, "parameter", line, col)
                 claim(p, line, col)
             ext = Ring(list(ring.names) + params)
             F = _parse_expr(expr, ext, f"unfolding {name}", line, col)
@@ -217,7 +219,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
 # declaration lookup
 
 
-def _pick(table: Dict[str, object], preferred: Sequence[str], kind: str):
+def _pick(table: dict[str, object], preferred: Sequence[str], kind: str):
     for name in preferred:
         if name in table:
             return name, table[name]
@@ -238,15 +240,14 @@ def the_ideal(pf: ProblemFile, preferred: Sequence[str] = ("I",)) -> Ideal:
     return _pick(pf.ideals, preferred, "ideal")[1]
 
 
-def the_unfolding(pf: ProblemFile) -> Tuple[Tuple[str, ...], Poly]:
+def the_unfolding(pf: ProblemFile) -> tuple[tuple[str, ...], Poly]:
     return _pick(pf.unfoldings, ("F",), "unfolding")[1]
 
 
 # ---------------------------------------------------------------------------
 # document rendering
 
-Value = Union[str, int, "Tree", List[str]]
-Tree = List[Tuple[str, "Value"]]
+Tree = list[tuple[str, object]]  # a value: str, int, bool, a list of scalars or a Tree
 
 
 def _fmt_scalar(v) -> str:
@@ -255,9 +256,9 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-def render_tree(pairs: Tree, indent: int = 0) -> List[str]:
+def render_tree(pairs: Tree, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: List[str] = []
+    lines: list[str] = []
     for key, val in pairs:
         if isinstance(val, list) and val and isinstance(val[0], tuple):
             lines.append(f"{pad}{key}:")
@@ -293,7 +294,7 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
 # command handlers: each returns (results tree, settings tree, warnings)
 
 
-def _cmd_codim(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_codim(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     rep = invariant_report(f, I)
     results: Tree = [
@@ -307,7 +308,7 @@ def _cmd_codim(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, [], []
 
 
-def _theta_for(pf: ProblemFile, args) -> Tuple[Submodule, Ideal, Tree, List[str]]:
+def _theta_for(pf: ProblemFile, args) -> tuple[Submodule, Ideal, Tree, list[str]]:
     """The vector-field module and membership ideal selected by --theta-mode;
     via-subideal treats the declared ideal as the subideal and works against
     its primitive ideal at the requested truncation."""
@@ -315,7 +316,7 @@ def _theta_for(pf: ProblemFile, args) -> Tuple[Submodule, Ideal, Tree, List[str]
     mode = getattr(args, "theta_mode", "direct")
     trunc = getattr(args, "trunc", None)
     settings: Tree = [("theta-mode", mode)]
-    warnings: List[str] = []
+    warnings: list[str] = []
     if mode == "via-subideal":
         if trunc is None:
             raise GermforgeError("PRECONDITION_VIOLATED",
@@ -335,7 +336,7 @@ def _theta_for(pf: ProblemFile, args) -> Tuple[Submodule, Ideal, Tree, List[str]
     return theta, context, settings, warnings
 
 
-def _cmd_theta(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_theta(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     theta, _, settings, warnings = _theta_for(pf, args)
     rows = []
     for vec in theta.gens:
@@ -343,7 +344,7 @@ def _cmd_theta(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return [("mode", "preserving"), ("generators", rows)], settings, warnings
 
 
-def _cmd_tangent(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_tangent(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f = the_poly(pf)
     theta, context, settings, warnings = _theta_for(pf, args)
     tau = tangent_ideal(f, theta)
@@ -354,7 +355,7 @@ def _cmd_tangent(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, settings, warnings
 
 
-def _cmd_primitive(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_primitive(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     if args.trunc is None:
         raise GermforgeError("PRECONDITION_VIOLATED", "primitive needs --trunc")
     I = the_ideal(pf)
@@ -366,14 +367,14 @@ def _cmd_primitive(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, [("trunc", args.trunc)], ["TRUNCATED"]
 
 
-def _cmd_versal_check(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_versal_check(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     params, F = the_unfolding(pf)
     U = make_unfolding(f, params, F)
     return [("versal", versality_check(U, I))], [], []
 
 
-def _cmd_versal_build(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_versal_build(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     U = build_versal_unfolding(f, I)
     results: Tree = [
@@ -383,25 +384,25 @@ def _cmd_versal_build(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, [], []
 
 
-def _cmd_determinacy(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_determinacy(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     return [("determinacy", determinacy_bound(f, I))], [], []
 
 
-def _cmd_locus(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_locus(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     locus = positive_codim_locus(f, I)
     return [("generators", [format_poly(g) for g in locus.gens])], [], []
 
 
-def _cmd_classify(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_classify(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f = the_poly(pf)
     J = the_ideal(pf, ("J", "I"))
     out = classify_Ddk(f, J)
     return [("d", out.d), ("k", out.k), ("verdict", out.verdict)], [], []
 
 
-def _seeds_from(args) -> Optional[Tuple[int, ...]]:
+def _seeds_from(args) -> tuple[int, ...] | None:
     if getattr(args, "seeds", None) is not None:
         try:
             return tuple(int(s) for s in args.seeds.split(","))
@@ -419,7 +420,7 @@ def _seeds_from(args) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _degree_bound_from(args) -> Optional[int]:
+def _degree_bound_from(args) -> int | None:
     """--degree-bound, which must be nonnegative: below 0 no cobasis element
     passes it, so the germ would never be deformed."""
     if args.degree_bound is not None and args.degree_bound < 0:
@@ -427,12 +428,12 @@ def _degree_bound_from(args) -> Optional[int]:
     return args.degree_bound
 
 
-def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     seeds = _seeds_from(args)
     degree_bound = _degree_bound_from(args)
     settings: Tree = [("method", args.method)]
-    warnings: List[str] = []
+    warnings: list[str] = []
     results: Tree = []
     if args.assume_reduced:
         warnings.append("ASSUMED_REDUCED")
@@ -458,7 +459,7 @@ def _cmd_morse(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, settings, warnings
 
 
-def _cmd_split(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     rep = empirical_splitting(f, I, seeds=_seeds_from(args),
                               degree_bound=_degree_bound_from(args))
@@ -477,7 +478,7 @@ def _cmd_split(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
     return results, settings, list(rep.warnings)
 
 
-def _cmd_conserve(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_conserve(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     degree_bound = _degree_bound_from(args)
     trials = 3
@@ -497,7 +498,7 @@ def _cmd_conserve(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
             [("trials", trials)], warnings)
 
 
-def _cmd_hilbert(pf: ProblemFile, args) -> Tuple[Tree, Tree, List[str]]:
+def _cmd_hilbert(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     I = the_ideal(pf)
     upto = args.trunc if args.trunc is not None else 5
     if upto < 0:
@@ -543,21 +544,21 @@ HANDLERS = {
 # option -> (kind, default, help); a kind is a tuple of choices, int, str, or
 # bool for a flag. The value lands on the attribute named after the option,
 # --degree-bound on args.degree_bound.
-Option = Tuple[object, object, str]
-_ORDER: Dict[str, Option] = {
+Option = tuple[object, object, str]
+_ORDER: dict[str, Option] = {
     "--order": (("ds", "dp"), "ds", "monomial order for declared ideals")}
-_TRUNC: Dict[str, Option] = {"--trunc": (int, None, "truncation degree")}
-_THETA: Dict[str, Option] = {
+_TRUNC: dict[str, Option] = {"--trunc": (int, None, "truncation degree")}
+_THETA: dict[str, Option] = {
     "--theta-mode": (("direct", "via-subideal"), "direct", "vector fields to use"),
     **_TRUNC}
-_SEEDS: Dict[str, Option] = {"--seeds": (str, None, "comma-separated integer seeds")}
-_BOUND: Dict[str, Option] = {
+_SEEDS: dict[str, Option] = {"--seeds": (str, None, "comma-separated integer seeds")}
+_BOUND: dict[str, Option] = {
     "--degree-bound": (int, None, "highest cobasis degree in the deformation")}
-_REDUCED: Dict[str, Option] = {
+_REDUCED: dict[str, Option] = {
     "--assume-reduced": (bool, False, "take the critical-jet ideal as radical")}
 
 # each command's options besides --order, in the order of the usage text
-COMMANDS: Dict[str, Dict[str, Option]] = {
+COMMANDS: dict[str, dict[str, Option]] = {
     "codim": {},
     "versal-check": {},
     "versal-build": {},
@@ -586,7 +587,7 @@ def _option_usage(name: str, kind) -> str:
     return name if kind is bool else f"{name} {'N' if kind is int else 'TEXT'}"
 
 
-def usage(command: Optional[str] = None) -> str:
+def usage(command: str | None = None) -> str:
     """The help text of one command, or of all of them, read off COMMANDS."""
     if command is None:
         lines = ["usage: germforge COMMAND FILE [OPTIONS]", "",
@@ -688,7 +689,7 @@ def _report(line: str) -> None:
         pass
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     t0 = time.monotonic()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -718,7 +719,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def run() -> NoReturn:
+def run() -> None:
     """Entry point of `python -m germforge.cli` and the `germforge` script:
     main(), which has flushed stdout, then stderr flushed and os._exit,
     which skips the interpreter's teardown (freeing every module and

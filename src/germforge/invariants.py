@@ -40,8 +40,8 @@ rank.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
@@ -102,13 +102,13 @@ class GermProblem:
         return self.c_ext.value
 
     @cached_property
-    def cobasis(self) -> Tuple[Poly, ...]:
+    def cobasis(self) -> tuple[Poly, ...]:
         """Elements of I whose classes form a basis of I/tau_e(f)."""
         return tuple(self.I.gens[pos].term_mul(m, 1)
                      for pos, m in self.c_ext.witness)
 
     @cached_property
-    def model(self) -> Optional[TruncatedModel]:
+    def model(self) -> TruncatedModel | None:
         """The truncated model of O^k/L in the local ring whatever the order
         of I, or None when that quotient is infinite."""
         return self.L.local_model()
@@ -187,7 +187,7 @@ class Unfolding:
 
     __slots__ = ("ring", "F", "params", "base_ring", "f")
 
-    def __init__(self, ring: Ring, F: Poly, params: Tuple[str, ...], base_ring: Ring, f: Poly):
+    def __init__(self, ring: Ring, F: Poly, params: tuple[str, ...], base_ring: Ring, f: Poly):
         self.ring, self.F, self.params, self.base_ring, self.f = ring, F, params, base_ring, f
         if ring.names[:base_ring.n] != base_ring.names:
             raise ValueError("extended ring must start with the base variables")
@@ -250,7 +250,7 @@ def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     return U
 
 
-def _fresh_names(ring: Ring, count: int) -> List[str]:
+def _fresh_names(ring: Ring, count: int) -> list[str]:
     for prefix in ("s", "t", "u", "v", "w"):
         names = [f"{prefix}{i + 1}" for i in range(count)]
         if not any(nm in ring.index for nm in names):
@@ -275,7 +275,7 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     J + m^2: its constant term plus its linear terms in the transverse
     variables."""
     ring = f.ring
-    y_vars: List[int] = []
+    y_vars: list[int] = []
     for g in J.gens:
         terms = list(g.terms.items())
         ok = len(terms) == 1 and sum(terms[0][0]) == 1 and terms[0][1] == 1
@@ -290,7 +290,7 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     m = len(y_vars)
 
     # symmetric Gram matrix: f = sum H[i][j] y_i y_j with H symmetric
-    upper: Dict[Tuple[int, int], Dict[Mono, Q]] = {}
+    upper: dict[tuple[int, int], dict[Mono, Q]] = {}
     for mono, coeff in f.terms.items():
         ys = [t for t, yv in enumerate(y_vars) if mono[yv] > 0]
         ydeg = sum(mono[yv] for yv in y_vars)
@@ -307,7 +307,7 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
         upper[key][res_mono] = upper[key].get(res_mono, 0) + coeff
 
     xset = set(x_vars)
-    H: List[List[Poly]] = [[ring.zero()] * m for _ in range(m)]
+    H: list[list[Poly]] = [[ring.zero()] * m for _ in range(m)]
     for (i, j), terms in upper.items():
         p = Poly(ring, {mono: c for mono, c in terms.items()
                         if sum(mono) == 0 or sum(mono) == 1 and mono.index(1) in xset})

@@ -12,8 +12,8 @@ of the pulled-back component.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from math import comb, factorial, prod
-from typing import List, Optional, Sequence, Tuple
 
 from .errors import GermforgeError
 from .invariants import GermProblem
@@ -134,7 +134,7 @@ def _independent_linear_gens(I: Ideal) -> bool:
     return RowBasis().extend(rows) == len(rows)
 
 
-def _certified_radical(J1: Ideal, assume_reduced: bool) -> Tuple[Ideal, str]:
+def _certified_radical(J1: Ideal, assume_reduced: bool) -> tuple[Ideal, str]:
     if _squarefree_monomial_gens(J1):
         return J1, "squarefree-monomials"
     if _independent_linear_gens(J1):
@@ -162,7 +162,7 @@ class LiftedGerm:
 
     __slots__ = ("f", "gens", "coeffs")
 
-    def __init__(self, f: Poly, gens: Tuple[Poly, ...], coeffs: Tuple[Poly, ...]):
+    def __init__(self, f: Poly, gens: tuple[Poly, ...], coeffs: tuple[Poly, ...]):
         self.f, self.gens, self.coeffs = f, gens, coeffs
         if f.ring.sum(c * g for c, g in zip(coeffs, gens)) != f:
             raise AssertionError("lifting does not recombine to the germ")
@@ -190,7 +190,7 @@ def lift_germ(f: Poly, I: Ideal) -> LiftedGerm:
     return LiftedGerm(f, I.gens, coords)
 
 
-def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> List[Poly]:
+def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> list[Poly]:
     """Substitution jet ring -> base ring along the jet extension."""
     base_ring = lifting.f.ring
     images = [base_ring.var(i) for i in range(ctx.n)]
@@ -201,7 +201,7 @@ def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> List[Poly]:
 
 
 def jet_pullback(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
-                 lifting: Optional[LiftedGerm] = None) -> Ideal:
+                 lifting: LiftedGerm | None = None) -> Ideal:
     """Ideal in the base ring generated by V's generators evaluated along
     the jet extension of a lifting of f."""
     if lifting is None:
@@ -216,7 +216,7 @@ def jet_pullback(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
 
 
 def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
-                              lifting: Optional[LiftedGerm] = None) -> int:
+                              lifting: LiftedGerm | None = None) -> int:
     """Multiplicity at the origin of the jet extension of the lifting (f's
     own when none is given) against V: the local length of the pullback of
     V. For a Cohen-Macaulay V meeting the graph, a regular sequence, in an
@@ -238,16 +238,16 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
 
 def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
                  assume_reduced: bool = False,
-                 seeds: Optional[Sequence[int]] = None,
-                 degree_bound: Optional[int] = None) -> int:
+                 seeds: Sequence[int] | None = None,
+                 degree_bound: int | None = None) -> int:
     if method not in ("JET", "ORACLE"):
         raise ValueError("method must be JET or ORACLE")
     return _morse_number(GermProblem(f, I), method, assume_reduced, seeds, degree_bound)
 
 
 def _morse_number(P: GermProblem, method: str, assume_reduced: bool = False,
-                  seeds: Optional[Sequence[int]] = None,
-                  degree_bound: Optional[int] = None) -> int:
+                  seeds: Sequence[int] | None = None,
+                  degree_bound: int | None = None) -> int:
     P.finite_codim("the Morse number needs finite extended codimension")
     if method == "JET":
         ctx = jet_context(P.I, 1)

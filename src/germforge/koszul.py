@@ -11,7 +11,6 @@ staircase count.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Tuple
 
 from .errors import GermforgeError
 from .polyring import LOCAL_DS, Poly, Ring
@@ -28,7 +27,7 @@ class KoszulInstance:
 
     __slots__ = ("ring", "relations", "sequence")
 
-    def __init__(self, ring: Ring, relations: Tuple[Poly, ...], sequence: Tuple[Poly, ...]):
+    def __init__(self, ring: Ring, relations: tuple[Poly, ...], sequence: tuple[Poly, ...]):
         self.ring = ring
         self.relations = tuple(p for p in relations if not p.is_zero())
         self.sequence = tuple(sequence)
@@ -42,17 +41,17 @@ class KoszulInstance:
         return len(self.sequence)
 
 
-def _basis_index(m: int, p: int) -> Dict[Tuple[int, ...], int]:
+def _basis_index(m: int, p: int) -> dict[tuple[int, ...], int]:
     return {S: i for i, S in enumerate(combinations(range(m), p))}
 
 
-def _differential(inst: KoszulInstance, p: int) -> List[Vector]:
+def _differential(inst: KoszulInstance, p: int) -> list[Vector]:
     """Columns of d_p: K_p -> K_{p-1}, one vector in O^rank(K_{p-1}) per
     basis element e_S of K_p; d(e_S) = sum_t (-1)^t s_{i_t} e_{S minus i_t}."""
     m = inst.length
     ring = inst.ring
     lower = _basis_index(m, p - 1)
-    cols: List[Vector] = []
+    cols: list[Vector] = []
     for S in combinations(range(m), p):
         col = [ring.zero()] * len(lower)
         for t, i in enumerate(S):
@@ -77,9 +76,9 @@ def _verify_complex(inst: KoszulInstance) -> None:
                 raise AssertionError("differentials do not compose to zero")
 
 
-def _relation_block(inst: KoszulInstance, rank: int) -> List[Vector]:
+def _relation_block(inst: KoszulInstance, rank: int) -> list[Vector]:
     ring = inst.ring
-    out: List[Vector] = []
+    out: list[Vector] = []
     for r in inst.relations:
         for b in range(rank):
             v = [ring.zero()] * rank
@@ -88,7 +87,7 @@ def _relation_block(inst: KoszulInstance, rank: int) -> List[Vector]:
     return out
 
 
-def _kernel_gens(inst: KoszulInstance, p: int) -> List[Vector]:
+def _kernel_gens(inst: KoszulInstance, p: int) -> list[Vector]:
     """Generators in O^rank(K_p) of ker(d_p) over the quotient ring."""
     m = inst.length
     ring = inst.ring
@@ -103,7 +102,7 @@ def _kernel_gens(inst: KoszulInstance, p: int) -> List[Vector]:
     return preimage_module(cols, relations)
 
 
-def _image_gens(inst: KoszulInstance, p: int) -> List[Vector]:
+def _image_gens(inst: KoszulInstance, p: int) -> list[Vector]:
     """Generators in O^rank(K_p) of im(d_{p+1}) plus the relation multiples."""
     m = inst.length
     rank_p = len(_basis_index(m, p))
@@ -131,7 +130,7 @@ def homology_dimension(inst: KoszulInstance, p: int) -> int:
     return qd.value
 
 
-def koszul_homology_dims(inst: KoszulInstance, p_max: int) -> List[int]:
+def koszul_homology_dims(inst: KoszulInstance, p_max: int) -> list[int]:
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     return [homology_dimension(inst, p) for p in range(p_max + 1)]

@@ -22,12 +22,12 @@ RowBasis.{reduce, add, contains, extend} by name, so all five stay defined.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from .polyring import Q
 
-Row = Dict[int, int]
+Row = dict[int, int]
 
 
 def integral(row: Mapping[int, Q]) -> Row:
@@ -73,8 +73,8 @@ class RowBasis:
     __slots__ = ("rows", "holders")
 
     def __init__(self) -> None:
-        self.rows: Dict[int, Row] = {}
-        self.holders: Dict[int, Set[int]] = {}  # column -> pivots whose rows may hold it
+        self.rows: dict[int, Row] = {}
+        self.holders: dict[int, set[int]] = {}  # column -> pivots whose rows may hold it
 
     @property
     def rank(self) -> int:
@@ -110,7 +110,7 @@ class RowBasis:
         """Insert one row, taken over; True when it was independent."""
         return self.extend([row]) == 1
 
-    def reduce(self, row: Row) -> Dict[int, Q]:
+    def reduce(self, row: Row) -> dict[int, Q]:
         """Residual of row modulo the span: row minus the element of the span
         that clears every pivot column. The row itself is left unchanged."""
         work, scale = dict(row), 1
@@ -122,7 +122,7 @@ class RowBasis:
         return not self.reduce(row)
 
 
-def nullspace(rows: Sequence[Mapping[int, Q]]) -> List[Dict[int, Q]]:
+def nullspace(rows: Sequence[Mapping[int, Q]]) -> list[dict[int, Q]]:
     """Kernel of the map sending unit t to rows[t], whose entries may be ints
     or rationals: one combination {t: coeff} per input that depends on the
     inputs before it, with coefficient 1 at t and its other terms on earlier
@@ -134,7 +134,7 @@ def nullspace(rows: Sequence[Mapping[int, Q]]) -> List[Dict[int, Q]]:
     return identity_kernel(basis, top, last)
 
 
-def identity_kernel(basis: RowBasis, top: int, last: int) -> List[Dict[int, Q]]:
+def identity_kernel(basis: RowBasis, top: int, last: int) -> list[dict[int, Q]]:
     """The kernel held in the identity columns top..last, where column
     last - t stands for input t: the pivot rows there divided by their pivot
     entry, as combinations {t: coeff} in input order."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .errors import GermforgeError
 from .invariants import GermProblem, extended_codim
@@ -28,8 +28,8 @@ from .stdbasis import (Ideal, Submodule, ideal_quotient, minimal_polynomial, sat
                        subideal_preimage)
 from .tangent import tangent_ideal, theta_preserving
 
-DEFAULT_SEEDS: Tuple[int, ...] = (11, 13)
-TRIAL_SEEDS: Tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
+DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
+TRIAL_SEEDS: tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
 
 _MASK = (1 << 64) - 1
 
@@ -62,7 +62,7 @@ class XorShift64:
 # deformations
 
 
-def random_deformation(f: Poly, I: Ideal, degree_bound: Optional[int] = None,
+def random_deformation(f: Poly, I: Ideal, degree_bound: int | None = None,
                        seed: int = 11) -> Poly:
     """f plus a seeded rational combination of the cobasis of the tangent
     ideal inside I (monomial multiples of I's generators), keeping the
@@ -73,7 +73,7 @@ def random_deformation(f: Poly, I: Ideal, degree_bound: Optional[int] = None,
     return _deform(GermProblem(f, I), degree_bound, seed)
 
 
-def _deform(P: GermProblem, degree_bound: Optional[int], seed: int) -> Poly:
+def _deform(P: GermProblem, degree_bound: int | None, seed: int) -> Poly:
     P.finite_codim("deformations are drawn along a finite basis over the tangent ideal")
     rng = XorShift64(seed)
     return P.f.ring.sum([P.f] + [h * rng.rational() for h in P.cobasis
@@ -88,7 +88,7 @@ class CriticalReport(namedtuple("CriticalReport", "sat_ideal count all_morse")):
     __slots__ = ()
 
 
-def _det(M: List[List[Poly]], ring: Ring) -> Poly:
+def _det(M: list[list[Poly]], ring: Ring) -> Poly:
     if len(M) == 1:
         return M[0][0]
     return ring.sum(M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]], ring) * (-1) ** j
@@ -139,7 +139,7 @@ def _corrected(g: Poly, fields: Submodule, I_dp: Ideal) -> int:
 # rational point location
 
 
-def _divisors(v: int) -> List[int]:
+def _divisors(v: int) -> list[int]:
     out = []
     d = 1
     while d * d <= v:
@@ -150,7 +150,7 @@ def _divisors(v: int) -> List[int]:
     return out
 
 
-def _rational_roots(coeffs: List[Q]) -> List[Q]:
+def _rational_roots(coeffs: list[Q]) -> list[Q]:
     scale = 1
     for c in coeffs:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
@@ -178,7 +178,7 @@ def _rational_roots(coeffs: List[Q]) -> List[Q]:
     return sorted(roots)
 
 
-def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Q, ...]]]:
+def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
     """Every point of the zero set, when all of them are rational; None when
     part of the multiplicity sits at nonrational points. Completeness is
     decided by comparing located local dimensions against the global one."""
@@ -189,7 +189,7 @@ def locate_rational_points(L: Ideal) -> Optional[List[Tuple[Q, ...]]]:
     if not qd.is_finite:
         return None
     total = qd.value
-    candidates: List[Tuple[Q, ...]] = [()]
+    candidates: list[tuple[Q, ...]] = [()]
     for i in range(L.ring.n):
         roots = _rational_roots(minimal_polynomial(L_dp, i))
         candidates = [c + (r,) for c in candidates for r in roots]
@@ -230,7 +230,7 @@ def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:
 
 
 def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
-               degree_bound: Optional[int]):
+               degree_bound: int | None):
     c_value = P.c_ext.value
     g = _deform(P, degree_bound, seed)
     corrected = _corrected(g, fields, I_dp)
@@ -255,7 +255,7 @@ def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
     if corrected == crit.count:
         # every defect point is one of the nondegenerate critical points,
         # each of local codimension one; no location needed
-        sigma: Optional[Dict[int, int]] = {1: crit.count} if crit.count else {}
+        sigma: dict[int, int] | None = {1: crit.count} if crit.count else {}
         return sigma, corrected, crit.count
     # this is positive_codim_locus(g, I): the preserving fields of I have
     # the same generators in either order
@@ -275,13 +275,13 @@ def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
 
 
 def empirical_splitting(f: Poly, I: Ideal,
-                        seeds: Optional[Sequence[int]] = None,
-                        degree_bound: Optional[int] = None) -> SplittingReport:
+                        seeds: Sequence[int] | None = None,
+                        degree_bound: int | None = None) -> SplittingReport:
     return _splitting(GermProblem(f, I), seeds, degree_bound)
 
 
-def _splitting(P: GermProblem, seeds: Optional[Sequence[int]],
-               degree_bound: Optional[int]) -> SplittingReport:
+def _splitting(P: GermProblem, seeds: Sequence[int] | None,
+               degree_bound: int | None) -> SplittingReport:
     c_value = P.finite_codim("splitting needs finite extended codimension")
     used = tuple(seeds) if seeds else DEFAULT_SEEDS
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
@@ -308,7 +308,7 @@ def _splitting(P: GermProblem, seeds: Optional[Sequence[int]],
 
 def conservation_check(f: Poly, I: Ideal, trials: int = 3,
                        assume_reduced: bool = False,
-                       degree_bound: Optional[int] = None) -> bool:
+                       degree_bound: int | None = None) -> bool:
     """The multiplicity of f against the nondegenerate-point component at the
     origin must reappear as the total multiplicity, off the zero set, of
     every sampled member of the family. Each trial takes its own seed from

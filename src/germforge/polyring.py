@@ -7,8 +7,8 @@ agree with Fraction; Q itself needs neither fractions nor decimal.
 
 A polynomial is a finite map from exponent tuples to nonzero Q coefficients:
 
-  Mono = Tuple[int, ...]      (one entry per variable, that variable's degree)
-  terms: Dict[Mono, Q]        (canonical: no zero coefficients stored)
+  Mono = tuple[int, ...]      (one entry per variable, that variable's degree)
+  terms: dict[Mono, Q]        (canonical: no zero coefficients stored)
 
 The Poly constructor is the one zero filter and the one coercion point: it
 drops what cancelled and turns an int, a Fraction or any other Rational into a
@@ -26,15 +26,15 @@ All values are immutable after construction and freely shareable.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
 from numbers import Rational
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GermforgeError, ParseError
 
-Mono = Tuple[int, ...]
+Mono = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def _other(b):
     return NotImplemented
 
 
-Coeff = Union[int, Q, Rational]
+Coeff = int | Q | Rational
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -279,7 +279,7 @@ def mono_deg(a: Mono) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomials_of_degree(n: int, d: int) -> Tuple[Mono, ...]:
+def monomials_of_degree(n: int, d: int) -> tuple[Mono, ...]:
     """All exponent tuples in n variables of total degree exactly d."""
     if n == 1:
         return ((d,),)
@@ -288,7 +288,7 @@ def monomials_of_degree(n: int, d: int) -> Tuple[Mono, ...]:
 
 
 @lru_cache(maxsize=None)
-def monomials_up_to_degree(n: int, d: int) -> Tuple[Mono, ...]:
+def monomials_up_to_degree(n: int, d: int) -> tuple[Mono, ...]:
     return tuple(m for k in range(d + 1) for m in monomials_of_degree(n, k))
 
 
@@ -314,16 +314,16 @@ class Ring:
     def n(self) -> int:
         return len(self.names)
 
-    def zero(self) -> "Poly":
+    def zero(self) -> Poly:
         return Poly(self, {})
 
-    def one(self) -> "Poly":
+    def one(self) -> Poly:
         return self.const(1)
 
-    def const(self, c: Coeff) -> "Poly":
+    def const(self, c: Coeff) -> Poly:
         return Poly(self, {(0,) * self.n: c})
 
-    def var(self, which: Union[int, str]) -> "Poly":
+    def var(self, which: int | str) -> Poly:
         i = self.index[which] if isinstance(which, str) else which
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range")
@@ -331,14 +331,14 @@ class Ring:
         exp[i] = 1
         return Poly(self, {tuple(exp): _ONE})
 
-    def monomial(self, mono: Mono, c: Coeff = 1) -> "Poly":
+    def monomial(self, mono: Mono, c: Coeff = 1) -> Poly:
         if len(mono) != self.n:
             raise ValueError("exponent tuple has wrong length")
         return Poly(self, {tuple(mono): c})
 
-    def sum(self, polys: Iterable["Poly"]) -> "Poly":
+    def sum(self, polys: Iterable[Poly]) -> Poly:
         """The sum of polys, all in this ring, added term by term into one map."""
-        out: Dict[Mono, Q] = {}
+        out: dict[Mono, Q] = {}
         for p in polys:
             if p.ring is not self and p.ring != self:
                 raise ValueError("polynomials from different rings")
@@ -347,7 +347,7 @@ class Ring:
                 out[m] = c if prev is None else prev + c
         return Poly(self, out)
 
-    def extend(self, extra: Sequence[str]) -> "Ring":
+    def extend(self, extra: Sequence[str]) -> Ring:
         return Ring(self.names + tuple(extra))
 
     def __eq__(self, other: object) -> bool:
@@ -403,7 +403,7 @@ class Poly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Dict[Mono, Coeff]) -> None:
+    def __init__(self, ring: Ring, terms: dict[Mono, Coeff]) -> None:
         self.ring = ring
         self.terms = {m: c if type(c) is Q else Q(c) for m, c in terms.items() if c}
 
@@ -419,7 +419,7 @@ class Poly:
     def constant_term(self) -> Q:
         return self.terms.get((0,) * self.ring.n, _ZERO)
 
-    def leading(self, order: Order) -> Tuple[Mono, Q]:
+    def leading(self, order: Order) -> tuple[Mono, Q]:
         """(leading monomial, coefficient) under the order; zero poly errors."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -428,36 +428,36 @@ class Poly:
 
     # -- arithmetic
 
-    def __add__(self, other: Union["Poly", Coeff]) -> "Poly":
+    def __add__(self, other: Poly | Coeff) -> Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) + c
         return Poly(self.ring, out)
 
-    def __radd__(self, other: Coeff) -> "Poly":
+    def __radd__(self, other: Coeff) -> Poly:
         return self.__add__(other)
 
-    def __sub__(self, other: Union["Poly", Coeff]) -> "Poly":
+    def __sub__(self, other: Poly | Coeff) -> Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) - c
         return Poly(self.ring, out)
 
-    def __rsub__(self, other: Coeff) -> "Poly":
+    def __rsub__(self, other: Coeff) -> Poly:
         return self._coerce(other).__sub__(self)
 
-    def __neg__(self) -> "Poly":
+    def __neg__(self) -> Poly:
         return Poly(self.ring, {m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
+    def __mul__(self, other: Poly | Coeff) -> Poly:
         if not isinstance(other, Poly):
             c = Q(other)
             return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("polynomials from different rings")
-        out: Dict[Mono, Q] = {}
+        out: dict[Mono, Q] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
@@ -465,10 +465,10 @@ class Poly:
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
         return Poly(self.ring, out)
 
-    def __rmul__(self, other: Coeff) -> "Poly":
+    def __rmul__(self, other: Coeff) -> Poly:
         return self.__mul__(other)
 
-    def __pow__(self, e: int) -> "Poly":
+    def __pow__(self, e: int) -> Poly:
         if e < 0:
             raise ValueError("negative power")
         out = self.ring.one()
@@ -480,11 +480,11 @@ class Poly:
             e >>= 1
         return out
 
-    def term_mul(self, mono: Mono, coeff: Coeff) -> "Poly":
+    def term_mul(self, mono: Mono, coeff: Coeff) -> Poly:
         """Multiply by a single term coeff * x^mono."""
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
-    def _coerce(self, other: Union["Poly", Coeff]) -> "Poly":
+    def _coerce(self, other: Poly | Coeff) -> Poly:
         if isinstance(other, Poly):
             if other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
@@ -493,12 +493,12 @@ class Poly:
 
     # -- calculus and truncation
 
-    def derive(self, which: Union[int, str]) -> "Poly":
+    def derive(self, which: int | str) -> Poly:
         """Formal partial derivative with respect to one variable."""
         i = self.ring.index[which] if isinstance(which, str) else which
         if not 0 <= i < self.ring.n:
             raise IndexError(f"variable index {i} out of range")
-        out: Dict[Mono, Q] = {}
+        out: dict[Mono, Q] = {}
         for m, c in self.terms.items():
             e = m[i]
             if e:
@@ -506,7 +506,7 @@ class Poly:
                 out[m2] = out.get(m2, _ZERO) + c * e
         return Poly(self.ring, out)
 
-    def truncate(self, N: int) -> "Poly":
+    def truncate(self, N: int) -> Poly:
         """Drop all terms of total degree > N."""
         if N < 0:
             return Poly(self.ring, {})
@@ -514,7 +514,7 @@ class Poly:
 
     # -- substitution and evaluation
 
-    def substitute(self, images: Sequence["Poly"], target: Optional[Ring] = None) -> "Poly":
+    def substitute(self, images: Sequence[Poly], target: Ring | None = None) -> Poly:
         """Ring map sending variable i to images[i]; images live in target.
         powers[i][e] is images[i] ** e, each power one product from the last."""
         if len(images) != self.ring.n:
@@ -534,9 +534,9 @@ class Poly:
             terms.append(term)
         return target.sum(terms)
 
-    def rename(self, target: Ring, where: Sequence[int]) -> "Poly":
+    def rename(self, target: Ring, where: Sequence[int]) -> Poly:
         """Cheap variable re-indexing: variable i becomes target variable where[i]."""
-        out: Dict[Mono, Q] = {}
+        out: dict[Mono, Q] = {}
         for m, c in self.terms.items():
             exp = [0] * target.n
             for i, e in enumerate(m):
@@ -559,7 +559,7 @@ class Poly:
             total += v
         return total
 
-    def translate(self, point: Sequence[Coeff]) -> "Poly":
+    def translate(self, point: Sequence[Coeff]) -> Poly:
         """Shift the origin: substitute x_i -> x_i + point[i]."""
         images = [self.ring.var(i) + point[i] for i in range(self.ring.n)]
         return self.substitute(images, self.ring)
@@ -597,7 +597,7 @@ def format_poly(p: Poly) -> str:
     """Canonical text form: terms descending in the global order, re-parseable."""
     if p.is_zero():
         return "0"
-    chunks: List[str] = []
+    chunks: list[str] = []
     for m, c in sorted(p.terms.items(), key=lambda t: GLOBAL_DP.key(t[0]), reverse=True):
         mono_txt = format_mono(p.ring, m)
         neg = c < 0
@@ -632,8 +632,8 @@ _TOK_OP = "op"
 _TOK_END = "end"
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    toks: List[Tuple[str, str, int]] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    toks: list[tuple[str, str, int]] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -668,15 +668,15 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _ExprParser:
-    def __init__(self, toks: List[Tuple[str, str, int]], ring: Ring) -> None:
+    def __init__(self, toks: list[tuple[str, str, int]], ring: Ring) -> None:
         self.toks = toks
         self.ring = ring
         self.pos = 0
 
-    def peek(self) -> Tuple[str, str, int]:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
 
-    def take(self) -> Tuple[str, str, int]:
+    def take(self) -> tuple[str, str, int]:
         t = self.toks[self.pos]
         self.pos += 1
         return t

@@ -56,10 +56,10 @@ the order is free.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral, nullspace
@@ -79,9 +79,9 @@ from .polyring import (
     monomials_up_to_degree,
 )
 
-Vector = Tuple[Poly, ...]
-MTerm = Tuple[int, Mono]  # (position, monomial); position 0 is greatest
-Terms = List[Tuple[int, int]]  # (packed term, integer coefficient)
+Vector = tuple[Poly, ...]
+MTerm = tuple[int, Mono]  # (position, monomial); position 0 is greatest
+Terms = list[tuple[int, int]]  # (packed term, integer coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class TermPacking:
         return _FULL - (key >> self.deg_shift & _FULL)
 
 
-def _pack_vector(pk: TermPacking, v: Vector) -> Tuple[Dict[int, int], int]:
+def _pack_vector(pk: TermPacking, v: Vector) -> tuple[dict[int, int], int]:
     """v as a map from packed term to integer, and the lcm of v's
     denominators, by which the map is scaled."""
     den = lcm(*(c.denominator for p in v for c in p.terms.values()))
@@ -164,7 +164,7 @@ def _pack_vector(pk: TermPacking, v: Vector) -> Tuple[Dict[int, int], int]:
 def _unpack_vector(pk: TermPacking, ring: Ring, rank: int, terms: Terms,
                    scale: int) -> Vector:
     """The vector of terms divided by scale."""
-    out: List[Dict[Mono, Q]] = [{} for _ in range(rank)]
+    out: list[dict[Mono, Q]] = [{} for _ in range(rank)]
     for key, c in terms:
         pos, m = pk.unpack(key)
         out[pos][m] = Q(c, scale)
@@ -188,13 +188,13 @@ class StdBasis:
 
     __slots__ = ("ring", "rank", "pk", "leads", "lcs", "tails", "ecarts")
 
-    def __init__(self, ring: Optional[Ring], rank: int) -> None:
+    def __init__(self, ring: Ring | None, rank: int) -> None:
         self.ring, self.rank = ring, rank
         self.pk = None if ring is None else TermPacking(ring.n)
-        self.leads: List[int] = []
-        self.lcs: List[int] = []
-        self.tails: List[Terms] = []
-        self.ecarts: List[int] = []
+        self.leads: list[int] = []
+        self.lcs: list[int] = []
+        self.tails: list[Terms] = []
+        self.ecarts: list[int] = []
 
     def add(self, terms: Terms) -> None:
         """Append the vector of these nonzero terms, given in pop order."""
@@ -222,7 +222,7 @@ class StdBasis:
 # reduction
 
 
-def _reduce(red: StdBasis, work: Dict[int, int], scale: int) -> Tuple[Terms, int]:
+def _reduce(red: StdBasis, work: dict[int, int], scale: int) -> tuple[Terms, int]:
     """Reduce the map work, from packed term to integer, in place against
     red; return the result's nonzero terms in pop order and its scale.
 
@@ -235,8 +235,8 @@ def _reduce(red: StdBasis, work: Dict[int, int], scale: int) -> Tuple[Terms, int
     leads, lcs, tails, ecarts = red.leads, red.lcs, red.tails, red.ecarts
     heap = list(work)
     heapify(heap)
-    rkeys: List[int] = []
-    rcoeffs: List[int] = []  # the remainder, at the current scale
+    rkeys: list[int] = []
+    rcoeffs: list[int] = []  # the remainder, at the current scale
     while heap:
         k = heappop(heap)
         c = work.pop(k)
@@ -330,8 +330,8 @@ def _complete(red: StdBasis) -> None:
     coprime_skip = red.rank == 1
     unpacked = [pk.unpack(key) for key in leads]
     # a pair of basis indices is pending while on the heap, else settled
-    pending: Set[Tuple[int, int]] = set()
-    pairs: List[Tuple[int, int, int, int, int]] = []  # (sugar, lcm order, j, i, lcm)
+    pending: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int, int, int, int]] = []  # (sugar, lcm order, j, i, lcm)
 
     def add_pairs(j: int) -> None:
         pj, mj = unpacked[j]
@@ -412,15 +412,17 @@ class QuotientDim(namedtuple("QuotientDim", "value witness", defaults=((),))):
 INFINITE = QuotientDim(None, ())
 
 
-def slice_columns(n: int, rank: int, N: int, key) -> List[MTerm]:
+def slice_columns(n: int, rank: int, N: int, key) -> list[MTerm]:
     """Labels (position, monomial) of degree <= N, greatest under key first;
     a label's column is its index, so a smaller column is a greater label."""
+    if N >= DEGREE_LIMIT:
+        raise _degree_error(N)
     labels = [(pos, m) for pos in range(rank) for m in monomials_up_to_degree(n, N)]
     labels.sort(key=key, reverse=True)
     return labels
 
 
-def slice_rows(vectors: Sequence[Vector], N: int, labels: List[MTerm]):
+def slice_rows(vectors: Sequence[Vector], N: int, labels: list[MTerm]):
     """Each monomial shift of each vector, truncated above degree N, as a
     sparse integer row over the columns of labels: the vector is scaled by
     the lcm of its denominators. The rows span the image of the module the
@@ -444,7 +446,7 @@ class TruncatedModel(namedtuple("TruncatedModel", "basis labels degree")):
 
     __slots__ = ()
 
-    def row(self, v: Vector) -> Dict[int, int]:
+    def row(self, v: Vector) -> dict[int, int]:
         """v's terms of degree < d as an integer row over the labels' columns:
         with m^d O^rank inside M, v is in M exactly when the row is in the span."""
         col = {lab: i for i, lab in enumerate(self.labels)}
@@ -453,7 +455,7 @@ class TruncatedModel(namedtuple("TruncatedModel", "basis labels degree")):
 
 
 def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
-                    caps: Iterable[int]) -> Optional[TruncatedModel]:
+                    caps: Iterable[int]) -> TruncatedModel | None:
     """Exact model of the local quotient O^rank/M by degree-truncated
     elimination, M the module the generators span, or None when no cap in
     caps yields a certificate (an infinite quotient, or m^d O^rank inside M
@@ -496,10 +498,10 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
 
 def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> QuotientDim:
     """Count monomials outside the leading module, per position."""
-    by_pos: List[List[Mono]] = [[] for _ in range(rank)]
+    by_pos: list[list[Mono]] = [[] for _ in range(rank)]
     for pos, m in lead_terms:
         by_pos[pos].append(m)
-    witness: List[MTerm] = []
+    witness: list[MTerm] = []
     zero = (0,) * n
     for pos in range(rank):
         monos = by_pos[pos]
@@ -552,14 +554,14 @@ class Submodule:
                 raise ValueError("generator from a different ring")
             if not vec_is_zero(v):
                 cleaned.append(tuple(v))
-        self.gens: Tuple[Vector, ...] = tuple(cleaned)
+        self.gens: tuple[Vector, ...] = tuple(cleaned)
         self.order = order
-        self._shared: List[Optional[StdBasis]] = [None]  # one cell for every view
-        self._qdim: Optional[QuotientDim] = None
-        self._model: Optional[TruncatedModel] = None
+        self._shared: list[StdBasis | None] = [None]  # one cell for every view
+        self._qdim: QuotientDim | None = None
+        self._model: TruncatedModel | None = None
 
     @property
-    def _basis(self) -> Optional[StdBasis]:
+    def _basis(self) -> StdBasis | None:
         """The cached global basis, None until some view builds it."""
         return self._shared[0]
 
@@ -569,7 +571,7 @@ class Submodule:
             self._shared[0] = std_basis_vectors(self.gens, self.rank)
         return self._shared[0]
 
-    def lead_terms(self) -> List[MTerm]:
+    def lead_terms(self) -> list[MTerm]:
         """The leads of the global basis, under either order."""
         basis = self.basis()
         return [basis.pk.unpack(key) for key in basis.leads]
@@ -588,13 +590,13 @@ class Submodule:
             return True
         return self.order.is_local and any(h.constant_term() for h in self.colon([v]).gens)
 
-    def contains_module(self, other: "Submodule") -> bool:
+    def contains_module(self, other: Submodule) -> bool:
         return all(self.contains(v) for v in other.gens)
 
-    def equals(self, other: "Submodule") -> bool:
+    def equals(self, other: Submodule) -> bool:
         return self.contains_module(other) and other.contains_module(self)
 
-    def colon(self, ws: Sequence[Vector]) -> "Ideal":
+    def colon(self, ws: Sequence[Vector]) -> Ideal:
         """{h : h*w in M for every w in ws}, in this module's order: the
         preimage of the ws stacked, under M's generators in each block. For
         a single w that block module is M itself, with its cached basis."""
@@ -665,14 +667,14 @@ class Submodule:
         S = saturation(self.colon(units).with_order(GLOBAL_DP), power_ideal(self.ring, 1))
         return any(h.constant_term() for h in S.gens)
 
-    def local_model(self) -> Optional[TruncatedModel]:
+    def local_model(self) -> TruncatedModel | None:
         """The truncated model that the local view of this module certified,
         or None when the quotient at the origin is infinite."""
         local = self.with_order(LOCAL_DS)
         local.quotient_dimension()
         return local._model
 
-    def with_order(self, order: Order) -> "Submodule":
+    def with_order(self, order: Order) -> Submodule:
         """A view under order on the same generators and cached basis."""
         if order == self.order:
             return self
@@ -689,19 +691,19 @@ class Ideal:
 
     def __init__(self, ring: Ring, gens: Sequence[Poly], order: Order = LOCAL_DS) -> None:
         self.ring = ring
-        self.gens: Tuple[Poly, ...] = tuple(g for g in gens if not g.is_zero())
+        self.gens: tuple[Poly, ...] = tuple(g for g in gens if not g.is_zero())
         if any(g.ring != ring for g in self.gens):
             raise ValueError("generator from a different ring")
         self.order = order
-        self._mod: Optional[Submodule] = None
-        self._lifter: Optional[Submodule] = None
+        self._mod: Submodule | None = None
+        self._lifter: Submodule | None = None
 
     def _module(self) -> Submodule:
         if self._mod is None:
             self._mod = Submodule(self.ring, 1, [(g,) for g in self.gens], self.order)
         return self._mod
 
-    def basis(self) -> List[Poly]:
+    def basis(self) -> list[Poly]:
         """The reduced 'dp' basis of the polynomial ideal, under either order."""
         return [v[0] for v in self._module().basis()]
 
@@ -712,10 +714,10 @@ class Ideal:
     def contains(self, p: Poly) -> bool:
         return self._module().contains((p,))
 
-    def contains_ideal(self, other: "Ideal") -> bool:
+    def contains_ideal(self, other: Ideal) -> bool:
         return all(self.contains(g) for g in other.gens)
 
-    def equals(self, other: "Ideal") -> bool:
+    def equals(self, other: Ideal) -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     def is_zero(self) -> bool:
@@ -731,7 +733,7 @@ class Ideal:
         """dim of O/I (local ring for 'ds', polynomial ring for 'dp')."""
         return self._module().quotient_dimension()
 
-    def with_order(self, order: Order) -> "Ideal":
+    def with_order(self, order: Order) -> Ideal:
         """A view on the same generators, sharing the cached global basis."""
         if order == self.order:
             return self
@@ -739,14 +741,14 @@ class Ideal:
         view._mod = self._module().with_order(order)
         return view
 
-    def sum(self, other: "Ideal") -> "Ideal":
+    def sum(self, other: Ideal) -> Ideal:
         return Ideal(self.ring, self.gens + other.gens, self.order)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner}; {self.order.kind})"
 
-    def lift(self, p: Poly) -> Optional[Tuple[Poly, ...]]:
+    def lift(self, p: Poly) -> tuple[Poly, ...] | None:
         """Coordinates c with p = sum c_j * gens[j], or None if p is not a
         member of the polynomial (global) ideal.
 
@@ -766,7 +768,7 @@ class Ideal:
 # syzygies, preimages, colon, intersection, saturation
 
 
-def _with_identity(vectors: Sequence[Vector], ring: Ring) -> List[Vector]:
+def _with_identity(vectors: Sequence[Vector], ring: Ring) -> list[Vector]:
     """Each vectors[i] followed by the i-th unit vector of O^k, k = len(vectors)."""
     zero, one = ring.zero(), ring.one()
     return [tuple(v) + tuple(one if j == i else zero for j in range(len(vectors)))
@@ -780,7 +782,7 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
     return Submodule(ring, len(vectors), preimage_module(vectors, zero), GLOBAL_DP)
 
 
-def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> List[Vector]:
+def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> list[Vector]:
     """The entries past head of the reduced global basis elements of the
     rows in O^rank whose first head entries vanish: position over term
     eliminates the head, so they form a basis of {t : (0, t) in <rows>}.
@@ -791,7 +793,7 @@ def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> List[Vecto
             if lead >> basis.pk.pos_shift >= head]
 
 
-def preimage_module(targets: Sequence[Vector], S: Submodule) -> List[Vector]:
+def preimage_module(targets: Sequence[Vector], S: Submodule) -> list[Vector]:
     """Reduced global basis of {c in O^k : sum c_i * targets[i] in S}.
 
     The rows (t_i, e_i) and (s_j, 0) in O^(rank+k), s_j the generators of S,
@@ -903,7 +905,7 @@ def hilbert_samuel(I: Ideal, m: int) -> int:
     return hilbert_samuel_values(I, m)[m]
 
 
-def hilbert_samuel_values(I: Ideal, N: int) -> List[int]:
+def hilbert_samuel_values(I: Ideal, N: int) -> list[int]:
     """hilbert_samuel(I, m) for m = 0..N, from one truncated slice.
 
     The shifts of I's generators truncated above degree N span the image V
@@ -926,7 +928,7 @@ def hilbert_samuel_values(I: Ideal, N: int) -> List[int]:
 # zero-dimensional radical (Seidenberg)
 
 
-def minimal_polynomial(I: Ideal, var: int) -> List[Q]:
+def minimal_polynomial(I: Ideal, var: int) -> list[Q]:
     """Monic coefficients, low to high, of the minimal polynomial of x_var on
     the finite quotient by I under a global order. The normal forms of the
     powers up to the quotient's dimension must be dependent; the first kernel
@@ -934,8 +936,8 @@ def minimal_polynomial(I: Ideal, var: int) -> List[Q]:
     ring = I.ring
     x = ring.var(var)
     power = ring.one()
-    col: Dict[Mono, int] = {}
-    powers: List[Dict[int, Q]] = []
+    col: dict[Mono, int] = {}
+    powers: list[dict[int, Q]] = []
     for _ in range(I.quotient_dimension().value + 1):
         powers.append({col.setdefault(m, len(col)): c
                        for m, c in I.normal_form(power).terms.items()})
@@ -960,7 +962,7 @@ def zero_dim_radical(I: Ideal) -> Ideal:
         raise GermforgeError("NOT_ZERO_DIMENSIONAL",
                              "radical is implemented for zero-dimensional ideals only")
     ring = I.ring
-    extra: List[Poly] = []
+    extra: list[Poly] = []
     for i in range(ring.n):
         x = ring.var(i)
         p = ring.sum(x ** t * c for t, c in enumerate(minimal_polynomial(I, i)))

@@ -19,7 +19,7 @@ degree and reported together with its truncation bound.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .errors import GermforgeError
 from .linalg import RowBasis, identity_kernel
@@ -67,7 +67,7 @@ def theta_preserving(I: Ideal) -> Submodule:
 def m_theta(ring: Ring, order, rank: int) -> Submodule:
     """m * O^rank: all fields with coefficients vanishing at the origin."""
     zero = ring.zero()
-    gens: List[Vector] = []
+    gens: list[Vector] = []
     for j in range(rank):
         for i in range(ring.n):
             v = [zero] * rank
@@ -103,7 +103,7 @@ class PrimitiveIdeal(namedtuple("PrimitiveIdeal", "ideal truncation")):
     __slots__ = ()
 
     @property
-    def gens(self) -> Tuple[Poly, ...]:
+    def gens(self) -> tuple[Poly, ...]:
         return self.ideal.gens
 
 

@@ -1,13 +1,17 @@
 """Whole-library gate: exact values on the worked examples plus the
 cross-cutting property suites, each criterion as one test."""
 
+import os
 import time
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from germforge import (
     GLOBAL_DP,
     LOCAL_DS,
     DdkClass,
+    GermProblem,
     Ideal,
     KoszulInstance,
     Poly,
@@ -33,6 +37,7 @@ from germforge import (
     theta_preserving,
     versality_check,
 )
+from germforge.cli import parse_problem_file
 from germforge.polyring import format_poly, monomials_of_degree
 from germforge.stdbasis import vec_is_zero
 
@@ -41,6 +46,8 @@ from helpers import evalp  # noqa: F401  (kept importable for debugging)
 R2 = Ring(("x", "y"))
 EJEM = Ideal(R2, [parse_poly("x^2", R2), parse_poly("y", R2)], LOCAL_DS)
 CUSP = parse_poly("y^2 + x^3", R2)
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus")
 
 
 def P(s, ring=R2):
@@ -168,6 +175,69 @@ def test_c09_shear_change_of_coordinates_changes_nothing():
     assert after.morse == before.morse
     assert after.corrected == before.corrected
     assert after.sigma == before.sigma
+
+
+def _det(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def _linear_changes(n):
+    """Invertible n x n integer matrices with entries in -2..2."""
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(entries, min_size=n, max_size=n).filter(lambda M: _det(M) != 0)
+
+
+def _moved(p, M):
+    """p after the linear change x_i -> sum_j M[i][j] x_j."""
+    ring = p.ring
+    return p.substitute([ring.sum(c * ring.var(j) for j, c in enumerate(row))
+                         for row in M])
+
+
+def _invariants(f, I):
+    P = GermProblem(f, I)
+    return P.c_ext.value, P.c_plain.value, P.determinacy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(2, 4), min_size=n, max_size=n), _linear_changes(n))))
+def test_c09_brieskorn_pham_after_a_linear_change(case):
+    # Milnor-Orlik: mu = prod(a_i - 1); c_plain = mu + n since tau(f) = m J(f);
+    # m^k lies in J(f) = (x_i^(a_i - 1)) exactly when k > sum(a_i - 2)
+    exponents, M = case
+    n = len(exponents)
+    ring = Ring([f"x{i}" for i in range(n)])
+    f = ring.sum(ring.var(i) ** a for i, a in enumerate(exponents))
+    mu = 1
+    for a in exponents:
+        mu *= a - 1
+    unit = Ideal(ring, [ring.one()], LOCAL_DS)
+    assert _invariants(_moved(f, M), unit) == (mu, mu + n, sum(exponents) - 2 * n + 1)
+
+
+CORPUS_INVARIANTS = {"cusp": (3, 3, 2), "shear": (3, 3, 2), "a4rel": (5, 5, 3),
+                     "d4rel": (4, 4, 2), "e6": (7, 7, 3), "d3": (9, 9, 3)}
+
+
+def _corpus_problem(name):
+    with open(os.path.join(CORPUS, f"{name}.gf"), encoding="utf-8") as fh:
+        pf = parse_problem_file(fh.read())
+    return pf.polys["f"], pf.ideals["I"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CORPUS_INVARIANTS)).flatmap(lambda name: st.tuples(
+    st.just(name), _linear_changes(_corpus_problem(name)[0].ring.n))))
+def test_c09_corpus_problems_after_a_linear_change(case):
+    name, M = case
+    f, I = _corpus_problem(name)
+    moved = Ideal(I.ring, [_moved(g, M) for g in I.gens], LOCAL_DS)
+    assert _invariants(f, I) == CORPUS_INVARIANTS[name]
+    assert _invariants(_moved(f, M), moved) == CORPUS_INVARIANTS[name]
 
 
 def test_c10_codimension_of_the_fattened_square_is_bounded():

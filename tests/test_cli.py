@@ -3,11 +3,15 @@
 import ast
 import errno
 import hashlib
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +205,24 @@ class TestExitCodes:
         assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expression nested "
                                        "too deeply at line 3, column 1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("ring 1x y ;\n", "ring variable '1x' is not an identifier at line 1, column 1"),
+        ("\n  ring x-y ;\n", "ring variable 'x-y' is not an identifier at line 2, column 3"),
+        (CANON + "unfolding F params 2s = x^3 + y^2 ;\n",
+         "parameter '2s' is not an identifier at line 4, column 1"),
+    ])
+    def test_names_must_be_identifiers(self, capsys, tmp_path, text, message):
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"error: PARSE_ERROR: {message}"
+
+    def test_identifier_with_digits_and_underscore(self, capsys, tmp_path):
+        text = "ring x_1 y2 ;\nideal I = x_1^2, y2 ;\npoly f = x_1^3 + y2^2 ;\n"
+        code, out, _ = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 0
+        assert "  ring: x_1 y2\n" in out and "  c_ext: 3\n" in out
+
     def test_unknown_statement(self, capsys, tmp_path):
         code, _, err = run(capsys,
                            ["codim", problem(tmp_path, "ring x ;\nblob z ;\n")])
@@ -282,6 +304,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: PRECONDITION_VIOLATED: degree 40000 ")
         assert "2^15 = 32768" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--trunc", "100000"],
+        ["hilbert", "--trunc", "32768"],
+        ["primitive", "--trunc", "100000"],
+        ["theta", "--theta-mode", "via-subideal", "--trunc", "100000"],
+    ], ids=" ".join)
+    def test_truncation_past_the_engine_limit_exits_2(self, argv):
+        # the slice's labels would number in the billions: refused before any is listed
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "germforge.cli", *argv, os.path.join(CORPUS, "cusp.gf")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: PRECONDITION_VIOLATED: degree {argv[-1]} ")
+        assert "Traceback" not in proc.stderr
 
     def test_theta_via_subideal_requires_trunc(self, capsys, tmp_path):
         code, _, err = run(
@@ -479,17 +518,61 @@ def _hashlib_digest(text):
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _annotated_functions():
+    """Every annotated function and method that a germforge module or one of
+    its classes binds, by qualified name: properties, cached properties and
+    lru_cache wrappers are unwrapped."""
+    found = {}
+    for info in pkgutil.iter_modules(germforge.__path__):
+        module = importlib.import_module(f"germforge.{info.name}")
+        pending = [obj for obj in vars(module).values()
+                   if getattr(obj, "__module__", None) == module.__name__]
+        while pending:
+            obj = pending.pop()
+            if isinstance(obj, type):
+                pending.extend(vars(obj).values())
+                continue
+            for fn in (obj, getattr(obj, "__func__", None), getattr(obj, "__wrapped__", None),
+                       getattr(obj, "func", None), getattr(obj, "fget", None)):
+                if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and fn.__annotations__):
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def _unresolved(hint):
+    """A forward reference or a bare string left inside a resolved hint."""
+    if isinstance(hint, (str, typing.ForwardRef)):
+        return True
+    return any(_unresolved(arg) for arg in getattr(hint, "__args__", ()))
+
+
 class TestStartUp:
     def test_cli_loads_neither_dataclasses_nor_openssl(self):
+        # -S: no site hook may load a module ahead of the package and hide it
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE, os.path.join(CORPUS, "cusp.gf")],
+            [sys.executable, "-S", "-c", STARTUP_PROBE, os.path.join(CORPUS, "cusp.gf")],
             env=env, capture_output=True, text=True, timeout=60)
         code, added = proc.stdout.splitlines()[-1].split(" ")
         added = set(added.split(","))
         assert code == "0"
         assert "germforge.oracle" in added
-        assert added.isdisjoint({"dataclasses", "_hashlib", "argparse", "gettext"})
+        assert added.isdisjoint({"dataclasses", "_hashlib", "argparse", "gettext", "typing",
+                                 "re", "enum", "contextlib", "warnings"})
+
+    def test_every_annotation_resolves(self):
+        functions = _annotated_functions()
+        assert len(functions) > 250
+        unresolved = []
+        for name, fn in functions.items():
+            try:
+                hints = typing.get_type_hints(fn)
+            except Exception as e:  # noqa: BLE001  (every failure is reported by name)
+                unresolved.append(f"{name}: {e!r}")
+                continue
+            unresolved.extend(f"{name}: {k}" for k, v in hints.items() if _unresolved(v))
+        assert unresolved == []
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CORPUS)))
     def test_corpus_digest_matches_hashlib(self, name):
