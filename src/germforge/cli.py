@@ -204,7 +204,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             for p in params:
                 _check_name(p, "parameter", line, col)
                 claim(p, line, col)
-            ext = Ring(list(ring.names) + params)
+            ext = ring.extend(params)
             F = _parse_expr(expr, ext, f"unfolding {name}", line, col)
             unfoldings[name] = (tuple(params), F)
             continue

@@ -196,17 +196,17 @@ class Unfolding:
         if self.specialized() != self.f:
             raise GermforgeError("F_NOT_UNFOLDING", "setting parameters to zero does not recover f")
 
+    def _at_zero(self, p: Poly) -> Poly:
+        """p with all parameters set to zero, in the base ring."""
+        b = self.base_ring
+        return p.substitute([b.var(i) if i < b.n else b.zero() for i in range(self.ring.n)], b)
+
     def specialized(self) -> Poly:
-        images = [self.base_ring.var(i) for i in range(self.base_ring.n)]
-        images += [self.base_ring.zero()] * len(self.params)
-        return self.F.substitute(images, self.base_ring)
+        return self._at_zero(self.F)
 
     def derivative_at_zero(self, which: int) -> Poly:
         """dF/ds_which with all parameters set to zero, in the base ring."""
-        dF = self.F.derive(self.base_ring.n + which)
-        images = [self.base_ring.var(i) for i in range(self.base_ring.n)]
-        images += [self.base_ring.zero()] * len(self.params)
-        return dF.substitute(images, self.base_ring)
+        return self._at_zero(self.F.derive(self.base_ring.n + which))
 
 
 def make_unfolding(f: Poly, params: Sequence[str], F: Poly) -> Unfolding:

@@ -51,6 +51,12 @@ class JetContext(namedtuple("JetContext", "base k ring alphas Q g_z")):
         return Ideal(self.ring, list(self.g_z), GLOBAL_DP)
 
 
+# The order-k jet ring has n + r * comb(n + k, n) variables; past this many
+# it is refused before any is named. The largest jet ring that a test, script
+# or corpus case builds is jet-dump --trunc 2 on d3, 23 variables.
+JET_RING_LIMIT = 250
+
+
 def jet_context(I: Ideal, k: int) -> JetContext:
     if k < 1:
         raise GermforgeError("PRECONDITION_VIOLATED", "jet order must be at least 1")
@@ -59,13 +65,17 @@ def jet_context(I: Ideal, k: int) -> JetContext:
     base_ring = I.ring
     n = base_ring.n
     r = len(I.gens)
+    size = n + r * comb(n + k, n)
+    if size > JET_RING_LIMIT:
+        raise GermforgeError("PRECONDITION_VIOLATED", f"jet order {k} needs {size} "
+                             f"variables, more than the limit of {JET_RING_LIMIT}")
     alphas = monomials_up_to_degree(n, k)
     names = [f"z{i + 1}" for i in range(n)]
     for j in range(r):
         for alpha in alphas:
             names.append(f"a{j + 1}_" + "_".join(str(e) for e in alpha))
     ring = Ring(names)
-    if ring.n != n + r * comb(n + k, n):
+    if ring.n != size:
         raise AssertionError("jet ring has the wrong number of variables")
 
     zero = tuple(0 for _ in range(n))

@@ -91,15 +91,12 @@ def _kernel_gens(inst: KoszulInstance, p: int) -> list[Vector]:
     """Generators in O^rank(K_p) of ker(d_p) over the quotient ring."""
     m = inst.length
     ring = inst.ring
-    rank_p = len(_basis_index(m, p))
-    if rank_p == 0:
-        return []
     if p == 0:
         return [(ring.one(),)]
     cols = _differential(inst, p)
     rank_low = len(_basis_index(m, p - 1))
     relations = Submodule(ring, rank_low, _relation_block(inst, rank_low), LOCAL_DS)
-    return preimage_module(cols, relations)
+    return list(preimage_module(cols, relations).gens)
 
 
 def _image_gens(inst: KoszulInstance, p: int) -> list[Vector]:
@@ -118,12 +115,9 @@ def homology_dimension(inst: KoszulInstance, p: int) -> int:
     if p < 0 or p > m:
         return 0
     ker = _kernel_gens(inst, p)
-    if not ker:
-        return 0
     rank_p = len(_basis_index(m, p))
     im = Submodule(inst.ring, rank_p, _image_gens(inst, p), LOCAL_DS)
-    L = preimage_module(ker, im)
-    qd = Submodule(inst.ring, len(ker), L, LOCAL_DS).quotient_dimension()
+    qd = preimage_module(ker, im, LOCAL_DS).quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("INFINITE_LENGTH",
                              f"homology module H_{p} has infinite length")

@@ -151,9 +151,7 @@ def _divisors(v: int) -> list[int]:
 
 
 def _rational_roots(coeffs: list[Q]) -> list[Q]:
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()

@@ -11,8 +11,9 @@ Preimages, syzygies, colons and intersections are each one such elimination
 on the modules they test. The preimage {c : sum c_i t_i in S} is read off the
 basis of the rows (t_i, e_i) and (s_j, 0), s_j the generators of S; the
 intersection of U and V off that of the rows (u_i, u_i) and (v_j, 0); the
-colon M : w off the preimage of w under M. Postchecks reduce each result to
-0 against the cached global bases of S, or of U and of V.
+colon M : w off the preimage of w under M. Each result module holds the basis
+its elimination computed as its cached global basis. Postchecks reduce each
+result to 0 against the cached global bases of S, or of U and of V.
 Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
 carries the coordinates in its tail. The zero-dimensional radical runs on
@@ -59,7 +60,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral, nullspace
@@ -412,6 +413,23 @@ class QuotientDim(namedtuple("QuotientDim", "value witness", defaults=((),))):
 INFINITE = QuotientDim(None, ())
 
 
+# A user's truncation N lists rank * comb(n + N, n) labels; past this many it
+# is refused before any is listed. The largest slice that a test, script or
+# corpus case lists is hilbert --trunc 10 on d3b, 286 labels.
+SLICE_LIMIT = 100_000
+
+
+def _refuse_large_slice(n: int, rank: int, N: int) -> None:
+    """PRECONDITION_VIOLATED for a truncation at or past the degree limit,
+    then for one whose slice has more than SLICE_LIMIT labels."""
+    if N >= DEGREE_LIMIT:
+        raise _degree_error(N)
+    size = rank * comb(n + N, n)
+    if size > SLICE_LIMIT:
+        raise GermforgeError("PRECONDITION_VIOLATED", f"truncation degree {N} would list "
+                             f"{size} labels, more than the limit of {SLICE_LIMIT}")
+
+
 def slice_columns(n: int, rank: int, N: int, key) -> list[MTerm]:
     """Labels (position, monomial) of degree <= N, greatest under key first;
     a label's column is its index, so a smaller column is a greater label."""
@@ -598,14 +616,18 @@ class Submodule:
 
     def colon(self, ws: Sequence[Vector]) -> Ideal:
         """{h : h*w in M for every w in ws}, in this module's order: the
-        preimage of the ws stacked, under M's generators in each block. For
-        a single w that block module is M itself, with its cached basis."""
+        preimage of the ws stacked, under M's generators in each block (M
+        itself, with its cached basis, for a single w). That preimage, with
+        the basis its elimination computed, is the ideal's module."""
         r, k = self.rank, len(ws)
         zero = vec_zero(self.ring, r)
         target = tuple(p for w in ws for p in w)
         sub = [zero * b + g + zero * (k - 1 - b) for b in range(k) for g in self.gens]
         S = self if k == 1 else Submodule(self.ring, r * k, sub, GLOBAL_DP)
-        return Ideal(self.ring, [c[0] for c in preimage_module([target], S)], self.order)
+        P = preimage_module([target], S, self.order)
+        out = Ideal(self.ring, [c[0] for c in P.gens], self.order)
+        out._mod = P
+        return out
 
     def quotient_dimension(self) -> QuotientDim:
         """dim of O^rank / this module: the global staircase under 'dp', the
@@ -778,37 +800,42 @@ def _with_identity(vectors: Sequence[Vector], ring: Ring) -> list[Vector]:
 def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodule:
     """Kernel of the map O^k -> O^rank sending unit vector i to vectors[i]:
     the preimage of the zero module."""
-    zero = Submodule(ring, rank, (), GLOBAL_DP)
-    return Submodule(ring, len(vectors), preimage_module(vectors, zero), GLOBAL_DP)
+    return preimage_module(vectors, Submodule(ring, rank, (), GLOBAL_DP))
 
 
-def _head_free_tails(rows: Sequence[Vector], head: int, rank: int) -> list[Vector]:
-    """The entries past head of the reduced global basis elements of the
-    rows in O^rank whose first head entries vanish: position over term
-    eliminates the head, so they form a basis of {t : (0, t) in <rows>}.
-    Those are the elements whose lead lies at position head or past it,
-    and only they are unpacked."""
-    basis = std_basis_vectors(rows, rank)
-    return [basis.vector(i)[head:] for i, lead in enumerate(basis.leads)
-            if lead >> basis.pk.pos_shift >= head]
+def _head_free_part(rows: Sequence[Vector], head: int, ring: Ring, rank: int,
+                    order: Order) -> Submodule:
+    """{t in O^rank : (0, t) in <rows>}, in order, rows in O^(head+rank).
+    Position over term eliminates the head: the elimination's basis elements
+    with a lead at position head or past it, each key moved down head
+    positions, are that module's reduced basis: cached, and unpacked as its
+    generators."""
+    elimination = std_basis_vectors(rows, head + rank)
+    basis = StdBasis(ring, rank)
+    shift = head << basis.pk.pos_shift
+    for i, lead in enumerate(elimination.leads):
+        if lead >= shift:
+            basis.add([(key - shift, c) for key, c in elimination.terms(i)])
+    out = Submodule(ring, rank, list(basis), order)
+    out._shared[0] = basis
+    return out
 
 
-def preimage_module(targets: Sequence[Vector], S: Submodule) -> list[Vector]:
-    """Reduced global basis of {c in O^k : sum c_i * targets[i] in S}.
+def preimage_module(targets: Sequence[Vector], S: Submodule,
+                    order: Order = GLOBAL_DP) -> Submodule:
+    """{c in O^k : sum c_i * targets[i] in S}, in order, its global basis cached.
 
     The rows (t_i, e_i) and (s_j, 0) in O^(rank+k), s_j the generators of S,
     span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member
-    exactly when c lies in the preimage: the head-free tails of one
+    exactly when c lies in the preimage: the head-free part of one
     elimination, and no cofactor d is computed. Postcheck: the global normal
     form of each sum c_i t_i against S's cached basis is 0."""
     k, ring, rank = len(targets), S.ring, S.rank
-    if k == 0:
-        return []
     if any(len(v) != rank for v in targets):
         raise ValueError("vector of wrong rank")
-    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens]
-    out = _head_free_tails(rows, rank, rank + k)
-    for c in out:
+    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens] if k else []
+    out = _head_free_part(rows, rank, ring, k, order)
+    for c in out.gens:
         acc = tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(rank))
         if not vec_is_zero(S.normal_form(acc)):
             raise AssertionError("preimage postcheck failed")
@@ -829,21 +856,21 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
 
 
 def module_intersection(U: Submodule, V: Submodule) -> Submodule:
-    """U intersect V, in U's order.
+    """U intersect V, in U's order, its global basis cached.
 
     The rows (u_i, u_i) and (v_j, 0) in O^(2 rank) span the pairs
     (sum c_i u_i + sum d_j v_j, sum c_i u_i), so (0, w) is a member exactly
-    when w lies in U and in V: the head-free tails of one elimination, as in
-    preimage_module, generate U intersect V.
+    when w lies in U and in V: the head-free part of one elimination, as in
+    preimage_module.
     Postcheck: each returned w has global normal form 0 against U and V."""
     if U.ring != V.ring or U.rank != V.rank:
         raise ValueError("modules from different ambients")
     ring, r = U.ring, U.rank
     rows = [u + u for u in U.gens] + [v + vec_zero(ring, r) for v in V.gens]
-    gens = _head_free_tails(rows, r, 2 * r)
-    if not all(vec_is_zero(U.normal_form(w)) and vec_is_zero(V.normal_form(w)) for w in gens):
+    out = _head_free_part(rows, r, ring, r, U.order)
+    if not all(vec_is_zero(U.normal_form(w)) and vec_is_zero(V.normal_form(w)) for w in out.gens):
         raise AssertionError("intersection postcheck failed")
-    return Submodule(ring, r, gens, U.order)
+    return out
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -878,8 +905,7 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
         if not I.contains(h):
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")
-    L = preimage_module([(g,) for g in I.gens], J._module())
-    return Submodule(I.ring, len(I.gens), L, I.order)
+    return preimage_module([(g,) for g in I.gens], J._module(), I.order)
 
 
 def relative_quotient_dimension(I: Ideal, J: Ideal) -> QuotientDim:
@@ -915,6 +941,7 @@ def hilbert_samuel_values(I: Ideal, N: int) -> list[int]:
     O/m^{m+1} has one dimension per pivot of degree at most m."""
     if N < 0:
         raise ValueError("N must be nonnegative")
+    _refuse_large_slice(I.ring.n, 1, N)
     labels = slice_columns(I.ring.n, 1, N, lambda lab: LOCAL_DS.key(lab[1]))
     basis = RowBasis()
     basis.extend(slice_rows([(g,) for g in I.gens], N, labels))

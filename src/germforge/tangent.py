@@ -28,6 +28,7 @@ from .stdbasis import (
     Ideal,
     Submodule,
     Vector,
+    _refuse_large_slice,
     module_intersection,
     preimage_module,
     slice_columns,
@@ -56,7 +57,7 @@ def theta_preserving(I: Ideal) -> Submodule:
     derivatives = [tuple(g.derive(i) for g in I.gens) for i in range(n)]
     multiples = Submodule(ring, r, [tuple(g if l == j else zero for l in range(r))
                                     for j in range(r) for g in I.gens], GLOBAL_DP)
-    module = Submodule(ring, n, preimage_module(derivatives, multiples), I.order)
+    module = preimage_module(derivatives, multiples, I.order)
     for X in module.gens:
         for g in I.gens:
             if not I.contains(field_apply(X, g)):
@@ -122,6 +123,7 @@ def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
     if Iprime.is_unit():
         return PrimitiveIdeal(Ideal(ring, [ring.one()], order), N)
     n = ring.n
+    _refuse_large_slice(n, n + 1, N)
     labels = slice_columns(n, n + 1, N, lambda lab: (-lab[0], GLOBAL_DP.key(lab[1])))
     col = {lab: i for i, lab in enumerate(labels)}
     alphas = sorted((m for m in monomials_up_to_degree(n, N) if sum(m) >= 1), key=GLOBAL_DP.key)

@@ -322,6 +322,24 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: PRECONDITION_VIOLATED: degree {argv[-1]} ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, what", [
+        ("hilbert", "truncation degree 32767 would list 536887296 labels"),
+        ("primitive", "truncation degree 32767 would list 1610661888 labels"),
+        ("jet-dump", "jet order 32767 needs 1073774594 variables"),
+    ])
+    def test_truncation_past_the_size_limit_exits_2(self, command, what):
+        # below the degree limit, but the slice or the jet ring is sized from
+        # its closed form and refused before any label or variable is listed
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "germforge.cli", command, "--trunc", "32767",
+             os.path.join(CORPUS, "cusp.gf")],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: PRECONDITION_VIOLATED: {what}, more than ")
+        assert "Traceback" not in proc.stderr
+
     def test_theta_via_subideal_requires_trunc(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

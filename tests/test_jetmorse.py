@@ -61,6 +61,14 @@ class TestJetContext:
             jet_context(EJEM, 0)
         assert ei.value.code == "PRECONDITION_VIOLATED"
 
+    def test_jet_ring_past_the_limit(self):
+        # order 15 needs 2 + 2 * comb(17, 2) = 274 variables, past the 250
+        # that the closed form allows
+        with pytest.raises(GermforgeError) as ei:
+            jet_context(EJEM, 15)
+        assert str(ei.value) == ("PRECONDITION_VIOLATED: jet order 15 needs 274 variables, "
+                                 "more than the limit of 250")
+
     def test_zero_ideal_rejected(self):
         with pytest.raises(GermforgeError) as ei:
             jet_context(Ideal(R2, [], LOCAL_DS), 1)

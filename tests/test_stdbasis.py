@@ -780,12 +780,7 @@ class TestLocalAnswers:
         # dim O^2/(M + m^d O^2) = dim O^2/(M + m^(d+1) O^2) = l, which puts
         # m^d O^2 inside M by Nakayama, and an infinite one needs the count
         # to grow from degree 5 to 6
-        rng = random.Random(2203)
-        for trial in range(220):
-            gens = [v for v in (self._rand_vector(rng) for _ in range(rng.randint(1, 3)))
-                    if not vec_is_zero(v)]
-            if not gens:
-                continue
+        for trial, gens in _sweep_modules():
             M = Submodule(R2, 2, gens, LOCAL_DS)
             qd = M.quotient_dimension()
             assert all(M.contains(g) for g in gens), trial
@@ -833,26 +828,44 @@ def _elimination_rows(targets, sub_gens, ring):
             + [tuple(s) + (zero,) * k for s in sub_gens])
 
 
-def _reduced_basis_inputs():
-    """(ring, rank, generators): the modules of MODULE_NORMAL_FORMS, seeded
-    random rank-2 modules and elimination rows over both."""
+def _module_inputs():
+    """(name, ring, generators, preimage targets or None): the modules of
+    MODULE_NORMAL_FORMS with two of their vectors as targets, and seeded
+    random rank-2 modules with one random target every third trial."""
     out = []
     for n, (ring, gens, cases) in enumerate(MODULE_NORMAL_FORMS):
-        gens = [vec(ring, *g) for g in gens]
-        out.append(pytest.param(ring, len(gens[0]), gens, id=f"pinned-{n}"))
         targets = [vec(ring, *v) for v, _ in cases[:2]]
-        rows = _elimination_rows(targets, gens, ring)
-        out.append(pytest.param(ring, len(rows[0]), rows, id=f"pinned-rows-{n}"))
+        out.append((f"pinned-{n}", ring, [vec(ring, *g) for g in gens], targets))
     rng = random.Random(24)
     for trial in range(12):
         gens = [v for v in (TestLocalAnswers._rand_vector(rng) for _ in range(rng.randint(1, 3)))
                 if not vec_is_zero(v)] or [vec(R2, "x", "y")]
-        out.append(pytest.param(R2, 2, gens, id=f"random-{trial}"))
-        if trial % 3 == 0:
-            targets = [TestLocalAnswers._rand_vector(rng)]
-            rows = _elimination_rows(targets, gens, R2)
-            out.append(pytest.param(R2, 3, rows, id=f"random-rows-{trial}"))
+        targets = [TestLocalAnswers._rand_vector(rng)] if trial % 3 == 0 else None
+        out.append((f"random-{trial}", R2, gens, targets))
     return out
+
+
+def _reduced_basis_inputs():
+    """(ring, rank, generators): the modules of _module_inputs, and the
+    elimination rows of each with targets."""
+    out = []
+    for name, ring, gens, targets in _module_inputs():
+        out.append(pytest.param(ring, len(gens[0]), gens, id=name))
+        if targets:
+            rows = _elimination_rows(targets, gens, ring)
+            out.append(pytest.param(ring, len(rows[0]), rows, id=name.replace("-", "-rows-")))
+    return out
+
+
+def _sweep_modules():
+    """(trial, generators) of the fixed-seed rank-2 sweep: one to three
+    generators in x, y of degree at most 4, the trials with none skipped."""
+    rng = random.Random(2203)
+    for trial in range(220):
+        gens = [v for v in (TestLocalAnswers._rand_vector(rng) for _ in range(rng.randint(1, 3)))
+                if not vec_is_zero(v)]
+        if gens:
+            yield trial, gens
 
 
 class TestReducedModuleBases:
@@ -903,14 +916,8 @@ class TestAxisCertificate:
 
     def test_sweep_agrees_with_the_saturation(self):
         # the inputs of TestLocalAnswers.test_rank_two_sweep
-        rng = random.Random(2203)
         certified = 0
-        for trial in range(220):
-            gens = [v for v in (TestLocalAnswers._rand_vector(rng)
-                                for _ in range(rng.randint(1, 3)))
-                    if not vec_is_zero(v)]
-            if not gens:
-                continue
+        for trial, gens in _sweep_modules():
             M = Submodule(R2, 2, gens, LOCAL_DS)
             if M._holds_an_axis():
                 certified += 1
@@ -1052,7 +1059,7 @@ class TestOneColon:
         S.basis()
         del basis_calls[:]
         out = preimage_module([vec(R2, "x", "0"), vec(R2, "0", "x")], S)
-        assert out and basis_calls == [4]
+        assert out.gens and basis_calls == [4]
 
     def test_intersection_reuses_the_cached_bases(self, basis_calls, monkeypatch):
         U = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], LOCAL_DS)
@@ -1165,9 +1172,9 @@ class TestPreimageByElimination:
         return out
 
     def _assert_same(self, targets, sub_gens, ring, rank):
-        ours = preimage_module(targets, Submodule(ring, rank, sub_gens, GLOBAL_DP))
+        ours = preimage_module(targets, Submodule(ring, rank, sub_gens, GLOBAL_DP)).gens
         assert ours
-        assert ours == self._projected_kernel(targets, sub_gens, ring, rank)
+        assert list(ours) == self._projected_kernel(targets, sub_gens, ring, rank)
 
     @pytest.mark.parametrize("ring, gens", [
         pytest.param(R2, ("x^2", "y"), id="cusp"),
@@ -1225,21 +1232,21 @@ class TestEliminationPostchecks:
     def _perturb_tail(monkeypatch, rank, head):
         """Add 1 to the last entry of the first head-free tail of the
         elimination with the given rank and head."""
-        original = stdbasis._head_free_tails
+        original = stdbasis._head_free_part
 
-        def perturbed(rows, h, r):
-            tails = original(rows, h, r)
-            if (r, h) == (rank, head) and tails:
-                t = tails[0]
-                tails[0] = t[:-1] + (t[-1] + t[-1].ring.one(),)
-            return tails
+        def perturbed(rows, h, ring, r, order):
+            out = original(rows, h, ring, r, order)
+            if (h + r, h) == (rank, head) and out.gens:
+                t = out.gens[0]
+                out.gens = (t[:-1] + (t[-1] + ring.one(),),) + out.gens[1:]
+            return out
 
-        monkeypatch.setattr(stdbasis, "_head_free_tails", perturbed)
+        monkeypatch.setattr(stdbasis, "_head_free_part", perturbed)
 
     def test_preimage_postcheck(self, monkeypatch):
         # rank 1 + 2 rows; adding 1 to a tail adds y, which is outside (xy)
         targets, sub = [(P("x"),), (P("y"),)], Submodule(R2, 1, [(P("x y"),)], GLOBAL_DP)
-        assert preimage_module(targets, sub)
+        assert preimage_module(targets, sub).gens
         self._perturb_tail(monkeypatch, 3, 1)
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
             preimage_module(targets, sub)
@@ -1254,7 +1261,124 @@ class TestEliminationPostchecks:
             module_intersection(U, V)
 
 
+class TestEliminationHandover:
+    """A preimage or an intersection caches the basis its elimination
+    computed: the head-free elements, each key moved down the head. It is
+    term for term the reduced basis that a fresh run on its generators
+    builds, and it is the zero module's empty basis when nothing is left."""
+
+    @staticmethod
+    def _assert_handed_over(M):
+        cached = M._basis
+        assert cached is not None and cached.rank == M.rank
+        fresh = stdbasis.std_basis_vectors(M.gens, M.rank)
+        assert cached.leads == fresh.leads
+        assert cached.lcs == fresh.lcs
+        assert cached.tails == fresh.tails
+        assert cached.ecarts == fresh.ecarts
+
+    @staticmethod
+    def _vanishing(ring, rank):
+        """m * O^rank."""
+        zero = ring.zero()
+        return Submodule(ring, rank, [tuple(ring.var(i) if j == b else zero for j in range(rank))
+                                      for b in range(rank) for i in range(ring.n)], GLOBAL_DP)
+
+    @pytest.mark.parametrize("name, ring, gens, targets",
+                             [pytest.param(*args, id=args[0]) for args in _module_inputs()
+                              if args[3]])
+    def test_elimination_rows(self, name, ring, gens, targets):
+        # the preimage whose rows _reduced_basis_inputs lists, the syzygies
+        # of those rows, and intersections of S with m * O^rank and with the
+        # module of the targets
+        rank = len(gens[0])
+        S = Submodule(ring, rank, gens, GLOBAL_DP)
+        rows = _elimination_rows(targets, gens, ring)
+        for M in (preimage_module(targets, S),
+                  module_syzygies(rows, ring, len(rows[0])),
+                  module_intersection(S, self._vanishing(ring, rank)),
+                  module_intersection(S, Submodule(ring, rank, targets, GLOBAL_DP))):
+            self._assert_handed_over(M)
+
+    def test_rank_two_sweep(self):
+        e1 = vec(R2, "1", "0")
+        mtheta = self._vanishing(R2, 2)
+        count = 0
+        for _, gens in _sweep_modules():
+            M = Submodule(R2, 2, gens, LOCAL_DS)
+            for out in (module_syzygies(gens, R2, 2), module_intersection(M, mtheta),
+                        M.colon([e1])._module()):
+                self._assert_handed_over(out)
+            count += 1
+        assert count > 200
+
+    def test_intersection_of_zero_modules(self):
+        zero = Submodule(R2, 2, (), LOCAL_DS)
+        M = module_intersection(zero, zero)
+        assert (M.gens, M.rank, M.order) == ((), 2, LOCAL_DS)
+        assert len(M._basis) == 0 and M.quotient_dimension() is INFINITE
+
+    @pytest.mark.parametrize("S", [
+        Submodule(R2, 2, (), GLOBAL_DP),
+        Submodule(R2, 2, [vec(R2, "x", "y")], GLOBAL_DP),
+    ], ids=["zero", "nonzero"])
+    def test_preimage_of_no_targets(self, S):
+        M = preimage_module([], S, LOCAL_DS)
+        assert (M.gens, M.rank, M.order) == ((), 0, LOCAL_DS)
+        assert len(M._basis) == 0 and M.basis() is M._basis
+
+    def test_preimage_of_targets_inside_s(self):
+        # every c has sum c_i t_i in S, so the preimage is all of O^2: its
+        # basis is the unit vectors, least lead first
+        S = Submodule(R2, 1, [(P("x"),), (P("y"),)], GLOBAL_DP)
+        M = preimage_module([(P("x^2"),), (P("x y"),)], S)
+        assert M.gens == (vec(R2, "0", "1"), vec(R2, "1", "0"))
+        self._assert_handed_over(M)
+        assert M.quotient_dimension().value == 0
+
+
+class TestEliminationsRunNoSecondBasis:
+    """A module that an elimination returned answers from the basis it came
+    with: colon results and saturation rounds run Buchberger only for the
+    eliminations themselves."""
+
+    def test_colon_result_has_its_basis(self, basis_calls):
+        M = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], GLOBAL_DP)
+        I = M.colon([vec(R2, "1", "1")])
+        # the elimination of rank 2 + 1, then M's basis for the postcheck
+        assert basis_calls == [3, 2]
+        assert [str(g) for g in I.basis()] == ["x*y"]
+        assert I.contains(P("x^2 y")) and not I.contains(P("x"))
+        assert I.with_order(GLOBAL_DP).quotient_dimension() is INFINITE
+        assert basis_calls == [3, 2]
+
+    def test_saturation_rounds_reuse_each_colon(self, basis_calls):
+        I = ideal(R2, GLOBAL_DP, "x^2 y", "x y^3")
+        I.basis()
+        del basis_calls[:]
+        S = saturation(I, ideal(R2, GLOBAL_DP, "x"))
+        # the unit test on I + J, then one elimination per round; each
+        # round's postchecks read the bases that the eliminations computed
+        assert basis_calls == [1, 2, 2, 2]
+        assert [str(g) for g in S.basis()] == ["y"]
+        assert basis_calls == [1, 2, 2, 2]
+
+
 class TestHilbertSamuel:
+    def test_slice_size_limit(self, monkeypatch):
+        # comb(447, 2) = 99681 labels may be listed, comb(448, 2) = 100128
+        # may not, and the refusal comes before any label is listed
+        assert stdbasis._refuse_large_slice(2, 1, 445) is None
+
+        def refuse(*args):
+            raise AssertionError("labels listed")
+
+        monkeypatch.setattr(stdbasis, "slice_columns", refuse)
+        with pytest.raises(GermforgeError) as ei:
+            hilbert_samuel_values(ideal(R2, LOCAL_DS, "x^2", "y"), 446)
+        assert str(ei.value) == ("PRECONDITION_VIOLATED: truncation degree 446 would list "
+                                 "100128 labels, more than the limit of 100000")
+
     def test_mu_zero(self):
         assert hilbert_samuel(ideal(R2, LOCAL_DS, "x^2", "y"), 0) == 0
 
