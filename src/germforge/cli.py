@@ -28,8 +28,8 @@ from .invariants import (
     positive_codim_locus,
     versality_check,
 )
-from .jetmorse import _morse_number, jet_context
-from .oracle import conservation_check, empirical_splitting
+from .jetmorse import jet_context, jet_morse_number
+from .oracle import MORSE_NEEDS_FINITE, conservation_check, empirical_splitting, splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, Submodule, hilbert_samuel_values
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
@@ -438,13 +438,13 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     if args.assume_reduced:
         warnings.append("ASSUMED_REDUCED")
     problem = GermProblem(f, I)
+    problem.finite_codim(MORSE_NEEDS_FINITE)
     jet_val = oracle_val = None
     if args.method in ("jet", "both"):
-        jet_val = _morse_number(problem, "JET", assume_reduced=args.assume_reduced)
+        jet_val = jet_morse_number(f, I, args.assume_reduced)[2]
         results.append(("morse_jet", jet_val))
     if args.method in ("oracle", "both"):
-        oracle_val = _morse_number(problem, "ORACLE", seeds=seeds,
-                                   degree_bound=degree_bound)
+        oracle_val = splitting(problem, seeds, degree_bound).morse
         results.append(("morse_oracle", oracle_val))
         warnings.extend(["GLOBAL_COUNT", "GENERICITY_SAMPLED"])
     if args.method == "both":

@@ -17,6 +17,9 @@ first use:
   certified degree;
 - locus() builds on tau, and is_versal(U) on the model.
 
+member(g) is the problem of a deformed member g = f + sum h_i g_i under the
+global order; theta depends on I alone, so a family's members share one.
+
 The module functions extended_codim, plain_codim, determinacy_bound,
 positive_codim_locus, versality_check, build_versal_unfolding and
 invariant_report are entry points that build one problem each; code that
@@ -61,8 +64,8 @@ class GermProblem:
     """A germ f in an ideal I, with the tangent data of the pair computed on
     first use and kept for the life of the problem."""
 
-    def __init__(self, f: Poly, I: Ideal) -> None:
-        if not I.contains(f):
+    def __init__(self, f: Poly, I: Ideal, check: bool = True) -> None:
+        if check and not I.contains(f):
             raise GermforgeError("F_NOT_IN_IDEAL", f"{f} is not a member of the ideal")
         self.f = f
         self.I = I
@@ -94,12 +97,20 @@ class GermProblem:
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
         return subideal_preimage(self.I, tau).quotient_dimension()
 
-    def finite_codim(self, why: str) -> int:
-        """The extended codimension, or NOT_FINITE_CODIM with the reason the
-        caller needs it finite."""
+    def finite_codim(self, why: str, code: str = "NOT_FINITE_CODIM") -> int:
+        """The extended codimension, or the error code (NOT_FINITE_CODIM by
+        default) with the reason the caller needs it finite."""
         if not self.c_ext.is_finite:
-            raise GermforgeError("NOT_FINITE_CODIM", why)
+            raise GermforgeError(code, why)
         return self.c_ext.value
+
+    def member(self, g: Poly) -> GermProblem:
+        """The problem of g = f + sum h_i g_i under the global order, sharing
+        this problem's theta. g lies in I wherever f does, under 'ds' maybe
+        at the origin only, so it is not checked against the global ideal."""
+        other = GermProblem(g, self.I.with_order(GLOBAL_DP), check=False)
+        other.theta = self.theta.with_order(GLOBAL_DP)
+        return other
 
     @cached_property
     def cobasis(self) -> tuple[Poly, ...]:

@@ -7,16 +7,19 @@ a^j_alpha there. Critical 1-jets are cut out by the Q_i below; the Morse
 component is the part of that locus not sitting over the zero set of the
 ideal, and the multiplicity of a jet extension against it is the local length
 of the pulled-back component.
+
+The jet Morse number is computed in one place, jet_morse_number, which
+morse --method jet reads and whose context and component conservation pulls
+each deformed member back along. The dispatch between it and the oracle's
+count lives in oracle, which imports this module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from math import comb, factorial, prod
 
 from .errors import GermforgeError
-from .invariants import GermProblem
 from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Q, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient
@@ -26,23 +29,16 @@ from .stdbasis import Ideal, ideal_quotient
 # jet context
 
 
-class JetContext(namedtuple("JetContext", "base k ring alphas Q g_z")):
+class JetContext(namedtuple("JetContext", "base k ring alphas slot Q g_z")):
     """Order-k jet space of the ideal presentation, with the critical-jet
-    ideal J1 = (Q_1..Q_n) and the base-locus ideal J2 = (g_j(z))."""
+    ideal J1 = (Q_1..Q_n) and the base-locus ideal J2 = (g_j(z)). slot maps
+    (j, alpha) to the ring index of a^j_alpha, in ring order."""
 
     __slots__ = ()
 
     @property
     def n(self) -> int:
         return self.base.ring.n
-
-    @property
-    def r(self) -> int:
-        return len(self.base.gens)
-
-    def jet_var(self, j: int, alpha: Mono) -> int:
-        """Ring index of a^j_alpha (j counted from 0)."""
-        return self.n + j * len(self.alphas) + self.alphas.index(alpha)
 
     def J1(self) -> Ideal:
         return Ideal(self.ring, list(self.Q), GLOBAL_DP)
@@ -62,36 +58,29 @@ def jet_context(I: Ideal, k: int) -> JetContext:
         raise GermforgeError("PRECONDITION_VIOLATED", "jet order must be at least 1")
     if not I.gens:
         raise GermforgeError("ZERO_IDEAL", "the zero ideal has no jet space")
-    base_ring = I.ring
-    n = base_ring.n
-    r = len(I.gens)
+    n, r = I.ring.n, len(I.gens)
     size = n + r * comb(n + k, n)
     if size > JET_RING_LIMIT:
         raise GermforgeError("PRECONDITION_VIOLATED", f"jet order {k} needs {size} "
                              f"variables, more than the limit of {JET_RING_LIMIT}")
     alphas = monomials_up_to_degree(n, k)
-    names = [f"z{i + 1}" for i in range(n)]
-    for j in range(r):
-        for alpha in alphas:
-            names.append(f"a{j + 1}_" + "_".join(str(e) for e in alpha))
-    ring = Ring(names)
+    slot = {(j, alpha): n + j * len(alphas) + t
+            for j in range(r) for t, alpha in enumerate(alphas)}
+    ring = Ring([f"z{i + 1}" for i in range(n)]
+                + [f"a{j + 1}_" + "_".join(str(e) for e in alpha) for j, alpha in slot])
     if ring.n != size:
         raise AssertionError("jet ring has the wrong number of variables")
 
-    zero = tuple(0 for _ in range(n))
-    betas = [zero] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    betas = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
     g_z = [g.rename(ring, list(range(n))) for g in I.gens]
     dg_z = [[I.gens[j].derive(i).rename(ring, list(range(n))) for i in range(n)]
             for j in range(r)]
 
-    def a(j: int, alpha: Mono) -> Poly:
-        return ring.var(n + j * len(alphas) + alphas.index(alpha))
-
-    Q = tuple(ring.sum(a(j, betas[0]) * dg_z[j][i] + a(j, betas[i + 1]) * g_z[j]
-                       for j in range(r))
+    Q = tuple(ring.sum(ring.var(slot[j, betas[0]]) * dg_z[j][i]
+                       + ring.var(slot[j, betas[i + 1]]) * g_z[j] for j in range(r))
               for i in range(n))
 
-    ctx = JetContext(I, k, ring, alphas, Q, tuple(g_z))
+    ctx = JetContext(I, k, ring, alphas, slot, Q, tuple(g_z))
     _check_q_identity(ctx)
     return ctx
 
@@ -99,16 +88,14 @@ def jet_context(I: Ideal, k: int) -> JetContext:
 def _check_q_identity(ctx: JetContext) -> None:
     """The Q_i must equal d/dx_i at x = z of the universal member
     sum_j (sum_alpha a^j_alpha (x-z)^alpha) g_j(x)."""
-    base_ring = ctx.base.ring
-    n, r = ctx.n, ctx.r
-    names = list(base_ring.names) + list(ctx.ring.names)
-    P = Ring(names)
+    n = ctx.n
+    P = Ring(list(ctx.base.ring.names) + list(ctx.ring.names))
     z = [P.var(n + i) for i in range(n)]
     shift = [P.var(t) - z[t] for t in range(n)]
     gens = [g.rename(P, list(range(n))) for g in ctx.base.gens]
     G = P.sum(prod((s ** e for s, e in zip(shift, alpha) if e),
-                   start=P.var(n + ctx.jet_var(j, alpha))) * gens[j]
-              for j in range(r) for alpha in ctx.alphas)
+                   start=P.var(n + index)) * gens[j]
+              for (j, alpha), index in ctx.slot.items())
     # evaluate the x-derivative on the diagonal x = z
     diag = z + [P.var(n + i) for i in range(P.n - n)]
     for i in range(n):
@@ -203,11 +190,8 @@ def lift_germ(f: Poly, I: Ideal) -> LiftedGerm:
 def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> list[Poly]:
     """Substitution jet ring -> base ring along the jet extension."""
     base_ring = lifting.f.ring
-    images = [base_ring.var(i) for i in range(ctx.n)]
-    for j in range(ctx.r):
-        for alpha in ctx.alphas:
-            images.append(lifting.taylor_coefficient(j, alpha))
-    return images
+    return ([base_ring.var(i) for i in range(ctx.n)]
+            + [lifting.taylor_coefficient(j, alpha) for j, alpha in ctx.slot])
 
 
 def jet_pullback(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
@@ -246,23 +230,11 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
 # Morse number
 
 
-def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
-                 assume_reduced: bool = False,
-                 seeds: Sequence[int] | None = None,
-                 degree_bound: int | None = None) -> int:
-    if method not in ("JET", "ORACLE"):
-        raise ValueError("method must be JET or ORACLE")
-    return _morse_number(GermProblem(f, I), method, assume_reduced, seeds, degree_bound)
-
-
-def _morse_number(P: GermProblem, method: str, assume_reduced: bool = False,
-                  seeds: Sequence[int] | None = None,
-                  degree_bound: int | None = None) -> int:
-    P.finite_codim("the Morse number needs finite extended codimension")
-    if method == "JET":
-        ctx = jet_context(P.I, 1)
-        mc = morse_component(ctx, assume_reduced)
-        return intersection_multiplicity(P.f, P.I, ctx, mc.ideal)
-    from .oracle import _splitting
-
-    return _splitting(P, seeds, degree_bound).morse
+def jet_morse_number(f: Poly, I: Ideal,
+                     assume_reduced: bool = False) -> tuple[JetContext, Ideal, int]:
+    """The order-1 jet context of I, its Morse component, and the jet Morse
+    number of f: the multiplicity of f's jet extension against that
+    component."""
+    ctx = jet_context(I, 1)
+    M = morse_component(ctx, assume_reduced).ideal
+    return ctx, M, intersection_multiplicity(f, I, ctx, M)

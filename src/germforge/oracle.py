@@ -10,9 +10,14 @@ ideal of the deformed member (critical points) or the pulled-back jet ideal
 ideal and saturation hands K back after one standard basis of K + I; only
 when V(K) meets V(I) does the iterated colon run. Genericity is
 sampled (cross-seed stability plus a degree-drift probe), never certified;
-disagreement raises instead of guessing. Rational points are located by
-per-variable minimal polynomials and the rational root theorem; when some
-mass sits at nonrational points only the aggregate is reported.
+disagreement raises instead of guessing. A deformed member g is the
+GermProblem P.member(g) under dp, which shares P's theta: its c_ext is the
+defect mass and its locus() holds the points to locate. Rational points are
+located by per-variable minimal polynomials and p-adically lifted roots;
+when some mass sits at nonrational points only the aggregate is reported.
+morse_number chooses the oracle's count, splitting(P).morse, or the jet
+route, jetmorse.jet_morse_number, which conservation_check reads its
+reference from.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import count
 
 from .errors import GermforgeError
-from .invariants import GermProblem, extended_codim
+from .invariants import GermProblem
+from .jetmorse import jet_morse_number, jet_pullback
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
-from .stdbasis import (Ideal, Submodule, ideal_quotient, minimal_polynomial, saturation,
-                       subideal_preimage)
-from .tangent import tangent_ideal, theta_preserving
+from .stdbasis import Ideal, minimal_polynomial, saturation
 
 DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
@@ -117,63 +122,74 @@ def critical_points_outside(g: Poly, I: Ideal) -> CriticalReport:
     return CriticalReport(sat, qd.value, with_hess.is_unit())
 
 
+_DEFECT_LOCUS = "the deformed member has a positive-dimensional defect locus"
+
+
 def corrected_extended_codim(g: Poly, I: Ideal) -> int:
     """Dimension of I over the tangent ideal of g in the global order; by
-    finite support this is the sum of the local values over every point."""
-    I_dp = I.with_order(GLOBAL_DP)
-    return _corrected(g, theta_preserving(I_dp), I_dp)
-
-
-def _corrected(g: Poly, fields: Submodule, I_dp: Ideal) -> int:
-    """The corrected codimension of g over fields, the preserving fields of
-    I_dp; every deformed member of one family shares them."""
-    tau = tangent_ideal(g, fields)
-    qd = subideal_preimage(I_dp, tau).quotient_dimension()
-    if not qd.is_finite:
-        raise GermforgeError("GENERICITY_SUSPECT",
-                             "the deformed member has a positive-dimensional defect locus")
-    return qd.value
+    finite support this is the sum of the local values over every point.
+    g, a deformed member, is not checked against the global ideal."""
+    return GermProblem(g, I.with_order(GLOBAL_DP), check=False).finite_codim(
+        _DEFECT_LOCUS, "GENERICITY_SUSPECT")
 
 
 # ---------------------------------------------------------------------------
 # rational point location
 
 
-def _divisors(v: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            out.append(v // d)
-        d += 1
-    return out
+def _divmod(a: list[Q], b: list[Q]) -> tuple[list[Q], list[Q]]:
+    """Quotient and remainder of a by b, coefficient lists low to high; the
+    last coefficient of b is nonzero."""
+    r, q = list(a), [Q(0)] * max(len(a) - len(b) + 1, 0)
+    for s in reversed(range(len(q))):
+        c = q[s] = r[s + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[s + i] -= c * bc
+    del r[len(b) - 1:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
 def _rational_roots(coeffs: list[Q]) -> list[Q]:
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
+    """The rational roots, ascending, of sum coeffs[i] x^i. Those of its
+    squarefree part, scaled to integers a_0..a_d, are y / a_d for the integer
+    roots y of the monic h(y) = a_d^(d-1) sum a_i (y / a_d)^i. Each y is a
+    root of h modulo the first prime where every root of h is simple, from
+    which Newton's step lifts it uniquely past twice Cauchy's bound on |y|;
+    each lift is checked exactly. The cost grows with the bit length of the
+    coefficients, not with their size."""
+    p = list(coeffs)
+    while p and p[-1] == 0:
+        p.pop()
+    a, b = p, [c * i for i, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    if len(a) == len(p):  # p is a constant
         return []
-    roots = set()
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Q(0))
-    lead = abs(ints[-1])
-    const = abs(ints[low])
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Q(p, q), Q(-p, q)):
-                value = Q(0)
-                for c in reversed(ints):
-                    value = value * cand + c
-                if value == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    p = _divmod(p, a)[0]
+    scale = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    lead, d = ints[-1], len(ints) - 1
+    h = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dh = [c * i for i, c in enumerate(h)][1:]
+
+    def value(poly: list[int], y: int, mod: int) -> int:
+        v = 0
+        for c in reversed(poly):
+            v = (v * y + c) % mod
+        return v
+
+    for prime in (q for q in count(2) if all(q % t for t in range(2, q))):
+        roots = [y for y in range(prime) if value(h, y, prime) == 0]
+        if all(value(dh, y, prime) for y in roots):
+            break
+    mod, bound = prime, 2 * (1 + max(abs(c) for c in h))
+    while mod <= bound:
+        mod *= mod
+        roots = [(y - value(h, y, mod) * pow(value(dh, y, mod), -1, mod)) % mod for y in roots]
+    candidates = (y - mod if 2 * y > mod else y for y in roots)
+    return sorted(Q(y, lead) for y in candidates if sum(c * y ** i for i, c in enumerate(h)) == 0)
 
 
 def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
@@ -218,25 +234,21 @@ class SplittingReport(namedtuple("SplittingReport",
 def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:
     """Extended codimension of g at a rational point, by translating the
     whole problem so the point becomes the origin."""
-    ring = I.ring
-    moved_I = Ideal(ring, [h.translate(list(point)) for h in I.gens], LOCAL_DS)
-    qd = extended_codim(g.translate(list(point)), moved_I)
-    if not qd.is_finite:
-        raise GermforgeError("GENERICITY_SUSPECT",
-                             "a located point has infinite local codimension")
-    return qd.value
+    moved_I = Ideal(I.ring, [h.translate(list(point)) for h in I.gens], LOCAL_DS)
+    return GermProblem(g.translate(list(point)), moved_I).finite_codim(
+        "a located point has infinite local codimension", "GENERICITY_SUSPECT")
 
 
-def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
-               degree_bound: int | None):
+def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     c_value = P.c_ext.value
     g = _deform(P, degree_bound, seed)
-    corrected = _corrected(g, fields, I_dp)
+    member = P.member(g)
+    corrected = member.finite_codim(_DEFECT_LOCUS, "GENERICITY_SUSPECT")
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: defect mass {corrected} exceeds the "
                              f"codimension {c_value} of the undeformed germ")
-    crit = critical_points_outside(g, I_dp)
+    crit = critical_points_outside(g, member.I)
     if not crit.all_morse:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: critical points off the zero set "
@@ -245,7 +257,7 @@ def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
     # no bound the whole cobasis is in already, so there is nothing to probe
     if degree_bound is not None:
         g2 = _deform(P, degree_bound + 1, seed)
-        if g2 != g and critical_points_outside(g2, I_dp).count != crit.count:
+        if g2 != g and critical_points_outside(g2, member.I).count != crit.count:
             raise GermforgeError("GENERICITY_SUSPECT",
                                  f"seed {seed}: critical count drifts with the degree bound")
     if corrected < crit.count:
@@ -253,40 +265,31 @@ def _one_split(P: GermProblem, fields: Submodule, I_dp: Ideal, seed: int,
     if corrected == crit.count:
         # every defect point is one of the nondegenerate critical points,
         # each of local codimension one; no location needed
-        sigma: dict[int, int] | None = {1: crit.count} if crit.count else {}
-        return sigma, corrected, crit.count
-    # this is positive_codim_locus(g, I): the preserving fields of I have
-    # the same generators in either order
-    points = locate_rational_points(ideal_quotient(tangent_ideal(g, fields), I_dp))
-    sigma = None
-    if points is not None:
-        sigma = {}
-        mass = 0
-        for pt in points:
-            k = local_extended_codim(g, P.I, pt)
-            if k > 0:
-                sigma[k] = sigma.get(k, 0) + 1
-                mass += k
-        if mass != corrected:
-            raise AssertionError("located local codimensions must tally")
-    return sigma, corrected, crit.count
+        return ({1: crit.count} if crit.count else {}), corrected, crit.count
+    points = locate_rational_points(member.locus())
+    if points is None:
+        return None, corrected, crit.count
+    ks = [k for k in (local_extended_codim(g, P.I, pt) for pt in points) if k > 0]
+    if sum(ks) != corrected:
+        raise AssertionError("located local codimensions must tally")
+    return {k: ks.count(k) for k in ks}, corrected, crit.count
 
 
 def empirical_splitting(f: Poly, I: Ideal,
                         seeds: Sequence[int] | None = None,
                         degree_bound: int | None = None) -> SplittingReport:
-    return _splitting(GermProblem(f, I), seeds, degree_bound)
+    return splitting(GermProblem(f, I), seeds, degree_bound)
 
 
-def _splitting(P: GermProblem, seeds: Sequence[int] | None,
-               degree_bound: int | None) -> SplittingReport:
+def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
+              degree_bound: int | None = None) -> SplittingReport:
+    """The splitting report of P's germ; its members share P's theta."""
     c_value = P.finite_codim("splitting needs finite extended codimension")
     used = tuple(seeds) if seeds else DEFAULT_SEEDS
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if c_value == 0:
         return SplittingReport({}, 0, 0, used, True, tuple(warnings))
-    fields, I_dp = P.theta.with_order(GLOBAL_DP), P.I.with_order(GLOBAL_DP)
-    outcomes = [_one_split(P, fields, I_dp, s, degree_bound) for s in used]
+    outcomes = [_one_split(P, s, degree_bound) for s in used]
     first = outcomes[0]
     if any(o != first for o in outcomes[1:]):
         raise GermforgeError("GENERICITY_SUSPECT",
@@ -301,6 +304,26 @@ def _splitting(P: GermProblem, seeds: Sequence[int] | None,
 
 
 # ---------------------------------------------------------------------------
+# Morse number
+
+MORSE_NEEDS_FINITE = "the Morse number needs finite extended codimension"
+
+
+def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
+                 assume_reduced: bool = False,
+                 seeds: Sequence[int] | None = None,
+                 degree_bound: int | None = None) -> int:
+    """The Morse number of f by the jet route or the oracle's critical count."""
+    if method not in ("JET", "ORACLE"):
+        raise ValueError("method must be JET or ORACLE")
+    P = GermProblem(f, I)
+    P.finite_codim(MORSE_NEEDS_FINITE)
+    if method == "JET":
+        return jet_morse_number(f, I, assume_reduced)[2]
+    return splitting(P, seeds, degree_bound).morse
+
+
+# ---------------------------------------------------------------------------
 # conservation of number
 
 
@@ -311,9 +334,6 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     origin must reappear as the total multiplicity, off the zero set, of
     every sampled member of the family. Each trial takes its own seed from
     TRIAL_SEEDS, so trials runs from 1 to len(TRIAL_SEEDS)."""
-    from .jetmorse import (intersection_multiplicity, jet_context,
-                           jet_pullback, morse_component)
-
     if not 1 <= trials <= len(TRIAL_SEEDS):
         raise GermforgeError("BAD_REQUEST",
                              f"trials must be between 1 and {len(TRIAL_SEEDS)}, got {trials}")
@@ -321,9 +341,7 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     if P.finite_codim("conservation needs finite extended codimension") == 0:
         # the family is constant, so every trial repeats the reference
         return True
-    ctx = jet_context(I, 1)
-    M = morse_component(ctx, assume_reduced).ideal
-    reference = intersection_multiplicity(f, I, ctx, M)
+    ctx, M, reference = jet_morse_number(f, I, assume_reduced)
     for t in range(trials):
         g = _deform(P, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)

@@ -515,7 +515,8 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
 
 
 def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> QuotientDim:
-    """Count monomials outside the leading module, per position."""
+    """Count monomials outside the leading module, per position. The leads
+    are those of a reduced basis, so no lead divides another."""
     by_pos: list[list[Mono]] = [[] for _ in range(rank)]
     for pos, m in lead_terms:
         by_pos[pos].append(m)
@@ -523,10 +524,6 @@ def staircase_dimension(lead_terms: Sequence[MTerm], rank: int, n: int) -> Quoti
     zero = (0,) * n
     for pos in range(rank):
         monos = by_pos[pos]
-        # minimalize
-        monos = [m for i, m in enumerate(monos)
-                 if not any(j != i and mono_divides(m2, m) and (m2 != m or j < i)
-                            for j, m2 in enumerate(monos))]
         if any(m == zero for m in monos):
             continue
         # finite iff every variable has a pure power among the leads

@@ -181,6 +181,20 @@ class TestExitCodes:
         assert "F_NOT_IN_IDEAL" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["split"], ["  sigma:", "    - 1 -> 1", "  corrected: 1", "  morse: 1"]),
+        (["morse", "--method", "oracle"], ["  morse_oracle: 1"]),
+    ])
+    def test_germ_in_the_ideal_only_at_the_origin(self, capsys, tmp_path, argv, lines):
+        # x^2 + y^2 is in (x - x^2, y) under ds but not under dp; so are the
+        # deformed members, which the oracle takes as they are
+        text = "ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n"
+        code, out, _ = run(capsys, argv + [problem(tmp_path, text)])
+        assert code == 0
+        out_lines = out.splitlines()
+        start = out_lines.index("results:") + 1
+        assert out_lines[start:start + len(lines)] == lines
+
     def test_parse_error_carries_position(self, capsys, tmp_path):
         text = "ring x y ;\nideal I = x^2, % ;\n"
         code, _, err = run(capsys, ["codim", problem(tmp_path, text)])

@@ -521,7 +521,8 @@ class TestGermProblem:
         assert theta_orders == ["ds"]
 
     def test_splitting_computes_theta_once(self, theta_orders):
-        # the dp fields of the oracle are a view of the problem's theta
+        # each deformed member is a problem whose theta is the dp view of
+        # this problem's theta
         assert empirical_splitting(CUSP, EJEM).morse == 2
         assert theta_orders == ["ds"]
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from germforge import morse_number
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, ideal_quotient, saturation
@@ -15,7 +16,6 @@ from germforge.jetmorse import (
     jet_pullback,
     lift_germ,
     morse_component,
-    morse_number,
 )
 
 from helpers import evalp, kernel_combos
@@ -50,6 +50,19 @@ class TestJetContext:
     def test_variable_count_formula(self):
         assert jet_context(EJEM, 1).ring.n == 2 + 2 * 3
         assert jet_context(EJEM, 2).ring.n == 2 + 2 * 6
+
+    def test_jet_variable_index_is_a_bijection(self):
+        # d3 at order 3: 3 + 2 * comb(6, 3) = 43 variables; every a^j_alpha
+        # has one ring index, onto n .. ring.n - 1, under its own name
+        R3 = Ring(["x", "y", "z"])
+        I = Ideal(R3, [parse_poly("x*y", R3), parse_poly("z", R3)], LOCAL_DS)
+        ctx = jet_context(I, 3)
+        index = ctx.slot
+        assert set(index) == {(j, alpha) for j in range(len(I.gens)) for alpha in ctx.alphas}
+        assert ctx.ring.n == 43 and len(index) == 40
+        assert sorted(index.values()) == list(range(ctx.n, ctx.ring.n))
+        for (j, alpha), i in index.items():
+            assert ctx.ring.names[i] == f"a{j + 1}_" + "_".join(str(e) for e in alpha)
 
     def test_unit_generator_smooth_case(self):
         ctx = jet_context(UNIT1, 1)

@@ -1,16 +1,19 @@
 import itertools
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 
+from germforge import morse_number
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, saturation
 from germforge.invariants import GermProblem, extended_codim
 from germforge.tangent import primitive_ideal
+import germforge.oracle as oracle
+import germforge.tangent as tangent
 from germforge.invariants import classify_Ddk
-from germforge.jetmorse import morse_number
 from germforge.oracle import (
     TRIAL_SEEDS,
     XorShift64,
@@ -19,6 +22,7 @@ from germforge.oracle import (
     corrected_extended_codim,
     critical_points_outside,
     empirical_splitting,
+    _rational_roots,
     hessian_det,
     local_extended_codim,
     locate_rational_points,
@@ -146,6 +150,15 @@ class TestCorrectedCodim:
         g = random_deformation(CUSP, EJEM, seed=11)
         assert corrected_extended_codim(g, EJEM) == 2
 
+    def test_member_in_the_ideal_only_at_the_origin(self):
+        # x^2 + y^2 lies in (x - x^2, y) at the origin only, and so does each
+        # deformed member: neither is refused for missing the global ideal
+        I = ideal(R2, LOCAL_DS, "x - x^2", "y")
+        f = P("x^2 + y^2")
+        assert not I.with_order(GLOBAL_DP).contains(f)
+        assert corrected_extended_codim(f, I) == 2
+        assert corrected_extended_codim(random_deformation(f, I, seed=11), I) == 1
+
     def test_positive_dimensional_defect_rejected(self):
         with pytest.raises(GermforgeError) as e:
             corrected_extended_codim(P("y^2"), ideal(R2, LOCAL_DS, "y"))
@@ -182,6 +195,47 @@ class TestRationalPointLocation:
     def test_points_at_denominators(self):
         L = ideal(R2, GLOBAL_DP, "2*x - 1", "3*y + 2")
         assert locate_rational_points(L) == [(Fraction(1, 2), Fraction(-2, 3))]
+
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_large_constant_term(self):
+        # x^2 - (2^31 - 1)^2: divisors of the constant term by trial
+        # division ran past 10 s here; the p-adic lift takes milliseconds
+        root = 2 ** 31 - 1
+        L = ideal(R2, GLOBAL_DP, f"x^2 - {root ** 2}", "y")
+
+        def over_budget(signum, frame):
+            raise TimeoutError("locating the points exceeded its 10 s budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.alarm(10)
+        try:
+            points = locate_rational_points(L)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert points == [(Fraction(-root), Fraction(0)), (Fraction(root), Fraction(0))]
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("coeffs, roots", [
+        ([], []),
+        ([5], []),
+        ([0, 0, 1], [0]),
+        ([-2, 0, 1], []),
+        # (2x - 1)^3 (x + 3)^2 x: repeated roots and a root at 0
+        ([0, -9, 48, -73, 6, 36, 8], [-3, 0, Fraction(1, 2)]),
+        # 6x^2 - x - 1 = (3x + 1)(2x - 1), not monic
+        ([-1, -1, 6], [Fraction(-1, 3), Fraction(1, 2)]),
+        # (x^2 + 1)(x - 7/5) with rational coefficients
+        ([Fraction(-7, 5), 1, Fraction(-7, 5), 1], [Fraction(7, 5)]),
+        # (x - 2^40)(x + 2^40 + 1)(x^2 + x + 1)
+        ([-(2 ** 80) - 2 ** 40, -(2 ** 80) - 2 ** 40 + 1, -(2 ** 80) - 2 ** 40 + 2, 2, 1],
+         [-(2 ** 40) - 1, 2 ** 40]),
+    ], ids=["zero", "constant", "double-zero", "irrational", "repeated", "not-monic",
+            "fractions", "large"])
+    def test_known_roots(self, coeffs, roots):
+        assert _rational_roots([Fraction(c) for c in coeffs]) == roots
 
 
 class TestLocalCodim:
@@ -251,6 +305,49 @@ class TestEmpiricalSplitting:
         monkeypatch.setattr(oracle, "_deform", counted)
         assert empirical_splitting(CUSP, EJEM).sigma == {1: 2}
         assert calls == [(None, 11), (None, 13)]
+
+    def test_located_points_tally_to_the_defect_mass(self, monkeypatch):
+        # no corpus case has a defect mass above the Morse count, so the
+        # critical count is lowered to force the locate branch; at seed 39
+        # the defect points of the cusp in the maximal ideal are rational.
+        # The member shares the problem's theta, so no dp theta is computed
+        # and the problem's own theta runs once, before any point is located.
+        real_critical, real_locate, real_theta = (
+            oracle.critical_points_outside, oracle.locate_rational_points,
+            tangent.theta_preserving)
+        located, theta_orders, theta_before_locate = [], [], []
+
+        def locate(L):
+            theta_before_locate.extend(theta_orders)
+            located.append(real_locate(L))
+            return located[-1]
+
+        def theta(I):
+            theta_orders.append(I.order.kind)
+            return real_theta(I)
+
+        monkeypatch.setattr(oracle, "critical_points_outside",
+                            lambda g, I: real_critical(g, I)._replace(count=0))
+        monkeypatch.setattr(oracle, "locate_rational_points", locate)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("germforge"):
+                for attr, value in list(vars(module).items()):
+                    if value is real_theta:
+                        monkeypatch.setattr(module, attr, theta)
+        rep = empirical_splitting(CUSP, ideal(R2, LOCAL_DS, "x", "y"), seeds=(39,))
+        assert [len(points) for points in located] == [2]
+        assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
+        assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
+        assert theta_before_locate == ["ds"]
+        assert all(kind == "ds" for kind in theta_orders)
+
+    def test_germ_in_the_ideal_only_at_the_origin(self):
+        # the members f + sum h_i g_i miss the global ideal as f does, and
+        # split on as members of the local one
+        I = ideal(R2, LOCAL_DS, "x - x^2", "y")
+        rep = empirical_splitting(P("x^2 + y^2"), I)
+        assert (rep.sigma, rep.corrected, rep.morse) == ({1: 1}, 1, 1)
+        assert morse_number(P("x^2 + y^2"), I) == 1
 
     def test_explicit_seeds_recorded(self):
         rep = empirical_splitting(CUSP, EJEM, seeds=(17, 19))

@@ -1337,6 +1337,39 @@ class TestEliminationHandover:
         assert M.quotient_dimension().value == 0
 
 
+class TestLeadTermsAreMinimal:
+    """staircase_dimension counts the monomials below the leads it is given
+    and does not minimalize them: lead_terms() are the leads of a reduced
+    basis, elimination outputs included, so no lead divides another in its
+    position."""
+
+    @staticmethod
+    def _assert_minimal(M):
+        leads = M.lead_terms()
+        for i, (pos, m) in enumerate(leads):
+            for j, (lpos, lm) in enumerate(leads):
+                assert i == j or lpos != pos or not mono_divides(lm, m), (leads, i, j)
+
+    def test_rank_two_sweep(self):
+        e1 = vec(R2, "1", "0")
+        mtheta = TestEliminationHandover._vanishing(R2, 2)
+        for _, gens in _sweep_modules():
+            M = Submodule(R2, 2, gens, LOCAL_DS)
+            for out in (M, module_intersection(M, mtheta), preimage_module([e1], M)):
+                self._assert_minimal(out)
+
+    @pytest.mark.parametrize("name, ring, gens, targets",
+                             [pytest.param(*args, id=args[0]) for args in _module_inputs()
+                              if args[3]])
+    def test_elimination_outputs(self, name, ring, gens, targets):
+        rank = len(gens[0])
+        S = Submodule(ring, rank, gens, GLOBAL_DP)
+        for M in (preimage_module(targets, S),
+                  module_intersection(S, TestEliminationHandover._vanishing(ring, rank)),
+                  module_intersection(S, Submodule(ring, rank, targets, GLOBAL_DP))):
+            self._assert_minimal(M)
+
+
 class TestEliminationsRunNoSecondBasis:
     """A module that an elimination returned answers from the basis it came
     with: colon results and saturation rounds run Buchberger only for the
