@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
@@ -291,7 +291,8 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results tree, settings tree, warnings)
+# command handlers: each returns (results tree, settings tree, warnings), or
+# the text it prints
 
 
 def _cmd_codim(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
@@ -313,8 +314,7 @@ def _theta_for(pf: ProblemFile, args) -> tuple[Submodule, Ideal, Tree, list[str]
     via-subideal treats the declared ideal as the subideal and works against
     its primitive ideal at the requested truncation."""
     declared = the_ideal(pf)
-    mode = getattr(args, "theta_mode", "direct")
-    trunc = getattr(args, "trunc", None)
+    mode, trunc = args.theta_mode, args.trunc
     settings: Tree = [("theta-mode", mode)]
     warnings: list[str] = []
     if mode == "via-subideal":
@@ -403,7 +403,7 @@ def _cmd_classify(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 
 
 def _seeds_from(args) -> tuple[int, ...] | None:
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         try:
             return tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
@@ -521,23 +521,6 @@ def _cmd_jet_dump(pf: ProblemFile, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-HANDLERS = {
-    "codim": _cmd_codim,
-    "tangent": _cmd_tangent,
-    "theta": _cmd_theta,
-    "primitive": _cmd_primitive,
-    "versal-check": _cmd_versal_check,
-    "versal-build": _cmd_versal_build,
-    "determinacy": _cmd_determinacy,
-    "locus": _cmd_locus,
-    "classify": _cmd_classify,
-    "morse": _cmd_morse,
-    "split": _cmd_split,
-    "conserve": _cmd_conserve,
-    "hilbert": _cmd_hilbert,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument surface
 
@@ -557,23 +540,25 @@ _BOUND: dict[str, Option] = {
 _REDUCED: dict[str, Option] = {
     "--assume-reduced": (bool, False, "take the critical-jet ideal as radical")}
 
-# each command's options besides --order, in the order of the usage text
-COMMANDS: dict[str, dict[str, Option]] = {
-    "codim": {},
-    "versal-check": {},
-    "versal-build": {},
-    "determinacy": {},
-    "locus": {},
-    "classify": {},
-    "theta": _THETA,
-    "tangent": _THETA,
-    "primitive": _TRUNC,
-    "morse": {"--method": (("jet", "oracle", "both"), "both", "which Morse count"),
-              **_REDUCED, **_SEEDS, **_BOUND},
-    "split": {**_SEEDS, **_BOUND},
-    "conserve": {**_REDUCED, **_BOUND},
-    "hilbert": _TRUNC,
-    "jet-dump": _TRUNC,
+# each command's handler and its options besides --order, in the order of
+# the usage text; a handler returns the (results, settings, warnings) of its
+# document, or the text it prints (jet-dump)
+COMMANDS: dict[str, tuple[Callable, dict[str, Option]]] = {
+    "codim": (_cmd_codim, {}),
+    "versal-check": (_cmd_versal_check, {}),
+    "versal-build": (_cmd_versal_build, {}),
+    "determinacy": (_cmd_determinacy, {}),
+    "locus": (_cmd_locus, {}),
+    "classify": (_cmd_classify, {}),
+    "theta": (_cmd_theta, _THETA),
+    "tangent": (_cmd_tangent, _THETA),
+    "primitive": (_cmd_primitive, _TRUNC),
+    "morse": (_cmd_morse, {"--method": (("jet", "oracle", "both"), "both", "which Morse count"),
+                           **_REDUCED, **_SEEDS, **_BOUND}),
+    "split": (_cmd_split, {**_SEEDS, **_BOUND}),
+    "conserve": (_cmd_conserve, {**_REDUCED, **_BOUND}),
+    "hilbert": (_cmd_hilbert, _TRUNC),
+    "jet-dump": (_cmd_jet_dump, _TRUNC),
 }
 
 
@@ -595,7 +580,7 @@ def usage(command: str | None = None) -> str:
                  "FILE is a problem file, or - for stdin; options go before or after it,",
                  "as --opt value or --opt=value. Every command takes --order {ds,dp}.",
                  "commands:"]
-        for name, options in COMMANDS.items():
+        for name, (_, options) in COMMANDS.items():
             shown = " ".join(f"[{_option_usage(opt, kind)}]"
                              for opt, (kind, _, _) in options.items())
             lines.append(f"  {name:<13} {shown}".rstrip())
@@ -603,7 +588,7 @@ def usage(command: str | None = None) -> str:
         return "\n".join(lines) + "\n"
     lines = [f"usage: germforge {command} FILE [OPTIONS]", "",
              "FILE is a problem file, or - for stdin. options:"]
-    for opt, (kind, default, text) in {**_ORDER, **COMMANDS[command]}.items():
+    for opt, (kind, default, text) in {**_ORDER, **COMMANDS[command][1]}.items():
         if default is not None and kind is not bool:
             text += f" (default {default})"
         lines.append(f"  {_option_usage(opt, kind):<36} {text}")
@@ -619,7 +604,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     command, rest = argv[0], iter(argv[1:])
     if command not in COMMANDS:
         raise _bad(f"unknown command {command!r}")
-    table = {**_ORDER, **COMMANDS[command]}
+    table = {**_ORDER, **COMMANDS[command][1]}
     values = {opt: default for opt, (_, default, _) in table.items()}
     files = []
     for word in rest:
@@ -698,17 +683,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         args = parse_args(argv)
         pf = parse_problem_file(_read_input(args.file), args.order)
-        if args.command == "jet-dump":
-            _write(_cmd_jet_dump(pf, args))
-        else:
-            results, settings, warnings = HANDLERS[args.command](pf, args)
+        out = COMMANDS[args.command][0](pf, args)
+        if not isinstance(out, str):
+            results, settings, warnings = out
             doc: Tree = [("command", args.command),
                          ("inputs", _inputs_tree(pf))]
             if settings:
                 doc.append(("settings", settings))
             doc.append(("results", results))
             doc.append(("warnings", warnings if warnings else "none"))
-            _write("\n".join(render_tree(doc)) + "\n")
+            out = "\n".join(render_tree(doc)) + "\n"
+        _write(out)
     except (GermforgeError, AssertionError) as e:
         if isinstance(e, AssertionError):
             e = GermforgeError(INTERNAL_CODE, str(e))

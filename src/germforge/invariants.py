@@ -19,6 +19,8 @@ first use:
 
 member(g) is the problem of a deformed member g = f + sum h_i g_i under the
 global order; theta depends on I alone, so a family's members share one.
+at(point) is the problem moved so that point is the origin, under 'ds'; a
+translation keeps each d/dx_i, so its theta is this problem's, translated.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
 positive_codim_locus, versality_check, build_versal_unfolding and
@@ -48,7 +50,7 @@ from functools import cached_property
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, Mono, Poly, Q, Ring
+from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Q, Ring
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -111,6 +113,18 @@ class GermProblem:
         other = GermProblem(g, self.I.with_order(GLOBAL_DP), check=False)
         other.theta = self.theta.with_order(GLOBAL_DP)
         return other
+
+    def at(self, point: Sequence[Q]) -> GermProblem:
+        """This problem moved so that point is the origin, under 'ds', its
+        germ checked against the moved ideal. A translation keeps each
+        d/dx_i, so it carries the fields preserving I onto those preserving
+        the moved ideal: theta is this problem's theta, translated."""
+        pt, ring = list(point), self.I.ring
+        moved = GermProblem(self.f.translate(pt),
+                            Ideal(ring, [g.translate(pt) for g in self.I.gens], LOCAL_DS))
+        moved.theta = Submodule(ring, self.theta.rank, [tuple(a.translate(pt) for a in X)
+                                                        for X in self.theta.gens], LOCAL_DS)
+        return moved
 
     @cached_property
     def cobasis(self) -> tuple[Poly, ...]:

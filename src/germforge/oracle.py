@@ -13,7 +13,8 @@ sampled (cross-seed stability plus a degree-drift probe), never certified;
 disagreement raises instead of guessing. A deformed member g is the
 GermProblem P.member(g) under dp, which shares P's theta: its c_ext is the
 defect mass and its locus() holds the points to locate. Rational points are
-located by per-variable minimal polynomials and p-adically lifted roots;
+located by the p-adically lifted roots of the squarefree parts of the
+per-variable minimal polynomials, and each is measured on member.at(point);
 when some mass sits at nonrational points only the aggregate is reported.
 morse_number chooses the oracle's count, splitting(P).morse, or the jet
 route, jetmorse.jet_morse_number, which conservation_check reads its
@@ -31,7 +32,7 @@ from .errors import GermforgeError
 from .invariants import GermProblem
 from .jetmorse import jet_morse_number, jet_pullback
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
-from .stdbasis import Ideal, minimal_polynomial, saturation
+from .stdbasis import Ideal, minimal_polynomial, saturation, squarefree_part
 
 DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
@@ -137,57 +138,36 @@ def corrected_extended_codim(g: Poly, I: Ideal) -> int:
 # rational point location
 
 
-def _divmod(a: list[Q], b: list[Q]) -> tuple[list[Q], list[Q]]:
-    """Quotient and remainder of a by b, coefficient lists low to high; the
-    last coefficient of b is nonzero."""
-    r, q = list(a), [Q(0)] * max(len(a) - len(b) + 1, 0)
-    for s in reversed(range(len(q))):
-        c = q[s] = r[s + len(b) - 1] / b[-1]
-        for i, bc in enumerate(b):
-            r[s + i] -= c * bc
-    del r[len(b) - 1:]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _rational_roots(coeffs: list[Q]) -> list[Q]:
-    """The rational roots, ascending, of sum coeffs[i] x^i. Those of its
-    squarefree part, scaled to integers a_0..a_d, are y / a_d for the integer
+def _rational_roots(p: Poly) -> list[Q]:
+    """The rational roots, ascending, of a squarefree polynomial p in one
+    variable. Scaled to integers a_0..a_d, they are y / a_d for the integer
     roots y of the monic h(y) = a_d^(d-1) sum a_i (y / a_d)^i. Each y is a
     root of h modulo the first prime where every root of h is simple, from
     which Newton's step lifts it uniquely past twice Cauchy's bound on |y|;
     each lift is checked exactly. The cost grows with the bit length of the
     coefficients, not with their size."""
-    p = list(coeffs)
-    while p and p[-1] == 0:
-        p.pop()
-    a, b = p, [c * i for i, c in enumerate(p)][1:]
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    if len(a) == len(p):  # p is a constant
-        return []
-    p = _divmod(p, a)[0]
-    scale = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    lead, d = ints[-1], len(ints) - 1
+    d = p.total_degree()
+    coeffs = {sum(m): c for m, c in p.terms.items()}
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    ints = [int(coeffs.get(i, 0) * scale) for i in range(d + 1)]
+    lead = ints[-1]
     h = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    dh = [c * i for i, c in enumerate(h)][1:]
 
-    def value(poly: list[int], y: int, mod: int) -> int:
-        v = 0
-        for c in reversed(poly):
-            v = (v * y + c) % mod
-        return v
+    def value(y: int, mod: int) -> tuple[int, int]:
+        """h(y) and h'(y) modulo mod, by Horner's rule."""
+        v = dv = 0
+        for c in reversed(h):
+            v, dv = (v * y + c) % mod, (dv * y + v) % mod
+        return v, dv
 
     for prime in (q for q in count(2) if all(q % t for t in range(2, q))):
-        roots = [y for y in range(prime) if value(h, y, prime) == 0]
-        if all(value(dh, y, prime) for y in roots):
+        roots = [y for y in range(prime) if value(y, prime)[0] == 0]
+        if all(value(y, prime)[1] for y in roots):
             break
     mod, bound = prime, 2 * (1 + max(abs(c) for c in h))
     while mod <= bound:
         mod *= mod
-        roots = [(y - value(h, y, mod) * pow(value(dh, y, mod), -1, mod)) % mod for y in roots]
+        roots = [(y - v * pow(dv, -1, mod)) % mod for y in roots for v, dv in [value(y, mod)]]
     candidates = (y - mod if 2 * y > mod else y for y in roots)
     return sorted(Q(y, lead) for y in candidates if sum(c * y ** i for i, c in enumerate(h)) == 0)
 
@@ -197,29 +177,21 @@ def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
     part of the multiplicity sits at nonrational points. Completeness is
     decided by comparing located local dimensions against the global one."""
     L_dp = L.with_order(GLOBAL_DP)
-    if L_dp.is_unit():
-        return []
     qd = L_dp.quotient_dimension()
     if not qd.is_finite:
         return None
-    total = qd.value
     candidates: list[tuple[Q, ...]] = [()]
     for i in range(L.ring.n):
-        roots = _rational_roots(minimal_polynomial(L_dp, i))
+        roots = _rational_roots(squarefree_part(minimal_polynomial(L_dp, i), i))
         candidates = [c + (r,) for c in candidates for r in roots]
         if not candidates:
             break
     points = [c for c in candidates if all(g.evaluate(c) == 0 for g in L_dp.gens)]
-    located = 0
-    for pt in points:
-        moved = Ideal(L.ring, [g.translate(list(pt)) for g in L_dp.gens], LOCAL_DS)
-        local = moved.quotient_dimension()
-        if not local.is_finite:
-            return None
-        located += local.value
-    if located != total:
-        return None
-    return points
+    local = [Ideal(L.ring, [g.translate(list(pt)) for g in L_dp.gens], LOCAL_DS).quotient_dimension()
+             for pt in points]
+    if all(q.is_finite for q in local) and sum(q.value for q in local) == qd.value:
+        return points
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +203,14 @@ class SplittingReport(namedtuple("SplittingReport",
     __slots__ = ()
 
 
+_INFINITE_AT_A_POINT = "a located point has infinite local codimension"
+
+
 def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:
     """Extended codimension of g at a rational point, by translating the
     whole problem so the point becomes the origin."""
-    moved_I = Ideal(I.ring, [h.translate(list(point)) for h in I.gens], LOCAL_DS)
-    return GermProblem(g.translate(list(point)), moved_I).finite_codim(
-        "a located point has infinite local codimension", "GENERICITY_SUSPECT")
+    return GermProblem(g, I, check=False).at(point).finite_codim(
+        _INFINITE_AT_A_POINT, "GENERICITY_SUSPECT")
 
 
 def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
@@ -269,7 +243,8 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     points = locate_rational_points(member.locus())
     if points is None:
         return None, corrected, crit.count
-    ks = [k for k in (local_extended_codim(g, P.I, pt) for pt in points) if k > 0]
+    ks = [k for k in (member.at(pt).finite_codim(_INFINITE_AT_A_POINT, "GENERICITY_SUSPECT")
+                      for pt in points) if k > 0]
     if sum(ks) != corrected:
         raise AssertionError("located local codimensions must tally")
     return {k: ks.count(k) for k in ks}, corrected, crit.count

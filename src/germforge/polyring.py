@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from numbers import Rational
 from operator import add
 
@@ -667,6 +667,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+# The most terms a product or power may have while it is parsed, so that a
+# line such as (x+y+1)^200 cannot run on; the largest in the tests, golden
+# files and corpus is (y - 1/2)^2 (y + 3)^3, at most 12 terms.
+MAX_PARSED_TERMS = 1000
+
+
 class _ExprParser:
     def __init__(self, toks: list[tuple[str, str, int]], ring: Ring) -> None:
         self.toks = toks
@@ -699,17 +705,25 @@ class _ExprParser:
             terms.append(q if op == "+" else -q)
         return self.ring.sum(terms)
 
+    def refuse_past(self, terms: int, degree: int, at: int) -> None:
+        """Refuse a product or power, before it is formed, that may have more
+        than MAX_PARSED_TERMS terms: it has at most terms of them, and at
+        most C(n + degree, n), the monomials of degree at most degree."""
+        if min(terms, comb(self.ring.n + max(degree, 0), self.ring.n)) > MAX_PARSED_TERMS:
+            raise ParseError(f"expansion may have more than {MAX_PARSED_TERMS} terms",
+                             column=at + 1)
+
     def term(self) -> Poly:
         p = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.take()
-                p = p * self.factor()
-            elif kind == _TOK_IDENT or (kind == _TOK_OP and val == "("):
-                p = p * self.factor()  # implicit multiplication, e.g. 2x or 3(x+y)
-            else:
+            elif not (kind == _TOK_IDENT or (kind == _TOK_OP and val == "(")):
                 return p
+            q = self.factor()  # after '*', or implicit, e.g. 2x or 3(x+y)
+            self.refuse_past(len(p.terms) * len(q.terms), p.total_degree() + q.total_degree(), at)
+            p = p * q
 
     def factor(self) -> Poly:
         p = self.atom()
@@ -718,7 +732,13 @@ class _ExprParser:
             kind, val, at = self.take()
             if kind != _TOK_NUM or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", column=at + 1)
-            p = p ** int(val)
+            e = int(val)
+            # p^e has at most C(t + e - 1, e) terms, t the terms of p; past the
+            # limit e decides alike clamped (for t >= 2 both counts pass it)
+            clamped = min(e, MAX_PARSED_TERMS)
+            self.refuse_past(comb(max(len(p.terms), 1) + clamped - 1, clamped),
+                             e * p.total_degree(), at)
+            p = p ** e
         return p
 
     def atom(self) -> Poly:

@@ -16,9 +16,9 @@ its elimination computed as its cached global basis. Postchecks reduce each
 result to 0 against the cached global bases of S, or of U and of V.
 Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
-carries the coordinates in its tail. The zero-dimensional radical runs on
-the same engine: the squarefree part of each univariate minimal polynomial p
-is the generator of the colon (p) : (p').
+carries the coordinates in its tail. The squarefree part of a univariate
+p is the generator of the colon (p) : (p'); the zero-dimensional radical
+and the oracle's rational points both read it from squarefree_part.
 
 The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
@@ -952,11 +952,11 @@ def hilbert_samuel_values(I: Ideal, N: int) -> list[int]:
 # zero-dimensional radical (Seidenberg)
 
 
-def minimal_polynomial(I: Ideal, var: int) -> list[Q]:
-    """Monic coefficients, low to high, of the minimal polynomial of x_var on
-    the finite quotient by I under a global order. The normal forms of the
-    powers up to the quotient's dimension must be dependent; the first kernel
-    combination ends at the least dependent power with coefficient 1."""
+def minimal_polynomial(I: Ideal, var: int) -> Poly:
+    """The monic minimal polynomial of x_var on the finite quotient by I
+    under a global order. The normal forms of the powers up to the
+    quotient's dimension must be dependent; the first kernel combination
+    ends at the least dependent power with coefficient 1."""
     ring = I.ring
     x = ring.var(var)
     power = ring.one()
@@ -969,28 +969,27 @@ def minimal_polynomial(I: Ideal, var: int) -> list[Q]:
     kernel = nullspace(powers)
     if not kernel:
         raise AssertionError("no univariate dependence on a finite quotient")
-    combo = kernel[0]
-    return [combo.get(t, Q(0)) for t in range(max(combo) + 1)]
+    return ring.sum(x ** t * c for t, c in kernel[0].items())
+
+
+def squarefree_part(p: Poly, var: int) -> Poly:
+    """The squarefree part p / gcd(p, p') of a polynomial p in x_var alone,
+    monic, and 1 for a constant: the one element of the reduced dp basis of
+    the colon (p) : (p')."""
+    ring = p.ring
+    colon = ideal_quotient(Ideal(ring, [p], GLOBAL_DP), Ideal(ring, [p.derive(var)], GLOBAL_DP))
+    [part] = colon.basis()
+    return part
 
 
 def zero_dim_radical(I: Ideal) -> Ideal:
     """Radical of a zero-dimensional ideal under a global order (Seidenberg):
-    adjoin the squarefree part of each variable's minimal polynomial p.
-
-    That part is p / gcd(p, p'), which generates the colon (p) : (p'); it is
-    read as the one element of the colon's reduced basis, monic under dp."""
+    adjoin the squarefree part of each variable's minimal polynomial."""
     if I.order.is_local:
         raise GermforgeError("LOCAL_ORDER_UNSUPPORTED",
                              "radical computation needs a global order")
     if not I.quotient_dimension().is_finite:
         raise GermforgeError("NOT_ZERO_DIMENSIONAL",
                              "radical is implemented for zero-dimensional ideals only")
-    ring = I.ring
-    extra: list[Poly] = []
-    for i in range(ring.n):
-        x = ring.var(i)
-        p = ring.sum(x ** t * c for t, c in enumerate(minimal_polynomial(I, i)))
-        colon = ideal_quotient(Ideal(ring, [p], GLOBAL_DP), Ideal(ring, [p.derive(i)], GLOBAL_DP))
-        extra.extend(colon.basis())
-    out = Ideal(ring, tuple(I.gens) + tuple(extra), I.order)
-    return Ideal(ring, tuple(out.basis()), I.order)
+    extra = tuple(squarefree_part(minimal_polynomial(I, i), i) for i in range(I.ring.n))
+    return Ideal(I.ring, Ideal(I.ring, I.gens + extra, I.order).basis(), I.order)

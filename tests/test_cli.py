@@ -210,6 +210,14 @@ class TestExitCodes:
         assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: zero denominator "
                                        "at column 2 at line 3, column 1")
 
+    def test_expansion_past_the_limit_is_a_parse_error(self, capsys, tmp_path):
+        text = "ring x y ;\nideal I = x^2, y ;\npoly f = (x+y+1)^200 ;\n"
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expansion may have "
+                                       "more than 1000 terms at column 10 at line 3, column 1")
+
     def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
         f = "(" * 3000 + "x^3 + y^2" + ")" * 3000
         text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {f} ;\n"

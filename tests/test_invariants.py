@@ -534,6 +534,28 @@ class TestGermProblem:
         assert "morse_jet: 2" in out and "morse_oracle: 2" in out
         assert theta_orders == ["ds"]
 
+    @pytest.mark.parametrize("ring, gens, f", [
+        pytest.param(R2, ("x^2", "y"), "x^3 + y^2", id="cusp"),
+        pytest.param(R2, ("x^2", "y + x^2"), "x^3 + y^2 + 2 x^2 y + x^4", id="shear"),
+        pytest.param(R2, ("x^2", "y"), "x^5 + y^2", id="a4rel"),
+        pytest.param(R3, ("x y", "z"), "x^2 y + x y^2 + z^2", id="d4rel"),
+    ])
+    @pytest.mark.parametrize("point", [(1, -1, 2), (Fraction(-1, 2), 3, Fraction(2, 3))],
+                             ids=["integral", "rational"])
+    def test_moved_problem_against_a_fresh_one(self, ring, gens, f, point):
+        # the germ centred at the point, moved back by at() with its theta
+        # translated, against a problem that computes its own theta on the
+        # translated f and I
+        point = point[:ring.n]
+        away = [-c for c in point]
+        base = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
+        centred = GermProblem(base.f.translate(away),
+                              Ideal(ring, [g.translate(away) for g in base.I.gens], LOCAL_DS))
+        fresh = GermProblem(centred.f.translate(point),
+                            Ideal(ring, [g.translate(point) for g in centred.I.gens], LOCAL_DS))
+        assert centred.at(point).c_ext == fresh.c_ext == base.c_ext
+        assert base.c_ext.value > 0
+
     @pytest.fixture
     def model_calls(self, monkeypatch):
         """The caps of every truncated_model call."""

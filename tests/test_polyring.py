@@ -8,6 +8,7 @@ from germforge.errors import GermforgeError, ParseError
 from germforge.polyring import (
     GLOBAL_DP,
     LOCAL_DS,
+    MAX_PARSED_TERMS,
     Poly,
     Q,
     Ring,
@@ -65,6 +66,26 @@ class TestParsing:
         with pytest.raises(ParseError) as ei:
             P("x + ^2")
         assert "column" in str(ei.value)
+
+    @pytest.mark.parametrize("text, column", [
+        ("(x+y+1)^200", 9),
+        ("(x+y+1)^44", 9),
+        ("(x+1)^1000", 7),
+        ("(x+y+1)^40*(x+y+1)^40", 11),
+        ("(x+y+1)^30 (x+y+1)^14", 12),
+    ])
+    def test_expansion_past_the_limit(self, text, column):
+        # sized from its closed form before it is expanded
+        with pytest.raises(ParseError) as ei:
+            P(text)
+        assert str(ei.value) == ("PARSE_ERROR: expansion may have more than "
+                                 f"{MAX_PARSED_TERMS} terms at column {column}")
+
+    def test_expansion_at_the_limit(self):
+        # C(45, 2) = 990 terms; a power of one term has one term at any exponent
+        assert len(P("(x+y+1)^43").terms) == 990
+        assert len(P("(x+y+1)^21 (x+y+1)^22").terms) == 990
+        assert P("(2x y^3)^40000").terms == {(40000, 120000): Fraction(2 ** 40000)}
 
     def test_format_round_trip_examples(self):
         for s in ["0", "1", "-x", "y^2 + x^3", "1/2x^2 y - 7", "x^2 - 2x y + y^2"]:

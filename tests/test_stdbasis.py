@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from germforge.stdbasis import (
     preimage_module,
     relative_quotient_dimension,
     saturation,
+    squarefree_part,
     vec_is_zero,
     zero_dim_radical,
 )
@@ -1508,6 +1510,36 @@ class TestRadical:
             assert [str(g) for g in zero_dim_radical(ideal(R2, GLOBAL_DP, *gens)).basis()] == ["1"]
 
 
+@st.composite
+def repeated_factors(draw):
+    """A product of linear and quadratic factors in x or y, each raised to
+    a power from 1 to 3, and the variable's index."""
+    var = draw(st.sampled_from([0, 1]))
+    x = R2.var(var)
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    linear = st.builds(lambda a, b: x * a + b, st.integers(1, 3), small)
+    quadratic = st.builds(lambda b, c: x ** 2 + x * b + c, small, small)
+    factors = draw(st.lists(st.tuples(linear | quadratic, st.integers(1, 3)),
+                            min_size=1, max_size=4))
+    return prod((q ** e for q, e in factors), start=R2.one()), var
+
+
+class TestSquarefreePart:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(repeated_factors())
+    def test_against_sympy(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        p, var = drawn
+        symbols = sympy.symbols(R2.names)
+        theirs = sympy.Poly(sympy.sqf_part(to_sympy(p, symbols)), symbols[var], domain="QQ")
+        ours = squarefree_part(p, var)
+        assert sympy.expand(to_sympy(ours, symbols) - theirs.monic().as_expr()) == 0
+
+    def test_constants(self):
+        for text in ("0", "5", "-1/2"):
+            assert squarefree_part(P(text), 0) == R2.one()
+
+
 class TestMinimalPolynomial:
     @pytest.mark.parametrize("gens, var, coeffs", [
         (("2*x^2 + 3*x - 1", "y - x"), 0, [Fraction(-1, 2), Fraction(3, 2), 1]),
@@ -1515,7 +1547,9 @@ class TestMinimalPolynomial:
         (("x*y - 1", "x^2 + y^2 - 5/2"), 1, [1, 0, Fraction(-5, 2), 0, 1]),
     ])
     def test_pinned_coefficients(self, gens, var, coeffs):
-        assert minimal_polynomial(ideal(R2, GLOBAL_DP, *gens), var) == coeffs
+        x = R2.var(var)
+        expected = R2.sum(x ** t * Fraction(c) for t, c in enumerate(coeffs))
+        assert minimal_polynomial(ideal(R2, GLOBAL_DP, *gens), var) == expected
 
 
 class TestPowerIdeal:
