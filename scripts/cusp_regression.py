@@ -10,13 +10,14 @@ import sys
 
 from germforge import (
     LOCAL_DS,
+    GermProblem,
     Ideal,
     Ring,
     build_versal_unfolding,
-    empirical_splitting,
     invariant_report,
-    morse_number,
+    jet_morse_number,
     parse_poly,
+    splitting,
     tangent_ideal,
     theta_preserving,
 )
@@ -52,7 +53,7 @@ def main(argv=None):
     U = build_versal_unfolding(f, I)
     print(f"\nversal unfolding ({len(U.params)} params): F = {format_poly(U.F)}")
 
-    split = empirical_splitting(f, I, seeds=seeds)
+    split = splitting(GermProblem(f, I), seeds)
     print(f"\nsplitting over seeds {split.seeds}:")
     print(f"  corrected codimension: {split.corrected}")
     print(f"  Morse count:           {split.morse}")
@@ -60,8 +61,8 @@ def main(argv=None):
     print(f"  sigma: {{{sig}}}")
     print(f"  stable: {split.stable}  warnings: {', '.join(split.warnings)}")
 
-    jet = morse_number(f, I, "JET", assume_reduced=True)
-    oracle = morse_number(f, I, "ORACLE", seeds=seeds)
+    jet = jet_morse_number(f, I, assume_reduced=True)[2]
+    oracle = split.morse
     print(f"\nMorse number, jet method:    {jet}")
     print(f"Morse number, oracle method: {oracle}")
     print("methods agree" if jet == oracle else "METHODS DISAGREE")

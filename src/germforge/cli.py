@@ -29,7 +29,7 @@ from .invariants import (
     versality_check,
 )
 from .jetmorse import jet_context, jet_morse_number
-from .oracle import MORSE_NEEDS_FINITE, conservation_check, empirical_splitting, splitting
+from .oracle import conservation_check, splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, Submodule, hilbert_samuel_values
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
@@ -438,7 +438,7 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     if args.assume_reduced:
         warnings.append("ASSUMED_REDUCED")
     problem = GermProblem(f, I)
-    problem.finite_codim(MORSE_NEEDS_FINITE)
+    problem.finite_codim("the Morse number needs finite extended codimension")
     jet_val = oracle_val = None
     if args.method in ("jet", "both"):
         jet_val = jet_morse_number(f, I, args.assume_reduced)[2]
@@ -461,8 +461,8 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 
 def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
-    rep = empirical_splitting(f, I, seeds=_seeds_from(args),
-                              degree_bound=_degree_bound_from(args))
+    seeds, degree_bound = _seeds_from(args), _degree_bound_from(args)
+    rep = splitting(GermProblem(f, I), seeds, degree_bound)
     results: Tree = []
     if rep.sigma is None:
         results.append(("sigma", "UNLOCATED"))

@@ -10,8 +10,7 @@ of the pulled-back component.
 
 The jet Morse number is computed in one place, jet_morse_number, which
 morse --method jet reads and whose context and component conservation pulls
-each deformed member back along. The dispatch between it and the oracle's
-count lives in oracle, which imports this module.
+each deformed member back along; oracle imports this module for it.
 """
 
 from __future__ import annotations

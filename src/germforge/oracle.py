@@ -16,9 +16,9 @@ defect mass and its locus() holds the points to locate. Rational points are
 located by the p-adically lifted roots of the squarefree parts of the
 per-variable minimal polynomials, and each is measured on member.at(point);
 when some mass sits at nonrational points only the aggregate is reported.
-morse_number chooses the oracle's count, splitting(P).morse, or the jet
-route, jetmorse.jet_morse_number, which conservation_check reads its
-reference from.
+The oracle's Morse number is splitting(P).morse; the jet route's is
+jetmorse.jet_morse_number, which conservation_check reads its reference
+from.
 """
 
 from __future__ import annotations
@@ -206,13 +206,6 @@ class SplittingReport(namedtuple("SplittingReport",
 _INFINITE_AT_A_POINT = "a located point has infinite local codimension"
 
 
-def local_extended_codim(g: Poly, I: Ideal, point: Sequence[Q]) -> int:
-    """Extended codimension of g at a rational point, by translating the
-    whole problem so the point becomes the origin."""
-    return GermProblem(g, I, check=False).at(point).finite_codim(
-        _INFINITE_AT_A_POINT, "GENERICITY_SUSPECT")
-
-
 def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     c_value = P.c_ext.value
     g = _deform(P, degree_bound, seed)
@@ -250,12 +243,6 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     return {k: ks.count(k) for k in ks}, corrected, crit.count
 
 
-def empirical_splitting(f: Poly, I: Ideal,
-                        seeds: Sequence[int] | None = None,
-                        degree_bound: int | None = None) -> SplittingReport:
-    return splitting(GermProblem(f, I), seeds, degree_bound)
-
-
 def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
               degree_bound: int | None = None) -> SplittingReport:
     """The splitting report of P's germ; its members share P's theta."""
@@ -276,26 +263,6 @@ def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
     if sigma is None:
         warnings.append("NONRATIONAL_POINTS")
     return SplittingReport(sigma, corrected, morse, used, True, tuple(warnings))
-
-
-# ---------------------------------------------------------------------------
-# Morse number
-
-MORSE_NEEDS_FINITE = "the Morse number needs finite extended codimension"
-
-
-def morse_number(f: Poly, I: Ideal, method: str = "ORACLE",
-                 assume_reduced: bool = False,
-                 seeds: Sequence[int] | None = None,
-                 degree_bound: int | None = None) -> int:
-    """The Morse number of f by the jet route or the oracle's critical count."""
-    if method not in ("JET", "ORACLE"):
-        raise ValueError("method must be JET or ORACLE")
-    P = GermProblem(f, I)
-    P.finite_codim(MORSE_NEEDS_FINITE)
-    if method == "JET":
-        return jet_morse_number(f, I, assume_reduced)[2]
-    return splitting(P, seeds, degree_bound).morse
 
 
 # ---------------------------------------------------------------------------

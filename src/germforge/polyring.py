@@ -47,8 +47,8 @@ _HASH_INF = sys.hash_info.inf
 class Q:
     """An exact rational numerator/denominator in lowest terms, denominator
     positive. Q(n) takes an int or a Rational, Q(n, d) two ints and
-    Q("n/d") the parser's text; arithmetic with an int or another Rational
-    gives a Q."""
+    Q("n/d") text, each part of at most MAX_DIGITS digits; arithmetic with
+    an int or another Rational gives a Q."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -61,7 +61,7 @@ class Q:
             return numerator
         if isinstance(numerator, str):
             num, slash, den = numerator.partition("/")
-            return _normal(int(num), int(den)) if slash else _q(int(num), 1)
+            return _normal(_read_int(num), _read_int(den)) if slash else _q(_read_int(num), 1)
         if isinstance(numerator, Rational):
             return _normal(numerator.numerator, numerator.denominator)
         raise TypeError(f"cannot make a rational from {numerator!r}")
@@ -217,6 +217,20 @@ class Q:
 Rational.register(Q)
 
 _new = object.__new__
+
+# The most digits a number in a problem file may have. Python 3.11 and
+# 3.10.7 on refuse int() of more than 4300 by default, earlier 3.10
+# releases read any length; with a limit of its own germforge refuses the
+# same numbers on each, with PARSE_ERROR instead of a ValueError.
+MAX_DIGITS = 4300
+
+
+def _read_int(text: str, column: int = 0) -> int:
+    """int(text), or PARSE_ERROR (at column, when given) for a text of more
+    than MAX_DIGITS characters, checked before int() reads it."""
+    if len(text) > MAX_DIGITS:
+        raise ParseError(f"number with more than {MAX_DIGITS} digits", column=column)
+    return int(text)
 
 
 def _q(n: int, d: int) -> Q:
@@ -434,9 +448,6 @@ class Poly:
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) + c
         return Poly(self.ring, out)
-
-    def __radd__(self, other: Coeff) -> Poly:
-        return self.__add__(other)
 
     def __sub__(self, other: Poly | Coeff) -> Poly:
         other = self._coerce(other)
@@ -732,7 +743,7 @@ class _ExprParser:
             kind, val, at = self.take()
             if kind != _TOK_NUM or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", column=at + 1)
-            e = int(val)
+            e = _read_int(val, at + 1)
             # p^e has at most C(t + e - 1, e) terms, t the terms of p; past the
             # limit e decides alike clamped (for t >= 2 both counts pass it)
             clamped = min(e, MAX_PARSED_TERMS)
@@ -744,9 +755,11 @@ class _ExprParser:
     def atom(self) -> Poly:
         kind, val, at = self.take()
         if kind == _TOK_NUM:
-            if "/" in val and not int(val.partition("/")[2]):
+            num, slash, den = val.partition("/")
+            n, d = _read_int(num, at + 1), (_read_int(den, at + 1) if slash else 1)
+            if not d:
                 raise ParseError("zero denominator", column=at + 1)
-            return self.ring.const(Q(val))
+            return self.ring.const(Q(n, d))
         if kind == _TOK_IDENT:
             if val not in self.ring.index:
                 raise GermforgeError("UNKNOWN_VARIABLE", f"unknown variable {val!r}")

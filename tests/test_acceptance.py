@@ -13,7 +13,6 @@ from germforge import (
     DdkClass,
     GermProblem,
     Ideal,
-    KoszulInstance,
     Poly,
     Ring,
     Submodule,
@@ -22,24 +21,22 @@ from germforge import (
     classify_Ddk,
     conservation_check,
     determinacy_bound,
-    empirical_splitting,
     extended_codim,
     hilbert_samuel,
-    koszul_homology_dims,
+    jet_morse_number,
     lie_bracket,
     m_theta,
     make_unfolding,
-    morse_number,
     parse_poly,
     power_ideal,
     primitive_ideal,
+    splitting,
     tangent_ideal,
     theta_preserving,
     versality_check,
 )
 from germforge.cli import parse_problem_file
 from germforge.polyring import format_poly, monomials_of_degree
-from germforge.stdbasis import vec_is_zero
 
 from helpers import evalp  # noqa: F401  (kept importable for debugging)
 
@@ -73,7 +70,7 @@ def test_c01_running_example_exact_values():
 
 
 def test_c02_deforming_strictly_drops_the_codimension():
-    rep = empirical_splitting(CUSP, EJEM)
+    rep = splitting(GermProblem(CUSP, EJEM))
     assert rep.seeds == (11, 13)
     assert rep.stable
     assert rep.corrected == 2 < extended_codim(CUSP, EJEM).value
@@ -151,16 +148,16 @@ def test_c07_constructed_unfolding_is_versal_and_minimal():
 
 def test_c08_counts_are_conserved_and_methods_agree():
     assert conservation_check(CUSP, EJEM, trials=3, assume_reduced=True)
-    common = morse_number(CUSP, EJEM, "JET", assume_reduced=True)
-    assert common == morse_number(CUSP, EJEM, "ORACLE") == 2
+    common = jet_morse_number(CUSP, EJEM, assume_reduced=True)[2]
+    assert common == splitting(GermProblem(CUSP, EJEM)).morse == 2
 
     unit2 = Ideal(R2, [R2.one()], LOCAL_DS)
     q = P("x^2 + y^2")
-    assert morse_number(q, unit2, "JET") == morse_number(q, unit2, "ORACLE") == 1
+    assert jet_morse_number(q, unit2)[2] == splitting(GermProblem(q, unit2)).morse == 1
     R1 = Ring(("x",))
     unit1 = Ideal(R1, [R1.one()], LOCAL_DS)
     f1 = parse_poly("x^3", R1)
-    assert morse_number(f1, unit1, "JET") == morse_number(f1, unit1, "ORACLE") == 2
+    assert jet_morse_number(f1, unit1)[2] == splitting(GermProblem(f1, unit1)).morse == 2
 
 
 def test_c09_shear_change_of_coordinates_changes_nothing():
@@ -170,8 +167,8 @@ def test_c09_shear_change_of_coordinates_changes_nothing():
     I2 = Ideal(R2, [g.substitute(images) for g in EJEM.gens], LOCAL_DS)
     assert I2.equals(EJEM)
     assert extended_codim(f2, I2).value == extended_codim(CUSP, EJEM).value
-    before = empirical_splitting(CUSP, EJEM)
-    after = empirical_splitting(f2, I2)
+    before = splitting(GermProblem(CUSP, EJEM))
+    after = splitting(GermProblem(f2, I2))
     assert after.morse == before.morse
     assert after.corrected == before.corrected
     assert after.sigma == before.sigma
@@ -267,24 +264,6 @@ def test_c11_property_suites():
     nf = TestNormalFormVsOracle()
     nf.test_global_100_instances()
     nf.test_local_100_instances_m_primary()
-
-    # Koszul: squared differential vanishes on every basis element, and a
-    # regular sequence has homology only in degree zero
-    inst = KoszulInstance(R2, (), (P("x"), P("y")))
-    from germforge.koszul import _differential
-    for p in range(2, inst.length + 1):
-        lower = _differential(inst, p - 1)
-        for col in _differential(inst, p):
-            acc = [R2.zero()] * len(lower[0])
-            for i, entry in enumerate(col):
-                hit = tuple(x * entry for x in lower[i])
-                acc = [a + b for a, b in zip(acc, hit)]
-            assert vec_is_zero(tuple(acc))
-    assert koszul_homology_dims(inst, 2) == [1, 0, 0]
-    R3 = Ring(("x", "y", "z"))
-    reg3 = KoszulInstance(
-        R3, (), tuple(parse_poly(s, R3) for s in ("x", "y", "z^2")))
-    assert koszul_homology_dims(reg3, 3) == [2, 0, 0, 0]
 
     # Hilbert-Samuel values never decrease with the power
     for I in (EJEM, Ideal(R2, [P("x^3"), P("x y")], LOCAL_DS),

@@ -24,7 +24,6 @@ from germforge import (
     DdkClass,
     InvariantReport,
     JetContext,
-    KoszulInstance,
     MorseComponent,
     PrimitiveIdeal,
     QuotientDim,
@@ -217,6 +216,23 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expansion may have "
                                        "more than 1000 terms at column 10 at line 3, column 1")
+
+    @pytest.mark.parametrize("f, column", [("{}*x^3 + y^2", 2), ("x^{} + y^2", 4)],
+                             ids=["coefficient", "exponent"])
+    def test_number_past_the_digit_limit_is_a_parse_error(self, tmp_path, f, column):
+        # in a process, as the CLI runs: the interpreter's own limit on
+        # int(), where it has one, would end in a traceback and exit status 1
+        text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {f.format('9' * 5000)} ;\n"
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "germforge.cli", "codim", problem(tmp_path, text)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[0] == (
+            "error: PARSE_ERROR: in poly f: number with more than 4300 digits "
+            f"at column {column} at line 3, column 1")
+        assert "Traceback" not in proc.stderr
 
     def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
         f = "(" * 3000 + "x^3 + y^2" + ")" * 3000
@@ -660,12 +676,6 @@ class TestRecords:
             Unfolding(Ring(["y", "x", "s"]), F, ("s",), base, f)
         with pytest.raises(ValueError, match="trailing variables"):
             Unfolding(ext, F, ("t",), base, f)
-
-    def test_koszul_instance_normalises_its_input(self):
-        ring = Ring(["x", "y"])
-        x, y = parse_poly("x", ring), parse_poly("y", ring)
-        inst = KoszulInstance(ring, (ring.zero(), x ** 3), [x, y])
-        assert inst.relations == (x ** 3,) and inst.sequence == (x, y)
 
 
 # ---------------------------------------------------------------------------

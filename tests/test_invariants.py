@@ -24,7 +24,7 @@ from germforge.invariants import (
     positive_codim_locus,
     versality_check,
 )
-from germforge.oracle import empirical_splitting
+from germforge.oracle import splitting
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -523,7 +523,7 @@ class TestGermProblem:
     def test_splitting_computes_theta_once(self, theta_orders):
         # each deformed member is a problem whose theta is the dp view of
         # this problem's theta
-        assert empirical_splitting(CUSP, EJEM).morse == 2
+        assert splitting(GermProblem(CUSP, EJEM)).morse == 2
         assert theta_orders == ["ds"]
 
     def test_morse_both_methods_share_one_problem(self, theta_orders, tmp_path, capsys):

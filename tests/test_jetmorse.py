@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from germforge import morse_number
+from germforge.cli import main
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, ideal_quotient, saturation
@@ -13,6 +13,7 @@ from germforge.jetmorse import (
     LiftedGerm,
     intersection_multiplicity,
     jet_context,
+    jet_morse_number,
     jet_pullback,
     lift_germ,
     morse_component,
@@ -292,25 +293,27 @@ class TestIntersectionMultiplicity:
 
 class TestMorseNumber:
     def test_cusp_jet_value(self):
-        assert morse_number(CUSP, EJEM, method="JET", assume_reduced=True) == 2
+        assert jet_morse_number(CUSP, EJEM, assume_reduced=True)[2] == 2
 
     def test_already_morse(self):
         I = ideal(R2, LOCAL_DS, "1")
-        assert morse_number(P("x^2 + y^2"), I, method="JET") == 1
+        assert jet_morse_number(P("x^2 + y^2"), I)[2] == 1
 
     def test_one_variable_cusp(self):
-        assert morse_number(parse_poly("x^3", R1), UNIT1, method="JET") == 2
+        assert jet_morse_number(parse_poly("x^3", R1), UNIT1)[2] == 2
 
-    def test_infinite_codimension_rejected(self):
-        with pytest.raises(GermforgeError) as ei:
-            morse_number(P("x^2"), EJEM, method="JET")
-        assert ei.value.code == "NOT_FINITE_CODIM"
+    def test_infinite_codimension_rejected(self, tmp_path, capsys):
+        # morse refuses the germ before the jet route runs
+        path = tmp_path / "infinite.gf"
+        path.write_text("ring x y ;\nideal I = x^2, y ;\npoly f = x^2 ;\n")
+        assert main(["morse", "--method", "jet", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: NOT_FINITE_CODIM: ")
 
     def test_coordinate_invariance(self):
         # (x, y) -> (x, y + x^2) preserves the ideal
         g = CUSP.substitute([P("x"), P("y + x^2")], R2)
         assert extended_codim(g, EJEM).value == extended_codim(CUSP, EJEM).value == 3
-        assert morse_number(g, EJEM, method="JET", assume_reduced=True) == 2
+        assert jet_morse_number(g, EJEM, assume_reduced=True)[2] == 2
 
 
 class TestConservation:

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from germforge import morse_number
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, saturation, squarefree_part
 from germforge.invariants import GermProblem, extended_codim
+from germforge.jetmorse import jet_morse_number
 from germforge.tangent import primitive_ideal
 import germforge.oracle as oracle
 import germforge.tangent as tangent
@@ -21,12 +21,11 @@ from germforge.oracle import (
     conservation_check,
     corrected_extended_codim,
     critical_points_outside,
-    empirical_splitting,
     _rational_roots,
     hessian_det,
-    local_extended_codim,
     locate_rational_points,
     random_deformation,
+    splitting,
 )
 
 from helpers import evalp, to_sympy
@@ -241,23 +240,27 @@ class TestRationalRoots:
 
 
 class TestLocalCodim:
+    # splitting measures a located point on the problem moved there; no
+    # corpus case reaches that branch, so it is checked here directly
+    @staticmethod
+    def codim_at(g, I, point):
+        return GermProblem(g, I, check=False).at(point).finite_codim(
+            "a located point has infinite local codimension", "GENERICITY_SUSPECT")
+
     def test_translation_to_origin_is_identity(self):
-        got = local_extended_codim(CUSP, EJEM, (Fraction(0), Fraction(0)))
-        assert got == 3
+        assert self.codim_at(CUSP, EJEM, (Fraction(0), Fraction(0))) == 3
 
     def test_morse_point_off_the_zero_set(self):
         # x^2+y^2 relative to the unit ideal at its critical point
-        got = local_extended_codim(P("x^2 + y^2"), UNIT2, (Fraction(0), Fraction(0)))
-        assert got == 1
+        assert self.codim_at(P("x^2 + y^2"), UNIT2, (Fraction(0), Fraction(0))) == 1
 
     def test_smooth_point_has_zero_codimension(self):
-        got = local_extended_codim(P("x^2 + y^2"), UNIT2, (Fraction(1), Fraction(1)))
-        assert got == 0
+        assert self.codim_at(P("x^2 + y^2"), UNIT2, (Fraction(1), Fraction(1))) == 0
 
 
 class TestEmpiricalSplitting:
     def test_regression_germ_report(self):
-        rep = empirical_splitting(CUSP, EJEM)
+        rep = splitting(GermProblem(CUSP, EJEM))
         assert rep.sigma == {1: 2}
         assert rep.corrected == 2
         assert rep.morse == 2
@@ -266,17 +269,17 @@ class TestEmpiricalSplitting:
         assert rep.warnings == ("GLOBAL_COUNT", "GENERICITY_SAMPLED")
 
     def test_corrected_strictly_below_codimension(self):
-        rep = empirical_splitting(CUSP, EJEM)
+        rep = splitting(GermProblem(CUSP, EJEM))
         assert rep.corrected < extended_codim(CUSP, EJEM).value
 
     def test_classical_one_variable_morsification(self):
-        rep = empirical_splitting(P("x^3", R1), UNIT1)
+        rep = splitting(GermProblem(P("x^3", R1), UNIT1))
         assert rep.sigma == {1: 2}
         assert rep.corrected == 2
         assert rep.morse == 2
 
     def test_zero_codimension_all_zero_report(self):
-        rep = empirical_splitting(P("x*y"), ideal(R2, LOCAL_DS, "y"))
+        rep = splitting(GermProblem(P("x*y"), ideal(R2, LOCAL_DS, "y")))
         assert rep.sigma == {}
         assert rep.corrected == 0
         assert rep.morse == 0
@@ -285,13 +288,13 @@ class TestEmpiricalSplitting:
     def test_sigma_weighted_by_k_bounded_by_codimension(self):
         for f, I in ((CUSP, EJEM), (P("x^3", R1), UNIT1), (P("x^4", R1), UNIT1)):
             c = extended_codim(f, I).value
-            rep = empirical_splitting(f, I)
+            rep = splitting(GermProblem(f, I))
             assert sum(k * cnt for k, cnt in rep.sigma.items()) <= c
             assert rep.corrected <= c
 
     def test_truncated_family_is_flagged(self):
         with pytest.raises(GermforgeError) as e:
-            empirical_splitting(CUSP, EJEM, degree_bound=1)
+            splitting(GermProblem(CUSP, EJEM), degree_bound=1)
         assert e.value.code == "GENERICITY_SUSPECT"
 
     def test_one_deformation_per_seed_without_a_bound(self, monkeypatch):
@@ -305,7 +308,7 @@ class TestEmpiricalSplitting:
             return _deform(P, degree_bound, seed)
 
         monkeypatch.setattr(oracle, "_deform", counted)
-        assert empirical_splitting(CUSP, EJEM).sigma == {1: 2}
+        assert splitting(GermProblem(CUSP, EJEM)).sigma == {1: 2}
         assert calls == [(None, 11), (None, 13)]
 
     def test_located_points_tally_to_the_defect_mass(self, monkeypatch):
@@ -336,7 +339,7 @@ class TestEmpiricalSplitting:
                 for attr, value in list(vars(module).items()):
                     if value is real_theta:
                         monkeypatch.setattr(module, attr, theta)
-        rep = empirical_splitting(CUSP, ideal(R2, LOCAL_DS, "x", "y"), seeds=(39,))
+        rep = splitting(GermProblem(CUSP, ideal(R2, LOCAL_DS, "x", "y")), seeds=(39,))
         assert [len(points) for points in located] == [2]
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
         assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
@@ -349,32 +352,32 @@ class TestEmpiricalSplitting:
         # the members f + sum h_i g_i miss the global ideal as f does, and
         # split on as members of the local one
         I = ideal(R2, LOCAL_DS, "x - x^2", "y")
-        rep = empirical_splitting(P("x^2 + y^2"), I)
+        rep = splitting(GermProblem(P("x^2 + y^2"), I))
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 1}, 1, 1)
-        assert morse_number(P("x^2 + y^2"), I) == 1
+        assert splitting(GermProblem(P("x^2 + y^2"), I)).morse == 1
 
     def test_explicit_seeds_recorded(self):
-        rep = empirical_splitting(CUSP, EJEM, seeds=(17, 19))
+        rep = splitting(GermProblem(CUSP, EJEM), seeds=(17, 19))
         assert rep.seeds == (17, 19)
         assert rep.sigma == {1: 2}
 
     def test_infinite_codimension_rejected(self):
         with pytest.raises(GermforgeError) as e:
-            empirical_splitting(P("x^2"), EJEM)
+            splitting(GermProblem(P("x^2"), EJEM))
         assert e.value.code == "NOT_FINITE_CODIM"
 
 
 class TestMorseNumberAgreement:
     def test_oracle_value_on_regression_germ(self):
-        assert empirical_splitting(CUSP, EJEM).morse == 2
+        assert splitting(GermProblem(CUSP, EJEM)).morse == 2
 
     def test_methods_agree_on_regression_germs(self):
-        assert morse_number(CUSP, EJEM, "ORACLE") == morse_number(
-            CUSP, EJEM, "JET", assume_reduced=True) == 2
+        assert splitting(GermProblem(CUSP, EJEM)).morse == jet_morse_number(
+            CUSP, EJEM, assume_reduced=True)[2] == 2
         q = P("x^2 + y^2")
-        assert morse_number(q, UNIT2, "ORACLE") == morse_number(q, UNIT2, "JET") == 1
+        assert splitting(GermProblem(q, UNIT2)).morse == jet_morse_number(q, UNIT2)[2] == 1
         f1 = P("x^3", R1)
-        assert morse_number(f1, UNIT1, "ORACLE") == morse_number(f1, UNIT1, "JET") == 2
+        assert splitting(GermProblem(f1, UNIT1)).morse == jet_morse_number(f1, UNIT1)[2] == 2
 
 
 class TestConservation:

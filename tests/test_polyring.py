@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germforge.errors import GermforgeError, ParseError
+from germforge.stdbasis import Ideal
 from germforge.polyring import (
     GLOBAL_DP,
     LOCAL_DS,
+    MAX_DIGITS,
     MAX_PARSED_TERMS,
     Poly,
     Q,
@@ -87,6 +89,24 @@ class TestParsing:
         assert len(P("(x+y+1)^21 (x+y+1)^22").terms) == 990
         assert P("(2x y^3)^40000").terms == {(40000, 120000): Fraction(2 ** 40000)}
 
+    @pytest.mark.parametrize("template, column", [
+        ("{} x^3 + y", 1),
+        ("x^3 + 1/{} y", 7),
+        ("y + x^{}", 7),
+    ], ids=["coefficient", "denominator", "exponent"])
+    def test_number_past_the_digit_limit(self, template, column):
+        # refused before int() reads it, whose own limit, where the
+        # interpreter has one, would raise ValueError
+        with pytest.raises(ParseError) as ei:
+            P(template.format("9" * (MAX_DIGITS + 1)))
+        assert str(ei.value) == (f"PARSE_ERROR: number with more than {MAX_DIGITS} "
+                                 f"digits at column {column}")
+
+    def test_number_at_the_digit_limit(self):
+        big = int("7" * MAX_DIGITS)
+        assert P(f"{'7' * MAX_DIGITS} x - 1/{'7' * MAX_DIGITS}").terms == {
+            (1, 0): Fraction(big), (0, 0): Fraction(-1, big)}
+
     def test_format_round_trip_examples(self):
         for s in ["0", "1", "-x", "y^2 + x^3", "1/2x^2 y - 7", "x^2 - 2x y + y^2"]:
             p = P(s)
@@ -96,6 +116,15 @@ class TestParsing:
     @given(polys_st)
     def test_format_round_trip_random(self, p):
         assert parse_poly(format_poly(p), R2) == p
+
+
+class TestRepr:
+    def test_values_show_their_text(self):
+        assert repr(Q(-3, 4)) == "Q(-3, 4)"
+        assert repr(R2) == "Ring(x, y)"
+        assert repr(LOCAL_DS) == "Order('ds')"
+        assert repr(P("y^2 + x^3")) == "Poly(x^3 + y^2)"
+        assert repr(Ideal(R2, [P("x^2"), P("y")], GLOBAL_DP)) == "Ideal(x^2, y; dp)"
 
 
 class TestArithmetic:
@@ -330,6 +359,10 @@ class TestRational:
         assert Q() == 0 and Q(True) == 1
         for bad in ("", "1/", "x", "1.5"):
             with pytest.raises(ValueError):
+                Q(bad)
+        assert Q("7" * MAX_DIGITS) == int("7" * MAX_DIGITS)
+        for bad in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
+            with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
                 Q(bad)
         for bad in (None, 0.5):
             with pytest.raises(TypeError):

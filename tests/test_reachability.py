@@ -1,0 +1,305 @@
+"""Every function in src/germforge is entered by some CLI command, or is
+allowed by name with the test that needs it.
+
+The sweep runs, in this process under ``sys.setprofile``, every benchmark
+case of ``perfbench/run.py`` over ``perfbench/corpus``, a few commands that
+no benchmark case runs, and the failing and edge inputs of the CLI tests. A
+function is keyed by its file and first line, read from the source's syntax
+tree (its first decorator's line when it has one, as in ``co_firstlineno``),
+so nested functions and methods count and no ``co_qualname`` is needed.
+
+A function that no command enters and that no entry of ALLOWED names is
+dead code: delete it with its tests. An entry names the test that uses the
+function as an independent check of a command's answer, or the test that
+reaches its branch. Names bound in ``perfbench/tracer.py``'s ``LAYERS``
+table are allowed as long as the table binds them.
+"""
+
+import ast
+import contextlib
+import errno
+import importlib.util
+import io
+import os
+import re
+import sys
+
+import pytest
+
+import germforge
+from germforge.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.dirname(os.path.abspath(germforge.__file__))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+CORPUS = os.path.join(PERFBENCH, "corpus")
+TESTS = os.path.join(ROOT, "tests")
+
+CANON = "ring x y ;\nideal I = x^2, y ;\npoly f = x^3 + y^2 ;\n"
+
+# commands that no benchmark case runs: the Morse routes one at a time and
+# the via-subideal and truncated theta modes; (argv, corpus problem)
+EXTRA = [
+    (["morse", "--method", "jet", "--assume-reduced"], "cusp"),
+    (["morse", "--method", "oracle", "--seeds", "11,13"], "cusp"),
+    (["morse", "--method", "oracle", "--degree-bound", "3"], "cusp"),
+    (["theta", "--theta-mode", "via-subideal", "--trunc", "4"], "cusp"),
+    (["tangent", "--theta-mode", "via-subideal", "--trunc", "4"], "cusp"),
+    (["theta", "--trunc", "4"], "cusp"),
+    (["tangent", "--trunc", "4"], "d3"),
+]
+
+# failing and edge inputs, most of them those of tests/test_cli.py;
+# (argv, problem text), the file going after the command, or None for none
+INPUTS = [
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = x ;\n"),
+    (["split"], "ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n"),
+    (["morse", "--method", "oracle"],
+     "ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, % ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = 1/0*x^3 + y^2 ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = (x+y+1)^200 ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = "
+     + "(" * 3000 + "x^3 + y^2" + ")" * 3000 + " ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = (x^3 + y^2 ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = x^3 + y^2) ;\n"),
+    (["codim"], f"ring x y ;\nideal I = x^2, y ;\npoly f = {'9' * 5000}*x^3 ;\n"),
+    (["codim"], f"ring x y ;\nideal I = x^2, y ;\npoly f = x^{'9' * 5000} ;\n"),
+    (["codim"], "ring 1x y ;\n"),
+    (["codim"], CANON + "unfolding F params 2s = x^3 + y^2 ;\n"),
+    (["codim"], "ring x ;\nblob z ;\n"),
+    (["codim"], CANON + "option flavor mild ;\n"),
+    (["codim"], CANON + "poly f = y ;\n"),
+    (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly g = y^2 ;\npoly h = x^2 ;\n"),
+    (["codim", "--bogus"], CANON),
+    (["codim"], "ring x y ;\nideal I = x^40000 + y ;\npoly f = y ;\n"),
+    (["codim", "--order", "dp"], "ring x y ;\nideal I = 1 ;\npoly f = x + x^3 + y^2 ;\n"),
+    # a line through the origin that no coordinate axis certifies infinite
+    (["codim"], "ring x y ;\nideal I = x - y ;\npoly f = (x - y)^2 ;\n"),
+    (["classify"], "ring x y1 y2 ;\nideal J = y1, y2 ;\npoly f = y1^2 + x ;\n"),
+    (["split", "--degree-bound", "1"], CANON),
+    (["split", "--degree-bound", "-1"], CANON),
+    (["morse", "--method", "jet"], CANON),
+    (["morse", "--seeds", "a,b"], CANON),
+    (["primitive"], CANON),
+    (["primitive", "--trunc", "3"], "ring x y ;\nideal I = x, y ;\n"),
+    (["hilbert"], CANON),
+    (["hilbert", "--trunc", "-1"], CANON),
+    (["hilbert", "--trunc", "100000"], CANON),
+    (["primitive", "--trunc", "100000"], CANON),
+    (["theta", "--theta-mode", "via-subideal", "--trunc", "100000"], CANON),
+    (["hilbert", "--trunc", "32767"], CANON),
+    (["primitive", "--trunc", "32767"], CANON),
+    (["jet-dump", "--trunc", "32767"], CANON),
+    (["theta", "--theta-mode", "via-subideal"], CANON),
+    (["conserve", "--assume-reduced"], CANON + "option trials 9 ;\n"),
+    (["conserve", "--assume-reduced"], CANON + "option trials x ;\n"),
+    (["versal-check"], CANON + "unfolding F params s1 s2 = x^3 + y^2 + s1*x^2 + s2*y ;\n"),
+    (["-h"], None),
+    (["morse", "-h"], None),
+    ([], None),
+]
+
+LOCATE = ("split's point location, which no corpus case enters: "
+          "test_oracle.py::TestEmpiricalSplitting::test_located_points_tally_to_the_defect_mass "
+          "forces it")
+EQUALS = ("an independent check: test_acceptance.py::test_c01_running_example_exact_values "
+          "compares theta and tau_e(f) with the modules computed by hand")
+HASHED = ("__eq__ is defined, so without it the type is unhashable; "
+          "{} holds it in a set or as a key")
+RATIONAL = "Q is registered as a numbers.Rational: {} holds it to Fraction"
+REPR = ("what the REPL and a failing assertion show: "
+        "test_polyring.py::TestRepr::test_values_show_their_text pins it")
+
+# dotted name -> why it stays although no command of the sweep enters it
+ALLOWED = {
+    "cli.run": ("the process entry point around main(), ending in os._exit: "
+                "test_cli.py::TestProcessExit::test_process_answers_as_main_does "
+                "runs it in a child process"),
+    "invariants.GermProblem.at": LOCATE,
+    "oracle._rational_roots": LOCATE,
+    "oracle._rational_roots.value": LOCATE,
+    "polyring.Order.__hash__": HASHED.format(
+        "test_stdbasis.py::TestOrderViews::test_views_answer_in_their_own_order"),
+    "polyring.Order.__init__": "runs when polyring is imported, for LOCAL_DS and GLOBAL_DP",
+    "polyring.Order.__repr__": REPR,
+    "polyring.Poly.__hash__": HASHED.format(
+        "test_stdbasis.py::TestModuleIntersection::test_monomial_lcms"),
+    "polyring.Poly.__repr__": REPR,
+    "polyring.Poly.__rmul__": ("a number times a polynomial: "
+                               "test_polyring.py::TestArithmetic::test_scalar_coercion"),
+    "polyring.Poly.evaluate": LOCATE,
+    "polyring.Poly.translate": LOCATE,
+    "polyring.Q.__ge__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_comparisons_agree_with_fraction"),
+    "polyring.Q.__gt__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_comparisons_agree_with_fraction"),
+    "polyring.Q.__hash__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_unary_and_conversions_agree_with_fraction"),
+    "polyring.Q.__int__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_unary_and_conversions_agree_with_fraction"),
+    "polyring.Q.__le__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_comparisons_agree_with_fraction"),
+    "polyring.Q.__pow__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_power_agrees_with_fraction"),
+    "polyring.Q.__repr__": REPR,
+    "polyring.Q.__rsub__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_arithmetic_agrees_with_fraction"),
+    "polyring.Q.__truediv__": RATIONAL.format(
+        "test_polyring.py::TestRational::test_arithmetic_agrees_with_fraction"),
+    "polyring.Ring.__hash__": HASHED.format(
+        "test_stdbasis.py::TestHilbertSamuel::test_one_slice_matches_a_slice_per_degree"),
+    "polyring.Ring.__repr__": REPR,
+    "stdbasis.Ideal.__repr__": REPR,
+    "stdbasis.Ideal.basis": LOCATE,
+    "stdbasis.Ideal.equals": EQUALS,
+    "stdbasis.Ideal.normal_form": LOCATE,
+    "stdbasis.Submodule._basis": ("perfbench/tracer.py's qdim probe reads it: "
+                                  "test_tracer_names.py::test_qdim_probe_reads_the_cached_basis"),
+    "stdbasis.Submodule.contains_module": EQUALS,
+    "stdbasis.Submodule.equals": EQUALS,
+    "stdbasis.hilbert_samuel": ("an independent check of hilbert's values: "
+                                "test_acceptance.py::test_c11_property_suites"),
+    "stdbasis.minimal_polynomial": LOCATE,
+    "stdbasis.relative_quotient_dimension": (
+        "an independent check of c_ext as dim I/tau_e(f): "
+        "test_stdbasis.py::TestRelativeQuotientDimension::test_regression_value"),
+    "stdbasis.squarefree_part": LOCATE,
+    "tangent.lie_bracket": ("an independent check of theta, closed under the bracket: "
+                            "test_acceptance.py::test_c11_property_suites"),
+}
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py; run.py imports its neighbour tracer.py by name."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"germforge_perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses looks its module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
+
+
+def _traced_names():
+    """The dotted names that the tracer's LAYERS table binds."""
+    return {f"{modname[len('germforge.'):]}.{target}"
+            for modname, targets in _load_perfbench("tracer").LAYERS.values()
+            for target in (targets if isinstance(targets, tuple) else (targets,))}
+
+
+def _defined_functions():
+    """(file, first line) -> dotted name of every def in the package."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[path, first] = f"{prefix}.{child.name}"
+                visit(child, path, f"{prefix}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}.{child.name}")
+            else:
+                visit(child, path, prefix)
+
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            path = os.path.join(PACKAGE, filename)
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read(), path), path, filename[:-3])
+    return found
+
+
+def _sweep_argvs(tmp_path):
+    bench = _load_perfbench("run")
+    argvs = [case.argv(bench.SEED_PAIRS[0])
+             for cases in bench.WORKLOADS.values() for case in cases]
+    argvs += [argv + [os.path.join(CORPUS, f"{name}.gf")] for argv, name in EXTRA]
+    for i, (argv, text) in enumerate(INPUTS):
+        if text is None:
+            argvs.append(argv)
+            continue
+        path = tmp_path / f"input{i}.gf"
+        path.write_text(text)
+        argvs.append(argv[:1] + [str(path)] + argv[1:])
+    not_utf8 = tmp_path / "not-utf8.gf"
+    not_utf8.write_bytes(b"\xff\xfe" + CANON.encode("utf-16-le"))
+    return argvs + [["codim", str(not_utf8)], ["codim", str(tmp_path / "missing.gf")]]
+
+
+class _Full(io.StringIO):
+    """A stdout that cannot be written, as /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """(file, first line) of every function the sweep entered, and the
+    commands that raised instead of returning an exit status."""
+    runs = [(argv, io.StringIO()) for argv in _sweep_argvs(tmp_path_factory.mktemp("sweep"))]
+    runs.append((["codim", os.path.join(CORPUS, "cusp.gf")], _Full()))
+    codes = set()
+    add = codes.add
+
+    def profile(frame, event, arg):
+        if event == "call":
+            add(frame.f_code)
+
+    # a cache filled by earlier tests would answer without entering its
+    # function
+    for name, module in list(sys.modules.items()):
+        if name.startswith("germforge."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    # the profile is set anew for each command: the interpreter unsets it
+    # when it raises, as on the recursion limit of the deep-nesting input
+    raised = []
+    try:
+        for argv, stdout in runs:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                sys.setprofile(profile)
+                try:
+                    main(argv)
+                except Exception as e:  # what it entered until then still counts
+                    raised.append(f"{' '.join(argv)[:120]}: {e!r:.200}")
+    finally:
+        sys.setprofile(None)
+    return {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes}, raised
+
+
+def test_every_command_of_the_sweep_ends_in_an_exit_status(sweep):
+    assert sweep[1] == []
+
+
+def test_every_function_is_entered_or_allowed(sweep):
+    entered = sweep[0]
+    allowed = set(ALLOWED) | _traced_names()
+    missed = sorted(name for key, name in _defined_functions().items()
+                    if key not in entered and name not in allowed)
+    assert not missed, "entered by no command and allowed by no entry:\n" + "\n".join(missed)
+
+
+def test_allowed_functions_exist_and_are_not_entered(sweep):
+    # an entry for a function that is gone, or that a command now enters,
+    # is dropped from ALLOWED
+    entered = sweep[0]
+    defined = {name: key for key, name in _defined_functions().items()}
+    assert sorted(set(ALLOWED) - set(defined)) == []
+    assert sorted(name for name in ALLOWED if defined[name] in entered) == []
+
+
+def test_every_reason_names_a_test_that_exists():
+    for name, reason in ALLOWED.items():
+        if name == "polyring.Order.__init__":
+            continue
+        found = re.search(r"(test_\w+\.py)::(?:\w+::)?(test_\w+)", reason)
+        assert found, name
+        with open(os.path.join(TESTS, found[1]), encoding="utf-8") as fh:
+            assert f"def {found[2]}(" in fh.read(), name
