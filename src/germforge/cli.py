@@ -675,6 +675,11 @@ def _report(line: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command. polyring.MAX_DIGITS is its only digit limit: the
+    interpreter's own int/str limit, where it has one, is lifted meanwhile."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     t0 = time.monotonic()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -700,6 +705,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _report(f"error: {e}")
         _report(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}")
         return e.exit_code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     _report(f"elapsed_ms={int((time.monotonic() - t0) * 1000)}")
     return 0
 

@@ -50,7 +50,7 @@ from functools import cached_property
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
-from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Q, Ring
+from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -296,9 +296,9 @@ class DdkClass(namedtuple("DdkClass", "d k verdict")):
 def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
     """Decide whether f, written as a quadratic form in the J-variables, is
     nondegenerate after splitting off unit pivots, with independent linear
-    forms on the residual block. Each Gram entry is a Poly taken modulo
-    J + m^2: its constant term plus its linear terms in the transverse
-    variables."""
+    forms on the residual block. The Gram entry H_ij is 1/2 d^2 f/dy_i dy_j
+    at y = 0, keeping its terms of degree <= 1: that entry modulo J + m^2,
+    its constant term plus its linear terms in the transverse variables."""
     ring = f.ring
     y_vars: list[int] = []
     for g in J.gens:
@@ -310,33 +310,18 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
         y_vars.append(terms[0][0].index(1))
     if len(set(y_vars)) != len(y_vars):
         raise GermforgeError("NON_ADAPTED_COORDINATES", "repeated variable among generators")
-    x_vars = [i for i in range(ring.n) if i not in set(y_vars)]
-    d = len(x_vars)
     m = len(y_vars)
+    d = ring.n - m
 
-    # symmetric Gram matrix: f = sum H[i][j] y_i y_j with H symmetric
-    upper: dict[tuple[int, int], dict[Mono, Q]] = {}
-    for mono, coeff in f.terms.items():
-        ys = [t for t, yv in enumerate(y_vars) if mono[yv] > 0]
-        ydeg = sum(mono[yv] for yv in y_vars)
-        if ydeg < 2:
+    for mono in f.terms:
+        if sum(mono[yv] for yv in y_vars) < 2:
             raise GermforgeError("F_NOT_IN_JSQUARED",
                                  f"term {ring.monomial(mono)} has degree < 2 in the ideal variables")
-        i = ys[0]
-        rest = list(mono)
-        rest[y_vars[i]] -= 1
-        j = i if rest[y_vars[i]] > 0 else [t for t in ys if rest[y_vars[t]] > 0][0]
-        rest[y_vars[j]] -= 1
-        key, res_mono = (i, j), tuple(rest)
-        upper.setdefault(key, {})
-        upper[key][res_mono] = upper[key].get(res_mono, 0) + coeff
 
-    xset = set(x_vars)
-    H: list[list[Poly]] = [[ring.zero()] * m for _ in range(m)]
-    for (i, j), terms in upper.items():
-        p = Poly(ring, {mono: c for mono, c in terms.items()
-                        if sum(mono) == 0 or sum(mono) == 1 and mono.index(1) in xset})
-        H[i][j] = H[j][i] = p if i == j else p * Q(1, 2)
+    # Gram matrix: 1/2 d^2 f / dy_i dy_j at y = 0, its terms of degree <= 1
+    at_zero = [ring.zero() if i in y_vars else ring.var(i) for i in range(ring.n)]
+    H = [[f.derive(yi).derive(yj).truncate(1).substitute(at_zero, ring) * Q(1, 2)
+          for yj in y_vars] for yi in y_vars]
 
     active = list(range(m))
     while True:
@@ -358,9 +343,8 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
         c = H[i][i].constant_term()
         inv = (2 * c - H[i][i]) * (1 / (c * c))
         others = [j for j in active if j != i]
-        col = {j: H[j][i] for j in others}
         for j in others:
-            fac = (col[j] * inv).truncate(1)
+            fac = (H[j][i] * inv).truncate(1)
             for l in others:
                 H[j][l] = H[j][l] - (fac * H[i][l]).truncate(1)
         active.remove(i)

@@ -7,13 +7,11 @@ position-over-term with position 0 greatest, an elimination order: the basis
 elements whose first entries vanish form a basis of the module's part with
 those entries zero.
 
-Preimages, syzygies, colons and intersections are each one such elimination
-on the modules they test. The preimage {c : sum c_i t_i in S} is read off the
-basis of the rows (t_i, e_i) and (s_j, 0), s_j the generators of S; the
-intersection of U and V off that of the rows (u_i, u_i) and (v_j, 0); the
-colon M : w off the preimage of w under M. Each result module holds the basis
-its elimination computed as its cached global basis. Postchecks reduce each
-result to 0 against the cached global bases of S, or of U and of V.
+Every elimination is a preimage {c : sum c_i t_i in S}, read off the basis
+of the rows (t_i, e_i) and (s_j, 0), s_j the generators of S: the syzygies
+are the preimage of the zero module, the colon M : w that of w under M. The
+result module caches the basis its elimination computed, and the postcheck
+reduces each sum c_i t_i to 0 against the cached global basis of S.
 Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
 carries the coordinates in its tail. The squarefree part of a univariate
@@ -784,7 +782,7 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# syzygies, preimages, colon, intersection, saturation
+# syzygies, preimages, colon, saturation
 
 
 def _with_identity(vectors: Sequence[Vector], ring: Ring) -> list[Vector]:
@@ -849,24 +847,6 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     out = I._module().colon([(f,) for f in J.gens])
     if not all(I.contains(h * f) for h in out.gens for f in J.gens):
         raise AssertionError("ideal quotient postcheck failed")
-    return out
-
-
-def module_intersection(U: Submodule, V: Submodule) -> Submodule:
-    """U intersect V, in U's order, its global basis cached.
-
-    The rows (u_i, u_i) and (v_j, 0) in O^(2 rank) span the pairs
-    (sum c_i u_i + sum d_j v_j, sum c_i u_i), so (0, w) is a member exactly
-    when w lies in U and in V: the head-free part of one elimination, as in
-    preimage_module.
-    Postcheck: each returned w has global normal form 0 against U and V."""
-    if U.ring != V.ring or U.rank != V.rank:
-        raise ValueError("modules from different ambients")
-    ring, r = U.ring, U.rank
-    rows = [u + u for u in U.gens] + [v + vec_zero(ring, r) for v in V.gens]
-    out = _head_free_part(rows, r, ring, r, U.order)
-    if not all(vec_is_zero(U.normal_form(w)) and vec_is_zero(V.normal_form(w)) for w in out.gens):
-        raise AssertionError("intersection postcheck failed")
     return out
 
 

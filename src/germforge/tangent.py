@@ -8,8 +8,8 @@ module of the generator multiples g_l e_j. stdbasis.preimage_module reads it
 off one global elimination of the rows (derivative column i, e_i) and
 (g_l e_j, 0), with no coordinates for the multiples, and checks each field
 by its global normal form against the multiples; no truncation is involved. The fields vanishing at the
-origin are its intersection with m * Theta, one more elimination, checked
-the same way.
+origin are m * theta plus the constant combinations of theta's generators
+vanishing there: one kernel of constant terms, with no elimination.
 
 The primitive ideal (functions f with (f) + J_f inside I') is genuinely a
 condition on derivatives, not an O-linear one, so it is computed degree by
@@ -22,17 +22,17 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import GermforgeError
-from .linalg import RowBasis, identity_kernel
-from .polyring import GLOBAL_DP, Poly, Ring, monomials_up_to_degree
+from .linalg import RowBasis, identity_kernel, nullspace
+from .polyring import GLOBAL_DP, Poly, monomials_up_to_degree
 from .stdbasis import (
     Ideal,
     Submodule,
     Vector,
     _refuse_large_slice,
-    module_intersection,
     preimage_module,
     slice_columns,
     slice_rows,
+    vec_is_zero,
 )
 
 
@@ -65,27 +65,25 @@ def theta_preserving(I: Ideal) -> Submodule:
     return module
 
 
-def m_theta(ring: Ring, order, rank: int) -> Submodule:
-    """m * O^rank: all fields with coefficients vanishing at the origin."""
-    zero = ring.zero()
-    gens: list[Vector] = []
-    for j in range(rank):
-        for i in range(ring.n):
-            v = [zero] * rank
-            v[j] = ring.var(i)
-            gens.append(tuple(v))
-    return Submodule(ring, rank, gens, order)
-
-
 def theta_vanishing(theta: Submodule) -> Submodule:
-    """m intersect the fields theta, as an exact module intersection, in
-    theta's order."""
-    mtheta = m_theta(theta.ring, theta.order, theta.rank)
-    inter = module_intersection(theta, mtheta)
-    for X in inter.gens:
-        if not theta.contains(X) or not mtheta.contains(X):
+    """The fields of theta vanishing at the origin, in theta's order. Y =
+    sum h_j X_j differs from sum h_j(0) X_j by a member of m * theta, and
+    Y(0) = sum h_j(0) X_j(0); so, in the local ring and in k[x] alike, they
+    are generated by the x_i X_j and by sum c_j X_j for each constant c in
+    the kernel of c -> sum c_j X_j(0), which holds e_j for an X_j vanishing
+    at 0 (its x_i X_j are then left out). Postcheck: every generator has no
+    constant term and global normal form 0 against theta's cached basis."""
+    ring, rank, fields = theta.ring, theta.rank, theta.gens
+    values = [{e: a.constant_term() for e, a in enumerate(X) if a.constant_term()}
+              for X in fields]
+    gens = [tuple(ring.var(i) * a for a in X)
+            for X, value in zip(fields, values) if value for i in range(ring.n)]
+    gens += [tuple(ring.sum(fields[j][e] * q for j, q in c.items()) for e in range(rank))
+             for c in nullspace(values)]
+    for Y in gens:
+        if any(a.constant_term() for a in Y) or not vec_is_zero(theta.normal_form(Y)):
             raise AssertionError("vanishing-field postcheck failed")
-    return inter
+    return Submodule(ring, rank, gens, theta.order)
 
 
 def tangent_ideal(f: Poly, theta: Submodule) -> Ideal:

@@ -234,6 +234,32 @@ class TestExitCodes:
             f"at column {column} at line 3, column 1")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, f, limit, longest", [
+        ("tangent", f"{'7' * 4300}*x^3 + y^2", None, 4301),
+        ("codim", f"{'3' * 1000}*x^3 + y^2", "640", 1000),
+    ], ids=["result-past-4300-digits", "interpreter-limit-640"])
+    def test_numbers_under_the_digit_limit_answer(self, tmp_path, command, f, limit, longest):
+        # in a process, as the CLI runs: MAX_DIGITS is the only limit, so a
+        # result past the interpreter's limit prints, and a lowered
+        # interpreter limit refuses no input that MAX_DIGITS admits
+        text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {f} ;\n"
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "germforge.cli", command, problem(tmp_path, text)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert max(len(m) for m in re.findall(r"\d+", proc.stdout)) == longest
+
+    def test_main_restores_the_interpreter_limit(self, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert run(capsys, ["codim", problem(tmp_path)])[0] == 0
+        assert limit() == before
+
     def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
         f = "(" * 3000 + "x^3 + y^2" + ")" * 3000
         text = f"ring x y ;\nideal I = x^2, y ;\npoly f = {f} ;\n"

@@ -455,6 +455,45 @@ class TestDdk:
         J4 = Ideal(R4, [parse_poly("y1", R4), parse_poly("y2", R4)], LOCAL_DS)
         assert classify_Ddk(parse_poly(text, R4), J4) == DdkClass(2, 1, verdict)
 
+    # seeded random germs with d, m <= 3, the y's generating J; each verdict
+    # was computed by the classification that split every monomial of f into
+    # y_i y_j and a residual by hand
+    @pytest.mark.parametrize("names, f, verdict", [
+        ("x1 x2 y1 y2", "3*x2*y1^2*y2 + 3*x2*y2^2 - 3*y1*y2^2 - y2^3 + y1^2", (2, 1, "IS_Ddk")),
+        ("x1 x2 y1", "-3*x1*x2*y1^2 - 3*x2*y1^2 - y1^3 + 2*y1^2", (2, 0, "IS_Ddk")),
+        ("x1 x2 y1 y2", "2*x1*y1^2*y2 - x2*y1^2*y2 - 2*x2*y1^2 + y1^2 + y1*y2 - 3*y2^2",
+         (2, 0, "IS_Ddk")),
+        ("x1 x2 x3 y1 y2", "-3*x3*y2^2 + y1^2", (3, 1, "IS_Ddk")),
+        ("x1 x2 y1", "x2*y1^3 + 3*x1*y1^2 - 3*x2*y1^2 + y1^2", (2, 0, "IS_Ddk")),
+        ("x1 x2 x3 y1", "x1*x3*y1^2 - 3*x3*y1^2", (3, 1, "IS_Ddk")),
+        ("x1 x2 x3 y1 y2 y3", "y2*y3^2 - 3*y1^2", (3, 2, "NOT_Ddk")),
+        ("x1 y1 y2 y3", "y1*y2*y3 - 3*y2*y3^2 - 3*y1*y2", (1, 1, "NOT_Ddk")),
+        ("x1 x2 x3 y1 y2 y3", "2*x1*y1*y2 + 3*y2^2*y3 - 2*y2*y3^2 + 2*y1^2 + y3^2",
+         (3, 1, "NOT_Ddk")),
+        ("x1 x2 x3 y1 y2", "-2*x2*y1*y2^2 - x1*y1*y2", (3, 2, "NOT_Ddk")),
+        ("x1 x2 y1 y2", "x1*y1*y2 - y1^2", (2, 1, "NOT_Ddk")),
+        ("x1 x2 x3 y1 y2 y3", "3*y1^2*y3^2 + y1^2", (3, 2, "NOT_Ddk")),
+        ("x1 y1 y2", "y1^3*y2 + 2*y1*y2^3 - y1^2*y2", (1, 2, "NOT_APPLICABLE")),
+        ("x1 x2 x3 y1 y2 y3", "-3*x1*x2*y1*y3 - y3^3", (3, 3, "NOT_APPLICABLE")),
+        ("x1 x2 y1 y2 y3", "x1*y1*y2 + 2*y2^2", (2, 2, "NOT_APPLICABLE")),
+        ("x1 x2 y1 y2 y3", "x2^2*y2^2 - x2*y1^2 - 3*y1^2*y2", (2, 3, "NOT_APPLICABLE")),
+        ("x1 y1 y2 y3", "x1*y1*y2^2 - 2*x1*y1*y3^2 + x1*y1 + y1*y3 - y3^2", "x1*y1"),
+        ("x1 x2 x3 y1 y2 y3", "x1*x3*y1*y3 - 2*y1^2 - y1*y2 - 3*y1*y3 + x2", "x2"),
+        ("y1 y2 y3", "y1*y2^2*y3 + 3*y2^3*y3 + y1^2*y3^2 - y1^3 + 2*y1*y2 + y2", "y2"),
+        ("x1 y1", "-3*x1^2*y1^2 + y1^3 + 2*y1^2 + x1", "x1"),
+    ])
+    def test_pinned_verdicts(self, names, f, verdict):
+        ring = Ring(names.split())
+        J = Ideal(ring, [ring.var(i) for i, nm in enumerate(ring.names) if nm[0] == "y"],
+                  LOCAL_DS)
+        if isinstance(verdict, tuple):
+            assert classify_Ddk(parse_poly(f, ring), J) == DdkClass(*verdict)
+            return
+        with pytest.raises(GermforgeError) as ei:
+            classify_Ddk(parse_poly(f, ring), J)
+        assert str(ei.value) == (f"F_NOT_IN_JSQUARED: term {verdict} has degree < 2 "
+                                 "in the ideal variables")
+
     def test_non_adapted_rejected(self):
         with pytest.raises(GermforgeError) as ei:
             classify_Ddk(parse_poly("y1^2", R3Y),

@@ -11,6 +11,7 @@ from germforge.invariants import extended_codim
 from germforge.jetmorse import (
     JetContext,
     LiftedGerm,
+    _check_q_identity,
     intersection_multiplicity,
     jet_context,
     jet_morse_number,
@@ -64,6 +65,22 @@ class TestJetContext:
         assert sorted(index.values()) == list(range(ctx.n, ctx.ring.n))
         for (j, alpha), i in index.items():
             assert ctx.ring.names[i] == f"a{j + 1}_" + "_".join(str(e) for e in alpha)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("i, extra", [(0, "1"), (1, "z1"), (0, "top"), (1, "a1_0_1 z2")])
+    def test_corrupted_critical_jet_generator_fails_the_check(self, k, i, extra):
+        # the check builds the defining sum from |alpha| <= 1 only; a Q_i
+        # changed by a constant, a base variable, a jet variable of the top
+        # order k or a product of jet variables still disagrees with it
+        ctx = jet_context(EJEM, k)
+        _check_q_identity(ctx)
+        if extra == "top":
+            extra = ctx.ring.names[ctx.slot[0, (k, 0)]]
+        Q = list(ctx.Q)
+        Q[i] = Q[i] + parse_poly(extra, ctx.ring)
+        with pytest.raises(AssertionError,
+                           match="^critical-jet generators disagree with the defining sum$"):
+            _check_q_identity(ctx._replace(Q=tuple(Q)))
 
     def test_unit_generator_smooth_case(self):
         ctx = jet_context(UNIT1, 1)

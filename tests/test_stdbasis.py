@@ -25,7 +25,6 @@ from germforge.stdbasis import (
     hilbert_samuel_values,
     ideal_quotient,
     minimal_polynomial,
-    module_intersection,
     module_syzygies,
     power_ideal,
     preimage_module,
@@ -71,6 +70,15 @@ R3 = Ring(["x", "y", "z"])
 
 def vec(ring, *polys):
     return tuple(parse_poly(p, ring) for p in polys)
+
+
+def intersection(U, V):
+    """U intersect V, in U's order: the sums c_i u_i over the preimage of V
+    under U's generators u_i."""
+    ring = U.ring
+    pre = preimage_module(U.gens, V, U.order)
+    return Submodule(ring, U.rank, [tuple(ring.sum(ci * u[e] for ci, u in zip(c, U.gens))
+                                          for e in range(U.rank)) for c in pre.gens], U.order)
 
 
 def labels(text):
@@ -576,7 +584,8 @@ class TestIdealQuotient:
 
 class TestIntersectionAndSaturation:
     def test_monomial_intersection_oracle(self):
-        # for monomial ideals the intersection is the lcm ideal
+        # for monomial ideals the intersection, read off a preimage, is the
+        # lcm ideal
         rng = random.Random(7)
         from germforge.polyring import mono_lcm
 
@@ -587,7 +596,7 @@ class TestIntersectionAndSaturation:
             V = Submodule(R2, 1, [(R2.monomial(m),) for m in mj], GLOBAL_DP)
             expected = Submodule(R2, 1, [(R2.monomial(mono_lcm(a, b)),)
                                          for a in mi for b in mj], GLOBAL_DP)
-            assert module_intersection(U, V).equals(expected)
+            assert intersection(U, V).equals(expected)
 
     def test_saturation_examples(self):
         assert saturation(ideal(R2, GLOBAL_DP, "x^2 y"), ideal(R2, GLOBAL_DP, "y")).equals(
@@ -1026,8 +1035,8 @@ class TestOrderViews:
 
 class TestOneColon:
     """Under 'ds' a membership is a global normal form of 0 or else a unit
-    among the generators of M : v; preimages and intersections postcheck
-    against the bases their modules have cached."""
+    among the generators of M : v; a preimage postchecks against the basis
+    its module S has cached."""
 
     @pytest.fixture
     def model_calls(self, monkeypatch):
@@ -1062,22 +1071,6 @@ class TestOneColon:
         del basis_calls[:]
         out = preimage_module([vec(R2, "x", "0"), vec(R2, "0", "x")], S)
         assert out.gens and basis_calls == [4]
-
-    def test_intersection_reuses_the_cached_bases(self, basis_calls, monkeypatch):
-        U = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], LOCAL_DS)
-        V = Submodule(R2, 2, [vec(R2, "y", "0"), vec(R2, "0", "x")], GLOBAL_DP)
-        U.basis(), V.basis()
-        del basis_calls[:]
-        views = []
-        real = Submodule.with_order
-
-        def counted(self, order):
-            views.append(order)
-            return real(self, order)
-
-        monkeypatch.setattr(Submodule, "with_order", counted)
-        assert set(module_intersection(U, V).gens) == {vec(R2, "x y", "0"), vec(R2, "0", "x y")}
-        assert basis_calls == [4] and views == []
 
 
 class TestRelativeQuotientDimension:
@@ -1203,8 +1196,9 @@ class TestPreimageByElimination:
 
 
 class TestModuleIntersection:
-    """Intersections of monomial submodules are the componentwise lcms, and
-    the reduced basis of a monomial module is its minimal monomials."""
+    """Intersections of monomial submodules, read off a preimage, are the
+    componentwise lcms, and the reduced basis of a monomial module is its
+    minimal monomials."""
 
     @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS])
     @pytest.mark.parametrize("ring, U, V, expected", [
@@ -1220,10 +1214,10 @@ class TestModuleIntersection:
         def module(rows):
             return Submodule(ring, len(rows[0]), [vec(ring, *row) for row in rows], order)
 
-        inter = module_intersection(module(U), module(V))
+        inter = intersection(module(U), module(V))
         assert inter.order == order
-        assert set(inter.gens) == {vec(ring, *row) for row in expected}
-        assert len(inter.gens) == len(expected)
+        assert set(inter.basis()) == {vec(ring, *row) for row in expected}
+        assert len(inter.basis()) == len(expected)
 
 
 class TestEliminationPostchecks:
@@ -1253,21 +1247,12 @@ class TestEliminationPostchecks:
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
             preimage_module(targets, sub)
 
-    def test_intersection_postcheck(self, monkeypatch):
-        # rank 2 + 2 rows; (xy, 1) or (1, xy) lies in neither module
-        U = Submodule(R2, 2, [vec(R2, "x", "0"), vec(R2, "0", "y")], GLOBAL_DP)
-        V = Submodule(R2, 2, [vec(R2, "y", "0"), vec(R2, "0", "x")], GLOBAL_DP)
-        assert module_intersection(U, V).gens
-        self._perturb_tail(monkeypatch, 4, 2)
-        with pytest.raises(AssertionError, match="^intersection postcheck failed$"):
-            module_intersection(U, V)
-
 
 class TestEliminationHandover:
-    """A preimage or an intersection caches the basis its elimination
-    computed: the head-free elements, each key moved down the head. It is
-    term for term the reduced basis that a fresh run on its generators
-    builds, and it is the zero module's empty basis when nothing is left."""
+    """A preimage caches the basis its elimination computed: the head-free
+    elements, each key moved down the head. It is term for term the reduced
+    basis that a fresh run on its generators builds, and it is the zero
+    module's empty basis when nothing is left."""
 
     @staticmethod
     def _assert_handed_over(M):
@@ -1291,15 +1276,15 @@ class TestEliminationHandover:
                               if args[3]])
     def test_elimination_rows(self, name, ring, gens, targets):
         # the preimage whose rows _reduced_basis_inputs lists, the syzygies
-        # of those rows, and intersections of S with m * O^rank and with the
-        # module of the targets
+        # of those rows, and the preimages of m * O^rank and of the module of
+        # the targets under S's generators
         rank = len(gens[0])
         S = Submodule(ring, rank, gens, GLOBAL_DP)
         rows = _elimination_rows(targets, gens, ring)
         for M in (preimage_module(targets, S),
                   module_syzygies(rows, ring, len(rows[0])),
-                  module_intersection(S, self._vanishing(ring, rank)),
-                  module_intersection(S, Submodule(ring, rank, targets, GLOBAL_DP))):
+                  preimage_module(S.gens, self._vanishing(ring, rank)),
+                  preimage_module(S.gens, Submodule(ring, rank, targets, GLOBAL_DP))):
             self._assert_handed_over(M)
 
     def test_rank_two_sweep(self):
@@ -1308,17 +1293,11 @@ class TestEliminationHandover:
         count = 0
         for _, gens in _sweep_modules():
             M = Submodule(R2, 2, gens, LOCAL_DS)
-            for out in (module_syzygies(gens, R2, 2), module_intersection(M, mtheta),
+            for out in (module_syzygies(gens, R2, 2), preimage_module(gens, mtheta, LOCAL_DS),
                         M.colon([e1])._module()):
                 self._assert_handed_over(out)
             count += 1
         assert count > 200
-
-    def test_intersection_of_zero_modules(self):
-        zero = Submodule(R2, 2, (), LOCAL_DS)
-        M = module_intersection(zero, zero)
-        assert (M.gens, M.rank, M.order) == ((), 2, LOCAL_DS)
-        assert len(M._basis) == 0 and M.quotient_dimension() is INFINITE
 
     @pytest.mark.parametrize("S", [
         Submodule(R2, 2, (), GLOBAL_DP),
@@ -1357,7 +1336,7 @@ class TestLeadTermsAreMinimal:
         mtheta = TestEliminationHandover._vanishing(R2, 2)
         for _, gens in _sweep_modules():
             M = Submodule(R2, 2, gens, LOCAL_DS)
-            for out in (M, module_intersection(M, mtheta), preimage_module([e1], M)):
+            for out in (M, preimage_module(gens, mtheta, LOCAL_DS), preimage_module([e1], M)):
                 self._assert_minimal(out)
 
     @pytest.mark.parametrize("name, ring, gens, targets",
@@ -1367,8 +1346,8 @@ class TestLeadTermsAreMinimal:
         rank = len(gens[0])
         S = Submodule(ring, rank, gens, GLOBAL_DP)
         for M in (preimage_module(targets, S),
-                  module_intersection(S, TestEliminationHandover._vanishing(ring, rank)),
-                  module_intersection(S, Submodule(ring, rank, targets, GLOBAL_DP))):
+                  preimage_module(S.gens, TestEliminationHandover._vanishing(ring, rank)),
+                  preimage_module(S.gens, Submodule(ring, rank, targets, GLOBAL_DP))):
             self._assert_minimal(M)
 
 

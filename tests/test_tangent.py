@@ -1,16 +1,18 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import germforge.tangent as tangent
+from germforge.cli import parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.invariants import GermProblem
-from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
-from germforge.stdbasis import Ideal, Submodule
+from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring, parse_poly
+from germforge.stdbasis import Ideal, Submodule, preimage_module
 from germforge.tangent import (
     field_apply,
     lie_bracket,
-    m_theta,
     primitive_ideal,
     tangent_ideal,
     theta_preserving,
@@ -21,6 +23,9 @@ from helpers import d, echelon, gauss_member, kernel_combos, monos_upto, reduce_
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus")
+CORPUS_NAMES = sorted(name[:-3] for name in os.listdir(CORPUS) if name.endswith(".gf"))
 
 
 def P(s, ring=R2):
@@ -33,6 +38,21 @@ def ideal(ring, order, *gens):
 
 def vectors(ring, *rows):
     return [tuple(parse_poly(s, ring) for s in row) for row in rows]
+
+
+def m_theta(ring, order, rank):
+    """m * O^rank: all fields whose coefficients vanish at the origin."""
+    zero = ring.zero()
+    return Submodule(ring, rank, [tuple(ring.var(i) if j == b else zero for j in range(rank))
+                                  for b in range(rank) for i in range(ring.n)], order)
+
+
+def corpus_problem(name, order):
+    """The one ideal and the one polynomial of a corpus problem file."""
+    with open(os.path.join(CORPUS, f"{name}.gf"), encoding="utf-8") as fh:
+        pf = parse_problem_file(fh.read(), order)
+    (I,), (f,) = pf.ideals.values(), pf.polys.values()
+    return I, f
 
 
 EJEM = ideal(R2, LOCAL_DS, "x^2", "y")
@@ -176,6 +196,41 @@ class TestThetaVanishing:
             tv = theta_vanishing(tp)
             for X in tv.gens:
                 assert tp.contains(X)
+
+    @pytest.mark.parametrize("order", ["ds", "dp"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_matches_the_intersection_with_m_theta(self, name, order):
+        # an independent check: theta meet m * Theta as the sums c_j X_j over
+        # the preimage of m * Theta under theta's generators, one elimination
+        theta = theta_preserving(corpus_problem(name, order)[0])
+        ring, rank, fields = theta.ring, theta.rank, theta.gens
+        pre = preimage_module(fields, m_theta(ring, GLOBAL_DP, rank), theta.order)
+        image = Submodule(ring, rank, [tuple(ring.sum(ci * X[e] for ci, X in zip(c, fields))
+                                             for e in range(rank)) for c in pre.gens],
+                          theta.order)
+        assert theta_vanishing(theta).equals(image)
+
+    @pytest.mark.parametrize("name, ds, dp", [
+        ("brieskorn543", 27, 27), ("e8un", 10, 10), ("milnor85", 30, 30),
+        ("milnor127", 68, 68), ("fat", 0, 0), ("fin2", 11, 25),
+        ("classify", None, None), ("inf3", None, None),
+    ])
+    def test_pinned_c_plain_on_the_corpus(self, name, ds, dp):
+        # the corpus problems whose theta has a constant term, so c_plain
+        # reads the vanishing fields rather than c_ext
+        for order, value in (("ds", ds), ("dp", dp)):
+            I, f = corpus_problem(name, order)
+            problem = GermProblem(f, I)
+            assert any(a.constant_term() for X in problem.theta.gens for a in X)
+            assert problem.c_plain.value == value, order
+
+    def test_postcheck(self, monkeypatch):
+        # a combination that does not vanish at the origin: e_1 of Theta
+        theta = theta_preserving(ideal(R2, LOCAL_DS, "1"))
+        assert theta_vanishing(theta).equals(m_theta(R2, LOCAL_DS, 2))
+        monkeypatch.setattr(tangent, "nullspace", lambda rows: [{0: Q(1)}])
+        with pytest.raises(AssertionError, match="^vanishing-field postcheck failed$"):
+            theta_vanishing(theta)
 
     @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP])
     @pytest.mark.parametrize("ring, gens, f, qdim, c_plain", [
