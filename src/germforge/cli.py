@@ -310,30 +310,20 @@ def _cmd_codim(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 
 
 def _theta_for(pf: ProblemFile, args) -> tuple[Submodule, Ideal, Tree, list[str]]:
-    """The vector-field module and membership ideal selected by --theta-mode;
-    via-subideal treats the declared ideal as the subideal and works against
-    its primitive ideal at the requested truncation."""
+    """The vector-field module and membership ideal selected by --theta-mode.
+    The context is the primitive ideal at --trunc when one is given, else the
+    declared ideal; via-subideal, which needs --trunc, takes theta of the
+    declared ideal as the subideal, direct takes it of the context."""
     declared = the_ideal(pf)
     mode, trunc = args.theta_mode, args.trunc
-    settings: Tree = [("theta-mode", mode)]
-    warnings: list[str] = []
-    if mode == "via-subideal":
-        if trunc is None:
+    if trunc is None:
+        if mode == "via-subideal":
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  "--theta-mode via-subideal needs --trunc")
-        context = primitive_ideal(declared, trunc).ideal
-        theta = theta_preserving(declared)
-        settings.append(("trunc", trunc))
-        warnings.append("TRUNCATED")
-    elif trunc is not None:
-        context = primitive_ideal(declared, trunc).ideal
-        theta = theta_preserving(context)
-        settings.append(("trunc", trunc))
-        warnings.append("TRUNCATED")
-    else:
-        context = declared
-        theta = theta_preserving(declared)
-    return theta, context, settings, warnings
+        return theta_preserving(declared), declared, [("theta-mode", mode)], []
+    context = primitive_ideal(declared, trunc).ideal
+    theta = theta_preserving(declared if mode == "via-subideal" else context)
+    return theta, context, [("theta-mode", mode), ("trunc", trunc)], ["TRUNCATED"]
 
 
 def _cmd_theta(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:

@@ -219,8 +219,6 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
     V. For a Cohen-Macaulay V meeting the graph, a regular sequence, in an
     isolated point, Serre's higher Tor terms vanish and the length is the
     multiplicity. NOT_ISOLATED when the length is infinite."""
-    if lifting is None:
-        lifting = lift_germ(f, I)
     pulled = jet_pullback(f, I, ctx, V, lifting).with_order(LOCAL_DS)
     qd = pulled.quotient_dimension()
     if not qd.is_finite:

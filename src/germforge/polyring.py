@@ -443,18 +443,10 @@ class Poly:
     # -- arithmetic
 
     def __add__(self, other: Poly | Coeff) -> Poly:
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return Poly(self.ring, out)
+        return self.ring.sum((self, self._coerce(other)))
 
     def __sub__(self, other: Poly | Coeff) -> Poly:
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) - c
-        return Poly(self.ring, out)
+        return self.ring.sum((self, -self._coerce(other)))
 
     def __rsub__(self, other: Coeff) -> Poly:
         return self._coerce(other).__sub__(self)
@@ -496,11 +488,8 @@ class Poly:
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def _coerce(self, other: Poly | Coeff) -> Poly:
-        if isinstance(other, Poly):
-            if other.ring != self.ring:
-                raise ValueError("polynomials from different rings")
-            return other
-        return self.ring.const(other)
+        """other, a constant made a Poly of this ring; Ring.sum checks rings."""
+        return other if isinstance(other, Poly) else self.ring.const(other)
 
     # -- calculus and truncation
 
@@ -683,6 +672,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # files and corpus is (y - 1/2)^2 (y + 3)^3, at most 12 terms.
 MAX_PARSED_TERMS = 1000
 
+# The most coefficient bits a product or power may have while it is parsed,
+# its term bound times the estimated bits of one coefficient, so that a line
+# under the term bound such as (3x+2)^499 (5x-7)^500 cannot run on either; a
+# power of one term such as (2x y^3)^40000 is one coefficient of 40001 bits.
+MAX_PARSED_BITS = 100_000
+
+
+def _height(p: Poly) -> int:
+    """The estimated bits of p's largest coefficient: ceil(log2) of the sum
+    of its |numerators| plus ceil(log2) of its largest denominator. For
+    integer coefficients it is a bound, and a product's height is at most the
+    sum of its factors', a power's e times its base's."""
+    num = sum(abs(c.numerator) for c in p.terms.values())
+    den = max((c.denominator for c in p.terms.values()), default=1)
+    return (max(num, 1) - 1).bit_length() + (den - 1).bit_length()
+
 
 class _ExprParser:
     def __init__(self, toks: list[tuple[str, str, int]], ring: Ring) -> None:
@@ -716,13 +721,18 @@ class _ExprParser:
             terms.append(q if op == "+" else -q)
         return self.ring.sum(terms)
 
-    def refuse_past(self, terms: int, degree: int, at: int) -> None:
+    def refuse_past(self, terms: int, degree: int, height: int, at: int) -> None:
         """Refuse a product or power, before it is formed, that may have more
-        than MAX_PARSED_TERMS terms: it has at most terms of them, and at
-        most C(n + degree, n), the monomials of degree at most degree."""
-        if min(terms, comb(self.ring.n + max(degree, 0), self.ring.n)) > MAX_PARSED_TERMS:
+        than MAX_PARSED_TERMS terms or MAX_PARSED_BITS coefficient bits: it
+        has at most terms of them, and at most C(n + degree, n), the
+        monomials of degree at most degree, each of about height bits."""
+        bound = min(terms, comb(self.ring.n + max(degree, 0), self.ring.n))
+        if bound > MAX_PARSED_TERMS:
             raise ParseError(f"expansion may have more than {MAX_PARSED_TERMS} terms",
                              column=at + 1)
+        if bound * height > MAX_PARSED_BITS:
+            raise ParseError(f"expansion may have more than {MAX_PARSED_BITS} "
+                             "coefficient bits", column=at + 1)
 
     def term(self) -> Poly:
         p = self.factor()
@@ -733,7 +743,8 @@ class _ExprParser:
             elif not (kind == _TOK_IDENT or (kind == _TOK_OP and val == "(")):
                 return p
             q = self.factor()  # after '*', or implicit, e.g. 2x or 3(x+y)
-            self.refuse_past(len(p.terms) * len(q.terms), p.total_degree() + q.total_degree(), at)
+            self.refuse_past(len(p.terms) * len(q.terms), p.total_degree() + q.total_degree(),
+                             _height(p) + _height(q), at)
             p = p * q
 
     def factor(self) -> Poly:
@@ -748,7 +759,7 @@ class _ExprParser:
             # limit e decides alike clamped (for t >= 2 both counts pass it)
             clamped = min(e, MAX_PARSED_TERMS)
             self.refuse_past(comb(max(len(p.terms), 1) + clamped - 1, clamped),
-                             e * p.total_degree(), at)
+                             e * p.total_degree(), e * _height(p), at)
             p = p ** e
         return p
 

@@ -798,38 +798,30 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
     return preimage_module(vectors, Submodule(ring, rank, (), GLOBAL_DP))
 
 
-def _head_free_part(rows: Sequence[Vector], head: int, ring: Ring, rank: int,
-                    order: Order) -> Submodule:
-    """{t in O^rank : (0, t) in <rows>}, in order, rows in O^(head+rank).
-    Position over term eliminates the head: the elimination's basis elements
-    with a lead at position head or past it, each key moved down head
-    positions, are that module's reduced basis: cached, and unpacked as its
-    generators."""
-    elimination = std_basis_vectors(rows, head + rank)
-    basis = StdBasis(ring, rank)
-    shift = head << basis.pk.pos_shift
-    for i, lead in enumerate(elimination.leads):
-        if lead >= shift:
-            basis.add([(key - shift, c) for key, c in elimination.terms(i)])
-    out = Submodule(ring, rank, list(basis), order)
-    out._shared[0] = basis
-    return out
-
-
 def preimage_module(targets: Sequence[Vector], S: Submodule,
                     order: Order = GLOBAL_DP) -> Submodule:
     """{c in O^k : sum c_i * targets[i] in S}, in order, its global basis cached.
 
     The rows (t_i, e_i) and (s_j, 0) in O^(rank+k), s_j the generators of S,
     span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member
-    exactly when c lies in the preimage: the head-free part of one
-    elimination, and no cofactor d is computed. Postcheck: the global normal
-    form of each sum c_i t_i against S's cached basis is 0."""
+    exactly when c lies in the preimage, and no cofactor d is computed.
+    Position over term eliminates the head O^rank: the elimination's basis
+    elements with a lead at position rank or past it, each key moved down
+    rank positions, are the preimage's reduced basis: cached, and unpacked
+    as its generators. Postcheck: the global normal form of each
+    sum c_i t_i against S's cached basis is 0."""
     k, ring, rank = len(targets), S.ring, S.rank
     if any(len(v) != rank for v in targets):
         raise ValueError("vector of wrong rank")
     rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens] if k else []
-    out = _head_free_part(rows, rank, ring, k, order)
+    elimination = std_basis_vectors(rows, rank + k)
+    basis = StdBasis(ring, k)
+    shift = rank << basis.pk.pos_shift
+    for i, lead in enumerate(elimination.leads):
+        if lead >= shift:
+            basis.add([(key - shift, c) for key, c in elimination.terms(i)])
+    out = Submodule(ring, k, list(basis), order)
+    out._shared[0] = basis
     for c in out.gens:
         acc = tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(rank))
         if not vec_is_zero(S.normal_form(acc)):

@@ -217,6 +217,16 @@ class TestExitCodes:
         assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expansion may have "
                                        "more than 1000 terms at column 10 at line 3, column 1")
 
+    def test_coefficients_past_the_limit_are_a_parse_error(self, capsys, tmp_path):
+        # 2.3 s of expansion under the term bound, refused before the first power
+        text = "ring x ;\nideal I = x^2 ;\npoly f = (3x+2)^499 (5x-7)^500 ;\n"
+        code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == ("error: PARSE_ERROR: in poly f: expansion may have "
+                                       "more than 100000 coefficient bits at column 9 "
+                                       "at line 3, column 1")
+
     @pytest.mark.parametrize("f, column", [("{}*x^3 + y^2", 2), ("x^{} + y^2", 4)],
                              ids=["coefficient", "exponent"])
     def test_number_past_the_digit_limit_is_a_parse_error(self, tmp_path, f, column):
@@ -483,6 +493,43 @@ class TestCommandSurface:
             ["theta", path, "--theta-mode", "via-subideal", "--trunc", "6"])
         assert direct != via
         assert "theta-mode: via-subideal" in via
+
+    # sha256 of each document's stdout, (command, germ) -> digest
+    @pytest.mark.parametrize("flags, digests", [
+        ([], {
+            ("theta", "cusp"): "80d411893f6297f5345f8a069cad2192716ed0b43c0de2d24ec0afa81cf87ca4",
+            ("tangent", "cusp"): "d9d870736657e41f702d952ead28f44e87b84d7e5a19055db2fee0f631868bd6",
+            ("theta", "d3"): "e7877dac13cb91e6a3f3d7494d3540826c2e7a4b8a294099d906bb9fe16e9e8d",
+            ("tangent", "d3"): "0f5788659afbc814697df4f17879bc439568ec06f8dbed3f8b0948d3cbcb9436",
+        }),
+        (["--trunc", "4"], {
+            ("theta", "cusp"): "a89ae1bb4436e8c1cd6edfb9e4474a1332c4f8219d72f01133abf448f204dbdc",
+            ("tangent", "cusp"): "316d5b1ce888aa5fbad45083ac248de5db95c980f958997c8c22d43e97fe32ce",
+            ("theta", "d3"): "cf4e07d027d4a3d35fc87758e15886eaf6db237631f13c5381b6bb846b33b02b",
+            ("tangent", "d3"): "7978b87bef8e9cdbe8031424491d9c84d06eae9ea9e095e0be1082a4be806341",
+        }),
+        (["--theta-mode", "via-subideal", "--trunc", "4"], {
+            ("theta", "cusp"): "731e73f37fba369512a8e37abf34d94d25fe7b861c30c5550f5827a151a119c1",
+            ("tangent", "cusp"): "d6bfc9d031a8e298e3ff3654ca49dc4e45cecfef1ecdb18c29ecbe372a43d46c",
+            ("theta", "d3"): "6d3d9cdfdc5e6500364010bf534e1c63d13838b0020dc6880ce374174993dba7",
+            ("tangent", "d3"): "e474da07af4b9539c875c7718226ca628eff68ffe76f344f47196835aa34b663",
+        }),
+        (["--theta-mode", "via-subideal"], None),
+    ], ids=["direct", "direct-trunc", "via-subideal-trunc", "via-subideal-no-trunc"])
+    def test_theta_modes_are_pinned(self, capsys, flags, digests):
+        # the context is the primitive ideal when --trunc is given; theta is
+        # taken of the declared ideal under via-subideal, which needs --trunc
+        for command in ("theta", "tangent"):
+            for germ in ("cusp", "d3"):
+                argv = [command, os.path.join(CORPUS, f"{germ}.gf"), *flags]
+                code, out, err = run(capsys, argv)
+                if digests is None:
+                    assert (code, out) == (2, "")
+                    assert err.splitlines()[0] == ("error: PRECONDITION_VIOLATED: "
+                                                   "--theta-mode via-subideal needs --trunc")
+                else:
+                    assert code == 0
+                    assert hashlib.sha256(out.encode()).hexdigest() == digests[command, germ], out
 
 
 class TestJetDump:

@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from germforge.polyring import (
     GLOBAL_DP,
     LOCAL_DS,
     MAX_DIGITS,
+    MAX_PARSED_BITS,
     MAX_PARSED_TERMS,
     Poly,
     Q,
@@ -88,6 +90,34 @@ class TestParsing:
         assert len(P("(x+y+1)^43").terms) == 990
         assert len(P("(x+y+1)^21 (x+y+1)^22").terms) == 990
         assert P("(2x y^3)^40000").terms == {(40000, 120000): Fraction(2 ** 40000)}
+
+    @pytest.mark.parametrize("text, column", [
+        ("(3x+2)^499 (5x-7)^500", 8),
+        ("(x+1)^316", 7),
+        ("(x+1)^150 (x+1)^171", 11),
+        (f"({'9' * MAX_DIGITS} x + 1)^3", MAX_DIGITS + 10),
+        ("(1/2x + 1/3)^200", 14),
+    ], ids=["two-powers", "power", "product", "large-coefficient", "denominators"])
+    def test_coefficients_past_the_limit(self, text, column):
+        # under the term bound, refused from the estimated bits of its
+        # coefficients before the power or product is formed
+        start = time.process_time()
+        with pytest.raises(ParseError) as ei:
+            P(text, Ring(["x"]))
+        assert str(ei.value) == ("PARSE_ERROR: expansion may have more than "
+                                 f"{MAX_PARSED_BITS} coefficient bits at column {column}")
+        assert time.process_time() - start < 0.5  # expanding took seconds
+
+    def test_coefficients_at_the_limit(self):
+        # 316 terms of at most 315 bits: (x + 1)^315 has at most 316 * 315
+        # coefficient bits; one coefficient of 40001 bits or 4300 digits
+        R1 = Ring(["x"])
+        assert len(P("(x+1)^315", R1).terms) == 316
+        assert P("(x+1)^150 (x+1)^165", R1) == P("(x+1)^315", R1)
+        big = int("9" * MAX_DIGITS)
+        assert P(f"({'9' * MAX_DIGITS} x + 1)^2", R1).terms == {
+            (2,): Fraction(big * big), (1,): Fraction(2 * big), (0,): Fraction(1)}
+        assert len(P("(3x+2)^180 (5x-7)^10", R1).terms) == 191
 
     @pytest.mark.parametrize("template, column", [
         ("{} x^3 + y", 1),
@@ -186,6 +216,41 @@ def _built(a, b, mono, c):
     ]
 
 
+R3 = Ring(["x", "y", "z"])
+
+
+def _plain_sum(*operands):
+    """Independent reference: the sum of dict[Mono, Fraction] maps, keys in
+    the order first seen, zero coefficients dropped."""
+    out = {}
+    for terms in operands:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def _sum_cases(draw):
+    """(ring, p, q, c): coefficient maps in 2 or 3 variables, q often
+    cancelling some or all of p, and an int, Fraction or Q constant c,
+    often cancelling p's constant term."""
+    ring = draw(st.sampled_from([R2, R3]))
+    monos = st.tuples(*[st.integers(0, 2)] * ring.n)
+    p = draw(st.dictionaries(monos, fractions_st, max_size=5))
+    q = draw(st.dictionaries(monos, fractions_st, max_size=5))
+    if p:
+        for m in draw(st.sets(st.sampled_from(sorted(p)))):
+            q[m] = -p[m]
+    one = (0,) * ring.n
+    value = draw(st.one_of(fractions_st, st.just(-p.get(one, Fraction(0)))))
+    kind = draw(st.sampled_from(["int", "Fraction", "Q"]))
+    if kind == "int" and value.denominator == 1:
+        c = int(value)
+    else:
+        c = Q(value) if kind == "Q" else value
+    return ring, p, q, c
+
+
 class TestRunningSum:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(polys_st, max_size=6))
@@ -220,6 +285,24 @@ class TestRunningSum:
     def test_monomial_checks_length_first(self):
         with pytest.raises(ValueError):
             R2.monomial((1,), 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_sum_cases())
+    def test_binary_sums_match_a_plain_map(self, case):
+        # values and key order: the left operand's keys first, then the new
+        # keys of the right one, zeros dropped
+        ring, p, q, c = case
+        a, b = Poly(ring, p), Poly(ring, q)
+        const = {(0,) * ring.n: Fraction(c)} if c else {}
+        for got, want in [
+            (a + b, _plain_sum(a.terms, b.terms)),
+            (a - b, _plain_sum(a.terms, {m: -v for m, v in b.terms.items()})),
+            (c - a, _plain_sum(const, {m: -v for m, v in a.terms.items()})),
+            (a + c, _plain_sum(a.terms, const)),
+        ]:
+            assert got.ring is ring
+            assert list(got.terms.items()) == list(want.items())
+            assert all(type(v) is Q for v in got.terms.values())
 
 
 class TestOrders:

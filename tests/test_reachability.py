@@ -59,6 +59,7 @@ INPUTS = [
     (["codim"], "ring x y ;\nideal I = x^2, % ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = 1/0*x^3 + y^2 ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = (x+y+1)^200 ;\n"),
+    (["codim"], "ring x ;\nideal I = x^2 ;\npoly f = (3x+2)^499 (5x-7)^500 ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = "
      + "(" * 3000 + "x^3 + y^2" + ")" * 3000 + " ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = (x^3 + y^2 ;\n"),

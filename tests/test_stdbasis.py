@@ -1226,18 +1226,24 @@ class TestEliminationPostchecks:
 
     @staticmethod
     def _perturb_tail(monkeypatch, rank, head):
-        """Add 1 to the last entry of the first head-free tail of the
-        elimination with the given rank and head."""
-        original = stdbasis._head_free_part
+        """Add 1 to the last entry of the first head-free element of each
+        elimination in O^rank with head O^head: its lead lies at position
+        head or past it, so it is one of the preimage's generators."""
+        original = stdbasis.std_basis_vectors
 
-        def perturbed(rows, h, ring, r, order):
-            out = original(rows, h, ring, r, order)
-            if (h + r, h) == (rank, head) and out.gens:
-                t = out.gens[0]
-                out.gens = (t[:-1] + (t[-1] + ring.one(),),) + out.gens[1:]
-            return out
+        def perturbed(vectors, r):
+            basis = original(vectors, r)
+            if r == rank:
+                pk = basis.pk
+                i = next(i for i, lead in enumerate(basis.leads)
+                         if lead >= head << pk.pos_shift)
+                tail = dict(basis.tails[i])
+                key = pk.pack(rank - 1, (0,) * pk.n)
+                tail[key] = tail.get(key, 0) + basis.lcs[i]
+                basis.tails[i] = sorted(tail.items())
+            return basis
 
-        monkeypatch.setattr(stdbasis, "_head_free_part", perturbed)
+        monkeypatch.setattr(stdbasis, "std_basis_vectors", perturbed)
 
     def test_preimage_postcheck(self, monkeypatch):
         # rank 1 + 2 rows; adding 1 to a tail adds y, which is outside (xy)
