@@ -22,7 +22,6 @@ PRECONDITION_CODES = frozenset(
         "NOT_FINITE_CODIM",
         "NOT_ZERO_DIMENSIONAL",
         "NOT_ISOLATED",
-        "INFINITE_LENGTH",
         "POSITIVE_DIMENSIONAL_CRITICAL_LOCUS",
         "LIFTING_FAILED",
         "LOCAL_ORDER_UNSUPPORTED",

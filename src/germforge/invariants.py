@@ -47,6 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import chain, count
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral
@@ -119,18 +120,19 @@ class GermProblem:
         germ checked against the moved ideal. A translation keeps each
         d/dx_i, so it carries the fields preserving I onto those preserving
         the moved ideal: theta is this problem's theta, translated."""
-        pt, ring = list(point), self.I.ring
-        moved = GermProblem(self.f.translate(pt),
-                            Ideal(ring, [g.translate(pt) for g in self.I.gens], LOCAL_DS))
-        moved.theta = Submodule(ring, self.theta.rank, [tuple(a.translate(pt) for a in X)
+        ring = self.I.ring
+        shift = [ring.var(i) + p for i, p in enumerate(point)]
+        moved = GermProblem(self.f.substitute(shift),
+                            Ideal(ring, [g.substitute(shift) for g in self.I.gens], LOCAL_DS))
+        moved.theta = Submodule(ring, self.theta.rank, [tuple(a.substitute(shift) for a in X)
                                                         for X in self.theta.gens], LOCAL_DS)
         return moved
 
     @cached_property
     def cobasis(self) -> tuple[Poly, ...]:
         """Elements of I whose classes form a basis of I/tau_e(f)."""
-        return tuple(self.I.gens[pos].term_mul(m, 1)
-                     for pos, m in self.c_ext.witness)
+        ring = self.I.ring
+        return tuple(ring.monomial(m) * self.I.gens[pos] for pos, m in self.c_ext.witness)
 
     @cached_property
     def model(self) -> TruncatedModel | None:
@@ -243,10 +245,9 @@ def validate_unfolding(U: Unfolding, I: Ideal) -> None:
     """F - f must lie in the ideal I generates in the extended polynomial
     ring; this is the computable form of 'every slice stays inside I'."""
     ext = U.ring
-    n = U.base_ring.n
-    lifted = [g.rename(ext, list(range(n))) for g in I.gens]
-    I_ext = Ideal(ext, lifted, GLOBAL_DP)
-    f_ext = U.f.rename(ext, list(range(n)))
+    base = [ext.var(i) for i in range(U.base_ring.n)]
+    I_ext = Ideal(ext, [g.substitute(base, ext) for g in I.gens], GLOBAL_DP)
+    f_ext = U.f.substitute(base, ext)
     if not I_ext.contains(U.F - f_ext):
         raise GermforgeError("F_NOT_UNFOLDING",
                              "F - f is not a combination of the ideal generators")
@@ -266,8 +267,9 @@ def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     params = _fresh_names(ring, len(P.cobasis))
     ext = ring.extend(params)
     n = ring.n
-    F = ext.sum([f.rename(ext, list(range(n)))]
-                + [ext.var(n + i) * h.rename(ext, list(range(n)))
+    base = [ext.var(i) for i in range(n)]
+    F = ext.sum([f.substitute(base, ext)]
+                + [ext.var(n + i) * h.substitute(base, ext)
                    for i, h in enumerate(P.cobasis)])
     U = Unfolding(ext, F, tuple(params), ring, f)
     if not P.is_versal(U):
@@ -275,12 +277,13 @@ def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     return U
 
 
-def _fresh_names(ring: Ring, count: int) -> list[str]:
-    for prefix in ("s", "t", "u", "v", "w"):
-        names = [f"{prefix}{i + 1}" for i in range(count)]
+def _fresh_names(ring: Ring, size: int) -> list[str]:
+    """s1..s<size>, else the first of t, u, v, w, ss, sss, ... whose names
+    are not ring variables; the ring is finite, so one always is."""
+    for prefix in chain("stuvw", ("s" * k for k in count(2))):
+        names = [f"{prefix}{i + 1}" for i in range(size)]
         if not any(nm in ring.index for nm in names):
             return names
-    raise ValueError("could not find fresh parameter names")
 
 
 # ---------------------------------------------------------------------------

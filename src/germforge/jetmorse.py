@@ -71,9 +71,9 @@ def jet_context(I: Ideal, k: int) -> JetContext:
         raise AssertionError("jet ring has the wrong number of variables")
 
     betas = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
-    g_z = [g.rename(ring, list(range(n))) for g in I.gens]
-    dg_z = [[I.gens[j].derive(i).rename(ring, list(range(n))) for i in range(n)]
-            for j in range(r)]
+    z = [ring.var(i) for i in range(n)]
+    g_z = [g.substitute(z, ring) for g in I.gens]
+    dg_z = [[I.gens[j].derive(i).substitute(z, ring) for i in range(n)] for j in range(r)]
 
     Q = tuple(ring.sum(ring.var(slot[j, betas[0]]) * dg_z[j][i]
                        + ring.var(slot[j, betas[i + 1]]) * g_z[j] for j in range(r))
@@ -90,20 +90,22 @@ def _check_q_identity(ctx: JetContext) -> None:
     |alpha| <= 1 only: for |alpha| >= 2 both terms of d/dx_i [(x-z)^alpha
     g_j] keep a factor (x-z)^beta with |beta| >= 1 and vanish at x = z, so
     each Q_i is compared with what the full sum gives, and the check detects
-    exactly what it would."""
+    exactly what it would. P's base block is named x1..xn, never a jet
+    name z<i> or a<j>_<alpha>, whatever the base ring calls its variables."""
     n = ctx.n
-    P = Ring(list(ctx.base.ring.names) + list(ctx.ring.names))
-    z = [P.var(n + i) for i in range(n)]
-    shift = [P.var(t) - z[t] for t in range(n)]
-    gens = [g.rename(P, list(range(n))) for g in ctx.base.gens]
+    P = Ring([f"x{i + 1}" for i in range(n)] + list(ctx.ring.names))
+    x = [P.var(i) for i in range(n)]
+    jet = [P.var(n + i) for i in range(ctx.ring.n)]
+    shift = [x[t] - jet[t] for t in range(n)]
+    gens = [g.substitute(x, P) for g in ctx.base.gens]
     G = P.sum(prod((s ** e for s, e in zip(shift, alpha) if e),
                    start=P.var(n + index)) * gens[j]
               for (j, alpha), index in ctx.slot.items() if sum(alpha) <= 1)
     # evaluate the x-derivative on the diagonal x = z
-    diag = z + [P.var(n + i) for i in range(P.n - n)]
+    diag = jet[:n] + jet
     for i in range(n):
         got = G.derive(i).substitute(diag, P)
-        want = ctx.Q[i].rename(P, list(range(n, P.n)))
+        want = ctx.Q[i].substitute(jet, P)
         if got != want:
             raise AssertionError("critical-jet generators disagree with the defining sum")
 

@@ -176,19 +176,20 @@ def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
     """Every point of the zero set, when all of them are rational; None when
     part of the multiplicity sits at nonrational points. Completeness is
     decided by comparing located local dimensions against the global one."""
-    L_dp = L.with_order(GLOBAL_DP)
+    ring, L_dp = L.ring, L.with_order(GLOBAL_DP)
     qd = L_dp.quotient_dimension()
     if not qd.is_finite:
         return None
     candidates: list[tuple[Q, ...]] = [()]
-    for i in range(L.ring.n):
+    for i in range(ring.n):
         roots = _rational_roots(squarefree_part(minimal_polynomial(L_dp, i), i))
         candidates = [c + (r,) for c in candidates for r in roots]
         if not candidates:
             break
-    points = [c for c in candidates if all(g.evaluate(c) == 0 for g in L_dp.gens)]
-    local = [Ideal(L.ring, [g.translate(list(pt)) for g in L_dp.gens], LOCAL_DS).quotient_dimension()
-             for pt in points]
+    points = [c for c in candidates for at in [[ring.const(v) for v in c]]
+              if all(g.substitute(at).is_zero() for g in L_dp.gens)]
+    local = [Ideal(ring, [g.substitute(shift) for g in L_dp.gens], LOCAL_DS).quotient_dimension()
+             for pt in points for shift in [[ring.var(i) + v for i, v in enumerate(pt)]]]
     if all(q.is_finite for q in local) and sum(q.value for q in local) == qd.value:
         return points
     return None

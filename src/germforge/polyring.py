@@ -14,7 +14,11 @@ The Poly constructor is the one zero filter and the one coercion point: it
 drops what cancelled and turns an int, a Fraction or any other Rational into a
 Q. Arithmetic adds coefficients into a plain map and leaves the rest to it.
 Ring.sum is the one running sum: every term of every summand goes into a
-single map, and one Poly is built at the end.
+single map, and one Poly is built at the end. Poly.substitute is the one ring
+map: a re-indexing into another ring sends each variable to a variable there,
+a shift of the origin to a point p sends x_i to x_i + p_i, and evaluation at
+p sends x_i to the constant p_i. Poly * Poly is the one product, a term
+times a polynomial included.
 
 Two monomial orders are provided: 'dp' (degree reverse lexicographic, global,
 1 is the smallest monomial) and 'ds' (negative degree reverse lexicographic,
@@ -483,10 +487,6 @@ class Poly:
             e >>= 1
         return out
 
-    def term_mul(self, mono: Mono, coeff: Coeff) -> Poly:
-        """Multiply by a single term coeff * x^mono."""
-        return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     def _coerce(self, other: Poly | Coeff) -> Poly:
         """other, a constant made a Poly of this ring; Ring.sum checks rings."""
         return other if isinstance(other, Poly) else self.ring.const(other)
@@ -512,7 +512,7 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {m: c for m, c in self.terms.items() if mono_deg(m) <= N})
 
-    # -- substitution and evaluation
+    # -- the ring map
 
     def substitute(self, images: Sequence[Poly], target: Ring | None = None) -> Poly:
         """Ring map sending variable i to images[i]; images live in target.
@@ -533,36 +533,6 @@ class Poly:
                     term = term * pw[e]
             terms.append(term)
         return target.sum(terms)
-
-    def rename(self, target: Ring, where: Sequence[int]) -> Poly:
-        """Cheap variable re-indexing: variable i becomes target variable where[i]."""
-        out: dict[Mono, Q] = {}
-        for m, c in self.terms.items():
-            exp = [0] * target.n
-            for i, e in enumerate(m):
-                if e:
-                    exp[where[i]] += e
-            m2 = tuple(exp)
-            out[m2] = out.get(m2, _ZERO) + c
-        return Poly(target, out)
-
-    def evaluate(self, point: Sequence[Coeff]) -> Q:
-        if len(point) != self.ring.n:
-            raise ValueError("need one value per variable")
-        pt = [Q(v) for v in point]
-        total = _ZERO
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= pt[i] ** e
-            total += v
-        return total
-
-    def translate(self, point: Sequence[Coeff]) -> Poly:
-        """Shift the origin: substitute x_i -> x_i + point[i]."""
-        images = [self.ring.var(i) + point[i] for i in range(self.ring.n)]
-        return self.substitute(images, self.ring)
 
     # -- comparison and printing
 

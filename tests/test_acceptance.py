@@ -3,7 +3,6 @@ cross-cutting property suites, each criterion as one test."""
 
 import os
 import time
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -135,15 +134,16 @@ def test_c07_constructed_unfolding_is_versal_and_minimal():
     assert versality_check(U, EJEM)
 
     c = extended_codim(CUSP, EJEM)
-    basis = [EJEM.gens[pos].term_mul(m, Fraction(1)) for pos, m in c.witness]
+    basis = [R2.monomial(m) * EJEM.gens[pos] for pos, m in c.witness]
     n = R2.n
     for drop in range(len(basis)):
         kept = [h for i, h in enumerate(basis) if i != drop]
         params = [f"s{i + 1}" for i in range(len(kept))]
         ext = R2.extend(params)
-        F = CUSP.rename(ext, list(range(n)))
+        base = [ext.var(i) for i in range(n)]
+        F = CUSP.substitute(base, ext)
         for i, h in enumerate(kept):
-            F = F + ext.var(n + i) * h.rename(ext, list(range(n)))
+            F = F + ext.var(n + i) * h.substitute(base, ext)
         assert not versality_check(make_unfolding(CUSP, params, F), EJEM), drop
 
 

@@ -34,6 +34,7 @@ from germforge import (
     parse_poly,
 )
 from germforge.cli import ProblemFile, main, parse_problem_file
+from germforge.errors import ASSUMPTION_CODES, INTERNAL_CODE, PRECONDITION_CODES
 from germforge.polyring import format_poly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,6 +172,20 @@ class TestVersality:
         assert code == 0
         assert "- s3" in out and "- s4" not in out
 
+    def test_build_names_parameters_past_w(self, capsys, tmp_path):
+        # s1, t1, u1, v1 and w1 are all ring variables, so the parameters
+        # are ss1 and ss2, and the family built is versal
+        text = ("ring x s1 t1 u1 v1 w1 ;\nideal I = 1 ;\n"
+                "poly f = x^3 + s1^2 + t1^2 + u1^2 + v1^2 + w1^2 ;\n")
+        code, out, err = run(capsys, ["versal-build", problem(tmp_path, text)])
+        assert code == 0 and "Traceback" not in err
+        assert "  params:\n    - ss1\n    - ss2\n" in out
+        F = out.split("  F: ", 1)[1].split("\n", 1)[0]
+        built = text + f"unfolding F params ss1 ss2 = {F} ;\n"
+        code, out, _ = run(capsys, ["versal-check", problem(tmp_path, built, "built.gf")])
+        assert code == 0
+        assert "versal: true" in out
+
 
 class TestExitCodes:
     def test_nonmember_germ(self, capsys, tmp_path):
@@ -193,6 +208,24 @@ class TestExitCodes:
         out_lines = out.splitlines()
         start = out_lines.index("results:") + 1
         assert out_lines[start:start + len(lines)] == lines
+
+    def test_every_declared_code_is_named_in_the_package(self):
+        # a code that no module outside errors.py names is one no run can
+        # end in; PARSE_ERROR is named through ParseError, the internal code
+        # through INTERNAL_CODE
+        stand_ins = {"ParseError": "PARSE_ERROR", "INTERNAL_CODE": INTERNAL_CODE}
+        named = set()
+        package = os.path.join(ROOT, "src", "germforge")
+        for filename in os.listdir(package):
+            if filename.endswith(".py") and filename != "errors.py":
+                with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                    for node in ast.walk(ast.parse(fh.read())):
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                            named.add(node.value)
+                        elif isinstance(node, ast.Name) and node.id in stand_ins:
+                            named.add(stand_ins[node.id])
+        declared = PRECONDITION_CODES | ASSUMPTION_CODES | {INTERNAL_CODE}
+        assert sorted(declared - named) == []
 
     def test_parse_error_carries_position(self, capsys, tmp_path):
         text = "ring x y ;\nideal I = x^2, % ;\n"
@@ -550,6 +583,27 @@ class TestJetDump:
         _, out, _ = run(capsys, ["jet-dump", problem(tmp_path)])
         assert out.startswith("#")
         assert "ring z1 z2 " in out and "ideal J1 = " in out
+
+
+class TestJetRingNames:
+    @pytest.mark.parametrize("name", ["z1", "a1_0_0"])
+    @pytest.mark.parametrize("argv", [
+        ["jet-dump"],
+        ["morse", "--method", "jet", "--assume-reduced"],
+        ["conserve", "--assume-reduced"],
+    ], ids=["jet-dump", "morse", "conserve"])
+    def test_base_variable_named_like_a_jet_variable(self, capsys, tmp_path, argv, name):
+        # the jet ring's names z<i> and a<j>_<alpha> are its own: the cusp
+        # with x renamed to one of them gives the cusp's answer
+        code, want, _ = run(capsys, argv + [problem(tmp_path)])
+        assert code == 0
+        text = CANON.replace("x", name)
+        code, out, err = run(capsys, argv + [problem(tmp_path, text, "renamed.gf")])
+        assert code == 0 and "Traceback" not in err
+        # jet-dump echoes no inputs: its whole document is the answer
+        if argv[0] != "jet-dump":
+            out, want = out.partition("results:")[2], want.partition("results:")[2]
+        assert out == want != ""
 
 
 class TestArgv:

@@ -46,7 +46,7 @@ class TestCodimensions:
     def test_regression_extended(self):
         c = extended_codim(CUSP, EJEM)
         assert c.value == 3
-        assert {str(EJEM.gens[pos].term_mul(m, Fraction(1))) for pos, m in c.witness} \
+        assert {str(R2.monomial(m) * EJEM.gens[pos]) for pos, m in c.witness} \
             == {"x^2", "y", "x*y"}
 
     def test_regression_plain(self):
@@ -387,7 +387,7 @@ class TestBuildVersal:
         Iy = ideal(R2, LOCAL_DS, "y")
         U = build_versal_unfolding(P("x y"), Iy)
         assert U.params == ()
-        assert U.F == P("x y").rename(U.ring, [0, 1])
+        assert U.F == P("x y").substitute([U.ring.var(0), U.ring.var(1)], U.ring)
 
     def test_infinite_codim_rejected(self):
         with pytest.raises(GermforgeError) as ei:
@@ -588,10 +588,13 @@ class TestGermProblem:
         point = point[:ring.n]
         away = [-c for c in point]
         base = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
-        centred = GermProblem(base.f.translate(away),
-                              Ideal(ring, [g.translate(away) for g in base.I.gens], LOCAL_DS))
-        fresh = GermProblem(centred.f.translate(point),
-                            Ideal(ring, [g.translate(point) for g in centred.I.gens], LOCAL_DS))
+        to_away = [ring.var(i) + c for i, c in enumerate(away)]
+        to_point = [ring.var(i) + c for i, c in enumerate(point)]
+        centred = GermProblem(base.f.substitute(to_away),
+                              Ideal(ring, [g.substitute(to_away) for g in base.I.gens], LOCAL_DS))
+        fresh = GermProblem(centred.f.substitute(to_point),
+                            Ideal(ring, [g.substitute(to_point) for g in centred.I.gens],
+                                  LOCAL_DS))
         assert centred.at(point).c_ext == fresh.c_ext == base.c_ext
         assert base.c_ext.value > 0
 

@@ -347,6 +347,7 @@ class TestConservation:
             # the deformed member has exactly two critical points, both
             # rational: (0, -t/2) and (-2t/3, -t/2), each a simple zero
             for cx in (Fraction(0), Fraction(-2, 3) * tv):
-                moved = [g.translate([cx, -tv / 2]) for g in pb.gens]
+                shift = [R2.var(0) + cx, R2.var(1) - tv / 2]
+                moved = [g.substitute(shift) for g in pb.gens]
                 local = Ideal(R2, moved, LOCAL_DS).quotient_dimension()
                 assert local.value == 1

@@ -204,15 +204,16 @@ def _stores_no_zero(p):
 def _built(a, b, mono, c):
     """Polynomials built from a, b, a monomial and a Fraction c by every
     operation that makes a Poly."""
-    R1 = Ring(["t"])
-    swapped = a.rename(R2, [1, 0])
+    t = Ring(["t"]).var(0)
+    x, y = R2.var(0), R2.var(1)
+    swapped = a.substitute([y, x])
     return [
         a + b, a - b, a - a, a + (-a), a * b, a * (b - b), a * 0, a * c,
-        a.derive(0), a.derive(1), a.rename(R1, [0, 0]), (a - swapped).rename(R1, [0, 0]),
-        a.substitute([b, b]), a.substitute([b, -b]), a.term_mul(mono, Fraction(c)),
-        a.term_mul(mono, Fraction(0)), R2.sum([a, b, -a, -b]), R2.sum([a, b]),
+        a.derive(0), a.derive(1), a.substitute([t, t]), (a - swapped).substitute([t, t]),
+        a.substitute([b, b]), a.substitute([b, -b]), R2.monomial(mono, Fraction(c)) * a,
+        R2.monomial(mono, Fraction(0)) * a, R2.sum([a, b, -a, -b]), R2.sum([a, b]),
         R2.const(0), R2.const(c), R2.monomial(mono, 0), R2.monomial(mono, c),
-        a + c, c - a, a ** 2, a.truncate(2), a.translate([c, 1]),
+        a + c, c - a, a ** 2, a.truncate(2), a.substitute([x + c, y + 1]),
     ]
 
 
@@ -340,7 +341,70 @@ class TestOrders:
         assert P("x").constant_term() == 0
 
 
+@st.composite
+def _coefficient_maps(draw, ring):
+    """A coefficient map in ring's variables, exponents at most 3."""
+    monos = st.tuples(*[st.integers(0, 3)] * ring.n)
+    return draw(st.dictionaries(monos, fractions_st, max_size=5))
+
+
+@st.composite
+def _variable_maps(draw):
+    """(source, target, where, p): variable i of the 1 to 3 variable ring
+    source goes to variable where[i] of target, which has as many or up to
+    two more variables; where may send two variables to one."""
+    source = Ring(["x", "y", "z"][:draw(st.integers(1, 3))])
+    target = Ring([f"t{j}" for j in range(source.n + draw(st.integers(0, 2)))])
+    where = draw(st.lists(st.integers(0, target.n - 1), min_size=source.n,
+                          max_size=source.n))
+    return source, target, where, draw(_coefficient_maps(source))
+
+
+@st.composite
+def _points(draw):
+    """(ring, p, point): a point of Fractions in a ring of 1 to 3 variables."""
+    ring = Ring(["x", "y", "z"][:draw(st.integers(1, 3))])
+    point = draw(st.lists(fractions_st, min_size=ring.n, max_size=ring.n))
+    return ring, draw(_coefficient_maps(ring)), point
+
+
 class TestSubstitution:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_variable_maps())
+    def test_variable_images_re_index_exponents(self, case):
+        source, target, where, p = case
+        want = {}
+        for m, c in p.items():
+            exp = [0] * target.n
+            for i, e in enumerate(m):
+                exp[where[i]] += e
+            want[tuple(exp)] = want.get(tuple(exp), Fraction(0)) + c
+        got = Poly(source, p).substitute([target.var(j) for j in where], target)
+        assert got.ring is target
+        assert got.terms == {m: c for m, c in want.items() if c}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_points())
+    def test_constant_images_evaluate(self, case):
+        ring, p, point = case
+        value = Fraction(0)
+        for m, c in p.items():
+            for v, e in zip(point, m):
+                c *= Fraction(v) ** e
+            value += c
+        got = Poly(ring, p).substitute([ring.const(v) for v in point])
+        assert got.terms == ({(0,) * ring.n: value} if value else {})
+        assert got.is_zero() == (value == 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_points())
+    def test_shift_there_and_back(self, case):
+        ring, p, point = case
+        there = [ring.var(i) + v for i, v in enumerate(point)]
+        back = [ring.var(i) - v for i, v in enumerate(point)]
+        a = Poly(ring, p)
+        assert a.substitute(there).substitute(back).terms == a.terms
+
     def test_substitute(self):
         p = P("y^2 + x^3")
         q = p.substitute([R2.var("x"), R2.var("y") + R2.var("x") ** 2])
@@ -349,14 +413,15 @@ class TestSubstitution:
     def test_translate_matches_evaluate(self):
         p = P("x^2y - y + 3")
         pt = [Fraction(1, 2), Fraction(-2)]
-        shifted = p.translate(pt)
-        assert shifted.evaluate([0, 0]) == p.evaluate(pt)
-        assert shifted.constant_term() == p.evaluate(pt)
+        shifted = p.substitute([R2.var(i) + v for i, v in enumerate(pt)])
+        value = p.substitute([R2.const(v) for v in pt])
+        assert shifted.substitute([R2.const(0), R2.const(0)]) == value
+        assert shifted.constant_term() == value
 
     def test_rename_into_bigger_ring(self):
         R3 = Ring(["x", "y", "s"])
         p = P("x^2 - y")
-        q = p.rename(R3, [0, 1])
+        q = p.substitute([R3.var(0), R3.var(1)], R3)
         assert q.terms == {(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1)}
 
 
@@ -480,4 +545,4 @@ class TestRational:
     def test_every_coefficient_is_a_q(self, a, b, mono, c):
         for p in [a, b] + _built(a, b, mono, c):
             assert all(type(v) is Q for v in p.terms.values())
-        assert type(a.evaluate([c, 1])) is Q
+        assert type(a.substitute([R2.const(c), R2.one()]).constant_term()) is Q

@@ -1117,7 +1117,7 @@ class TestRelativeQuotientDimension:
         rel = relative_quotient_dimension(I, J)
         assert len(rel.witness) == rel.value
         for pos, m in rel.witness:
-            elem = I.gens[pos].term_mul(m, Fraction(1))
+            elem = R2.monomial(m) * I.gens[pos]
             assert not J.contains(elem)
 
 
