@@ -630,11 +630,14 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """A file's bytes, or stdin's for '-', as UTF-8 with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as e:
         raise GermforgeError("BAD_REQUEST", f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError:

@@ -9,9 +9,10 @@ those entries zero.
 
 Every elimination is a preimage {c : sum c_i t_i in S}, read off the basis
 of the rows (t_i, e_i) and (s_j, 0), s_j the generators of S: the syzygies
-are the preimage of the zero module, the colon M : w that of w under M. The
-result module caches the basis its elimination computed, and the postcheck
-reduces each sum c_i t_i to 0 against the cached global basis of S.
+are the preimage of the zero module, the colon M : (w_1..w_k) that of the
+w stacked under M in k blocks. The result module caches the basis its
+elimination computed, and the postcheck reduces each block of each
+sum c_i t_i to 0 against the cached global basis of S.
 Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
 carries the coordinates in its tail. The squarefree part of a univariate
@@ -611,15 +612,11 @@ class Submodule:
 
     def colon(self, ws: Sequence[Vector]) -> Ideal:
         """{h : h*w in M for every w in ws}, in this module's order: the
-        preimage of the ws stacked, under M's generators in each block (M
-        itself, with its cached basis, for a single w). That preimage, with
-        the basis its elimination computed, is the ideal's module."""
-        r, k = self.rank, len(ws)
-        zero = vec_zero(self.ring, r)
+        preimage of the ws stacked under M in len(ws) blocks, checked
+        against M's own cached basis. That preimage, with the basis its
+        elimination computed, is the ideal's module."""
         target = tuple(p for w in ws for p in w)
-        sub = [zero * b + g + zero * (k - 1 - b) for b in range(k) for g in self.gens]
-        S = self if k == 1 else Submodule(self.ring, r * k, sub, GLOBAL_DP)
-        P = preimage_module([target], S, self.order)
+        P = preimage_module([target], self, self.order, len(ws))
         out = Ideal(self.ring, [c[0] for c in P.gens], self.order)
         out._mod = P
         return out
@@ -799,32 +796,36 @@ def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodu
 
 
 def preimage_module(targets: Sequence[Vector], S: Submodule,
-                    order: Order = GLOBAL_DP) -> Submodule:
-    """{c in O^k : sum c_i * targets[i] in S}, in order, its global basis cached.
+                    order: Order = GLOBAL_DP, copies: int = 1) -> Submodule:
+    """{c in O^k : sum c_i * targets[i] in S^copies}, S repeated in copies
+    blocks of its rank, in order, its global basis cached.
 
-    The rows (t_i, e_i) and (s_j, 0) in O^(rank+k), s_j the generators of S,
-    span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c) is a member
-    exactly when c lies in the preimage, and no cofactor d is computed.
-    Position over term eliminates the head O^rank: the elimination's basis
-    elements with a lead at position rank or past it, each key moved down
-    rank positions, are the preimage's reduced basis: cached, and unpacked
-    as its generators. Postcheck: the global normal form of each
-    sum c_i t_i against S's cached basis is 0."""
+    The rows (t_i, e_i) and (s_j in each block, 0) in O^(head+k), s_j the
+    generators of S, span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c)
+    is a member exactly when c lies in the preimage, and no cofactor d is
+    computed. Position over term eliminates the head: the basis elements
+    with a lead past it, each key moved down head positions, are the
+    preimage's reduced basis: cached, and unpacked as its generators.
+    Postcheck: each block of each sum c_i t_i reduces to 0 against S's
+    cached basis, in every block the reduced basis of S^copies, as no
+    S-pair and no lead crosses blocks under position over term."""
     k, ring, rank = len(targets), S.ring, S.rank
-    if any(len(v) != rank for v in targets):
+    head, pad = rank * copies, vec_zero(ring, rank * copies + k)
+    if any(len(v) != head for v in targets):
         raise ValueError("vector of wrong rank")
-    rows = _with_identity(targets, ring) + [s + vec_zero(ring, k) for s in S.gens] if k else []
-    elimination = std_basis_vectors(rows, rank + k)
+    blocks = [(b * rank, b * rank + rank) for b in range(copies)]
+    rows = [pad[:i] + s + pad[j:] for i, j in blocks for s in S.gens] if k else []
+    elimination = std_basis_vectors(_with_identity(targets, ring) + rows, head + k)
     basis = StdBasis(ring, k)
-    shift = rank << basis.pk.pos_shift
+    shift = head << basis.pk.pos_shift
     for i, lead in enumerate(elimination.leads):
         if lead >= shift:
             basis.add([(key - shift, c) for key, c in elimination.terms(i)])
     out = Submodule(ring, k, list(basis), order)
     out._shared[0] = basis
     for c in out.gens:
-        acc = tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(rank))
-        if not vec_is_zero(S.normal_form(acc)):
+        acc = tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(head))
+        if not all(vec_is_zero(S.normal_form(acc[i:j])) for i, j in blocks):
             raise AssertionError("preimage postcheck failed")
     return out
 

@@ -3,13 +3,13 @@
 A vector field X = sum a_i d/dx_i is stored as the coefficient vector
 (a_1, ..., a_n), and a module of fields is a stdbasis.Submodule of rank n in
 the order of its ideal. The preserving module {X : X(I) in I} is one preimage:
-X(g_j) in I for all j means sum a_i (dg_1/dx_i, ..., dg_r/dx_i) lies in the
-module of the generator multiples g_l e_j. stdbasis.preimage_module reads it
-off one global elimination of the rows (derivative column i, e_i) and
-(g_l e_j, 0), with no coordinates for the multiples, and checks each field
-by its global normal form against the multiples; no truncation is involved. The fields vanishing at the
-origin are m * theta plus the constant combinations of theta's generators
-vanishing there: one kernel of constant terms, with no elimination.
+X(g_j) in I for all j means sum a_i (dg_1/dx_i, ..., dg_r/dx_i) lies in I^r,
+I in r blocks. stdbasis.preimage_module reads it off one global elimination
+of the rows (derivative column i, e_i) and (g_l e_j, 0), with no coordinates
+for the multiples, and checks each block by its global normal form against
+I's own basis; no truncation is involved. The fields vanishing at the origin
+are m * theta plus the constant combinations of theta's generators vanishing
+there: one kernel of constant terms, with no elimination.
 
 The primitive ideal (functions f with (f) + J_f inside I') is genuinely a
 condition on derivatives, not an O-linear one, so it is computed degree by
@@ -47,17 +47,12 @@ def lie_bracket(X: Sequence[Poly], Y: Sequence[Poly]) -> Vector:
 
 
 def theta_preserving(I: Ideal) -> Submodule:
-    """The module of vector fields X with X(I) contained in I, in I's order."""
+    """The module of vector fields X with X(I) contained in I, in I's order:
+    the preimage of I in len(I.gens) blocks under the derivative columns."""
     if I.is_zero():
         raise GermforgeError("ZERO_IDEAL", "theta of the zero ideal is all of Theta")
-    ring = I.ring
-    n = ring.n
-    r = len(I.gens)
-    zero = ring.zero()
-    derivatives = [tuple(g.derive(i) for g in I.gens) for i in range(n)]
-    multiples = Submodule(ring, r, [tuple(g if l == j else zero for l in range(r))
-                                    for j in range(r) for g in I.gens], GLOBAL_DP)
-    module = preimage_module(derivatives, multiples, I.order)
+    derivatives = [tuple(g.derive(i) for g in I.gens) for i in range(I.ring.n)]
+    module = preimage_module(derivatives, I._module(), I.order, len(I.gens))
     for X in module.gens:
         for g in I.gens:
             if not I.contains(field_apply(X, g)):

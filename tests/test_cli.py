@@ -110,7 +110,7 @@ class TestGoldenDocuments:
 
 class TestInputChannels:
     def test_stdin_dash(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(CANON))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CANON.encode())))
         code, out, _ = run(capsys, ["codim", "-"])
         assert code == 0
         assert "c_ext: 3" in out
@@ -462,6 +462,34 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[0] == (f"error: BAD_REQUEST: cannot read {path}: "
                                        "not UTF-8 text")
+
+    @pytest.mark.parametrize("encoding", [None, "utf-8:strict"], ids=["default", "strict"])
+    def test_stdin_reads_as_a_file_does(self, tmp_path, encoding):
+        # in a process, as the CLI runs: stdin is decoded as a file is, so a
+        # byte that is not UTF-8 is BAD_REQUEST, not a traceback, and CRLF
+        # lines give the file's document, digest included
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        env.pop("PYTHONIOENCODING", None)
+        if encoding is not None:
+            env["PYTHONIOENCODING"] = encoding
+        path = tmp_path / "problem.gf"
+
+        def codim(source, data):
+            return subprocess.run([sys.executable, "-m", "germforge.cli", "codim", source],
+                                  input=data, env=env, capture_output=True, timeout=60)
+
+        bad = b"ring x ;\nideal I = x^2 ;\npoly f = x^3 ; # \xff\n"
+        proc = codim("-", bad)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.splitlines()[0] == b"error: BAD_REQUEST: cannot read -: not UTF-8 text"
+        assert b"Traceback" not in proc.stderr
+        crlf = CANON.replace("\n", "\r\n").encode()
+        path.write_bytes(crlf)
+        by_stdin, by_file = codim("-", crlf), codim(str(path), b"")
+        assert by_stdin.returncode == by_file.returncode == 0
+        assert by_stdin.stdout == by_file.stdout
+        assert b"c_ext: 3" in by_stdin.stdout
 
 
 class TestCommandSurface:

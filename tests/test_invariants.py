@@ -83,13 +83,13 @@ class TestCodimensions:
 
     @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
     def test_c_ext_bases_of_the_cusp(self, basis_calls, order):
-        # I's basis for the membership of f; theta's elimination and the
-        # multiples' basis for its postcheck; L's elimination and tau's basis
-        # for its postcheck. Under dp the staircase of L reads the basis that
-        # L's elimination computed, and under ds the truncated model decides
+        # I's basis for the membership of f; theta's elimination, whose
+        # postcheck reads I's basis in each block; L's elimination and tau's
+        # basis for its postcheck. Under dp the staircase of L reads the basis
+        # that L's elimination computed, and under ds the truncated model decides
         problem = GermProblem(P("x^3 + y^2"), ideal(R2, order, "x^2", "y"))
         assert problem.c_ext.value == 3
-        assert basis_calls == [1, 4, 2, 3, 1]
+        assert basis_calls == [1, 4, 3, 1]
 
     def test_milnor_number_via_unit_ideal(self):
         unit = ideal(R2, LOCAL_DS, "1")

@@ -32,9 +32,11 @@ from germforge.stdbasis import (
     saturation,
     squarefree_part,
     vec_is_zero,
+    vec_zero,
     zero_dim_radical,
 )
 import germforge.stdbasis as stdbasis
+from germforge.tangent import theta_preserving
 
 from helpers import (
     d,
@@ -1253,6 +1255,15 @@ class TestEliminationPostchecks:
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
             preimage_module(targets, sub)
 
+    def test_preimage_postcheck_reads_every_block(self, monkeypatch):
+        # rank 2 + 1 rows, (xy) in two blocks: the preimage is (x), and adding
+        # 1 to its tail keeps block 0 in (xy) but adds y to block 1
+        targets, sub = [(P("x y"), P("y"))], Submodule(R2, 1, [(P("x y"),)], GLOBAL_DP)
+        assert [str(c[0]) for c in preimage_module(targets, sub, copies=2).gens] == ["x"]
+        self._perturb_tail(monkeypatch, 3, 2)
+        with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
+            preimage_module(targets, sub, copies=2)
+
 
 class TestEliminationHandover:
     """A preimage caches the basis its elimination computed: the head-free
@@ -1382,6 +1393,61 @@ class TestEliminationsRunNoSecondBasis:
         assert basis_calls == [1, 2, 2, 2]
         assert [str(g) for g in S.basis()] == ["y"]
         assert basis_calls == [1, 2, 2, 2]
+
+    def test_two_target_colon_reads_the_cached_basis(self, basis_calls):
+        M = Submodule(R2, 1, [vec(R2, "x^2"), vec(R2, "y")], GLOBAL_DP)
+        M.basis()
+        del basis_calls[:]
+        I = M.colon([vec(R2, "x"), vec(R2, "x + y")])
+        # the elimination of rank 2 + 1 only: the postcheck reduces each
+        # block against M's cached basis
+        assert basis_calls == [3]
+        assert [str(g) for g in I.basis()] == ["y", "x"]
+        assert basis_calls == [3]
+
+    def test_theta_reads_the_ideal_basis(self, basis_calls):
+        I = ideal(R2, LOCAL_DS, "x^2", "y")
+        theta = theta_preserving(I)
+        # the elimination of rank 2 + 2, then I's basis, which serves the
+        # preimage postcheck in both blocks and the preserving-field postcheck
+        assert basis_calls == [4, 1]
+        assert [tuple(map(str, X)) for X in theta.basis()] == [
+            ("0", "y"), ("0", "x^2"), ("y", "0"), ("x", "0")]
+        assert basis_calls == [4, 1]
+
+
+def stacked_modules():
+    """Generators of a submodule S of rank 1 or 2 in x, y, each entry of 0
+    to 2 terms with exponents up to 2, and a block count k from 1 to 3."""
+    rank = st.integers(1, 2)
+    term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                     st.sampled_from([-2, -1, 1, 2]))
+    entry = st.lists(term, max_size=2).map(lambda ts: Poly(R2, {m: Fraction(c) for m, c in ts}))
+    gens = rank.flatmap(lambda r: st.lists(st.tuples(*[entry] * r).filter(
+        lambda v: not vec_is_zero(v)), min_size=1, max_size=3))
+    return st.tuples(gens, st.integers(1, 3))
+
+
+class TestBlockBasis:
+    """Under position over term the reduced basis of S^k, S in k blocks, is
+    S's reduced basis in each block, least lead first: the last block's
+    elements, then each earlier block's."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stacked_modules())
+    def test_stacked_basis_is_the_basis_in_each_block(self, case):
+        gens, k = case
+        rank = len(gens[0])
+        zero = vec_zero(R2, rank)
+        stacked = [zero * b + g + zero * (k - 1 - b) for b in range(k) for g in gens]
+        ref = stdbasis.std_basis_vectors(stacked, rank * k)
+        own = stdbasis.std_basis_vectors(gens, rank)
+        expected = []
+        for b in reversed(range(k)):
+            shift = b * rank << own.pk.pos_shift
+            expected += [(lead + shift, lc, [(key + shift, c) for key, c in tail])
+                         for lead, lc, tail in zip(own.leads, own.lcs, own.tails)]
+        assert list(zip(ref.leads, ref.lcs, ref.tails)) == expected
 
 
 class TestHilbertSamuel:
