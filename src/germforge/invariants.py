@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import chain, count
 
 from .errors import GermforgeError
-from .linalg import RowBasis, integral
+from .linalg import RowBasis, integral, nullspace
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
 from .stdbasis import (
     Ideal,
@@ -297,70 +297,46 @@ class DdkClass(namedtuple("DdkClass", "d k verdict")):
 
 
 def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
-    """Decide whether f, written as a quadratic form in the J-variables, is
-    nondegenerate after splitting off unit pivots, with independent linear
-    forms on the residual block. The Gram entry H_ij is 1/2 d^2 f/dy_i dy_j
-    at y = 0, keeping its terms of degree <= 1: that entry modulo J + m^2,
-    its constant term plus its linear terms in the transverse variables."""
+    """Decide whether f, a quadratic form in the J-variables y with
+    coefficients in the d transverse variables, is a D(d,k) germ. The Gram
+    entry H_ij is 1/2 d^2 f/dy_i dy_j at y = 0 modulo m^2: a constant H0_ij
+    plus a linear form H1_ij in the transverse variables. By the splitting
+    lemma (Greuel-Lossen-Shustin, Introduction to Singularities and
+    Deformations, I.2) the unit part of H0 splits off, leaving k squares,
+    k the nullity of H0, whose Gram block modulo m^2 is K^T H1 K for a basis
+    K of ker H0, up to a constant change of basis that keeps the span of its
+    entries. The verdict reads those k(k+1)/2 entries: IS_Ddk when they are
+    independent linear forms (always when k = 0), NOT_Ddk when dependent,
+    and NOT_APPLICABLE when there are more of them than the d variables."""
     ring = f.ring
-    y_vars: list[int] = []
-    for g in J.gens:
-        terms = list(g.terms.items())
-        ok = len(terms) == 1 and sum(terms[0][0]) == 1 and terms[0][1] == 1
-        if not ok:
-            raise GermforgeError("NON_ADAPTED_COORDINATES",
-                                 "the ideal generators must be distinct variables")
-        y_vars.append(terms[0][0].index(1))
+    y_vars = J.variables()
+    if y_vars is None:
+        raise GermforgeError("NON_ADAPTED_COORDINATES",
+                             "the ideal generators must be distinct variables")
     if len(set(y_vars)) != len(y_vars):
         raise GermforgeError("NON_ADAPTED_COORDINATES", "repeated variable among generators")
-    m = len(y_vars)
-    d = ring.n - m
+    d = ring.n - len(y_vars)
 
     for mono in f.terms:
         if sum(mono[yv] for yv in y_vars) < 2:
             raise GermforgeError("F_NOT_IN_JSQUARED",
                                  f"term {ring.monomial(mono)} has degree < 2 in the ideal variables")
 
-    # Gram matrix: 1/2 d^2 f / dy_i dy_j at y = 0, its terms of degree <= 1
     at_zero = [ring.zero() if i in y_vars else ring.var(i) for i in range(ring.n)]
     H = [[f.derive(yi).derive(yj).truncate(1).substitute(at_zero, ring) * Q(1, 2)
           for yj in y_vars] for yi in y_vars]
-
-    active = list(range(m))
-    while True:
-        pivot = next((i for i in active if H[i][i].constant_term() != 0), None)
-        if pivot is None:
-            off = next(((i, j) for i in active for j in active
-                        if i < j and H[i][j].constant_term() != 0), None)
-            if off is None:
-                break
-            i, j = off
-            # add row j to row i and column j to column i (char 0: creates a unit)
-            for l in active:
-                H[i][l] = H[i][l] + H[j][l]
-            for l in active:
-                H[l][i] = H[l][i] + H[l][j]
-            continue
-        i = pivot
-        # (c + l)^-1 = 1/c - l/c^2 = (2c - (c + l))/c^2 modulo m^2
-        c = H[i][i].constant_term()
-        inv = (2 * c - H[i][i]) * (1 / (c * c))
-        others = [j for j in active if j != i]
-        for j in others:
-            fac = (H[j][i] * inv).truncate(1)
-            for l in others:
-                H[j][l] = H[j][l] - (fac * H[i][l]).truncate(1)
-        active.remove(i)
-
-    k = len(active)
+    kernel = nullspace([{j: h.constant_term() for j, h in enumerate(row) if h.constant_term()}
+                        for row in H])
+    k = len(kernel)
     if k == 0:
         return DdkClass(d, 0, "IS_Ddk")
     needed = k * (k + 1) // 2
     if needed > d:
         return DdkClass(d, k, "NOT_APPLICABLE")
-    entries = [H[active[a]][active[b]] for a in range(k) for b in range(a, k)]
-    if any(entry.constant_term() != 0 for entry in entries):
-        raise AssertionError("unsplit block contains a unit entry")
+    entries = [ring.sum(H[i][j] * (ai * bj) for i, ai in a.items() for j, bj in b.items())
+               for s, a in enumerate(kernel) for b in kernel[s:]]
+    if any(entry.constant_term() for entry in entries):
+        raise AssertionError("the constant Gram matrix does not vanish on its kernel")
     rank = RowBasis().extend(integral({mono.index(1): c for mono, c in entry.terms.items()})
                              for entry in entries)
     verdict = "IS_Ddk" if rank == needed else "NOT_Ddk"

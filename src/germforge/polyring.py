@@ -452,9 +452,6 @@ class Poly:
     def __sub__(self, other: Poly | Coeff) -> Poly:
         return self.ring.sum((self, -self._coerce(other)))
 
-    def __rsub__(self, other: Coeff) -> Poly:
-        return self._coerce(other).__sub__(self)
-
     def __neg__(self) -> Poly:
         return Poly(self.ring, {m: -c for m, c in self.terms.items()})
 

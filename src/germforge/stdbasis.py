@@ -457,6 +457,21 @@ def slice_rows(vectors: Sequence[Vector], N: int, labels: list[MTerm]):
                    for pos, m, dm, c in terms if dm + dd <= N}
 
 
+def slice_pivots(gens: Sequence[Vector], n: int, rank: int, N: int) -> list[int]:
+    """The pivots of each degree 0..N when the shifts of gens, truncated
+    above degree N, are eliminated with the lowest degree first ('ds', then
+    the least position): the degree-d count is the dimension of the degree-d
+    initial forms of the image of the module they generate in
+    O^rank/m^{N+1}O^rank."""
+    labels = slice_columns(n, rank, N, lambda lab: (LOCAL_DS.key(lab[1]), -lab[0]))
+    basis = RowBasis()
+    basis.extend(slice_rows(gens, N, labels))
+    pivots = [0] * (N + 1)
+    for p in basis.rows:
+        pivots[mono_deg(labels[p][1])] += 1
+    return pivots
+
+
 class TruncatedModel(namedtuple("TruncatedModel", "basis labels degree")):
     """O^rank/M below its certified degree d: the echelon form of M's shifts
     truncated above degree d - 1, over position-over-term labels."""
@@ -479,13 +494,13 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
     only for d above every cap).
 
     Certificate: the shifts of the generators span the image of M in
-    O^rank/m^{N+1}O^rank. Eliminated with the lowest degree as the greatest
-    column, the pivots of each degree d <= N count the degree-d initial forms
-    of M, its tangent cone (Greuel-Pfister 5.5, 7.1). If degree d has no free
-    column, m^d O^rank lies in M + m^{d+1} O^rank, so Nakayama puts m^d O^rank
-    inside M, and the free columns of degree < d count the quotient. The
-    least such d is the certified degree: the least d with m^d O^rank in M,
-    the same at every cap N >= d.
+    O^rank/m^{N+1}O^rank. Eliminated with the lowest degree first, the
+    pivots of each degree d <= N (slice_pivots) count the degree-d initial
+    forms of M, its tangent cone (Greuel-Pfister 5.5, 7.1). If degree d has
+    no free column, m^d O^rank lies in M + m^{d+1} O^rank, so Nakayama puts
+    m^d O^rank inside M, and the free columns of degree < d count the
+    quotient. The least such d is the certified degree: the least d with
+    m^d O^rank in M, the same at every cap N >= d.
 
     Witness: once m^d O^rank lies in M, every lead of M of degree < d is the
     lead of an element of degree < d, so eliminating the shifts below degree
@@ -494,13 +509,8 @@ def truncated_model(gens: Sequence[Vector], ring: Ring, rank: int,
     """
     n, key = ring.n, LOCAL_DS.key
     for N in caps:
-        labels = slice_columns(n, rank, N, lambda lab: (key(lab[1]), -lab[0]))
-        basis = RowBasis()
-        basis.extend(slice_rows(gens, N, labels))
-        free_by_deg = [0] * (N + 1)
-        for i, (_, m) in enumerate(labels):
-            if i not in basis.rows:
-                free_by_deg[mono_deg(m)] += 1
+        free_by_deg = [rank * comb(n + d - 1, d) - p
+                       for d, p in enumerate(slice_pivots(gens, n, rank, N))]
         if 0 not in free_by_deg:
             continue
         d = free_by_deg.index(0)
@@ -737,6 +747,19 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
+    def variables(self) -> list[int] | None:
+        """The variable y_i of each generator when every generator is c * y_i
+        for a constant c != 0, which generates the ideal y_i does; else None."""
+        found = []
+        for g in self.gens:
+            if len(g.terms) != 1:
+                return None
+            [m] = g.terms
+            if sum(m) != 1:
+                return None
+            found.append(m.index(1))
+        return found
+
     def is_unit(self) -> bool:
         """Under 'ds' a generator is a unit at 0; under 'dp' the basis holds 1."""
         if self.order.is_local:
@@ -905,20 +928,14 @@ def hilbert_samuel_values(I: Ideal, N: int) -> list[int]:
     """hilbert_samuel(I, m) for m = 0..N, from one truncated slice.
 
     The shifts of I's generators truncated above degree N span the image V
-    of I in O/m^{N+1}. Eliminated with the lowest degree as the least
-    column, each pivot row of V starts at its pivot, so the rows with a
-    pivot above degree m span V's part inside m^{m+1}, and the image in
+    of I in O/m^{N+1}. Eliminated with the lowest degree first, as in
+    slice_pivots, each pivot row of V starts at its pivot, so the rows with
+    a pivot above degree m span V's part inside m^{m+1}, and the image in
     O/m^{m+1} has one dimension per pivot of degree at most m."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     _refuse_large_slice(I.ring.n, 1, N)
-    labels = slice_columns(I.ring.n, 1, N, lambda lab: LOCAL_DS.key(lab[1]))
-    basis = RowBasis()
-    basis.extend(slice_rows([(g,) for g in I.gens], N, labels))
-    pivots = [0] * (N + 1)
-    for p in basis.rows:
-        pivots[mono_deg(labels[p][1])] += 1
-    return list(accumulate(pivots))
+    return list(accumulate(slice_pivots([(g,) for g in I.gens], I.ring.n, 1, N)))
 
 
 # ---------------------------------------------------------------------------

@@ -148,19 +148,11 @@ def primitive_ideal(Iprime: Ideal, N: int) -> PrimitiveIdeal:
 
 
 def _postcheck_adapted(Iprime: Ideal, result: PrimitiveIdeal) -> None:
-    """When I' = (y_1..y_k) for distinct variables, the answer must match
+    """When I' = (y_1..y_k) for variables y_i, the answer must match
     (y_1..y_k)^2 up to the truncation degree."""
     ring = Iprime.ring
-    var_idx = []
-    for g in Iprime.gens:
-        terms = list(g.terms.items())
-        if len(terms) != 1:
-            return
-        m, c = terms[0]
-        if sum(m) != 1 or c != 1:
-            return
-        var_idx.append(m.index(1))
-    if len(set(var_idx)) != len(var_idx):
+    var_idx = Iprime.variables()
+    if var_idx is None:
         return
     N = result.truncation
     squares = [ring.var(i) * ring.var(j) for i in var_idx for j in var_idx if i <= j]

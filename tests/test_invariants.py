@@ -1,12 +1,13 @@
+import os
 import sys
 import pytest
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from hypothesis import example, given, settings, strategies as st
 
 from germforge import stdbasis, tangent
-from germforge.cli import main
+from germforge.cli import main, parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
 from germforge.stdbasis import Ideal, power_ideal
@@ -26,8 +27,12 @@ from germforge.invariants import (
 )
 from germforge.oracle import splitting
 
+from helpers import to_sympy
+
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus")
 
 
 def P(s, ring=R2):
@@ -233,6 +238,19 @@ class TestDeterminacy:
 
         assert all(inside(det))
         assert not all(inside(det - 1))
+
+    @pytest.mark.parametrize("name", ["milnor85", "milnor127", "brieskorn543", "e8un"])
+    def test_certified_degree_is_the_first_full_hilbert_samuel_step(self, name):
+        # with I = (1), L is tau itself: the model's degree is the least m
+        # with m^m inside tau, that is, with every degree-m monomial a lead,
+        # which the Hilbert-Samuel function of tau counts in its step at m
+        with open(os.path.join(CORPUS, f"{name}.gf"), encoding="utf-8") as fh:
+            pf = parse_problem_file(fh.read())
+        problem = GermProblem(pf.polys["f"], pf.ideals["I"])
+        n, degree = problem.I.ring.n, problem.model.degree
+        values = stdbasis.hilbert_samuel_values(problem.tau, degree)
+        steps = [b - a for a, b in zip([0] + values, values)]
+        assert [m for m, step in enumerate(steps) if step == comb(n + m - 1, m)][:1] == [degree]
 
 
 class TestPositiveCodimLocus:
@@ -497,12 +515,19 @@ class TestDdk:
     def test_non_adapted_rejected(self):
         with pytest.raises(GermforgeError) as ei:
             classify_Ddk(parse_poly("y1^2", R3Y),
-                         Ideal(R3Y, [parse_poly("2y1", R3Y)], LOCAL_DS))
+                         Ideal(R3Y, [parse_poly("y1 + x", R3Y)], LOCAL_DS))
         assert ei.value.code == "NON_ADAPTED_COORDINATES"
         with pytest.raises(GermforgeError) as ei:
             classify_Ddk(parse_poly("y1^2", R3Y),
                          Ideal(R3Y, [parse_poly("y1", R3Y), parse_poly("y1", R3Y)], LOCAL_DS))
         assert ei.value.code == "NON_ADAPTED_COORDINATES"
+
+    def test_scaled_generators_are_adapted(self):
+        # c * y_i with c != 0 generates the ideal y_i does
+        f = parse_poly("x y1^2 + y2^2", R3Y)
+        for gens in (("2*y1", "y2"), ("-1/3*y1", "5*y2")):
+            J = Ideal(R3Y, [parse_poly(g, R3Y) for g in gens], LOCAL_DS)
+            assert classify_Ddk(f, J) == DdkClass(1, 1, "IS_Ddk")
 
     def test_low_order_term_rejected(self):
         with pytest.raises(GermforgeError) as ei:
@@ -514,6 +539,84 @@ class TestDdk:
         f = parse_poly("x y1^2 + y2^2", R3Y)
         g = parse_poly("4 x y1^2 + 9 y2^2", R3Y)
         assert classify_Ddk(f, J3Y) == classify_Ddk(g, J3Y)
+
+
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def gram_forms(draw):
+    """(d, m, f): f in J^2 for J = (y_1..y_m) over d transverse variables x.
+    The constant Gram matrix is a sum of squares of small linear forms in y,
+    plus maybe one y_i y_j, whose diagonal is zero; each y_i y_j gets a
+    small linear coefficient, and some terms of higher order are added."""
+    d, m = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    ring = Ring([f"x{i + 1}" for i in range(d)] + [f"y{i + 1}" for i in range(m)])
+    x, y = [ring.var(i) for i in range(d)], [ring.var(d + i) for i in range(m)]
+    pick = st.integers(0, m - 1)
+    parts = []
+    for _ in range(draw(st.integers(0, m))):
+        v = ring.sum([y[i] * draw(SMALL) for i in range(m)])
+        parts.append(v * v * draw(st.sampled_from([1, -1, 3])))
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(pick, min_size=2, max_size=2, unique=True))
+        parts.append(y[i] * y[j])
+    for i in range(m):
+        for j in range(i, m):
+            parts.append(ring.sum([x[l] * draw(SMALL) for l in range(d)]) * y[i] * y[j])
+    if d and draw(st.booleans()):
+        parts.append(x[draw(st.integers(0, d - 1))] ** 2 * y[draw(pick)] * y[draw(pick)])
+    if draw(st.booleans()):
+        parts.append(y[draw(pick)] * y[draw(pick)] * y[draw(pick)])
+    return d, m, ring.sum(parts)
+
+
+def _example(names, text):
+    ring = Ring(names.split())
+    d = sum(1 for nm in ring.names if nm[0] == "x")
+    return d, ring.n - d, parse_poly(text, ring)
+
+
+class TestDdkOracle:
+    """classify_Ddk against sympy: k is the nullity of the constant Gram
+    matrix H0 from sympy's nullspace, and the verdict the rank of the entries
+    of K^T H1 K, H1 the linear part of the Gram matrix and K that kernel."""
+
+    @staticmethod
+    def verdict(d, m, f):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(f.ring.names)
+        xs, ys = symbols[:d], symbols[d:]
+        expr = to_sympy(f, symbols)
+        H = sympy.Matrix(m, m, lambda i, j: sympy.diff(expr, ys[i], ys[j])
+                         .subs({s: 0 for s in ys}) / 2)
+        origin = {s: 0 for s in xs}
+        kernel = H.subs(origin).nullspace()
+        k = len(kernel)
+        if k == 0:
+            return DdkClass(d, 0, "IS_Ddk")
+        needed = k * (k + 1) // 2
+        if needed > d:
+            return DdkClass(d, k, "NOT_APPLICABLE")
+        K = sympy.Matrix.hstack(*kernel)
+        slopes = [K.T * H.diff(s).subs(origin) * K for s in xs]
+        rank = sympy.Matrix([[S[a, b] for S in slopes]
+                             for a in range(k) for b in range(a, k)]).rank()
+        return DdkClass(d, k, "IS_Ddk" if rank == needed else "NOT_Ddk")
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(gram_forms())
+    # zero diagonals: y1 y2 is a unit block, one residual square
+    @example(_example("x1 y1 y2 y3", "y1*y2 + x1*y3^2"))
+    @example(_example("x1 x2 y1 y2", "y1*y2 + x1*y1^2 + x2*y2^2"))
+    # k = 2 with three independent entries
+    @example(_example("x1 x2 x3 y1 y2 y3", "y3^2 + x1*y1^2 + x2*y1*y2 + x3*y2^2"))
+    @example(_example("x1 x2 x3 y1 y2 y3 y4",
+                      "y3*y4 + x1*y1^2 + x2*y1*y2 + (x3 + x1)*y2^2 + y2*y3^2"))
+    def test_verdict_matches_sympy(self, form):
+        d, m, f = form
+        J = Ideal(f.ring, [f.ring.var(d + i) for i in range(m)], LOCAL_DS)
+        assert classify_Ddk(f, J) == self.verdict(d, m, f)
 
 
 class TestReport:

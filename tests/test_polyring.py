@@ -213,7 +213,7 @@ def _built(a, b, mono, c):
         a.substitute([b, b]), a.substitute([b, -b]), R2.monomial(mono, Fraction(c)) * a,
         R2.monomial(mono, Fraction(0)) * a, R2.sum([a, b, -a, -b]), R2.sum([a, b]),
         R2.const(0), R2.const(c), R2.monomial(mono, 0), R2.monomial(mono, c),
-        a + c, c - a, a ** 2, a.truncate(2), a.substitute([x + c, y + 1]),
+        a + c, R2.const(c) - a, a ** 2, a.truncate(2), a.substitute([x + c, y + 1]),
     ]
 
 
@@ -298,7 +298,7 @@ class TestRunningSum:
         for got, want in [
             (a + b, _plain_sum(a.terms, b.terms)),
             (a - b, _plain_sum(a.terms, {m: -v for m, v in b.terms.items()})),
-            (c - a, _plain_sum(const, {m: -v for m, v in a.terms.items()})),
+            (ring.const(c) - a, _plain_sum(const, {m: -v for m, v in a.terms.items()})),
             (a + c, _plain_sum(a.terms, const)),
         ]:
             assert got.ring is ring

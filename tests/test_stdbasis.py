@@ -1610,3 +1610,17 @@ class TestPowerIdeal:
 
     def test_zeroth_power(self):
         assert power_ideal(R2, 0).is_unit()
+
+
+class TestAdaptedVariables:
+    @pytest.mark.parametrize("gens, found", [
+        (("y", "x"), [1, 0]),
+        (("2*y", "-1/3*x"), [1, 0]),
+        (("x", "x"), [0, 0]),
+        (("x + y",), None),
+        (("x^2",), None),
+        (("x", "1"), None),
+        ((), []),
+    ])
+    def test_each_generator_is_a_scaled_variable(self, gens, found):
+        assert ideal(R2, LOCAL_DS, *gens).variables() == found

@@ -305,6 +305,16 @@ class TestPrimitiveIdeal:
         with pytest.raises(GermforgeError):
             primitive_ideal(ideal(R2, LOCAL_DS, "x"), 0)
 
+    def test_scaled_variables_are_postchecked(self):
+        # (2x, -1/3 y) is (x, y): the answer is m^2, and the postcheck that
+        # compares it with the squares reads the scaled generators too
+        Ip = ideal(R2, LOCAL_DS, "2*x", "-1/3*y")
+        res = primitive_ideal(Ip, 4)
+        assert res.ideal.equals(ideal(R2, LOCAL_DS, "x^2", "x y", "y^2"))
+        wrong = tangent.PrimitiveIdeal(ideal(R2, LOCAL_DS, "x^2", "x y"), 4)
+        with pytest.raises(AssertionError, match="misses a square"):
+            tangent._postcheck_adapted(Ip, wrong)
+
     def test_pinned_generators_of_the_d3_subideal(self):
         res = primitive_ideal(ideal(R3, LOCAL_DS, "x*y", "z"), 4)
         assert [str(g) for g in res.gens] == ["z^2", "x*y*z", "x^2*y^2"]
