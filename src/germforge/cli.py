@@ -228,20 +228,20 @@ def _pick(table: dict[str, object], preferred: Sequence[str], kind: str):
     have = ", ".join(table) if table else "none"
     raise GermforgeError(
         "BAD_REQUEST",
-        f"cannot choose a {kind}: need one named {preferred[0]!r} or a unique "
+        f"cannot choose {kind}: need one named {preferred[0]!r} or a unique "
         f"declaration (have: {have})")
 
 
 def the_poly(pf: ProblemFile) -> Poly:
-    return _pick(pf.polys, ("f",), "poly")[1]
+    return _pick(pf.polys, ("f",), "a poly")[1]
 
 
 def the_ideal(pf: ProblemFile, preferred: Sequence[str] = ("I",)) -> Ideal:
-    return _pick(pf.ideals, preferred, "ideal")[1]
+    return _pick(pf.ideals, preferred, "an ideal")[1]
 
 
 def the_unfolding(pf: ProblemFile) -> tuple[tuple[str, ...], Poly]:
-    return _pick(pf.unfoldings, ("F",), "unfolding")[1]
+    return _pick(pf.unfoldings, ("F",), "an unfolding")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ first use:
 
 member(g) is the problem of a deformed member g = f + sum h_i g_i under the
 global order; theta depends on I alone, so a family's members share one.
-at(point) is the problem moved so that point is the origin, under 'ds'; a
-translation keeps each d/dx_i, so its theta is this problem's, translated.
+The member's length at a point of its defect locus is read from its own L
+moved there (Submodule.at): O^k/L is I/tau, and moving to a point commutes
+with taking the preimage, so no moved problem is built.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
 positive_codim_locus, versality_check, build_versal_unfolding and
@@ -51,7 +52,7 @@ from itertools import chain, count
 
 from .errors import GermforgeError
 from .linalg import RowBasis, integral, nullspace
-from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
+from .polyring import GLOBAL_DP, Poly, Q, Ring
 from .stdbasis import (
     Ideal,
     QuotientDim,
@@ -114,19 +115,6 @@ class GermProblem:
         other = GermProblem(g, self.I.with_order(GLOBAL_DP), check=False)
         other.theta = self.theta.with_order(GLOBAL_DP)
         return other
-
-    def at(self, point: Sequence[Q]) -> GermProblem:
-        """This problem moved so that point is the origin, under 'ds', its
-        germ checked against the moved ideal. A translation keeps each
-        d/dx_i, so it carries the fields preserving I onto those preserving
-        the moved ideal: theta is this problem's theta, translated."""
-        ring = self.I.ring
-        shift = [ring.var(i) + p for i, p in enumerate(point)]
-        moved = GermProblem(self.f.substitute(shift),
-                            Ideal(ring, [g.substitute(shift) for g in self.I.gens], LOCAL_DS))
-        moved.theta = Submodule(ring, self.theta.rank, [tuple(a.substitute(shift) for a in X)
-                                                        for X in self.theta.gens], LOCAL_DS)
-        return moved
 
     @cached_property
     def cobasis(self) -> tuple[Poly, ...]:

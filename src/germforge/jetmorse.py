@@ -146,7 +146,8 @@ def _certified_radical(J1: Ideal, assume_reduced: bool) -> tuple[Ideal, str]:
     raise GermforgeError(
         "RADICAL_UNAVAILABLE",
         "the critical-jet ideal is positive-dimensional and not certified "
-        "reduced; pass assume_reduced to proceed with it as-is")
+        "reduced; pass assume_reduced (--assume-reduced on the command line) "
+        "to proceed with it as-is")
 
 
 def morse_component(ctx: JetContext, assume_reduced: bool = False) -> MorseComponent:

@@ -14,8 +14,10 @@ disagreement raises instead of guessing. A deformed member g is the
 GermProblem P.member(g) under dp, which shares P's theta: its c_ext is the
 defect mass and its locus() holds the points to locate. Rational points are
 located by the p-adically lifted roots of the squarefree parts of the
-per-variable minimal polynomials, and each is measured on member.at(point);
-when some mass sits at nonrational points only the aggregate is reported.
+per-variable minimal polynomials, and each is measured on the member's
+module moved there, member.L.at(point): O^k/L is I/tau_e(g), so its local
+length is the point's codimension, finite as L's global length is; when
+some mass sits at nonrational points only the aggregate is reported.
 The oracle's Morse number is splitting(P).morse; the jet route's is
 jetmorse.jet_morse_number, which conservation_check reads its reference
 from.
@@ -31,7 +33,7 @@ from itertools import count
 from .errors import GermforgeError
 from .invariants import GermProblem
 from .jetmorse import jet_morse_number, jet_pullback
-from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Q, Ring
+from .polyring import GLOBAL_DP, Poly, Q, Ring
 from .stdbasis import Ideal, minimal_polynomial, saturation, squarefree_part
 
 DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
@@ -175,7 +177,8 @@ def _rational_roots(p: Poly) -> list[Q]:
 def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
     """Every point of the zero set, when all of them are rational; None when
     part of the multiplicity sits at nonrational points. Completeness is
-    decided by comparing located local dimensions against the global one."""
+    decided by comparing the local lengths of L moved to the located points
+    against the global one."""
     ring, L_dp = L.ring, L.with_order(GLOBAL_DP)
     qd = L_dp.quotient_dimension()
     if not qd.is_finite:
@@ -188,11 +191,8 @@ def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
             break
     points = [c for c in candidates for at in [[ring.const(v) for v in c]]
               if all(g.substitute(at).is_zero() for g in L_dp.gens)]
-    local = [Ideal(ring, [g.substitute(shift) for g in L_dp.gens], LOCAL_DS).quotient_dimension()
-             for pt in points for shift in [[ring.var(i) + v for i, v in enumerate(pt)]]]
-    if all(q.is_finite for q in local) and sum(q.value for q in local) == qd.value:
-        return points
-    return None
+    located = sum(L_dp._module().at(pt).quotient_dimension().value for pt in points)
+    return points if located == qd.value else None
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +202,6 @@ def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
 class SplittingReport(namedtuple("SplittingReport",
                                    "sigma corrected morse seeds stable warnings")):
     __slots__ = ()
-
-
-_INFINITE_AT_A_POINT = "a located point has infinite local codimension"
 
 
 def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
@@ -237,8 +234,7 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     points = locate_rational_points(member.locus())
     if points is None:
         return None, corrected, crit.count
-    ks = [k for k in (member.at(pt).finite_codim(_INFINITE_AT_A_POINT, "GENERICITY_SUSPECT")
-                      for pt in points) if k > 0]
+    ks = [k for k in (member.L.at(pt).quotient_dimension().value for pt in points) if k > 0]
     if sum(ks) != corrected:
         raise AssertionError("located local codimensions must tally")
     return {k: ks.count(k) for k in ks}, corrected, crit.count
@@ -246,9 +242,13 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
 
 def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
               degree_bound: int | None = None) -> SplittingReport:
-    """The splitting report of P's germ; its members share P's theta."""
-    c_value = P.finite_codim("splitting needs finite extended codimension")
+    """The splitting report of P's germ; its members share P's theta. Each
+    seed draws one sample, so a repeated seed is refused."""
     used = tuple(seeds) if seeds else DEFAULT_SEEDS
+    if len(set(used)) < len(used):
+        raise GermforgeError("PRECONDITION_VIOLATED",
+                             f"seeds must be distinct, got {','.join(map(str, used))}")
+    c_value = P.finite_codim("splitting needs finite extended codimension")
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if c_value == 0:
         return SplittingReport({}, 0, 0, used, True, tuple(warnings))

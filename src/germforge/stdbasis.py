@@ -29,6 +29,8 @@ local length infinite, one univariate basis per variable; the saturation
 Ann(O^r/M) : m^infinity decides the rest. with_order gives a view on the
 same generators that shares the cached global basis, whichever view builds
 it first; each view keeps its own quotient dimension and truncated model.
+at(point) asks at another point: it moves the module there, its generators
+translated so that the point is the origin, under 'ds'.
 
 The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
@@ -706,6 +708,16 @@ class Submodule:
         view.gens, view._shared = self.gens, self._shared
         return view
 
+    def at(self, point: Sequence[Q]) -> Submodule:
+        """This module moved so that point is the origin, under 'ds': each
+        generator translated by x_i -> x_i + p_i. A translation keeps the
+        global length, so when this module's is finite the moved module's
+        local length is finite too, at most it: its climb stops at that
+        bound, and one that does not certify there raises AssertionError."""
+        shift = [self.ring.var(i) + p for i, p in enumerate(point)]
+        return Submodule(self.ring, self.rank,
+                         [tuple(a.substitute(shift) for a in v) for v in self.gens], LOCAL_DS)
+
 
 class Ideal:
     """Ideal with generators, in the polynomial ring under 'dp' and in the
@@ -893,19 +905,14 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
 
 def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     """The module L = {c in O^k : sum c_i g_i in J} for J contained in I;
-    O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i]."""
+    O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i],
+    so dim I/J is L's quotient dimension, whose witness entry (j, m) stands
+    for the class of m * gens[j]."""
     for h in J.gens:
         if not I.contains(h):
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")
     return preimage_module([(g,) for g in I.gens], J._module(), I.order)
-
-
-def relative_quotient_dimension(I: Ideal, J: Ideal) -> QuotientDim:
-    """dim I/J for J contained in I, via the module quotient O^k/L; the
-    witness tags (generator index, monomial), so witness entry (j, m) stands
-    for the class of m * gens[j]."""
-    return subideal_preimage(I, J).quotient_dimension()
 
 
 def power_ideal(ring: Ring, k: int) -> Ideal:
@@ -916,16 +923,9 @@ def power_ideal(ring: Ring, k: int) -> Ideal:
     return Ideal(ring, gens, LOCAL_DS)
 
 
-def hilbert_samuel(I: Ideal, m: int) -> int:
-    """dim I/(I intersect m^{m+1}) at the origin (local): the dimension of
-    the image of I in O/m^{m+1}."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return hilbert_samuel_values(I, m)[m]
-
-
 def hilbert_samuel_values(I: Ideal, N: int) -> list[int]:
-    """hilbert_samuel(I, m) for m = 0..N, from one truncated slice.
+    """dim I/(I intersect m^{m+1}) at the origin, the dimension of the image
+    of I in O/m^{m+1}, for m = 0..N, from one truncated slice.
 
     The shifts of I's generators truncated above degree N span the image V
     of I in O/m^{N+1}. Eliminated with the lowest degree first, as in

@@ -153,6 +153,16 @@ class TestSeedPlumbing:
         assert out == ""
         assert err.startswith("error: PRECONDITION_VIOLATED: --seeds")
 
+    @pytest.mark.parametrize("argv", [["split", "--seeds", "5,5"],
+                                      ["morse", "--method", "oracle", "--seeds", "7,7"]])
+    def test_repeated_seed_is_refused(self, capsys, tmp_path, argv):
+        # a repeated seed draws the same member twice: one sample, not two
+        code, out, err = run(capsys, argv[:1] + [problem(tmp_path)] + argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            f"error: PRECONDITION_VIOLATED: seeds must be distinct, got {argv[-1]}")
+
 
 class TestVersality:
     def test_full_unfolding_is_versal(self, capsys, tmp_path):
@@ -226,6 +236,23 @@ class TestExitCodes:
                             named.add(stand_ins[node.id])
         declared = PRECONDITION_CODES | ASSUMPTION_CODES | {INTERNAL_CODE}
         assert sorted(declared - named) == []
+
+    def test_missing_unfolding_is_named(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["versal-check", problem(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: BAD_REQUEST: cannot choose an unfolding: need one named 'F' or a "
+            "unique declaration (have: none)")
+
+    def test_unavailable_radical_names_the_flag(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["morse", problem(tmp_path), "--method", "jet"])
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: RADICAL_UNAVAILABLE: the critical-jet ideal is positive-dimensional "
+            "and not certified reduced; pass assume_reduced (--assume-reduced on the "
+            "command line) to proceed with it as-is")
 
     def test_parse_error_carries_position(self, capsys, tmp_path):
         text = "ring x y ;\nideal I = x^2, % ;\n"

@@ -685,9 +685,9 @@ class TestGermProblem:
     @pytest.mark.parametrize("point", [(1, -1, 2), (Fraction(-1, 2), 3, Fraction(2, 3))],
                              ids=["integral", "rational"])
     def test_moved_problem_against_a_fresh_one(self, ring, gens, f, point):
-        # the germ centred at the point, moved back by at() with its theta
-        # translated, against a problem that computes its own theta on the
-        # translated f and I
+        # the germ centred at the point, its module L moved back by
+        # Submodule.at, against a problem that computes its own theta, tau
+        # and L on the translated f and I
         point = point[:ring.n]
         away = [-c for c in point]
         base = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
@@ -698,7 +698,7 @@ class TestGermProblem:
         fresh = GermProblem(centred.f.substitute(to_point),
                             Ideal(ring, [g.substitute(to_point) for g in centred.I.gens],
                                   LOCAL_DS))
-        assert centred.at(point).c_ext == fresh.c_ext == base.c_ext
+        assert centred.L.at(point).quotient_dimension() == fresh.c_ext == base.c_ext
         assert base.c_ext.value > 0
 
     @pytest.fixture

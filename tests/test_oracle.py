@@ -12,6 +12,7 @@ from germforge.invariants import GermProblem, extended_codim
 from germforge.jetmorse import jet_morse_number
 from germforge.tangent import primitive_ideal
 import germforge.oracle as oracle
+import germforge.stdbasis as stdbasis
 import germforge.tangent as tangent
 from germforge.invariants import classify_Ddk
 from germforge.oracle import (
@@ -31,6 +32,7 @@ from germforge.oracle import (
 from helpers import evalp, to_sympy
 
 R2 = Ring(["x", "y"])
+R3 = Ring(["x", "y", "z"])
 R1 = Ring(["x"])
 
 
@@ -240,12 +242,12 @@ class TestRationalRoots:
 
 
 class TestLocalCodim:
-    # splitting measures a located point on the problem moved there; no
-    # corpus case reaches that branch, so it is checked here directly
+    # splitting measures a located point on the member's module L moved
+    # there; no corpus case reaches that branch, so it is checked here
+    # directly
     @staticmethod
     def codim_at(g, I, point):
-        return GermProblem(g, I, check=False).at(point).finite_codim(
-            "a located point has infinite local codimension", "GENERICITY_SUSPECT")
+        return GermProblem(g, I, check=False).L.at(point).quotient_dimension().value
 
     def test_translation_to_origin_is_identity(self):
         assert self.codim_at(CUSP, EJEM, (Fraction(0), Fraction(0))) == 3
@@ -256,6 +258,35 @@ class TestLocalCodim:
 
     def test_smooth_point_has_zero_codimension(self):
         assert self.codim_at(P("x^2 + y^2"), UNIT2, (Fraction(1), Fraction(1))) == 0
+
+    @pytest.mark.parametrize("ring, gens, f, bound, located", [
+        pytest.param(R2, ("x", "y"), "x^3 + y^2", None, [1, 1], id="cusp"),
+        pytest.param(R2, ("x - x^2", "y"), "x^2 + y^2", None, [1, 1, 1], id="origin-only"),
+        pytest.param(R2, ("x - x^2", "y"), "x^3 - x^4 + y^2", 1, [2, 1] * 3, id="fat-point"),
+        pytest.param(R2, ("x^2 - x^3", "y"), "x^4 - 2 x^5 + x^6 + y^2", 1, [3, 1, 1] * 3,
+                     id="three-points"),
+        pytest.param(R3, ("x", "y", "z"), "x^3 + y^2 + z^2", None, [1, 1], id="cusp3"),
+        pytest.param(R3, ("x - x^2", "y", "z"), "x^3 - x^4 + y^2 + z^2", 1, [2, 1] * 3,
+                     id="fat-point3"),
+    ])
+    def test_moved_member_module_against_a_fresh_problem(self, ring, gens, f, bound, located):
+        # every rational defect point of the members at seeds 11, 13 and 39:
+        # the member's L moved there against a problem that computes its own
+        # theta, tau and L on the translated member and ideal, witness
+        # included; located lists the lengths met, seed by seed
+        problem = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
+        met = []
+        for seed in (11, 13, 39):
+            member = problem.member(_deform(problem, bound, seed))
+            for point in locate_rational_points(member.locus()) or ():
+                shift = [ring.var(i) + c for i, c in enumerate(point)]
+                fresh = GermProblem(member.f.substitute(shift),
+                                    Ideal(ring, [g.substitute(shift) for g in problem.I.gens],
+                                          LOCAL_DS))
+                moved = member.L.at(point).quotient_dimension()
+                assert moved == fresh.c_ext
+                met.append(moved.value)
+        assert met == located
 
 
 class TestEmpiricalSplitting:
@@ -317,19 +348,24 @@ class TestEmpiricalSplitting:
         # the defect points of the cusp in the maximal ideal are rational.
         # The member shares the problem's theta, so no dp theta is computed
         # and the problem's own theta runs before any point is located.
-        real_critical, real_locate, real_theta = (
+        real_critical, real_locate, real_theta, real_basis = (
             oracle.critical_points_outside, oracle.locate_rational_points,
-            tangent.theta_preserving)
-        located, theta_orders, theta_before_locate = [], [], []
+            tangent.theta_preserving, stdbasis.std_basis_vectors)
+        located, theta_orders, theta_before_locate, bases, bases_after_locate = [], [], [], [], []
 
         def locate(L):
             theta_before_locate.extend(theta_orders)
             located.append(real_locate(L))
+            bases_after_locate.append(len(bases))
             return located[-1]
 
         def theta(I):
             theta_orders.append(I.order.kind)
             return real_theta(I)
+
+        def basis(vectors, rank):
+            bases.append(rank)
+            return real_basis(vectors, rank)
 
         monkeypatch.setattr(oracle, "critical_points_outside",
                             lambda g, I: real_critical(g, I)._replace(count=0))
@@ -339,14 +375,18 @@ class TestEmpiricalSplitting:
                 for attr, value in list(vars(module).items()):
                     if value is real_theta:
                         monkeypatch.setattr(module, attr, theta)
+                    elif value is real_basis:
+                        monkeypatch.setattr(module, attr, basis)
         rep = splitting(GermProblem(CUSP, ideal(R2, LOCAL_DS, "x", "y")), seeds=(39,))
         assert [len(points) for points in located] == [2]
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
         assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
         assert theta_before_locate == ["ds"]
-        # each located point is measured on the problem moved there, whose
-        # theta is the translated theta of the problem: theta runs once
+        # each located point is measured on the member's L moved there, read
+        # from its truncated model: no theta, tau or standard basis runs for
+        # it, so theta runs once and no basis follows the location
         assert theta_orders == ["ds"]
+        assert bases_after_locate == [len(bases)]
 
     def test_germ_in_the_ideal_only_at_the_origin(self):
         # the members f + sum h_i g_i miss the global ideal as f does, and
@@ -360,6 +400,12 @@ class TestEmpiricalSplitting:
         rep = splitting(GermProblem(CUSP, EJEM), seeds=(17, 19))
         assert rep.seeds == (17, 19)
         assert rep.sigma == {1: 2}
+
+    def test_repeated_seed_refused(self):
+        # a repeated seed draws the same member again: one sample, not two
+        with pytest.raises(GermforgeError) as e:
+            splitting(GermProblem(CUSP, EJEM), seeds=(11, 13, 11))
+        assert str(e.value) == "PRECONDITION_VIOLATED: seeds must be distinct, got 11,13,11"
 
     def test_infinite_codimension_rejected(self):
         with pytest.raises(GermforgeError) as e:

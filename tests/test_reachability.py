@@ -121,7 +121,6 @@ ALLOWED = {
     "cli.run": ("the process entry point around main(), ending in os._exit: "
                 "test_cli.py::TestProcessExit::test_process_answers_as_main_does "
                 "runs it in a child process"),
-    "invariants.GermProblem.at": LOCATE,
     "oracle._rational_roots": LOCATE,
     "oracle._rational_roots.value": LOCATE,
     "polyring.Order.__hash__": HASHED.format(
@@ -167,14 +166,10 @@ ALLOWED = {
     "stdbasis.Ideal.normal_form": LOCATE,
     "stdbasis.Submodule._basis": ("perfbench/tracer.py's qdim probe reads it: "
                                   "test_tracer_names.py::test_qdim_probe_reads_the_cached_basis"),
+    "stdbasis.Submodule.at": LOCATE,
     "stdbasis.Submodule.contains_module": EQUALS,
     "stdbasis.Submodule.equals": EQUALS,
-    "stdbasis.hilbert_samuel": ("an independent check of hilbert's values: "
-                                "test_acceptance.py::test_c11_property_suites"),
     "stdbasis.minimal_polynomial": LOCATE,
-    "stdbasis.relative_quotient_dimension": (
-        "an independent check of c_ext as dim I/tau_e(f): "
-        "test_stdbasis.py::TestRelativeQuotientDimension::test_regression_value"),
     "stdbasis.squarefree_part": LOCATE,
     "tangent.lie_bracket": ("an independent check of theta, closed under the bracket: "
                             "test_acceptance.py::test_c11_property_suites"),
