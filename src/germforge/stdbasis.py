@@ -710,10 +710,12 @@ class Submodule:
 
     def at(self, point: Sequence[Q]) -> Submodule:
         """This module moved so that point is the origin, under 'ds': each
-        generator translated by x_i -> x_i + p_i. A translation keeps the
-        global length, so when this module's is finite the moved module's
-        local length is finite too, at most it: its climb stops at that
-        bound, and one that does not certify there raises AssertionError."""
+        generator translated by x_i -> x_i + p_i, and a cache of its own. A
+        translation keeps the global length, so when this module's is finite
+        the moved module's local length is finite too, at most it. A point
+        the cap-4 model certifies needs no standard basis; above that the
+        climb takes its bound from the moved module's own global basis, and
+        one that does not certify there raises AssertionError."""
         shift = [self.ring.var(i) + p for i, p in enumerate(point)]
         return Submodule(self.ring, self.rank,
                          [tuple(a.substitute(shift) for a in v) for v in self.gens], LOCAL_DS)

@@ -382,9 +382,10 @@ class TestEmpiricalSplitting:
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
         assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
         assert theta_before_locate == ["ds"]
-        # each located point is measured on the member's L moved there, read
-        # from its truncated model: no theta, tau or standard basis runs for
-        # it, so theta runs once and no basis follows the location
+        # each located point is measured on the member's L moved there, and
+        # the cusp's points certify at cap 4, so they are read from the
+        # truncated model: no theta, tau or standard basis runs for them,
+        # theta runs once and no basis follows the location
         assert theta_orders == ["ds"]
         assert bases_after_locate == [len(bases)]
 
