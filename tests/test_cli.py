@@ -177,6 +177,15 @@ class TestVersality:
         assert code == 0
         assert "versal: false" in out
 
+    def test_slice_leaving_the_ideal_is_refused(self, capsys, tmp_path):
+        # the coefficient x of s is not in (x^2, y)
+        text = CANON + "unfolding F params s = x^3 + y^2 + s*x ;\n"
+        code, out, err = run(capsys, ["versal-check", problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: F_NOT_UNFOLDING: F - f is not a combination of the ideal generators")
+
     def test_build_lists_three_params(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["versal-build", problem(tmp_path)])
         assert code == 0

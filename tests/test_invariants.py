@@ -23,6 +23,7 @@ from germforge.invariants import (
     make_unfolding,
     plain_codim,
     positive_codim_locus,
+    validate_unfolding,
     versality_check,
 )
 from germforge.oracle import splitting
@@ -325,6 +326,48 @@ class TestVersality:
         F = parse_poly("y^2 + x^3 + s1 x^2 + s2 y + s3 x y + s4^2 x^2", ext)
         U = make_unfolding(CUSP, ["s1", "s2", "s3", "s4"], F)
         assert versality_check(U, EJEM)
+
+    # a coefficient of F at a parameter monomial: (s1, s2 exponents, one
+    # multiplier of each generator of I, a stray part that may leave I)
+    TERMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.integers(-3, 3), max_size=3)
+    COEFFICIENT = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+                            st.lists(TERMS, min_size=2, max_size=2), TERMS)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([("x^2", "y"), ("x*y", "y^3"), ("x^2 - y^3", "x*y^2")]),
+           st.lists(COEFFICIENT, min_size=1, max_size=3))
+    @example(("x^2", "y"), [((1, 0), [{(1, 0): 1}, {}], {})])
+    @example(("x^2", "y"), [((1, 0), [{}, {}], {(1, 0): 1}), ((0, 1), [{}, {(0, 0): 2}], {})])
+    def test_coefficientwise_check_against_the_extended_ring(self, gens, coefficients):
+        # validate_unfolding asks each parameter coefficient of F for
+        # membership in I; the reference asks F - f for membership in the
+        # ideal that I generates in the extended ring
+        I = ideal(R2, LOCAL_DS, *gens)
+        ext = R2.extend(["s1", "s2"])
+        base = [ext.var(0), ext.var(1)]
+        F = CUSP.substitute(base, ext)
+        for (a, b), multipliers, stray in coefficients:
+            h = R2.sum([Poly(R2, t) * g for t, g in zip(multipliers, I.gens)] + [Poly(R2, stray)])
+            F = F + ext.monomial((0, 0, a, b)) * h.substitute(base, ext)
+        U = make_unfolding(CUSP, ["s1", "s2"], F)
+        I_ext = Ideal(ext, [g.substitute(base, ext) for g in I.gens], GLOBAL_DP)
+        try:
+            validate_unfolding(U, I)
+            verdict = True
+        except GermforgeError as e:
+            assert e.code == "F_NOT_UNFOLDING"
+            verdict = False
+        assert verdict == I_ext.contains(F - CUSP.substitute(base, ext))
+
+    def test_coefficientwise_check_reuses_the_ideal_basis(self, basis_calls):
+        ext = R2.extend(["s1", "s2"])
+        U = make_unfolding(CUSP, ["s1", "s2"], parse_poly("y^2 + x^3 + s1 x^2 + s1^2 s2 x y", ext))
+        I = ideal(R2, LOCAL_DS, "x^2", "y")
+        I.basis()
+        basis_calls.clear()
+        validate_unfolding(U, I)
+        assert basis_calls == []
 
 
 class TestBuildVersal:

@@ -13,6 +13,11 @@ dead code: delete it with its tests. An entry names the test that uses the
 function as an independent check of a command's answer, or the test that
 reaches its branch. Names bound in ``perfbench/tracer.py``'s ``LAYERS``
 table are allowed as long as the table binds them.
+
+A pinned document is reached the same way: each file of
+``perfbench/expected`` is the document of one benchmark case, and each
+golden that the benchmark compares exists, so no check that runs the cases
+skips a pin.
 """
 
 import ast
@@ -96,6 +101,8 @@ INPUTS = [
     (["conserve", "--assume-reduced"], CANON + "option trials 9 ;\n"),
     (["conserve", "--assume-reduced"], CANON + "option trials x ;\n"),
     (["versal-check"], CANON + "unfolding F params s1 s2 = x^3 + y^2 + s1*x^2 + s2*y ;\n"),
+    # a slice that leaves I: F_NOT_UNFOLDING, exit status 2
+    (["versal-check"], CANON + "unfolding F params s = x^3 + y^2 + s*x ;\n"),
     # parameter names past s..w, and base names that are jet ring names
     (["versal-build"], "ring x s1 t1 u1 v1 w1 ;\nideal I = 1 ;\n"
      "poly f = x^3 + s1^2 + t1^2 + u1^2 + v1^2 + w1^2 ;\n"),
@@ -309,3 +316,14 @@ def test_every_reason_names_a_test_that_exists():
         assert found, name
         with open(os.path.join(TESTS, found[1]), encoding="utf-8") as fh:
             assert f"def {found[2]}(" in fh.read(), name
+
+
+def test_every_pinned_document_belongs_to_a_case():
+    bench = _load_perfbench("run")
+    cases = {case.slug: case.id for cases in bench.WORKLOADS.values() for case in cases}
+    orphans = sorted(path.name for path in bench.EXPECTED.glob("*.txt")
+                     if path.stem not in cases)
+    assert orphans == []
+    assert sorted(set(bench.GOLDENS) - set(cases.values())) == []
+    assert sorted(name for name in bench.GOLDENS.values()
+                  if not (bench.GOLDEN / name).is_file()) == []
