@@ -14,7 +14,6 @@ from germforge import (
     Ideal,
     Ring,
     build_versal_unfolding,
-    invariant_report,
     jet_morse_number,
     parse_poly,
     splitting,
@@ -44,16 +43,16 @@ def main(argv=None):
     tau = tangent_ideal(f, theta)
     print("tangent ideal: (" + ", ".join(format_poly(g) for g in tau.gens) + ")")
 
-    rep = invariant_report(f, I)
-    print(f"\nextended codimension: {rep.c_ext}")
-    print(f"plain codimension:    {rep.c_plain}")
-    print(f"determinacy bound:    {rep.determinacy}")
-    print("cobasis: " + ", ".join(format_poly(b) for b in rep.basis))
+    problem = GermProblem(f, I)
+    print(f"\nextended codimension: {problem.c_ext}")
+    print(f"plain codimension:    {problem.c_plain}")
+    print(f"determinacy bound:    {problem.determinacy}")
+    print("cobasis: " + ", ".join(format_poly(b) for b in problem.cobasis))
 
     U = build_versal_unfolding(f, I)
     print(f"\nversal unfolding ({len(U.params)} params): F = {format_poly(U.F)}")
 
-    split = splitting(GermProblem(f, I), seeds)
+    split = splitting(problem, seeds)
     print(f"\nsplitting over seeds {split.seeds}:")
     print(f"  corrected codimension: {split.corrected}")
     print(f"  Morse count:           {split.morse}")

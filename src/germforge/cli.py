@@ -20,11 +20,10 @@ from types import SimpleNamespace
 from .errors import INTERNAL_CODE, GermforgeError, ParseError
 from .invariants import (
     GermProblem,
+    Unfolding,
     build_versal_unfolding,
     classify_Ddk,
     determinacy_bound,
-    invariant_report,
-    make_unfolding,
     positive_codim_locus,
     versality_check,
 )
@@ -142,7 +141,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
     ring: Ring | None = None
     ideals: dict[str, Ideal] = {}
     polys: dict[str, Poly] = {}
-    unfoldings: dict[str, tuple[tuple[str, ...], Poly]] = {}
+    unfoldings: dict[str, Poly] = {}
     options: dict[str, str] = {}
     used_names: set = set()
 
@@ -204,9 +203,8 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
             for p in params:
                 _check_name(p, "parameter", line, col)
                 claim(p, line, col)
-            ext = ring.extend(params)
-            F = _parse_expr(expr, ext, f"unfolding {name}", line, col)
-            unfoldings[name] = (tuple(params), F)
+            unfoldings[name] = _parse_expr(expr, ring.extend(params), f"unfolding {name}",
+                                           line, col)
             continue
         raise ParseError(f"unknown statement {kind!r}", line, col)
     if ring is None:
@@ -240,7 +238,7 @@ def the_ideal(pf: ProblemFile, preferred: Sequence[str] = ("I",)) -> Ideal:
     return _pick(pf.ideals, preferred, "an ideal")[1]
 
 
-def the_unfolding(pf: ProblemFile) -> tuple[tuple[str, ...], Poly]:
+def the_unfolding(pf: ProblemFile) -> Poly:
     return _pick(pf.unfoldings, ("F",), "an unfolding")[1]
 
 
@@ -260,15 +258,17 @@ def render_tree(pairs: Tree, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     for key, val in pairs:
-        if isinstance(val, list) and val and isinstance(val[0], tuple):
+        if not isinstance(val, list):
+            lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
+        elif not val:
+            lines.append(f"{pad}{key}: none")
+        elif isinstance(val[0], tuple):
             lines.append(f"{pad}{key}:")
             lines.extend(render_tree(val, indent + 1))
-        elif isinstance(val, list):
+        else:
             lines.append(f"{pad}{key}:")
             for item in val:
                 lines.append(f"{pad}  - {_fmt_scalar(item)}")
-        else:
-            lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
     return lines
 
 
@@ -282,9 +282,9 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
         tree.append((f"ideal {name}", ", ".join(format_poly(g) for g in I.gens)))
     for name, p in pf.polys.items():
         tree.append((f"poly {name}", format_poly(p)))
-    for name, (params, F) in pf.unfoldings.items():
+    for name, F in pf.unfoldings.items():
         tree.append((f"unfolding {name}",
-                     f"params {' '.join(params)} = {format_poly(F)}"))
+                     f"params {' '.join(F.ring.names[pf.ring.n:])} = {format_poly(F)}"))
     for key, val in pf.options.items():
         tree.append((f"option {key}", val))
     return tree
@@ -296,16 +296,15 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
 
 
 def _cmd_codim(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
-    f, I = the_poly(pf), the_ideal(pf)
-    rep = invariant_report(f, I)
+    P = GermProblem(the_poly(pf), the_ideal(pf))
     results: Tree = [
-        ("c_ext", str(rep.c_ext)),
-        ("c_plain", str(rep.c_plain)),
+        ("c_ext", str(P.c_ext)),
+        ("c_plain", str(P.c_plain)),
     ]
-    if rep.determinacy is not None:
-        results.append(("determinacy", rep.determinacy))
-    if rep.basis:
-        results.append(("basis", [format_poly(p) for p in rep.basis]))
+    if P.c_ext.is_finite:
+        results.append(("determinacy", P.determinacy))
+    if P.cobasis:
+        results.append(("basis", [format_poly(p) for p in P.cobasis]))
     return results, [], []
 
 
@@ -359,9 +358,7 @@ def _cmd_primitive(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 
 def _cmd_versal_check(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
-    params, F = the_unfolding(pf)
-    U = make_unfolding(f, params, F)
-    return [("versal", versality_check(U, I))], [], []
+    return [("versal", versality_check(Unfolding(f, the_unfolding(pf)), I))], [], []
 
 
 def _cmd_versal_build(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
@@ -457,8 +454,7 @@ def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     if rep.sigma is None:
         results.append(("sigma", "UNLOCATED"))
     else:
-        results.append(("sigma", [f"{k} -> {rep.sigma[k]}"
-                                  for k in sorted(rep.sigma)] or ["none"]))
+        results.append(("sigma", [f"{k} -> {rep.sigma[k]}" for k in sorted(rep.sigma)]))
     results.extend([
         ("corrected", rep.corrected),
         ("morse", rep.morse),
@@ -689,7 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if settings:
                 doc.append(("settings", settings))
             doc.append(("results", results))
-            doc.append(("warnings", warnings if warnings else "none"))
+            doc.append(("warnings", warnings))
             out = "\n".join(render_tree(doc)) + "\n"
         _write(out)
     except (GermforgeError, AssertionError) as e:

@@ -24,10 +24,9 @@ moved there (Submodule.at): O^k/L is I/tau, and moving to a point commutes
 with taking the preimage, so no moved problem is built.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
-positive_codim_locus, versality_check, build_versal_unfolding and
-invariant_report are entry points that build one problem each; code that
-needs several invariants of one pair builds the problem once and reads them
-all from it.
+positive_codim_locus, versality_check and build_versal_unfolding are entry
+points that build one problem each; code that needs several invariants of
+one pair builds the problem once and reads them all from it.
 
 The model is the elimination that certified the local quotient O^k/L, kept
 on L's local view; the problem climbs no caps of its own. Its degree d is
@@ -46,7 +45,6 @@ rank.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, count
 
@@ -95,11 +93,15 @@ class GermProblem:
     def c_plain(self) -> QuotientDim:
         """dim I/tau(f) where tau uses only fields vanishing at the origin.
         A theta whose generators have no constant term lies in m * Theta, so
-        its vanishing part is theta itself and tau(f) is tau_e(f)."""
+        its vanishing part is theta itself and tau(f) is tau_e(f). The two
+        codimensions differ by at most n, so they are finite together."""
         if not any(a.constant_term() for X in self.theta.gens for a in X):
             return self.c_ext
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
-        return subideal_preimage(self.I, tau).quotient_dimension()
+        c = subideal_preimage(self.I, tau).quotient_dimension()
+        if c.is_finite != self.c_ext.is_finite:
+            raise AssertionError("finiteness of the two codimensions must agree")
+        return c
 
     def finite_codim(self, why: str, code: str = "NOT_FINITE_CODIM") -> int:
         """The extended codimension, or the error code (NOT_FINITE_CODIM by
@@ -197,36 +199,34 @@ def positive_codim_locus(f: Poly, I: Ideal) -> Ideal:
 
 
 class Unfolding:
-    """Polynomial family F over base germ f; the parameters are the trailing
-    variables of ring and setting them to zero recovers f."""
+    """Polynomial family F over base germ f: F's ring starts with f's
+    variables, its trailing variables are the parameters, and setting them
+    to zero recovers f."""
 
-    __slots__ = ("ring", "F", "params", "base_ring", "f")
+    __slots__ = ("f", "F")
 
-    def __init__(self, ring: Ring, F: Poly, params: tuple[str, ...], base_ring: Ring, f: Poly):
-        self.ring, self.F, self.params, self.base_ring, self.f = ring, F, params, base_ring, f
-        if ring.names[:base_ring.n] != base_ring.names:
+    def __init__(self, f: Poly, F: Poly):
+        self.f, self.F = f, F
+        if F.ring.names[:f.ring.n] != f.ring.names:
             raise ValueError("extended ring must start with the base variables")
-        if set(params) != set(ring.names[base_ring.n:]):
-            raise ValueError("parameters must be exactly the trailing variables")
-        if self.specialized() != self.f:
+        if self.specialized() != f:
             raise GermforgeError("F_NOT_UNFOLDING", "setting parameters to zero does not recover f")
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.F.ring.names[self.f.ring.n:]
 
     def _at_zero(self, p: Poly) -> Poly:
         """p with all parameters set to zero, in the base ring."""
-        b = self.base_ring
-        return p.substitute([b.var(i) if i < b.n else b.zero() for i in range(self.ring.n)], b)
+        b = self.f.ring
+        return p.substitute([b.var(i) if i < b.n else b.zero() for i in range(p.ring.n)], b)
 
     def specialized(self) -> Poly:
         return self._at_zero(self.F)
 
     def derivative_at_zero(self, which: int) -> Poly:
         """dF/ds_which with all parameters set to zero, in the base ring."""
-        return self._at_zero(self.F.derive(self.base_ring.n + which))
-
-
-def make_unfolding(f: Poly, params: Sequence[str], F: Poly) -> Unfolding:
-    """Package a total polynomial F (in base variables plus params) over f."""
-    return Unfolding(F.ring, F, tuple(params), f.ring, f)
+        return self._at_zero(self.F.derive(self.f.ring.n + which))
 
 
 def validate_unfolding(U: Unfolding, I: Ideal) -> None:
@@ -238,12 +238,12 @@ def validate_unfolding(U: Unfolding, I: Ideal) -> None:
     lies in it exactly when F_0 - f and every other F_a lie in I. F_0 is f
     (Unfolding checks it), and each other F_a is one normal form against
     I's own cached global basis; no ideal of the extended ring is built."""
-    n, split = U.base_ring.n, {}
+    base, split = U.f.ring, {}
     for m, c in U.F.terms.items():
-        if any(m[n:]):
-            split.setdefault(m[n:], {})[m[:n]] = c
+        if any(m[base.n:]):
+            split.setdefault(m[base.n:], {})[m[:base.n]] = c
     I_dp = I.with_order(GLOBAL_DP)
-    if not all(I_dp.contains(Poly(U.base_ring, terms)) for terms in split.values()):
+    if not all(I_dp.contains(Poly(base, terms)) for terms in split.values()):
         raise GermforgeError("F_NOT_UNFOLDING",
                              "F - f is not a combination of the ideal generators")
 
@@ -266,7 +266,7 @@ def build_versal_unfolding(f: Poly, I: Ideal) -> Unfolding:
     F = ext.sum([f.substitute(base, ext)]
                 + [ext.var(n + i) * h.substitute(base, ext)
                    for i, h in enumerate(P.cobasis)])
-    U = Unfolding(ext, F, tuple(params), ring, f)
+    U = Unfolding(f, F)
     if not P.is_versal(U):
         raise AssertionError("constructed unfolding failed its own versality check")
     return U
@@ -336,19 +336,3 @@ def classify_Ddk(f: Poly, J: Ideal) -> DdkClass:
                              for entry in entries)
     verdict = "IS_Ddk" if rank == needed else "NOT_Ddk"
     return DdkClass(d, k, verdict)
-
-
-# ---------------------------------------------------------------------------
-# report bundle
-
-
-class InvariantReport(namedtuple("InvariantReport", "c_ext c_plain determinacy basis")):
-    __slots__ = ()
-
-
-def invariant_report(f: Poly, I: Ideal) -> InvariantReport:
-    P = GermProblem(f, I)
-    if P.c_ext.is_finite != P.c_plain.is_finite:
-        raise AssertionError("finiteness of the two codimensions must agree")
-    det = P.determinacy if P.c_ext.is_finite else None
-    return InvariantReport(P.c_ext, P.c_plain, det, P.cobasis)

@@ -14,10 +14,11 @@ disagreement raises instead of guessing. A deformed member g is the
 GermProblem P.member(g) under dp, which shares P's theta: its c_ext is the
 defect mass and its locus() holds the points to locate. Rational points are
 located by the p-adically lifted roots of the squarefree parts of the
-per-variable minimal polynomials, and each is measured on the member's
-module moved there, member.L.at(point): O^k/L is I/tau_e(g), so its local
-length is the point's codimension, finite as L's global length is; when
-some mass sits at nonrational points only the aggregate is reported.
+per-variable minimal polynomials, all rational exactly when each squarefree
+part has as many rational roots as its degree. Each is measured once, on
+the member's module moved there, member.L.at(point): O^k/L is I/tau_e(g),
+so its local length is the point's codimension, finite as L's global length
+is; when some point is not rational only the aggregate is reported.
 The oracle's Morse number is splitting(P).morse; the jet route's is
 jetmorse.jet_morse_number, which conservation_check reads its reference
 from.
@@ -176,23 +177,23 @@ def _rational_roots(p: Poly) -> list[Q]:
 
 def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
     """Every point of the zero set, when all of them are rational; None when
-    part of the multiplicity sits at nonrational points. Completeness is
-    decided by comparing the local lengths of L moved to the located points
-    against the global one."""
+    some point is not rational or the zero set is not finite. The values of
+    x_i at the points are the roots of its minimal polynomial on the
+    quotient (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 section 4),
+    so all points are rational exactly when every squarefree part has as
+    many rational roots as its degree."""
     ring, L_dp = L.ring, L.with_order(GLOBAL_DP)
-    qd = L_dp.quotient_dimension()
-    if not qd.is_finite:
+    if not L_dp.quotient_dimension().is_finite:
         return None
     candidates: list[tuple[Q, ...]] = [()]
     for i in range(ring.n):
-        roots = _rational_roots(squarefree_part(minimal_polynomial(L_dp, i), i))
+        part = squarefree_part(minimal_polynomial(L_dp, i), i)
+        roots = _rational_roots(part)
+        if len(roots) < part.total_degree():
+            return None
         candidates = [c + (r,) for c in candidates for r in roots]
-        if not candidates:
-            break
-    points = [c for c in candidates for at in [[ring.const(v) for v in c]]
-              if all(g.substitute(at).is_zero() for g in L_dp.gens)]
-    located = sum(L_dp._module().at(pt).quotient_dimension().value for pt in points)
-    return points if located == qd.value else None
+    return [c for c in candidates for at in [[ring.const(v) for v in c]]
+            if all(g.substitute(at).is_zero() for g in L_dp.gens)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from germforge import (
     Poly,
     Ring,
     Submodule,
+    Unfolding,
     XorShift64,
     build_versal_unfolding,
     classify_Ddk,
@@ -24,7 +25,6 @@ from germforge import (
     hilbert_samuel_values,
     jet_morse_number,
     lie_bracket,
-    make_unfolding,
     parse_poly,
     power_ideal,
     primitive_ideal,
@@ -144,7 +144,7 @@ def test_c07_constructed_unfolding_is_versal_and_minimal():
         F = CUSP.substitute(base, ext)
         for i, h in enumerate(kept):
             F = F + ext.var(n + i) * h.substitute(base, ext)
-        assert not versality_check(make_unfolding(CUSP, params, F), EJEM), drop
+        assert not versality_check(Unfolding(CUSP, F), EJEM), drop
 
 
 def test_c08_counts_are_conserved_and_methods_agree():

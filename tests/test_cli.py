@@ -22,7 +22,6 @@ import germforge.tangent
 from germforge import (
     CriticalReport,
     DdkClass,
-    InvariantReport,
     JetContext,
     MorseComponent,
     PrimitiveIdeal,
@@ -581,6 +580,20 @@ class TestCommandSurface:
         assert code == 0
         assert "- y" in out and "- x^2" in out
 
+    def test_empty_locus_prints_none(self, capsys, tmp_path):
+        # the zero germ has the zero tangent ideal, whose colon by the unit
+        # ideal has no generators: an empty list prints as none
+        text = "ring x y ;\nideal I = 1 ;\npoly f = 0 ;\n"
+        code, out, _ = run(capsys, ["locus", problem(tmp_path, text)])
+        assert code == 0
+        assert out.endswith("results:\n  generators: none\nwarnings: none\n")
+
+    def test_split_at_zero_codimension_prints_no_sigma(self, capsys, tmp_path):
+        text = "ring x y ;\nideal I = 1 ;\npoly f = x ;\n"
+        code, out, _ = run(capsys, ["split", problem(tmp_path, text)])
+        assert code == 0
+        assert "results:\n  sigma: none\n  corrected: 0\n  morse: 0\n  stable: true\n" in out
+
     def test_theta_via_subideal_differs_from_direct(self, capsys, tmp_path):
         text = "ring x y ;\nideal I = x, y ;\n"
         path = problem(tmp_path, text)
@@ -840,7 +853,7 @@ class TestStartUp:
         assert _digest(text) == _hashlib_digest(text)
 
 
-RECORDS = [QuotientDim, PrimitiveIdeal, DdkClass, InvariantReport, JetContext,
+RECORDS = [QuotientDim, PrimitiveIdeal, DdkClass, JetContext,
            MorseComponent, CriticalReport, SplittingReport, ProblemFile]
 
 
@@ -861,12 +874,22 @@ class TestRecords:
         f = parse_poly("x^3 + y^2", base)
         ext = base.extend(["s"])
         F = parse_poly("x^3 + y^2 + s*x", ext)
-        U = Unfolding(ext, F, ("s",), base, f)
-        assert (U.ring, U.F, U.params, U.base_ring, U.f) == (ext, F, ("s",), base, f)
+        U = Unfolding(f, F)
+        assert (U.f, U.F, U.params) == (f, F, ("s",))
         with pytest.raises(ValueError, match="start with the base"):
-            Unfolding(Ring(["y", "x", "s"]), F, ("s",), base, f)
-        with pytest.raises(ValueError, match="trailing variables"):
-            Unfolding(ext, F, ("t",), base, f)
+            Unfolding(f, parse_poly("x^3 + y^2 + s*x", Ring(["y", "x", "s"])))
+
+    def test_unfolding_parameters_follow_the_ring(self):
+        # the parameters are the trailing ring variables in ring order, and
+        # derivative_at_zero(i) differentiates along params[i]
+        base = Ring(["x", "y"])
+        f = parse_poly("x^3 + y^2", base)
+        U = Unfolding(f, parse_poly("x^3 + y^2 + s*x + t*y", base.extend(["s", "t"])))
+        assert U.params == ("s", "t")
+        assert [format_poly(U.derivative_at_zero(i)) for i in range(2)] == ["x", "y"]
+        U = Unfolding(f, parse_poly("x^3 + y^2 + s*x + t*y", base.extend(["t", "s"])))
+        assert U.params == ("t", "s")
+        assert [format_poly(U.derivative_at_zero(i)) for i in range(2)] == ["y", "x"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from germforge import stdbasis, tangent
 from germforge.cli import main, parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
-from germforge.stdbasis import Ideal, power_ideal
+from germforge.stdbasis import Ideal, QuotientDim, power_ideal
 from germforge.invariants import (
     DdkClass,
     GermProblem,
@@ -19,8 +19,6 @@ from germforge.invariants import (
     classify_Ddk,
     determinacy_bound,
     extended_codim,
-    invariant_report,
-    make_unfolding,
     plain_codim,
     positive_codim_locus,
     validate_unfolding,
@@ -273,37 +271,36 @@ class TestVersality:
     def test_manual_versal_unfolding(self):
         ext = R2.extend(["s1", "s2", "s3"])
         F = parse_poly("y^2 + x^3 + s1 x^2 + s2 y + s3 x y", ext)
-        U = make_unfolding(CUSP, ["s1", "s2", "s3"], F)
+        U = Unfolding(CUSP, F)
         assert versality_check(U, EJEM)
 
     def test_single_parameter_not_versal(self):
         ext = R2.extend(["s1"])
         F = parse_poly("y^2 + x^3 + s1 x^2", ext)
-        U = make_unfolding(CUSP, ["s1"], F)
+        U = Unfolding(CUSP, F)
         assert not versality_check(U, EJEM)
 
     def test_dropping_any_parameter_breaks_versality(self):
         U = build_versal_unfolding(CUSP, EJEM)
-        ext = U.ring
-        n = R2.n
+        ext = U.F.ring
         for drop in range(len(U.params)):
             keep = [i for i in range(len(U.params)) if i != drop]
             sub = R2.extend([U.params[i] for i in keep])
             images = [sub.var(nm) if nm in sub.index else sub.zero()
                       for nm in ext.names]
             F2 = U.F.substitute(images, sub)
-            U2 = Unfolding(sub, F2, tuple(U.params[i] for i in keep), R2, CUSP)
+            U2 = Unfolding(CUSP, F2)
             assert not versality_check(U2, EJEM)
 
     def test_trivial_unfolding_versal_when_codim_zero(self):
         Iy = ideal(R2, LOCAL_DS, "y")
-        U = make_unfolding(P("x y"), [], P("x y"))
+        U = Unfolding(P("x y"), P("x y"))
         assert versality_check(U, Iy)
 
     def test_slice_leaving_ideal_rejected(self):
         ext = R2.extend(["s1"])
         F = parse_poly("y^2 + x^3 + s1 x", ext)
-        U = make_unfolding(CUSP, ["s1"], F)
+        U = Unfolding(CUSP, F)
         with pytest.raises(GermforgeError) as ei:
             versality_check(U, EJEM)
         assert ei.value.code == "F_NOT_UNFOLDING"
@@ -312,19 +309,19 @@ class TestVersality:
         ext = R2.extend(["s1"])
         F = parse_poly("y^2 + x^3 + x^2", ext)
         with pytest.raises(GermforgeError) as ei:
-            make_unfolding(CUSP, ["s1"], F)
+            Unfolding(CUSP, F)
         assert ei.value.code == "F_NOT_UNFOLDING"
 
     def test_extra_parameters_still_versal(self):
         ext = R2.extend(["s1", "s2", "s3", "s4"])
         F = parse_poly("y^2 + x^3 + s1 x^2 + s2 y + s3 x y + s4 y^2", ext)
-        U = make_unfolding(CUSP, ["s1", "s2", "s3", "s4"], F)
+        U = Unfolding(CUSP, F)
         assert versality_check(U, EJEM)
 
     def test_parameter_with_zero_derivative_at_the_origin(self):
         ext = R2.extend(["s1", "s2", "s3", "s4"])
         F = parse_poly("y^2 + x^3 + s1 x^2 + s2 y + s3 x y + s4^2 x^2", ext)
-        U = make_unfolding(CUSP, ["s1", "s2", "s3", "s4"], F)
+        U = Unfolding(CUSP, F)
         assert versality_check(U, EJEM)
 
     # a coefficient of F at a parameter monomial: (s1, s2 exponents, one
@@ -350,7 +347,7 @@ class TestVersality:
         for (a, b), multipliers, stray in coefficients:
             h = R2.sum([Poly(R2, t) * g for t, g in zip(multipliers, I.gens)] + [Poly(R2, stray)])
             F = F + ext.monomial((0, 0, a, b)) * h.substitute(base, ext)
-        U = make_unfolding(CUSP, ["s1", "s2"], F)
+        U = Unfolding(CUSP, F)
         I_ext = Ideal(ext, [g.substitute(base, ext) for g in I.gens], GLOBAL_DP)
         try:
             validate_unfolding(U, I)
@@ -362,7 +359,7 @@ class TestVersality:
 
     def test_coefficientwise_check_reuses_the_ideal_basis(self, basis_calls):
         ext = R2.extend(["s1", "s2"])
-        U = make_unfolding(CUSP, ["s1", "s2"], parse_poly("y^2 + x^3 + s1 x^2 + s1^2 s2 x y", ext))
+        U = Unfolding(CUSP, parse_poly("y^2 + x^3 + s1 x^2 + s1^2 s2 x y", ext))
         I = ideal(R2, LOCAL_DS, "x^2", "y")
         I.basis()
         basis_calls.clear()
@@ -395,8 +392,8 @@ class TestBuildVersal:
         assert versality_check(U, unit)
         ext = R2.extend(U.params[:-1])
         F = U.F.substitute([ext.var(nm) if nm in ext.index else ext.zero()
-                            for nm in U.ring.names], ext)
-        assert not versality_check(Unfolding(ext, F, U.params[:-1], R2, f), unit)
+                            for nm in U.F.ring.names], ext)
+        assert not versality_check(Unfolding(f, F), unit)
 
     @pytest.mark.parametrize("names, gens, f, params", [
         ("x y z", ["x y", "z"], "x^4 y + x y^4 + x y z + z^2", {"dp": 16, "ds": 13}),
@@ -419,8 +416,8 @@ class TestBuildVersal:
             keep = U.params[:k] + U.params[k + 1:]
             ext = ring.extend(keep)
             F = U.F.substitute([ext.var(nm) if nm in ext.index else ext.zero()
-                                for nm in U.ring.names], ext)
-            dropped = Unfolding(ext, F, keep, ring, f)
+                                for nm in U.F.ring.names], ext)
+            dropped = Unfolding(f, F)
             assert not any(versality_check(dropped, I) for I in ideals), U.params[k]
 
     def test_unit_ideal_cubic(self):
@@ -439,16 +436,16 @@ class TestBuildVersal:
         f = parse_poly("x^3", R1)
         ext = R1.extend(["s1", "s2"])
         F = parse_poly("x^3 + s1 x + s2 x^2", ext)
-        U = make_unfolding(f, ["s1", "s2"], F)
+        U = Unfolding(f, F)
         assert not versality_check(U, I1)
         Fok = parse_poly("x^3 + s1 + s2 x", ext)
-        assert versality_check(make_unfolding(f, ["s1", "s2"], Fok), I1)
+        assert versality_check(Unfolding(f, Fok), I1)
 
     def test_zero_codim_builds_trivial_family(self):
         Iy = ideal(R2, LOCAL_DS, "y")
         U = build_versal_unfolding(P("x y"), Iy)
         assert U.params == ()
-        assert U.F == P("x y").substitute([U.ring.var(0), U.ring.var(1)], U.ring)
+        assert U.F == P("x y").substitute([U.F.ring.var(0), U.F.ring.var(1)], U.F.ring)
 
     def test_infinite_codim_rejected(self):
         with pytest.raises(GermforgeError) as ei:
@@ -663,17 +660,41 @@ class TestDdkOracle:
 
 
 class TestReport:
-    def test_bundle_matches_parts(self):
-        rep = invariant_report(CUSP, EJEM)
-        assert rep.c_ext.value == 3
-        assert rep.c_plain.value == 3
-        assert rep.determinacy == 2
-        assert {str(b) for b in rep.basis} == {"x^2", "y", "x*y"}
+    # the codim document reads one GermProblem: c_ext, c_plain, the
+    # determinacy when c_ext is finite, and the cobasis
+    @staticmethod
+    def results(tmp_path, capsys, f):
+        path = tmp_path / "problem.gf"
+        path.write_text(f"ring x y ;\nideal I = x^2, y ;\npoly f = {f} ;\n")
+        assert main(["codim", str(path)]) == 0
+        out = capsys.readouterr().out
+        return out[out.index("results:"):out.index("warnings:")].splitlines()[1:]
 
-    def test_infinite_case_has_no_determinacy(self):
-        rep = invariant_report(P("x^2"), EJEM)
-        assert rep.determinacy is None
-        assert not rep.c_ext.is_finite
+    def test_bundle_matches_parts(self, tmp_path, capsys):
+        problem = GermProblem(CUSP, EJEM)
+        assert (problem.c_ext.value, problem.c_plain.value, problem.determinacy) == (3, 3, 2)
+        assert {str(b) for b in problem.cobasis} == {"x^2", "y", "x*y"}
+        assert self.results(tmp_path, capsys, "x^3 + y^2") == [
+            "  c_ext: 3", "  c_plain: 3", "  determinacy: 2", "  basis:"] + [
+            f"    - {b}" for b in problem.cobasis]
+
+    def test_infinite_case_has_no_determinacy(self, tmp_path, capsys):
+        problem = GermProblem(P("x^2"), EJEM)
+        assert not problem.c_ext.is_finite and not problem.c_plain.is_finite
+        with pytest.raises(GermforgeError) as e:
+            problem.determinacy
+        assert e.value.code == "NOT_FINITE_CODIM"
+        assert self.results(tmp_path, capsys, "x^2") == [
+            f"  c_ext: {problem.c_ext}", f"  c_plain: {problem.c_plain}"]
+
+    def test_plain_codim_checks_finiteness_against_c_ext(self):
+        # (y) is preserved by d/dx, so c_plain runs its own preimage; a
+        # finite c_ext against its infinite value is an internal error
+        problem = GermProblem(P("y^2"), ideal(R2, LOCAL_DS, "y"))
+        assert not problem.c_ext.is_finite
+        problem.c_ext = QuotientDim(1)
+        with pytest.raises(AssertionError, match="finiteness of the two codimensions"):
+            problem.c_plain
 
 
 def _rebind(monkeypatch, real, counted):
@@ -701,8 +722,9 @@ class TestGermProblem:
         return kinds
 
     def test_report_computes_theta_once(self, theta_orders):
-        rep = invariant_report(CUSP, EJEM)
-        assert (rep.c_ext.value, rep.c_plain.value, rep.determinacy) == (3, 3, 2)
+        problem = GermProblem(CUSP, EJEM)
+        assert (problem.c_ext.value, problem.c_plain.value, problem.determinacy) == (3, 3, 2)
+        assert len(problem.cobasis) == 3
         assert theta_orders == ["ds"]
 
     def test_splitting_computes_theta_once(self, theta_orders):

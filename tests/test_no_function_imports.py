@@ -41,3 +41,16 @@ def test_cli_imports_no_private_names():
              if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names]
     assert names and not [n for n in names if n.startswith("_")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # __init__.py imports to re-export; elsewhere an imported name that the
+    # module never reads is left over from code that is gone
+    tree = _tree(path.name)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names} - {"annotations"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []

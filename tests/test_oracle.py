@@ -167,6 +167,14 @@ class TestCorrectedCodim:
 
 
 class TestRationalPointLocation:
+    @pytest.fixture(autouse=True)
+    def no_moved_module(self, monkeypatch):
+        # completeness comes from root counts: locating moves no module
+        def refuse(self, point):
+            raise AssertionError(f"a module was moved to {point}")
+
+        monkeypatch.setattr(stdbasis.Submodule, "at", refuse)
+
     def test_two_simple_points(self):
         L = ideal(R2, GLOBAL_DP, "x^2 - 1", "y - 2*x")
         assert locate_rational_points(L) == [
@@ -185,6 +193,11 @@ class TestRationalPointLocation:
     def test_mixed_rational_and_irrational_refused(self):
         # x(x^2-2) = 0 has one rational and two irrational roots
         L = ideal(R2, GLOBAL_DP, "x^3 - 2*x", "y")
+        assert locate_rational_points(L) is None
+
+    def test_rational_x_and_irrational_y_refused(self):
+        # every x is rational, but no y is
+        L = ideal(R2, GLOBAL_DP, "x^2 - 1", "y^2 - 2")
         assert locate_rational_points(L) is None
 
     def test_unit_ideal_is_empty(self):
@@ -348,10 +361,11 @@ class TestEmpiricalSplitting:
         # the defect points of the cusp in the maximal ideal are rational.
         # The member shares the problem's theta, so no dp theta is computed
         # and the problem's own theta runs before any point is located.
-        real_critical, real_locate, real_theta, real_basis = (
+        real_critical, real_locate, real_theta, real_basis, real_at = (
             oracle.critical_points_outside, oracle.locate_rational_points,
-            tangent.theta_preserving, stdbasis.std_basis_vectors)
+            tangent.theta_preserving, stdbasis.std_basis_vectors, stdbasis.Submodule.at)
         located, theta_orders, theta_before_locate, bases, bases_after_locate = [], [], [], [], []
+        moved = []
 
         def locate(L):
             theta_before_locate.extend(theta_orders)
@@ -367,9 +381,14 @@ class TestEmpiricalSplitting:
             bases.append(rank)
             return real_basis(vectors, rank)
 
+        def at(module, point):
+            moved.append(tuple(point))
+            return real_at(module, point)
+
         monkeypatch.setattr(oracle, "critical_points_outside",
                             lambda g, I: real_critical(g, I)._replace(count=0))
         monkeypatch.setattr(oracle, "locate_rational_points", locate)
+        monkeypatch.setattr(stdbasis.Submodule, "at", at)
         for name, module in list(sys.modules.items()):
             if name.startswith("germforge"):
                 for attr, value in list(vars(module).items()):
@@ -379,6 +398,8 @@ class TestEmpiricalSplitting:
                         monkeypatch.setattr(module, attr, basis)
         rep = splitting(GermProblem(CUSP, ideal(R2, LOCAL_DS, "x", "y")), seeds=(39,))
         assert [len(points) for points in located] == [2]
+        # one move per located point, none to decide that all are located
+        assert moved == located[0]
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
         assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
         assert theta_before_locate == ["ds"]
