@@ -1,9 +1,11 @@
 """Problem-file parser, command dispatcher, and structured output.
 
-A problem file declares one ring, then named ideals, polynomials, unfoldings,
-and options; a command consumes the declarations it needs by name (poly `f`,
-ideal `I`, unfolding `F`, classify prefers ideal `J`) or, when unambiguous,
-the unique declaration of that kind. Results are printed as a single
+A problem file holds declarations only: one ring, then named ideals,
+polynomials and unfoldings. A command consumes the declarations it needs by
+name (poly `f`, ideal `I`, unfolding `F`, classify prefers ideal `J`) or,
+when unambiguous, the unique declaration of that kind. Every run setting,
+such as seeds, trial counts and truncations, is a command-line option read,
+typed and defaulted by one table, COMMANDS. Results are printed as a single
 key-value tree with stable ordering so identical inputs and seeds produce
 byte-identical documents; timing goes to stderr as elapsed_ms=N.
 """
@@ -32,9 +34,6 @@ from .oracle import conservation_check, splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, Submodule, hilbert_samuel_values
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
-
-KNOWN_OPTIONS = ("trials",)
-
 
 # ---------------------------------------------------------------------------
 # problem files
@@ -82,7 +81,7 @@ def _sha256_hex(data: bytes) -> str:
 
 
 class ProblemFile(namedtuple("ProblemFile",
-                             "text ring order_name ideals polys unfoldings options")):
+                             "text ring order_name ideals polys unfoldings")):
     __slots__ = ()
 
     def digest(self) -> str:
@@ -142,7 +141,6 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
     ideals: dict[str, Ideal] = {}
     polys: dict[str, Poly] = {}
     unfoldings: dict[str, Poly] = {}
-    options: dict[str, str] = {}
     used_names: set = set()
 
     def claim(name: str, line: int, col: int) -> None:
@@ -167,13 +165,6 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
                 _check_name(name, "ring variable", line, col)
             ring = Ring(names)
             used_names.update(names)
-            continue
-        if kind == "option":
-            if len(words) != 3:
-                raise ParseError("option takes a key and a value", line, col)
-            if words[1] not in KNOWN_OPTIONS:
-                raise ParseError(f"unknown option {words[1]!r}", line, col)
-            options[words[1]] = words[2]
             continue
         if ring is None:
             raise ParseError("the ring must be declared first", line, col)
@@ -209,8 +200,7 @@ def parse_problem_file(text: str, order_name: str = "ds") -> ProblemFile:
         raise ParseError(f"unknown statement {kind!r}", line, col)
     if ring is None:
         raise ParseError("no ring declaration", 1, 1)
-    return ProblemFile(text, ring, order_name, ideals, polys,
-                       unfoldings, options)
+    return ProblemFile(text, ring, order_name, ideals, polys, unfoldings)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +275,6 @@ def _inputs_tree(pf: ProblemFile) -> Tree:
     for name, F in pf.unfoldings.items():
         tree.append((f"unfolding {name}",
                      f"params {' '.join(F.ring.names[pf.ring.n:])} = {format_poly(F)}"))
-    for key, val in pf.options.items():
-        tree.append((f"option {key}", val))
     return tree
 
 
@@ -389,24 +377,6 @@ def _cmd_classify(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     return [("d", out.d), ("k", out.k), ("verdict", out.verdict)], [], []
 
 
-def _seeds_from(args) -> tuple[int, ...] | None:
-    if args.seeds is not None:
-        try:
-            return tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise GermforgeError("PRECONDITION_VIOLATED",
-                                 "--seeds wants comma-separated integers")
-    env = os.environ.get("GERMFORGE_SEED")
-    if env:
-        try:
-            base = int(env)
-        except ValueError:
-            raise GermforgeError("PRECONDITION_VIOLATED",
-                                 "GERMFORGE_SEED must be an integer")
-        return (base, base + 2)
-    return None
-
-
 def _degree_bound_from(args) -> int | None:
     """--degree-bound, which must be nonnegative: below 0 no cobasis element
     passes it, so the germ would never be deformed."""
@@ -417,7 +387,6 @@ def _degree_bound_from(args) -> int | None:
 
 def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
-    seeds = _seeds_from(args)
     degree_bound = _degree_bound_from(args)
     settings: Tree = [("method", args.method)]
     warnings: list[str] = []
@@ -431,7 +400,7 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
         jet_val = jet_morse_number(f, I, args.assume_reduced)[2]
         results.append(("morse_jet", jet_val))
     if args.method in ("oracle", "both"):
-        oracle_val = splitting(problem, seeds, degree_bound).morse
+        oracle_val = splitting(problem, args.seeds, degree_bound).morse
         results.append(("morse_oracle", oracle_val))
         warnings.extend(["GLOBAL_COUNT", "GENERICITY_SAMPLED"])
     if args.method == "both":
@@ -441,15 +410,14 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
             raise GermforgeError("GENERICITY_SUSPECT",
                                  f"jet ({jet_val}) and oracle ({oracle_val}) "
                                  "Morse numbers disagree")
-    if seeds is not None:
-        settings.append(("seeds", ",".join(str(s) for s in seeds)))
+    if args.seeds is not None:
+        settings.append(("seeds", ",".join(str(s) for s in args.seeds)))
     return results, settings, warnings
 
 
 def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
-    seeds, degree_bound = _seeds_from(args), _degree_bound_from(args)
-    rep = splitting(GermProblem(f, I), seeds, degree_bound)
+    rep = splitting(GermProblem(f, I), args.seeds, _degree_bound_from(args))
     results: Tree = []
     if rep.sigma is None:
         results.append(("sigma", "UNLOCATED"))
@@ -466,36 +434,27 @@ def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 
 def _cmd_conserve(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
-    degree_bound = _degree_bound_from(args)
-    trials = 3
-    if "trials" in pf.options:
-        try:
-            trials = int(pf.options["trials"])
-        except ValueError:
-            raise GermforgeError("PRECONDITION_VIOLATED",
-                                 "option trials wants an integer")
-    conserved = conservation_check(f, I, trials=trials,
+    conserved = conservation_check(f, I, trials=args.trials,
                                    assume_reduced=args.assume_reduced,
-                                   degree_bound=degree_bound)
+                                   degree_bound=_degree_bound_from(args))
     warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if args.assume_reduced:
         warnings.insert(0, "ASSUMED_REDUCED")
-    return ([("conserved", conserved), ("trials", trials)],
-            [("trials", trials)], warnings)
+    return ([("conserved", conserved), ("trials", args.trials)],
+            [("trials", args.trials)], warnings)
 
 
 def _cmd_hilbert(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     I = the_ideal(pf)
-    upto = args.trunc if args.trunc is not None else 5
-    if upto < 0:
+    if args.trunc < 0:
         raise GermforgeError("PRECONDITION_VIOLATED", "truncation degree must be >= 0")
-    values = hilbert_samuel_values(I, upto)
-    return ([("upto", upto), ("values", values)], [("trunc", upto)], [])
+    values = hilbert_samuel_values(I, args.trunc)
+    return ([("upto", args.trunc), ("values", values)], [("trunc", args.trunc)], [])
 
 
 def _cmd_jet_dump(pf: ProblemFile, args) -> str:
     I = the_ideal(pf)
-    k = args.trunc if args.trunc is not None else 1
+    k = args.trunc
     ctx = jet_context(I, k)
     lines = [
         f"# order-{k} jet ring of the declared ideal; J1 = critical-jet "
@@ -510,9 +469,10 @@ def _cmd_jet_dump(pf: ProblemFile, args) -> str:
 # ---------------------------------------------------------------------------
 # argument surface
 
-# option -> (kind, default, help); a kind is a tuple of choices, int, str, or
-# bool for a flag. The value lands on the attribute named after the option,
-# --degree-bound on args.degree_bound.
+# option -> (kind, default, help); a kind is a tuple of choices, int, list
+# for comma-separated integers (read as a tuple), or bool for a flag. The
+# value lands on the attribute named after the option, --degree-bound on
+# args.degree_bound.
 Option = tuple[object, object, str]
 _ORDER: dict[str, Option] = {
     "--order": (("ds", "dp"), "ds", "monomial order for declared ideals")}
@@ -520,7 +480,7 @@ _TRUNC: dict[str, Option] = {"--trunc": (int, None, "truncation degree")}
 _THETA: dict[str, Option] = {
     "--theta-mode": (("direct", "via-subideal"), "direct", "vector fields to use"),
     **_TRUNC}
-_SEEDS: dict[str, Option] = {"--seeds": (str, None, "comma-separated integer seeds")}
+_SEEDS: dict[str, Option] = {"--seeds": (list, None, "comma-separated integer seeds")}
 _BOUND: dict[str, Option] = {
     "--degree-bound": (int, None, "highest cobasis degree in the deformation")}
 _REDUCED: dict[str, Option] = {
@@ -542,9 +502,10 @@ COMMANDS: dict[str, tuple[Callable, dict[str, Option]]] = {
     "morse": (_cmd_morse, {"--method": (("jet", "oracle", "both"), "both", "which Morse count"),
                            **_REDUCED, **_SEEDS, **_BOUND}),
     "split": (_cmd_split, {**_SEEDS, **_BOUND}),
-    "conserve": (_cmd_conserve, {**_REDUCED, **_BOUND}),
-    "hilbert": (_cmd_hilbert, _TRUNC),
-    "jet-dump": (_cmd_jet_dump, _TRUNC),
+    "conserve": (_cmd_conserve, {**_REDUCED, **_BOUND,
+                                 "--trials": (int, 3, "sampled deformations, 1 to 8")}),
+    "hilbert": (_cmd_hilbert, {"--trunc": (int, 5, "truncation degree")}),
+    "jet-dump": (_cmd_jet_dump, {"--trunc": (int, 1, "jet order")}),
 }
 
 
@@ -555,7 +516,7 @@ def _bad(message: str) -> GermforgeError:
 def _option_usage(name: str, kind) -> str:
     if isinstance(kind, tuple):
         return f"{name} {{{','.join(kind)}}}"
-    return name if kind is bool else f"{name} {'N' if kind is int else 'TEXT'}"
+    return name if kind is bool else f"{name} {'N' if kind is int else 'N,N,...'}"
 
 
 def usage(command: str | None = None) -> str:
@@ -618,6 +579,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                     value = int(value)
                 except ValueError:
                     raise _bad(f"{opt} wants an integer, not {value!r}")
+            else:
+                try:
+                    value = tuple(int(s) for s in value.split(","))
+                except ValueError:
+                    raise _bad(f"{opt} wants comma-separated integers, not {value!r}")
         values[opt] = value
     if len(files) != 1:
         raise _bad(f"{command} takes one problem file, not {len(files)}")

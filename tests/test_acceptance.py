@@ -217,6 +217,29 @@ def test_c09_brieskorn_pham_after_a_linear_change(case):
     assert _invariants(_moved(f, M), unit) == (mu, mu + n, sum(exponents) - 2 * n + 1)
 
 
+# x -> x + 2y - z, y -> x + y + 3z, z -> y + z - x (determinant -12)
+PHI = [[1, 2, -1], [1, 1, 3], [-1, 1, 1]]
+RXYZ = Ring(("x", "y", "z"))
+
+
+def test_c09_brieskorn_pham_567_after_phi():
+    # Milnor-Orlik as above: mu = 4*5*6, c_plain = mu + 3, determinacy
+    # 5 + 6 + 7 - 5; a rung too large for the sampled exponents
+    f = P("x^5 + y^6 + z^7", RXYZ)
+    unit = Ideal(RXYZ, [RXYZ.one()], LOCAL_DS)
+    assert _invariants(_moved(f, PHI), unit) == (120, 123, 13)
+
+
+def test_c09_th3_after_phi_answers_as_unmoved():
+    # four generators of degree 3 in a proper ideal: the change of
+    # coordinates moves the problem, not its invariants
+    gens = ["(x+y+z)^3", "(x-y)^3", "(y-2*z)^3", "x*y*z"]
+    I = Ideal(RXYZ, [P(g, RXYZ) for g in gens], LOCAL_DS)
+    f = P("(x+y+z)^3*(x-y) + (x-y)^3*z + (y-2*z)^3*x", RXYZ)
+    moved = Ideal(RXYZ, [_moved(g, PHI) for g in I.gens], LOCAL_DS)
+    assert _invariants(f, I) == _invariants(_moved(f, PHI), moved) == (31, 31, 4)
+
+
 CORPUS_INVARIANTS = {"cusp": (3, 3, 2), "shear": (3, 3, 2), "a4rel": (5, 5, 3),
                      "d4rel": (4, 4, 2), "e6": (7, 7, 3), "d3": (9, 9, 3)}
 

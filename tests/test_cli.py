@@ -126,31 +126,22 @@ class TestInputChannels:
 
 
 class TestSeedPlumbing:
-    def test_env_seed_expands_to_pair(self, capsys, tmp_path, monkeypatch):
+    def test_environment_sets_no_seed(self, capsys, tmp_path, monkeypatch):
+        # seeds come from --seeds or the default (11, 13), nothing else
         monkeypatch.setenv("GERMFORGE_SEED", "17")
         code, out, _ = run(capsys, ["split", problem(tmp_path)])
         assert code == 0
-        assert "seeds: 17,19" in out
+        assert out == golden("split_cusp_rel.txt")
 
-    def test_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GERMFORGE_SEED", "17")
-        _, out, _ = run(
-            capsys, ["split", problem(tmp_path), "--seeds", "11,13"])
-        assert "seeds: 11,13" in out
-
-    def test_bad_env_seed(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GERMFORGE_SEED", "pi")
-        code, _, err = run(capsys, ["split", problem(tmp_path)])
-        assert code == 2
-        assert "GERMFORGE_SEED" in err
-
-    @pytest.mark.parametrize("flag", [["--seeds="], ["--seeds", ""], ["--seeds", "11,,13"]])
+    @pytest.mark.parametrize("flag", [["--seeds="], ["--seeds", ""], ["--seeds", "11,,13"],
+                                      ["--seeds", "1,x"]])
     def test_empty_seed_list_is_refused(self, capsys, tmp_path, flag):
-        # an empty value is a bad list, not an unset option
+        # an empty value is a bad list, not an unset option; the option
+        # table reads the list, so the flag is named before any work
         code, out, err = run(capsys, ["split", problem(tmp_path)] + flag)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: PRECONDITION_VIOLATED: --seeds")
+        assert err.startswith("error: BAD_REQUEST: --seeds wants comma-separated integers")
 
     @pytest.mark.parametrize("argv", [["split", "--seeds", "5,5"],
                                       ["morse", "--method", "oracle", "--seeds", "7,7"]])
@@ -372,10 +363,12 @@ class TestExitCodes:
         assert "unknown statement" in err
 
     def test_unknown_option_key(self, capsys, tmp_path):
+        # a problem file declares data only: option is no statement
         text = CANON + "option flavor mild ;\n"
         code, _, err = run(capsys, ["codim", problem(tmp_path, text)])
         assert code == 2
-        assert "unknown option" in err
+        assert err.splitlines()[0] == (
+            "error: PARSE_ERROR: unknown statement 'option' at line 4, column 1")
 
     def test_duplicate_name(self, capsys, tmp_path):
         text = CANON + "poly f = y ;\n"
@@ -542,23 +535,28 @@ class TestCommandSurface:
         assert "upto: 5" in out
 
     def test_conserve_reads_trials_option(self, capsys, tmp_path):
-        text = CANON + "option trials 2 ;\n"
         code, out, _ = run(
             capsys,
-            ["conserve", problem(tmp_path, text), "--assume-reduced"])
+            ["conserve", problem(tmp_path), "--assume-reduced", "--trials", "2"])
         assert code == 0
-        assert "conserved: true" in out and "trials: 2" in out
+        assert out.endswith(
+            "settings:\n  trials: 2\nresults:\n  conserved: true\n  trials: 2\n"
+            "warnings:\n  - ASSUMED_REDUCED\n  - GLOBAL_COUNT\n  - GENERICITY_SAMPLED\n")
 
-    @pytest.mark.parametrize("trials", ["0", "9"])
+    @pytest.mark.parametrize("trials, message", [
+        ("0", "trials must be between 1 and 8, got 0"),
+        ("9", "trials must be between 1 and 8, got 9"),
+        # not a count at all: refused by the option table before any work
+        ("x", "--trials wants an integer, not 'x' (see germforge -h)"),
+    ], ids=["0", "9", "x"])
     def test_conserve_rejects_trial_counts_without_own_seeds(
-            self, capsys, tmp_path, trials):
-        text = CANON + f"option trials {trials} ;\n"
+            self, capsys, tmp_path, trials, message):
         code, out, err = run(
             capsys,
-            ["conserve", problem(tmp_path, text), "--assume-reduced"])
+            ["conserve", problem(tmp_path), "--assume-reduced", "--trials", trials])
         assert code == 2
         assert out == ""
-        assert "BAD_REQUEST" in err
+        assert err.splitlines()[0] == f"error: BAD_REQUEST: {message}"
 
     @pytest.mark.parametrize("text, det", [
         ("ring x y z ;\nideal I = x^2, y ;\n"
@@ -741,6 +739,34 @@ class TestArgv:
             assert option in out
         assert "codim" not in out
 
+    def test_help_shows_every_default(self, capsys):
+        # each option that is not a flag and has a default shows it
+        expected = {command: {"--order": "ds"} for command in germforge.cli.COMMANDS}
+        for command in ("theta", "tangent"):
+            expected[command]["--theta-mode"] = "direct"
+        expected["morse"]["--method"] = "both"
+        expected["conserve"]["--trials"] = "3"
+        expected["hilbert"]["--trunc"] = "5"
+        expected["jet-dump"]["--trunc"] = "1"
+        for command, defaults in expected.items():
+            code, out, _ = run(capsys, [command, "-h"])
+            assert code == 0
+            shown = {}
+            for line in out.splitlines():
+                default = re.search(r"\(default (\S+)\)$", line)
+                if line.startswith("  --") and default:
+                    shown[line.split()[0]] = default.group(1)
+            assert shown == defaults, command
+
+    @pytest.mark.parametrize("command, trunc", [("hilbert", "5"), ("jet-dump", "1")])
+    def test_trunc_default_is_the_documented_one(self, capsys, command, trunc):
+        path = os.path.join(CORPUS, "d3.gf")
+        code, implicit, _ = run(capsys, [command, path])
+        assert code == 0
+        code, explicit, _ = run(capsys, [command, path, "--trunc", trunc])
+        assert code == 0
+        assert implicit == explicit
+
     def test_codim_of_infinite_germ_runs_no_saturation(self, capsys, monkeypatch):
         # a coordinate axis in the support decides d3b's infinite lengths
         def refuse(I, J):
@@ -771,7 +797,7 @@ print(code, ",".join(sorted(set(sys.modules) - before)))
 
 
 def _digest(text):
-    return ProblemFile(text, None, "ds", {}, {}, {}, {}).digest()
+    return ProblemFile(text, None, "ds", {}, {}, {}).digest()
 
 
 def _hashlib_digest(text):

@@ -98,8 +98,8 @@ INPUTS = [
     (["primitive", "--trunc", "32767"], CANON),
     (["jet-dump", "--trunc", "32767"], CANON),
     (["theta", "--theta-mode", "via-subideal"], CANON),
-    (["conserve", "--assume-reduced"], CANON + "option trials 9 ;\n"),
-    (["conserve", "--assume-reduced"], CANON + "option trials x ;\n"),
+    (["conserve", "--assume-reduced", "--trials", "9"], CANON),
+    (["conserve", "--assume-reduced", "--trials", "x"], CANON),
     (["versal-check"], CANON + "unfolding F params s1 s2 = x^3 + y^2 + s1*x^2 + s2*y ;\n"),
     # a slice that leaves I: F_NOT_UNFOLDING, exit status 2
     (["versal-check"], CANON + "unfolding F params s = x^3 + y^2 + s*x ;\n"),
