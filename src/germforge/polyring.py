@@ -751,6 +751,8 @@ class _ExprParser:
         if kind == _TOK_OP and val in "+-":
             q = self.factor()
             return q if val == "+" else -q
+        if kind == _TOK_END:
+            raise ParseError("expected a term at the end of the expression", column=at + 1)
         raise ParseError(f"unexpected {val!r}", column=at + 1)
 
 

@@ -45,6 +45,7 @@ CLASSIFY = "ring x y1 y2 ;\nideal J = y1, y2 ;\npoly f = x*y1^2 + y2^2 ;\n"
 VERSAL = CANON + (
     "unfolding F params s1 s2 s3 = x^3 + y^2 + s1*x^2 + s2*y + s3*x*y ;\n")
 PARTIAL = CANON + "unfolding F params s1 s2 = x^3 + y^2 + s1*x^2 + s2*y ;\n"
+END_OF_EXPRESSION = "expected a term at the end of the expression"
 
 
 def run(capsys, argv):
@@ -343,6 +344,13 @@ class TestExitCodes:
         ("\n  ring x-y ;\n", "ring variable 'x-y' is not an identifier at line 2, column 3"),
         (CANON + "unfolding F params 2s = x^3 + y^2 ;\n",
          "parameter '2s' is not an identifier at line 4, column 1"),
+        # an expression that ends where a term is due names the end, not ''
+        ("ring x y ;\nideal I = ;\n",
+         f"in ideal I: {END_OF_EXPRESSION} at column 2 at line 2, column 1"),
+        ("ring x y ;\nideal I = x,,y ;\n",
+         f"in ideal I: {END_OF_EXPRESSION} at column 1 at line 2, column 1"),
+        ("ring x y ;\nideal I = x^2, y ;\npoly f = x + ;\n",
+         f"in poly f: {END_OF_EXPRESSION} at column 6 at line 3, column 1"),
     ])
     def test_names_must_be_identifiers(self, capsys, tmp_path, text, message):
         code, out, err = run(capsys, ["codim", problem(tmp_path, text)])
@@ -782,8 +790,9 @@ class TestArgv:
 
 # ---------------------------------------------------------------------------
 # start-up: records are NamedTuples or slotted classes, the digest is hashed
-# in Python and argv is read without argparse, so a CLI process loads none of
-# dataclasses, OpenSSL, argparse or gettext
+# in Python, argv is read without argparse and coefficients are polyring.Q,
+# so a CLI process loads none of dataclasses, OpenSSL, argparse, gettext,
+# fractions or decimal
 
 # prints the modules that importing the CLI and running one command added,
 # so modules that site preloads do not count
@@ -845,7 +854,8 @@ class TestStartUp:
         assert code == "0"
         assert "germforge.oracle" in added
         assert added.isdisjoint({"dataclasses", "_hashlib", "argparse", "gettext", "typing",
-                                 "re", "enum", "contextlib", "warnings"})
+                                 "re", "enum", "contextlib", "warnings", "fractions",
+                                 "decimal"})
 
     def test_every_annotation_resolves(self):
         functions = _annotated_functions()

@@ -1,5 +1,6 @@
 """Every function in src/germforge is entered by some CLI command, or is
-allowed by name with the test that needs it.
+allowed by name with the test that needs it; and every benchmark case is
+judged as the benchmark judges it.
 
 The sweep runs, in this process under ``sys.setprofile``, every benchmark
 case of ``perfbench/run.py`` over ``perfbench/corpus``, a few commands that
@@ -14,10 +15,14 @@ function as an independent check of a command's answer, or the test that
 reaches its branch. Names bound in ``perfbench/tracer.py``'s ``LAYERS``
 table are allowed as long as the table binds them.
 
-A pinned document is reached the same way: each file of
-``perfbench/expected`` is the document of one benchmark case, and each
-golden that the benchmark compares exists, so no check that runs the cases
-skips a pin.
+The same sweep judges every benchmark case: each one's stdout, stderr and
+exit status go to ``perfbench/run.py``'s own ``judge``, as the output of a
+process would (exit status, error code, goldens, independent values; a
+known failure only in its recorded way), and its stdout is compared byte for
+byte with ``perfbench/expected/<slug>.txt`` wherever that document exists.
+Each file there is the document of one benchmark case, and each golden that
+the benchmark compares exists, so a new pin is checked with no new test, on
+every interpreter the suite runs on.
 """
 
 import ast
@@ -28,6 +33,8 @@ import io
 import os
 import re
 import sys
+import traceback
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,11 +234,9 @@ def _defined_functions():
     return found
 
 
-def _sweep_argvs(tmp_path):
-    bench = _load_perfbench("run")
-    argvs = [case.argv(bench.SEED_PAIRS[0])
-             for cases in bench.WORKLOADS.values() for case in cases]
-    argvs += [argv + [os.path.join(CORPUS, f"{name}.gf")] for argv, name in EXTRA]
+def _other_argvs(tmp_path):
+    """The sweep's commands after the benchmark cases."""
+    argvs = [argv + [os.path.join(CORPUS, f"{name}.gf")] for argv, name in EXTRA]
     for i, (argv, text) in enumerate(INPUTS):
         if text is None:
             argvs.append(argv)
@@ -252,10 +257,20 @@ class _Full(io.StringIO):
 
 
 @pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    """(file, first line) of every function the sweep entered, and the
-    commands that raised instead of returning an exit status."""
-    runs = [(argv, io.StringIO()) for argv in _sweep_argvs(tmp_path_factory.mktemp("sweep"))]
+def bench():
+    return _load_perfbench("run")
+
+
+@pytest.fixture(scope="module")
+def sweep(bench, tmp_path_factory):
+    """(file, first line) of every function the sweep entered, the commands
+    that raised instead of returning an exit status, and (case, run) for
+    each benchmark case, run holding what a process of it would give: out,
+    err, code and timed_out, as perfbench/run.py's judge reads them."""
+    cases = [case for cases in bench.WORKLOADS.values() for case in cases]
+    argvs = [case.argv(bench.SEED_PAIRS[0]) for case in cases]
+    argvs += _other_argvs(tmp_path_factory.mktemp("sweep"))
+    runs = [(argv, io.StringIO()) for argv in argvs]
     runs.append((["codim", os.path.join(CORPUS, "cusp.gf")], _Full()))
     codes = set()
     add = codes.add
@@ -273,18 +288,25 @@ def sweep(tmp_path_factory):
                     value.cache_clear()
     # the profile is set anew for each command: the interpreter unsets it
     # when it raises, as on the recursion limit of the deep-nesting input
-    raised = []
+    raised, results = [], []
     try:
         for argv, stdout in runs:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 sys.setprofile(profile)
                 try:
-                    main(argv)
+                    code = main(argv)
                 except Exception as e:  # what it entered until then still counts
                     raised.append(f"{' '.join(argv)[:120]}: {e!r:.200}")
+                    # as the process would end: a traceback and exit status 1
+                    code = 1
+                    stderr.write(traceback.format_exc())
+            results.append(SimpleNamespace(out=stdout.getvalue(), err=stderr.getvalue(),
+                                           code=code, timed_out=False))
     finally:
         sys.setprofile(None)
-    return {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes}, raised
+    entered = {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes}
+    return entered, raised, list(zip(cases, results))
 
 
 def test_every_command_of_the_sweep_ends_in_an_exit_status(sweep):
@@ -318,8 +340,7 @@ def test_every_reason_names_a_test_that_exists():
             assert f"def {found[2]}(" in fh.read(), name
 
 
-def test_every_pinned_document_belongs_to_a_case():
-    bench = _load_perfbench("run")
+def test_every_pinned_document_belongs_to_a_case(bench):
     cases = {case.slug: case.id for cases in bench.WORKLOADS.values() for case in cases}
     orphans = sorted(path.name for path in bench.EXPECTED.glob("*.txt")
                      if path.stem not in cases)
@@ -327,3 +348,21 @@ def test_every_pinned_document_belongs_to_a_case():
     assert sorted(set(bench.GOLDENS) - set(cases.values())) == []
     assert sorted(name for name in bench.GOLDENS.values()
                   if not (bench.GOLDEN / name).is_file()) == []
+
+
+def test_every_case_is_judged_and_every_pinned_document_compared(bench, sweep):
+    runs = sweep[2]
+    compared, bad = 0, []
+    for case, run in runs:
+        cause = bench.judge(case, run)
+        if bench.CaseRun(case, run, cause).unexpected:
+            bad.append(f"{case.id}: {cause}")
+        pinned = bench.EXPECTED / f"{case.slug}.txt"
+        if pinned.exists():
+            compared += 1
+            if run.out.encode() != pinned.read_bytes():
+                bad.append(f"{case.id}: stdout differs from expected/{pinned.name}")
+    print(f"judged {len(runs)} cases, compared {compared} pinned documents whole")
+    assert bad == []
+    cases = sum(len(cases) for cases in bench.WORKLOADS.values())
+    assert (len(runs), compared) == (cases, len(list(bench.EXPECTED.glob("*.txt"))))
