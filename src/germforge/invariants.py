@@ -57,6 +57,7 @@ from .stdbasis import (
     Submodule,
     TruncatedModel,
     ideal_quotient,
+    preimage_module,
     subideal_preimage,
 )
 from .tangent import tangent_ideal, theta_preserving, theta_vanishing
@@ -94,11 +95,12 @@ class GermProblem:
         """dim I/tau(f) where tau uses only fields vanishing at the origin.
         A theta whose generators have no constant term lies in m * Theta, so
         its vanishing part is theta itself and tau(f) is tau_e(f). The two
-        codimensions differ by at most n, so they are finite together."""
+        codimensions differ by at most n, so they are finite together. tau(f)
+        lies in tau_e(f), which L checks against I, so it is not tested again."""
         if not any(a.constant_term() for X in self.theta.gens for a in X):
             return self.c_ext
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
-        c = subideal_preimage(self.I, tau).quotient_dimension()
+        c = preimage_module(self.I._module().gens, tau._module(), self.I.order).quotient_dimension()
         if c.is_finite != self.c_ext.is_finite:
             raise AssertionError("finiteness of the two codimensions must agree")
         return c

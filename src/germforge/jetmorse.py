@@ -182,15 +182,14 @@ class LiftedGerm:
 
 
 def lift_germ(f: Poly, I: Ideal) -> LiftedGerm:
+    """f's coordinates over I's generators; only a failed lift asks I.contains(f)."""
+    coords = I.lift(f)
+    if coords is not None:
+        return LiftedGerm(f, I.gens, coords)
     if not I.contains(f):
         raise GermforgeError("F_NOT_IN_IDEAL", f"{f} is not a member of the ideal")
-    coords = I.lift(f)
-    if coords is None:
-        raise GermforgeError(
-            "LIFTING_FAILED",
-            "the germ is in the localized ideal but no polynomial "
-            "combination of the generators reproduces it")
-    return LiftedGerm(f, I.gens, coords)
+    raise GermforgeError("LIFTING_FAILED", "the germ is in the localized ideal but no "
+                         "polynomial combination of the generators reproduces it")
 
 
 def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> list[Poly]:

@@ -127,6 +127,8 @@ def critical_points_outside(g: Poly, I: Ideal) -> CriticalReport:
 
 
 _DEFECT_LOCUS = "the deformed member has a positive-dimensional defect locus"
+_ORIGIN_ONLY = ("the deformed member's tangent ideal leaves the polynomial ideal, "
+                "since f lies in I at the origin only")
 
 
 def corrected_extended_codim(g: Poly, I: Ideal) -> int:
@@ -209,7 +211,14 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     c_value = P.c_ext.value
     g = _deform(P, degree_bound, seed)
     member = P.member(g)
-    corrected = member.finite_codim(_DEFECT_LOCUS, "GENERICITY_SUSPECT")
+    try:
+        corrected = member.finite_codim(_DEFECT_LOCUS, "GENERICITY_SUSPECT")
+    except GermforgeError as error:
+        # theta preserves the polynomial ideal and g - f lies in it, so the
+        # member's L refuses tau(g) only for an f outside that ideal
+        if error.code != "PRECONDITION_VIOLATED":
+            raise
+        raise GermforgeError(error.code, f"seed {seed}: {_ORIGIN_ONLY}") from None
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: defect mass {corrected} exceeds the "

@@ -219,6 +219,20 @@ class TestExitCodes:
         start = out_lines.index("results:") + 1
         assert out_lines[start:start + len(lines)] == lines
 
+    @pytest.mark.parametrize("argv", [["split"], ["morse", "--method", "oracle"]],
+                             ids=["split", "oracle"])
+    def test_member_tangent_ideal_outside_the_polynomial_ideal(self, capsys, tmp_path, argv):
+        # f is in I at the origin only, and here, unlike above, a member's
+        # tangent ideal leaves the polynomial ideal: the refusal names the
+        # seed and the cause, not a deformed member the file never wrote
+        text = "ring x y z ;\nideal I = x*y - x^2*y, z ;\npoly f = x^2*y + x*y^2 + z^2 ;\n"
+        assert run(capsys, ["codim", problem(tmp_path, text)])[0] == 0
+        code, out, err = run(capsys, argv + [problem(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: PRECONDITION_VIOLATED: seed 11: the deformed member's tangent ideal "
+            "leaves the polynomial ideal, since f lies in I at the origin only")
+
     def test_every_declared_code_is_named_in_the_package(self):
         # a code that no module outside errors.py names is one no run can
         # end in; PARSE_ERROR is named through ParseError, the internal code

@@ -86,6 +86,17 @@ class TestCodimensions:
         assert (problem.c_ext.value, problem.c_plain.value) == (c_ext, c_plain)
 
     @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
+    def test_plain_codim_tests_no_membership_of_its_own(self, reduce_calls, order):
+        # tau(f) lies in tau_e(f), which L checked against I: c_plain reduces
+        # its four vanishing fields against theta's basis and L's three
+        # generators against tau's, and nothing against I's
+        problem = GermProblem(P("x^3 + y^2"), ideal(R2, order, "1"))
+        assert problem.c_ext.value == 2
+        reduce_calls[0] = 0
+        assert problem.c_plain.value == 4
+        assert reduce_calls == [7]
+
+    @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
     def test_c_ext_bases_of_the_cusp(self, basis_calls, order):
         # I's basis for the membership of f; theta's elimination, whose
         # postcheck reads I's basis in each block; L's elimination and tau's

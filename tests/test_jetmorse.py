@@ -225,6 +225,13 @@ class TestPullback:
             lift_germ(P("x"), I)
         assert ei.value.code == "LIFTING_FAILED"
 
+    def test_lift_is_the_only_normal_form(self, reduce_calls):
+        # a lift proves membership, so the cusp costs one reduction against
+        # the lifter's basis and no test against I's own
+        lifting = lift_germ(CUSP, ideal(R2, LOCAL_DS, "x^2", "y"))
+        assert lifting.coeffs == (P("x"), P("y"))
+        assert reduce_calls == [1]
+
 
 class TestLifting:
     def recombines(self, I, p):

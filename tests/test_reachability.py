@@ -141,8 +141,6 @@ ALLOWED = {
         "test_stdbasis.py::TestOrderViews::test_views_answer_in_their_own_order"),
     "polyring.Order.__init__": "runs when polyring is imported, for LOCAL_DS and GLOBAL_DP",
     "polyring.Order.__repr__": REPR,
-    "polyring.Poly.__hash__": HASHED.format(
-        "test_stdbasis.py::TestModuleIntersection::test_monomial_lcms"),
     "polyring.Poly.__repr__": REPR,
     "polyring.Poly.__rmul__": ("a number times a polynomial: "
                                "test_polyring.py::TestArithmetic::test_scalar_coercion"),
@@ -150,8 +148,6 @@ ALLOWED = {
         "test_polyring.py::TestRational::test_comparisons_agree_with_fraction"),
     "polyring.Q.__gt__": RATIONAL.format(
         "test_polyring.py::TestRational::test_comparisons_agree_with_fraction"),
-    "polyring.Q.__hash__": RATIONAL.format(
-        "test_polyring.py::TestRational::test_unary_and_conversions_agree_with_fraction"),
     "polyring.Q.__int__": RATIONAL.format(
         "test_polyring.py::TestRational::test_unary_and_conversions_agree_with_fraction"),
     "polyring.Q.__le__": RATIONAL.format(

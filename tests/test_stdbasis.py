@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -484,16 +485,31 @@ class TestGroebnerVsSympy:
             _, r = sympy.reduced(to_sympy(p, symbols), list(G.exprs), *symbols,
                                  order="grevlex", domain="QQ")
             assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
+        if not G.is_zero_dimensional:
+            return False
+        # the standard monomials of sympy's leads: each lies below the pure
+        # power of every variable among them
+        leads = [q.monoms(order="grevlex")[0] for q in G.polys]
+        box = [min(m[i] for m in leads if m[i] == sum(m)) for i in range(ring.n)]
+        standard = sorted(((0, m) for m in product(*map(range, box))
+                           if not any(all(a >= b for a, b in zip(m, lm)) for lm in leads)),
+                          key=lambda t: GLOBAL_DP.key(t[1]))
+        qd = I.quotient_dimension()
+        assert (qd.value, qd.witness) == (len(standard), tuple(standard)), (trial, gens)
+        return True
 
     def test_bases_and_normal_forms(self):
         pytest.importorskip("sympy")
         rng = random.Random(20261018)
+        finite = 0
         for trial in range(24):
             ring = R2 if trial % 2 else R3
             gens = [self._rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
             gens = [g for g in gens if not g.is_zero()]
             if gens:
-                self._check_against_sympy(rng, ring, gens, 3, trial)
+                finite += self._check_against_sympy(rng, ring, gens, 3, trial)
+        # the quotient oracle ran on the draws that sympy finds finite
+        assert finite == 10
 
     def test_wide_rings_large_denominators(self):
         # four to six variables and denominators up to 97: the primitive
@@ -1263,6 +1279,23 @@ class TestEliminationPostchecks:
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
             preimage_module(targets, sub, copies=2)
 
+    def test_theta_postcheck(self, monkeypatch):
+        # rank 2 + 2 rows, (x^2, y) in two blocks: adding 1 to the second
+        # entry of a field adds d/dy, which sends y to 1 more, outside I
+        I = ideal(R2, LOCAL_DS, "x^2", "y")
+        assert theta_preserving(I).gens
+        self._perturb_tail(monkeypatch, 4, 2)
+        with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
+            theta_preserving(ideal(R2, LOCAL_DS, "x^2", "y"))
+
+    def test_ideal_quotient_postcheck(self, monkeypatch):
+        # rank 1 + 1 rows: (x y) : (x) is (y), and y + 1 times x leaves (x y)
+        I, J = ideal(R2, GLOBAL_DP, "x y"), ideal(R2, GLOBAL_DP, "x")
+        assert [str(g) for g in ideal_quotient(I, J).gens] == ["y"]
+        self._perturb_tail(monkeypatch, 2, 1)
+        with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
+            ideal_quotient(ideal(R2, GLOBAL_DP, "x y"), ideal(R2, GLOBAL_DP, "x"))
+
 
 class TestEliminationHandover:
     """A preimage caches the basis its elimination computed: the head-free
@@ -1408,11 +1441,32 @@ class TestEliminationsRunNoSecondBasis:
         I = ideal(R2, LOCAL_DS, "x^2", "y")
         theta = theta_preserving(I)
         # the elimination of rank 2 + 2, then I's basis, which serves the
-        # preimage postcheck in both blocks and the preserving-field postcheck
+        # preimage postcheck in both blocks
         assert basis_calls == [4, 1]
         assert [tuple(map(str, X)) for X in theta.basis()] == [
             ("0", "y"), ("0", "x^2"), ("y", "0"), ("x", "0")]
         assert basis_calls == [4, 1]
+
+
+class TestOneNormalFormPerMembership:
+    """Each membership that theta and a colon decide is one global normal
+    form: the preimage postcheck's reduction of its distinct block."""
+
+    def test_theta_reduces_each_block_once(self, reduce_calls):
+        theta = theta_preserving(ideal(R2, LOCAL_DS, "x^2", "y"))
+        # y d/dy, x^2 d/dy, y d/dx and x d/dx send (x^2, y) to (0, y),
+        # (0, x^2), (2xy, 0) and (2x^2, 0): five distinct blocks, the zero
+        # one once, each reduced once against I's basis
+        assert [tuple(map(str, X)) for X in theta.gens] == [
+            ("0", "y"), ("0", "x^2"), ("y", "0"), ("x", "0")]
+        assert reduce_calls == [5]
+
+    @pytest.mark.parametrize("order", [GLOBAL_DP, LOCAL_DS], ids=["dp", "ds"])
+    def test_colon_reduces_each_product_once(self, reduce_calls, order):
+        out = ideal_quotient(ideal(R2, order, "x^2 y", "x y^3"), ideal(R2, order, "x"))
+        # two generators h, each h * x reduced once against I's basis
+        assert [str(g) for g in out.gens] == ["x*y", "y^3"]
+        assert reduce_calls == [2]
 
 
 def stacked_modules():
