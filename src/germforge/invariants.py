@@ -59,6 +59,7 @@ from .stdbasis import (
     ideal_quotient,
     preimage_module,
     subideal_preimage,
+    vec_zero,
 )
 from .tangent import tangent_ideal, theta_preserving, theta_vanishing
 
@@ -151,10 +152,11 @@ class GermProblem:
 
     def is_versal(self, U: Unfolding) -> bool:
         """True iff tau_e(f) plus the span of the parameter derivatives of U
-        at the origin of the parameter space fills I."""
+        at the origin of the parameter space fills I; each derivative is the
+        coordinate vector that validate_unfolding lifted, read in the model."""
         if U.f != self.f:
             raise ValueError("the unfolding is over another germ")
-        validate_unfolding(U, self.I)
+        derivatives = validate_unfolding(U, self.I)
         c = self.c_ext
         if not c.is_finite:
             return False
@@ -164,14 +166,8 @@ class GermProblem:
         dim = None if model is None else len(model.labels) - model.basis.rank
         if dim is None or dim > c.value or (self.I.order.is_local and dim != c.value):
             raise AssertionError("truncated quotient model disagrees with the codimension")
-        rows = []
-        for i in range(len(U.params)):
-            coords = self.I.lift(U.derivative_at_zero(i))
-            if coords is None:
-                raise AssertionError("parameter derivative escaped the ideal")
-            rows.append(model.row(coords))
         # reduced modulo the model, which is kept unchanged for later calls
-        residuals = (integral(model.basis.reduce(row)) for row in rows)
+        residuals = (integral(model.basis.reduce(model.row(coords))) for coords in derivatives)
         return RowBasis().extend(residuals) == dim
 
 
@@ -203,7 +199,7 @@ def positive_codim_locus(f: Poly, I: Ideal) -> Ideal:
 class Unfolding:
     """Polynomial family F over base germ f: F's ring starts with f's
     variables, its trailing variables are the parameters, and setting them
-    to zero recovers f."""
+    to zero recovers f. dF/ds_i at s = 0 is F's coefficient at s_i."""
 
     __slots__ = ("f", "F")
 
@@ -218,36 +214,33 @@ class Unfolding:
     def params(self) -> tuple[str, ...]:
         return self.F.ring.names[self.f.ring.n:]
 
-    def _at_zero(self, p: Poly) -> Poly:
-        """p with all parameters set to zero, in the base ring."""
-        b = self.f.ring
-        return p.substitute([b.var(i) if i < b.n else b.zero() for i in range(p.ring.n)], b)
-
     def specialized(self) -> Poly:
-        return self._at_zero(self.F)
-
-    def derivative_at_zero(self, which: int) -> Poly:
-        """dF/ds_which with all parameters set to zero, in the base ring."""
-        return self._at_zero(self.F.derive(self.f.ring.n + which))
+        """F with all parameters set to zero, in the base ring."""
+        b = self.f.ring
+        return self.F.substitute([b.var(i) for i in range(b.n)] + [b.zero()] * len(self.params), b)
 
 
-def validate_unfolding(U: Unfolding, I: Ideal) -> None:
+def validate_unfolding(U: Unfolding, I: Ideal) -> list[tuple[Poly, ...]]:
     """F - f must lie in I k[x, s], the ideal I generates in the extended
     polynomial ring; this is the computable form of 'every slice stays
     inside I'. Write F = sum_a F_a s^a over the parameter monomials s^a,
     with F_a in k[x]. Since k[x, s] is free over k[x] on the s^a, I k[x, s]
     is free over I on them: it is the direct sum of the I s^a. So F - f
     lies in it exactly when F_0 - f and every other F_a lie in I. F_0 is f
-    (Unfolding checks it), and each other F_a is one normal form against
-    I's own cached global basis; no ideal of the extended ring is built."""
+    (Unfolding checks it), and each other F_a is one lift through I's
+    global lifter (Ideal.lift); no ideal of the extended ring is built.
+    Returns, for each parameter s_i in order, the coordinates over I's
+    generators of dF/ds_i at s = 0: those of F_a for a = e_i, or zeros."""
     base, split = U.f.ring, {}
     for m, c in U.F.terms.items():
         if any(m[base.n:]):
             split.setdefault(m[base.n:], {})[m[:base.n]] = c
-    I_dp = I.with_order(GLOBAL_DP)
-    if not all(I_dp.contains(Poly(base, terms)) for terms in split.values()):
+    lifts = {a: I.lift(Poly(base, terms)) for a, terms in split.items()}
+    if None in lifts.values():
         raise GermforgeError("F_NOT_UNFOLDING",
                              "F - f is not a combination of the ideal generators")
+    r, zero = len(U.params), vec_zero(base, len(I.gens))
+    return [lifts.get(tuple(int(i == j) for j in range(r)), zero) for i in range(r)]
 
 
 def versality_check(U: Unfolding, I: Ideal) -> bool:

@@ -902,8 +902,9 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     """The module L = {c in O^k : sum c_i g_i in J} for J contained in I;
     O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i],
     so dim I/J is L's quotient dimension, whose witness entry (j, m) stands
-    for the class of m * gens[j]."""
-    for h in J.gens:
+    for the class of m * gens[j]. Each distinct generator of J is tested
+    once against I."""
+    for h in dict.fromkeys(J.gens):
         if not I.contains(h):
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")

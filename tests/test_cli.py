@@ -22,6 +22,7 @@ import germforge.tangent
 from germforge import (
     CriticalReport,
     DdkClass,
+    Ideal,
     JetContext,
     MorseComponent,
     PrimitiveIdeal,
@@ -31,6 +32,7 @@ from germforge import (
     Unfolding,
     jet_context,
     parse_poly,
+    validate_unfolding,
 )
 from germforge.cli import ProblemFile, main, parse_problem_file
 from germforge.errors import ASSUMPTION_CODES, INTERNAL_CODE, PRECONDITION_CODES
@@ -931,15 +933,17 @@ class TestRecords:
 
     def test_unfolding_parameters_follow_the_ring(self):
         # the parameters are the trailing ring variables in ring order, and
-        # derivative_at_zero(i) differentiates along params[i]
+        # validate_unfolding returns the derivative along params[i] i-th; over
+        # the unit ideal its one coordinate is the derivative itself
         base = Ring(["x", "y"])
         f = parse_poly("x^3 + y^2", base)
+        unit = Ideal(base, [parse_poly("1", base)])
         U = Unfolding(f, parse_poly("x^3 + y^2 + s*x + t*y", base.extend(["s", "t"])))
         assert U.params == ("s", "t")
-        assert [format_poly(U.derivative_at_zero(i)) for i in range(2)] == ["x", "y"]
+        assert [format_poly(c) for c, in validate_unfolding(U, unit)] == ["x", "y"]
         U = Unfolding(f, parse_poly("x^3 + y^2 + s*x + t*y", base.extend(["t", "s"])))
         assert U.params == ("t", "s")
-        assert [format_poly(U.derivative_at_zero(i)) for i in range(2)] == ["y", "x"]
+        assert [format_poly(c) for c, in validate_unfolding(U, unit)] == ["y", "x"]
 
 
 # ---------------------------------------------------------------------------

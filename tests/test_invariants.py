@@ -46,6 +46,13 @@ EJEM = ideal(R2, LOCAL_DS, "x^2", "y")
 CUSP = P("y^2 + x^3")
 
 
+def derivatives(U, I):
+    """dF/ds_i at s = 0 for each parameter in order, rebuilt from the
+    coordinates over I's generators that validate_unfolding returns."""
+    return [I.ring.sum(c * g for c, g in zip(coords, I.gens))
+            for coords in validate_unfolding(U, I)]
+
+
 class TestCodimensions:
     def test_regression_extended(self):
         c = extended_codim(CUSP, EJEM)
@@ -95,6 +102,15 @@ class TestCodimensions:
         reduce_calls[0] = 0
         assert problem.c_plain.value == 4
         assert reduce_calls == [7]
+
+    def test_repeated_tangent_generator_is_tested_once(self, capsys, reduce_calls):
+        # tau_e(f) of inf2 lists 2*x^2*y^2 twice, and L's precondition tests
+        # each distinct generator against I once: 14 normal forms, not 15
+        problem = GermProblem(P("x^2 y^2 + z^2", R3), ideal(R3, LOCAL_DS, "x y", "z"))
+        assert [str(g) for g in problem.tau.gens].count("2*x^2*y^2") == 2
+        reduce_calls[0] = 0
+        assert main(["codim", os.path.join(CORPUS, "inf2.gf")]) == 0
+        assert reduce_calls == [14]
 
     @pytest.mark.parametrize("order", [LOCAL_DS, GLOBAL_DP], ids=["ds", "dp"])
     def test_c_ext_bases_of_the_cusp(self, basis_calls, order):
@@ -368,21 +384,43 @@ class TestVersality:
             verdict = False
         assert verdict == I_ext.contains(F - CUSP.substitute(base, ext))
 
-    def test_coefficientwise_check_reuses_the_ideal_basis(self, basis_calls):
+    def test_one_lift_per_parameter_coefficient(self, basis_calls, reduce_calls):
+        # two parameter coefficients, x^2 at s1 and x y at s1^2 s2: one lift
+        # each through I's lifter, the only basis built (rank 1 + 2); s2 has
+        # no linear term, so its derivative has zero coordinates
         ext = R2.extend(["s1", "s2"])
         U = Unfolding(CUSP, parse_poly("y^2 + x^3 + s1 x^2 + s1^2 s2 x y", ext))
         I = ideal(R2, LOCAL_DS, "x^2", "y")
-        I.basis()
-        basis_calls.clear()
+        coords = validate_unfolding(U, I)
+        assert [tuple(map(str, c)) for c in coords] == [("1", "0"), ("0", "0")]
+        assert (basis_calls, reduce_calls) == ([3], [2])
         validate_unfolding(U, I)
-        assert basis_calls == []
+        assert (basis_calls, reduce_calls) == ([3], [4])
+
+    @pytest.mark.parametrize("command, name, calls", [
+        ("versal-build", "cusp", 16),
+        ("versal-build", "d3", 30),
+        ("versal-build", "d4rel", 22),
+        ("versal-build", "fin2", 32),
+        ("versal-build", "milnor85", 34),
+        ("versal-build", "j10", 21),
+        ("versal-build", "e6", 20),
+        ("versal-check", "cuspF", 16),
+    ])
+    def test_commands_decide_each_coefficient_once(self, capsys, reduce_calls,
+                                                   command, name, calls):
+        # is_versal reads the coordinates that validation lifted: with a
+        # normal form against I's basis and a second lift of each linear
+        # coefficient, these were 19, 39, 26, 42, 62, 27, 27 and 19
+        assert main([command, os.path.join(CORPUS, f"{name}.gf")]) == 0
+        assert reduce_calls == [calls]
 
 
 class TestBuildVersal:
     def test_regression_construction(self):
         U = build_versal_unfolding(CUSP, EJEM)
         assert len(U.params) == 3
-        derivs = {str(U.derivative_at_zero(i)) for i in range(3)}
+        derivs = {str(g) for g in derivatives(U, EJEM)}
         assert derivs == {"x^2", "y", "x*y"}
         assert versality_check(U, EJEM)
 
@@ -399,7 +437,8 @@ class TestBuildVersal:
         f = P("x^12 + y^7")
         U = build_versal_unfolding(f, unit)
         assert len(U.params) == 66
-        assert {str(U.derivative_at_zero(i)) for i in (0, 65)} == {"1", "x^10*y^5"}
+        derivs = derivatives(U, unit)
+        assert {str(derivs[i]) for i in (0, 65)} == {"1", "x^10*y^5"}
         assert versality_check(U, unit)
         ext = R2.extend(U.params[:-1])
         F = U.F.substitute([ext.var(nm) if nm in ext.index else ext.zero()
@@ -437,7 +476,7 @@ class TestBuildVersal:
         f = parse_poly("x^3", R1)
         U = build_versal_unfolding(f, I1)
         assert len(U.params) == 2
-        derivs = {str(U.derivative_at_zero(i)) for i in range(2)}
+        derivs = {str(g) for g in derivatives(U, I1)}
         assert derivs == {"1", "x"}
 
     def test_unit_ideal_cubic_quadratic_guess_fails(self):

@@ -23,6 +23,13 @@ byte with ``perfbench/expected/<slug>.txt`` wherever that document exists.
 Each file there is the document of one benchmark case, and each golden that
 the benchmark compares exists, so a new pin is checked with no new test, on
 every interpreter the suite runs on.
+
+The sweep also records each benchmark case's standard bases, membership
+tests and lifts, to guard against duplicate work: no case builds a basis of
+the same generators twice, and no case both tests a polynomial for
+membership in an ideal, by a normal form against the ideal's own basis, and
+lifts it through the ideal's lifter, since the lift decides the same
+membership; REPEATED names the one known exception.
 """
 
 import ast
@@ -39,7 +46,8 @@ from types import SimpleNamespace
 import pytest
 
 import germforge
-from germforge.cli import main
+import germforge.stdbasis as stdbasis
+from germforge.cli import main, parse_problem_file, the_poly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.dirname(os.path.abspath(germforge.__file__))
@@ -186,6 +194,13 @@ ALLOWED = {
 }
 
 
+# the commands whose benchmark cases still test the germ f for membership in
+# I and lift it: GermProblem(f, I) tests f against I's basis, and the jet
+# route's jetmorse.lift_germ then lifts f through I's lifter for its
+# coordinates (CHANGES.md has it as a FOUND line)
+REPEATED = ("morse", "conserve")
+
+
 def _load_perfbench(name):
     """perfbench/<name>.py; run.py imports its neighbour tracer.py by name."""
     sys.path.insert(0, PERFBENCH)
@@ -262,7 +277,11 @@ def sweep(bench, tmp_path_factory):
     """(file, first line) of every function the sweep entered, the commands
     that raised instead of returning an exit status, and (case, run) for
     each benchmark case, run holding what a process of it would give: out,
-    err, code and timed_out, as perfbench/run.py's judge reads them."""
+    err, code and timed_out, as perfbench/run.py's judge reads them, then
+    the command's bases, a key per std_basis_vectors call, and the
+    polynomials that it both tested for membership in an ideal, by a normal
+    form against the ideal's own basis (Submodule.contains), and lifted
+    through the ideal's lifter (Ideal.lift)."""
     cases = [case for cases in bench.WORKLOADS.values() for case in cases]
     argvs = [case.argv(bench.SEED_PAIRS[0]) for case in cases]
     argvs += _other_argvs(tmp_path_factory.mktemp("sweep"))
@@ -285,6 +304,26 @@ def sweep(bench, tmp_path_factory):
     # the profile is set anew for each command: the interpreter unsets it
     # when it raises, as on the recursion limit of the deep-nesting input
     raised, results = [], []
+    # raw calls only: hashing a polynomial here would enter the package
+    bases, tested, lifted = [], [], []
+    real_basis = stdbasis.std_basis_vectors
+    real_contains, real_lift = stdbasis.Submodule.contains, stdbasis.Ideal.lift
+
+    def basis(vectors, rank):
+        bases.append((rank, tuple(map(tuple, vectors))))
+        return real_basis(vectors, rank)
+
+    def contains(self, v):
+        if self.rank == 1:
+            tested.append((tuple(g for g, in self.gens), v[0]))
+        return real_contains(self, v)
+
+    def lift(self, p):
+        lifted.append((self.gens, p))
+        return real_lift(self, p)
+
+    stdbasis.std_basis_vectors = basis
+    stdbasis.Submodule.contains, stdbasis.Ideal.lift = contains, lift
     try:
         for argv, stdout in runs:
             stderr = io.StringIO()
@@ -297,12 +336,26 @@ def sweep(bench, tmp_path_factory):
                     # as the process would end: a traceback and exit status 1
                     code = 1
                     stderr.write(traceback.format_exc())
-            results.append(SimpleNamespace(out=stdout.getvalue(), err=stderr.getvalue(),
-                                           code=code, timed_out=False))
+                # what the guards compute below is not the command's
+                sys.setprofile(None)
+            results.append(SimpleNamespace(
+                out=stdout.getvalue(), err=stderr.getvalue(), code=code, timed_out=False,
+                bases=[_basis_key(rank, gens) for rank, gens in bases],
+                tested_and_lifted=sorted(str(p) for _, p in set(tested) & set(lifted))))
+            bases.clear()
+            tested.clear()
+            lifted.clear()
     finally:
         sys.setprofile(None)
+        stdbasis.std_basis_vectors = real_basis
+        stdbasis.Submodule.contains, stdbasis.Ideal.lift = real_contains, real_lift
     entered = {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes}
     return entered, raised, list(zip(cases, results))
+
+
+def _basis_key(rank, gens):
+    """A std_basis_vectors call keyed by its rank and its generators' terms."""
+    return rank, tuple(tuple(frozenset(p.terms.items()) for p in v) for v in gens)
 
 
 def test_every_command_of_the_sweep_ends_in_an_exit_status(sweep):
@@ -362,3 +415,24 @@ def test_every_case_is_judged_and_every_pinned_document_compared(bench, sweep):
     assert bad == []
     cases = sum(len(cases) for cases in bench.WORKLOADS.values())
     assert (len(runs), compared) == (cases, len(list(bench.EXPECTED.glob("*.txt"))))
+
+
+def test_no_case_builds_a_basis_twice(sweep):
+    repeats = [f"{case.id}: {len(run.bases) - len(set(run.bases))}"
+               for case, run in sweep[2] if len(set(run.bases)) < len(run.bases)]
+    assert repeats == []
+
+
+def test_no_case_tests_and_lifts_one_polynomial(sweep):
+    # a lift's remainder is 0 exactly when the normal form is, so a
+    # membership test of a polynomial that is also lifted repeats the lift;
+    # only the germ of the jet route's commands is left, as REPEATED says
+    bad = []
+    for case, run in sweep[2]:
+        expected = []
+        if case.command in REPEATED:
+            with open(os.path.join(CORPUS, f"{case.problem}.gf"), encoding="utf-8") as fh:
+                expected = [str(the_poly(parse_problem_file(fh.read())))]
+        if run.tested_and_lifted != expected:
+            bad.append(f"{case.id}: {run.tested_and_lifted}")
+    assert bad == []

@@ -469,6 +469,9 @@ class TestGroebnerVsSympy:
         return Poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in q.terms()})
 
     def _check_against_sympy(self, rng, ring, gens, den, trial):
+        """Check I's basis and three normal forms against sympy; when sympy
+        finds I zero-dimensional, check its quotient dimension and witness
+        too and return that dimension, else return None."""
         import sympy
 
         symbols = sympy.symbols(ring.names)
@@ -486,7 +489,7 @@ class TestGroebnerVsSympy:
                                  order="grevlex", domain="QQ")
             assert I.normal_form(p) == self._from_sympy(r, symbols, ring), (trial, p)
         if not G.is_zero_dimensional:
-            return False
+            return None
         # the standard monomials of sympy's leads: each lies below the pure
         # power of every variable among them
         leads = [q.monoms(order="grevlex")[0] for q in G.polys]
@@ -496,7 +499,7 @@ class TestGroebnerVsSympy:
                           key=lambda t: GLOBAL_DP.key(t[1]))
         qd = I.quotient_dimension()
         assert (qd.value, qd.witness) == (len(standard), tuple(standard)), (trial, gens)
-        return True
+        return qd.value
 
     def test_bases_and_normal_forms(self):
         pytest.importorskip("sympy")
@@ -507,23 +510,36 @@ class TestGroebnerVsSympy:
             gens = [self._rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
             gens = [g for g in gens if not g.is_zero()]
             if gens:
-                finite += self._check_against_sympy(rng, ring, gens, 3, trial)
+                finite += self._check_against_sympy(rng, ring, gens, 3, trial) is not None
         # the quotient oracle ran on the draws that sympy finds finite
         assert finite == 10
 
     def test_wide_rings_large_denominators(self):
         # four to six variables and denominators up to 97: the primitive
         # basis elements have leading coefficients other than 1, so the
-        # reducer's scaling and content steps run on most reductions
+        # reducer's scaling and content steps run on most reductions. None
+        # of the 18 random draws is zero-dimensional, so four more pair
+        # each of four or five variables x_i with x_i^2 plus a random
+        # linear form: 2^n common zeros, so the quotient oracle runs on
+        # them; a further random generator would leave only the origin
         pytest.importorskip("sympy")
         rng = random.Random(20261019)
         names = ["x", "y", "z", "u", "v", "w"]
-        for trial in range(18):
-            ring = Ring(names[:4 + trial % 3])
-            gens = [self._rand_poly(rng, ring, 97) for _ in range(rng.randint(3, 4))]
-            gens = [g for g in gens if not g.is_zero()]
+        dims = []
+        for trial in range(22):
+            if trial < 18:
+                ring = Ring(names[:4 + trial % 3])
+                gens = [self._rand_poly(rng, ring, 97) for _ in range(rng.randint(3, 4))]
+                gens = [g for g in gens if not g.is_zero()]
+            else:
+                ring = Ring(names[:4 + trial % 2])
+                gens = [ring.var(i) ** 2 + Poly(ring, {
+                    tuple(int(k == j) for k in range(ring.n)):
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 97))
+                    for j in range(ring.n)}) for i in range(ring.n)]
             if gens:
-                self._check_against_sympy(rng, ring, gens, 97, trial)
+                dims.append(self._check_against_sympy(rng, ring, gens, 97, trial))
+        assert dims == [None] * 18 + [16, 32, 16, 32]
 
     def test_lift_and_normal_form_exact_with_large_denominators(self):
         # non-monic generators whose denominators are large primes: the lift
