@@ -17,6 +17,7 @@ from germforge import (
     intersection_multiplicity,
     jet_context,
     jet_pullback,
+    lift_germ,
     morse_component,
     parse_poly,
     random_deformation,
@@ -54,13 +55,13 @@ def main(argv=None):
         print(f"{label}: f = {format_poly(f)}")
         ctx = jet_context(I, 1)
         M = morse_component(ctx, assume_reduced=reduced).ideal
-        reference = intersection_multiplicity(f, I, ctx, M)
+        reference = intersection_multiplicity(ctx, M, lift_germ(f, I))
         print(f"  multiplicity at the origin: {reference}")
         I_dp = I.with_order(GLOBAL_DP)
         for t in range(args.trials):
             seed = TRIAL_SEEDS[t % len(TRIAL_SEEDS)]
             g = random_deformation(f, I, seed=seed)
-            pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)
+            pulled = jet_pullback(ctx, M, lift_germ(g, I)).with_order(GLOBAL_DP)
             total = saturation(pulled, I_dp).quotient_dimension()
             mark = "ok" if total.value == reference else "MISMATCH"
             print(f"  trial seed {seed:>2}: split total = {total}  [{mark}]")

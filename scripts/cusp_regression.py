@@ -60,7 +60,7 @@ def main(argv=None):
     print(f"  sigma: {{{sig}}}")
     print(f"  stable: {split.stable}  warnings: {', '.join(split.warnings)}")
 
-    jet = jet_morse_number(f, I, assume_reduced=True)[2]
+    jet = jet_morse_number(problem, assume_reduced=True)[2]
     oracle = split.morse
     print(f"\nMorse number, jet method:    {jet}")
     print(f"Morse number, oracle method: {oracle}")

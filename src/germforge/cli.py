@@ -397,7 +397,7 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     problem.finite_codim("the Morse number needs finite extended codimension")
     jet_val = oracle_val = None
     if args.method in ("jet", "both"):
-        jet_val = jet_morse_number(f, I, args.assume_reduced)[2]
+        jet_val = jet_morse_number(problem, args.assume_reduced)[2]
         results.append(("morse_jet", jet_val))
     if args.method in ("oracle", "both"):
         oracle_val = splitting(problem, args.seeds, degree_bound).morse

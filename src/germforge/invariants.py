@@ -11,7 +11,7 @@ first use:
   read as the elements I.gens[pos] * m;
 - c_plain: the same dimension over the fields of theta vanishing at the
   origin, derived from the same theta; when every generator of theta
-  vanishes there, those fields are theta itself and c_plain is c_ext;
+  vanishes there, or the two tangent ideals share generators, it is c_ext;
 - model: L's local model, the truncated model of O^k/L at the origin that
   certified the local length (Submodule.local_model); determinacy is its
   certified degree;
@@ -95,12 +95,15 @@ class GermProblem:
     def c_plain(self) -> QuotientDim:
         """dim I/tau(f) where tau uses only fields vanishing at the origin.
         A theta whose generators have no constant term lies in m * Theta, so
-        its vanishing part is theta itself and tau(f) is tau_e(f). The two
-        codimensions differ by at most n, so they are finite together. tau(f)
-        lies in tau_e(f), which L checks against I, so it is not tested again."""
+        its vanishing part is theta itself and tau(f) is tau_e(f), as it is
+        when their generator sets agree. The two codimensions differ by at
+        most n, so they are finite together. tau(f) lies in tau_e(f), which L
+        checks against I, so it is not tested again."""
         if not any(a.constant_term() for X in self.theta.gens for a in X):
             return self.c_ext
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
+        if set(tau.gens) == set(self.tau.gens):
+            return self.c_ext
         c = preimage_module(self.I._module().gens, tau._module(), self.I.order).quotient_dimension()
         if c.is_finite != self.c_ext.is_finite:
             raise AssertionError("finiteness of the two codimensions must agree")

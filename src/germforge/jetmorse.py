@@ -8,9 +8,9 @@ component is the part of that locus not sitting over the zero set of the
 ideal, and the multiplicity of a jet extension against it is the local length
 of the pulled-back component.
 
-The jet Morse number is computed in one place, jet_morse_number, which
+The jet Morse number is computed in one place, jet_morse_number(P), which
 morse --method jet reads and whose context and component conservation pulls
-each deformed member back along; oracle imports this module for it.
+each deformed member's lifting back along; oracle imports this module for it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import namedtuple
 from math import comb, factorial, prod
 
 from .errors import GermforgeError
+from .invariants import GermProblem
 from .linalg import RowBasis, integral
 from .polyring import GLOBAL_DP, LOCAL_DS, Mono, Poly, Q, Ring, monomials_up_to_degree
 from .stdbasis import Ideal, ideal_quotient
@@ -116,17 +117,9 @@ def _check_q_identity(ctx: JetContext) -> None:
 
 class MorseComponent(namedtuple("MorseComponent", "ideal certificate")):
     """J_M' = (radical-or-assumed J1 : J2), with the certificate
-    squarefree-monomials, linear-forms or assumed-reduced."""
+    linear-forms (independent linear generators, a prime) or assumed-reduced."""
 
     __slots__ = ()
-
-
-def _squarefree_monomial_gens(I: Ideal) -> bool:
-    for g in I.gens:
-        terms = list(g.terms.items())
-        if len(terms) != 1 or any(e > 1 for e in terms[0][0]):
-            return False
-    return bool(I.gens)
 
 
 def _independent_linear_gens(I: Ideal) -> bool:
@@ -137,8 +130,6 @@ def _independent_linear_gens(I: Ideal) -> bool:
 
 
 def _certified_radical(J1: Ideal, assume_reduced: bool) -> tuple[Ideal, str]:
-    if _squarefree_monomial_gens(J1):
-        return J1, "squarefree-monomials"
     if _independent_linear_gens(J1):
         return J1, "linear-forms"
     if assume_reduced:
@@ -182,14 +173,13 @@ class LiftedGerm:
 
 
 def lift_germ(f: Poly, I: Ideal) -> LiftedGerm:
-    """f's coordinates over I's generators; only a failed lift asks I.contains(f)."""
+    """f's coordinates over I's generators, for f known to lie in I; under
+    'ds' maybe at the origin only, with no polynomial lift: LIFTING_FAILED."""
     coords = I.lift(f)
-    if coords is not None:
-        return LiftedGerm(f, I.gens, coords)
-    if not I.contains(f):
-        raise GermforgeError("F_NOT_IN_IDEAL", f"{f} is not a member of the ideal")
-    raise GermforgeError("LIFTING_FAILED", "the germ is in the localized ideal but no "
-                         "polynomial combination of the generators reproduces it")
+    if coords is None:
+        raise GermforgeError("LIFTING_FAILED", "no polynomial combination of the "
+                             "ideal generators reproduces the germ")
+    return LiftedGerm(f, I.gens, coords)
 
 
 def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> list[Poly]:
@@ -199,29 +189,25 @@ def _pullback_images(ctx: JetContext, lifting: LiftedGerm) -> list[Poly]:
             + [lifting.taylor_coefficient(j, alpha) for j, alpha in ctx.slot])
 
 
-def jet_pullback(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
-                 lifting: LiftedGerm | None = None) -> Ideal:
+def jet_pullback(ctx: JetContext, V: Ideal, lifting: LiftedGerm) -> Ideal:
     """Ideal in the base ring generated by V's generators evaluated along
-    the jet extension of a lifting of f."""
-    if lifting is None:
-        lifting = lift_germ(f, I)
+    the jet extension of the lifting, in the order of ctx's base ideal."""
+    base = ctx.base
     images = _pullback_images(ctx, lifting)
-    gens = [g.substitute(images, I.ring) for g in V.gens]
-    return Ideal(I.ring, gens, I.order)
+    return Ideal(base.ring, [g.substitute(images, base.ring) for g in V.gens], base.order)
 
 
 # ---------------------------------------------------------------------------
 # intersection multiplicity
 
 
-def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
-                              lifting: LiftedGerm | None = None) -> int:
-    """Multiplicity at the origin of the jet extension of the lifting (f's
-    own when none is given) against V: the local length of the pullback of
-    V. For a Cohen-Macaulay V meeting the graph, a regular sequence, in an
-    isolated point, Serre's higher Tor terms vanish and the length is the
-    multiplicity. NOT_ISOLATED when the length is infinite."""
-    pulled = jet_pullback(f, I, ctx, V, lifting).with_order(LOCAL_DS)
+def intersection_multiplicity(ctx: JetContext, V: Ideal, lifting: LiftedGerm) -> int:
+    """Multiplicity at the origin of the jet extension of the lifting
+    against V: the local length of the pullback of V. For a Cohen-Macaulay
+    V meeting the graph, a regular sequence, in an isolated point, Serre's
+    higher Tor terms vanish and the length is the multiplicity.
+    NOT_ISOLATED when the length is infinite."""
+    pulled = jet_pullback(ctx, V, lifting).with_order(LOCAL_DS)
     qd = pulled.quotient_dimension()
     if not qd.is_finite:
         raise GermforgeError("NOT_ISOLATED",
@@ -233,11 +219,11 @@ def intersection_multiplicity(f: Poly, I: Ideal, ctx: JetContext, V: Ideal,
 # Morse number
 
 
-def jet_morse_number(f: Poly, I: Ideal,
+def jet_morse_number(P: GermProblem,
                      assume_reduced: bool = False) -> tuple[JetContext, Ideal, int]:
-    """The order-1 jet context of I, its Morse component, and the jet Morse
-    number of f: the multiplicity of f's jet extension against that
-    component."""
-    ctx = jet_context(I, 1)
+    """The order-1 jet context of P's ideal, its Morse component, and the
+    jet Morse number of P's germ: the multiplicity of its lifting's jet
+    extension against that component, certified before the germ is lifted."""
+    ctx = jet_context(P.I, 1)
     M = morse_component(ctx, assume_reduced).ideal
-    return ctx, M, intersection_multiplicity(f, I, ctx, M)
+    return ctx, M, intersection_multiplicity(ctx, M, lift_germ(P.f, P.I))

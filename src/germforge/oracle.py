@@ -20,7 +20,7 @@ the member's module moved there, member.L.at(point): O^k/L is I/tau_e(g),
 so its local length is the point's codimension, finite as L's global length
 is; when some point is not rational only the aggregate is reported.
 The oracle's Morse number is splitting(P).morse; the jet route's is
-jetmorse.jet_morse_number, which conservation_check reads its reference
+jetmorse.jet_morse_number(P), which conservation_check reads its reference
 from.
 """
 
@@ -33,7 +33,7 @@ from itertools import count
 
 from .errors import GermforgeError
 from .invariants import GermProblem
-from .jetmorse import jet_morse_number, jet_pullback
+from .jetmorse import jet_morse_number, jet_pullback, lift_germ
 from .polyring import GLOBAL_DP, Poly, Q, Ring
 from .stdbasis import Ideal, minimal_polynomial, saturation, squarefree_part
 
@@ -285,8 +285,9 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
                        degree_bound: int | None = None) -> bool:
     """The multiplicity of f against the nondegenerate-point component at the
     origin must reappear as the total multiplicity, off the zero set, of
-    every sampled member of the family. Each trial takes its own seed from
-    TRIAL_SEEDS, so trials runs from 1 to len(TRIAL_SEEDS)."""
+    every sampled member of the family, each lifted through the problem's I
+    with one shared lifter. Each trial takes its own seed from TRIAL_SEEDS,
+    so trials runs from 1 to len(TRIAL_SEEDS)."""
     if not 1 <= trials <= len(TRIAL_SEEDS):
         raise GermforgeError("BAD_REQUEST",
                              f"trials must be between 1 and {len(TRIAL_SEEDS)}, got {trials}")
@@ -294,10 +295,10 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
     if P.finite_codim("conservation needs finite extended codimension") == 0:
         # the family is constant, so every trial repeats the reference
         return True
-    ctx, M, reference = jet_morse_number(f, I, assume_reduced)
+    ctx, M, reference = jet_morse_number(P, assume_reduced)
     for t in range(trials):
         g = _deform(P, degree_bound, TRIAL_SEEDS[t])
-        pulled = jet_pullback(g, I, ctx, M).with_order(GLOBAL_DP)
+        pulled = jet_pullback(ctx, M, lift_germ(g, P.I)).with_order(GLOBAL_DP)
         total = saturation(pulled, I).quotient_dimension()
         if not total.is_finite or total.value != reference:
             return False

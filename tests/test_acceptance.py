@@ -149,16 +149,16 @@ def test_c07_constructed_unfolding_is_versal_and_minimal():
 
 def test_c08_counts_are_conserved_and_methods_agree():
     assert conservation_check(CUSP, EJEM, trials=3, assume_reduced=True)
-    common = jet_morse_number(CUSP, EJEM, assume_reduced=True)[2]
-    assert common == splitting(GermProblem(CUSP, EJEM)).morse == 2
+    cusp = GermProblem(CUSP, EJEM)
+    assert jet_morse_number(cusp, assume_reduced=True)[2] == splitting(cusp).morse == 2
 
     unit2 = Ideal(R2, [R2.one()], LOCAL_DS)
-    q = P("x^2 + y^2")
-    assert jet_morse_number(q, unit2)[2] == splitting(GermProblem(q, unit2)).morse == 1
+    q = GermProblem(P("x^2 + y^2"), unit2)
+    assert jet_morse_number(q)[2] == splitting(q).morse == 1
     R1 = Ring(("x",))
     unit1 = Ideal(R1, [R1.one()], LOCAL_DS)
-    f1 = parse_poly("x^3", R1)
-    assert jet_morse_number(f1, unit1)[2] == splitting(GermProblem(f1, unit1)).morse == 2
+    f1 = GermProblem(parse_poly("x^3", R1), unit1)
+    assert jet_morse_number(f1)[2] == splitting(f1).morse == 2
 
 
 def test_c09_shear_change_of_coordinates_changes_nothing():

@@ -738,9 +738,11 @@ class TestReport:
             f"  c_ext: {problem.c_ext}", f"  c_plain: {problem.c_plain}"]
 
     def test_plain_codim_checks_finiteness_against_c_ext(self):
-        # (y) is preserved by d/dx, so c_plain runs its own preimage; a
-        # finite c_ext against its infinite value is an internal error
-        problem = GermProblem(P("y^2"), ideal(R2, LOCAL_DS, "y"))
+        # (y) is preserved by d/dx, which takes x*y^2 to y^2, a generator
+        # that no field vanishing at the origin gives: the two tangent
+        # ideals differ, so c_plain runs its own preimage; a finite c_ext
+        # against its infinite value is an internal error
+        problem = GermProblem(P("x*y^2"), ideal(R2, LOCAL_DS, "y"))
         assert not problem.c_ext.is_finite
         problem.c_ext = QuotientDim(1)
         with pytest.raises(AssertionError, match="finiteness of the two codimensions"):

@@ -7,7 +7,7 @@ from germforge.cli import main
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, ideal_quotient, saturation
-from germforge.invariants import extended_codim
+from germforge.invariants import GermProblem, extended_codim
 from germforge.jetmorse import (
     JetContext,
     LiftedGerm,
@@ -111,7 +111,7 @@ class TestMorseComponent:
         ctx = jet_context(UNIT1, 1)
         mc = morse_component(ctx)
         assert [str(g) for g in mc.ideal.gens] == ["a1_1"]
-        assert mc.certificate == "squarefree-monomials"
+        assert mc.certificate == "linear-forms"
         assert mc.ideal.equals(saturation(ctx.J1(), ctx.J2()))
 
     def test_radical_unavailable_without_flag(self):
@@ -193,13 +193,13 @@ class TestPullback:
     def test_spec_lifting_example(self):
         ctx = jet_context(EJEM, 1)
         lift = LiftedGerm(P("x^2"), EJEM.gens, (R2.one(), R2.zero()))
-        pb = jet_pullback(P("x^2"), EJEM, ctx, ctx.J1(), lifting=lift)
+        pb = jet_pullback(ctx, ctx.J1(), lift)
         assert pb.equals(ideal(R2, LOCAL_DS, "2x"))
 
     def test_unit_ideal_pulls_back_to_unit(self):
         ctx = jet_context(EJEM, 1)
         V = Ideal(ctx.ring, [ctx.ring.one()], GLOBAL_DP)
-        assert jet_pullback(CUSP, EJEM, ctx, V).is_unit()
+        assert jet_pullback(ctx, V, lift_germ(CUSP, EJEM)).is_unit()
 
     def test_taylor_coefficients(self):
         lift = LiftedGerm(CUSP, EJEM.gens, (P("x + y"), P("y - x^2")))
@@ -212,10 +212,14 @@ class TestPullback:
             LiftedGerm(CUSP, EJEM.gens, (P("x"), P("x")))
 
     def test_not_member_rejected(self):
-        ctx = jet_context(EJEM, 1)
+        # membership is the germ's GermProblem's fact; lift_germ, given a
+        # non-member, only finds no lift
         with pytest.raises(GermforgeError) as ei:
-            jet_pullback(P("x"), EJEM, ctx, ctx.J1())
+            GermProblem(P("x"), EJEM)
         assert ei.value.code == "F_NOT_IN_IDEAL"
+        with pytest.raises(GermforgeError) as ei:
+            lift_germ(P("x"), EJEM)
+        assert ei.value.code == "LIFTING_FAILED"
 
     def test_local_member_without_polynomial_lifting(self):
         # x = (x - x^2)/(1 - x) locally, but no polynomial combination works
@@ -281,7 +285,7 @@ class TestLiftedMorseValues:
         assert sum((c * g for c, g in zip(lifting.coeffs, I.gens)), ring.zero()) == f
         ctx = jet_context(I, 1)
         M = morse_component(ctx, True).ideal
-        assert intersection_multiplicity(f, I, ctx, M) == expect
+        assert intersection_multiplicity(ctx, M, lifting) == expect
 
 
 class TestIntersectionMultiplicity:
@@ -289,21 +293,21 @@ class TestIntersectionMultiplicity:
         ctx = jet_context(UNIT1, 1)
         M = morse_component(ctx).ideal
         f = parse_poly("x^2", R1)
-        assert intersection_multiplicity(f, UNIT1, ctx, M) == 1
+        assert intersection_multiplicity(ctx, M, lift_germ(f, UNIT1)) == 1
 
     def test_cusp_of_one_variable(self):
         ctx = jet_context(UNIT1, 1)
         M = morse_component(ctx).ideal
         f = parse_poly("x^3", R1)
-        assert intersection_multiplicity(f, UNIT1, ctx, M) == 2
+        assert intersection_multiplicity(ctx, M, lift_germ(f, UNIT1)) == 2
 
     def test_lifting_independence(self):
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
         liftA = LiftedGerm(CUSP, EJEM.gens, (P("x"), P("y")))
         liftB = LiftedGerm(CUSP, EJEM.gens, (P("x + y"), P("y - x^2")))
-        vals = {intersection_multiplicity(CUSP, EJEM, ctx, M, lifting=lf)
-                for lf in (liftA, liftB, None)}
+        vals = {intersection_multiplicity(ctx, M, lf)
+                for lf in (liftA, liftB, lift_germ(CUSP, EJEM))}
         assert vals == {2}
 
     def test_not_isolated(self):
@@ -311,20 +315,20 @@ class TestIntersectionMultiplicity:
         M = morse_component(ctx, assume_reduced=True).ideal
         lift0 = LiftedGerm(P("x^2"), EJEM.gens, (R2.one(), R2.zero()))
         with pytest.raises(GermforgeError) as ei:
-            intersection_multiplicity(P("x^2"), EJEM, ctx, M, lifting=lift0)
+            intersection_multiplicity(ctx, M, lift0)
         assert ei.value.code == "NOT_ISOLATED"
 
 
 class TestMorseNumber:
     def test_cusp_jet_value(self):
-        assert jet_morse_number(CUSP, EJEM, assume_reduced=True)[2] == 2
+        assert jet_morse_number(GermProblem(CUSP, EJEM), assume_reduced=True)[2] == 2
 
     def test_already_morse(self):
         I = ideal(R2, LOCAL_DS, "1")
-        assert jet_morse_number(P("x^2 + y^2"), I)[2] == 1
+        assert jet_morse_number(GermProblem(P("x^2 + y^2"), I))[2] == 1
 
     def test_one_variable_cusp(self):
-        assert jet_morse_number(parse_poly("x^3", R1), UNIT1)[2] == 2
+        assert jet_morse_number(GermProblem(parse_poly("x^3", R1), UNIT1))[2] == 2
 
     def test_infinite_codimension_rejected(self, tmp_path, capsys):
         # morse refuses the germ before the jet route runs
@@ -333,22 +337,43 @@ class TestMorseNumber:
         assert main(["morse", "--method", "jet", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: NOT_FINITE_CODIM: ")
 
+    @pytest.mark.parametrize("command", ["morse", "conserve"])
+    @pytest.mark.parametrize("text, flags, code", [
+        ("ring x y ;\nideal I = x^2, y ;\npoly f = x ;\n", ["--assume-reduced"],
+         "F_NOT_IN_IDEAL"),
+        ("ring x y ;\nideal I = x^2, y ;\npoly f = x^2 ;\n", ["--assume-reduced"],
+         "NOT_FINITE_CODIM"),
+        ("ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n", [],
+         "RADICAL_UNAVAILABLE"),
+        ("ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n", ["--assume-reduced"],
+         "LIFTING_FAILED"),
+    ], ids=["non-member", "infinite", "not-reduced", "origin-only"])
+    def test_errors_keep_their_order(self, tmp_path, capsys, command, text, flags, code):
+        # membership, then finiteness, then the radical, then the lift;
+        # x^2 + y^2 lies in (x - x^2, y) at the origin only, where its
+        # problem decides it, and has no polynomial lift
+        path = tmp_path / "germ.gf"
+        path.write_text(text)
+        argv = [command, str(path)] + flags + (["--method", "jet"] if command == "morse" else [])
+        assert main(argv) == GermforgeError(code, "").exit_code
+        assert capsys.readouterr().err.startswith(f"error: {code}: ")
+
     def test_coordinate_invariance(self):
         # (x, y) -> (x, y + x^2) preserves the ideal
         g = CUSP.substitute([P("x"), P("y + x^2")], R2)
         assert extended_codim(g, EJEM).value == extended_codim(CUSP, EJEM).value == 3
-        assert jet_morse_number(g, EJEM, assume_reduced=True)[2] == 2
+        assert jet_morse_number(GermProblem(g, EJEM), assume_reduced=True)[2] == 2
 
 
 class TestConservation:
     def test_hand_deformation_at_small_rational_times(self):
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
-        reference = intersection_multiplicity(CUSP, EJEM, ctx, M)
+        reference = intersection_multiplicity(ctx, M, lift_germ(CUSP, EJEM))
         I_glob = EJEM.with_order(GLOBAL_DP)
         for tv in (Fraction(1, 7), Fraction(1, 11)):
             F = CUSP + P("y") * tv + P("x^2") * tv
-            pb = jet_pullback(F, EJEM, ctx, M)
+            pb = jet_pullback(ctx, M, lift_germ(F, EJEM))
             off = saturation(pb.with_order(GLOBAL_DP), I_glob)
             assert off.quotient_dimension().value == reference
             # the deformed member has exactly two critical points, both

@@ -1,10 +1,12 @@
 import itertools
+import os
 import signal
 import sys
 from fractions import Fraction
 
 import pytest
 
+from germforge.cli import parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
 from germforge.stdbasis import Ideal, saturation, squarefree_part
@@ -31,6 +33,8 @@ from germforge.oracle import (
 
 from helpers import evalp, to_sympy
 
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus")
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
 R1 = Ring(["x"])
@@ -440,12 +444,12 @@ class TestMorseNumberAgreement:
         assert splitting(GermProblem(CUSP, EJEM)).morse == 2
 
     def test_methods_agree_on_regression_germs(self):
-        assert splitting(GermProblem(CUSP, EJEM)).morse == jet_morse_number(
-            CUSP, EJEM, assume_reduced=True)[2] == 2
-        q = P("x^2 + y^2")
-        assert splitting(GermProblem(q, UNIT2)).morse == jet_morse_number(q, UNIT2)[2] == 1
-        f1 = P("x^3", R1)
-        assert splitting(GermProblem(f1, UNIT1)).morse == jet_morse_number(f1, UNIT1)[2] == 2
+        for f, I, assume_reduced, expect in [(CUSP, EJEM, True, 2),
+                                             (P("x^2 + y^2"), UNIT2, False, 1),
+                                             (P("x^3", R1), UNIT1, False, 2)]:
+            problem = GermProblem(f, I)
+            assert splitting(problem).morse == jet_morse_number(
+                problem, assume_reduced)[2] == expect
 
 
 class TestConservation:
@@ -454,15 +458,35 @@ class TestConservation:
 
     def test_trial_totals_match_reference_value(self):
         from germforge.jetmorse import (intersection_multiplicity, jet_context,
-                                        jet_pullback, morse_component)
+                                        jet_pullback, lift_germ, morse_component)
         ctx = jet_context(EJEM, 1)
         M = morse_component(ctx, assume_reduced=True).ideal
-        reference = intersection_multiplicity(CUSP, EJEM, ctx, M)
+        reference = intersection_multiplicity(ctx, M, lift_germ(CUSP, EJEM))
         assert reference == 2
         g = random_deformation(CUSP, EJEM, seed=11)
-        pulled = jet_pullback(g, EJEM, ctx, M).with_order(GLOBAL_DP)
+        pulled = jet_pullback(ctx, M, lift_germ(g, EJEM)).with_order(GLOBAL_DP)
         total = saturation(pulled, EJEM.with_order(GLOBAL_DP)).quotient_dimension()
         assert total.value == reference
+
+    @pytest.mark.parametrize("name", ["cusp", "shear", "a4rel", "e6", "d4rel", "j10"])
+    def test_member_count_is_the_critical_count_off_the_zero_set(self, name):
+        # an independent check of the count conserve compares: the pullback
+        # of J1 along a member's lifting is the member's Jacobian ideal, and
+        # J1 <= M <= J1 : J2, so once saturated by I the pullback of M is
+        # the saturated Jacobian ideal, whose length is the number of
+        # critical points off the zero set (j10's members count 6 each)
+        from germforge.jetmorse import jet_context, jet_pullback, lift_germ, morse_component
+        with open(os.path.join(CORPUS, f"{name}.gf"), encoding="utf-8") as fh:
+            pf = parse_problem_file(fh.read())
+        problem = GermProblem(pf.polys["f"], pf.ideals["I"])
+        ctx = jet_context(problem.I, 1)
+        M = morse_component(ctx, assume_reduced=True).ideal
+        I_dp = problem.I.with_order(GLOBAL_DP)
+        for seed in TRIAL_SEEDS[:3]:
+            g = _deform(problem, None, seed)
+            pulled = jet_pullback(ctx, M, lift_germ(g, problem.I)).with_order(GLOBAL_DP)
+            total = saturation(pulled, I_dp).quotient_dimension()
+            assert total.value == critical_points_outside(g, I_dp).count, seed
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_d3_conserves_within_budget(self):
@@ -551,7 +575,7 @@ class TestSaturationVsRabinowitsch:
         ("x y z", ("x*y", "z"), "x^2*y + x*y^2 + z^2", 4),
     ], ids=["cusp", "d4rel"])
     def test_conserve_trials(self, names, gens, f, expect):
-        from germforge.jetmorse import jet_context, jet_pullback, morse_component
+        from germforge.jetmorse import jet_context, jet_pullback, lift_germ, morse_component
         ring = Ring(names.split())
         I = ideal(ring, LOCAL_DS, *gens)
         problem = GermProblem(parse_poly(f, ring), I)
@@ -559,7 +583,8 @@ class TestSaturationVsRabinowitsch:
         M = morse_component(ctx, assume_reduced=True).ideal
         I_dp = I.with_order(GLOBAL_DP)
         for seed in TRIAL_SEEDS[:3]:
-            pulled = jet_pullback(_deform(problem, None, seed), I, ctx, M).with_order(GLOBAL_DP)
+            lifting = lift_germ(_deform(problem, None, seed), I)
+            pulled = jet_pullback(ctx, M, lifting).with_order(GLOBAL_DP)
             assert self._agree(pulled, I_dp) == expect
 
     def test_split_jacobian(self):
