@@ -30,7 +30,7 @@ from .invariants import (
     versality_check,
 )
 from .jetmorse import jet_context, jet_morse_number
-from .oracle import conservation_check, splitting
+from .oracle import SAMPLED, conservation_check, splitting
 from .polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, format_poly, parse_poly
 from .stdbasis import Ideal, Submodule, hilbert_samuel_values
 from .tangent import primitive_ideal, tangent_ideal, theta_preserving
@@ -402,7 +402,7 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     if args.method in ("oracle", "both"):
         oracle_val = splitting(problem, args.seeds, degree_bound).morse
         results.append(("morse_oracle", oracle_val))
-        warnings.extend(["GLOBAL_COUNT", "GENERICITY_SAMPLED"])
+        warnings.extend(SAMPLED)
     if args.method == "both":
         agree = jet_val == oracle_val
         results.append(("agree", agree))
@@ -437,7 +437,7 @@ def _cmd_conserve(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     conserved = conservation_check(f, I, trials=args.trials,
                                    assume_reduced=args.assume_reduced,
                                    degree_bound=_degree_bound_from(args))
-    warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
+    warnings = list(SAMPLED)
     if args.assume_reduced:
         warnings.insert(0, "ASSUMED_REDUCED")
     return ([("conserved", conserved), ("trials", args.trials)],

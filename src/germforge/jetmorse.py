@@ -129,11 +129,11 @@ def _independent_linear_gens(I: Ideal) -> bool:
     return RowBasis().extend(rows) == len(rows)
 
 
-def _certified_radical(J1: Ideal, assume_reduced: bool) -> tuple[Ideal, str]:
+def _radical_certificate(J1: Ideal, assume_reduced: bool) -> str:
     if _independent_linear_gens(J1):
-        return J1, "linear-forms"
+        return "linear-forms"
     if assume_reduced:
-        return J1, "assumed-reduced"
+        return "assumed-reduced"
     raise GermforgeError(
         "RADICAL_UNAVAILABLE",
         "the critical-jet ideal is positive-dimensional and not certified "
@@ -142,9 +142,9 @@ def _certified_radical(J1: Ideal, assume_reduced: bool) -> tuple[Ideal, str]:
 
 
 def morse_component(ctx: JetContext, assume_reduced: bool = False) -> MorseComponent:
-    J1, J2 = ctx.J1(), ctx.J2()
-    rad, cert = _certified_radical(J1, assume_reduced)
-    return MorseComponent(ideal_quotient(rad, J2), cert)
+    J1 = ctx.J1()
+    certificate = _radical_certificate(J1, assume_reduced)
+    return MorseComponent(ideal_quotient(J1, ctx.J2()), certificate)
 
 
 # ---------------------------------------------------------------------------

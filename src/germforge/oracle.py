@@ -3,16 +3,17 @@ off the zero set, empirical splitting functions, and conservation checks.
 
 Counts are global: a deformed polynomial's critical points are tallied over
 all of affine space (dimension of the saturated Jacobian quotient), not in a
-small ball, so every report carries the GLOBAL_COUNT marker. The count off
+small ball, so every report carries the caveats of SAMPLED. The count off
 the zero set of I is dim k[x]/(K : I^infinity), where K is the Jacobian
 ideal of the deformed member (critical points) or the pulled-back jet ideal
 (conservation). When no point of V(K) lies on V(I), K + I is the unit
 ideal and saturation hands K back after one standard basis of K + I; only
 when V(K) meets V(I) does the iterated colon run. Genericity is
 sampled (cross-seed stability plus a degree-drift probe), never certified;
-disagreement raises instead of guessing. A deformed member g is the
-GermProblem P.member(g) under dp, which shares P's theta: its c_ext is the
-defect mass and its locus() holds the points to locate. Rational points are
+disagreement raises instead of guessing. A member g = random_deformation(P)
+is the GermProblem P.member(g) under dp, which shares P's theta: its c_ext
+is the defect mass (corrected_extended_codim) and its locus() holds the
+points to locate. Rational points are
 located by the p-adically lifted roots of the squarefree parts of the
 per-variable minimal polynomials, all rational exactly when each squarefree
 part has as many rational roots as its degree. Each is measured once, on
@@ -39,6 +40,7 @@ from .stdbasis import Ideal, minimal_polynomial, saturation, squarefree_part
 
 DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
+SAMPLED: tuple[str, ...] = ("GLOBAL_COUNT", "GENERICITY_SAMPLED")
 
 _MASK = (1 << 64) - 1
 
@@ -71,22 +73,22 @@ class XorShift64:
 # deformations
 
 
-def random_deformation(f: Poly, I: Ideal, degree_bound: int | None = None,
+def random_deformation(P: GermProblem, degree_bound: int | None = None,
                        seed: int = 11) -> Poly:
-    """f plus a seeded rational combination of the cobasis of the tangent
-    ideal inside I (monomial multiples of I's generators), keeping the
-    elements of total degree at most degree_bound; the result stays in I
-    whenever f lies in I. The default bound admits the whole cobasis, so a
+    """P's germ plus a seeded rational combination of P's cobasis, keeping
+    the elements of total degree at most degree_bound; it stays in I
+    wherever the germ does. The default bound keeps the whole cobasis, so a
     finite versal family is sampled; lower bounds truncate it, which the
-    splitting harness detects as drift."""
-    return _deform(GermProblem(f, I), degree_bound, seed)
-
-
-def _deform(P: GermProblem, degree_bound: int | None, seed: int) -> Poly:
+    splitting harness detects as drift, and one that keeps nothing of a
+    nonempty cobasis would draw the germ itself, so it is refused."""
     P.finite_codim("deformations are drawn along a finite basis over the tangent ideal")
+    kept = [h for h in P.cobasis if degree_bound is None or h.total_degree() <= degree_bound]
+    if P.cobasis and not kept:
+        least = min(h.total_degree() for h in P.cobasis)
+        raise GermforgeError("PRECONDITION_VIOLATED", f"degree bound {degree_bound} keeps "
+                             f"no cobasis element, the least of which has degree {least}")
     rng = XorShift64(seed)
-    return P.f.ring.sum([P.f] + [h * rng.rational() for h in P.cobasis
-                                 if degree_bound is None or h.total_degree() <= degree_bound])
+    return P.f.ring.sum([P.f] + [h * rng.rational() for h in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +133,16 @@ _ORIGIN_ONLY = ("the deformed member's tangent ideal leaves the polynomial ideal
                 "since f lies in I at the origin only")
 
 
-def corrected_extended_codim(g: Poly, I: Ideal) -> int:
-    """Dimension of I over the tangent ideal of g in the global order; by
-    finite support this is the sum of the local values over every point.
-    g, a deformed member, is not checked against the global ideal."""
-    return GermProblem(g, I.with_order(GLOBAL_DP), check=False).finite_codim(
-        _DEFECT_LOCUS, "GENERICITY_SUSPECT")
+def corrected_extended_codim(member: GermProblem, seed: int) -> int:
+    """The defect mass of the member P.member(g) drawn at seed: dim I/tau_e(g)
+    in the global order. theta preserves the polynomial ideal and g - f lies
+    in it, so the member's L refuses tau(g) only for an f outside that ideal."""
+    try:
+        return member.finite_codim(_DEFECT_LOCUS, "GENERICITY_SUSPECT")
+    except GermforgeError as error:
+        if error.code != "PRECONDITION_VIOLATED":
+            raise
+        raise GermforgeError(error.code, f"seed {seed}: {_ORIGIN_ONLY}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +215,9 @@ class SplittingReport(namedtuple("SplittingReport",
 
 def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     c_value = P.c_ext.value
-    g = _deform(P, degree_bound, seed)
+    g = random_deformation(P, degree_bound, seed)
     member = P.member(g)
-    try:
-        corrected = member.finite_codim(_DEFECT_LOCUS, "GENERICITY_SUSPECT")
-    except GermforgeError as error:
-        # theta preserves the polynomial ideal and g - f lies in it, so the
-        # member's L refuses tau(g) only for an f outside that ideal
-        if error.code != "PRECONDITION_VIOLATED":
-            raise
-        raise GermforgeError(error.code, f"seed {seed}: {_ORIGIN_ONLY}") from None
+    corrected = corrected_extended_codim(member, seed)
     if corrected > c_value:
         raise GermforgeError("GENERICITY_SUSPECT",
                              f"seed {seed}: defect mass {corrected} exceeds the "
@@ -231,7 +230,7 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
     # drift probe: one degree of extra room must not change the count; with
     # no bound the whole cobasis is in already, so there is nothing to probe
     if degree_bound is not None:
-        g2 = _deform(P, degree_bound + 1, seed)
+        g2 = random_deformation(P, degree_bound + 1, seed)
         if g2 != g and critical_points_outside(g2, member.I).count != crit.count:
             raise GermforgeError("GENERICITY_SUSPECT",
                                  f"seed {seed}: critical count drifts with the degree bound")
@@ -259,9 +258,8 @@ def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
         raise GermforgeError("PRECONDITION_VIOLATED",
                              f"seeds must be distinct, got {','.join(map(str, used))}")
     c_value = P.finite_codim("splitting needs finite extended codimension")
-    warnings = ["GLOBAL_COUNT", "GENERICITY_SAMPLED"]
     if c_value == 0:
-        return SplittingReport({}, 0, 0, used, True, tuple(warnings))
+        return SplittingReport({}, 0, 0, used, True, SAMPLED)
     outcomes = [_one_split(P, s, degree_bound) for s in used]
     first = outcomes[0]
     if any(o != first for o in outcomes[1:]):
@@ -271,9 +269,8 @@ def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
     for k, cnt in (sigma or {}).items():
         if k * cnt > c_value:
             raise AssertionError("a splitting class exceeds the codimension")
-    if sigma is None:
-        warnings.append("NONRATIONAL_POINTS")
-    return SplittingReport(sigma, corrected, morse, used, True, tuple(warnings))
+    warnings = SAMPLED + (("NONRATIONAL_POINTS",) if sigma is None else ())
+    return SplittingReport(sigma, corrected, morse, used, True, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def conservation_check(f: Poly, I: Ideal, trials: int = 3,
         return True
     ctx, M, reference = jet_morse_number(P, assume_reduced)
     for t in range(trials):
-        g = _deform(P, degree_bound, TRIAL_SEEDS[t])
+        g = random_deformation(P, degree_bound, TRIAL_SEEDS[t])
         pulled = jet_pullback(ctx, M, lift_germ(g, P.I)).with_order(GLOBAL_DP)
         total = saturation(pulled, I).quotient_dimension()
         if not total.is_finite or total.value != reference:

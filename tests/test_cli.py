@@ -427,6 +427,22 @@ class TestExitCodes:
         assert err.splitlines()[0] == ("error: PRECONDITION_VIOLATED: "
                                        "--degree-bound must be >= 0")
 
+    @pytest.mark.parametrize("argv", [
+        ["split"],
+        ["morse", "--method", "oracle"],
+        ["conserve", "--assume-reduced"],
+    ])
+    def test_degree_bound_below_every_cobasis_degree_exits_2(self, capsys, tmp_path, argv):
+        # the cobasis x^2*y, x^3*y has degrees 3 and 4, so a bound of 1
+        # keeps neither and every seed would draw f itself
+        text = "ring x y ;\nideal I = x^2*y ;\npoly f = x^4*y + x^2*y^2 ;\n"
+        code, out, err = run(capsys, argv + [problem(tmp_path, text), "--degree-bound", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: PRECONDITION_VIOLATED: degree bound 1 keeps no cobasis element, "
+            "the least of which has degree 3")
+
     def test_failed_postcheck_exits_4(self, capsys, tmp_path, monkeypatch):
         def fail(Iprime, result):
             raise AssertionError("primitive ideal misses a square generator")
@@ -875,7 +891,11 @@ class TestStartUp:
 
     def test_every_annotation_resolves(self):
         functions = _annotated_functions()
-        assert len(functions) > 250
+        # 250 when this floor was last set; it sits a tenth below, so that
+        # deletions fit under it while a walk that misses every class (127
+        # methods) or one of the largest modules (stdbasis 72, polyring 62,
+        # cli 40 functions) still fails
+        assert len(functions) > 225
         unresolved = []
         for name, fn in functions.items():
             try:

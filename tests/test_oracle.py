@@ -20,7 +20,6 @@ from germforge.invariants import classify_Ddk
 from germforge.oracle import (
     TRIAL_SEEDS,
     XorShift64,
-    _deform,
     conservation_check,
     corrected_extended_codim,
     critical_points_outside,
@@ -54,6 +53,10 @@ UNIT2 = ideal(R2, LOCAL_DS, "1")
 UNIT1 = Ideal(R1, [parse_poly("1", R1)], LOCAL_DS)
 
 
+def cusp_problem():
+    return GermProblem(CUSP, EJEM)
+
+
 class TestRng:
     def test_stream_regression(self):
         rng = XorShift64(11)
@@ -75,34 +78,44 @@ class TestRng:
 
 class TestRandomDeformation:
     def test_deterministic_and_seed_sensitive(self):
-        a = random_deformation(CUSP, EJEM, seed=11)
-        b = random_deformation(CUSP, EJEM, seed=11)
-        c = random_deformation(CUSP, EJEM, seed=13)
+        a = random_deformation(cusp_problem(), seed=11)
+        b = random_deformation(cusp_problem(), seed=11)
+        c = random_deformation(cusp_problem(), seed=13)
         assert a.terms == b.terms
         assert a.terms != c.terms
 
     def test_difference_stays_in_ideal(self):
         for seed in (11, 13, 17):
-            g = random_deformation(CUSP, EJEM, seed=seed)
+            g = random_deformation(cusp_problem(), seed=seed)
             assert EJEM.with_order(GLOBAL_DP).normal_form(g - CUSP).is_zero()
 
     def test_spans_the_whole_cobasis(self):
-        g = random_deformation(CUSP, EJEM, seed=11)
+        g = random_deformation(cusp_problem(), seed=11)
         diff = g - CUSP
         assert set(diff.terms) == {(2, 0), (0, 1), (1, 1)}
 
     def test_degree_bound_truncates(self):
-        g = random_deformation(CUSP, EJEM, degree_bound=1, seed=11)
+        g = random_deformation(cusp_problem(), degree_bound=1, seed=11)
         assert set((g - CUSP).terms) == {(0, 1)}
+
+    def test_bound_below_every_cobasis_degree_refused(self):
+        # the cobasis x^2*y, x^3*y has degrees 3 and 4: a bound of 2 keeps
+        # neither, so the member drawn would be f itself
+        problem = GermProblem(P("x^4*y + x^2*y^2"), ideal(R2, LOCAL_DS, "x^2*y"))
+        with pytest.raises(GermforgeError) as e:
+            random_deformation(problem, degree_bound=2, seed=11)
+        assert str(e.value) == ("PRECONDITION_VIOLATED: degree bound 2 keeps no cobasis "
+                                "element, the least of which has degree 3")
+        assert random_deformation(problem, degree_bound=3, seed=11) != problem.f
 
     def test_zero_codimension_returns_f(self):
         f = P("x*y")
         I = ideal(R2, LOCAL_DS, "y")
-        assert random_deformation(f, I, seed=11).terms == f.terms
+        assert random_deformation(GermProblem(f, I), seed=11).terms == f.terms
 
     def test_infinite_codimension_rejected(self):
         with pytest.raises(GermforgeError) as e:
-            random_deformation(P("x^2"), EJEM, seed=11)
+            random_deformation(GermProblem(P("x^2"), EJEM), seed=11)
         assert e.value.code == "NOT_FINITE_CODIM"
 
 
@@ -149,11 +162,12 @@ class TestCriticalPoints:
 
 class TestCorrectedCodim:
     def test_matches_local_value_at_origin_only_germ(self):
-        assert corrected_extended_codim(CUSP, EJEM) == 3
+        assert corrected_extended_codim(cusp_problem().member(CUSP), 11) == 3
 
     def test_generic_member_drops_to_two(self):
-        g = random_deformation(CUSP, EJEM, seed=11)
-        assert corrected_extended_codim(g, EJEM) == 2
+        problem = cusp_problem()
+        g = random_deformation(problem, seed=11)
+        assert corrected_extended_codim(problem.member(g), 11) == 2
 
     def test_member_in_the_ideal_only_at_the_origin(self):
         # x^2 + y^2 lies in (x - x^2, y) at the origin only, and so does each
@@ -161,12 +175,15 @@ class TestCorrectedCodim:
         I = ideal(R2, LOCAL_DS, "x - x^2", "y")
         f = P("x^2 + y^2")
         assert not I.with_order(GLOBAL_DP).contains(f)
-        assert corrected_extended_codim(f, I) == 2
-        assert corrected_extended_codim(random_deformation(f, I, seed=11), I) == 1
+        problem = GermProblem(f, I)
+        assert corrected_extended_codim(problem.member(f), 11) == 2
+        g = random_deformation(problem, seed=11)
+        assert corrected_extended_codim(problem.member(g), 11) == 1
 
     def test_positive_dimensional_defect_rejected(self):
+        f = P("y^2")
         with pytest.raises(GermforgeError) as e:
-            corrected_extended_codim(P("y^2"), ideal(R2, LOCAL_DS, "y"))
+            corrected_extended_codim(GermProblem(f, ideal(R2, LOCAL_DS, "y")).member(f), 11)
         assert e.value.code == "GENERICITY_SUSPECT"
 
 
@@ -294,7 +311,7 @@ class TestLocalCodim:
         problem = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
         met = []
         for seed in (11, 13, 39):
-            member = problem.member(_deform(problem, bound, seed))
+            member = problem.member(random_deformation(problem, bound, seed))
             for point in locate_rational_points(member.locus()) or ():
                 shift = [ring.var(i) + c for i, c in enumerate(point)]
                 fresh = GermProblem(member.f.substitute(shift),
@@ -353,9 +370,9 @@ class TestEmpiricalSplitting:
 
         def counted(P, degree_bound, seed):
             calls.append((degree_bound, seed))
-            return _deform(P, degree_bound, seed)
+            return random_deformation(P, degree_bound, seed)
 
-        monkeypatch.setattr(oracle, "_deform", counted)
+        monkeypatch.setattr(oracle, "random_deformation", counted)
         assert splitting(GermProblem(CUSP, EJEM)).sigma == {1: 2}
         assert calls == [(None, 11), (None, 13)]
 
@@ -463,7 +480,7 @@ class TestConservation:
         M = morse_component(ctx, assume_reduced=True).ideal
         reference = intersection_multiplicity(ctx, M, lift_germ(CUSP, EJEM))
         assert reference == 2
-        g = random_deformation(CUSP, EJEM, seed=11)
+        g = random_deformation(cusp_problem(), seed=11)
         pulled = jet_pullback(ctx, M, lift_germ(g, EJEM)).with_order(GLOBAL_DP)
         total = saturation(pulled, EJEM.with_order(GLOBAL_DP)).quotient_dimension()
         assert total.value == reference
@@ -483,7 +500,7 @@ class TestConservation:
         M = morse_component(ctx, assume_reduced=True).ideal
         I_dp = problem.I.with_order(GLOBAL_DP)
         for seed in TRIAL_SEEDS[:3]:
-            g = _deform(problem, None, seed)
+            g = random_deformation(problem, None, seed)
             pulled = jet_pullback(ctx, M, lift_germ(g, problem.I)).with_order(GLOBAL_DP)
             total = saturation(pulled, I_dp).quotient_dimension()
             assert total.value == critical_points_outside(g, I_dp).count, seed
@@ -583,14 +600,14 @@ class TestSaturationVsRabinowitsch:
         M = morse_component(ctx, assume_reduced=True).ideal
         I_dp = I.with_order(GLOBAL_DP)
         for seed in TRIAL_SEEDS[:3]:
-            lifting = lift_germ(_deform(problem, None, seed), I)
+            lifting = lift_germ(random_deformation(problem, None, seed), I)
             pulled = jet_pullback(ctx, M, lifting).with_order(GLOBAL_DP)
             assert self._agree(pulled, I_dp) == expect
 
     def test_split_jacobian(self):
         R3 = Ring(["x", "y", "z"])
         I = ideal(R3, LOCAL_DS, "x*y", "z")
-        g = random_deformation(parse_poly("x^2*y + x*y^2 + z^2", R3), I, seed=11)
+        g = random_deformation(GermProblem(parse_poly("x^2*y + x*y^2 + z^2", R3), I), seed=11)
         jac = Ideal(R3, [g.derive(i) for i in range(3)], GLOBAL_DP)
         assert self._agree(jac, I.with_order(GLOBAL_DP)) == 4
 
@@ -610,10 +627,10 @@ class TestSaturationVsRabinowitsch:
 class TestSemicontinuity:
     def test_random_members_never_exceed_base_codimension(self):
         c = extended_codim(CUSP, EJEM).value
-        seen = []
+        problem, seen = cusp_problem(), []
         for seed in (3, 5, 7, 11, 13):
-            g = random_deformation(CUSP, EJEM, seed=seed)
-            seen.append(corrected_extended_codim(g, EJEM))
+            g = random_deformation(problem, seed=seed)
+            seen.append(corrected_extended_codim(problem.member(g), seed))
         assert all(v <= c for v in seen)
         assert seen == [2, 2, 2, 2, 2]
 

@@ -9,7 +9,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["cusp_regression.py", "conservation_demo.py"])
+@pytest.mark.parametrize("script", ["cusp_regression.py"])
 def test_example_script_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
