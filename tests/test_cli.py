@@ -47,6 +47,12 @@ CLASSIFY = "ring x y1 y2 ;\nideal J = y1, y2 ;\npoly f = x*y1^2 + y2^2 ;\n"
 VERSAL = CANON + (
     "unfolding F params s1 s2 s3 = x^3 + y^2 + s1*x^2 + s2*y + s3*x*y ;\n")
 PARTIAL = CANON + "unfolding F params s1 s2 = x^3 + y^2 + s1*x^2 + s2*y ;\n"
+# the unimodal germs X9 and P8 in a power of the maximal ideal: their members
+# keep a defect point that is no Morse point, so split reads sigma from the
+# member's own quotient
+X9 = "ring x y ;\nideal I = x^4, x^3*y, x^2*y^2, x*y^3, y^4 ;\npoly f = x^4 + y^4 ;\n"
+P8 = ("ring x y z ;\nideal I = x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3 ;\n"
+      "poly f = x^3 + y^3 + z^3 ;\n")
 END_OF_EXPRESSION = "expected a term at the end of the expression"
 
 
@@ -81,6 +87,18 @@ class TestGoldenDocuments:
             capsys, ["split", problem(tmp_path), "--seeds", "11,13"])
         assert code == 0
         assert out == golden("split_cusp_rel.txt")
+
+    def test_split_x9(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, ["split", problem(tmp_path, X9), "--seeds", "11,13"])
+        assert code == 0
+        assert out == golden("split_x9.txt")
+
+    def test_split_p8(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, ["split", problem(tmp_path, P8), "--seeds", "11,13"])
+        assert code == 0
+        assert out == golden("split_p8.txt")
 
     def test_theta(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["theta", problem(tmp_path)])
