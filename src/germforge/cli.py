@@ -418,16 +418,12 @@ def _cmd_morse(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
 def _cmd_split(pf: ProblemFile, args) -> tuple[Tree, Tree, list[str]]:
     f, I = the_poly(pf), the_ideal(pf)
     rep = splitting(GermProblem(f, I), args.seeds, _degree_bound_from(args))
-    results: Tree = []
-    if rep.sigma is None:
-        results.append(("sigma", "UNLOCATED"))
-    else:
-        results.append(("sigma", [f"{k} -> {rep.sigma[k]}" for k in sorted(rep.sigma)]))
-    results.extend([
+    results: Tree = [
+        ("sigma", [f"{k} -> {rep.sigma[k]}" for k in sorted(rep.sigma)]),
         ("corrected", rep.corrected),
         ("morse", rep.morse),
         ("stable", rep.stable),
-    ])
+    ]
     settings: Tree = [("seeds", ",".join(str(s) for s in rep.seeds))]
     return results, settings, list(rep.warnings)
 

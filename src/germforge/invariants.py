@@ -19,9 +19,8 @@ first use:
 
 member(g) is the problem of a deformed member g = f + sum h_i g_i under the
 global order; theta depends on I alone, so a family's members share one.
-The member's length at a point of its defect locus is read from its own L
-moved there (Submodule.at): O^k/L is I/tau, and moving to a point commutes
-with taking the preimage, so no moved problem is built.
+Its finite quotient O^k/L is I/tau, so the lengths of its defect points are
+read from that quotient (oracle.point_lengths) and no moved problem is built.
 
 The module functions extended_codim, plain_codim, determinacy_bound,
 positive_codim_locus, versality_check and build_versal_unfolding are entry

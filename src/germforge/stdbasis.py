@@ -17,7 +17,8 @@ Lifting a member of an ideal to coordinates over its generators reads the
 same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
 carries the coordinates in its tail. The squarefree part of a univariate
 p is the generator of the colon (p) : (p'); the zero-dimensional radical
-and the oracle's rational points both read it from squarefree_part.
+reads it from squarefree_part, and the oracle reads the lengths of the
+defect points from the squarefree parts of one characteristic polynomial.
 
 The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
@@ -29,8 +30,6 @@ local length infinite, one univariate basis per variable; the saturation
 Ann(O^r/M) : m^infinity decides the rest. with_order gives a view on the
 same generators that shares the cached global basis, whichever view builds
 it first; each view keeps its own quotient dimension and truncated model.
-at(point) asks at another point: it moves the module there, its generators
-translated so that the point is the origin, under 'ds'.
 
 The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
@@ -707,18 +706,6 @@ class Submodule:
         view = Submodule(self.ring, self.rank, (), order)
         view.gens, view._shared = self.gens, self._shared
         return view
-
-    def at(self, point: Sequence[Q]) -> Submodule:
-        """This module moved so that point is the origin, under 'ds': each
-        generator translated by x_i -> x_i + p_i, and a cache of its own. A
-        translation keeps the global length, so when this module's is finite
-        the moved module's local length is finite too, at most it. A point
-        the cap-4 model certifies needs no standard basis; above that the
-        climb takes its bound from the moved module's own global basis, and
-        one that does not certify there raises AssertionError."""
-        shift = [self.ring.var(i) + p for i, p in enumerate(point)]
-        return Submodule(self.ring, self.rank,
-                         [tuple(a.substitute(shift) for a in v) for v in self.gens], LOCAL_DS)
 
 
 class Ideal:

@@ -10,7 +10,7 @@ from germforge import stdbasis, tangent
 from germforge.cli import main, parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Poly, Ring, parse_poly
-from germforge.stdbasis import Ideal, QuotientDim, power_ideal
+from germforge.stdbasis import Ideal, QuotientDim, Submodule, power_ideal
 from germforge.invariants import (
     DdkClass,
     GermProblem,
@@ -802,9 +802,9 @@ class TestGermProblem:
     @pytest.mark.parametrize("point", [(1, -1, 2), (Fraction(-1, 2), 3, Fraction(2, 3))],
                              ids=["integral", "rational"])
     def test_moved_problem_against_a_fresh_one(self, ring, gens, f, point):
-        # the germ centred at the point, its module L moved back by
-        # Submodule.at, against a problem that computes its own theta, tau
-        # and L on the translated f and I
+        # the germ centred at the point, the generators of its module L
+        # translated back to the origin, against a problem that computes its
+        # own theta, tau and L on the translated f and I
         point = point[:ring.n]
         away = [-c for c in point]
         base = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
@@ -815,7 +815,10 @@ class TestGermProblem:
         fresh = GermProblem(centred.f.substitute(to_point),
                             Ideal(ring, [g.substitute(to_point) for g in centred.I.gens],
                                   LOCAL_DS))
-        assert centred.L.at(point).quotient_dimension() == fresh.c_ext == base.c_ext
+        moved = Submodule(ring, centred.L.rank,
+                          [tuple(a.substitute(to_point) for a in v) for v in centred.L.gens],
+                          LOCAL_DS)
+        assert moved.quotient_dimension() == fresh.c_ext == base.c_ext
         assert base.c_ext.value > 0
 
     @pytest.fixture

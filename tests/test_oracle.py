@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import signal
 import sys
@@ -9,12 +10,11 @@ import pytest
 from germforge.cli import parse_problem_file
 from germforge.errors import GermforgeError
 from germforge.polyring import GLOBAL_DP, LOCAL_DS, Ring, parse_poly
-from germforge.stdbasis import Ideal, saturation, squarefree_part
+from germforge.stdbasis import Ideal, Submodule, minimal_polynomial, saturation, squarefree_part
 from germforge.invariants import GermProblem, extended_codim
 from germforge.jetmorse import jet_morse_number
 from germforge.tangent import primitive_ideal
 import germforge.oracle as oracle
-import germforge.stdbasis as stdbasis
 import germforge.tangent as tangent
 from germforge.invariants import classify_Ddk
 from germforge.oracle import (
@@ -23,9 +23,8 @@ from germforge.oracle import (
     conservation_check,
     corrected_extended_codim,
     critical_points_outside,
-    _rational_roots,
     hessian_det,
-    locate_rational_points,
+    point_lengths,
     random_deformation,
     splitting,
 )
@@ -187,101 +186,76 @@ class TestCorrectedCodim:
         assert e.value.code == "GENERICITY_SUSPECT"
 
 
-class TestRationalPointLocation:
-    @pytest.fixture(autouse=True)
-    def no_moved_module(self, monkeypatch):
-        # completeness comes from root counts: locating moves no module
-        def refuse(self, point):
-            raise AssertionError(f"a module was moved to {point}")
-
-        monkeypatch.setattr(stdbasis.Submodule, "at", refuse)
-
-    def test_two_simple_points(self):
-        L = ideal(R2, GLOBAL_DP, "x^2 - 1", "y - 2*x")
-        assert locate_rational_points(L) == [
-            (Fraction(-1), Fraction(-2)),
-            (Fraction(1), Fraction(2)),
-        ]
-
-    def test_fat_point_mass_tallies(self):
-        L = ideal(R2, GLOBAL_DP, "x^2 - 2*x + 1", "y")
-        assert locate_rational_points(L) == [(Fraction(1), Fraction(0))]
-
-    def test_irrational_points_refused(self):
-        L = ideal(R2, GLOBAL_DP, "x^2 - 2", "y")
-        assert locate_rational_points(L) is None
-
-    def test_mixed_rational_and_irrational_refused(self):
-        # x(x^2-2) = 0 has one rational and two irrational roots
-        L = ideal(R2, GLOBAL_DP, "x^3 - 2*x", "y")
-        assert locate_rational_points(L) is None
-
-    def test_rational_x_and_irrational_y_refused(self):
+class TestPointLengths:
+    # how many points of each length a finite quotient has, read from the
+    # characteristic polynomial of one linear form: every point is counted,
+    # rational or not, and none is located
+    @pytest.mark.parametrize("gens, sigma", [
+        (("x^2 - 1", "y - 2*x"), {1: 2}),
+        (("x^2 - 2*x + 1", "y"), {2: 1}),
+        (("x^3 - x^2", "y"), {2: 1, 1: 1}),
+        (("x^2 - 2", "y"), {1: 2}),
+        # x(x^2 - 2) = 0 has one rational and two irrational roots
+        (("x^3 - 2*x", "y"), {1: 3}),
         # every x is rational, but no y is
-        L = ideal(R2, GLOBAL_DP, "x^2 - 1", "y^2 - 2")
-        assert locate_rational_points(L) is None
-
-    def test_unit_ideal_is_empty(self):
-        assert locate_rational_points(ideal(R2, GLOBAL_DP, "1")) == []
+        (("x^2 - 1", "y^2 - 2"), {1: 4}),
+        (("x^4 - 4*x^2 + 4", "y"), {2: 2}),
+        # x + y is 0 at both points, x + 2 y separates them
+        (("x^2 - 1", "x + y"), {1: 2}),
+        (("2*x - 1", "3*y + 2"), {1: 1}),
+        (("1",), {}),
+        (("x^2 - %d" % (2 ** 31 - 1) ** 2, "y"), {1: 2}),
+    ], ids=["two-simple", "fat", "fat-and-simple", "irrational", "mixed", "irrational-y",
+            "irrational-fat", "unseparated-first-form", "denominators", "unit", "large"])
+    def test_lengths_of_a_zero_dimensional_ideal(self, gens, sigma):
+        J = ideal(R2, GLOBAL_DP, *gens)
+        assert point_lengths(Submodule(R2, 1, [(g,) for g in J.gens], GLOBAL_DP), J) == sigma
 
     def test_positive_dimensional_refused(self):
-        assert locate_rational_points(ideal(R2, GLOBAL_DP, "x")) is None
+        J = ideal(R2, GLOBAL_DP, "x")
+        with pytest.raises(GermforgeError) as e:
+            point_lengths(Submodule(R2, 1, [(g,) for g in J.gens], GLOBAL_DP), J)
+        assert e.value.code == "NOT_ZERO_DIMENSIONAL"
 
-    def test_points_at_denominators(self):
-        L = ideal(R2, GLOBAL_DP, "2*x - 1", "3*y + 2")
-        assert locate_rational_points(L) == [(Fraction(1, 2), Fraction(-2, 3))]
-
-
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
-    def test_large_constant_term(self):
-        # x^2 - (2^31 - 1)^2: divisors of the constant term by trial
-        # division ran past 10 s here; the p-adic lift takes milliseconds
-        root = 2 ** 31 - 1
-        L = ideal(R2, GLOBAL_DP, f"x^2 - {root ** 2}", "y")
-
-        def over_budget(signum, frame):
-            raise TimeoutError("locating the points exceeded its 10 s budget")
-
-        previous = signal.signal(signal.SIGALRM, over_budget)
-        signal.alarm(10)
-        try:
-            points = locate_rational_points(L)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert points == [(Fraction(-root), Fraction(0)), (Fraction(root), Fraction(0))]
-
-
-class TestRationalRoots:
-    @pytest.mark.parametrize("coeffs, roots", [
-        ([], []),
-        ([5], []),
-        ([0, 0, 1], [0]),
-        ([-2, 0, 1], []),
-        # (2x - 1)^3 (x + 3)^2 x: repeated roots and a root at 0
-        ([0, -9, 48, -73, 6, 36, 8], [-3, 0, Fraction(1, 2)]),
-        # 6x^2 - x - 1 = (3x + 1)(2x - 1), not monic
-        ([-1, -1, 6], [Fraction(-1, 3), Fraction(1, 2)]),
-        # (x^2 + 1)(x - 7/5) with rational coefficients
-        ([Fraction(-7, 5), 1, Fraction(-7, 5), 1], [Fraction(7, 5)]),
-        # (x - 2^40)(x + 2^40 + 1)(x^2 + x + 1)
-        ([-(2 ** 80) - 2 ** 40, -(2 ** 80) - 2 ** 40 + 1, -(2 ** 80) - 2 ** 40 + 2, 2, 1],
-         [-(2 ** 40) - 1, 2 ** 40]),
-    ], ids=["zero", "constant", "double-zero", "irrational", "repeated", "not-monic",
-            "fractions", "large"])
-    def test_known_roots(self, coeffs, roots):
-        x = R1.var(0)
-        p = R1.sum(x ** i * Fraction(c) for i, c in enumerate(coeffs))
-        assert _rational_roots(squarefree_part(p, 0)) == roots
+    @pytest.mark.parametrize("ring, gens, f, bound, seed", [
+        pytest.param(R2, ("x", "y"), "x^3 + y^2", None, 11, id="cusp"),
+        pytest.param(R2, ("x - x^2", "y"), "x^3 - x^4 + y^2", 1, 11, id="fat-point"),
+        pytest.param(R2, ("x^2 - x^3", "y"), "x^4 - 2 x^5 + x^6 + y^2", 1, 13,
+                     id="three-points"),
+        pytest.param(R3, ("x - x^2", "y", "z"), "x^3 - x^4 + y^2 + z^2", 1, 39,
+                     id="fat-point3"),
+    ])
+    def test_charpoly_and_lengths_against_sympy(self, ring, gens, f, bound, seed):
+        # the characteristic polynomial of x_1 + ... + x_n on a member's
+        # quotient and its squarefree factorisation, both from sympy; the
+        # form separates these members' points, so the factors' degrees
+        # by multiplicity are the point lengths
+        sympy = pytest.importorskip("sympy")
+        problem = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
+        member = problem.member(random_deformation(problem, bound, seed))
+        matrices = oracle._multiplication_matrices(member.L)
+        size = range(len(matrices[0]))
+        A = [[sum(M[r][j] for M in matrices) for j in size] for r in size]
+        t, T = sympy.Symbol("t"), Ring(["t"])
+        chi = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
+                            for row in A]).charpoly(t).as_expr()
+        assert sympy.expand(chi - to_sympy(oracle._charpoly(A, T), [t])) == 0
+        sigma = {}
+        for factor, k in sympy.sqf_list(chi, t)[1]:
+            sigma[k] = sigma.get(k, 0) + sympy.degree(factor, t)
+        assert point_lengths(member.L, member.locus()) == sigma
+        assert sum(k * cnt for k, cnt in sigma.items()) == member.c_ext.value
 
 
 class TestLocalCodim:
-    # splitting measures a located point on the member's module L moved
-    # there; no corpus case reaches that branch, so it is checked here
-    # directly
+    # the codimension at a point, read at the origin once the germ and the
+    # ideal are translated there; the lengths that split reads from a
+    # member's quotient are checked against it
     @staticmethod
     def codim_at(g, I, point):
-        return GermProblem(g, I, check=False).L.at(point).quotient_dimension().value
+        shift = [g.ring.var(i) + c for i, c in enumerate(point)]
+        moved = Ideal(g.ring, [h.substitute(shift) for h in I.gens], LOCAL_DS)
+        return GermProblem(g.substitute(shift), moved, check=False).c_ext.value
 
     def test_translation_to_origin_is_identity(self):
         assert self.codim_at(CUSP, EJEM, (Fraction(0), Fraction(0))) == 3
@@ -293,34 +267,38 @@ class TestLocalCodim:
     def test_smooth_point_has_zero_codimension(self):
         assert self.codim_at(P("x^2 + y^2"), UNIT2, (Fraction(1), Fraction(1))) == 0
 
-    @pytest.mark.parametrize("ring, gens, f, bound, located", [
-        pytest.param(R2, ("x", "y"), "x^3 + y^2", None, [1, 1], id="cusp"),
-        pytest.param(R2, ("x - x^2", "y"), "x^2 + y^2", None, [1, 1, 1], id="origin-only"),
-        pytest.param(R2, ("x - x^2", "y"), "x^3 - x^4 + y^2", 1, [2, 1] * 3, id="fat-point"),
-        pytest.param(R2, ("x^2 - x^3", "y"), "x^4 - 2 x^5 + x^6 + y^2", 1, [3, 1, 1] * 3,
-                     id="three-points"),
-        pytest.param(R3, ("x", "y", "z"), "x^3 + y^2 + z^2", None, [1, 1], id="cusp3"),
-        pytest.param(R3, ("x - x^2", "y", "z"), "x^3 - x^4 + y^2 + z^2", 1, [2, 1] * 3,
-                     id="fat-point3"),
+    @pytest.mark.parametrize("ring, gens, f, bound, points", [
+        pytest.param(R2, ("x", "y"), "x^3 + y^2", None,
+                     {39: ["-1/5 1/2", "5/3 1/2"]}, id="cusp"),
+        pytest.param(R2, ("x - x^2", "y"), "x^2 + y^2", None,
+                     {11: ["2/9 -1/2"], 13: ["4/15 -11/20"], 39: ["1/4 11/10"]},
+                     id="origin-only"),
+        pytest.param(R2, ("x - x^2", "y"), "x^3 - x^4 + y^2", 1,
+                     {11: ["0 2/5", "3/4 2/5"], 13: ["0 4/7", "3/4 4/7"],
+                      39: ["0 1/2", "3/4 1/2"]}, id="fat-point"),
+        pytest.param(R2, ("x^2 - x^3", "y"), "x^4 - 2 x^5 + x^6 + y^2", 1,
+                     {11: ["0 2/5", "2/3 2/5", "1 2/5"], 13: ["0 4/7", "2/3 4/7", "1 4/7"],
+                      39: ["0 1/2", "2/3 1/2", "1 1/2"]}, id="three-points"),
+        pytest.param(R3, ("x", "y", "z"), "x^3 + y^2 + z^2", None,
+                     {39: ["-1/5 1/2 3/8", "5/3 1/2 3/8"]}, id="cusp3"),
+        pytest.param(R3, ("x - x^2", "y", "z"), "x^3 - x^4 + y^2 + z^2", 1,
+                     {11: ["0 2/5 -1/2", "3/4 2/5 -1/2"], 13: ["0 4/7 -11/20", "3/4 4/7 -11/20"],
+                      39: ["0 1/2 11/10", "3/4 1/2 11/10"]}, id="fat-point3"),
     ])
-    def test_moved_member_module_against_a_fresh_problem(self, ring, gens, f, bound, located):
-        # every rational defect point of the members at seeds 11, 13 and 39:
-        # the member's L moved there against a problem that computes its own
-        # theta, tau and L on the translated member and ideal, witness
-        # included; located lists the lengths met, seed by seed
+    def test_moved_member_module_against_a_fresh_problem(self, ring, gens, f, bound, points):
+        # the members at the seeds whose defect points are all rational,
+        # those points written out: the problem of the member and the ideal
+        # translated to each point computes its own theta, tau and L, and
+        # the lengths read there at the origin are the member's sigma
         problem = GermProblem(P(f, ring), ideal(ring, LOCAL_DS, *gens))
-        met = []
-        for seed in (11, 13, 39):
+        for seed, located in points.items():
             member = problem.member(random_deformation(problem, bound, seed))
-            for point in locate_rational_points(member.locus()) or ():
-                shift = [ring.var(i) + c for i, c in enumerate(point)]
-                fresh = GermProblem(member.f.substitute(shift),
-                                    Ideal(ring, [g.substitute(shift) for g in problem.I.gens],
-                                          LOCAL_DS))
-                moved = member.L.at(point).quotient_dimension()
-                assert moved == fresh.c_ext
-                met.append(moved.value)
-        assert met == located
+            lengths = [self.codim_at(member.f, problem.I, [Fraction(c) for c in pt.split()])
+                       for pt in located]
+            assert 0 not in lengths
+            assert sum(lengths) == member.c_ext.value
+            assert point_lengths(member.L, member.locus()) == {
+                k: lengths.count(k) for k in lengths}
 
 
 class TestEmpiricalSplitting:
@@ -378,58 +356,43 @@ class TestEmpiricalSplitting:
 
     def test_located_points_tally_to_the_defect_mass(self, monkeypatch):
         # no corpus case has a defect mass above the Morse count, so the
-        # critical count is lowered to force the locate branch; at seed 39
-        # the defect points of the cusp in the maximal ideal are rational.
-        # The member shares the problem's theta, so no dp theta is computed
-        # and the problem's own theta runs before any point is located.
-        real_critical, real_locate, real_theta, real_basis, real_at = (
-            oracle.critical_points_outside, oracle.locate_rational_points,
-            tangent.theta_preserving, stdbasis.std_basis_vectors, stdbasis.Submodule.at)
-        located, theta_orders, theta_before_locate, bases, bases_after_locate = [], [], [], [], []
-        moved = []
+        # critical count is lowered to force sigma to be read from the
+        # member's quotient; at seeds 11 and 13 the defect points of the
+        # cusp in the maximal ideal are irrational. The member shares the
+        # problem's theta, so no dp theta is computed.
+        real_critical, real_lengths, real_theta = (
+            oracle.critical_points_outside, oracle.point_lengths, tangent.theta_preserving)
+        read, theta_orders = [], []
 
-        def locate(L):
-            theta_before_locate.extend(theta_orders)
-            located.append(real_locate(L))
-            bases_after_locate.append(len(bases))
-            return located[-1]
+        def lengths(L, support):
+            # each point's x is a root of a quadratic with no rational root
+            x_part = squarefree_part(minimal_polynomial(support, 0), 0)
+            assert x_part.total_degree() == 2
+            c, b = (x_part.terms.get((k, 0), 0) for k in (0, 1))
+            disc = b * b - 4 * c
+            assert disc < 0 or not all(math.isqrt(v) ** 2 == v
+                                       for v in (disc.numerator, disc.denominator))
+            read.append(real_lengths(L, support))
+            return read[-1]
 
         def theta(I):
             theta_orders.append(I.order.kind)
             return real_theta(I)
 
-        def basis(vectors, rank):
-            bases.append(rank)
-            return real_basis(vectors, rank)
-
-        def at(module, point):
-            moved.append(tuple(point))
-            return real_at(module, point)
-
         monkeypatch.setattr(oracle, "critical_points_outside",
                             lambda g, I: real_critical(g, I)._replace(count=0))
-        monkeypatch.setattr(oracle, "locate_rational_points", locate)
-        monkeypatch.setattr(stdbasis.Submodule, "at", at)
+        monkeypatch.setattr(oracle, "point_lengths", lengths)
         for name, module in list(sys.modules.items()):
             if name.startswith("germforge"):
                 for attr, value in list(vars(module).items()):
                     if value is real_theta:
                         monkeypatch.setattr(module, attr, theta)
-                    elif value is real_basis:
-                        monkeypatch.setattr(module, attr, basis)
-        rep = splitting(GermProblem(CUSP, ideal(R2, LOCAL_DS, "x", "y")), seeds=(39,))
-        assert [len(points) for points in located] == [2]
-        # one move per located point, none to decide that all are located
-        assert moved == located[0]
+        rep = splitting(GermProblem(CUSP, ideal(R2, LOCAL_DS, "x", "y")), seeds=(11, 13))
+        assert read == [{1: 2}, {1: 2}]
         assert (rep.sigma, rep.corrected, rep.morse) == ({1: 2}, 2, 0)
         assert sum(k * cnt for k, cnt in rep.sigma.items()) == rep.corrected
-        assert theta_before_locate == ["ds"]
-        # each located point is measured on the member's L moved there, and
-        # the cusp's points certify at cap 4, so they are read from the
-        # truncated model: no theta, tau or standard basis runs for them,
-        # theta runs once and no basis follows the location
+        assert rep.warnings == ("GLOBAL_COUNT", "GENERICITY_SAMPLED")
         assert theta_orders == ["ds"]
-        assert bases_after_locate == [len(bases)]
 
     def test_germ_in_the_ideal_only_at_the_origin(self):
         # the members f + sum h_i g_i miss the global ideal as f does, and
