@@ -8,10 +8,13 @@ first use:
 - tau: the tangent ideal tau_e(f), swept out of f by theta;
 - L: the coefficient vectors c with sum c_i g_i in tau, so that I/tau is
   O^k/L; c_ext is the dimension of that quotient and cobasis its witness,
-  read as the elements I.gens[pos] * m;
+  read as the elements I.gens[pos] * m. L is the syzygies of I's
+  generators plus one lift of each generator of tau, both read from I's
+  one lifter (stdbasis.subideal_preimage);
 - c_plain: the same dimension over the fields of theta vanishing at the
-  origin, derived from the same theta; when every generator of theta
-  vanishes there, or the two tangent ideals share generators, it is c_ext;
+  origin, derived from the same theta, its module read from the same
+  lifter; when every generator of theta vanishes there, or the two tangent
+  ideals share generators, it is c_ext;
 - model: L's local model, the truncated model of O^k/L at the origin that
   certified the local length (Submodule.local_model); determinacy is its
   certified degree;
@@ -56,7 +59,6 @@ from .stdbasis import (
     Submodule,
     TruncatedModel,
     ideal_quotient,
-    preimage_module,
     subideal_preimage,
     vec_zero,
 )
@@ -96,14 +98,14 @@ class GermProblem:
         A theta whose generators have no constant term lies in m * Theta, so
         its vanishing part is theta itself and tau(f) is tau_e(f), as it is
         when their generator sets agree. The two codimensions differ by at
-        most n, so they are finite together. tau(f) lies in tau_e(f), which L
-        checks against I, so it is not tested again."""
+        most n, so they are finite together. Its module L_plain is read
+        from the lifter of I that L reads."""
         if not any(a.constant_term() for X in self.theta.gens for a in X):
             return self.c_ext
         tau = tangent_ideal(self.f, theta_vanishing(self.theta))
         if set(tau.gens) == set(self.tau.gens):
             return self.c_ext
-        c = preimage_module(self.I._module().gens, tau._module(), self.I.order).quotient_dimension()
+        c = subideal_preimage(self.I, tau).quotient_dimension()
         if c.is_finite != self.c_ext.is_finite:
             raise AssertionError("finiteness of the two codimensions must agree")
         return c

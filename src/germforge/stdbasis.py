@@ -13,12 +13,16 @@ are the preimage of the zero module, the colon M : (w_1..w_k) that of the
 w stacked under M in k blocks. The result module caches the basis its
 elimination computed, and the postcheck reduces each distinct block of
 the sums c_i t_i to 0 against the cached global basis of S, once.
-Lifting a member of an ideal to coordinates over its generators reads the
-same rows: the global normal form of (p, 0, ..., 0) against the (g_j, e_j)
-carries the coordinates in its tail. The squarefree part of a univariate
-p is the generator of the colon (p) : (p'); the zero-dimensional radical
-reads it from squarefree_part, and the oracle reads the lengths of the
-defect points from the squarefree parts of one characteristic polynomial.
+Each ideal has one lifter, the basis of the rows (g_j, e_j), which every
+view of it shares: the global normal form of (p, 0, ..., 0) against it
+carries p's coordinates over the generators in its tail, and its part past
+position 0 is the syzygies of the generators. A subideal J of I runs no
+elimination: the preimage {c : sum c_i g_i in J} is those syzygies plus
+one lift per generator of J (subideal_preimage). The squarefree part of
+a univariate p is the generator of the colon (p) : (p'); the
+zero-dimensional radical reads it from squarefree_part, and the oracle
+reads the lengths of the defect points from the squarefree parts of one
+characteristic polynomial.
 
 The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
@@ -613,7 +617,13 @@ class Submodule:
         exactly when some generator has a nonzero constant term."""
         if vec_is_zero(self.normal_form(v)):
             return True
-        return self.order.is_local and any(h.constant_term() for h in self.colon([v]).gens)
+        return self.order.is_local and self._unit_multiplier(v) is not None
+
+    def _unit_multiplier(self, v: Vector) -> Poly | None:
+        """A generator u of the colon M : v with u(0) != 0, or None when
+        none is: then u * v lies in M and generates at the origin what v
+        does, and v lies in M at the origin exactly when such a u exists."""
+        return next((u for u in self.colon([v]).gens if u.constant_term()), None)
 
     def contains_module(self, other: Submodule) -> bool:
         return all(self.contains(v) for v in other.gens)
@@ -627,10 +637,7 @@ class Submodule:
         against M's own cached basis. That preimage, with the basis its
         elimination computed, is the ideal's module."""
         target = tuple(p for w in ws for p in w)
-        P = preimage_module([target], self, self.order, len(ws))
-        out = Ideal(self.ring, [c[0] for c in P.gens], self.order)
-        out._mod = P
-        return out
+        return _ideal_of(preimage_module([target], self, self.order, len(ws)))
 
     def quotient_dimension(self) -> QuotientDim:
         """dim of O^rank / this module: the global staircase under 'dp', the
@@ -710,7 +717,8 @@ class Submodule:
 
 class Ideal:
     """Ideal with generators, in the polynomial ring under 'dp' and in the
-    local ring at the origin under 'ds', with its reduced global basis cached."""
+    local ring at the origin under 'ds', with its reduced global basis and
+    its lifter cached."""
 
     __slots__ = ("ring", "gens", "order", "_mod", "_lifter")
 
@@ -721,7 +729,7 @@ class Ideal:
             raise ValueError("generator from a different ring")
         self.order = order
         self._mod: Submodule | None = None
-        self._lifter: Submodule | None = None
+        self._lifter: list[StdBasis | None] = [None]  # one cell for every view
 
     def _module(self) -> Submodule:
         if self._mod is None:
@@ -772,11 +780,13 @@ class Ideal:
         return self._module().quotient_dimension()
 
     def with_order(self, order: Order) -> Ideal:
-        """A view on the same generators, sharing the cached global basis."""
+        """A view on the same generators, sharing the cached global basis
+        and lifter."""
         if order == self.order:
             return self
         view = Ideal(self.ring, self.gens, order)
         view._mod = self._module().with_order(order)
+        view._lifter = self._lifter
         return view
 
     def sum(self, other: Ideal) -> Ideal:
@@ -786,19 +796,24 @@ class Ideal:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner}; {self.order.kind})"
 
+    def lifter(self) -> StdBasis:
+        """The reduced 'dp' basis of the rows (g_j, e_j) in O^(1+k), built
+        once for every view. Position 0 is greatest, so its elements past
+        position 0, moved down one position, are the reduced basis of the
+        syzygies of the generators."""
+        if self._lifter[0] is None:
+            rows = _with_identity([(g,) for g in self.gens], self.ring)
+            self._lifter[0] = std_basis_vectors(rows, 1 + len(self.gens))
+        return self._lifter[0]
+
     def lift(self, p: Poly) -> tuple[Poly, ...] | None:
         """Coordinates c with p = sum c_j * gens[j], or None if p is not a
         member of the polynomial (global) ideal.
 
-        Read through the embedded identity: under the global order, the
-        module spanned by the (g_j, e_j) in O^(1+k) reduces (p, 0, ..., 0) to
-        (r, -c) with p - r = sum c_j g_j, and r = 0 exactly when p lies in
-        the ideal, since position 0 is greatest."""
-        k = len(self.gens)
-        if self._lifter is None:
-            embedded = _with_identity([(g,) for g in self.gens], self.ring)
-            self._lifter = Submodule(self.ring, 1 + k, embedded, GLOBAL_DP)
-        r, *c = self._lifter.normal_form((p,) + vec_zero(self.ring, k))
+        The lifter reduces (p, 0, ..., 0) to (r, -c) with
+        p - r = sum c_j g_j, and r = 0 exactly when p lies in the ideal,
+        since position 0 is greatest."""
+        r, *c = reduce_vector((p,) + vec_zero(self.ring, len(self.gens)), self.lifter())
         return None if not r.is_zero() else tuple(-x for x in c)
 
 
@@ -811,6 +826,33 @@ def _with_identity(vectors: Sequence[Vector], ring: Ring) -> list[Vector]:
     zero, one = ring.zero(), ring.one()
     return [tuple(v) + tuple(one if j == i else zero for j in range(len(vectors)))
             for i, v in enumerate(vectors)]
+
+
+def _tail(elimination: StdBasis, ring: Ring, head: int, rank: int) -> StdBasis:
+    """The elements of a position-over-term basis in O^(head+rank) with a
+    lead past the first head positions, each key moved down head positions:
+    the reduced basis of the module's part with those entries zero."""
+    out = StdBasis(ring, rank)
+    shift = head << out.pk.pos_shift
+    for i, lead in enumerate(elimination.leads):
+        if lead >= shift:
+            out.add([(key - shift, c) for key, c in elimination.terms(i)])
+    return out
+
+
+def _module_of(basis: StdBasis, ring: Ring, order: Order) -> Submodule:
+    """The module basis generates, in order, with basis as its cached
+    global basis: the basis's vectors are its generators."""
+    out = Submodule(ring, basis.rank, list(basis), order)
+    out._shared[0] = basis
+    return out
+
+
+def _ideal_of(M: Submodule) -> Ideal:
+    """The ideal of a rank-1 module, with M as its module."""
+    out = Ideal(M.ring, [v[0] for v in M.gens], M.order)
+    out._mod = M
+    return out
 
 
 def module_syzygies(vectors: Sequence[Vector], ring: Ring, rank: int) -> Submodule:
@@ -828,8 +870,8 @@ def preimage_module(targets: Sequence[Vector], S: Submodule,
     generators of S, span the pairs (sum c_i t_i + sum d_j s_j, c), so (0, c)
     is a member exactly when c lies in the preimage, and no cofactor d is
     computed. Position over term eliminates the head: the basis elements
-    with a lead past it, each key moved down head positions, are the
-    preimage's reduced basis: cached, and unpacked as its generators.
+    with a lead past it, each key moved down head positions (_tail), are
+    the preimage's reduced basis: cached, and unpacked as its generators.
     Postcheck: each distinct block of the sums c_i t_i reduces to 0 against
     S's cached basis, in every block the reduced basis of S^copies, as no
     S-pair and no lead crosses blocks under position over term."""
@@ -840,13 +882,7 @@ def preimage_module(targets: Sequence[Vector], S: Submodule,
     blocks = [(b * rank, b * rank + rank) for b in range(copies)]
     rows = [pad[:i] + s + pad[j:] for i, j in blocks for s in S.gens] if k else []
     elimination = std_basis_vectors(_with_identity(targets, ring) + rows, head + k)
-    basis = StdBasis(ring, k)
-    shift = head << basis.pk.pos_shift
-    for i, lead in enumerate(elimination.leads):
-        if lead >= shift:
-            basis.add([(key - shift, c) for key, c in elimination.terms(i)])
-    out = Submodule(ring, k, list(basis), order)
-    out._shared[0] = basis
+    out = _module_of(_tail(elimination, ring, head, k), ring, order)
     sums = [tuple(ring.sum(ci * t[e] for ci, t in zip(c, targets)) for e in range(head))
             for c in out.gens]
     if not all(vec_is_zero(S.normal_form(v)) for v in {s[i:j] for s in sums for i, j in blocks}):
@@ -869,13 +905,15 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
     one global basis of I + J under 'dp' and none under 'ds'; I itself is
     returned. Only when the zero sets of I and J meet (or, in the local ring,
     both pass through the origin) does the quotient (I : J) run, iterated
-    until it is stable.
+    until it is stable or the unit ideal, which is saturated.
     """
     if I.sum(J).is_unit():
         return I
     current = I
     while True:
         nxt = ideal_quotient(current, J)
+        if nxt.is_unit():
+            return nxt
         if current.contains_ideal(nxt):
             return current
         current = nxt
@@ -889,13 +927,33 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     """The module L = {c in O^k : sum c_i g_i in J} for J contained in I;
     O^k/L is then isomorphic to I/J with unit vector i mapping to gens[i],
     so dim I/J is L's quotient dimension, whose witness entry (j, m) stands
-    for the class of m * gens[j]. Each distinct generator of J is tested
-    once against I."""
+    for the class of m * gens[j].
+
+    L is Syz(g), the tail of I's lifter, plus one lift of each distinct
+    generator h of J: if sum c_i g_i = sum b_h h, c - sum b_h lift(h) is a
+    syzygy. The lift also proves h in I. Under 'ds' an h with no global
+    lift is replaced by u * h, u a generator of the colon I : h with
+    u(0) != 0, which generates what h does at the origin; with no such u,
+    h is outside I. Postcheck: each generator of L recombines to its
+    target, in ring arithmetic."""
+    ring, k = I.ring, len(I.gens)
+    # each generator of L with the element of I it must recombine to
+    gens = [(s, ring.zero()) for s in _tail(I.lifter(), ring, 1, k)]
     for h in dict.fromkeys(J.gens):
-        if not I.contains(h):
+        target, a = h, I.lift(h)
+        if a is None and I.order.is_local:
+            u = I._module()._unit_multiplier((h,))
+            if u is not None:
+                target = u * h
+                a = I.lift(target)
+        if a is None:
             raise GermforgeError("PRECONDITION_VIOLATED",
                                  f"not a subideal: {h} is outside the ambient ideal")
-    return preimage_module([(g,) for g in I.gens], J._module(), I.order)
+        gens.append((a, target))
+    out = _module_of(std_basis_vectors([c for c, _ in gens], k), ring, I.order)
+    if any(ring.sum(ci * g for ci, g in zip(c, I.gens)) != t for c, t in gens):
+        raise AssertionError("subideal preimage postcheck failed")
+    return out
 
 
 def power_ideal(ring: Ring, k: int) -> Ideal:
@@ -957,7 +1015,8 @@ def squarefree_part(p: Poly, var: int) -> Poly:
 
 def zero_dim_radical(I: Ideal) -> Ideal:
     """Radical of a zero-dimensional ideal under a global order (Seidenberg):
-    adjoin the squarefree part of each variable's minimal polynomial."""
+    adjoin the squarefree part of each variable's minimal polynomial. Its
+    generators are its reduced basis, which its module keeps cached."""
     if I.order.is_local:
         raise GermforgeError("LOCAL_ORDER_UNSUPPORTED",
                              "radical computation needs a global order")
@@ -965,4 +1024,5 @@ def zero_dim_radical(I: Ideal) -> Ideal:
         raise GermforgeError("NOT_ZERO_DIMENSIONAL",
                              "radical is implemented for zero-dimensional ideals only")
     extra = tuple(squarefree_part(minimal_polynomial(I, i), i) for i in range(I.ring.n))
-    return Ideal(I.ring, Ideal(I.ring, I.gens + extra, I.order).basis(), I.order)
+    basis = Ideal(I.ring, I.gens + extra, I.order)._module().basis()
+    return _ideal_of(_module_of(basis, I.ring, I.order))

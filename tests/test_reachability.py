@@ -85,6 +85,11 @@ INPUTS = [
      "ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n"),
     (["conserve", "--assume-reduced"],
      "ring x y ;\nideal I = x - x^2, y ;\npoly f = x^2 + y^2 ;\n"),
+    # tau_e(f) has generators that lie in I at the origin only: L lifts
+    # each of them times a unit of its colon
+    (["codim"], "ring x y ;\nideal I = x - x^2*y, y - x*y^2 ;\npoly f = x^2 + y^2 ;\n"),
+    (["determinacy"],
+     "ring x y ;\nideal I = x - x^2*y, y - x*y^2 ;\npoly f = x^2 + y^2 ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, % ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = 1/0*x^3 + y^2 ;\n"),
     (["codim"], "ring x y ;\nideal I = x^2, y ;\npoly f = (x+y+1)^200 ;\n"),
@@ -210,12 +215,12 @@ ALLOWED = {
 # the commands that may still test the germ f for membership in I and lift
 # it: GermProblem(f, I) tests f against I's basis, and the jet route's
 # jetmorse.lift_germ then lifts f through I's lifter for its coordinates.
-# This stays by design: deciding f's membership by that lift instead would
-# build I's lifter for every problem, also where no coordinates are read,
-# and the lifter costs far more than I's own basis: with Python 3.11 on a
-# 2-core machine, building it and lifting the germ took 12 / 125 / 4856 ms
-# against 1.6 / 3.2 / 10 ms for the basis and the membership test, on the
-# th3 / th4 / th5 problems of ROADMAP.md's Baseline
+# This stays by design: a problem decides f's membership when it is built,
+# also for locus, which reads no L and builds no lifter, and the lifter
+# costs far more than I's own basis: with Python 3.11 on a 2-core machine,
+# building it and lifting the germ took 12 / 125 / 4856 ms against 1.6 /
+# 3.2 / 10 ms for the basis and the membership test, on the th3 / th4 / th5
+# problems of ROADMAP.md's Baseline
 REPEATED = ("morse", "conserve")
 
 # the tracer's layers whose names no command of the sweep enters, so that

@@ -1128,6 +1128,17 @@ class TestRelativeQuotientDimension:
             subideal_preimage(I, J)
         assert ei.value.code == "PRECONDITION_VIOLATED"
 
+    def test_global_order_refuses_a_member_at_the_origin_only(self):
+        # I is (x, y) at the origin, where 1 - x*y is a unit, so x^2 + y^2
+        # lies in I under ds; it has no global lift, so dp refuses it
+        I = ideal(R2, GLOBAL_DP, "x - x^2*y", "y - x*y^2")
+        J = ideal(R2, GLOBAL_DP, "x^2 + y^2")
+        assert subideal_preimage(I.with_order(LOCAL_DS), J).quotient_dimension() is INFINITE
+        with pytest.raises(GermforgeError) as ei:
+            subideal_preimage(I, J)
+        assert str(ei.value) == ("PRECONDITION_VIOLATED: not a subideal: "
+                                 "x^2 + y^2 is outside the ambient ideal")
+
     def test_difference_formula(self):
         # dim I/J = dim O/J - dim O/I when both quotients are finite
         pairs = [
@@ -1312,6 +1323,21 @@ class TestEliminationPostchecks:
         with pytest.raises(AssertionError, match="^preimage postcheck failed$"):
             ideal_quotient(ideal(R2, GLOBAL_DP, "x y"), ideal(R2, GLOBAL_DP, "x"))
 
+    def test_subideal_preimage_postcheck(self, monkeypatch):
+        # I = (x, y): the lifter's syzygy (y, -x) with 1 added to its last
+        # entry recombines to y, not 0; a lift with 1 added to its first
+        # entry recombines to its target plus x
+        J = ideal(R2, LOCAL_DS, "x^2", "x y", "y^2")
+        assert subideal_preimage(ideal(R2, LOCAL_DS, "x", "y"), J).quotient_dimension().value == 2
+        with monkeypatch.context() as m:
+            self._perturb_tail(m, 3, 1)
+            with pytest.raises(AssertionError, match="^subideal preimage postcheck failed$"):
+                subideal_preimage(ideal(R2, LOCAL_DS, "x", "y"), J)
+        real = Ideal.lift
+        monkeypatch.setattr(Ideal, "lift", lambda I, p: (real(I, p)[0] + 1,) + real(I, p)[1:])
+        with pytest.raises(AssertionError, match="^subideal preimage postcheck failed$"):
+            subideal_preimage(ideal(R2, LOCAL_DS, "x", "y"), J)
+
 
 class TestEliminationHandover:
     """A preimage caches the basis its elimination computed: the head-free
@@ -1441,6 +1467,25 @@ class TestEliminationsRunNoSecondBasis:
         assert basis_calls == [1, 2, 2, 2]
         assert [str(g) for g in S.basis()] == ["y"]
         assert basis_calls == [1, 2, 2, 2]
+
+    def test_saturation_stops_at_the_unit_ideal(self, basis_calls):
+        # m : m is (1), which is saturated: the unit test on I + J, the
+        # colon's elimination of rank 2 + 1 and I's basis for its
+        # postcheck, and no colon (1) : m after it
+        m = ideal(R2, GLOBAL_DP, "x", "y")
+        S = saturation(m, m)
+        assert basis_calls == [1, 3, 1]
+        assert S.is_unit() and [str(g) for g in S.basis()] == ["1"]
+        assert basis_calls == [1, 3, 1]
+
+    def test_radical_keeps_its_basis(self, basis_calls):
+        # the radical's generators are the basis it computed, and its module
+        # holds that basis, so its length runs no second Buchberger
+        rad = zero_dim_radical(ideal(R2, GLOBAL_DP, "x^2", "y^2 - x"))
+        del basis_calls[:]
+        assert [str(g) for g in rad.gens] == ["y", "x"]
+        assert rad.quotient_dimension().value == 1
+        assert basis_calls == []
 
     def test_two_target_colon_reads_the_cached_basis(self, basis_calls):
         M = Submodule(R2, 1, [vec(R2, "x^2"), vec(R2, "y")], GLOBAL_DP)
