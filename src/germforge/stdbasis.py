@@ -13,16 +13,15 @@ are the preimage of the zero module, the colon M : (w_1..w_k) that of the
 w stacked under M in k blocks. The result module caches the basis its
 elimination computed, and the postcheck reduces each distinct block of
 the sums c_i t_i to 0 against the cached global basis of S, once.
-Each ideal has one lifter, the basis of the rows (g_j, e_j), which every
-view of it shares: the global normal form of (p, 0, ..., 0) against it
-carries p's coordinates over the generators in its tail, and its part past
-position 0 is the syzygies of the generators. A subideal J of I runs no
-elimination: the preimage {c : sum c_i g_i in J} is those syzygies plus
-one lift per generator of J (subideal_preimage). The squarefree part of
-a univariate p is the generator of the colon (p) : (p'); the
-zero-dimensional radical reads it from squarefree_part, and the oracle
-reads the lengths of the defect points from the squarefree parts of one
-characteristic polynomial.
+Each module has one lifter, the basis of the rows (v_j, e_j): its part past
+the module's rank is the syzygies of the generators, and for an ideal the
+global normal form of (p, 0, ..., 0) against it carries p's coordinates
+over the generators in its tail. A subideal J of I runs no elimination:
+the preimage {c : sum c_i g_i in J} is those syzygies plus one lift per
+generator of J (subideal_preimage). The squarefree part of a univariate p
+is the generator of the colon (p) : (p'); the zero-dimensional radical
+reads it from squarefree_part, and the oracle reads the lengths of the
+defect points from the squarefree parts of one characteristic polynomial.
 
 The local order 'ds' only says that a question is asked in the local ring at
 the origin. The polynomial generators generate the same module there, so one
@@ -32,8 +31,10 @@ from it and one colon (Submodule.contains). When neither the model nor the
 global length decides, a coordinate axis in the support of O^r/M proves the
 local length infinite, one univariate basis per variable; the saturation
 Ann(O^r/M) : m^infinity decides the rest. with_order gives a view on the
-same generators that shares the cached global basis, whichever view builds
-it first; each view keeps its own quotient dimension and truncated model.
+same generators that shares one cell, the global basis and the lifter,
+whichever view builds them first; each view keeps its own quotient
+dimension and truncated model. An ideal caches nothing of its own: its
+views are the ideals of its rank-1 module's views.
 
 The reducer works in place, on packed terms with integer coefficients.
 Inside the engine a module term (position, monomial) is one int
@@ -261,8 +262,6 @@ def _reduce(red: StdBasis, work: dict[int, int], scale: int) -> tuple[Terms, int
         shift, lc = k - leads[i], lcs[i]
         g = gcd(c, lc)
         a, b = lc // g, c // g
-        if a < 0:
-            a, b = -a, -b
         if a != 1:
             for key in work:
                 work[key] *= a
@@ -585,7 +584,8 @@ class Submodule:
                 cleaned.append(tuple(v))
         self.gens: tuple[Vector, ...] = tuple(cleaned)
         self.order = order
-        self._shared: list[StdBasis | None] = [None]  # one cell for every view
+        # the global basis and the lifter: one cell for every view
+        self._shared: list[StdBasis | None] = [None, None]
         self._qdim: QuotientDim | None = None
         self._model: TruncatedModel | None = None
 
@@ -599,6 +599,16 @@ class Submodule:
         if self._shared[0] is None:
             self._shared[0] = std_basis_vectors(self.gens, self.rank)
         return self._shared[0]
+
+    def lifter(self) -> StdBasis:
+        """The reduced 'dp' basis of the rows (v_j, e_j) in O^(rank+k), built
+        once for every view. Positions 0..rank-1 are greatest, so its
+        elements past them, moved down rank positions, are the reduced basis
+        of the syzygies of the generators."""
+        if self._shared[1] is None:
+            rows = _with_identity(self.gens, self.ring)
+            self._shared[1] = std_basis_vectors(rows, self.rank + len(self.gens))
+        return self._shared[1]
 
     def lead_terms(self) -> list[MTerm]:
         """The leads of the global basis, under either order."""
@@ -707,7 +717,8 @@ class Submodule:
         return local._model
 
     def with_order(self, order: Order) -> Submodule:
-        """A view under order on the same generators and cached basis."""
+        """A view under order on the same generators, sharing the cached
+        global basis and lifter."""
         if order == self.order:
             return self
         view = Submodule(self.ring, self.rank, (), order)
@@ -717,10 +728,10 @@ class Submodule:
 
 class Ideal:
     """Ideal with generators, in the polynomial ring under 'dp' and in the
-    local ring at the origin under 'ds', with its reduced global basis and
-    its lifter cached."""
+    local ring at the origin under 'ds'. Its rank-1 module caches its
+    reduced global basis and its lifter."""
 
-    __slots__ = ("ring", "gens", "order", "_mod", "_lifter")
+    __slots__ = ("ring", "gens", "order", "_mod")
 
     def __init__(self, ring: Ring, gens: Sequence[Poly], order: Order = LOCAL_DS) -> None:
         self.ring = ring
@@ -729,7 +740,6 @@ class Ideal:
             raise ValueError("generator from a different ring")
         self.order = order
         self._mod: Submodule | None = None
-        self._lifter: list[StdBasis | None] = [None]  # one cell for every view
 
     def _module(self) -> Submodule:
         if self._mod is None:
@@ -780,14 +790,8 @@ class Ideal:
         return self._module().quotient_dimension()
 
     def with_order(self, order: Order) -> Ideal:
-        """A view on the same generators, sharing the cached global basis
-        and lifter."""
-        if order == self.order:
-            return self
-        view = Ideal(self.ring, self.gens, order)
-        view._mod = self._module().with_order(order)
-        view._lifter = self._lifter
-        return view
+        """The ideal of its module's view under order."""
+        return _ideal_of(self._module().with_order(order))
 
     def sum(self, other: Ideal) -> Ideal:
         return Ideal(self.ring, self.gens + other.gens, self.order)
@@ -796,24 +800,15 @@ class Ideal:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner}; {self.order.kind})"
 
-    def lifter(self) -> StdBasis:
-        """The reduced 'dp' basis of the rows (g_j, e_j) in O^(1+k), built
-        once for every view. Position 0 is greatest, so its elements past
-        position 0, moved down one position, are the reduced basis of the
-        syzygies of the generators."""
-        if self._lifter[0] is None:
-            rows = _with_identity([(g,) for g in self.gens], self.ring)
-            self._lifter[0] = std_basis_vectors(rows, 1 + len(self.gens))
-        return self._lifter[0]
-
     def lift(self, p: Poly) -> tuple[Poly, ...] | None:
         """Coordinates c with p = sum c_j * gens[j], or None if p is not a
         member of the polynomial (global) ideal.
 
-        The lifter reduces (p, 0, ..., 0) to (r, -c) with
+        The module's lifter reduces (p, 0, ..., 0) to (r, -c) with
         p - r = sum c_j g_j, and r = 0 exactly when p lies in the ideal,
         since position 0 is greatest."""
-        r, *c = reduce_vector((p,) + vec_zero(self.ring, len(self.gens)), self.lifter())
+        lifter = self._module().lifter()
+        r, *c = reduce_vector((p,) + vec_zero(self.ring, len(self.gens)), lifter)
         return None if not r.is_zero() else tuple(-x for x in c)
 
 
@@ -938,7 +933,7 @@ def subideal_preimage(I: Ideal, J: Ideal) -> Submodule:
     target, in ring arithmetic."""
     ring, k = I.ring, len(I.gens)
     # each generator of L with the element of I it must recombine to
-    gens = [(s, ring.zero()) for s in _tail(I.lifter(), ring, 1, k)]
+    gens = [(s, ring.zero()) for s in _tail(I._module().lifter(), ring, 1, k)]
     for h in dict.fromkeys(J.gens):
         target, a = h, I.lift(h)
         if a is None and I.order.is_local:

@@ -962,6 +962,12 @@ class TestLAgainstTheElimination:
             assert member.c_ext.is_finite
             assert member.c_plain.is_finite
         assert basis_calls.count(3) == 1
+        # a module, its dp view and a view of that view share one lifter
+        M = Submodule(R2, 2, [(P("x^2"), P("y")), (R2.zero(), P("x*y - y^3"))], LOCAL_DS)
+        dp = M.with_order(GLOBAL_DP)
+        del basis_calls[:]
+        assert dp.lifter() is M.lifter() is dp.with_order(LOCAL_DS).lifter()
+        assert basis_calls == [4]
 
 
 class TestIsolatedLineSingularities:

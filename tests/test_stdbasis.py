@@ -926,6 +926,7 @@ class TestReducedModuleBases:
         assert len(B) == len(vectors) > 0
         leads = [_dp_lead(b) for b in vectors]
         assert M.lead_terms() == leads
+        assert all(c > 0 for c in B.lcs)
         for i, b in enumerate(vectors):
             pos, m = leads[i]
             assert b[pos].terms[m] == 1, (i, b)
@@ -941,6 +942,18 @@ class TestReducedModuleBases:
         scaled = [tuple(p * Fraction(-3, 7) for p in g) for g in gens] + gens[:1]
         for variant in (shuffled, scaled):
             assert list(Submodule(ring, rank, variant, GLOBAL_DP).basis()) == vectors
+
+    def test_rank_two_lifter_tail_is_the_syzygies(self):
+        # the lifter's elements that vanish in positions 0 and 1, cut to the
+        # rest, against module_syzygies, which keeps the preimage of the
+        # zero module from an elimination of its own
+        count = 0
+        for trial, gens in _sweep_modules():
+            M = Submodule(R2, 2, gens, LOCAL_DS)
+            tail = [v[2:] for v in M.lifter() if vec_is_zero(v[:2])]
+            assert tail == list(module_syzygies(M.gens, R2, 2).basis()), trial
+            count += 1
+        assert count > 200
 
 
 @st.composite
